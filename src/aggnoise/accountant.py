@@ -10,11 +10,13 @@ round ledger.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -313,12 +315,14 @@ def rdp_to_dp(alpha: float, eps_rdp: float, delta: float) -> float:
     return eps_rdp + math.log(1.0 / delta) / (alpha - 1.0)
 
 
-def _objective_grid(curves: Sequence[RdpCurve], delta: float, lo: float, hi: float):
+def _composed_rdp(weighted: Counter, alpha):
+    """Summed RDP at order(s) ``alpha``: each distinct curve once, scaled by its count."""
+    return sum(count * curve(alpha) for curve, count in weighted.items())
+
+
+def _objective_grid(weighted: Counter, delta: float, lo: float, hi: float):
     grid = np.geomspace(lo, hi, GRID_POINTS)
-    total = np.zeros_like(grid)
-    for curve in curves:
-        total = total + curve(grid)
-    objective = total + math.log(1.0 / delta) / (grid - 1.0)
+    objective = _composed_rdp(weighted, grid) + math.log(1.0 / delta) / (grid - 1.0)
     return grid, objective
 
 
@@ -342,7 +346,7 @@ def _golden_refine(fn, lo: float, hi: float) -> tuple[float, float]:
     return x, fn(x)
 
 
-def _shared_interval(curves: Sequence[RdpCurve]) -> tuple[float, float]:
+def _shared_interval(curves: Iterable[RdpCurve]) -> tuple[float, float]:
     lo, hi = 1.0, math.inf
     for curve in curves:
         clo, chi = curve.alpha_interval()
@@ -360,21 +364,22 @@ def _shared_interval(curves: Sequence[RdpCurve]) -> tuple[float, float]:
 def optimize_alpha(
     curve: Union[RdpCurve, Sequence[RdpCurve]],
     delta: float,
-    grid_points: int = GRID_POINTS,
 ) -> tuple[float, float]:
     """Minimize rdp_to_dp(alpha, curve(alpha), delta) over the validity interval.
 
-    Dense log-spaced grid search (default 10^4 points) followed by one
+    Dense log-spaced grid search (GRID_POINTS orders) followed by one
     golden-section pass between the best grid point's neighbours. Accepts a
     single curve or several, in which case their RDP values are summed per
-    order (multi-round composition).
+    order (multi-round composition). Repeated curves are collapsed first, so
+    the cost scales with the number of *distinct* curves, not rounds: a ledger
+    of T identical rounds costs what one round does.
 
     Returns (alpha_star, eps_star). Raises EmptyValidityInterval when the
     interval is empty (e.g. N sigma^2 D <= 2 C^2 for the floored mechanism).
     """
-    curves = [curve] if isinstance(curve, RdpCurve) else list(curve)
-    lo, hi = _shared_interval(curves)
-    grid, objective = _objective_grid(curves, delta, lo, hi)
+    weighted = Counter([curve] if isinstance(curve, RdpCurve) else curve)
+    lo, hi = _shared_interval(weighted)
+    grid, objective = _objective_grid(weighted, delta, lo, hi)
     finite = np.isfinite(objective)
     if not finite.any():
         raise EmptyValidityInterval("RDP bound is infinite on the whole order grid")
@@ -383,13 +388,22 @@ def optimize_alpha(
     right = grid[min(idx + 1, grid.size - 1)]
 
     def fn(x: float) -> float:
-        total = sum(float(c(x)) for c in curves)
-        return rdp_to_dp(x, total, delta)
+        return rdp_to_dp(x, _composed_rdp(weighted, x), delta)
 
     alpha_star, eps_star = _golden_refine(fn, left, right)
     if eps_star > objective[idx]:
         alpha_star, eps_star = float(grid[idx]), float(objective[idx])
     return alpha_star, eps_star
+
+
+@functools.lru_cache(maxsize=1024)
+def curve_eps(curve: RdpCurve, delta: float) -> float:
+    """One curve's optimized epsilon eps* at ``delta``, computed once per (curve, delta).
+
+    Floored-mechanism rounds of a run all carry the same curve, so per-round
+    scalars cost one optimization per run rather than one per round.
+    """
+    return optimize_alpha(curve, delta)[1]
 
 
 def amplify_subsampling(eps: float, q: float) -> float:
@@ -423,8 +437,6 @@ def _json_float(value: Optional[float]):
 def _parse_float(value) -> Optional[float]:
     if value is None:
         return None
-    if isinstance(value, str):
-        return float(value)
     return float(value)
 
 
@@ -543,8 +555,7 @@ def _entry_scalar_eps(entry: LedgerEntry, delta: float) -> float:
     if entry.eps is not None:
         return entry.eps
     if entry.curve is not None:
-        _, eps = optimize_alpha(entry.curve, delta)
-        return eps
+        return curve_eps(entry.curve, delta)
     raise NoDpGuarantee(f"round {entry.round_index} carries neither eps nor a curve")
 
 

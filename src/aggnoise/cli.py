@@ -604,11 +604,6 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
         "--out",
         default=default if suppress else _env_default("OUT", str, "aggnoise-out"),
     )
-    parser.add_argument(
-        "--threads", type=int,
-        default=default if suppress else _env_default("THREADS", int, 1),
-        help="advisory parallelism hint (computation is vectorized)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

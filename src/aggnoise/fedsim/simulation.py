@@ -30,9 +30,9 @@ from ..accountant import (
     Route,
     account_round,
     compose,
-    optimize_alpha,
+    curve_eps,
 )
-from ..errors import ConfigError, NoDpGuarantee, SingularCovariance
+from ..errors import AggNoiseError, ConfigError, NoDpGuarantee, SingularCovariance
 from ..mechanisms import (
     SchemeKind,
     UpdateScheme,
@@ -359,8 +359,9 @@ def _round_eps(entry: LedgerEntry, delta: float) -> Optional[float]:
         return entry.eps
     if entry.curve is not None:
         try:
-            return optimize_alpha(entry.curve, delta)[1]
-        except Exception:
+            return curve_eps(entry.curve, delta)
+        except AggNoiseError:
+            # e.g. an empty order interval: the round has no finite guarantee
             return math.inf
     return None
 
@@ -379,8 +380,10 @@ def run_simulation(
     """Run ``rounds`` federated rounds and account every one of them.
 
     The per-round metrics rows are CSV-ready; the cumulative epsilon column
-    re-composes the ledger prefix after every round so the trace is monotone
-    by construction.
+    composes the ledger prefix after every round so the trace is monotone by
+    construction. Composition collapses repeated RDP curves and per-round
+    scalars are memoized per curve, so a run whose rounds share one curve
+    (the floored-mechanism routes) makes O(T) RDP-curve evaluations, not O(T^2).
     """
     ledger = RoundLedger(params, composition)
     rows: list[dict] = []

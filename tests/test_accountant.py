@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aggnoise import accountant
+
 from aggnoise.accountant import (
     WARN_MEANINGLESS_DELTA,
     WARN_MIXED_VARIANTS,
@@ -27,6 +29,7 @@ from aggnoise.accountant import (
     account_round,
     amplify_subsampling,
     compose,
+    curve_eps,
     delta_approx_gaussian,
     delta_validity_limit,
     eps_dp_closed_form,
@@ -322,6 +325,86 @@ class TestCompose:
                                     cause="necessary condition violated"))
         result = compose(ledger, CompositionMode.SIMPLE)
         assert math.isinf(result.total_eps)
+
+
+def wfdp_a_eps(alpha, p):
+    """Variant-A RDP bound written out from the formula, inside its validity range."""
+    c2, b, d = p.clip**2, p.batch, p.local_size
+    num = 2.0 * alpha * b * c2 / d**2 + 2.0 * alpha * c2 / ((alpha - 1.0) * d)
+    return num / (p.ns_users * p.floor - 2.0 * alpha * c2 / d)
+
+
+def dense_grid_min(objective, lo, hi):
+    """Minimum of a unimodal objective on (lo, hi) by repeatedly refined dense grids."""
+    span = hi - lo
+    grid = lo + np.geomspace(1e-9 * span, (1.0 - 1e-12) * span, 100_000)
+    values = objective(grid)
+    while True:
+        i = int(np.argmin(values))
+        left, right = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+        if right - left < 1e-14 * right:
+            return float(values[i])
+        grid = np.linspace(left, right, 2001)
+        values = objective(grid)
+
+
+def curve_ledger(variants, params=RDP_PARAMS, composition=CompositionMode.RDP):
+    ledger = RoundLedger(params, composition)
+    for t, variant in enumerate(variants):
+        ledger.append(account_round(0.0, params, variant, round_index=t))
+    return ledger
+
+
+class TestDistinctCurveComposition:
+    def test_identical_rounds_match_dense_grid(self):
+        rounds = 50
+        result = compose(curve_ledger([RdpVariant.WFDP_A] * rounds), CompositionMode.RDP)
+        hi = RDP_PARAMS.ns_users * RDP_PARAMS.floor * RDP_PARAMS.local_size / (
+            2.0 * RDP_PARAMS.clip**2
+        )
+        log_inv_delta = math.log(1.0 / RDP_PARAMS.delta)
+        expected = dense_grid_min(
+            lambda a: rounds * wfdp_a_eps(a, RDP_PARAMS) + log_inv_delta / (a - 1.0), 1.0, hi
+        )
+        assert result.total_eps == pytest.approx(expected, rel=1e-6)
+
+    def test_alternating_curves_match_ungrouped_sum(self):
+        variants = [RdpVariant.WFDP_A, RdpVariant.WFDP_B] * 10
+        ledger = curve_ledger(variants)
+        result = compose(ledger, CompositionMode.RDP)
+        alpha = result.alpha_star
+        ungrouped = 0.0
+        for entry in ledger.entries:
+            ungrouped += rdp_bound(alpha, RDP_PARAMS, entry.curve.variant)
+        ungrouped += math.log(1.0 / RDP_PARAMS.delta) / (alpha - 1.0)
+        assert result.total_eps == pytest.approx(ungrouped, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", [CompositionMode.RDP, CompositionMode.SIMPLE])
+    def test_rdp_bound_calls_independent_of_rounds(self, monkeypatch, mode):
+        calls = 0
+        original = accountant.rdp_bound
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(accountant, "rdp_bound", counting)
+
+        def count_for(rounds):
+            nonlocal calls
+            curve_eps.cache_clear()
+            calls = 0
+            compose(curve_ledger([RdpVariant.WFDP_A] * rounds, composition=mode), mode)
+            return calls
+
+        few = count_for(2)
+        assert few > 0
+        assert count_for(200) == few
+
+    def test_curve_eps_matches_optimize_alpha(self):
+        curve = RdpCurve(RdpVariant.WFDP_B, RDP_PARAMS)
+        assert curve_eps(curve, 1e-5) == optimize_alpha(curve, 1e-5)[1]
 
 
 class TestAccountRound:

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from aggnoise.accountant import ClosedFormMode, CompositionMode, PrivacyParams, RdpVariant
+from aggnoise.accountant import (
+    ClosedFormMode,
+    CompositionMode,
+    LedgerEntry,
+    PrivacyParams,
+    RdpCurve,
+    RdpVariant,
+)
 from aggnoise.errors import ConfigError, EmptyDataset, MalformedCsv, TooFewExamples
 from aggnoise.fedsim import (
     GlobalModel,
@@ -23,6 +30,7 @@ from aggnoise.fedsim import (
     run_round,
     run_simulation,
 )
+from aggnoise.fedsim import simulation
 from aggnoise.fedsim.models import ModelOps
 from aggnoise.mechanisms import SchemeKind, UpdateScheme
 
@@ -311,3 +319,23 @@ class TestRunSimulation:
                             master_seed=7, round_index=0)
         # blockwise flooring still guarantees the aggregate floor
         assert outcome.lambda_min >= 3 * 0.01 - 1e-12
+
+
+class TestRoundEps:
+    # N sigma^2 D = 2 C^2: the floored-mechanism order interval is empty
+    EMPTY = PrivacyParams(clip=1.0, batch=10, local_size=100, ns_users=2, delta=1e-5, floor=0.01)
+
+    def curve_entry(self):
+        return LedgerEntry(round_index=0, route="rdp:wfdp_a",
+                           curve=RdpCurve(RdpVariant.WFDP_A, self.EMPTY))
+
+    def test_empty_validity_interval_is_infinite(self):
+        assert simulation._round_eps(self.curve_entry(), self.EMPTY.delta) == math.inf
+
+    def test_unexpected_errors_propagate(self, monkeypatch):
+        def broken(curve, delta):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(simulation, "curve_eps", broken)
+        with pytest.raises(RuntimeError):
+            simulation._round_eps(self.curve_entry(), self.EMPTY.delta)
