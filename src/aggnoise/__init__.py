@@ -29,7 +29,6 @@ from .accountant import (
 )
 from .mechanisms import (
     NoisedUpdate,
-    Provenance,
     SchemeKind,
     UpdateScheme,
     clip_gradient,

@@ -36,9 +36,9 @@ from ..errors import AggNoiseError, ConfigError, NoDpGuarantee, SingularCovarian
 from ..mechanisms import (
     SchemeKind,
     UpdateScheme,
-    compute_update,
     ddp_noise,
     estimate_fedavg_distribution,
+    update_with_estimate,
     wfdp_update,
     wfna_noise,
 )
@@ -164,11 +164,11 @@ def run_round(
     for slot, user in enumerate(users):
         rng = _user_rng(master_seed, round_index, slot)
         scheme = user.scheme
-        x_scheme, grads = compute_update(
+        x_scheme, grads, sampled_from = update_with_estimate(
             scheme, user.features, user.labels, ops, theta, params.clip, rng
         )
         # FedAvg deltas are already on the update scale; gradient schemes get
-        # -eta applied by compute_update itself.
+        # -eta applied by the scheme update itself.
         update_scale = 1.0 if scheme.kind is SchemeKind.FEDAVG else scheme.learning_rate
         is_ns = user.role is Role.NON_SENSITIVE
 
@@ -185,6 +185,9 @@ def run_round(
                     eigvecs=np.eye(dim),
                     eigvals=np.zeros(dim),
                 )
+            elif sampled_from is not None and blocks is None:
+                # the Gaussian-sampled scheme already estimated this model
+                dist_model = sampled_from
             else:
                 dist_model = estimate_mean_cov(grads, scheme.batch, blocks)
 

@@ -62,20 +62,12 @@ class UpdateScheme:
             raise ValueError(f"local_steps must be >= 1, got {self.local_steps}")
 
 
-class Provenance(Enum):
-    WFDP = "wfdp"
-    WFNA = "wfna"
-    DDP = "ddp"
-    NONE = "none"
-
-
 @dataclass(frozen=True)
 class NoisedUpdate:
     """An update (or additive noise) vector plus the variance it injected."""
 
     vector: Array
     noise_trace: float
-    provenance: Provenance
 
     def __post_init__(self):
         if self.noise_trace < 0:
@@ -134,23 +126,41 @@ def compute_update(
     FEDAVG are negated and scaled by the learning rate (FEDAVG's steps already
     carry it).
     """
+    update, gmat, _ = update_with_estimate(scheme, features, labels, model, theta, clip, rng)
+    return update, gmat
+
+
+def update_with_estimate(
+    scheme: UpdateScheme,
+    features: Array,
+    labels: Array,
+    model,
+    theta: Array,
+    clip: float,
+    rng: np.random.Generator,
+) -> tuple[Array, GradientMatrix, Optional[CovarianceModel]]:
+    """``compute_update`` plus the full-dimension estimate GAUSSIAN_SAMPLED drew from.
+
+    The estimate is ``estimate_mean_cov(grads, scheme.batch)``; it is None for
+    the schemes that do not estimate.
+    """
     if features.shape[0] == 0:
         raise EmptyDataset("user dataset is empty")
     eta = scheme.learning_rate
     if scheme.kind is SchemeKind.FEDAVG:
         delta = _local_epochs(scheme, model, theta, features, labels, clip, rng)
         clipped = clip_gradient(delta, clip)
-        return clipped, GradientMatrix(clipped[:, None], clip)
+        return clipped, GradientMatrix(clipped[:, None], clip), None
     grads = _clipped_per_example(model, theta, features, labels, clip).T  # (d, D)
     gmat = GradientMatrix(grads, clip)
     if scheme.kind is SchemeKind.FULL_GD:
-        return -eta * grads.mean(axis=1), gmat
+        return -eta * grads.mean(axis=1), gmat, None
     if scheme.kind is SchemeKind.IID_SGD:
         idx = rng.integers(0, grads.shape[1], size=scheme.batch)
-        return -eta * grads[:, idx].mean(axis=1), gmat
+        return -eta * grads[:, idx].mean(axis=1), gmat, None
     if scheme.kind is SchemeKind.GAUSSIAN_SAMPLED:
         dist = estimate_mean_cov(gmat, scheme.batch)
-        return -eta * sample_gaussian(dist, rng), gmat
+        return -eta * sample_gaussian(dist, rng), gmat, dist
     raise ValueError(f"unknown scheme {scheme.kind}")
 
 
@@ -204,7 +214,7 @@ def wfdp_update(
         model = source
     floored, delta = floor_eigenvalues(model, floor)
     vector = sample_gaussian(floored, rng)
-    return NoisedUpdate(vector=vector, noise_trace=float(delta.eigvals.sum()), provenance=Provenance.WFDP)
+    return NoisedUpdate(vector=vector, noise_trace=float(delta.eigvals.sum()))
 
 
 def wfna_noise(
@@ -217,7 +227,7 @@ def wfna_noise(
     """
     _, delta = floor_eigenvalues(model, floor)
     noise = sample_gaussian(delta, rng)
-    return NoisedUpdate(vector=noise, noise_trace=float(delta.eigvals.sum()), provenance=Provenance.WFNA)
+    return NoisedUpdate(vector=noise, noise_trace=float(delta.eigvals.sum()))
 
 
 def ddp_noise(
@@ -234,4 +244,4 @@ def ddp_noise(
         raise ValueError(f"n_users must be >= 1, got {n_users}")
     std = np.sqrt(floor / n_users)
     vector = std * rng.standard_normal(dim)
-    return NoisedUpdate(vector=vector, noise_trace=dim * floor / n_users, provenance=Provenance.DDP)
+    return NoisedUpdate(vector=vector, noise_trace=dim * floor / n_users)

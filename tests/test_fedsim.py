@@ -30,6 +30,7 @@ from aggnoise.fedsim import (
     run_round,
     run_simulation,
 )
+from aggnoise import mechanisms
 from aggnoise.fedsim import simulation
 from aggnoise.fedsim.models import ModelOps
 from aggnoise.mechanisms import SchemeKind, UpdateScheme
@@ -319,6 +320,36 @@ class TestRunSimulation:
                             master_seed=7, round_index=0)
         # blockwise flooring still guarantees the aggregate floor
         assert outcome.lambda_min >= 3 * 0.01 - 1e-12
+
+
+class TestEstimatesPerRound:
+    def estimate_blocks(self, monkeypatch, block_count):
+        """The ``blocks`` argument of every estimate one WFDP round makes."""
+        seen = []
+        original = simulation.estimate_mean_cov
+
+        def counting(grads, batch, blocks=None, **kwargs):
+            seen.append(blocks)
+            return original(grads, batch, blocks, **kwargs)
+
+        monkeypatch.setattr(mechanisms, "estimate_mean_cov", counting)
+        monkeypatch.setattr(simulation, "estimate_mean_cov", counting)
+        scheme = UpdateScheme(SchemeKind.GAUSSIAN_SAMPLED, batch=10, learning_rate=0.1)
+        users, _, family = make_users(4, 1, scheme, seed=27, task="regression", features=4)
+        params = PrivacyParams(clip=1.0, batch=10, local_size=40, ns_users=3,
+                               delta=1e-3, floor=0.01)
+        mech = MechanismConfig(MechanismKind.WFDP, sigma2=0.01, block_count=block_count)
+        run_round(init_model(family, 4), users, mech, params, ClosedFormMode.GENERAL,
+                  master_seed=8, round_index=0)
+        return seen
+
+    def test_gaussian_sampled_user_estimated_once(self, monkeypatch):
+        assert self.estimate_blocks(monkeypatch, 1) == [None] * 4
+
+    def test_blockwise_estimate_still_made(self, monkeypatch):
+        seen = self.estimate_blocks(monkeypatch, 2)
+        assert seen.count(None) == 4
+        assert sum(blocks is not None for blocks in seen) == 3
 
 
 class TestRoundEps:

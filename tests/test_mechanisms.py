@@ -11,7 +11,6 @@ from aggnoise.errors import EmptyDataset, NonFinite
 from aggnoise.fedsim.models import ModelFamily, ModelOps
 from aggnoise.mechanisms import (
     NoisedUpdate,
-    Provenance,
     SchemeKind,
     UpdateScheme,
     clip_gradient,
@@ -205,7 +204,6 @@ class TestWfdpUpdate:
         model = eig_decompose(np.diag([0.5, 0.3]))
         out = wfdp_update(model, 0.1, np.random.default_rng(0))
         assert out.noise_trace == 0.0
-        assert out.provenance is Provenance.WFDP
 
     def test_pure_additive_case(self):
         mu = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -359,7 +357,7 @@ class TestSensitivityBounds:
 class TestNoisedUpdate:
     def test_rejects_negative_trace(self):
         with pytest.raises(ValueError):
-            NoisedUpdate(np.zeros(2), -1.0, Provenance.NONE)
+            NoisedUpdate(np.zeros(2), -1.0)
 
     def test_scheme_validation(self):
         with pytest.raises(ValueError):

@@ -116,6 +116,61 @@ class TestSAChannel:
         assert np.array_equal(a, b)
 
 
+class TestRowStreamMasks:
+    def test_ciphertexts_match_pair_mask_reference(self):
+        n, dim, seed = 7, 5, 31
+        rng = np.random.default_rng(4)
+        updates = [rng.uniform(-3, 3, size=dim) for _ in range(n)]
+        channel = SAChannel(n, dim, seed)
+        for i, u in enumerate(updates):
+            channel.submit(i, u)
+        stored = channel.ciphertexts()
+        for i, u in enumerate(updates):
+            expected = channel.codec.encode(u)
+            for j in range(n):
+                if j > i:
+                    expected = expected + _pair_mask(seed, i, j, dim)
+                elif j < i:
+                    expected = expected - _pair_mask(seed, j, i, dim)
+            assert np.array_equal(stored[i], expected)
+
+    def test_prg_streams_linear_in_users(self, monkeypatch):
+        built = []
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("spawn_key"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        n = 50
+        channel = SAChannel(n, 3, seed=8)
+        for i in range(n):
+            channel.submit(i, np.full(3, 0.5))
+        channel.aggregate()
+        assert 0 < len(built) <= n
+
+    def test_fifty_users_aggregate_bit_exact(self):
+        n, dim = 50, 9
+        rng = np.random.default_rng(5)
+        updates = rng.uniform(-10, 10, size=(n, dim))
+        codec = FixedPointCodec()
+        plain = np.zeros(dim, dtype=np.uint64)
+        for u in updates:
+            plain = plain + codec.encode(u)
+        agg = secure_aggregate(list(updates), seed=17)
+        assert np.array_equal(agg, codec.decode(plain))
+
+    def test_participant_limit(self):
+        SAChannel(2**15, 4, seed=0)  # masks are built on first submit, not here
+        with pytest.raises(Overflow):
+            SAChannel(2**15 + 1, 4, seed=0)
+
+    def test_empty_update_list_rejected(self):
+        with pytest.raises(ValueError):
+            secure_aggregate([], seed=0)
+
+
 class TestOpacity:
     def test_no_plaintext_retained_after_submission(self):
         channel = SAChannel(3, 4, seed=13)
