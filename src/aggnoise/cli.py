@@ -53,6 +53,7 @@ from .fedsim import (
     MechanismConfig,
     MechanismKind,
     ModelFamily,
+    ModelOps,
     Role,
     SyntheticSpec,
     UserState,
@@ -61,9 +62,11 @@ from .fedsim import (
     make_synthetic,
     partition_equal,
     run_simulation,
+    user_update,
 )
+from .fedsim.simulation import _blocks_for, _user_rng
 from .mechanisms import SchemeKind, UpdateScheme
-from .spectra import floor_eigenvalues, eig_decompose, estimate_mean_cov, sum_covariances
+from .spectra import floor_eigenvalues, eig_decompose, sum_covariances
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -448,20 +451,17 @@ def cmd_spectrum(args) -> int:
         config = load_config(args.config)
         seed = args.seed if args.seed is not None else config.get("seed", 0)
         users, model, mech, params, _, _, _, _ = _build_run(config, seed)
-        from .fedsim.models import ModelOps
-        from .mechanisms import compute_update
-
         ops = ModelOps(model.family)
+        blocks = _blocks_for(model.dim, mech)
         sigma2 = args.sigma2 if args.sigma2 else mech.sigma2
         ns_models = []
         for slot, user in enumerate(users):
             if user.role is not Role.NON_SENSITIVE:
                 continue
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, slot)))
-            _, grads = compute_update(
-                user.scheme, user.features, user.labels, ops, model.theta, params.clip, rng
+            # the round-0 model simulate accounts, from the same per-user stream
+            _, est = user_update(
+                user, ops, model.theta, params.clip, blocks, _user_rng(seed, 0, slot)
             )
-            est = estimate_mean_cov(grads, user.scheme.batch)
             rows.extend(_spectrum_rows(f"user{user.user_id}", est.eigvals, sigma2))
             ns_models.append(floor_eigenvalues(est, sigma2)[0] if sigma2 > 0 else est)
         aggregate = sum_covariances(ns_models)

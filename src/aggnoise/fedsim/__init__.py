@@ -12,6 +12,7 @@ from .simulation import (
     UserState,
     run_round,
     run_simulation,
+    user_update,
 )
 
 __all__ = [
@@ -36,4 +37,5 @@ __all__ = [
     "run_round",
     "run_simulation",
     "secure_aggregate",
+    "user_update",
 ]

@@ -4,10 +4,12 @@ Each round every user derives its own RNG stream from the master seed and its
 (round, user) position, computes an update under its scheme, applies the
 configured mechanism, and submits through the secure-aggregation channel. The
 accountant never sees samples: it receives the analytic covariance of the
-non-sensitive users' submitted updates (sum of per-user models, floored when
-the mechanism floors), which is what the per-round guarantees are stated in
-terms of. Learning-rate scaling happens here, after mechanisms ran on the
-clipped-gradient scale.
+non-sensitive users' submitted updates, which is what the per-round guarantees
+are stated in terms of. ``user_update`` is the one definition of a user's
+update and unfloored covariance model (``aggnoise spectrum --config`` shows the
+same round-0 models); a flooring mechanism returns the floored model it sampled
+from, and that is the one summed, so each model is floored once. Learning-rate
+scaling happens here, after mechanisms ran on the clipped-gradient scale.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from ..spectra import (
     BlockSpec,
     CovarianceModel,
     estimate_mean_cov,
-    floor_eigenvalues,
     sum_covariances,
 )
 from .models import GlobalModel, ModelOps, evaluate_model
@@ -99,7 +100,6 @@ class RoundOutcome:
     train_loss: float
     eval_metrics: dict
     lambda_min: Optional[float]
-    noise_trace: float
 
 
 def _user_rng(master_seed: int, round_index: int, slot: int) -> np.random.Generator:
@@ -125,6 +125,47 @@ def _guarantee_refusal(mech: MechanismConfig, users: Sequence[UserState]) -> Opt
                 f"Gaussian-sampled updates, got scheme(s) {bad}"
             )
     return None
+
+
+def user_update(
+    user: UserState,
+    ops: ModelOps,
+    theta: Array,
+    clip: float,
+    blocks: Optional[BlockSpec],
+    rng: np.random.Generator,
+) -> tuple[Array, Optional[CovarianceModel]]:
+    """One user's raw update and, for a non-sensitive user, its covariance model.
+
+    The model is the unfloored distribution of the update on the
+    clipped-gradient scale, the one the accountant sums: the FEDAVG replays'
+    estimate, a zero spectrum for deterministic FULL_GD, the estimate a
+    Gaussian-sampled update was drawn from, or else the (blockwise when
+    ``blocks`` is set) estimate from the clipped gradients. Sensitive users get
+    None. Draws from ``rng`` in that order: scheme draw, then FEDAVG replays.
+    """
+    scheme = user.scheme
+    x, grads, sampled_from = update_with_estimate(
+        scheme, user.features, user.labels, ops, theta, clip, rng
+    )
+    if user.role is not Role.NON_SENSITIVE:
+        return x, None
+    if scheme.kind is SchemeKind.FEDAVG:
+        model = estimate_fedavg_distribution(
+            scheme, user.features, user.labels, ops, theta, clip, rng
+        )
+    elif scheme.kind is SchemeKind.FULL_GD:
+        # full-batch updates are deterministic: no sampling randomness
+        dim = theta.shape[0]
+        model = CovarianceModel(
+            mean=grads.columns.mean(axis=1), eigvecs=np.eye(dim), eigvals=np.zeros(dim)
+        )
+    elif sampled_from is not None and blocks is None:
+        # the Gaussian-sampled scheme already estimated this model
+        model = sampled_from
+    else:
+        model = estimate_mean_cov(grads, scheme.batch, blocks)
+    return x, model
 
 
 def run_round(
@@ -164,66 +205,34 @@ def run_round(
     for slot, user in enumerate(users):
         rng = _user_rng(master_seed, round_index, slot)
         scheme = user.scheme
-        x_scheme, grads, sampled_from = update_with_estimate(
-            scheme, user.features, user.labels, ops, theta, params.clip, rng
-        )
+        x, dist_model = user_update(user, ops, theta, params.clip, blocks, rng)
         # FedAvg deltas are already on the update scale; gradient schemes get
         # -eta applied by the scheme update itself.
         update_scale = 1.0 if scheme.kind is SchemeKind.FEDAVG else scheme.learning_rate
-        is_ns = user.role is Role.NON_SENSITIVE
-
-        dist_model: Optional[CovarianceModel] = None
-        if is_ns:
-            if scheme.kind is SchemeKind.FEDAVG:
-                dist_model = estimate_fedavg_distribution(
-                    scheme, user.features, user.labels, ops, theta, params.clip, rng
-                )
-            elif scheme.kind is SchemeKind.FULL_GD:
-                # full-batch updates are deterministic: no sampling randomness
-                dist_model = CovarianceModel(
-                    mean=grads.columns.mean(axis=1),
-                    eigvecs=np.eye(dim),
-                    eigvals=np.zeros(dim),
-                )
-            elif sampled_from is not None and blocks is None:
-                # the Gaussian-sampled scheme already estimated this model
-                dist_model = sampled_from
-            else:
-                dist_model = estimate_mean_cov(grads, scheme.batch, blocks)
-
-        x = x_scheme
-        if is_ns:
-            if scheme.kind is not SchemeKind.GAUSSIAN_SAMPLED and mech.kind in (
-                MechanismKind.NONE,
-                MechanismKind.DDP,
-            ):
-                approx_gaussian = True
+        if dist_model is not None:
+            if route is RdpVariant.THEOREM1_RDP:
+                # that bound's context is the per-user spectrum before the 1/B
+                # update scaling, i.e. B times the unfloored model's lambda_min
+                theorem1_context += params.batch * dist_model.lambda_min()
+            noised = None
             if mech.kind is MechanismKind.WFDP:
                 noised = wfdp_update(dist_model, mech.sigma2, rng)
                 sign = 1.0 if scheme.kind is SchemeKind.FEDAVG else -1.0
                 x = sign * update_scale * noised.vector
-                ns_models.append(_floored(dist_model, mech.sigma2))
-                noise_trace += noised.noise_trace
             elif mech.kind is MechanismKind.WFNA:
                 noised = wfna_noise(dist_model, mech.sigma2, rng)
-                x = x_scheme + update_scale * noised.vector
-                ns_models.append(_floored(dist_model, mech.sigma2))
-                noise_trace += noised.noise_trace
+                x = x + update_scale * noised.vector
             else:
-                ns_models.append(dist_model)
-                if mech.kind is MechanismKind.DDP:
-                    share = ddp_noise(mech.sigma2, n_total, dim, rng)
-                    x = x + update_scale * share.vector
-                    noise_trace += share.noise_trace
-        else:
-            if mech.kind is MechanismKind.DDP:
-                share = ddp_noise(mech.sigma2, n_total, dim, rng)
-                x = x + update_scale * share.vector
-                noise_trace += share.noise_trace
-        if route is RdpVariant.THEOREM1_RDP and is_ns:
-            # that bound's context is the per-user spectrum before the 1/B
-            # update scaling, i.e. B times the stored model's lambda_min
-            theorem1_context += params.batch * dist_model.lambda_min()
+                approx_gaussian |= scheme.kind is not SchemeKind.GAUSSIAN_SAMPLED
+            if noised is not None:
+                # the accountant sums the model the mechanism already floored
+                dist_model = noised.floored
+                noise_trace += noised.noise_trace
+            ns_models.append(dist_model)
+        if mech.kind is MechanismKind.DDP:
+            share = ddp_noise(mech.sigma2, n_total, dim, rng)
+            x = x + update_scale * share.vector
+            noise_trace += share.noise_trace
         submissions.append(x)
 
     channel = SAChannel(n_total, dim, _channel_seed(master_seed, round_index))
@@ -254,7 +263,6 @@ def run_round(
         noise_trace,
         refusal,
         approx_gaussian,
-        mech,
     )
 
     all_features = np.vstack([u.features for u in users])
@@ -269,13 +277,7 @@ def run_round(
         train_loss=train_loss,
         eval_metrics=eval_metrics,
         lambda_min=lambda_min,
-        noise_trace=noise_trace,
     )
-
-
-def _floored(model: CovarianceModel, sigma2: float) -> CovarianceModel:
-    floored, _ = floor_eigenvalues(model, sigma2)
-    return floored
 
 
 def _channel_seed(master_seed: int, round_index: int) -> int:
@@ -293,7 +295,6 @@ def _account(
     noise_trace: float,
     refusal: Optional[str],
     approx_gaussian: bool,
-    mech: MechanismConfig,
 ) -> LedgerEntry:
     if refusal is not None:
         return LedgerEntry(
@@ -305,45 +306,25 @@ def _account(
             cause=refusal,
         )
     warnings = (WARN_APPROX_GAUSSIAN,) if approx_gaussian else ()
-    if isinstance(route, ClosedFormMode) and route is not ClosedFormMode.SINGULAR:
-        if summed.rank() < summed.dim:
-            return account_round(
-                lambda_min,
-                params,
-                route,
-                round_index=round_index,
-                noise_trace=noise_trace,
-                cause=(
-                    "necessary condition violated: aggregate non-sensitive covariance "
-                    f"is singular (rank {summed.rank()} < {summed.dim}); a worst-case "
-                    "substituted gradient escapes its span"
-                ),
-            )
-        return account_round(
-            lambda_min, params, route, round_index=round_index,
-            noise_trace=noise_trace, extra_warnings=warnings,
-        )
+    lam, cause = lambda_min, None
     if route is ClosedFormMode.SINGULAR:
         try:
             lam = summed.lambda_min_nonzero()
         except SingularCovariance:
-            return account_round(
-                0.0, params, route, round_index=round_index, noise_trace=noise_trace,
-                cause="necessary condition violated: aggregate non-sensitive covariance is zero",
-            )
-        return account_round(
-            lam, params, route, round_index=round_index,
-            noise_trace=noise_trace, extra_warnings=warnings,
+            lam = 0.0
+            cause = "necessary condition violated: aggregate non-sensitive covariance is zero"
+    elif isinstance(route, ClosedFormMode) and summed.rank() < summed.dim:
+        cause = (
+            "necessary condition violated: aggregate non-sensitive covariance "
+            f"is singular (rank {summed.rank()} < {summed.dim}); a worst-case "
+            "substituted gradient escapes its span"
         )
-    if route is RdpVariant.THEOREM1_RDP:
-        return account_round(
-            theorem1_context, params, route, round_index=round_index,
-            noise_trace=noise_trace, extra_warnings=warnings,
-        )
+    elif route is RdpVariant.THEOREM1_RDP:
+        lam = theorem1_context
     # floored-mechanism RDP variants read (N, sigma^2) from params
     return account_round(
-        lambda_min, params, route, round_index=round_index,
-        noise_trace=noise_trace, extra_warnings=warnings,
+        lam, params, route, round_index=round_index, noise_trace=noise_trace,
+        extra_warnings=() if cause is not None else warnings, cause=cause,
     )
 
 
@@ -417,7 +398,7 @@ def run_simulation(
                 "lambda_min": outcome.lambda_min,
                 "eps_round": _round_eps(outcome.entry, params.delta),
                 "eps_cumulative": total,
-                "noise_trace": outcome.noise_trace,
+                "noise_trace": outcome.entry.noise_trace,
             }
         )
     return SimulationResult(

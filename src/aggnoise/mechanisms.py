@@ -64,10 +64,16 @@ class UpdateScheme:
 
 @dataclass(frozen=True)
 class NoisedUpdate:
-    """An update (or additive noise) vector plus the variance it injected."""
+    """An update (or additive noise) vector plus the variance it injected.
+
+    ``floored`` is the model a flooring mechanism's noised update follows:
+    (mean, covariance floored at the mechanism's floor). It is None for noise
+    that floors nothing.
+    """
 
     vector: Array
     noise_trace: float
+    floored: Optional[CovarianceModel] = None
 
     def __post_init__(self):
         if self.noise_trace < 0:
@@ -214,7 +220,7 @@ def wfdp_update(
         model = source
     floored, delta = floor_eigenvalues(model, floor)
     vector = sample_gaussian(floored, rng)
-    return NoisedUpdate(vector=vector, noise_trace=float(delta.eigvals.sum()))
+    return NoisedUpdate(vector=vector, noise_trace=float(delta.eigvals.sum()), floored=floored)
 
 
 def wfna_noise(
@@ -225,9 +231,9 @@ def wfna_noise(
     The caller adds this to the raw (non-replaced) update; the sum then has
     the same floored covariance the replacement variant samples from.
     """
-    _, delta = floor_eigenvalues(model, floor)
+    floored, delta = floor_eigenvalues(model, floor)
     noise = sample_gaussian(delta, rng)
-    return NoisedUpdate(vector=noise, noise_trace=float(delta.eigvals.sum()))
+    return NoisedUpdate(vector=noise, noise_trace=float(delta.eigvals.sum()), floored=floored)
 
 
 def ddp_noise(

@@ -305,16 +305,17 @@ def floor_eigenvalues(
         )
     floored_vals = np.maximum(model.eigvals, floor)
     delta_vals = floored_vals - model.eigvals
+    # CovarianceModel copies eigvecs when it sorts them; the mean it keeps as given
     floored = CovarianceModel(
         mean=model.mean.copy(),
-        eigvecs=model.eigvecs.copy(),
+        eigvecs=model.eigvecs,
         eigvals=floored_vals,
         rank_tol=model.rank_tol,
         scale_note=model.scale_note,
     )
     delta = CovarianceModel(
         mean=np.zeros(model.dim),
-        eigvecs=model.eigvecs.copy(),
+        eigvecs=model.eigvecs,
         eigvals=delta_vals,
         rank_tol=model.rank_tol,
         scale_note=model.scale_note,

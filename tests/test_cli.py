@@ -244,6 +244,22 @@ class TestSpectrumCommand:
         assert "aggregate" in sources
         assert any(s.startswith("user") for s in sources)
 
+    @pytest.mark.parametrize("overrides", [
+        {"scheme": {"kind": "full_gd"}},
+        {"scheme": {"kind": "fedavg", "fedavg_samples": 4}},
+        {"mechanism": {"blocks": 2}},
+    ], ids=["full_gd", "fedavg", "blocks"])
+    def test_aggregate_matches_simulated_round_zero(self, tmp_path, overrides):
+        cfg, _ = write_config(tmp_path, **overrides)
+        assert main(["--out", str(tmp_path / "sim"), "simulate", "--config", cfg]) == EXIT_OK
+        assert main(["--out", str(tmp_path / "spec"), "spectrum", "--config", cfg]) == EXIT_OK
+        with open(tmp_path / "sim" / "metrics.csv") as fh:
+            lambda_min = float(next(csv.DictReader(fh))["lambda_min"])
+        with open(tmp_path / "spec" / "spectrum.csv") as fh:
+            aggregate = [float(r["eigenvalue"]) for r in csv.DictReader(fh)
+                         if r["source"] == "aggregate"]
+        assert min(aggregate) == lambda_min
+
     def test_requires_input(self, capsys):
         assert main(["spectrum"]) == EXIT_CONFIG
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from aggnoise.accountant import (
+    WARN_APPROX_GAUSSIAN,
     ClosedFormMode,
     CompositionMode,
     LedgerEntry,
@@ -350,6 +351,58 @@ class TestEstimatesPerRound:
         seen = self.estimate_blocks(monkeypatch, 2)
         assert seen.count(None) == 4
         assert sum(blocks is not None for blocks in seen) == 3
+
+
+class TestFloorsPerRound:
+    @pytest.mark.parametrize("mech_kind", [MechanismKind.WFDP, MechanismKind.WFNA])
+    def test_each_non_sensitive_model_floored_once(self, monkeypatch, mech_kind):
+        calls = []
+        original = mechanisms.floor_eigenvalues
+
+        def counting(model, floor):
+            calls.append(floor)
+            return original(model, floor)
+
+        monkeypatch.setattr(mechanisms, "floor_eigenvalues", counting)
+        monkeypatch.setattr(simulation, "floor_eigenvalues", counting, raising=False)
+        scheme = UpdateScheme(SchemeKind.GAUSSIAN_SAMPLED, batch=10, learning_rate=0.1)
+        users, _, family = make_users(4, 1, scheme, seed=27, task="regression", features=4)
+        params = PrivacyParams(clip=1.0, batch=10, local_size=40, ns_users=3,
+                               delta=1e-3, floor=0.01)
+        outcome = run_round(init_model(family, 4), users, MechanismConfig(mech_kind, sigma2=0.01),
+                            params, ClosedFormMode.GENERAL, master_seed=8, round_index=0)
+        assert calls == [0.01] * 3
+        assert outcome.lambda_min >= 3 * 0.01 - 1e-12
+
+
+class TestRoundPerSchemeAndMechanism:
+    SIGMA2 = 0.02
+
+    @pytest.mark.parametrize("mech_kind", list(MechanismKind))
+    @pytest.mark.parametrize("scheme_kind", list(SchemeKind))
+    def test_floor_noise_warning_and_refusal(self, scheme_kind, mech_kind):
+        scheme = UpdateScheme(scheme_kind, batch=10, learning_rate=0.2, fedavg_samples=4)
+        users, _, family = make_users(4, 1, scheme, seed=29, task="regression", features=4)
+        params = PrivacyParams(clip=1.0, batch=10, local_size=40, ns_users=3,
+                               delta=1e-3, floor=self.SIGMA2)
+        sigma2 = 0.0 if mech_kind is MechanismKind.NONE else self.SIGMA2
+        # WFDP_B reads (N, sigma^2) from params, so no round gets a singular-cause entry
+        outcome = run_round(init_model(family, 4), users, MechanismConfig(mech_kind, sigma2),
+                            params, RdpVariant.WFDP_B, master_seed=10, round_index=0)
+        entry = outcome.entry
+        floors = mech_kind in (MechanismKind.WFDP, MechanismKind.WFNA)
+        gaussian = scheme_kind is SchemeKind.GAUSSIAN_SAMPLED
+        if floors:
+            assert outcome.lambda_min >= 3 * sigma2 - 1e-12
+        assert (entry.noise_trace > 0) == (mech_kind is not MechanismKind.NONE)
+        expect_warning = not gaussian and mech_kind in (MechanismKind.NONE, MechanismKind.DDP)
+        assert (WARN_APPROX_GAUSSIAN in entry.warnings) == expect_warning
+        if mech_kind is MechanismKind.WFNA and not gaussian:
+            assert entry.route == "refused"
+            assert "no DP guarantee" in entry.cause
+        else:
+            assert entry.cause is None
+            assert entry.route == "rdp:wfdp_b"
 
 
 class TestRoundEps:

@@ -199,6 +199,13 @@ class TestFloorEigenvalues:
         with pytest.raises(PartialSpectrum):
             floor_eigenvalues(partial, 0.1)
 
+    def test_results_share_no_memory_with_input(self):
+        model = full_rank_model(np.random.default_rng(3), 4)
+        for out in floor_eigenvalues(model, 0.5):
+            for theirs in (out.mean, out.eigvecs, out.eigvals):
+                for ours in (model.mean, model.eigvecs, model.eigvals):
+                    assert not np.shares_memory(theirs, ours)
+
 
 class TestSampleGaussian:
     def test_zero_covariance_returns_mean(self):
