@@ -64,7 +64,7 @@ from .fedsim import (
     run_simulation,
     user_update,
 )
-from .fedsim.simulation import _blocks_for, _user_rng
+from .fedsim.simulation import _blocks_for, _isotropic_extra, _user_rng
 from .mechanisms import SchemeKind, UpdateScheme
 from .spectra import floor_eigenvalues, eig_decompose, sum_covariances
 
@@ -453,7 +453,10 @@ def cmd_spectrum(args) -> int:
         users, model, mech, params, _, _, _, _ = _build_run(config, seed)
         ops = ModelOps(model.family)
         blocks = _blocks_for(model.dim, mech)
-        sigma2 = args.sigma2 if args.sigma2 else mech.sigma2
+        # --sigma2 is a what-if floor on every user; without it, the floor and
+        # the DDP variance are the ones simulate accounts
+        floors = mech.kind in (MechanismKind.WFDP, MechanismKind.WFNA)
+        sigma2 = args.sigma2 or (mech.sigma2 if floors else 0.0)
         ns_models = []
         for slot, user in enumerate(users):
             if user.role is not Role.NON_SENSITIVE:
@@ -464,7 +467,8 @@ def cmd_spectrum(args) -> int:
             )
             rows.extend(_spectrum_rows(f"user{user.user_id}", est.eigvals, sigma2))
             ns_models.append(floor_eigenvalues(est, sigma2)[0] if sigma2 > 0 else est)
-        aggregate = sum_covariances(ns_models)
+        extra = 0.0 if args.sigma2 else _isotropic_extra(mech, len(ns_models), len(users))
+        aggregate = sum_covariances(ns_models, isotropic_extra=extra)
         rows.extend(_spectrum_rows("aggregate", aggregate.eigvals, 0.0))
     else:
         raise ConfigError("spectrum: pass --eigvals or --config")

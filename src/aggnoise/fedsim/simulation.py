@@ -38,9 +38,9 @@ from ..errors import AggNoiseError, ConfigError, NoDpGuarantee, SingularCovarian
 from ..mechanisms import (
     SchemeKind,
     UpdateScheme,
+    compute_update,
     ddp_noise,
     estimate_fedavg_distribution,
-    update_with_estimate,
     wfdp_update,
     wfna_noise,
 )
@@ -113,6 +113,11 @@ def _blocks_for(dim: int, mech: MechanismConfig) -> Optional[BlockSpec]:
     return BlockSpec.equal_parts(dim, mech.block_count)
 
 
+def _isotropic_extra(mech: MechanismConfig, n_ns: int, n_total: int) -> float:
+    """Per-coordinate variance the non-sensitive users' DDP shares add to their sum."""
+    return mech.sigma2 * n_ns / n_total if mech.kind is MechanismKind.DDP else 0.0
+
+
 def _guarantee_refusal(mech: MechanismConfig, users: Sequence[UserState]) -> Optional[str]:
     """Scheme/mechanism combinations that carry no DP guarantee at all."""
     if mech.kind is MechanismKind.WFNA:
@@ -145,7 +150,7 @@ def user_update(
     None. Draws from ``rng`` in that order: scheme draw, then FEDAVG replays.
     """
     scheme = user.scheme
-    x, grads, sampled_from = update_with_estimate(
+    x, grads, sampled_from = compute_update(
         scheme, user.features, user.labels, ops, theta, clip, rng
     )
     if user.role is not Role.NON_SENSITIVE:
@@ -247,10 +252,9 @@ def run_round(
 
     if not ns_models:
         raise ConfigError("need at least one non-sensitive user for inherent-noise accounting")
-    extra_iso = 0.0
-    if mech.kind is MechanismKind.DDP:
-        extra_iso = mech.sigma2 * len(ns_models) / n_total
-    summed = sum_covariances(ns_models, isotropic_extra=extra_iso)
+    summed = sum_covariances(
+        ns_models, isotropic_extra=_isotropic_extra(mech, len(ns_models), n_total)
+    )
     lambda_min = summed.lambda_min()
 
     entry = _account(

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import EmptyDataset, NonFinite
 from .spectra import (
-    BlockSpec,
     CovarianceModel,
     GradientMatrix,
     estimate_mean_cov,
@@ -122,33 +121,17 @@ def compute_update(
     theta: Array,
     clip: float,
     rng: np.random.Generator,
-) -> tuple[Array, GradientMatrix]:
-    """One round's update for a user, plus the clipped gradients behind it.
+) -> tuple[Array, GradientMatrix, Optional[CovarianceModel]]:
+    """One round's update for a user, the clipped gradients behind it, and its estimate.
 
     IID_SGD averages B with-replacement samples of the clipped per-example
     gradients; FULL_GD averages all of them; GAUSSIAN_SAMPLED draws from the
     estimated update distribution (mean, second moment / (B*D)); FEDAVG runs
     local training and clips the whole resulting delta to ``clip``. All but
     FEDAVG are negated and scaled by the learning rate (FEDAVG's steps already
-    carry it).
-    """
-    update, gmat, _ = update_with_estimate(scheme, features, labels, model, theta, clip, rng)
-    return update, gmat
-
-
-def update_with_estimate(
-    scheme: UpdateScheme,
-    features: Array,
-    labels: Array,
-    model,
-    theta: Array,
-    clip: float,
-    rng: np.random.Generator,
-) -> tuple[Array, GradientMatrix, Optional[CovarianceModel]]:
-    """``compute_update`` plus the full-dimension estimate GAUSSIAN_SAMPLED drew from.
-
-    The estimate is ``estimate_mean_cov(grads, scheme.batch)``; it is None for
-    the schemes that do not estimate.
+    carry it). The estimate is the full-dimension
+    ``estimate_mean_cov(grads, scheme.batch)`` GAUSSIAN_SAMPLED drew from; it
+    is None for the schemes that do not estimate.
     """
     if features.shape[0] == 0:
         raise EmptyDataset("user dataset is empty")
@@ -200,24 +183,13 @@ def estimate_fedavg_distribution(
     return estimate_mean_cov(GradientMatrix(deltas, clip), scheme.batch)
 
 
-def wfdp_update(
-    source: Union[GradientMatrix, CovarianceModel],
-    floor: float,
-    rng: np.random.Generator,
-    batch: int = 1,
-    blocks: Optional[BlockSpec] = None,
-) -> NoisedUpdate:
+def wfdp_update(model: CovarianceModel, floor: float, rng: np.random.Generator) -> NoisedUpdate:
     """Floor the update spectrum at ``floor`` and emit a Gaussian replacement.
 
-    The raw update is replaced by a draw from (mean, floored covariance); the
-    injected variance is the trace of the lift, sum_j max(0, floor - lam_j).
-    ``source`` may be the clipped gradients (estimated here, optionally
-    blockwise) or an already-estimated full-dimension model.
+    The raw update is replaced by a draw from (mean, floored covariance) of
+    the full-dimension ``model``; the injected variance is the trace of the
+    lift, sum_j max(0, floor - lam_j).
     """
-    if isinstance(source, GradientMatrix):
-        model = estimate_mean_cov(source, batch, blocks)
-    else:
-        model = source
     floored, delta = floor_eigenvalues(model, floor)
     vector = sample_gaussian(floored, rng)
     return NoisedUpdate(vector=vector, noise_trace=float(delta.eigvals.sum()), floored=floored)

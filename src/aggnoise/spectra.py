@@ -1,12 +1,16 @@
 """Positive-semidefinite linear algebra on model-update covariances.
 
-Covariance models here are stored in factored form (orthonormal eigenvectors
-plus a non-negative spectrum) so that eigenvalue flooring, low-rank sampling
-and Renyi divergences can all work directly on the spectrum. The second-moment
-estimator follows the update-generation convention of the rest of the package:
-the per-user matrix is the *uncentered* second moment of clipped per-example
-gradients scaled by 1/(B*D), which equals the sampling-noise covariance of a
-Gaussian-weighted update with weights w ~ N(1/D, I/(B*D)).
+Covariance models here are stored in factored form (a mean, orthonormal
+eigenvectors and a non-negative spectrum, nothing else) so that eigenvalue
+flooring, low-rank sampling and Renyi divergences can all work directly on the
+spectrum. The full-dimension estimator and the sum build their model once,
+through ``eig_decompose`` with their own mean. Rank and the nonzero lambda_min
+count eigenvalues above ``DEFAULT_RANK_TOL`` times lambda_max. The
+second-moment estimator follows the update-generation convention of the rest
+of the package: the per-user matrix is the *uncentered* second moment of
+clipped per-example gradients scaled by 1/(B*D), which equals the
+sampling-noise covariance of a Gaussian-weighted update with weights
+w ~ N(1/D, I/(B*D)).
 """
 
 from __future__ import annotations
@@ -134,8 +138,6 @@ class CovarianceModel:
     mean: Array
     eigvecs: Array
     eigvals: Array
-    rank_tol: float = DEFAULT_RANK_TOL
-    scale_note: str = ""
 
     def __post_init__(self):
         mean = _as_float_array(self.mean, "mean")
@@ -173,15 +175,16 @@ class CovarianceModel:
         return float(self.eigvals[-1]) if self.n_components else 0.0
 
     def lambda_min_nonzero(self) -> float:
-        """Smallest eigenvalue above the rank threshold rank_tol * lambda_max."""
-        thresh = self.rank_tol * self.lambda_max()
+        """Smallest eigenvalue above the rank threshold DEFAULT_RANK_TOL * lambda_max."""
+        thresh = DEFAULT_RANK_TOL * self.lambda_max()
         above = self.eigvals[self.eigvals > thresh]
         if above.size == 0:
             raise SingularCovariance("model has no eigenvalue above the rank threshold")
         return float(above[-1])
 
     def rank(self) -> int:
-        thresh = self.rank_tol * self.lambda_max()
+        """Number of eigenvalues above DEFAULT_RANK_TOL * lambda_max."""
+        thresh = DEFAULT_RANK_TOL * self.lambda_max()
         return int(np.sum(self.eigvals > thresh))
 
     def matrix(self) -> Array:
@@ -193,8 +196,10 @@ class CovarianceModel:
         return self.eigvecs * np.sqrt(self.eigvals)
 
 
-def eig_decompose(sym_matrix, rank_tol: float = DEFAULT_RANK_TOL) -> CovarianceModel:
-    """Eigendecompose a symmetric PSD matrix into a zero-mean CovarianceModel.
+def eig_decompose(sym_matrix, mean=None) -> CovarianceModel:
+    """Eigendecompose a symmetric PSD matrix into a CovarianceModel.
+
+    The model's mean is ``mean``, or zeros when none is given.
 
     Tiny negative eigenvalues (within -1e-10 * lambda_max) are clamped to
     zero; anything more negative means the input was not PSD and is rejected.
@@ -215,10 +220,9 @@ def eig_decompose(sym_matrix, rank_tol: float = DEFAULT_RANK_TOL) -> CovarianceM
         )
     vals = np.maximum(vals, 0.0)
     return CovarianceModel(
-        mean=np.zeros(mat.shape[0]),
+        mean=np.zeros(mat.shape[0]) if mean is None else mean,
         eigvecs=vecs,
         eigvals=vals,
-        rank_tol=rank_tol,
     )
 
 
@@ -235,7 +239,6 @@ def estimate_mean_cov(
     batch: int,
     blocks: BlockSpec | None = None,
     centered: bool = False,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> CovarianceModel:
     """Mean and 1/(B*D)-scaled second moment of a gradient collection.
 
@@ -257,15 +260,7 @@ def estimate_mean_cov(
     dim = grads.dim
     mean = cols.mean(axis=1)
     if blocks is None:
-        sigma = _second_moment(cols, mean, batch, centered)
-        model = eig_decompose(sigma, rank_tol)
-        return CovarianceModel(
-            mean=mean,
-            eigvecs=model.eigvecs,
-            eigvals=model.eigvals,
-            rank_tol=rank_tol,
-            scale_note=f"1/(B*D) = 1/({batch}*{grads.count})",
-        )
+        return eig_decompose(_second_moment(cols, mean, batch, centered), mean)
     blocks.check_dim(dim)
     vecs = np.zeros((dim, dim))
     vals = np.zeros(dim)
@@ -273,18 +268,12 @@ def estimate_mean_cov(
     for start, stop in blocks.boundaries:
         sub = cols[start:stop, :]
         sigma = _second_moment(sub, mean[start:stop], batch, centered)
-        part = eig_decompose(sigma, rank_tol)
+        part = eig_decompose(sigma)
         width = stop - start
         vecs[start:stop, offset : offset + width] = part.eigvecs
         vals[offset : offset + width] = part.eigvals
         offset += width
-    return CovarianceModel(
-        mean=mean,
-        eigvecs=vecs,
-        eigvals=vals,
-        rank_tol=rank_tol,
-        scale_note=f"1/(B*D) = 1/({batch}*{grads.count}), {blocks.block_count} blocks",
-    )
+    return CovarianceModel(mean=mean, eigvecs=vecs, eigvals=vals)
 
 
 def floor_eigenvalues(
@@ -306,20 +295,8 @@ def floor_eigenvalues(
     floored_vals = np.maximum(model.eigvals, floor)
     delta_vals = floored_vals - model.eigvals
     # CovarianceModel copies eigvecs when it sorts them; the mean it keeps as given
-    floored = CovarianceModel(
-        mean=model.mean.copy(),
-        eigvecs=model.eigvecs,
-        eigvals=floored_vals,
-        rank_tol=model.rank_tol,
-        scale_note=model.scale_note,
-    )
-    delta = CovarianceModel(
-        mean=np.zeros(model.dim),
-        eigvecs=model.eigvecs,
-        eigvals=delta_vals,
-        rank_tol=model.rank_tol,
-        scale_note=model.scale_note,
-    )
+    floored = CovarianceModel(mean=model.mean.copy(), eigvecs=model.eigvecs, eigvals=floored_vals)
+    delta = CovarianceModel(mean=np.zeros(model.dim), eigvecs=model.eigvecs, eigvals=delta_vals)
     return floored, delta
 
 
@@ -403,7 +380,6 @@ def span_contains(
 def sum_covariances(
     models: Sequence[CovarianceModel],
     isotropic_extra: float = 0.0,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> CovarianceModel:
     """Distribution of a sum of independent Gaussians: means add, matrices add.
 
@@ -422,11 +398,4 @@ def sum_covariances(
         mean += m.mean
     if isotropic_extra:
         total[np.diag_indices(dim)] += isotropic_extra
-    summed = eig_decompose(total, rank_tol)
-    return CovarianceModel(
-        mean=mean,
-        eigvecs=summed.eigvecs,
-        eigvals=summed.eigvals,
-        rank_tol=rank_tol,
-        scale_note="sum of %d models" % len(models),
-    )
+    return eig_decompose(total, mean)

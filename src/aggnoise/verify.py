@@ -174,6 +174,19 @@ def build_counterexample(
     )
 
 
+def _floored_sum(
+    gradient_sets: Sequence[GradientMatrix], batch: int, floor: float
+) -> CovarianceModel:
+    """Sum of the users' estimated models, each floored at ``floor`` when it is > 0."""
+    models = []
+    for g in gradient_sets:
+        model = estimate_mean_cov(g, batch)
+        if floor > 0:
+            model, _ = floor_eigenvalues(model, floor)
+        models.append(model)
+    return sum_covariances(models)
+
+
 def run_distinguisher(
     instance: Counterexample,
     trials: int,
@@ -188,13 +201,7 @@ def run_distinguisher(
     picks the nearer candidate. Returns the fraction of correct guesses.
     """
     q = instance.quarter_start
-    helper_models = []
-    for g in instance.helpers:
-        model = estimate_mean_cov(g, instance.batch)
-        if floor > 0:
-            model, _ = floor_eigenvalues(model, floor)
-        helper_models.append(model)
-    agg_model = sum_covariances(helper_models)
+    agg_model = _floored_sum(instance.helpers, instance.batch, floor)
     mean_q = agg_model.mean[q:]
     factor_q = agg_model.factor()[q:, :]  # quarter rows of the sum's factor
     r = factor_q.shape[1]
@@ -221,13 +228,7 @@ def dp_advantage_bound(eps: float, delta: float) -> float:
 
 def counterexample_floored_lambda_min(instance: Counterexample, floor: float) -> float:
     """Exact smallest eigenvalue of the helpers' summed floored covariance."""
-    models = []
-    for g in instance.helpers:
-        model = estimate_mean_cov(g, instance.batch)
-        if floor > 0:
-            model, _ = floor_eigenvalues(model, floor)
-        models.append(model)
-    return sum_covariances(models).lambda_min()
+    return _floored_sum(instance.helpers, instance.batch, floor).lambda_min()
 
 
 def analytic_gaussian_delta(sensitivity: float, noise_std: float, eps: float) -> float:
@@ -252,17 +253,13 @@ def analytic_gaussian_delta(sensitivity: float, noise_std: float, eps: float) ->
     return max(float(first - second), 0.0)
 
 
-def _random_psd_user_model(
-    dim: int, count: int, clip: float, batch: int, floor: float, rng: np.random.Generator
-) -> CovarianceModel:
+def _random_clipped_columns(
+    dim: int, count: int, clip: float, rng: np.random.Generator
+) -> GradientMatrix:
     cols = rng.standard_normal((dim, count))
     norms = np.linalg.norm(cols, axis=0)
     scales = clip * (0.6 + 0.4 * rng.random(count)) / norms
-    grads = GradientMatrix(cols * scales, clip)
-    model = estimate_mean_cov(grads, batch)
-    if floor > 0:
-        model, _ = floor_eigenvalues(model, floor)
-    return model
+    return GradientMatrix(cols * scales, clip)
 
 
 def certify_closed_form(
@@ -294,11 +291,8 @@ def certify_closed_form(
         root = math.sqrt(2.0 * math.log(1.25 / delta))
         lambda_0 = 4.0 * clip * clip * root / (batch * batch)
         floor = lambda_0 / n_users * float(rng.choice([1.05, 2.0, 5.0, 20.0]))
-        models = [
-            _random_psd_user_model(dim, count, clip, batch, floor, rng)
-            for _ in range(n_users)
-        ]
-        aggregate = sum_covariances(models)
+        users = [_random_clipped_columns(dim, count, clip, rng) for _ in range(n_users)]
+        aggregate = _floored_sum(users, batch, floor)
         lam_min = aggregate.lambda_min()
         bound = eps_dp_closed_form(lam_min, params, ClosedFormMode.GENERAL)
 
@@ -416,17 +410,8 @@ def certify_rdp(
         else:
             raise ValueError(f"certify_rdp does not adjudicate {variant}")
 
-        def aggregate_of(gsets):
-            models = []
-            for g in gsets:
-                m = estimate_mean_cov(g, batch)
-                if floor > 0:
-                    m, _ = floor_eigenvalues(m, floor)
-                models.append(m)
-            return sum_covariances(models)
-
-        p = aggregate_of(users)
-        q = aggregate_of(substituted)
+        p = _floored_sum(users, batch, floor)
+        q = _floored_sum(substituted, batch, floor)
         for alpha in alphas:
             bound = rdp_bound(alpha, params, variant, sum_lambda_min=context)
             if not math.isfinite(bound):

@@ -248,7 +248,9 @@ class TestSpectrumCommand:
         {"scheme": {"kind": "full_gd"}},
         {"scheme": {"kind": "fedavg", "fedavg_samples": 4}},
         {"mechanism": {"blocks": 2}},
-    ], ids=["full_gd", "fedavg", "blocks"])
+        {"mechanism": {"kind": "ddp"}},
+        {"mechanism": {"kind": "none", "sigma2": 0.0}},
+    ], ids=["full_gd", "fedavg", "blocks", "ddp", "none"])
     def test_aggregate_matches_simulated_round_zero(self, tmp_path, overrides):
         cfg, _ = write_config(tmp_path, **overrides)
         assert main(["--out", str(tmp_path / "sim"), "simulate", "--config", cfg]) == EXIT_OK

@@ -78,7 +78,7 @@ class TestComputeUpdate:
         features, labels = one_point_dataset()
         scheme = UpdateScheme(SchemeKind.FULL_GD, learning_rate=0.3)
         theta = np.ones(4)
-        x, grads = compute_update(scheme, features, labels, LINEAR, theta, 1.0, np.random.default_rng(0))
+        x, grads, _ = compute_update(scheme, features, labels, LINEAR, theta, 1.0, np.random.default_rng(0))
         g = LINEAR.per_example_gradients(theta, features[:1], labels[:1])[0]
         expected = -0.3 * clip_gradient(g, 1.0)
         assert np.allclose(x, expected)
@@ -107,7 +107,7 @@ class TestComputeUpdate:
         direction = g / np.linalg.norm(g)
         rng = np.random.default_rng(3)
         for _ in range(10):
-            x, _ = compute_update(scheme, features, labels, LINEAR, theta, 1.0, rng)
+            x, _, _ = compute_update(scheme, features, labels, LINEAR, theta, 1.0, rng)
             residual = x - direction * (direction @ x)
             # off-line contamination is bounded by the eigensolver's noise floor
             assert np.linalg.norm(residual) < 1e-6 * max(np.linalg.norm(x), 1.0)
@@ -139,7 +139,7 @@ class TestComputeUpdate:
         theta = np.zeros(4)
         for kind in (SchemeKind.FULL_GD, SchemeKind.IID_SGD):
             scheme = UpdateScheme(kind, batch=4, learning_rate=0.5)
-            x, _ = compute_update(scheme, features, labels, LINEAR, theta, 2.0, rng)
+            x, _, _ = compute_update(scheme, features, labels, LINEAR, theta, 2.0, rng)
             assert np.linalg.norm(x) <= 0.5 * 2.0 + 1e-9
 
 
@@ -224,8 +224,8 @@ class TestWfdpUpdate:
         cols = rng.standard_normal((3, 6))
         cols /= np.maximum(np.linalg.norm(cols, axis=0), 1.0)
         grads = GradientMatrix(cols, 1.0)
-        out = wfdp_update(grads, 0.05, rng, batch=2)
         model = estimate_mean_cov(grads, 2)
+        out = wfdp_update(model, 0.05, rng)
         expected_trace = np.maximum(0.05 - model.eigvals, 0.0).sum()
         assert out.noise_trace == pytest.approx(expected_trace)
 
@@ -242,7 +242,8 @@ class TestWfdpUpdate:
 
         n = 100_000
         rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(5)
-        xa = np.array([wfdp_update(grads, 0.02, rng_a, batch=1).vector for _ in range(n)])
+        model = estimate_mean_cov(grads, 1)
+        xa = np.array([wfdp_update(model, 0.02, rng_a).vector for _ in range(n)])
         model_blocked = estimate_mean_cov(grads, 1, blocks=blocks)
         xb = np.array([wfdp_update(model_blocked, 0.02, rng_b).vector for _ in range(n)])
         assert np.abs(xa.mean(axis=0) - xb.mean(axis=0)).max() < 0.01

@@ -80,6 +80,46 @@ class TestEigDecompose:
             eig_decompose(np.diag([1.0, -1e-3]))
 
 
+    def test_keeps_given_mean(self):
+        mean = np.array([1.0, -2.0, 0.5])
+        model = eig_decompose(np.diag([0.5, 0.02, 0.0]), mean)
+        assert np.array_equal(model.mean, mean)
+        assert np.array_equal(eig_decompose(np.eye(3)).mean, np.zeros(3))
+
+    def test_rejects_mean_of_wrong_length(self):
+        with pytest.raises(DimensionMismatch):
+            eig_decompose(np.eye(3), np.zeros(2))
+
+
+class TestModelConstructions:
+    """Each producer builds its model once: one CovarianceModel.__post_init__."""
+
+    @pytest.fixture
+    def count_models(self, monkeypatch):
+        calls = []
+        original = CovarianceModel.__post_init__
+
+        def counted(self):
+            calls.append(1)
+            original(self)
+
+        monkeypatch.setattr(CovarianceModel, "__post_init__", counted)
+        return calls
+
+    def test_estimate_mean_cov_builds_one_model(self, count_models):
+        g = random_gradients(np.random.default_rng(11), dim=4, count=6, clip=1.0)
+        estimate_mean_cov(g, batch=2)
+        assert len(count_models) == 1
+
+    def test_sum_covariances_builds_one_model(self, count_models):
+        rng = np.random.default_rng(12)
+        models = [full_rank_model(rng, 3) for _ in range(3)]
+        count_models.clear()
+        summed = sum_covariances(models, isotropic_extra=0.1)
+        assert len(count_models) == 1
+        assert np.allclose(summed.mean, sum(m.mean for m in models))
+
+
 class TestGradientMatrix:
     def test_rejects_clip_violation(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from aggnoise.verify import (
     Counterexample,
     DominanceReport,
     Verdict,
+    _floored_sum,
     analytic_gaussian_delta,
     build_counterexample,
     certify_closed_form,
@@ -247,6 +248,28 @@ class TestCertifyRdp:
         summary = summarize_reports(bogus)
         assert not summary["sound"]
         assert summary["failures"] == 1
+
+
+class TestFlooredSum:
+    """The one estimate -> floor -> sum path of the harnesses, against a dense sum."""
+
+    @pytest.mark.parametrize("floor", [0.0, 0.05])
+    def test_matches_hand_summed_floored_estimates(self, floor):
+        rng = np.random.default_rng(16)
+        sets = []
+        for _ in range(3):
+            cols = rng.standard_normal((4, 3))
+            sets.append(GradientMatrix(cols / np.linalg.norm(cols, axis=0), 1.0))
+        total = np.zeros((4, 4))
+        for g in sets:
+            model = estimate_mean_cov(g, 2)
+            if floor > 0:
+                model, _ = floor_eigenvalues(model, floor)
+            total += model.matrix()
+        expected = float(np.linalg.eigvalsh(total)[0])
+        summed = _floored_sum(sets, 2, floor)
+        assert summed.lambda_min() == pytest.approx(expected, rel=1e-10, abs=1e-14)
+        assert summed.lambda_min() >= 3 * floor - 1e-12
 
 
 class TestDominanceReport:
