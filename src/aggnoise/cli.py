@@ -66,7 +66,7 @@ from .fedsim import (
 )
 from .fedsim.simulation import _blocks_for, _isotropic_extra, _user_rng
 from .mechanisms import SchemeKind, UpdateScheme
-from .spectra import floor_eigenvalues, eig_decompose, sum_covariances
+from .spectra import CovarianceModel, eig_decompose, floor_eigenvalues, sum_covariances
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -424,7 +424,8 @@ def _account_inner(args) -> int:
     return EXIT_OK
 
 
-def _spectrum_rows(source: str, eigvals: np.ndarray, sigma2: float) -> list[dict]:
+def _spectrum_rows(source: str, model: CovarianceModel, sigma2: float) -> list[dict]:
+    eigvals = model.spectrum()
     floored = np.maximum(eigvals, sigma2)
     return [
         {
@@ -446,7 +447,7 @@ def cmd_spectrum(args) -> int:
         except ValueError:
             raise ConfigError(f"--eigvals: expected comma-separated floats, got {args.eigvals!r}")
         model = eig_decompose(np.diag(vals))
-        rows.extend(_spectrum_rows("input", model.eigvals, args.sigma2))
+        rows.extend(_spectrum_rows("input", model, args.sigma2))
     elif args.config:
         config = load_config(args.config)
         seed = args.seed if args.seed is not None else config.get("seed", 0)
@@ -465,11 +466,11 @@ def cmd_spectrum(args) -> int:
             _, est = user_update(
                 user, ops, model.theta, params.clip, blocks, _user_rng(seed, 0, slot)
             )
-            rows.extend(_spectrum_rows(f"user{user.user_id}", est.eigvals, sigma2))
+            rows.extend(_spectrum_rows(f"user{user.user_id}", est, sigma2))
             ns_models.append(floor_eigenvalues(est, sigma2)[0] if sigma2 > 0 else est)
         extra = 0.0 if args.sigma2 else _isotropic_extra(mech, len(ns_models), len(users))
         aggregate = sum_covariances(ns_models, isotropic_extra=extra)
-        rows.extend(_spectrum_rows("aggregate", aggregate.eigvals, 0.0))
+        rows.extend(_spectrum_rows("aggregate", aggregate, 0.0))
     else:
         raise ConfigError("spectrum: pass --eigvals or --config")
     text = rows_to_csv(rows, ["source", "index", "eigenvalue", "floored", "delta"])

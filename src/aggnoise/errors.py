@@ -25,10 +25,6 @@ class BlockMismatch(AggNoiseError):
     """Block boundaries do not partition the coordinate range."""
 
 
-class PartialSpectrum(AggNoiseError):
-    """Operation needs a full-dimension eigendecomposition but got fewer pairs."""
-
-
 class SingularCovariance(AggNoiseError):
     """A full-rank covariance was required but the input is rank deficient."""
 

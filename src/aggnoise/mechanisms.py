@@ -129,9 +129,9 @@ def compute_update(
     estimated update distribution (mean, second moment / (B*D)); FEDAVG runs
     local training and clips the whole resulting delta to ``clip``. All but
     FEDAVG are negated and scaled by the learning rate (FEDAVG's steps already
-    carry it). The estimate is the full-dimension
-    ``estimate_mean_cov(grads, scheme.batch)`` GAUSSIAN_SAMPLED drew from; it
-    is None for the schemes that do not estimate.
+    carry it). The estimate is the ``estimate_mean_cov(grads, scheme.batch)``
+    GAUSSIAN_SAMPLED drew from; it is None for the schemes that do not
+    estimate.
     """
     if features.shape[0] == 0:
         raise EmptyDataset("user dataset is empty")
@@ -187,12 +187,12 @@ def wfdp_update(model: CovarianceModel, floor: float, rng: np.random.Generator) 
     """Floor the update spectrum at ``floor`` and emit a Gaussian replacement.
 
     The raw update is replaced by a draw from (mean, floored covariance) of
-    the full-dimension ``model``; the injected variance is the trace of the
-    lift, sum_j max(0, floor - lam_j).
+    ``model``; the injected variance is the trace of the lift,
+    sum_j max(0, floor - lam_j) over the model's full spectrum.
     """
-    floored, delta = floor_eigenvalues(model, floor)
+    floored, lift_trace = floor_eigenvalues(model, floor)
     vector = sample_gaussian(floored, rng)
-    return NoisedUpdate(vector=vector, noise_trace=float(delta.eigvals.sum()), floored=floored)
+    return NoisedUpdate(vector=vector, noise_trace=lift_trace, floored=floored)
 
 
 def wfna_noise(
@@ -200,12 +200,20 @@ def wfna_noise(
 ) -> NoisedUpdate:
     """Additive variant: sample zero-mean noise with the lift covariance only.
 
-    The caller adds this to the raw (non-replaced) update; the sum then has
-    the same floored covariance the replacement variant samples from.
+    The lift has the model's eigenvectors, eigenvalues max(floor - lam, 0)
+    and tail max(floor - tail, 0). The caller adds this to the raw
+    (non-replaced) update; the sum then has the same floored covariance the
+    replacement variant samples from.
     """
-    floored, delta = floor_eigenvalues(model, floor)
-    noise = sample_gaussian(delta, rng)
-    return NoisedUpdate(vector=noise, noise_trace=float(delta.eigvals.sum()), floored=floored)
+    floored, lift_trace = floor_eigenvalues(model, floor)
+    lift = CovarianceModel(
+        mean=np.zeros(model.dim),
+        eigvecs=model.eigvecs,
+        eigvals=np.maximum(floor - model.eigvals, 0.0),
+        tail=max(floor - model.tail, 0.0),
+    )
+    noise = sample_gaussian(lift, rng)
+    return NoisedUpdate(vector=noise, noise_trace=lift_trace, floored=floored)
 
 
 def ddp_noise(

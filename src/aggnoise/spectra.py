@@ -1,20 +1,28 @@
 """Positive-semidefinite linear algebra on model-update covariances.
 
-Covariance models here are stored in factored form (a mean, orthonormal
-eigenvectors and a non-negative spectrum, nothing else) so that eigenvalue
-flooring, low-rank sampling and Renyi divergences can all work directly on the
-spectrum. The full-dimension estimator and the sum build their model once,
-through ``eig_decompose`` with their own mean. Rank and the nonzero lambda_min
-count eigenvalues above ``DEFAULT_RANK_TOL`` times lambda_max. The
-second-moment estimator follows the update-generation convention of the rest
-of the package: the per-user matrix is the *uncentered* second moment of
+A covariance model is a mean, r orthonormal eigenvectors U (dim x r), their
+eigenvalues and an isotropic tail tau >= 0 on the directions U leaves out:
+Sigma = U diag(L) U^T + tau (I - U U^T). A model with r = dim is a plain
+eigendecomposition (its tail is 0). Everything that reads a spectrum reads all
+dim eigenvalues: the r stored ones plus tau repeated dim - r times. Flooring
+lifts both the stored eigenvalues and the tail, low-rank sampling draws from
+the stored eigenspace and the tail separately, and Renyi divergences and the
+sum work on the reconstructed matrices. Rank and the nonzero lambda_min count
+eigenvalues above ``DEFAULT_RANK_TOL`` times lambda_max.
+
+The second-moment estimator follows the update-generation convention of the
+rest of the package: the per-user matrix is the *uncentered* second moment of
 clipped per-example gradients scaled by 1/(B*D), which equals the
 sampling-noise covariance of a Gaussian-weighted update with weights
-w ~ N(1/D, I/(B*D)).
+w ~ N(1/D, I/(B*D)). With D > dim/2 it eigendecomposes that dim x dim matrix;
+with at most half as many gradients as coordinates it eigendecomposes a D x D
+reduction (through a thin QR of the gradients) instead and keeps the
+components above the rank threshold, with tail 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -28,7 +36,6 @@ from .errors import (
     NonFinite,
     NonSymmetric,
     NotPositiveSemidefinite,
-    PartialSpectrum,
     SingularCovariance,
 )
 
@@ -126,18 +133,21 @@ class BlockSpec:
 
 @dataclass
 class CovarianceModel:
-    """Mean vector plus eigen-factorization of a PSD covariance.
+    """Mean vector plus top eigenpairs and an isotropic tail of a PSD covariance.
 
-    Eigenpairs are canonicalized to non-increasing eigenvalue order at
+    The covariance is U diag(L) U^T + tail * (I - U U^T): ``eigvecs`` U is
+    (dim, n_components) with orthonormal columns, ``eigvals`` L holds their
+    eigenvalues, and every direction orthogonal to U has eigenvalue ``tail``.
+    With n_components == dim there is no such direction and the tail is stored
+    as 0. Eigenpairs are canonicalized to non-increasing eigenvalue order at
     construction time, so two models representing the same matrix compare
-    spectrum-for-spectrum. ``eigvecs`` is (dim, n_components) with orthonormal
-    columns; a model is *full-dimension* when n_components == dim (zero
-    eigenvalues explicitly represented).
+    spectrum-for-spectrum.
     """
 
     mean: Array
     eigvecs: Array
     eigvals: Array
+    tail: float = 0.0
 
     def __post_init__(self):
         mean = _as_float_array(self.mean, "mean")
@@ -145,16 +155,26 @@ class CovarianceModel:
         vals = _as_float_array(self.eigvals, "eigvals")
         if mean.ndim != 1 or vecs.ndim != 2 or vals.ndim != 1:
             raise DimensionMismatch("mean must be 1-D, eigvecs 2-D, eigvals 1-D")
-        if vecs.shape[0] != mean.shape[0] or vecs.shape[1] != vals.shape[0]:
+        if (
+            vecs.shape[0] != mean.shape[0]
+            or vecs.shape[1] != vals.shape[0]
+            or vals.shape[0] > mean.shape[0]
+        ):
             raise DimensionMismatch(
                 f"shape mismatch: mean {mean.shape}, eigvecs {vecs.shape}, eigvals {vals.shape}"
             )
         if np.any(vals < 0):
             raise NotPositiveSemidefinite(f"negative eigenvalue {vals.min():.3e}")
+        tail = float(self.tail)
+        if not math.isfinite(tail):
+            raise NonFinite("tail is NaN or Inf")
+        if tail < 0:
+            raise NotPositiveSemidefinite(f"negative tail {tail:.3e}")
         order = np.argsort(-vals, kind="stable")
         self.mean = mean
         self.eigvecs = vecs[:, order]
         self.eigvals = vals[order]
+        self.tail = tail if vals.shape[0] < mean.shape[0] else 0.0
 
     @property
     def dim(self) -> int:
@@ -164,46 +184,45 @@ class CovarianceModel:
     def n_components(self) -> int:
         return self.eigvals.shape[0]
 
-    def is_full_dimension(self) -> bool:
-        return self.n_components == self.dim
+    def spectrum(self) -> Array:
+        """All dim eigenvalues, non-increasing: eigvals plus the tail dim - r times."""
+        if self.n_components == self.dim:
+            return self.eigvals
+        padded = np.concatenate([self.eigvals, np.full(self.dim - self.n_components, self.tail)])
+        return np.sort(padded)[::-1]
 
     def lambda_max(self) -> float:
-        return float(self.eigvals[0]) if self.n_components else 0.0
+        vals = self.spectrum()
+        return float(vals[0]) if vals.size else 0.0
 
     def lambda_min(self) -> float:
-        """Smallest retained eigenvalue (the true lambda_min on full models)."""
-        return float(self.eigvals[-1]) if self.n_components else 0.0
+        vals = self.spectrum()
+        return float(vals[-1]) if vals.size else 0.0
 
     def lambda_min_nonzero(self) -> float:
         """Smallest eigenvalue above the rank threshold DEFAULT_RANK_TOL * lambda_max."""
-        thresh = DEFAULT_RANK_TOL * self.lambda_max()
-        above = self.eigvals[self.eigvals > thresh]
+        vals = self.spectrum()
+        above = vals[vals > DEFAULT_RANK_TOL * self.lambda_max()]
         if above.size == 0:
             raise SingularCovariance("model has no eigenvalue above the rank threshold")
         return float(above[-1])
 
     def rank(self) -> int:
         """Number of eigenvalues above DEFAULT_RANK_TOL * lambda_max."""
-        thresh = DEFAULT_RANK_TOL * self.lambda_max()
-        return int(np.sum(self.eigvals > thresh))
+        vals = self.spectrum()
+        return int(np.sum(vals > DEFAULT_RANK_TOL * self.lambda_max()))
 
     def matrix(self) -> Array:
-        """Reconstruct the dense covariance U diag(L) U^T."""
-        return (self.eigvecs * self.eigvals) @ self.eigvecs.T
+        """Reconstruct the dense covariance (U diag(L - tail) U^T + tail I), at cost dim^2 r."""
+        if self.tail == 0.0:
+            return (self.eigvecs * self.eigvals) @ self.eigvecs.T
+        mat = (self.eigvecs * (self.eigvals - self.tail)) @ self.eigvecs.T
+        mat[np.diag_indices(self.dim)] += self.tail
+        return mat
 
-    def factor(self) -> Array:
-        """Square-root factor L = U diag(L)^(1/2), so Sigma = L L^T."""
-        return self.eigvecs * np.sqrt(self.eigvals)
 
-
-def eig_decompose(sym_matrix, mean=None) -> CovarianceModel:
-    """Eigendecompose a symmetric PSD matrix into a CovarianceModel.
-
-    The model's mean is ``mean``, or zeros when none is given.
-
-    Tiny negative eigenvalues (within -1e-10 * lambda_max) are clamped to
-    zero; anything more negative means the input was not PSD and is rejected.
-    """
+def _psd_eigh(sym_matrix) -> tuple[Array, Array]:
+    """Ascending eigenvalues (tiny negatives clamped to 0) and eigenvectors of a PSD matrix."""
     mat = _as_float_array(sym_matrix, "matrix")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
@@ -218,9 +237,20 @@ def eig_decompose(sym_matrix, mean=None) -> CovarianceModel:
         raise NotPositiveSemidefinite(
             f"eigenvalue {vals[0]:.3e} below clamp threshold {clamp_floor:.3e}"
         )
-    vals = np.maximum(vals, 0.0)
+    return np.maximum(vals, 0.0), vecs
+
+
+def eig_decompose(sym_matrix, mean=None) -> CovarianceModel:
+    """Eigendecompose a symmetric PSD matrix into a full-dimension CovarianceModel.
+
+    The model's mean is ``mean``, or zeros when none is given.
+
+    Tiny negative eigenvalues (within -1e-10 * lambda_max) are clamped to
+    zero; anything more negative means the input was not PSD and is rejected.
+    """
+    vals, vecs = _psd_eigh(sym_matrix)
     return CovarianceModel(
-        mean=np.zeros(mat.shape[0]) if mean is None else mean,
+        mean=np.zeros(vals.shape[0]) if mean is None else mean,
         eigvecs=vecs,
         eigvals=vals,
     )
@@ -232,6 +262,33 @@ def _second_moment(cols: Array, mean: Array, batch: int, centered: bool) -> Arra
         shifted = cols - mean[:, None]
         return (shifted @ shifted.T) / (batch * count)
     return (cols @ cols.T) / (batch * count)
+
+
+def _thin_eigpairs(cols: Array, mean: Array, batch: int, centered: bool) -> tuple[Array, Array]:
+    """Eigenpairs of the second moment X X^T of a (dim, D) X with D < dim, at cost O(dim D^2).
+
+    X = cols / sqrt(B*D), centered first when asked. With the thin QR
+    X = Q R, X X^T = Q (R R^T) Q^T, so the D x D matrix R R^T gives the
+    eigenvalues and Q times its eigenvectors gives orthonormal eigenvectors.
+    Only components above DEFAULT_RANK_TOL * lambda_max are kept.
+    """
+    shifted = cols - mean[:, None] if centered else cols
+    q, r = np.linalg.qr(shifted / math.sqrt(batch * cols.shape[1]))
+    vals, w = _psd_eigh(r @ r.T)
+    keep = vals > DEFAULT_RANK_TOL * vals[-1]
+    return q @ w[:, keep], vals[keep]
+
+
+def _is_thin(cols: Array) -> bool:
+    """At most half as many gradients as coordinates: the reduction is then the cheaper path."""
+    return 2 * cols.shape[1] <= cols.shape[0]
+
+
+def _block_eigpairs(cols: Array, mean: Array, batch: int, centered: bool) -> tuple[Array, Array]:
+    if _is_thin(cols):
+        return _thin_eigpairs(cols, mean, batch, centered)
+    part = eig_decompose(_second_moment(cols, mean, batch, centered))
+    return part.eigvecs, part.eigvals
 
 
 def estimate_mean_cov(
@@ -246,13 +303,20 @@ def estimate_mean_cov(
     model under which the closed-form privacy results are exact; pass
     ``centered=True`` for sensitivity studies with the centered covariance.
 
+    With more than dim/2 gradients D the dim x dim matrix is eigendecomposed
+    and the model is full-dimension. With at most dim/2, the matrix has rank
+    <= D: a thin QR of the gradients reduces it to a D x D matrix (cost
+    O(dim D^2), not O(dim^3)) and the model keeps the components above the
+    rank threshold, with tail 0. Only the shape decides which; near D = dim
+    the dense path is the cheaper one.
+
     With ``blocks`` the returned model is block-diagonal: each coordinate
-    block is decomposed independently and cross-block covariance is zero.
-    Eigenvectors are embedded back into the full coordinate space, so the
-    result is a regular full-dimension model. Note the blockwise smallest
-    eigenvalue is not guaranteed to upper- or lower-bound the unblocked one;
-    downstream accounting must consume the blockwise model's own spectrum,
-    which is also what the sampler draws from.
+    block is decomposed independently, by the same rule, and cross-block
+    covariance is zero. Eigenvectors are embedded back into the full
+    coordinate space. Note the blockwise smallest eigenvalue is not
+    guaranteed to upper- or lower-bound the unblocked one; downstream
+    accounting must consume the blockwise model's own spectrum, which is also
+    what the sampler draws from.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
@@ -260,60 +324,79 @@ def estimate_mean_cov(
     dim = grads.dim
     mean = cols.mean(axis=1)
     if blocks is None:
-        return eig_decompose(_second_moment(cols, mean, batch, centered), mean)
+        if not _is_thin(cols):
+            return eig_decompose(_second_moment(cols, mean, batch, centered), mean)
+        vecs, vals = _thin_eigpairs(cols, mean, batch, centered)
+        return CovarianceModel(mean=mean, eigvecs=vecs, eigvals=vals)
     blocks.check_dim(dim)
-    vecs = np.zeros((dim, dim))
-    vals = np.zeros(dim)
+    parts = [
+        _block_eigpairs(cols[start:stop, :], mean[start:stop], batch, centered)
+        for start, stop in blocks.boundaries
+    ]
+    rank = sum(part_vals.shape[0] for _, part_vals in parts)
+    vecs = np.zeros((dim, rank))
+    vals = np.zeros(rank)
     offset = 0
-    for start, stop in blocks.boundaries:
-        sub = cols[start:stop, :]
-        sigma = _second_moment(sub, mean[start:stop], batch, centered)
-        part = eig_decompose(sigma)
-        width = stop - start
-        vecs[start:stop, offset : offset + width] = part.eigvecs
-        vals[offset : offset + width] = part.eigvals
+    for (start, stop), (part_vecs, part_vals) in zip(blocks.boundaries, parts):
+        width = part_vals.shape[0]
+        vecs[start:stop, offset : offset + width] = part_vecs
+        vals[offset : offset + width] = part_vals
         offset += width
     return CovarianceModel(mean=mean, eigvecs=vecs, eigvals=vals)
 
 
-def floor_eigenvalues(
-    model: CovarianceModel, floor: float
-) -> tuple[CovarianceModel, CovarianceModel]:
-    """Lift every eigenvalue to at least ``floor``; also return the lift itself.
+def floor_eigenvalues(model: CovarianceModel, floor: float) -> tuple[CovarianceModel, float]:
+    """Lift every eigenvalue, the tail included, to at least ``floor``.
 
-    Returns ``(floored, delta)`` where ``delta`` is the PSD model of the added
-    noise: same eigenvectors, eigenvalues ``max(lam, floor) - lam`` (its mean
-    is zero). Requires a full-dimension model, because directions missing from
-    the decomposition are exactly the ones the floor must fill.
+    Returns ``(floored, lift_trace)``: the model with eigenvalues
+    max(lam, floor) and tail max(tail, floor), and the trace of the added
+    covariance, sum_j max(floor - lam_j, 0) + (dim - r) max(floor - tail, 0).
+    The directions a low-rank model leaves out are the tail, so flooring
+    fills them too.
     """
     if floor < 0:
         raise ValueError(f"floor must be >= 0, got {floor}")
-    if not model.is_full_dimension():
-        raise PartialSpectrum(
-            f"flooring needs all {model.dim} eigenpairs, model has {model.n_components}"
-        )
-    floored_vals = np.maximum(model.eigvals, floor)
-    delta_vals = floored_vals - model.eigvals
+    vals = model.eigvals
+    lift = np.maximum(floor - vals, 0.0)
+    missing = model.dim - model.n_components
+    # vals are non-increasing, so lift is not: sum it largest first, the order
+    # ledgers' noise traces were recorded in
+    lift_trace = float(lift[::-1].sum()) + missing * max(floor - model.tail, 0.0)
     # CovarianceModel copies eigvecs when it sorts them; the mean it keeps as given
-    floored = CovarianceModel(mean=model.mean.copy(), eigvecs=model.eigvecs, eigvals=floored_vals)
-    delta = CovarianceModel(mean=np.zeros(model.dim), eigvecs=model.eigvecs, eigvals=delta_vals)
-    return floored, delta
+    floored = CovarianceModel(
+        mean=model.mean.copy(),
+        eigvecs=model.eigvecs,
+        eigvals=np.maximum(vals, floor),
+        tail=max(model.tail, floor),
+    )
+    return floored, lift_trace
 
 
 def sample_gaussian(model: CovarianceModel, rng: np.random.Generator) -> Array:
-    """Draw mean + U diag(L)^(1/2) v with v standard normal of length r.
+    """Draw mean + U (sqrt(L) * a) + sqrt(tail) (w - U U^T w).
 
-    Deterministic given the generator state; a zero spectrum returns the mean
-    exactly, and rank-deficient models sample only inside their eigenspace.
+    ``a`` holds r standard normals and ``w`` dim more, drawn after ``a`` in
+    the same call and only when the model has a nonzero tail; a model without
+    one draws just r. Deterministic given the generator state; a zero
+    spectrum returns the mean exactly, and rank-deficient models without a
+    tail sample only inside their eigenspace.
     """
     if np.any(~np.isfinite(model.eigvals)):
         raise NonFinite("model eigvals contain NaN or Inf")
-    v = rng.standard_normal(model.n_components)
-    return model.mean + model.factor() @ v
+    r = model.n_components
+    head = model.eigvecs * np.sqrt(model.eigvals)
+    if model.tail == 0.0:
+        return model.mean + head @ rng.standard_normal(r)
+    z = rng.standard_normal(r + model.dim)
+    w = z[r:]
+    off_span = w - model.eigvecs @ (model.eigvecs.T @ w)
+    return model.mean + head @ z[:r] + math.sqrt(model.tail) * off_span
 
 
 def renyi_gaussian(alpha: float, p: CovarianceModel, q: CovarianceModel) -> float:
     """Exact Renyi divergence of order alpha between two full-rank Gaussians.
+
+    Both models' full spectra (tail included) enter the log-determinants.
 
     D_a(p || q) = (a/2) dm^T S_a^{-1} dm
                   - 1/(2(a-1)) * ln( |S_a| / (|Sp|^(1-a) |Sq|^a) ),
@@ -324,7 +407,7 @@ def renyi_gaussian(alpha: float, p: CovarianceModel, q: CovarianceModel) -> floa
     if p.dim != q.dim:
         raise DimensionMismatch(f"dimension mismatch: {p.dim} vs {q.dim}")
     for name, model in (("p", p), ("q", q)):
-        if not model.is_full_dimension() or model.rank() < model.dim:
+        if model.rank() < model.dim:
             raise SingularCovariance(f"model {name} is rank deficient")
     sig_p = p.matrix()
     sig_q = q.matrix()
@@ -339,8 +422,8 @@ def renyi_gaussian(alpha: float, p: CovarianceModel, q: CovarianceModel) -> floa
     white = np.linalg.solve(chol, dmean)
     term_mean = 0.5 * alpha * float(white @ white)
     logdet_a = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    logdet_p = float(np.sum(np.log(p.eigvals)))
-    logdet_q = float(np.sum(np.log(q.eigvals)))
+    logdet_p = float(np.sum(np.log(p.spectrum())))
+    logdet_q = float(np.sum(np.log(q.spectrum())))
     term_det = -(logdet_a - (1.0 - alpha) * logdet_p - alpha * logdet_q) / (2.0 * (alpha - 1.0))
     return max(term_mean + term_det, 0.0)
 
@@ -383,6 +466,8 @@ def sum_covariances(
 ) -> CovarianceModel:
     """Distribution of a sum of independent Gaussians: means add, matrices add.
 
+    The sum is dense: every model's ``matrix()`` is added and the total is
+    eigendecomposed once, so the result is a full-dimension model.
     ``isotropic_extra`` adds that much variance to every coordinate, which is
     how distributed isotropic noise shares enter the aggregate.
     """

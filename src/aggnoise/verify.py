@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import log_ndtr, ndtr
 
 from .accountant import (
     ClosedFormMode,
@@ -203,7 +203,8 @@ def run_distinguisher(
     q = instance.quarter_start
     agg_model = _floored_sum(instance.helpers, instance.batch, floor)
     mean_q = agg_model.mean[q:]
-    factor_q = agg_model.factor()[q:, :]  # quarter rows of the sum's factor
+    # quarter rows of the (full-dimension) sum's factor U diag(L)^(1/2)
+    factor_q = (agg_model.eigvecs * np.sqrt(agg_model.eigvals))[q:, :]
     r = factor_q.shape[1]
 
     secret = rng.integers(0, 2, size=trials)
@@ -248,8 +249,8 @@ def analytic_gaussian_delta(sensitivity: float, noise_std: float, eps: float) ->
         return 0.0
     a = sensitivity / (2.0 * noise_std)
     b = eps * noise_std / sensitivity
-    first = norm.cdf(a - b)
-    second = math.exp(eps + norm.logcdf(-a - b))
+    first = ndtr(a - b)
+    second = math.exp(eps + log_ndtr(-a - b))
     return max(float(first - second), 0.0)
 
 

@@ -250,7 +250,10 @@ class TestSpectrumCommand:
         {"mechanism": {"blocks": 2}},
         {"mechanism": {"kind": "ddp"}},
         {"mechanism": {"kind": "none", "sigma2": 0.0}},
-    ], ids=["full_gd", "fedavg", "blocks", "ddp", "none"])
+        {"dataset": {"features": 39, "per_user": 10}},
+        {"dataset": {"features": 39, "per_user": 10}, "mechanism": {"blocks": 2}},
+        {"dataset": {"features": 39, "per_user": 10}, "mechanism": {"kind": "wfna"}},
+    ], ids=["full_gd", "fedavg", "blocks", "ddp", "none", "thin", "thin_blocks", "thin_wfna"])
     def test_aggregate_matches_simulated_round_zero(self, tmp_path, overrides):
         cfg, _ = write_config(tmp_path, **overrides)
         assert main(["--out", str(tmp_path / "sim"), "simulate", "--config", cfg]) == EXIT_OK
@@ -261,6 +264,22 @@ class TestSpectrumCommand:
             aggregate = [float(r["eigenvalue"]) for r in csv.DictReader(fh)
                          if r["source"] == "aggregate"]
         assert min(aggregate) == lambda_min
+
+    def test_thin_users_list_every_eigenvalue(self, tmp_path):
+        # 10 gradients in d = 40: each user's model keeps <= 10 eigenpairs,
+        # and the rows list all 40 eigenvalues, the missing ones as exact zeros
+        cfg, _ = write_config(tmp_path, dataset={"features": 39, "per_user": 10})
+        assert main(["--out", str(tmp_path / "spec"), "spectrum", "--config", cfg]) == EXIT_OK
+        with open(tmp_path / "spec" / "spectrum.csv") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["source"].startswith("user")]
+        users = {r["source"] for r in rows}
+        assert len(rows) == 40 * len(users)
+        for user in users:
+            values = [float(r["eigenvalue"]) for r in rows if r["source"] == user]
+            assert values == sorted(values, reverse=True)
+            assert values[10:] == [0.0] * 30
+            assert all(float(r["floored"]) == 0.005 for r in rows if r["source"] == user
+                       and float(r["eigenvalue"]) == 0.0)
 
     def test_requires_input(self, capsys):
         assert main(["spectrum"]) == EXIT_CONFIG
@@ -303,6 +322,23 @@ class TestComposeCommand:
         rc = main(["compose", str(tmp_path / "a" / "ledger.json"),
                    str(tmp_path / "b" / "ledger.json")])
         assert rc == EXIT_CONFIG
+
+
+class TestImportCost:
+    def test_cli_does_not_import_scipy_stats(self):
+        # scipy.stats alone took most of the CLI's start-up time
+        import os
+        import subprocess
+        import sys
+
+        import aggnoise
+
+        src = os.path.dirname(os.path.dirname(aggnoise.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, aggnoise.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestVerifyCommand:

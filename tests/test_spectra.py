@@ -12,10 +12,10 @@ from aggnoise.errors import (
     IndefiniteSigmaAlpha,
     NonSymmetric,
     NotPositiveSemidefinite,
-    PartialSpectrum,
     SingularCovariance,
 )
 from aggnoise.spectra import (
+    DEFAULT_RANK_TOL,
     BlockSpec,
     CovarianceModel,
     GradientMatrix,
@@ -196,30 +196,34 @@ class TestBlockSpec:
 class TestFloorEigenvalues:
     def test_direct_clipping_example(self):
         model = eig_decompose(np.diag([0.5, 0.02, 0.0]))
-        floored, delta = floor_eigenvalues(model, 0.04)
+        floored, lift_trace = floor_eigenvalues(model, 0.04)
         assert np.allclose(floored.eigvals, [0.5, 0.04, 0.04])
-        assert sorted(delta.eigvals) == pytest.approx([0.0, 0.02, 0.04])
+        assert sorted(floored.eigvals - model.eigvals) == pytest.approx([0.0, 0.02, 0.04])
+        assert lift_trace == pytest.approx(0.06)
         assert floored.lambda_min() >= 0.04
 
     def test_noop_when_spectrum_above_floor(self):
         model = eig_decompose(np.diag([0.5, 0.2]))
-        floored, delta = floor_eigenvalues(model, 0.1)
-        assert np.allclose(delta.eigvals, 0.0)
+        floored, lift_trace = floor_eigenvalues(model, 0.1)
+        assert lift_trace == pytest.approx(0.0)
         assert np.allclose(floored.matrix(), model.matrix())
 
     def test_pure_noise_case(self):
         model = eig_decompose(np.zeros((5, 5)))
-        floored, delta = floor_eigenvalues(model, 0.01)
+        floored, lift_trace = floor_eigenvalues(model, 0.01)
         assert np.allclose(floored.matrix(), 0.01 * np.eye(5))
-        assert delta.eigvals.sum() == pytest.approx(0.05)
+        assert lift_trace == pytest.approx(0.05)
 
     def test_matrix_identity_and_exact_differences(self):
         rng = np.random.default_rng(11)
         model = full_rank_model(rng, 4, jitter=0.01)
-        floored, delta = floor_eigenvalues(model, 0.5)
-        assert np.allclose(floored.matrix() - model.matrix(), delta.matrix(), atol=1e-12)
+        floored, lift_trace = floor_eigenvalues(model, 0.5)
+        lift_vals = np.maximum(0.5 - model.eigvals, 0.0)
+        lift = (model.eigvecs * lift_vals) @ model.eigvecs.T
+        assert np.allclose(floored.matrix() - model.matrix(), lift, atol=1e-12)
         diffs = np.sort(floored.eigvals - model.eigvals)
-        assert np.array_equal(diffs, np.sort(delta.eigvals))
+        assert np.array_equal(diffs, np.sort(lift_vals))
+        assert lift_trace == pytest.approx(float(np.trace(lift)), abs=1e-12)
 
     def test_delta_psd_and_idempotence(self):
         rng = np.random.default_rng(5)
@@ -227,24 +231,30 @@ class TestFloorEigenvalues:
             g = random_gradients(rng, 4, 6, 1.5)
             model = estimate_mean_cov(g, 2)
             floor = float(rng.random() * 0.5)
-            floored, delta = floor_eigenvalues(model, floor)
-            assert np.all(delta.eigvals >= 0)
-            assert np.all(delta.eigvals <= floor + 1e-15)
-            again, delta2 = floor_eigenvalues(floored, floor)
+            floored, lift_trace = floor_eigenvalues(model, floor)
+            lift_vals = floored.eigvals - model.eigvals
+            assert np.all(lift_vals >= 0)
+            assert np.all(lift_vals <= floor + 1e-15)
+            assert lift_trace == pytest.approx(float(lift_vals.sum()), abs=1e-15)
+            again, lift_trace2 = floor_eigenvalues(floored, floor)
             assert np.allclose(again.eigvals, floored.eigvals)
-            assert np.allclose(delta2.eigvals, 0.0)
+            assert lift_trace2 == pytest.approx(0.0)
 
-    def test_requires_full_spectrum(self):
+    def test_fills_missing_directions(self):
         partial = CovarianceModel(np.zeros(3), np.eye(3)[:, :2], np.array([1.0, 0.5]))
-        with pytest.raises(PartialSpectrum):
-            floor_eigenvalues(partial, 0.1)
+        floored, lift_trace = floor_eigenvalues(partial, 0.7)
+        dense, dense_trace = floor_eigenvalues(eig_decompose(partial.matrix()), 0.7)
+        assert np.allclose(floored.matrix(), dense.matrix(), atol=1e-15)
+        assert np.allclose(floored.matrix(), np.diag([1.0, 0.7, 0.7]))
+        assert floored.tail == 0.7 and floored.lambda_min() == 0.7
+        assert lift_trace == pytest.approx(0.9) and lift_trace == pytest.approx(dense_trace)
 
     def test_results_share_no_memory_with_input(self):
         model = full_rank_model(np.random.default_rng(3), 4)
-        for out in floor_eigenvalues(model, 0.5):
-            for theirs in (out.mean, out.eigvecs, out.eigvals):
-                for ours in (model.mean, model.eigvecs, model.eigvals):
-                    assert not np.shares_memory(theirs, ours)
+        floored, _ = floor_eigenvalues(model, 0.5)
+        for theirs in (floored.mean, floored.eigvecs, floored.eigvals):
+            for ours in (model.mean, model.eigvecs, model.eigvals):
+                assert not np.shares_memory(theirs, ours)
 
 
 class TestSampleGaussian:
@@ -403,3 +413,187 @@ class TestSpectrumInvariants:
         zero = eig_decompose(np.zeros((2, 2)))
         with pytest.raises(SingularCovariance):
             zero.lambda_min_nonzero()
+
+
+def _clipped(cols, clip=1.0):
+    return GradientMatrix(cols * (0.999 * clip / np.linalg.norm(cols, axis=0).max()), clip)
+
+
+def _thin_inputs(rng, dim=50, count=20):
+    """Gradient sets with fewer columns than half the dimension, easy and hard."""
+    base = rng.standard_normal((dim, count // 2))
+    q1, _ = np.linalg.qr(rng.standard_normal((dim, count)))
+    q2, _ = np.linalg.qr(rng.standard_normal((count, count)))
+    return {
+        "random": _clipped(rng.standard_normal((dim, count))),
+        "duplicated": _clipped(np.hstack([base, base])),
+        "column_scales": _clipped(rng.standard_normal((dim, count)) * np.logspace(0, -4, count)),
+        "singular_values": _clipped(q1 @ np.diag(np.logspace(0, -6, count)) @ q2.T),
+    }
+
+
+def _dense_second_moment(grads, batch, centered, blocks):
+    cols = grads.columns
+    dim, count = cols.shape
+    x = cols - cols.mean(axis=1)[:, None] if centered else cols
+    mask = np.zeros((dim, dim))
+    for start, stop in blocks.boundaries if blocks is not None else ((0, dim),):
+        mask[start:stop, start:stop] = 1.0
+    return mask * (x @ x.T) / (batch * count)
+
+
+def _dense_oracle(grads, batch, centered, blocks):
+    """Eigenpairs of the dense second moment, per block, with the rank threshold applied.
+
+    Eigenvalues at or below DEFAULT_RANK_TOL times their block's largest are
+    the ones ``rank()`` counts as zero; the oracle sets them to 0.
+    """
+    matrix = _dense_second_moment(grads, batch, centered, blocks)
+    dim = matrix.shape[0]
+    vals, vecs = np.zeros(dim), np.zeros((dim, dim))
+    for start, stop in blocks.boundaries if blocks is not None else ((0, dim),):
+        lam, u = np.linalg.eigh(matrix[start:stop, start:stop])
+        vals[start:stop] = np.where(lam > DEFAULT_RANK_TOL * lam[-1], lam, 0.0)
+        vecs[start:stop, start:stop] = u
+    return vals, vecs
+
+
+class TestLowRankModels:
+    """Models estimated from fewer gradients than dim/2 carry r <= D eigenpairs plus a tail."""
+
+    BLOCKS = (None, BlockSpec(((0, 10), (10, 50))))
+
+    @pytest.mark.parametrize("centered", [False, True])
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    def test_matches_dense_eigh_floor_sum_oracle(self, centered, blocks):
+        batch = 3
+        user_inputs = [_thin_inputs(np.random.default_rng(40 + u)) for u in range(3)]
+        for kind in user_inputs[0]:
+            models, dense = [], []
+            for inputs in user_inputs:
+                grads = inputs[kind]
+                model = estimate_mean_cov(grads, batch, blocks=blocks, centered=centered)
+                vals, vecs = _dense_oracle(grads, batch, centered, blocks)
+                lam_max = vals.max()
+                assert model.n_components < model.dim
+                dense_matrix = (vecs * vals) @ vecs.T
+                assert np.abs(model.matrix() - dense_matrix).max() <= 1e-12 * lam_max, kind
+                # the dropped components are below the rank threshold
+                raw = _dense_second_moment(grads, batch, centered, blocks)
+                assert np.abs(model.matrix() - raw).max() <= (DEFAULT_RANK_TOL + 1e-12) * lam_max
+                assert np.abs(model.eigvecs.T @ model.eigvecs - np.eye(model.n_components)).max() <= 1e-12
+                models.append(model)
+                dense.append((vals, vecs))
+            sigma2 = float(np.median(dense[0][0][dense[0][0] > 0]))
+            floored_sum = np.zeros((50, 50))
+            floored_models = []
+            for model, (vals, vecs) in zip(models, dense):
+                floored, lift_trace = floor_eigenvalues(model, sigma2)
+                dense_floored = np.maximum(vals, sigma2)
+                dense_trace = float(np.maximum(sigma2 - vals, 0.0).sum())
+                assert floored.lambda_min() == pytest.approx(dense_floored.min(), rel=1e-12, abs=0)
+                assert lift_trace == pytest.approx(dense_trace, rel=1e-12, abs=0), kind
+                floored_sum += (vecs * dense_floored) @ vecs.T
+                floored_models.append(floored)
+            summed = sum_covariances(floored_models)
+            expected = float(np.linalg.eigvalsh(floored_sum)[0])
+            assert summed.lambda_min() == pytest.approx(expected, rel=1e-12, abs=0), kind
+
+    def test_dense_path_is_unchanged(self):
+        # D >= dim: the same eigendecomposition of the same matrix, and the
+        # sampler draws r normals with the same arithmetic as before
+        grads = random_gradients(np.random.default_rng(21), dim=5, count=8, clip=1.0)
+        model = estimate_mean_cov(grads, 2)
+        cols = grads.columns
+        reference = eig_decompose((cols @ cols.T) / (2 * 8), cols.mean(axis=1))
+        for ours, theirs in ((model.eigvecs, reference.eigvecs), (model.eigvals, reference.eigvals)):
+            assert np.array_equal(ours, theirs)
+        for m in (model, floor_eigenvalues(model, 0.05)[0]):
+            assert m.n_components == m.dim and m.tail == 0.0
+            rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
+            drawn = sample_gaussian(m, rng_new)
+            old = m.mean + (m.eigvecs * np.sqrt(m.eigvals)) @ rng_old.standard_normal(m.n_components)
+            assert np.array_equal(drawn, old)
+            assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+    def test_floored_samples_have_the_model_covariance(self):
+        from aggnoise.mechanisms import wfna_noise
+
+        grads = random_gradients(np.random.default_rng(31), dim=6, count=3, clip=1.0)
+        model = estimate_mean_cov(grads, 1)
+        assert model.n_components == 3
+        floored, _ = floor_eigenvalues(model, 0.5 * model.lambda_max())
+        target = floored.matrix()
+        scale = floored.lambda_max()
+        rng = np.random.default_rng(32)
+        n = 30_000
+        replaced = np.array([sample_gaussian(floored, rng) for _ in range(n)]) - model.mean
+        added = np.array(
+            [sample_gaussian(model, rng) + wfna_noise(model, floored.tail, rng).vector
+             for _ in range(n)]
+        ) - model.mean
+        for samples in (replaced, added):
+            emp = samples.T @ samples / n
+            # entry standard errors are below sqrt(2/n) * lambda_max ~ 0.008 * lambda_max
+            assert np.abs(emp - target).max() < 0.045 * scale
+
+    def test_thousand_dim_sum_floor_is_exact_without_large_eigh(self, monkeypatch):
+        rng = np.random.default_rng(77)
+        dim, count, users = 1001, 100, 9
+        original = np.linalg.eigh
+        sizes = []
+
+        def recording(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return original(a, *args, **kwargs)
+
+        grads = [random_gradients(rng, dim, count, 1.0) for _ in range(users)]
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", recording)
+            models = [estimate_mean_cov(g, 10) for g in grads]
+        assert sizes and max(sizes) <= count
+        sigma2 = float(np.median(models[0].eigvals))
+        summed = sum_covariances([floor_eigenvalues(m, sigma2)[0] for m in models])
+        assert summed.lambda_min() == pytest.approx(users * sigma2, rel=1e-12, abs=0)
+
+    def test_thin_estimate_builds_one_model(self, monkeypatch):
+        calls = []
+        original = CovarianceModel.__post_init__
+
+        def counted(self):
+            calls.append(1)
+            original(self)
+
+        monkeypatch.setattr(CovarianceModel, "__post_init__", counted)
+        estimate_mean_cov(random_gradients(np.random.default_rng(4), 8, 3, 1.0), 2)
+        assert len(calls) == 1
+
+    def test_spectrum_readers_include_the_tail(self):
+        model = CovarianceModel(np.zeros(4), np.eye(4)[:, :2], np.array([2.0, 0.5]), tail=1.0)
+        assert np.array_equal(model.spectrum(), [2.0, 1.0, 1.0, 0.5])
+        assert model.lambda_max() == 2.0 and model.lambda_min() == 0.5
+        assert model.rank() == 4
+        assert np.allclose(model.matrix(), np.diag([2.0, 0.5, 1.0, 1.0]))
+        untailed = CovarianceModel(np.zeros(4), np.eye(4)[:, :2], np.array([2.0, 0.5]))
+        assert untailed.rank() == 2 and untailed.lambda_min() == 0.0
+        assert untailed.lambda_min_nonzero() == 0.5
+
+    def test_full_dimension_model_stores_no_tail(self):
+        model = CovarianceModel(np.zeros(2), np.eye(2), np.ones(2), tail=3.0)
+        assert model.tail == 0.0
+        with pytest.raises(NotPositiveSemidefinite):
+            CovarianceModel(np.zeros(3), np.eye(3)[:, :1], np.ones(1), tail=-1.0)
+        with pytest.raises(DimensionMismatch):
+            CovarianceModel(np.zeros(2), np.ones((2, 3)), np.ones(3))
+
+    def test_renyi_reads_the_tail(self):
+        rng = np.random.default_rng(13)
+        p = floor_eigenvalues(estimate_mean_cov(random_gradients(rng, 6, 2, 1.0), 1), 0.05)[0]
+        q = floor_eigenvalues(estimate_mean_cov(random_gradients(rng, 6, 3, 1.0), 1), 0.08)[0]
+        assert p.tail == 0.05 and q.tail == 0.08
+        dense_p = eig_decompose(p.matrix(), p.mean)
+        dense_q = eig_decompose(q.matrix(), q.mean)
+        for alpha in (1.5, 2.0, 4.0):
+            assert renyi_gaussian(alpha, p, q) == pytest.approx(
+                renyi_gaussian(alpha, dense_p, dense_q), rel=1e-10
+            )

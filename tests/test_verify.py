@@ -126,7 +126,7 @@ class TestCounterexample:
         floored_sets = []
         for g in ce.helpers:
             model, _ = floor_eigenvalues(estimate_mean_cov(g, 1), 1.0)
-            floored_sets.append(model.eigvecs * np.sqrt(model.eigvals))
+            floored_sets.append(np.linalg.cholesky(model.matrix()))
         verdict = check_necessary_condition(floored_sets, ce.replacement)
         assert verdict == Verdict.SATISFIED
         success = run_distinguisher(ce, 20_000, np.random.default_rng(6), floor=1.0)
