@@ -163,7 +163,7 @@ def user_update(
         # full-batch updates are deterministic: no sampling randomness
         dim = theta.shape[0]
         model = CovarianceModel(
-            mean=grads.columns.mean(axis=1), eigvecs=np.eye(dim), eigvals=np.zeros(dim)
+            mean=grads.columns.mean(axis=1), eigvecs=np.zeros((dim, 0)), eigvals=np.zeros(0)
         )
     elif sampled_from is not None and blocks is None:
         # the Gaussian-sampled scheme already estimated this model

@@ -214,10 +214,8 @@ class CovarianceModel:
 
     def matrix(self) -> Array:
         """Reconstruct the dense covariance (U diag(L - tail) U^T + tail I), at cost dim^2 r."""
-        if self.tail == 0.0:
-            return (self.eigvecs * self.eigvals) @ self.eigvecs.T
         mat = (self.eigvecs * (self.eigvals - self.tail)) @ self.eigvecs.T
-        mat[np.diag_indices(self.dim)] += self.tail
+        mat.flat[:: self.dim + 1] += self.tail  # the diagonal
         return mat
 
 
@@ -326,8 +324,7 @@ def estimate_mean_cov(
     if blocks is None:
         if not _is_thin(cols):
             return eig_decompose(_second_moment(cols, mean, batch, centered), mean)
-        vecs, vals = _thin_eigpairs(cols, mean, batch, centered)
-        return CovarianceModel(mean=mean, eigvecs=vecs, eigvals=vals)
+        blocks = BlockSpec(((0, dim),))
     blocks.check_dim(dim)
     parts = [
         _block_eigpairs(cols[start:stop, :], mean[start:stop], batch, centered)
@@ -357,11 +354,10 @@ def floor_eigenvalues(model: CovarianceModel, floor: float) -> tuple[CovarianceM
     if floor < 0:
         raise ValueError(f"floor must be >= 0, got {floor}")
     vals = model.eigvals
-    lift = np.maximum(floor - vals, 0.0)
-    missing = model.dim - model.n_components
-    # vals are non-increasing, so lift is not: sum it largest first, the order
-    # ledgers' noise traces were recorded in
-    lift_trace = float(lift[::-1].sum()) + missing * max(floor - model.tail, 0.0)
+    # the spectrum is non-increasing, so its lift is not: sum the lift over all
+    # dim eigenvalues largest first, the order ledgers' noise traces were
+    # recorded in
+    lift_trace = float(np.maximum(floor - model.spectrum(), 0.0)[::-1].sum())
     # CovarianceModel copies eigvecs when it sorts them; the mean it keeps as given
     floored = CovarianceModel(
         mean=model.mean.copy(),

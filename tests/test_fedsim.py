@@ -323,6 +323,24 @@ class TestRunSimulation:
         assert outcome.lambda_min >= 3 * 0.01 - 1e-12
 
 
+class TestFullGdModel:
+    def test_zero_model_stores_no_eigenpairs_and_floors_to_isotropic(self):
+        scheme = UpdateScheme(SchemeKind.FULL_GD, learning_rate=0.1)
+        users, _, family = make_users(2, 0, scheme, seed=31, task="regression", features=6)
+        theta = init_model(family, 6).theta
+        _, model = simulation.user_update(users[0], ModelOps(family), theta, 1.0, None,
+                                          np.random.default_rng(0))
+        dim = theta.shape[0]
+        assert model.n_components == 0
+        assert model.lambda_max() == 0.0
+        update = mechanisms.wfdp_update(model, 0.04, np.random.default_rng(3))
+        assert np.array_equal(update.floored.matrix(), 0.04 * np.eye(dim))
+        assert update.noise_trace == pytest.approx(dim * 0.04, rel=1e-15)
+        # the draw is d normals scaled by sigma, as a d x d identity model drew them
+        expected = model.mean + math.sqrt(0.04) * np.random.default_rng(3).standard_normal(dim)
+        assert np.array_equal(update.vector, expected)
+
+
 class TestEstimatesPerRound:
     def estimate_blocks(self, monkeypatch, block_count):
         """The ``blocks`` argument of every estimate one WFDP round makes."""
