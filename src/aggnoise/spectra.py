@@ -6,9 +6,12 @@ Sigma = U diag(L) U^T + tau (I - U U^T). A model with r = dim is a plain
 eigendecomposition (its tail is 0). Everything that reads a spectrum reads all
 dim eigenvalues: the r stored ones plus tau repeated dim - r times. Flooring
 lifts both the stored eigenvalues and the tail, low-rank sampling draws from
-the stored eigenspace and the tail separately, and Renyi divergences and the
-sum work on the reconstructed matrices. Rank and the nonzero lambda_min count
-eigenvalues above ``DEFAULT_RANK_TOL`` times lambda_max.
+the stored eigenspace and the tail separately, and Renyi divergences work on
+the reconstructed matrices. A sum is the summed tails times I plus the stacked
+excess of each model over its tail; an excess of width <= dim/2 is reduced
+like a thin estimate, a wider one goes through the dense dim x dim sum. Rank
+and the nonzero lambda_min count eigenvalues above ``DEFAULT_RANK_TOL`` times
+lambda_max.
 
 The second-moment estimator follows the update-generation convention of the
 rest of the package: the per-user matrix is the *uncentered* second moment of
@@ -262,16 +265,14 @@ def _second_moment(cols: Array, mean: Array, batch: int, centered: bool) -> Arra
     return (cols @ cols.T) / (batch * count)
 
 
-def _thin_eigpairs(cols: Array, mean: Array, batch: int, centered: bool) -> tuple[Array, Array]:
-    """Eigenpairs of the second moment X X^T of a (dim, D) X with D < dim, at cost O(dim D^2).
+def _gram_eigpairs(factor: Array) -> tuple[Array, Array]:
+    """Eigenpairs of F F^T for a (dim, k) factor F with k < dim, at cost O(dim k^2).
 
-    X = cols / sqrt(B*D), centered first when asked. With the thin QR
-    X = Q R, X X^T = Q (R R^T) Q^T, so the D x D matrix R R^T gives the
-    eigenvalues and Q times its eigenvectors gives orthonormal eigenvectors.
-    Only components above DEFAULT_RANK_TOL * lambda_max are kept.
+    With the thin QR F = Q R, F F^T = Q (R R^T) Q^T, so the k x k matrix
+    R R^T gives the eigenvalues and Q times its eigenvectors gives orthonormal
+    eigenvectors. Only components above DEFAULT_RANK_TOL * lambda_max are kept.
     """
-    shifted = cols - mean[:, None] if centered else cols
-    q, r = np.linalg.qr(shifted / math.sqrt(batch * cols.shape[1]))
+    q, r = np.linalg.qr(factor)
     vals, w = _psd_eigh(r @ r.T)
     keep = vals > DEFAULT_RANK_TOL * vals[-1]
     return q @ w[:, keep], vals[keep]
@@ -284,7 +285,9 @@ def _is_thin(cols: Array) -> bool:
 
 def _block_eigpairs(cols: Array, mean: Array, batch: int, centered: bool) -> tuple[Array, Array]:
     if _is_thin(cols):
-        return _thin_eigpairs(cols, mean, batch, centered)
+        # the second moment is X X^T with X = cols / sqrt(B*D), centered when asked
+        shifted = cols - mean[:, None] if centered else cols
+        return _gram_eigpairs(shifted / math.sqrt(batch * cols.shape[1]))
     part = eig_decompose(_second_moment(cols, mean, batch, centered))
     return part.eigvecs, part.eigvals
 
@@ -456,27 +459,64 @@ def span_contains(
     return float(np.linalg.norm(residual)) <= tol * max(vnorm, 1.0)
 
 
+def _stacked_excess(models: Sequence[CovarianceModel], dim: int) -> Array | None:
+    """The models' factors U diag(sqrt(L - tail)) side by side, over components above the tail.
+
+    Eigenvalues are stored non-increasing, so those components are a prefix.
+    None when some eigenvalue lies below its model's tail or the total width
+    passes dim/2; the scan stops at the first model that decides it.
+    """
+    parts, width = [], 0
+    for m in models:
+        vals = m.eigvals
+        if vals.size and vals[-1] < m.tail:
+            return None
+        k = int(np.count_nonzero(vals > m.tail))
+        width += k
+        if 2 * width > dim:
+            return None
+        parts.append((m, k))
+    return np.hstack([m.eigvecs[:, :k] * np.sqrt(m.eigvals[:k] - m.tail) for m, k in parts])
+
+
 def sum_covariances(
     models: Sequence[CovarianceModel],
     isotropic_extra: float = 0.0,
 ) -> CovarianceModel:
-    """Distribution of a sum of independent Gaussians: means add, matrices add.
+    """Distribution of a sum of independent Gaussians: means add, covariances add.
 
-    The sum is dense: every model's ``matrix()`` is added and the total is
-    eigendecomposed once, so the result is a full-dimension model.
-    ``isotropic_extra`` adds that much variance to every coordinate, which is
-    how distributed isotropic noise shares enter the aggregate.
+    Each model is tail_i I + U_i diag(L_i - tail_i) U_i^T, so the sum is
+    c I + F F^T with c the summed tails plus ``isotropic_extra`` and F the
+    stacked factors U_i diag(sqrt(L_i - tail_i)) of the components above
+    their tail. With F empty the result is the isotropic c I, with no
+    decomposition at all. With 0 < width(F) <= dim/2 a thin QR reduces F F^T
+    to a width x width matrix, and the result keeps its components (plus c)
+    with tail c. Otherwise, or when an eigenvalue lies below its model's
+    tail, every model's ``matrix()`` is added and the dim x dim total is
+    eigendecomposed into a full-dimension model. ``isotropic_extra`` adds
+    that much variance to every coordinate, which is how distributed
+    isotropic noise shares enter the aggregate.
     """
     if not models:
         raise ValueError("need at least one model to sum")
     dim = models[0].dim
-    total = np.zeros((dim, dim))
     mean = np.zeros(dim)
     for m in models:
         if m.dim != dim:
             raise DimensionMismatch("models have inconsistent dimensions")
-        total += m.matrix()
         mean += m.mean
-    if isotropic_extra:
-        total[np.diag_indices(dim)] += isotropic_extra
-    return eig_decompose(total, mean)
+    stacked = _stacked_excess(models, dim)
+    if stacked is None:
+        total = np.zeros((dim, dim))
+        for m in models:
+            total += m.matrix()
+        if isotropic_extra:
+            total[np.diag_indices(dim)] += isotropic_extra
+        return eig_decompose(total, mean)
+    # summed in the order the dense path adds its diagonal, so cI matches it bit for bit
+    tail = sum(m.tail for m in models) + isotropic_extra
+    if stacked.shape[1]:
+        vecs, vals = _gram_eigpairs(stacked)
+    else:
+        vecs, vals = stacked, np.zeros(0)
+    return CovarianceModel(mean=mean, eigvecs=vecs, eigvals=vals + tail, tail=tail)

@@ -355,3 +355,14 @@ class TestVerifyCommand:
         assert report["counterexample"]["verdict"] == "VIOLATED"
         assert report["counterexample"]["distinguisher_success"] == 1.0
         assert not report["low_region_probe"]["passed"]  # documented gap
+
+    def test_thin_counterexample_passes(self, tmp_path):
+        # at --ce-dim 64 the helpers' floored sum is isotropic with no stored
+        # eigenpairs; the floored distinguisher must still draw its noise
+        out = tmp_path / "o"
+        rc = main(["--out", str(out), "--seed", "0", "verify", "--ce-dim", "64",
+                   "--trials-closed", "5", "--trials-rdp", "3",
+                   "--ce-trials", "300", "--advantage-trials", "20000"])
+        assert rc == EXIT_OK
+        floored = json.loads((out / "verify_report.json").read_text())["counterexample_floored"]
+        assert floored["advantage"] <= floored["advantage_bound"]

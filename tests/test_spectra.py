@@ -458,6 +458,13 @@ def _dense_oracle(grads, batch, centered, blocks):
     return vals, vecs
 
 
+def _forbidden(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"np.linalg.{name} called")
+
+    return fail
+
+
 class TestLowRankModels:
     """Models estimated from fewer gradients than dim/2 carry r <= D eigenpairs plus a tail."""
 
@@ -496,8 +503,17 @@ class TestLowRankModels:
                 floored_sum += (vecs * dense_floored) @ vecs.T
                 floored_models.append(floored)
             summed = sum_covariances(floored_models)
-            expected = float(np.linalg.eigvalsh(floored_sum)[0])
-            assert summed.lambda_min() == pytest.approx(expected, rel=1e-12, abs=0), kind
+            dense_min = float(np.linalg.eigvalsh(floored_sum)[0])
+            if summed.n_components < summed.dim:
+                # the summed excess has rank < dim, so lambda_min is exactly
+                # the summed tails; eigvalsh of the dense sum is only good to
+                # its backward error, a small multiple of dim * eps * lambda_max
+                exact = sum(m.tail for m in floored_models)
+                assert summed.lambda_min() == pytest.approx(exact, rel=1e-12, abs=0), kind
+                backward = 4 * 50 * np.finfo(float).eps * summed.lambda_max()
+                assert abs(dense_min - exact) <= backward, kind
+            else:
+                assert summed.lambda_min() == pytest.approx(dense_min, rel=1e-12, abs=0), kind
 
     def test_dense_path_is_unchanged(self):
         # D >= dim: the same eigendecomposition of the same matrix, and the
@@ -539,7 +555,7 @@ class TestLowRankModels:
 
     def test_thousand_dim_sum_floor_is_exact_without_large_eigh(self, monkeypatch):
         rng = np.random.default_rng(77)
-        dim, count, users = 1001, 100, 9
+        dim, count, users, batch = 1001, 100, 9, 10
         original = np.linalg.eigh
         sizes = []
 
@@ -550,11 +566,22 @@ class TestLowRankModels:
         grads = [random_gradients(rng, dim, count, 1.0) for _ in range(users)]
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigh", recording)
-            models = [estimate_mean_cov(g, 10) for g in grads]
+            models = [estimate_mean_cov(g, batch) for g in grads]
         assert sizes and max(sizes) <= count
         sigma2 = float(np.median(models[0].eigvals))
         summed = sum_covariances([floor_eigenvalues(m, sigma2)[0] for m in models])
         assert summed.lambda_min() == pytest.approx(users * sigma2, rel=1e-12, abs=0)
+        # a floor >= C^2/B lifts every eigenvalue (the trace is at most C^2/B)
+        # to the tail: the stacked excess is empty and the sum decomposes nothing
+        sigma2 = 1.0**2 / batch
+        floored = [floor_eigenvalues(m, sigma2)[0] for m in models]
+        with monkeypatch.context() as patch:
+            for name in ("eigh", "qr"):
+                patch.setattr(np.linalg, name, _forbidden(name))
+            summed = sum_covariances(floored)
+        assert summed.n_components == 0
+        assert summed.tail == pytest.approx(users * sigma2, rel=1e-15, abs=0)
+        assert summed.lambda_min() == summed.tail
 
     def test_thin_estimate_builds_one_model(self, monkeypatch):
         calls = []
@@ -597,3 +624,99 @@ class TestLowRankModels:
             assert renyi_gaussian(alpha, p, q) == pytest.approx(
                 renyi_gaussian(alpha, dense_p, dense_q), rel=1e-10
             )
+
+
+def _thin_model(rng, dim, count, floor=0.0):
+    model = estimate_mean_cov(random_gradients(rng, dim, count, 1.0), 2)
+    return floor_eigenvalues(model, floor)[0] if floor > 0 else model
+
+
+def _dense_sum(models, extra):
+    """Today's dense formula: add every matrix(), then eigendecompose the total."""
+    dim = models[0].dim
+    total = np.zeros((dim, dim))
+    mean = np.zeros(dim)
+    for m in models:
+        total += m.matrix()
+        mean += m.mean
+    if extra:
+        total[np.diag_indices(dim)] += extra
+    return eig_decompose(total, mean)
+
+
+class TestStackedSum:
+    """sum_covariances as summed tails plus a stacked low-rank excess, at dim 50."""
+
+    DIM = 50
+
+    def _check_against_dense(self, models, extra):
+        summed = sum_covariances(models, isotropic_extra=extra)
+        dense = sum(m.matrix() for m in models) + extra * np.eye(self.DIM)
+        lam_max = float(np.linalg.eigvalsh(dense)[-1])
+        # eigvalsh is backward stable: each eigenvalue is off by a small
+        # multiple of dim * eps * lambda_max
+        backward = 4 * self.DIM * np.finfo(float).eps * lam_max
+        assert np.abs(summed.spectrum()[::-1] - np.linalg.eigvalsh(dense)).max() <= backward
+        assert np.abs(summed.matrix() - dense).max() <= 1e-12 * lam_max
+        assert np.array_equal(summed.mean, sum(m.mean for m in models))
+        vecs = summed.eigvecs
+        assert np.abs(vecs.T @ vecs - np.eye(summed.n_components)).max(initial=0.0) <= 1e-12
+        return summed
+
+    @pytest.mark.parametrize("extra", [0.0, 0.03])
+    def test_empty_excess_is_the_summed_tails(self, monkeypatch, extra):
+        rng = np.random.default_rng(50)
+        models = [_thin_model(rng, self.DIM, 4, floor=0.6) for _ in range(3)]
+        assert all(m.eigvals.max() == m.tail for m in models)
+        with monkeypatch.context() as patch:
+            for name in ("eigh", "qr"):
+                patch.setattr(np.linalg, name, _forbidden(name))
+            summed = sum_covariances(models, isotropic_extra=extra)
+        assert summed.n_components == 0
+        assert summed.lambda_min() == pytest.approx(3 * 0.6 + extra, rel=1e-12, abs=0)
+        self._check_against_dense(models, extra)
+
+    @pytest.mark.parametrize("extra", [0.0, 0.03])
+    def test_narrow_excess_is_reduced(self, extra):
+        rng = np.random.default_rng(51)
+        thin = [_thin_model(rng, self.DIM, 6, floor=0.02) for _ in range(2)]
+        thin.append(_thin_model(rng, self.DIM, 5))
+        # a full-dimension model whose zero eigenvalues add nothing to the excess
+        basis, _ = np.linalg.qr(rng.standard_normal((self.DIM, self.DIM)))
+        vals = np.zeros(self.DIM)
+        vals[:3] = [0.4, 0.2, 0.1]
+        full = CovarianceModel(rng.standard_normal(self.DIM), basis, vals)
+        models = thin + [full]
+        summed = self._check_against_dense(models, extra)
+        width = sum(int(np.sum(m.eigvals > m.tail)) for m in models)
+        assert 0 < width <= self.DIM // 2
+        assert 0 < summed.n_components <= width
+        assert summed.tail == sum(m.tail for m in models) + extra
+        assert summed.lambda_min() == pytest.approx(
+            sum(m.tail for m in models) + extra, rel=1e-12, abs=0
+        )
+
+    def test_wide_excess_is_the_dense_formula(self):
+        rng = np.random.default_rng(52)
+        models = [_thin_model(rng, self.DIM, 12) for _ in range(2)]
+        models.append(full_rank_model(rng, self.DIM))
+        models.append(_thin_model(rng, self.DIM, 8, floor=0.001))
+        for extra in (0.0, 0.03):
+            for subset in (models[:3], models[:2] + models[3:]):
+                assert 2 * sum(int(np.sum(m.eigvals > m.tail)) for m in subset) > self.DIM
+                summed = self._check_against_dense(subset, extra)
+                reference = _dense_sum(subset, extra)
+                assert summed.n_components == self.DIM and summed.tail == 0.0
+                assert np.array_equal(summed.eigvals, reference.eigvals)
+                assert np.array_equal(summed.eigvecs, reference.eigvecs)
+                assert np.array_equal(summed.mean, reference.mean)
+
+    def test_eigenvalue_below_the_tail_takes_the_dense_path(self):
+        rng = np.random.default_rng(53)
+        basis, _ = np.linalg.qr(rng.standard_normal((self.DIM, 2)))
+        below = CovarianceModel(np.zeros(self.DIM), basis, np.array([0.5, 0.1]), tail=0.3)
+        models = [below, _thin_model(rng, self.DIM, 3, floor=0.01)]
+        summed = self._check_against_dense(models, 0.0)
+        reference = _dense_sum(models, 0.0)
+        assert np.array_equal(summed.eigvals, reference.eigvals)
+        assert np.array_equal(summed.eigvecs, reference.eigvecs)

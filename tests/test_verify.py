@@ -10,6 +10,7 @@ from scipy.stats import norm
 from aggnoise.accountant import PrivacyParams, RdpVariant, eps_dp_closed_form, rdp_bound
 from aggnoise.errors import BadDimension
 from aggnoise.spectra import (
+    CovarianceModel,
     GradientMatrix,
     estimate_mean_cov,
     floor_eigenvalues,
@@ -21,6 +22,7 @@ from aggnoise.verify import (
     DominanceReport,
     Verdict,
     _floored_sum,
+    _min_eigvec,
     analytic_gaussian_delta,
     build_counterexample,
     certify_closed_form,
@@ -147,6 +149,19 @@ class TestCounterexample:
         with pytest.raises(BadDimension):
             build_counterexample(0)
 
+    def test_floored_distinguisher_draws_the_tail(self):
+        # d = 64: three helpers of 6 gradients each, floored at 1.0, sum to
+        # 3 I with no stored eigenpairs; the noise must still cover every
+        # coordinate, exactly as a dense 3 I would
+        ce = build_counterexample(64, rng=np.random.default_rng(1))
+        agg = _floored_sum(ce.helpers, ce.batch, 1.0)
+        assert agg.n_components == 0 and agg.tail == 3.0
+        success = run_distinguisher(ce, 20_000, np.random.default_rng(3), floor=1.0)
+        params = PrivacyParams(clip=ce.clip, batch=ce.batch, delta=1e-3)
+        eps = eps_dp_closed_form(agg.lambda_min(), params).eps
+        assert 2.0 * success - 1.0 <= dp_advantage_bound(eps, params.delta)
+        assert success < 0.6
+
     def test_advantage_respects_accountant_bound(self):
         ce = build_counterexample(8, rng=np.random.default_rng(8))
         trials = 20_000
@@ -204,6 +219,36 @@ class TestCertifyClosedForm:
         sens = (2 * params.clip / params.batch) / math.sqrt(lam)
         exact = analytic_gaussian_delta(sens, 1.0, bound.eps)
         assert exact <= params.delta + 1e-9
+
+    def test_extremal_pair_dominates_random_pairs(self, monkeypatch):
+        # on the suite's own instances (those `aggnoise verify --seed 7`
+        # reports), no random substitution pair's whitened sensitivity
+        # exceeds the extremal pair's, the last column of the one solve
+        ratios = []
+        original = np.linalg.solve
+
+        def recording(a, b):
+            w = original(a, b)
+            norms = np.linalg.norm(w, axis=0)
+            ratios.append(norms[:-1].max() / norms[-1])
+            return w
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        certify_closed_form(1000, np.random.default_rng(7))
+        assert len(ratios) == 1000
+        assert max(ratios) <= 1.0
+
+    def test_extremal_direction_is_the_smallest_eigenvalue(self):
+        basis, _ = np.linalg.qr(np.random.default_rng(17).standard_normal((6, 6)))
+        for model, smallest in (
+            (CovarianceModel(np.zeros(6), basis, np.arange(6.0) + 1.0), 1.0),
+            (CovarianceModel(np.zeros(6), basis[:, :2], np.array([3.0, 2.0]), tail=0.5), 0.5),
+            (CovarianceModel(np.zeros(6), basis[:, :2], np.array([3.0, 0.2]), tail=0.5), 0.2),
+            (CovarianceModel(np.zeros(6), basis[:, :0], np.zeros(0), tail=0.5), 0.5),
+        ):
+            v = _min_eigvec(model)
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+            assert np.abs(model.matrix() @ v - smallest * v).max() <= 1e-14
 
     def test_low_region_probe_documents_the_printed_gap(self):
         # the low-privacy branch as printed does NOT dominate the exact
