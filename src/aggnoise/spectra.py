@@ -7,10 +7,10 @@ eigendecomposition (its tail is 0). Everything that reads a spectrum reads all
 dim eigenvalues: the r stored ones plus tau repeated dim - r times. Flooring
 lifts both the stored eigenvalues and the tail, low-rank sampling draws from
 the stored eigenspace and the tail separately, and Renyi divergences work on
-the reconstructed matrices. A sum is the summed tails times I plus the stacked
-excess of each model over its tail; an excess of width <= dim/2 is reduced
-like a thin estimate, a wider one goes through the dense dim x dim sum. Rank
-and the nonzero lambda_min count eigenvalues above ``DEFAULT_RANK_TOL`` times
+the reconstructed matrices. A sum of isotropic models (every stored eigenvalue
+equal to its tail) is the summed tails times I; any other sum adds the
+reconstructed matrices and eigendecomposes the dim x dim total. Rank and the
+nonzero lambda_min count eigenvalues above ``DEFAULT_RANK_TOL`` times
 lambda_max.
 
 The second-moment estimator follows the update-generation convention of the
@@ -265,14 +265,16 @@ def _second_moment(cols: Array, mean: Array, batch: int, centered: bool) -> Arra
     return (cols @ cols.T) / (batch * count)
 
 
-def _gram_eigpairs(factor: Array) -> tuple[Array, Array]:
-    """Eigenpairs of F F^T for a (dim, k) factor F with k < dim, at cost O(dim k^2).
+def _thin_eigpairs(cols: Array, mean: Array, batch: int, centered: bool) -> tuple[Array, Array]:
+    """Eigenpairs of the second moment X X^T of a (dim, D) X with D < dim, at cost O(dim D^2).
 
-    With the thin QR F = Q R, F F^T = Q (R R^T) Q^T, so the k x k matrix
-    R R^T gives the eigenvalues and Q times its eigenvectors gives orthonormal
-    eigenvectors. Only components above DEFAULT_RANK_TOL * lambda_max are kept.
+    X = cols / sqrt(B*D), centered first when asked. With the thin QR
+    X = Q R, X X^T = Q (R R^T) Q^T, so the D x D matrix R R^T gives the
+    eigenvalues and Q times its eigenvectors gives orthonormal eigenvectors.
+    Only components above DEFAULT_RANK_TOL * lambda_max are kept.
     """
-    q, r = np.linalg.qr(factor)
+    shifted = cols - mean[:, None] if centered else cols
+    q, r = np.linalg.qr(shifted / math.sqrt(batch * cols.shape[1]))
     vals, w = _psd_eigh(r @ r.T)
     keep = vals > DEFAULT_RANK_TOL * vals[-1]
     return q @ w[:, keep], vals[keep]
@@ -285,9 +287,7 @@ def _is_thin(cols: Array) -> bool:
 
 def _block_eigpairs(cols: Array, mean: Array, batch: int, centered: bool) -> tuple[Array, Array]:
     if _is_thin(cols):
-        # the second moment is X X^T with X = cols / sqrt(B*D), centered when asked
-        shifted = cols - mean[:, None] if centered else cols
-        return _gram_eigpairs(shifted / math.sqrt(batch * cols.shape[1]))
+        return _thin_eigpairs(cols, mean, batch, centered)
     part = eig_decompose(_second_moment(cols, mean, batch, centered))
     return part.eigvecs, part.eigvals
 
@@ -371,25 +371,39 @@ def floor_eigenvalues(model: CovarianceModel, floor: float) -> tuple[CovarianceM
     return floored, lift_trace
 
 
-def sample_gaussian(model: CovarianceModel, rng: np.random.Generator) -> Array:
-    """Draw mean + U (sqrt(L) * a) + sqrt(tail) (w - U U^T w).
+def centered_draws(
+    model: CovarianceModel,
+    count: int,
+    rng: np.random.Generator,
+    coords: slice = slice(None),
+) -> Array:
+    """``count`` zero-mean draws of the model's covariance, one per row, at ``coords``.
 
-    ``a`` holds r standard normals and ``w`` dim more, drawn after ``a`` in
-    the same call and only when the model has a nonzero tail; a model without
-    one draws just r. Deterministic given the generator state; a zero
-    spectrum returns the mean exactly, and rank-deficient models without a
-    tail sample only inside their eigenspace.
+    Each row is U (sqrt(L) * a) + sqrt(tail) (w - U U^T w), restricted to the
+    coordinates ``coords``. ``a`` holds r standard normals and ``w`` dim more,
+    drawn after ``a`` and only when the model has a nonzero tail; the rows are
+    drawn one after the other from one ``standard_normal`` call.
     """
     if np.any(~np.isfinite(model.eigvals)):
         raise NonFinite("model eigvals contain NaN or Inf")
     r = model.n_components
-    head = model.eigvecs * np.sqrt(model.eigvals)
+    head = (model.eigvecs * np.sqrt(model.eigvals))[coords]
     if model.tail == 0.0:
-        return model.mean + head @ rng.standard_normal(r)
-    z = rng.standard_normal(r + model.dim)
-    w = z[r:]
-    off_span = w - model.eigvecs @ (model.eigvecs.T @ w)
-    return model.mean + head @ z[:r] + math.sqrt(model.tail) * off_span
+        return rng.standard_normal((count, r)) @ head.T
+    z = rng.standard_normal((count, r + model.dim))
+    w = z[:, r:]
+    off_span = w - (w @ model.eigvecs) @ model.eigvecs.T
+    return z[:, :r] @ head.T + math.sqrt(model.tail) * off_span[:, coords]
+
+
+def sample_gaussian(model: CovarianceModel, rng: np.random.Generator) -> Array:
+    """Draw mean + U (sqrt(L) * a) + sqrt(tail) (w - U U^T w), one row of ``centered_draws``.
+
+    Deterministic given the generator state; a zero spectrum returns the mean
+    exactly, and rank-deficient models without a tail sample only inside
+    their eigenspace.
+    """
+    return model.mean + centered_draws(model, 1, rng)[0]
 
 
 def renyi_gaussian(alpha: float, p: CovarianceModel, q: CovarianceModel) -> float:
@@ -459,43 +473,19 @@ def span_contains(
     return float(np.linalg.norm(residual)) <= tol * max(vnorm, 1.0)
 
 
-def _stacked_excess(models: Sequence[CovarianceModel], dim: int) -> Array | None:
-    """The models' factors U diag(sqrt(L - tail)) side by side, over components above the tail.
-
-    Eigenvalues are stored non-increasing, so those components are a prefix.
-    None when some eigenvalue lies below its model's tail or the total width
-    passes dim/2; the scan stops at the first model that decides it.
-    """
-    parts, width = [], 0
-    for m in models:
-        vals = m.eigvals
-        if vals.size and vals[-1] < m.tail:
-            return None
-        k = int(np.count_nonzero(vals > m.tail))
-        width += k
-        if 2 * width > dim:
-            return None
-        parts.append((m, k))
-    return np.hstack([m.eigvecs[:, :k] * np.sqrt(m.eigvals[:k] - m.tail) for m, k in parts])
-
-
 def sum_covariances(
     models: Sequence[CovarianceModel],
     isotropic_extra: float = 0.0,
 ) -> CovarianceModel:
     """Distribution of a sum of independent Gaussians: means add, covariances add.
 
-    Each model is tail_i I + U_i diag(L_i - tail_i) U_i^T, so the sum is
-    c I + F F^T with c the summed tails plus ``isotropic_extra`` and F the
-    stacked factors U_i diag(sqrt(L_i - tail_i)) of the components above
-    their tail. With F empty the result is the isotropic c I, with no
-    decomposition at all. With 0 < width(F) <= dim/2 a thin QR reduces F F^T
-    to a width x width matrix, and the result keeps its components (plus c)
-    with tail c. Otherwise, or when an eigenvalue lies below its model's
-    tail, every model's ``matrix()`` is added and the dim x dim total is
-    eigendecomposed into a full-dimension model. ``isotropic_extra`` adds
-    that much variance to every coordinate, which is how distributed
-    isotropic noise shares enter the aggregate.
+    When every stored eigenvalue of every model equals its model's tail, each
+    model is tail_i I and the sum is c I, with c the summed tails plus
+    ``isotropic_extra``: a model with no stored eigenpairs and tail c, built
+    with no decomposition at all. Otherwise every model's ``matrix()`` is
+    added and the dim x dim total is eigendecomposed into a full-dimension
+    model. ``isotropic_extra`` adds that much variance to every coordinate,
+    which is how distributed isotropic noise shares enter the aggregate.
     """
     if not models:
         raise ValueError("need at least one model to sum")
@@ -505,18 +495,15 @@ def sum_covariances(
         if m.dim != dim:
             raise DimensionMismatch("models have inconsistent dimensions")
         mean += m.mean
-    stacked = _stacked_excess(models, dim)
-    if stacked is None:
-        total = np.zeros((dim, dim))
-        for m in models:
-            total += m.matrix()
-        if isotropic_extra:
-            total[np.diag_indices(dim)] += isotropic_extra
-        return eig_decompose(total, mean)
-    # summed in the order the dense path adds its diagonal, so cI matches it bit for bit
-    tail = sum(m.tail for m in models) + isotropic_extra
-    if stacked.shape[1]:
-        vecs, vals = _gram_eigpairs(stacked)
-    else:
-        vecs, vals = stacked, np.zeros(0)
-    return CovarianceModel(mean=mean, eigvecs=vecs, eigvals=vals + tail, tail=tail)
+    # a full-dimension model stores tail 0, so it is isotropic only when it is
+    # zero; skipping it saves the scan on the dense sums of small-dim models
+    if all(m.n_components < dim and np.all(m.eigvals == m.tail) for m in models):
+        # summed in the order the dense path adds its diagonal, so c I matches it bit for bit
+        tail = sum(m.tail for m in models) + isotropic_extra
+        return CovarianceModel(mean, np.zeros((dim, 0)), np.zeros(0), tail=tail)
+    total = np.zeros((dim, dim))
+    for m in models:
+        total += m.matrix()
+    if isotropic_extra:
+        total[np.diag_indices(dim)] += isotropic_extra
+    return eig_decompose(total, mean)

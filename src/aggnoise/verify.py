@@ -29,6 +29,7 @@ from .errors import BadDimension, DimensionMismatch
 from .spectra import (
     CovarianceModel,
     GradientMatrix,
+    centered_draws,
     estimate_mean_cov,
     floor_eigenvalues,
     renyi_gaussian,
@@ -203,20 +204,8 @@ def run_distinguisher(
     q = instance.quarter_start
     agg_model = _floored_sum(instance.helpers, instance.batch, floor)
     mean_q = agg_model.mean[q:]
-    vecs = agg_model.eigvecs
-    # quarter rows of the sum's factor U diag(L)^(1/2)
-    factor_q = (vecs * np.sqrt(agg_model.eigvals))[q:, :]
-    r = factor_q.shape[1]
-
     secret = rng.integers(0, 2, size=trials)
-    if agg_model.tail == 0.0:
-        noise = rng.standard_normal((trials, r)) @ factor_q.T
-    else:
-        # each row draws like sample_gaussian: r normals, then dim for the tail
-        z = rng.standard_normal((trials, r + agg_model.dim))
-        w = z[:, r:]
-        off_span = w - (w @ vecs) @ vecs.T
-        noise = z[:, :r] @ factor_q.T + math.sqrt(agg_model.tail) * off_span[:, q:]
+    noise = centered_draws(agg_model, trials, rng, slice(q, None))
     cand = np.where(
         secret[:, None] == 0,
         instance.candidate_a[None, q:],
@@ -271,23 +260,6 @@ def _random_clipped_columns(
     return GradientMatrix(cols * scales, clip)
 
 
-def _min_eigvec(model: CovarianceModel) -> Array:
-    """A unit eigenvector of the model's smallest eigenvalue, the tail's when that is smallest.
-
-    A tail direction is the unit basis vector with the least weight in U,
-    projected off U: its residual norm^2 is at least 1 - r/dim > 0.
-    """
-    vecs = model.eigvecs
-    if model.n_components == model.dim or (
-        model.n_components and model.eigvals[-1] < model.tail
-    ):
-        return vecs[:, -1]
-    j = int(np.argmin(np.einsum("ij,ij->i", vecs, vecs)))
-    v = -vecs @ vecs[j]
-    v[j] += 1.0
-    return v / np.linalg.norm(v)
-
-
 def certify_closed_form(
     n_trials: int,
     rng: np.random.Generator,
@@ -319,6 +291,9 @@ def certify_closed_form(
         floor = lambda_0 / n_users * float(rng.choice([1.05, 2.0, 5.0, 20.0]))
         users = [_random_clipped_columns(dim, count, clip, rng) for _ in range(n_users)]
         aggregate = _floored_sum(users, batch, floor)
+        # count >= dim, so every estimate and the sum are full-dimension and
+        # the last stored eigenvector is the smallest eigenvalue's
+        assert aggregate.n_components == dim
         lam_min = aggregate.lambda_min()
         bound = eps_dp_closed_form(lam_min, params, ClosedFormMode.GENERAL)
 
@@ -329,7 +304,7 @@ def certify_closed_form(
         a *= clip * rng.random(pair_samples) / np.linalg.norm(a, axis=0)
         b *= clip * rng.random(pair_samples) / np.linalg.norm(b, axis=0)
         diffs = (a - b) / batch
-        extremal = limit * _min_eigvec(aggregate)
+        extremal = limit * aggregate.eigvecs[:, -1]
         diffs = np.column_stack([diffs, extremal])
         w = np.linalg.solve(chol, diffs)
         sensitivity = float(np.linalg.norm(w, axis=0).max())

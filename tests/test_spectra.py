@@ -19,6 +19,7 @@ from aggnoise.spectra import (
     BlockSpec,
     CovarianceModel,
     GradientMatrix,
+    centered_draws,
     eig_decompose,
     estimate_mean_cov,
     floor_eigenvalues,
@@ -291,6 +292,21 @@ class TestSampleGaussian:
         xb = sample_gaussian(model, rng_b)
         assert np.array_equal(xa, xb)
 
+    @pytest.mark.parametrize("floor", [0.0, 0.3])
+    def test_rows_are_successive_draws(self, floor):
+        # centered_draws(model, n) lays its rows out as n sample_gaussian calls
+        # draw them, tail included, here on a rank-3 model in d = 8
+        grads = random_gradients(np.random.default_rng(2), dim=8, count=3, clip=1.0)
+        model = estimate_mean_cov(grads, 1)
+        if floor:
+            model, _ = floor_eigenvalues(model, floor)
+        rng_rows, rng_one = np.random.default_rng(4), np.random.default_rng(4)
+        rows = centered_draws(model, 5, rng_rows, slice(2, None))
+        one_by_one = np.array([sample_gaussian(model, rng_one) - model.mean for _ in range(5)])
+        assert rows.shape == (5, 6)
+        assert np.abs(rows - one_by_one[:, 2:]).max() <= 1e-14
+        assert rng_rows.bit_generator.state == rng_one.bit_generator.state
+
 
 def renyi_quadrature_2d(alpha, p, q, half_width=12.0, points=601):
     """Grid integration of E_Q[(P/Q)^alpha] for 2-D Gaussians."""
@@ -503,17 +519,8 @@ class TestLowRankModels:
                 floored_sum += (vecs * dense_floored) @ vecs.T
                 floored_models.append(floored)
             summed = sum_covariances(floored_models)
-            dense_min = float(np.linalg.eigvalsh(floored_sum)[0])
-            if summed.n_components < summed.dim:
-                # the summed excess has rank < dim, so lambda_min is exactly
-                # the summed tails; eigvalsh of the dense sum is only good to
-                # its backward error, a small multiple of dim * eps * lambda_max
-                exact = sum(m.tail for m in floored_models)
-                assert summed.lambda_min() == pytest.approx(exact, rel=1e-12, abs=0), kind
-                backward = 4 * 50 * np.finfo(float).eps * summed.lambda_max()
-                assert abs(dense_min - exact) <= backward, kind
-            else:
-                assert summed.lambda_min() == pytest.approx(dense_min, rel=1e-12, abs=0), kind
+            expected = float(np.linalg.eigvalsh(floored_sum)[0])
+            assert summed.lambda_min() == pytest.approx(expected, rel=1e-12, abs=0), kind
 
     def test_dense_path_is_unchanged(self):
         # D >= dim: the same eigendecomposition of the same matrix, and the
@@ -572,7 +579,7 @@ class TestLowRankModels:
         summed = sum_covariances([floor_eigenvalues(m, sigma2)[0] for m in models])
         assert summed.lambda_min() == pytest.approx(users * sigma2, rel=1e-12, abs=0)
         # a floor >= C^2/B lifts every eigenvalue (the trace is at most C^2/B)
-        # to the tail: the stacked excess is empty and the sum decomposes nothing
+        # to the tail: every floored model is isotropic and the sum decomposes nothing
         sigma2 = 1.0**2 / batch
         floored = [floor_eigenvalues(m, sigma2)[0] for m in models]
         with monkeypatch.context() as patch:
@@ -632,7 +639,7 @@ def _thin_model(rng, dim, count, floor=0.0):
 
 
 def _dense_sum(models, extra):
-    """Today's dense formula: add every matrix(), then eigendecompose the total."""
+    """The dense formula: add every matrix(), then eigendecompose the total."""
     dim = models[0].dim
     total = np.zeros((dim, dim))
     mean = np.zeros(dim)
@@ -644,8 +651,8 @@ def _dense_sum(models, extra):
     return eig_decompose(total, mean)
 
 
-class TestStackedSum:
-    """sum_covariances as summed tails plus a stacked low-rank excess, at dim 50."""
+class TestIsotropicSum:
+    """sum_covariances: the summed tails when every model is isotropic, else the dense formula."""
 
     DIM = 50
 
@@ -664,10 +671,12 @@ class TestStackedSum:
         return summed
 
     @pytest.mark.parametrize("extra", [0.0, 0.03])
-    def test_empty_excess_is_the_summed_tails(self, monkeypatch, extra):
+    def test_isotropic_models_sum_to_the_summed_tails(self, monkeypatch, extra):
         rng = np.random.default_rng(50)
         models = [_thin_model(rng, self.DIM, 4, floor=0.6) for _ in range(3)]
-        assert all(m.eigvals.max() == m.tail for m in models)
+        # a deterministic update's model: no eigenpairs, tail 0
+        models.append(CovarianceModel(rng.standard_normal(self.DIM), np.zeros((self.DIM, 0)), np.zeros(0)))
+        assert all(m.eigvals.max(initial=m.tail) == m.tail for m in models)
         with monkeypatch.context() as patch:
             for name in ("eigh", "qr"):
                 patch.setattr(np.linalg, name, _forbidden(name))
@@ -676,34 +685,15 @@ class TestStackedSum:
         assert summed.lambda_min() == pytest.approx(3 * 0.6 + extra, rel=1e-12, abs=0)
         self._check_against_dense(models, extra)
 
-    @pytest.mark.parametrize("extra", [0.0, 0.03])
-    def test_narrow_excess_is_reduced(self, extra):
-        rng = np.random.default_rng(51)
-        thin = [_thin_model(rng, self.DIM, 6, floor=0.02) for _ in range(2)]
-        thin.append(_thin_model(rng, self.DIM, 5))
-        # a full-dimension model whose zero eigenvalues add nothing to the excess
-        basis, _ = np.linalg.qr(rng.standard_normal((self.DIM, self.DIM)))
-        vals = np.zeros(self.DIM)
-        vals[:3] = [0.4, 0.2, 0.1]
-        full = CovarianceModel(rng.standard_normal(self.DIM), basis, vals)
-        models = thin + [full]
-        summed = self._check_against_dense(models, extra)
-        width = sum(int(np.sum(m.eigvals > m.tail)) for m in models)
-        assert 0 < width <= self.DIM // 2
-        assert 0 < summed.n_components <= width
-        assert summed.tail == sum(m.tail for m in models) + extra
-        assert summed.lambda_min() == pytest.approx(
-            sum(m.tail for m in models) + extra, rel=1e-12, abs=0
-        )
-
-    def test_wide_excess_is_the_dense_formula(self):
+    def test_other_sums_are_the_dense_formula(self):
         rng = np.random.default_rng(52)
-        models = [_thin_model(rng, self.DIM, 12) for _ in range(2)]
-        models.append(full_rank_model(rng, self.DIM))
-        models.append(_thin_model(rng, self.DIM, 8, floor=0.001))
+        thin = [_thin_model(rng, self.DIM, 12) for _ in range(2)]
+        floored = _thin_model(rng, self.DIM, 8, floor=0.001)
+        isotropic = _thin_model(rng, self.DIM, 4, floor=0.6)
+        full = full_rank_model(rng, self.DIM)
         for extra in (0.0, 0.03):
-            for subset in (models[:3], models[:2] + models[3:]):
-                assert 2 * sum(int(np.sum(m.eigvals > m.tail)) for m in subset) > self.DIM
+            # one thin model, thin with isotropic, mixed thin and full-dimension
+            for subset in ([floored], [floored, isotropic], thin + [full], thin + [floored]):
                 summed = self._check_against_dense(subset, extra)
                 reference = _dense_sum(subset, extra)
                 assert summed.n_components == self.DIM and summed.tail == 0.0
@@ -711,12 +701,23 @@ class TestStackedSum:
                 assert np.array_equal(summed.eigvecs, reference.eigvecs)
                 assert np.array_equal(summed.mean, reference.mean)
 
-    def test_eigenvalue_below_the_tail_takes_the_dense_path(self):
+    def test_eigenvalue_off_the_tail_takes_the_dense_path(self):
         rng = np.random.default_rng(53)
         basis, _ = np.linalg.qr(rng.standard_normal((self.DIM, 2)))
-        below = CovarianceModel(np.zeros(self.DIM), basis, np.array([0.5, 0.1]), tail=0.3)
-        models = [below, _thin_model(rng, self.DIM, 3, floor=0.01)]
-        summed = self._check_against_dense(models, 0.0)
-        reference = _dense_sum(models, 0.0)
-        assert np.array_equal(summed.eigvals, reference.eigvals)
-        assert np.array_equal(summed.eigvecs, reference.eigvecs)
+        floored = _thin_model(rng, self.DIM, 3, floor=0.01)
+        isotropic = _thin_model(rng, self.DIM, 4, floor=0.6)
+        # one eigenvalue a single ulp above the tail
+        nudged = CovarianceModel(
+            isotropic.mean, isotropic.eigvecs,
+            np.append(np.nextafter(0.6, 1.0), isotropic.eigvals[1:]), tail=0.6,
+        )
+        for vals, others in (([0.5, 0.1], [floored]), ([0.2, 0.1], [isotropic]), (None, [isotropic])):
+            first = nudged if vals is None else CovarianceModel(
+                np.zeros(self.DIM), basis, np.array(vals), tail=0.3
+            )
+            models = [first] + others
+            summed = self._check_against_dense(models, 0.0)
+            reference = _dense_sum(models, 0.0)
+            assert summed.n_components == self.DIM
+            assert np.array_equal(summed.eigvals, reference.eigvals)
+            assert np.array_equal(summed.eigvecs, reference.eigvecs)

@@ -10,7 +10,6 @@ from scipy.stats import norm
 from aggnoise.accountant import PrivacyParams, RdpVariant, eps_dp_closed_form, rdp_bound
 from aggnoise.errors import BadDimension
 from aggnoise.spectra import (
-    CovarianceModel,
     GradientMatrix,
     estimate_mean_cov,
     floor_eigenvalues,
@@ -22,7 +21,6 @@ from aggnoise.verify import (
     DominanceReport,
     Verdict,
     _floored_sum,
-    _min_eigvec,
     analytic_gaussian_delta,
     build_counterexample,
     certify_closed_form,
@@ -237,18 +235,6 @@ class TestCertifyClosedForm:
         certify_closed_form(1000, np.random.default_rng(7))
         assert len(ratios) == 1000
         assert max(ratios) <= 1.0
-
-    def test_extremal_direction_is_the_smallest_eigenvalue(self):
-        basis, _ = np.linalg.qr(np.random.default_rng(17).standard_normal((6, 6)))
-        for model, smallest in (
-            (CovarianceModel(np.zeros(6), basis, np.arange(6.0) + 1.0), 1.0),
-            (CovarianceModel(np.zeros(6), basis[:, :2], np.array([3.0, 2.0]), tail=0.5), 0.5),
-            (CovarianceModel(np.zeros(6), basis[:, :2], np.array([3.0, 0.2]), tail=0.5), 0.2),
-            (CovarianceModel(np.zeros(6), basis[:, :0], np.zeros(0), tail=0.5), 0.5),
-        ):
-            v = _min_eigvec(model)
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
-            assert np.abs(model.matrix() @ v - smallest * v).max() <= 1e-14
 
     def test_low_region_probe_documents_the_printed_gap(self):
         # the low-privacy branch as printed does NOT dominate the exact
