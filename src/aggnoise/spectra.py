@@ -50,7 +50,7 @@ _NEG_EIG_CLAMP = 1e-10  # relative to lambda_max; more negative input is rejecte
 
 def _as_float_array(x, name: str) -> Array:
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():  # the method skips np.all's dispatch, ~2 us a call
         raise NonFinite(f"{name} contains NaN or Inf")
     return arr
 
@@ -217,26 +217,49 @@ class CovarianceModel:
 
     def matrix(self) -> Array:
         """Reconstruct the dense covariance (U diag(L - tail) U^T + tail I), at cost dim^2 r."""
-        mat = (self.eigvecs * (self.eigvals - self.tail)) @ self.eigvecs.T
-        mat.flat[:: self.dim + 1] += self.tail  # the diagonal
-        return mat
+        return _reconstruct(self.eigvecs, self.eigvals, self.tail)
+
+
+def _reconstruct(vecs: Array, vals: Array, tail=0.0) -> Array:
+    """U diag(L - tail) U^T + tail I for one (dim, r) U and (r,) L, or for stacks of them."""
+    dim = vecs.shape[-2]
+    mat = (vecs * (vals - tail)[..., None, :]) @ vecs.swapaxes(-1, -2)
+    mat.reshape(*mat.shape[:-2], dim * dim)[..., :: dim + 1] += tail  # the diagonal
+    return mat
+
+
+def _any_member(flags) -> bool:
+    """Whether any flag is set: one numpy bool for one matrix, an array of them for a stack."""
+    return bool(flags) if flags.ndim == 0 else bool(flags.any())
 
 
 def _psd_eigh(sym_matrix) -> tuple[Array, Array]:
-    """Ascending eigenvalues (tiny negatives clamped to 0) and eigenvectors of a PSD matrix."""
+    """Ascending eigenvalues (tiny negatives clamped to 0) and eigenvectors of PSD matrices.
+
+    ``sym_matrix`` is one (dim, dim) matrix or a stack (..., dim, dim); the
+    symmetry and clamp checks hold for each member on its own scale, and a
+    stack is rejected when any member fails them. Per-member values stay numpy
+    scalars for one matrix, which keeps the checks as cheap as scalar code.
+    """
     mat = _as_float_array(sym_matrix, "matrix")
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
-    scale = max(1.0, float(np.abs(mat).max()))
-    asym = float(np.abs(mat - mat.T).max())
-    if asym > 1e-9 * scale:
-        raise NonSymmetric(f"asymmetry {asym:.3e} exceeds tolerance")
-    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    lam_max = max(float(vals[-1]), 0.0)
-    clamp_floor = -_NEG_EIG_CLAMP * lam_max
-    if vals[0] < clamp_floor:
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {mat.shape}")
+    mat_t = mat.swapaxes(-1, -2)
+    scale = np.abs(mat).max(axis=(-2, -1), initial=1.0)
+    asym = np.abs(mat - mat_t).max(axis=(-2, -1))
+    bad = asym > 1e-9 * scale
+    if _any_member(bad):
+        raise NonSymmetric(f"asymmetry {np.max(np.where(bad, asym, 0.0)):.3e} exceeds tolerance")
+    vals, vecs = np.linalg.eigh(0.5 * (mat + mat_t))
+    # each member's smallest and largest eigenvalue (.T keeps one matrix's scalars)
+    low, high = vals.T[0], vals.T[-1]
+    # low < -clamp * max(high, 0), split so that no member needs a max
+    bad = (low < 0.0) & (low < -_NEG_EIG_CLAMP * high)
+    if _any_member(bad):
+        clamp_floor = -_NEG_EIG_CLAMP * np.maximum(high, 0.0)
+        worst = np.unravel_index(np.argmax(np.where(bad, clamp_floor - low, -np.inf)), np.shape(bad))
         raise NotPositiveSemidefinite(
-            f"eigenvalue {vals[0]:.3e} below clamp threshold {clamp_floor:.3e}"
+            f"eigenvalue {low[worst]:.3e} below clamp threshold {clamp_floor[worst]:.3e}"
         )
     return np.maximum(vals, 0.0), vecs
 
@@ -257,12 +280,11 @@ def eig_decompose(sym_matrix, mean=None) -> CovarianceModel:
     )
 
 
-def _second_moment(cols: Array, mean: Array, batch: int, centered: bool) -> Array:
-    count = cols.shape[1]
-    if centered:
-        shifted = cols - mean[:, None]
-        return (shifted @ shifted.T) / (batch * count)
-    return (cols @ cols.T) / (batch * count)
+def _second_moment(cols: Array, mean: Array, batch, centered: bool) -> Array:
+    """X X^T / (B*D) of (..., dim, D) gradient stacks; an array ``batch`` broadcasts per member."""
+    count = cols.shape[-1]
+    shifted = cols - mean[..., None] if centered else cols
+    return (shifted @ shifted.swapaxes(-1, -2)) / (batch * count)
 
 
 def _thin_eigpairs(cols: Array, mean: Array, batch: int, centered: bool) -> tuple[Array, Array]:
@@ -415,15 +437,26 @@ def renyi_gaussian(alpha: float, p: CovarianceModel, q: CovarianceModel) -> floa
                   - 1/(2(a-1)) * ln( |S_a| / (|Sp|^(1-a) |Sq|^a) ),
     with S_a = (1-a) Sp + a Sq, valid whenever S_a is positive definite.
     """
-    if alpha <= 0 or alpha == 1.0:
-        raise ValueError(f"alpha must be positive and != 1, got {alpha}")
     if p.dim != q.dim:
         raise DimensionMismatch(f"dimension mismatch: {p.dim} vs {q.dim}")
-    for name, model in (("p", p), ("q", q)):
-        if model.rank() < model.dim:
+    return float(_renyi_divergence(
+        alpha, p.mean, q.mean, p.matrix(), q.matrix(), p.spectrum(), q.spectrum()
+    ))
+
+
+def _renyi_divergence(alpha, mean_p, mean_q, sig_p, sig_q, spec_p, spec_q) -> Array:
+    """``renyi_gaussian`` on raw arrays, for one pair or a stack of pairs.
+
+    Means are (..., dim), covariances (..., dim, dim) and spectra (..., dim)
+    in non-increasing order. Raises when any member is rank deficient or has
+    an indefinite S_a.
+    """
+    if alpha <= 0 or alpha == 1.0:
+        raise ValueError(f"alpha must be positive and != 1, got {alpha}")
+    for name, spec in (("p", spec_p), ("q", spec_q)):
+        # rank < dim: the smallest eigenvalue is at or below the rank threshold
+        if np.any(spec[..., -1] <= DEFAULT_RANK_TOL * spec[..., 0]):
             raise SingularCovariance(f"model {name} is rank deficient")
-    sig_p = p.matrix()
-    sig_q = q.matrix()
     sig_a = (1.0 - alpha) * sig_p + alpha * sig_q
     try:
         chol = np.linalg.cholesky(sig_a)
@@ -431,14 +464,13 @@ def renyi_gaussian(alpha: float, p: CovarianceModel, q: CovarianceModel) -> floa
         raise IndefiniteSigmaAlpha(
             f"(1-a)*Sp + a*Sq is not positive definite at alpha={alpha}"
         ) from None
-    dmean = p.mean - q.mean
-    white = np.linalg.solve(chol, dmean)
-    term_mean = 0.5 * alpha * float(white @ white)
-    logdet_a = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    logdet_p = float(np.sum(np.log(p.spectrum())))
-    logdet_q = float(np.sum(np.log(q.spectrum())))
+    white = np.linalg.solve(chol, (mean_p - mean_q)[..., None])
+    term_mean = 0.5 * alpha * (white.swapaxes(-1, -2) @ white)[..., 0, 0]
+    logdet_a = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    logdet_p = np.sum(np.log(spec_p), axis=-1)
+    logdet_q = np.sum(np.log(spec_q), axis=-1)
     term_det = -(logdet_a - (1.0 - alpha) * logdet_p - alpha * logdet_q) / (2.0 * (alpha - 1.0))
-    return max(term_mean + term_det, 0.0)
+    return np.maximum(term_mean + term_det, 0.0)
 
 
 def span_contains(

@@ -7,6 +7,14 @@ delta(eps) oracle, and dominance harnesses that pit each bound against the
 exact Renyi divergence / exact delta on randomized instances. The harnesses
 never throw on a failed comparison; they report, so an unsound printed bound
 variant shows up as data rather than a crash.
+
+The closed-form harness evaluates one substitution pair per instance, the
+extremal one: a difference of 2C/B along the aggregate's minimal
+eigenvector. Its whitened sensitivity 2C/(B sqrt(lambda_min)) is the supremum
+over all pairs of clipped gradients, so random pairs could only come out
+lower. Both harnesses draw their instances a run of trials at a time and then
+run the linear algebra as stacked numpy calls, one stack per dimension, with
+the same bits as the per-model functions of ``spectra``.
 """
 
 from __future__ import annotations
@@ -16,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from .accountant import (
     ClosedFormMode,
@@ -32,14 +39,21 @@ from .spectra import (
     centered_draws,
     estimate_mean_cov,
     floor_eigenvalues,
-    renyi_gaussian,
     span_contains,
     sum_covariances,
+    _psd_eigh,
+    _reconstruct,
+    _renyi_divergence,
+    _second_moment,
 )
 
 Array = np.ndarray
 
 MARGIN_SLACK = 1e-9  # absolute numerical slack on dominance margins
+# trials a dominance suite draws and then evaluates as one stack: large enough
+# that numpy's per-call cost is spread thin, small enough that the instances
+# held at once stay below the memory the per-instance path used
+_TRIALS_PER_STACK = 100
 
 
 class Verdict:
@@ -244,6 +258,9 @@ def analytic_gaussian_delta(sensitivity: float, noise_std: float, eps: float) ->
         raise ValueError(f"eps must be >= 0, got {eps}")
     if sensitivity == 0.0:
         return 0.0
+    # imported here so that loading the CLI, which imports this module, loads no scipy
+    from scipy.special import log_ndtr, ndtr
+
     a = sensitivity / (2.0 * noise_std)
     b = eps * noise_std / sensitivity
     first = ndtr(a - b)
@@ -260,64 +277,167 @@ def _random_clipped_columns(
     return GradientMatrix(cols * scales, clip)
 
 
-def certify_closed_form(
-    n_trials: int,
-    rng: np.random.Generator,
-    pair_samples: int = 10_000,
-) -> list[DominanceReport]:
+def _descending(vals: Array, vecs: Array) -> tuple[Array, Array]:
+    """Stacked eigenpairs in non-increasing order, ties kept in place, as CovarianceModel stores them."""
+    order = np.argsort(-vals, axis=-1, kind="stable")
+    return np.take_along_axis(vals, order, -1), np.take_along_axis(vecs, order[..., None, :], -1)
+
+
+def _stacked_estimates(
+    sets: Sequence[GradientMatrix], batch: Array, floor: Optional[Array] = None
+) -> tuple[Array, Array, Array]:
+    """Means, eigenvalues and eigenvectors of every set's model, stacked on axis 0.
+
+    Member i equals ``estimate_mean_cov(sets[i], batch[i])``, floored at
+    ``floor[i]`` when a floor is given, bit for bit: the second moments are
+    stacked by gradient count and decomposed in one call. Every set has the
+    same dim and more than dim/2 gradients, so every model is full-dimension.
+    """
+    counts = np.array([g.count for g in sets])
+    dim = sets[0].dim
+    means = np.empty((len(sets), dim))
+    moments = np.empty((len(sets), dim, dim))
+    for count in np.unique(counts):
+        idx = np.flatnonzero(counts == count)
+        cols = np.stack([sets[i].columns for i in idx])
+        means[idx] = cols.mean(axis=-1)
+        moments[idx] = _second_moment(cols, means[idx], batch[idx, None, None], centered=False)
+    vals, vecs = _descending(*_psd_eigh(moments))
+    if floor is not None:
+        # a non-increasing spectrum stays non-increasing, so no re-sort
+        vals = np.maximum(vals, floor[:, None])
+    return means, vals, vecs
+
+
+def _slot_sums(means: Array, vals: Array, vecs: Array, slots: Array) -> tuple[Array, Array, Array]:
+    """Row t is ``sum_covariances`` of the models ``slots[t]`` names, bit for bit.
+
+    ``slots`` is (n, max users) of indices into the stacked models, -1 after a
+    row's last user. Users are added slot by slot onto zeros, the order
+    ``sum_covariances`` adds them in, and each total is eigendecomposed.
+    Returns the summed means, the non-increasing eigenvalues and eigenvectors.
+    """
+    mats = _reconstruct(vecs, vals)
+    mean = np.zeros((slots.shape[0], means.shape[1]))
+    total = np.zeros((slots.shape[0],) + mats.shape[1:])
+    for k in range(slots.shape[1]):
+        rows = np.flatnonzero(slots[:, k] >= 0)
+        mean[rows] += means[slots[rows, k]]
+        total[rows] += mats[slots[rows, k]]
+    return (mean, *_descending(*_psd_eigh(total)))
+
+
+def _by_dim(dims: Sequence[int]) -> list[Array]:
+    """Trial indices of each dimension that occurs, in trial order."""
+    dims = np.asarray(dims, dtype=int)
+    return [np.flatnonzero(dims == d) for d in np.unique(dims)]
+
+
+def _slot_table(sizes: Array, stored: Array) -> Array:
+    """(n, max size) indices of each trial's users among stacked models, -1 after its last.
+
+    Trial t stores ``stored[t]`` models back to back, its ``sizes[t]`` users first.
+    """
+    first = np.cumsum(stored) - stored
+    col = np.arange(int(sizes.max()) if sizes.size else 0)
+    return np.where(col < sizes[:, None], first[:, None] + col, -1)
+
+
+def _in_stacks(n_trials: int, evaluate) -> list[DominanceReport]:
+    """``evaluate(count, first)`` over consecutive runs of at most _TRIALS_PER_STACK trials.
+
+    Each run draws its instances before it evaluates them, so no more than
+    one run's instances are held at a time.
+    """
+    reports = []
+    for first in range(0, n_trials, _TRIALS_PER_STACK):
+        reports += evaluate(min(_TRIALS_PER_STACK, n_trials - first), first)
+    return reports
+
+
+@dataclass
+class _Trial:
+    params: PrivacyParams  # its floor is the one every user's model is floored at
+    users: list[GradientMatrix]
+    substituted: Optional[GradientMatrix] = None  # certify_rdp: users[0], first gradient replaced
+
+
+def certify_closed_form(n_trials: int, rng: np.random.Generator) -> list[DominanceReport]:
     """Exact delta never exceeds the configured delta at the claimed epsilon.
 
     Each trial builds an aggregate Gaussian from floored per-user models,
-    takes the accountant's per-round epsilon, computes the worst whitened
-    sensitivity over ``pair_samples`` random substitution pairs plus the
-    analytically extremal pair (2C/B along the minimal eigenvector), and
-    evaluates the exact Gaussian delta at that sensitivity.
+    takes the accountant's per-round epsilon, and evaluates the exact Gaussian
+    delta at the worst whitened sensitivity: that of the extremal substitution
+    pair, a difference of 2C/B along the minimal eigenvector. No other pair
+    comes closer to the bound: a substitution moves the mean by x = (a - b)/B
+    with ||x|| <= 2C/B, and with Sigma = L L^T,
+    ||L^-1 x|| <= ||x|| / sqrt(lambda_min) <= 2C / (B sqrt(lambda_min)),
+    with equality at x = (2C/B) v_min. So that one pair is the supremum.
+
+    Instances are drawn in trial order, up to _TRIALS_PER_STACK at a time;
+    their estimates, floors, sums, eigendecompositions and whitening solves
+    then run as stacked calls per dimension, with the same results as running
+    them instance by instance through ``estimate_mean_cov``,
+    ``floor_eigenvalues`` and ``sum_covariances``.
     """
-    reports = []
-    for trial in range(n_trials):
+    return _in_stacks(n_trials, lambda count, first: _closed_form_stack(count, first, rng))
+
+
+def _closed_form_stack(n_trials: int, first: int, rng: np.random.Generator) -> list[DominanceReport]:
+    trials = []
+    for _ in range(n_trials):
         dim = int(rng.integers(2, 6))
         n_users = int(rng.integers(2, 7))
         count = int(rng.integers(max(dim, 4), 11))
         batch = int(rng.integers(1, 5))
         clip = float(0.5 + 1.5 * rng.random())
         delta = float(rng.choice([1e-3, 1e-4]))
-        params = PrivacyParams(clip=clip, batch=batch, local_size=count,
-                               ns_users=n_users, delta=delta)
         # the floor keeps every instance in the high-privacy branch, which is
         # where the closed form claims arbitrary delta; probe_low_region()
         # documents what happens to the other branch
         root = math.sqrt(2.0 * math.log(1.25 / delta))
         lambda_0 = 4.0 * clip * clip * root / (batch * batch)
         floor = lambda_0 / n_users * float(rng.choice([1.05, 2.0, 5.0, 20.0]))
+        params = PrivacyParams(clip=clip, batch=batch, local_size=count,
+                               ns_users=n_users, delta=delta, floor=floor)
         users = [_random_clipped_columns(dim, count, clip, rng) for _ in range(n_users)]
-        aggregate = _floored_sum(users, batch, floor)
-        # count >= dim, so every estimate and the sum are full-dimension and
-        # the last stored eigenvector is the smallest eigenvalue's
-        assert aggregate.n_components == dim
-        lam_min = aggregate.lambda_min()
-        bound = eps_dp_closed_form(lam_min, params, ClosedFormMode.GENERAL)
+        trials.append(_Trial(params, users))
 
-        chol = np.linalg.cholesky(aggregate.matrix())
-        limit = 2.0 * clip / batch
-        a = rng.standard_normal((dim, pair_samples))
-        b = rng.standard_normal((dim, pair_samples))
-        a *= clip * rng.random(pair_samples) / np.linalg.norm(a, axis=0)
-        b *= clip * rng.random(pair_samples) / np.linalg.norm(b, axis=0)
-        diffs = (a - b) / batch
-        extremal = limit * aggregate.eigvecs[:, -1]
-        diffs = np.column_stack([diffs, extremal])
-        w = np.linalg.solve(chol, diffs)
-        sensitivity = float(np.linalg.norm(w, axis=0).max())
-        exact = analytic_gaussian_delta(sensitivity, 1.0, bound.eps)
+    lam_min = np.empty(n_trials)
+    sensitivity = np.empty(n_trials)
+    for idx in _by_dim([t.users[0].dim for t in trials]):
+        group = [trials[i] for i in idx]
+        sizes = np.array([len(t.users) for t in group])
+        means, vals, vecs = _stacked_estimates(
+            [g for t in group for g in t.users],
+            np.repeat([t.params.batch for t in group], sizes),
+            np.repeat([t.params.floor for t in group], sizes),
+        )
+        _, vals, vecs = _slot_sums(means, vals, vecs, _slot_table(sizes, sizes))
+        # count >= dim, so every estimate and the sum are full-dimension and
+        # the last eigenpair is the smallest eigenvalue's
+        lam_min[idx] = vals[:, -1]
+        chol = np.linalg.cholesky(_reconstruct(vecs, vals))
+        limit = np.array([2.0 * t.params.clip / t.params.batch for t in group])
+        extremal = limit[:, None] * vecs[:, :, -1]
+        w = np.linalg.solve(chol, extremal[:, :, None])
+        sensitivity[idx] = np.linalg.norm(w, axis=-2)[:, 0]
+
+    reports = []
+    for trial, t in enumerate(trials):
+        p = t.params
+        lam = float(lam_min[trial])
+        bound = eps_dp_closed_form(lam, p, ClosedFormMode.GENERAL)
+        exact = analytic_gaussian_delta(float(sensitivity[trial]), 1.0, bound.eps)
         reports.append(
             DominanceReport(
                 descriptor=(
-                    f"closed_form trial={trial} d={dim} N={n_users} D={count} "
-                    f"B={batch} C={clip:.3f} delta={delta:g} region={bound.region.value} "
-                    f"lam={lam_min:.3e} eps={bound.eps:.4f}"
+                    f"closed_form trial={first + trial} d={t.users[0].dim} N={p.ns_users} "
+                    f"D={p.local_size} B={p.batch} C={p.clip:.3f} delta={p.delta:g} "
+                    f"region={bound.region.value} lam={lam:.3e} eps={bound.eps:.4f}"
                 ),
                 exact=exact,
-                bound=delta,
+                bound=p.delta,
             )
         )
     return reports
@@ -375,9 +495,25 @@ def certify_rdp(
     Out-of-validity orders return an infinite bound and are skipped. The
     per-variant pass rates of this harness adjudicate the two printed forms of
     the floored-mechanism bound.
+
+    As in ``certify_closed_form``, instances are drawn a run at a time and
+    their linear algebra runs stacked per dimension. A trial's N users and its substituted
+    first user are estimated once each; both aggregates sum from them.
     """
-    reports = []
-    for trial in range(n_trials):
+    if variant not in (RdpVariant.THEOREM1_RDP, RdpVariant.WFDP_A, RdpVariant.WFDP_B):
+        raise ValueError(f"certify_rdp does not adjudicate {variant}")
+    return _in_stacks(n_trials, lambda count, first: _rdp_stack(variant, count, first, rng, alphas))
+
+
+def _rdp_stack(
+    variant: RdpVariant,
+    n_trials: int,
+    first: int,
+    rng: np.random.Generator,
+    alphas: Sequence[float],
+) -> list[DominanceReport]:
+    trials = []
+    for _ in range(n_trials):
         dim = int(rng.integers(2, 5))
         count = int(rng.integers(max(dim + 2, 5), 11))
         n_users = int(rng.integers(2, 6))
@@ -390,43 +526,80 @@ def certify_rdp(
             norms = np.linalg.norm(cols, axis=0)
             scales = clip * (0.7 + 0.3 * rng.random(count)) / norms
             users.append(GradientMatrix(cols * scales, clip))
-        replacement = _random_clipped(dim, clip, rng)
-        substituted = [_substitute_column(users[0], replacement)] + users[1:]
+        substituted = _substitute_column(users[0], _random_clipped(dim, clip, rng))
 
         if variant is RdpVariant.THEOREM1_RDP:
             floor = 0.0
-            per_user_unit = [estimate_mean_cov(g, 1) for g in users]  # 1/D scale
-            context = float(sum(m.lambda_min() for m in per_user_unit))
-            params = PrivacyParams(clip=clip, batch=batch, local_size=count,
-                                   ns_users=n_users, delta=1e-5)
-            if context <= 0:
-                continue
-        elif variant in (RdpVariant.WFDP_A, RdpVariant.WFDP_B):
+        else:
             alpha_max = max(alphas)
             base = 2.0 * alpha_max * clip * clip / (n_users * count)
             floor = base * float(rng.choice([1.5, 3.0, 10.0]))
-            context = None
-            params = PrivacyParams(clip=clip, batch=batch, local_size=count,
-                                   ns_users=n_users, delta=1e-5, floor=floor)
-        else:
-            raise ValueError(f"certify_rdp does not adjudicate {variant}")
+        params = PrivacyParams(clip=clip, batch=batch, local_size=count,
+                               ns_users=n_users, delta=1e-5, floor=floor)
+        trials.append(_Trial(params, users, substituted))
 
-        p = _floored_sum(users, batch, floor)
-        q = _floored_sum(substituted, batch, floor)
-        for alpha in alphas:
-            bound = rdp_bound(alpha, params, variant, sum_lambda_min=context)
-            if not math.isfinite(bound):
+    # THEOREM1_RDP's context: the users' summed unit-batch (1/D-scaled) lambda_min
+    context = np.zeros(n_trials)
+    aggregates = []  # per dim: trial indices, then means, covariances and spectra of p and q
+    for idx in _by_dim([t.users[0].dim for t in trials]):
+        group = [trials[i] for i in idx]
+        sizes = np.array([len(t.users) for t in group])
+        sets = [g for t in group for g in t.users + [t.substituted]]
+        # a zero floor (THEOREM1_RDP) leaves the clamped spectra as they are
+        means, vals, vecs = _stacked_estimates(
+            sets,
+            np.repeat([t.params.batch for t in group], sizes + 1),
+            np.repeat([t.params.floor for t in group], sizes + 1),
+        )
+        # slot k of p is user k; q swaps user 0 for its substitute, stored after user N-1
+        slots_p = _slot_table(sizes, sizes + 1)
+        slots_q = slots_p.copy()
+        slots_q[:, 0] += sizes
+        mean_p, vals_p, vecs_p = _slot_sums(means, vals, vecs, slots_p)
+        mean_q, vals_q, vecs_q = _slot_sums(means, vals, vecs, slots_q)
+        aggregates.append((idx, mean_p, mean_q, _reconstruct(vecs_p, vals_p),
+                           _reconstruct(vecs_q, vals_q), vals_p, vals_q))
+        if variant is RdpVariant.THEOREM1_RDP:
+            unit = [g for t in group for g in t.users]
+            _, unit_vals, _ = _stacked_estimates(unit, np.ones(len(unit), dtype=int))
+            slots = _slot_table(sizes, sizes)
+            unit_min = np.where(slots >= 0, unit_vals[slots, -1], 0.0)
+            for k in range(slots.shape[1]):  # slot by slot, the order sum() adds them in
+                context[idx] += unit_min[:, k]
+
+    bounds = np.full((n_trials, len(alphas)), math.inf)
+    for trial, t in enumerate(trials):
+        lam_sum = None
+        if variant is RdpVariant.THEOREM1_RDP:
+            if context[trial] <= 0:
                 continue
-            exact = renyi_gaussian(alpha, p, q)
+            lam_sum = float(context[trial])
+        bounds[trial] = rdp_bound(np.asarray(alphas, dtype=float), t.params, variant,
+                                  sum_lambda_min=lam_sum)
+    finite = np.isfinite(bounds)
+    # S_a is indefinite at orders with an infinite bound, so only finite ones are factored
+    exact = np.full(bounds.shape, math.nan)
+    for idx, *pair in aggregates:
+        for j, alpha in enumerate(alphas):
+            rows = np.flatnonzero(finite[idx, j])
+            if rows.size:
+                exact[idx[rows], j] = _renyi_divergence(alpha, *(a[rows] for a in pair))
+
+    reports = []
+    for trial, t in enumerate(trials):
+        p = t.params
+        for j, alpha in enumerate(alphas):
+            if not finite[trial, j]:
+                continue
             reports.append(
                 DominanceReport(
                     descriptor=(
-                        f"{variant.value} trial={trial} alpha={alpha:g} d={dim} "
-                        f"N={n_users} D={count} B={batch} C={clip:.3f}"
-                        + (f" sigma2={floor:.3e}" if floor else "")
+                        f"{variant.value} trial={first + trial} alpha={alpha:g} d={t.users[0].dim} "
+                        f"N={p.ns_users} D={p.local_size} B={p.batch} C={p.clip:.3f}"
+                        + (f" sigma2={p.floor:.3e}" if p.floor else "")
                     ),
-                    exact=exact,
-                    bound=float(bound),
+                    exact=float(exact[trial, j]),
+                    bound=float(bounds[trial, j]),
                 )
             )
     return reports

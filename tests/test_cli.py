@@ -340,6 +340,27 @@ class TestImportCost:
                              text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_cli_loads_verify_but_no_scipy(self):
+        # verify's scipy import waits for the first exact-delta evaluation, so
+        # simulate/account/spectrum runs load no scipy at all; verify itself
+        # stays loaded at import time, where traced runs look for its bindings
+        import os
+        import subprocess
+        import sys
+
+        import aggnoise
+
+        src = os.path.dirname(os.path.dirname(aggnoise.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = (
+            "import sys, aggnoise.cli; "
+            "print('aggnoise.verify' in sys.modules, "
+            "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "True []"
+
 
 class TestVerifyCommand:
     def test_small_suite_passes(self, tmp_path, capsys):
@@ -355,6 +376,16 @@ class TestVerifyCommand:
         assert report["counterexample"]["verdict"] == "VIOLATED"
         assert report["counterexample"]["distinguisher_success"] == 1.0
         assert not report["low_region_probe"]["passed"]  # documented gap
+
+    def test_no_trials_is_sound(self, tmp_path):
+        out = tmp_path / "o"
+        rc = main(["--out", str(out), "--seed", "0", "verify",
+                   "--trials-closed", "0", "--trials-rdp", "0",
+                   "--ce-trials", "300", "--advantage-trials", "20000"])
+        assert rc == EXIT_OK
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["closed_form"]["total"] == 0 and report["closed_form"]["sound"]
+        assert all(s["total"] == 0 and s["sound"] for s in report["rdp"].values())
 
     def test_thin_counterexample_passes(self, tmp_path):
         # at --ce-dim 64 the helpers' floored sum is isotropic with no stored

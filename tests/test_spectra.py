@@ -27,6 +27,9 @@ from aggnoise.spectra import (
     sample_gaussian,
     span_contains,
     sum_covariances,
+    _psd_eigh,
+    _renyi_divergence,
+    _second_moment,
 )
 
 
@@ -90,6 +93,80 @@ class TestEigDecompose:
     def test_rejects_mean_of_wrong_length(self):
         with pytest.raises(DimensionMismatch):
             eig_decompose(np.eye(3), np.zeros(2))
+
+
+class TestStackedPrimitives:
+    """Stacks of matrices through the one-matrix primitives: member by member, bit for bit."""
+
+    def test_stacked_eigh_equals_each_member(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((5, 4, 4))
+        stack = a @ a.swapaxes(-1, -2)
+        stack[2] = np.diag([2.0, 1.0, 1e-14, 0.0])  # ties and a clamped zero
+        vals, vecs = _psd_eigh(stack)
+        for i, mat in enumerate(stack):
+            one_vals, one_vecs = _psd_eigh(mat)
+            assert np.array_equal(vals[i], one_vals) and np.array_equal(vecs[i], one_vecs)
+
+    def test_stack_with_one_non_symmetric_member(self):
+        stack = np.stack([np.eye(3), np.eye(3), np.eye(3)])
+        stack[1, 0, 2] += 1e-3
+        with pytest.raises(NonSymmetric):
+            _psd_eigh(stack)
+
+    def test_stack_with_one_indefinite_member(self):
+        stack = np.stack([np.eye(3), np.diag([1.0, 0.5, -1e-3]), np.eye(3)])
+        with pytest.raises(NotPositiveSemidefinite, match="-1.000e-03"):
+            _psd_eigh(stack)
+
+    def test_each_member_is_checked_on_its_own_scale(self):
+        # beside a 1e6-scale member, 1e-6 of asymmetry or negativity would pass
+        # a stack-wide tolerance; on the small member's own scale it fails
+        big = 1e6 * np.eye(2)
+        skewed = np.array([[1.0, 1e-6], [0.0, 1.0]])
+        with pytest.raises(NonSymmetric):
+            _psd_eigh(np.stack([big, skewed]))
+        with pytest.raises(NotPositiveSemidefinite):
+            _psd_eigh(np.stack([big, np.diag([1.0, -1e-6])]))
+        _psd_eigh(np.stack([big, np.diag([1.0, -1e-12])]))  # within the clamp
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(DimensionMismatch):
+            _psd_eigh(np.zeros((2, 3, 4)))
+
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_stacked_second_moment_per_member_batch(self, centered):
+        rng = np.random.default_rng(4)
+        cols = rng.standard_normal((3, 4, 7))
+        means = cols.mean(axis=-1)
+        batch = np.array([1, 3, 2])
+        stacked = _second_moment(cols, means, batch[:, None, None], centered)
+        for i in range(3):
+            one = _second_moment(cols[i], means[i], int(batch[i]), centered)
+            assert np.array_equal(stacked[i], one)
+
+    def test_stacked_renyi_equals_each_pair(self):
+        rng = np.random.default_rng(5)
+        pairs = []
+        for _ in range(4):
+            # Sq >= Sp keeps every order's mixture positive definite
+            p = full_rank_model(rng, 3)
+            bump = rng.standard_normal((3, 3)) * 0.3
+            q = eig_decompose(p.matrix() + bump @ bump.T + 0.1 * np.eye(3), rng.standard_normal(3))
+            pairs.append((p, q))
+
+        def stack(read):
+            return [np.stack([read(p) for p, _ in pairs]), np.stack([read(q) for _, q in pairs])]
+
+        mean_p, mean_q = stack(lambda m: m.mean)
+        sig_p, sig_q = stack(lambda m: m.matrix())
+        spec_p, spec_q = stack(lambda m: m.spectrum())
+        for alpha in (0.5, 1.5, 2.0):
+            stacked = _renyi_divergence(alpha, mean_p, mean_q, sig_p, sig_q, spec_p, spec_q)
+            assert stacked.tolist() == [renyi_gaussian(alpha, p, q) for p, q in pairs]
+        spec_q[2, -1] = 0.0  # one rank-deficient member
+        with pytest.raises(SingularCovariance):
+            _renyi_divergence(2.0, mean_p, mean_q, sig_p, sig_q, spec_p, spec_q)
 
 
 class TestModelConstructions:

@@ -7,7 +7,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from aggnoise.accountant import PrivacyParams, RdpVariant, eps_dp_closed_form, rdp_bound
+from aggnoise.accountant import (
+    ClosedFormMode,
+    PrivacyParams,
+    RdpVariant,
+    eps_dp_closed_form,
+    rdp_bound,
+)
 from aggnoise.errors import BadDimension
 from aggnoise.spectra import (
     GradientMatrix,
@@ -21,6 +27,9 @@ from aggnoise.verify import (
     DominanceReport,
     Verdict,
     _floored_sum,
+    _random_clipped,
+    _random_clipped_columns,
+    _substitute_column,
     analytic_gaussian_delta,
     build_counterexample,
     certify_closed_form,
@@ -31,6 +40,97 @@ from aggnoise.verify import (
     run_distinguisher,
     summarize_reports,
 )
+
+
+def closed_form_instances(n_trials, rng):
+    """``certify_closed_form``'s instances, drawn one at a time in its order: (params, floor, users)."""
+    for _ in range(n_trials):
+        dim = int(rng.integers(2, 6))
+        n_users = int(rng.integers(2, 7))
+        count = int(rng.integers(max(dim, 4), 11))
+        batch = int(rng.integers(1, 5))
+        clip = float(0.5 + 1.5 * rng.random())
+        delta = float(rng.choice([1e-3, 1e-4]))
+        params = PrivacyParams(clip=clip, batch=batch, local_size=count,
+                               ns_users=n_users, delta=delta)
+        root = math.sqrt(2.0 * math.log(1.25 / delta))
+        lambda_0 = 4.0 * clip * clip * root / (batch * batch)
+        floor = lambda_0 / n_users * float(rng.choice([1.05, 2.0, 5.0, 20.0]))
+        users = [_random_clipped_columns(dim, count, clip, rng) for _ in range(n_users)]
+        yield params, floor, users
+
+
+def per_instance_closed_form(n_trials, rng):
+    """The reference suite: each instance through the public per-model path."""
+    reports = []
+    for trial, (params, floor, users) in enumerate(closed_form_instances(n_trials, rng)):
+        aggregate = _floored_sum(users, params.batch, floor)
+        lam_min = aggregate.lambda_min()
+        bound = eps_dp_closed_form(lam_min, params, ClosedFormMode.GENERAL)
+        chol = np.linalg.cholesky(aggregate.matrix())
+        extremal = (2.0 * params.clip / params.batch) * aggregate.eigvecs[:, -1]
+        w = np.linalg.solve(chol, extremal[:, None])
+        sensitivity = float(np.linalg.norm(w, axis=0)[0])
+        reports.append(DominanceReport(
+            descriptor=(
+                f"closed_form trial={trial} d={aggregate.dim} N={params.ns_users} "
+                f"D={params.local_size} B={params.batch} C={params.clip:.3f} "
+                f"delta={params.delta:g} region={bound.region.value} "
+                f"lam={lam_min:.3e} eps={bound.eps:.4f}"
+            ),
+            exact=analytic_gaussian_delta(sensitivity, 1.0, bound.eps),
+            bound=params.delta,
+        ))
+    return reports
+
+
+def per_instance_rdp(variant, n_trials, rng, alphas=(1.5, 2.0, 4.0)):
+    """The reference RDP suite: instances drawn and evaluated one at a time."""
+    reports = []
+    for trial in range(n_trials):
+        dim = int(rng.integers(2, 5))
+        count = int(rng.integers(max(dim + 2, 5), 11))
+        n_users = int(rng.integers(2, 6))
+        batch = int(rng.integers(1, 5))
+        clip = float(0.5 + 1.0 * rng.random())
+        users = []
+        for _ in range(n_users):
+            cols = rng.standard_normal((dim, count))
+            norms = np.linalg.norm(cols, axis=0)
+            scales = clip * (0.7 + 0.3 * rng.random(count)) / norms
+            users.append(GradientMatrix(cols * scales, clip))
+        substituted = [_substitute_column(users[0], _random_clipped(dim, clip, rng))] + users[1:]
+        if variant is RdpVariant.THEOREM1_RDP:
+            floor = 0.0
+            context = float(sum(estimate_mean_cov(g, 1).lambda_min() for g in users))
+            if context <= 0:
+                continue
+        else:
+            context = None
+            base = 2.0 * max(alphas) * clip * clip / (n_users * count)
+            floor = base * float(rng.choice([1.5, 3.0, 10.0]))
+        params = PrivacyParams(clip=clip, batch=batch, local_size=count,
+                               ns_users=n_users, delta=1e-5, floor=floor)
+        p = _floored_sum(users, batch, floor)
+        q = _floored_sum(substituted, batch, floor)
+        for alpha in alphas:
+            bound = rdp_bound(alpha, params, variant, sum_lambda_min=context)
+            if not math.isfinite(bound):
+                continue
+            reports.append(DominanceReport(
+                descriptor=(
+                    f"{variant.value} trial={trial} alpha={alpha:g} d={dim} "
+                    f"N={n_users} D={count} B={batch} C={clip:.3f}"
+                    + (f" sigma2={floor:.3e}" if floor else "")
+                ),
+                exact=renyi_gaussian(alpha, p, q),
+                bound=float(bound),
+            ))
+    return reports
+
+
+def as_dicts(reports):
+    return [r.to_dict() for r in reports]
 
 
 def hockey_stick_quadrature(sensitivity, noise_std, eps):
@@ -175,7 +275,7 @@ class TestCounterexample:
 
 class TestCertifyClosedForm:
     def test_randomized_instances_all_pass(self):
-        reports = certify_closed_form(60, np.random.default_rng(10), pair_samples=2000)
+        reports = certify_closed_form(60, np.random.default_rng(10))
         summary = summarize_reports(reports)
         assert summary["total"] == 60
         assert summary["sound"]
@@ -218,23 +318,32 @@ class TestCertifyClosedForm:
         exact = analytic_gaussian_delta(sens, 1.0, bound.eps)
         assert exact <= params.delta + 1e-9
 
-    def test_extremal_pair_dominates_random_pairs(self, monkeypatch):
+    def test_extremal_pair_dominates_random_pairs(self):
         # on the suite's own instances (those `aggnoise verify --seed 7`
         # reports), no random substitution pair's whitened sensitivity
-        # exceeds the extremal pair's, the last column of the one solve
+        # exceeds the extremal pair's, which is why the suite evaluates only
+        # the extremal pair
+        pairs = 10_000
+        pair_rng = np.random.default_rng(70)
         ratios = []
-        original = np.linalg.solve
-
-        def recording(a, b):
-            w = original(a, b)
-            norms = np.linalg.norm(w, axis=0)
+        lams = []
+        for params, floor, users in closed_form_instances(1000, np.random.default_rng(7)):
+            aggregate = _floored_sum(users, params.batch, floor)
+            lams.append(f"lam={aggregate.lambda_min():.3e} ")
+            chol = np.linalg.cholesky(aggregate.matrix())
+            clip, dim = params.clip, aggregate.dim
+            a = pair_rng.standard_normal((dim, pairs))
+            b = pair_rng.standard_normal((dim, pairs))
+            a *= clip * pair_rng.random(pairs) / np.linalg.norm(a, axis=0)
+            b *= clip * pair_rng.random(pairs) / np.linalg.norm(b, axis=0)
+            extremal = (2.0 * clip / params.batch) * aggregate.eigvecs[:, -1]
+            diffs = np.column_stack([(a - b) / params.batch, extremal])
+            norms = np.linalg.norm(np.linalg.solve(chol, diffs), axis=0)
             ratios.append(norms[:-1].max() / norms[-1])
-            return w
-
-        monkeypatch.setattr(np.linalg, "solve", recording)
-        certify_closed_form(1000, np.random.default_rng(7))
         assert len(ratios) == 1000
         assert max(ratios) <= 1.0
+        suite = certify_closed_form(1000, np.random.default_rng(7))
+        assert all(lam in r.descriptor for lam, r in zip(lams, suite))
 
     def test_low_region_probe_documents_the_printed_gap(self):
         # the low-privacy branch as printed does NOT dominate the exact
@@ -279,6 +388,50 @@ class TestCertifyRdp:
         summary = summarize_reports(bogus)
         assert not summary["sound"]
         assert summary["failures"] == 1
+
+
+class TestStackedSuites:
+    """The stacked suites against the per-instance reference, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_closed_form_matches_per_instance(self, seed):
+        stacked = certify_closed_form(300, np.random.default_rng(seed))
+        assert as_dicts(stacked) == as_dicts(per_instance_closed_form(300, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    @pytest.mark.parametrize(
+        "variant", [RdpVariant.THEOREM1_RDP, RdpVariant.WFDP_A, RdpVariant.WFDP_B]
+    )
+    def test_rdp_matches_per_instance(self, variant, seed):
+        stacked = certify_rdp(variant, 150, np.random.default_rng(seed))
+        reference = per_instance_rdp(variant, 150, np.random.default_rng(seed))
+        assert len(stacked) > 0
+        assert as_dicts(stacked) == as_dicts(reference)
+
+    @pytest.mark.parametrize("n_trials", [0, 1, 2, 3])
+    def test_few_trials_leave_dimensions_empty(self, n_trials):
+        # closed-form instances span d = 2..5 and RDP ones d = 2..4, so up to
+        # three (closed form) or two (RDP) trials leave a dimension group empty
+        closed = certify_closed_form(n_trials, np.random.default_rng(5))
+        assert len(closed) == n_trials
+        assert as_dicts(closed) == as_dicts(per_instance_closed_form(n_trials, np.random.default_rng(5)))
+        for variant in (RdpVariant.THEOREM1_RDP, RdpVariant.WFDP_A):
+            stacked = certify_rdp(variant, n_trials, np.random.default_rng(5))
+            reference = per_instance_rdp(variant, n_trials, np.random.default_rng(5))
+            assert as_dicts(stacked) == as_dicts(reference)
+            assert len(stacked) <= 3 * n_trials
+
+    def test_suites_consume_the_generator_as_the_reference_does(self):
+        stacked_rng, reference_rng = np.random.default_rng(9), np.random.default_rng(9)
+        certify_closed_form(20, stacked_rng)
+        per_instance_closed_form(20, reference_rng)
+        certify_rdp(RdpVariant.WFDP_B, 20, stacked_rng)
+        per_instance_rdp(RdpVariant.WFDP_B, 20, reference_rng)
+        assert stacked_rng.random() == reference_rng.random()
+
+    def test_rejects_unadjudicated_variant(self):
+        with pytest.raises(ValueError):
+            certify_rdp(RdpVariant.GAUSSIAN, 1, np.random.default_rng(0))
 
 
 class TestFlooredSum:
