@@ -6,6 +6,9 @@ eigenvalue-floored mechanism (both printed variants, which disagree and are
 adjudicated empirically by the verify module), RDP-to-DP conversion, order
 optimization, subsampling amplification, and multi-round composition over a
 round ledger.
+
+Every total epsilon comes from ``compose``, in the mode the ledger was built
+with; ``round_eps`` is the one map from a ledger entry to its per-round eps.
 """
 
 from __future__ import annotations
@@ -549,54 +552,56 @@ def _entry_curve(entry: LedgerEntry, params: PrivacyParams) -> RdpCurve:
     return RdpCurve(RdpVariant.GAUSSIAN, params, sum_lambda_min=entry.lambda_min)
 
 
-def _entry_scalar_eps(entry: LedgerEntry, delta: float) -> float:
-    if entry.cause is not None and entry.eps is None:
-        raise NoDpGuarantee(f"round {entry.round_index}: {entry.cause}")
+def round_eps(entry: LedgerEntry, delta: float) -> float:
+    """A round's scalar epsilon at ``delta``: its own eps, else its curve optimized.
+
+    Raises NoDpGuarantee for a round that carries neither (a refused round). A
+    curve whose order interval is empty gives no finite guarantee: +inf.
+    """
     if entry.eps is not None:
         return entry.eps
-    if entry.curve is not None:
+    if entry.cause is not None:
+        raise NoDpGuarantee(f"round {entry.round_index}: {entry.cause}")
+    if entry.curve is None:
+        raise NoDpGuarantee(f"round {entry.round_index} carries neither eps nor a curve")
+    try:
         return curve_eps(entry.curve, delta)
-    raise NoDpGuarantee(f"round {entry.round_index} carries neither eps nor a curve")
+    except EmptyValidityInterval:
+        return math.inf
 
 
-def compose(
-    ledger: RoundLedger,
-    mode: CompositionMode = CompositionMode.SIMPLE,
-    delta: Optional[float] = None,
-) -> CompositionResult:
+def compose(ledger: RoundLedger, delta: Optional[float] = None) -> CompositionResult:
     """Total epsilon across all ledger rounds at a single target delta.
 
-    SIMPLE sums per-round scalars (rounds carrying only a curve are first
-    optimized to a scalar), amplifying each round by the configured sampling
-    ratio. RDP sums per-round RDP curves on a shared order grid, converts once
-    and minimizes over the order; no subsampling amplification is applied on
-    this route (the amplified-RDP curve is out of scope), which only ever
-    overstates epsilon.
+    This is the one place a total is computed; the mode is the ledger's own
+    ``composition``. SIMPLE sums the rounds' ``round_eps``, each amplified by
+    the configured sampling ratio. RDP sums per-round RDP curves on a shared
+    order grid, converts once and minimizes over the order; no subsampling
+    amplification is applied on this route (the amplified-RDP curve is out of
+    scope), which only ever overstates epsilon.
     """
     if len(ledger) == 0:
         raise EmptyLedger("cannot compose an empty ledger")
+    mode = ledger.composition
     delta = ledger.params.delta if delta is None else delta
     q = ledger.params.sampling_ratio
-    warnings: set[str] = set()
     if mode is CompositionMode.SIMPLE:
         total = 0.0
         for entry in ledger.entries:
-            eps = _entry_scalar_eps(entry, delta)
+            eps = round_eps(entry, delta)
             if math.isinf(eps):
-                return CompositionResult(math.inf, mode, delta, warnings=tuple(sorted(warnings)))
+                return CompositionResult(math.inf, mode, delta)
             total += amplify_subsampling(eps, q)
-        return CompositionResult(total, mode, delta, warnings=tuple(sorted(warnings)))
+        return CompositionResult(total, mode, delta)
 
     curves = []
     for entry in ledger.entries:
         if entry.eps is not None and math.isinf(entry.eps):
-            return CompositionResult(math.inf, mode, delta, warnings=tuple(sorted(warnings)))
+            return CompositionResult(math.inf, mode, delta)
         curves.append(_entry_curve(entry, ledger.params))
-    variants = {c.variant for c in curves}
-    if len(variants) > 1:
-        warnings.add(WARN_MIXED_VARIANTS)
+    warnings = (WARN_MIXED_VARIANTS,) if len({c.variant for c in curves}) > 1 else ()
     alpha_star, eps_star = optimize_alpha(curves, delta)
-    return CompositionResult(eps_star, mode, delta, alpha_star=alpha_star, warnings=tuple(sorted(warnings)))
+    return CompositionResult(eps_star, mode, delta, alpha_star=alpha_star, warnings=warnings)
 
 
 Route = Union[ClosedFormMode, RdpVariant]

@@ -36,18 +36,17 @@ from .accountant import (
     RdpVariant,
     RoundLedger,
     account_round,
-    amplify_subsampling,
     compose,
-    delta_approx_gaussian,
     eps_dp_closed_form,
-    optimize_alpha,
 )
 from .errors import (
     AggNoiseError,
     ConfigError,
     DeltaOutOfRegion,
     EmptyValidityInterval,
+    NonFinite,
     NonPositiveLambda,
+    NotPositiveSemidefinite,
 )
 from .fedsim import (
     MechanismConfig,
@@ -338,7 +337,7 @@ def cmd_simulate(args) -> int:
         # (N, sigma^2, D, C) cannot yield a finite epsilon on this route
         raise ConfigError(str(exc)) from None
     csv_text = rows_to_csv(result.rows, CSV_COLUMNS)
-    ledger_doc = result.ledger.to_dict(
+    ledger_text = result.ledger.to_json(
         total_eps=result.total_eps,
         extra={"total_cause": result.total_cause, "alpha_star": result.alpha_star},
     )
@@ -350,8 +349,7 @@ def cmd_simulate(args) -> int:
         "package": "aggnoise",
     }
     atomic_write_text(os.path.join(out_dir, "metrics.csv"), csv_text)
-    atomic_write_text(os.path.join(out_dir, "ledger.json"),
-                      json.dumps(ledger_doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    atomic_write_text(os.path.join(out_dir, "ledger.json"), ledger_text + "\n")
     atomic_write_text(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     total = "inf" if result.total_eps is not None and math.isinf(result.total_eps) else result.total_eps
     print(f"simulated {config['rounds']} rounds; total eps = {total}; reports in {out_dir}")
@@ -367,13 +365,12 @@ def cmd_account(args) -> int:
 
 
 def _account_inner(args) -> int:
-    delta = args.delta
     params = PrivacyParams(
         clip=args.C,
         batch=args.B,
         local_size=args.D,
         ns_users=args.N,
-        delta=delta,
+        delta=args.delta,
         approx_gauss_delta0=args.delta0,
         floor=args.sigma * args.sigma if args.sigma is not None else (args.sigma2 or 0.0),
         sampling_ratio=args.q,
@@ -389,38 +386,40 @@ def _account_inner(args) -> int:
     if isinstance(route, ClosedFormMode):
         if args.lam is None:
             raise ConfigError("--route closed: --lambda is required")
-        mode = ClosedFormMode.IID if args.iid else route
-        bound = eps_dp_closed_form(args.lam, params, mode)
-        eps_round = bound.eps
-        print(f"per-round eps = {eps_round:.6g} (region {bound.region.value})")
-        if params.approx_gauss_delta0 > 0:
-            inflated = delta_approx_gaussian(eps_round, params)
-            print(f"per-round delta (Gaussian-approximation inflated) = {inflated.total:.6g}")
-        for w in bound.warnings:
-            print(f"warning: {w}")
-        amplified = amplify_subsampling(eps_round, params.sampling_ratio)
-        if params.sampling_ratio < 1.0:
-            print(f"amplified per-round eps = {amplified:.6g} (q = {params.sampling_ratio:g})")
-        print(f"composed eps over T={args.T} rounds (simple) = {amplified * args.T:.6g}")
-        return EXIT_OK
-
-    if route is RdpVariant.THEOREM1_RDP:
-        sum_lam = args.sum_lambda_min if args.sum_lambda_min is not None else args.lam
-        if sum_lam is None:
+        route = ClosedFormMode.IID if args.iid else route
+        lam, composition = args.lam, CompositionMode.SIMPLE
+    elif route is RdpVariant.THEOREM1_RDP:
+        lam = args.sum_lambda_min if args.sum_lambda_min is not None else args.lam
+        if lam is None:
             raise ConfigError("--route theorem1-rdp: --sum-lambda-min is required")
+        composition = CompositionMode.RDP
     else:
-        sum_lam = 0.0
-    entry = account_round(sum_lam, params, route)
-    alpha_star, eps_star = optimize_alpha(entry.curve, delta)
-    print(f"per-round optimized eps* = {eps_star:.6g} at alpha* = {alpha_star:.6g}")
-    ledger = RoundLedger(params, CompositionMode.RDP)
-    for t in range(args.T):
-        ledger.append(account_round(sum_lam, params, route, round_index=t))
-    total = compose(ledger, CompositionMode.RDP, delta)
-    print(
-        f"composed eps over T={args.T} rounds (rdp) = {total.total_eps:.6g} "
-        f"at alpha* = {total.alpha_star:.6g}"
-    )
+        # the floored-mechanism variants read (N, sigma^2) from params
+        lam, composition = 0.0, CompositionMode.RDP
+    # T identical rounds; composing the first alone gives the per-round line
+    ledger = RoundLedger(params, composition)
+    ledger.append(account_round(lam, params, route))
+    per_round = compose(ledger)
+    for t in range(1, args.T):
+        ledger.append(account_round(lam, params, route, round_index=t))
+    total = compose(ledger)
+
+    if composition is CompositionMode.RDP:
+        print(
+            f"per-round optimized eps* = {per_round.total_eps:.6g} "
+            f"at alpha* = {per_round.alpha_star:.6g}"
+        )
+    else:
+        first = ledger.entries[0]
+        print(f"per-round eps = {first.eps:.6g} (region {first.region})")
+        if params.approx_gauss_delta0 > 0:
+            print(f"per-round delta (Gaussian-approximation inflated) = {first.delta_total:.6g}")
+        for w in first.warnings:
+            print(f"warning: {w}")
+        if params.sampling_ratio < 1.0:
+            print(f"amplified per-round eps = {per_round.total_eps:.6g} (q = {args.q:g})")
+    at = f" at alpha* = {total.alpha_star:.6g}" if total.alpha_star is not None else ""
+    print(f"composed eps over T={args.T} rounds ({composition.value}) = {total.total_eps:.6g}{at}")
     return EXIT_OK
 
 
@@ -443,10 +442,11 @@ def cmd_spectrum(args) -> int:
     rows = []
     if args.eigvals:
         try:
-            vals = np.array([float(v) for v in args.eigvals.split(",")])
+            model = eig_decompose(np.diag([float(v) for v in args.eigvals.split(",")]))
         except ValueError:
             raise ConfigError(f"--eigvals: expected comma-separated floats, got {args.eigvals!r}")
-        model = eig_decompose(np.diag(vals))
+        except (NonFinite, NotPositiveSemidefinite) as exc:
+            raise ConfigError(f"--eigvals: {exc}") from None
         rows.extend(_spectrum_rows("input", model, args.sigma2))
     elif args.config:
         config = load_config(args.config)
@@ -572,22 +572,23 @@ def cmd_compose(args) -> int:
             raise ConfigError(f"ledger file {path} is malformed: {exc}")
     if not ledgers:
         raise ConfigError("compose: need at least one ledger file")
-    base = ledgers[0]
-    merged = RoundLedger(base.params, CompositionMode(args.mode))
-    next_round = 0
+    # no bound reads the run length, so runs of different lengths compose;
+    # the merged ledger records its own entry count as its rounds
+    entries = [entry for ledger in ledgers for entry in ledger.entries]
+    params = dataclasses.replace(ledgers[0].params, rounds=max(len(entries), 1))
     for ledger in ledgers:
-        if ledger.params.to_dict() != base.params.to_dict():
+        if dataclasses.replace(ledger.params, rounds=params.rounds) != params:
             raise ConfigError("compose: ledgers carry different privacy parameters")
-        for entry in ledger.entries:
-            merged.append(dataclasses.replace(entry, round_index=next_round))
-            next_round += 1
-    delta = args.delta if args.delta is not None else base.params.delta
-    result = compose(merged, CompositionMode(args.mode), delta)
-    doc = merged.to_dict(total_eps=result.total_eps, extra={"alpha_star": result.alpha_star})
+    merged = RoundLedger(params, CompositionMode(args.mode))
+    for index, entry in enumerate(entries):
+        merged.append(dataclasses.replace(entry, round_index=index))
+    delta = args.delta if args.delta is not None else params.delta
+    result = compose(merged, delta)
     if args.out:
         atomic_write_text(
             os.path.join(args.out, "composed_ledger.json"),
-            json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n",
+            merged.to_json(total_eps=result.total_eps, extra={"alpha_star": result.alpha_star})
+            + "\n",
         )
     print(
         f"composed {len(merged)} rounds ({args.mode}): total eps = {result.total_eps:.6g} "

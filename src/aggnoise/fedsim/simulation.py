@@ -14,7 +14,6 @@ scaling happens here, after mechanisms ran on the clipped-gradient scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -32,9 +31,9 @@ from ..accountant import (
     Route,
     account_round,
     compose,
-    curve_eps,
+    round_eps,
 )
-from ..errors import AggNoiseError, ConfigError, NoDpGuarantee, SingularCovariance
+from ..errors import ConfigError, NoDpGuarantee, SingularCovariance
 from ..mechanisms import (
     SchemeKind,
     UpdateScheme,
@@ -342,18 +341,6 @@ class SimulationResult:
     alpha_star: Optional[float] = None
 
 
-def _round_eps(entry: LedgerEntry, delta: float) -> Optional[float]:
-    if entry.eps is not None:
-        return entry.eps
-    if entry.curve is not None:
-        try:
-            return curve_eps(entry.curve, delta)
-        except AggNoiseError:
-            # e.g. an empty order interval: the round has no finite guarantee
-            return math.inf
-    return None
-
-
 def run_simulation(
     users: Sequence[UserState],
     model: GlobalModel,
@@ -386,10 +373,14 @@ def run_simulation(
         current = outcome.model
         ledger.append(outcome.entry)
         try:
-            result = compose(ledger, composition)
+            result = compose(ledger)
             total, cause, alpha_star = result.total_eps, None, result.alpha_star
         except NoDpGuarantee as exc:
             total, cause = None, str(exc)
+        try:
+            eps_round = round_eps(outcome.entry, params.delta)
+        except NoDpGuarantee:
+            eps_round = None  # a refused round has no per-round epsilon
         eval_metric = ""
         if outcome.eval_metrics:
             key = "mse" if "mse" in outcome.eval_metrics else "accuracy"
@@ -400,7 +391,7 @@ def run_simulation(
                 "train_loss": outcome.train_loss,
                 "eval_metric": eval_metric,
                 "lambda_min": outcome.lambda_min,
-                "eps_round": _round_eps(outcome.entry, params.delta),
+                "eps_round": eps_round,
                 "eps_cumulative": total,
                 "noise_trace": outcome.entry.noise_trace,
             }

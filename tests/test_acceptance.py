@@ -115,11 +115,12 @@ def test_criterion_2_eps_vs_n_scaling(capsys):
     totals_rdp, totals_simple = {}, {}
     for n in (5, 10, 20, 50):
         p = PrivacyParams(clip=2.0, batch=100, local_size=400, ns_users=n, delta=1e-3)
-        ledger = RoundLedger(p)
-        for t in range(50):
-            ledger.append(account_round(n * lam0, p, ClosedFormMode.GENERAL, round_index=t))
-        totals_rdp[n] = compose(ledger, CompositionMode.RDP).total_eps
-        totals_simple[n] = compose(ledger, CompositionMode.SIMPLE).total_eps
+        ledgers = {mode: RoundLedger(p, mode) for mode in CompositionMode}
+        for ledger in ledgers.values():
+            for t in range(50):
+                ledger.append(account_round(n * lam0, p, ClosedFormMode.GENERAL, round_index=t))
+        totals_rdp[n] = compose(ledgers[CompositionMode.RDP]).total_eps
+        totals_simple[n] = compose(ledgers[CompositionMode.SIMPLE]).total_eps
         assert totals_simple[n] >= totals_rdp[n]
     for a in (5, 10, 20, 50):
         for b in (5, 10, 20, 50):
@@ -145,7 +146,7 @@ def test_criterion_3_eps_vs_sigma_halving(capsys):
         ledger = RoundLedger(p, CompositionMode.RDP)
         for t in range(50):
             ledger.append(account_round(0.0, p, RdpVariant.WFDP_A, round_index=t))
-        totals[sigma] = compose(ledger, CompositionMode.RDP).total_eps
+        totals[sigma] = compose(ledger).total_eps
     ratio_1 = totals[0.05] / totals[0.1]
     ratio_2 = totals[0.1] / totals[0.2]
     assert 1.8 <= ratio_1 <= 2.2

@@ -262,20 +262,19 @@ def wine_ledger(rounds=50, lam=0.25, composition=CompositionMode.SIMPLE):
 
 class TestCompose:
     def test_simple_is_additive(self):
-        result = compose(wine_ledger(), CompositionMode.SIMPLE)
+        result = compose(wine_ledger())
         assert result.total_eps == pytest.approx(50 * 0.302118362613, rel=1e-9)
 
     def test_single_round_rdp_equals_optimize(self):
         ledger = RoundLedger(RDP_PARAMS, CompositionMode.RDP)
         ledger.append(account_round(0.0, RDP_PARAMS, RdpVariant.WFDP_A, round_index=0))
-        result = compose(ledger, CompositionMode.RDP)
+        result = compose(ledger)
         _, eps_star = optimize_alpha(RdpCurve(RdpVariant.WFDP_A, RDP_PARAMS), RDP_PARAMS.delta)
         assert result.total_eps == pytest.approx(eps_star, rel=1e-9)
 
     def test_rdp_below_simple_on_wine_instance(self):
-        ledger = wine_ledger()
-        simple = compose(ledger, CompositionMode.SIMPLE)
-        rdp = compose(ledger, CompositionMode.RDP)
+        simple = compose(wine_ledger(composition=CompositionMode.SIMPLE))
+        rdp = compose(wine_ledger(composition=CompositionMode.RDP))
         assert rdp.total_eps < simple.total_eps
 
     def test_permutation_invariance(self):
@@ -284,14 +283,14 @@ class TestCompose:
             ledger = RoundLedger(WINE)
             for t, lam in enumerate(order):
                 ledger.append(account_round(lam, WINE, ClosedFormMode.GENERAL, round_index=t))
-            return compose(ledger, CompositionMode.SIMPLE).total_eps
+            return compose(ledger).total_eps
         assert total(lams) == pytest.approx(total(lams[::-1]), rel=1e-12)
 
     def test_simple_applies_amplification(self):
         p = PrivacyParams(clip=2.0, batch=100, delta=1e-3, sampling_ratio=0.01)
         ledger = RoundLedger(p)
         ledger.append(account_round(0.25, p, ClosedFormMode.GENERAL, round_index=0))
-        result = compose(ledger, CompositionMode.SIMPLE)
+        result = compose(ledger)
         per_round = eps_dp_closed_form(0.25, p).eps
         assert result.total_eps == pytest.approx(amplify_subsampling(per_round, 0.01), rel=1e-12)
 
@@ -299,13 +298,13 @@ class TestCompose:
         ledger = RoundLedger(RDP_PARAMS, CompositionMode.RDP)
         ledger.append(account_round(0.0, RDP_PARAMS, RdpVariant.WFDP_A, round_index=0))
         ledger.append(account_round(0.0, RDP_PARAMS, RdpVariant.WFDP_B, round_index=1))
-        result = compose(ledger, CompositionMode.RDP)
+        result = compose(ledger)
         assert WARN_MIXED_VARIANTS in result.warnings
         assert math.isfinite(result.total_eps)
 
     def test_empty_ledger(self):
         with pytest.raises(EmptyLedger):
-            compose(RoundLedger(WINE), CompositionMode.SIMPLE)
+            compose(RoundLedger(WINE))
 
     def test_composed_eps_nondecreasing_in_rounds(self):
         totals = [compose(wine_ledger(rounds=t)).total_eps for t in (1, 5, 20, 50)]
@@ -317,13 +316,13 @@ class TestCompose:
             LedgerEntry(round_index=0, route="refused", eps=None, cause="no guarantee")
         )
         with pytest.raises(NoDpGuarantee):
-            compose(ledger, CompositionMode.SIMPLE)
+            compose(ledger)
 
     def test_infinite_round_gives_infinite_total(self):
         ledger = RoundLedger(WINE)
         ledger.append(account_round(1.0, WINE, ClosedFormMode.GENERAL, round_index=0,
                                     cause="necessary condition violated"))
-        result = compose(ledger, CompositionMode.SIMPLE)
+        result = compose(ledger)
         assert math.isinf(result.total_eps)
 
 
@@ -358,7 +357,7 @@ def curve_ledger(variants, params=RDP_PARAMS, composition=CompositionMode.RDP):
 class TestDistinctCurveComposition:
     def test_identical_rounds_match_dense_grid(self):
         rounds = 50
-        result = compose(curve_ledger([RdpVariant.WFDP_A] * rounds), CompositionMode.RDP)
+        result = compose(curve_ledger([RdpVariant.WFDP_A] * rounds))
         hi = RDP_PARAMS.ns_users * RDP_PARAMS.floor * RDP_PARAMS.local_size / (
             2.0 * RDP_PARAMS.clip**2
         )
@@ -371,7 +370,7 @@ class TestDistinctCurveComposition:
     def test_alternating_curves_match_ungrouped_sum(self):
         variants = [RdpVariant.WFDP_A, RdpVariant.WFDP_B] * 10
         ledger = curve_ledger(variants)
-        result = compose(ledger, CompositionMode.RDP)
+        result = compose(ledger)
         alpha = result.alpha_star
         ungrouped = 0.0
         for entry in ledger.entries:
@@ -395,7 +394,7 @@ class TestDistinctCurveComposition:
             nonlocal calls
             curve_eps.cache_clear()
             calls = 0
-            compose(curve_ledger([RdpVariant.WFDP_A] * rounds, composition=mode), mode)
+            compose(curve_ledger([RdpVariant.WFDP_A] * rounds, composition=mode))
             return calls
 
         few = count_for(2)
@@ -450,6 +449,6 @@ class TestLedger:
         assert len(back) == 2
         assert back.entries[0].curve.variant is RdpVariant.WFDP_A
         assert back.entries[1].curve.sum_lambda_min == 0.5
-        a = compose(ledger, CompositionMode.RDP)
-        b = compose(back, CompositionMode.RDP)
+        a = compose(ledger)
+        b = compose(back)
         assert a.total_eps == pytest.approx(b.total_eps, rel=1e-12)

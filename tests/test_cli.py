@@ -68,6 +68,69 @@ class TestAccountCommand:
         assert "amplified per-round eps" in out
 
 
+# stdout recorded before ``account`` composed through the ledger; the one
+# line added since is the meaningless_delta warning the round's entry carries
+ACCOUNT_GOLDEN = {
+    "closed-general": (
+        "--route closed --lambda 0.25 --C 2 --B 100 --delta 1e-3 --T 50",
+        "per-round eps = 0.302118 (region high)\n"
+        "composed eps over T=50 rounds (simple) = 15.1059\n",
+    ),
+    "closed-singular": (
+        "--route closed --mode singular --lambda 0.25 --C 2 --B 100 --delta 1e-3 --T 50",
+        "per-round eps = 0.302118 (region high)\n"
+        "warning: subspace: smallest *nonzero* eigenvalue used; space coverage asserted by caller\n"
+        "composed eps over T=50 rounds (simple) = 15.1059\n",
+    ),
+    "closed-iid": (
+        "--route closed --iid --lambda 0.05 --C 2 --B 100 --N 20 --delta 1e-3 --T 50",
+        "per-round eps = 0.151059 (region high)\n"
+        "composed eps over T=50 rounds (simple) = 7.55296\n",
+    ),
+    "subsampled": (
+        "--route closed --lambda 0.25 --C 2 --B 100 --delta 1e-3 --q 0.01 --T 10",
+        "per-round eps = 0.302118 (region high)\n"
+        "amplified per-round eps = 0.00352101 (q = 0.01)\n"
+        "composed eps over T=10 rounds (simple) = 0.0352101\n",
+    ),
+    "delta0": (
+        "--route closed --lambda 0.25 --C 2 --B 100 --delta 1e-3 --delta0 1e-4 --T 20",
+        "per-round eps = 0.302118 (region high)\n"
+        "per-round delta (Gaussian-approximation inflated) = 0.00123527\n"
+        "composed eps over T=20 rounds (simple) = 6.04237\n",
+    ),
+    "meaningless-delta": (
+        "--route closed --lambda 0.25 --C 2 --B 100 --delta 0.5 --delta0 0.3",
+        "per-round eps = 0.108298 (region high)\n"
+        "per-round delta (Gaussian-approximation inflated) = 1.13431\n"
+        "warning: meaningless_delta: total delta >= 1\n"
+        "composed eps over T=1 rounds (simple) = 0.108298\n",
+    ),
+    "wfdp-a": (
+        "--route wfdp-a --C 1 --B 10 --D 100 --N 50 --sigma 0.1 --delta 1e-5 --T 50",
+        "per-round optimized eps* = 1.0621 at alpha* = 16.4476\n"
+        "composed eps over T=50 rounds (rdp) = 7.03398 at alpha* = 6.20728\n",
+    ),
+    "wfdp-b": (
+        "--route wfdp-b --C 1 --B 10 --D 100 --N 50 --sigma 0.1 --delta 1e-5 --T 50",
+        "per-round optimized eps* = 0.495446 at alpha* = 25\n"
+        "composed eps over T=50 rounds (rdp) = 1.25998 at alpha* = 22.5854\n",
+    ),
+    "theorem1-rdp": (
+        "--route theorem1-rdp --sum-lambda-min 50 --C 1 --B 10 --D 100 --delta 1e-5 --T 50",
+        "per-round optimized eps* = 0.0454929 at alpha* = 485.193\n"
+        "composed eps over T=50 rounds (rdp) = 0.318139 at alpha* = 75.7175\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACCOUNT_GOLDEN))
+def test_account_golden_output(case, capsys):
+    flags, expected = ACCOUNT_GOLDEN[case]
+    assert main(["account"] + flags.split()) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
 class TestSimulateCommand:
     def test_reports_and_determinism(self, tmp_path, capsys):
         cfg, _ = write_config(tmp_path)
@@ -284,6 +347,12 @@ class TestSpectrumCommand:
     def test_requires_input(self, capsys):
         assert main(["spectrum"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("eigvals", ["0.5,-0.2", "0.5,nan"])
+    def test_malformed_eigvals_config_error(self, tmp_path, capsys, eigvals):
+        rc = main(["--out", str(tmp_path), "spectrum", "--eigvals", eigvals])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: --eigvals: ")
+
 
 class TestComposeCommand:
     def test_two_halves_equal_one_run(self, tmp_path, capsys):
@@ -322,6 +391,38 @@ class TestComposeCommand:
         rc = main(["compose", str(tmp_path / "a" / "ledger.json"),
                    str(tmp_path / "b" / "ledger.json")])
         assert rc == EXIT_CONFIG
+
+
+    def test_runs_of_different_lengths_compose(self, tmp_path, capsys):
+        paths = []
+        for rounds in (2, 3):
+            cfg, _ = write_config(tmp_path, name=f"c{rounds}.json", rounds=rounds)
+            out = tmp_path / f"r{rounds}"
+            assert main(["--out", str(out), "simulate", "--config", cfg]) == EXIT_OK
+            paths.append(str(out / "ledger.json"))
+        assert main(["--out", str(tmp_path / "merged"), "compose"] + paths) == EXIT_OK
+        merged = json.loads((tmp_path / "merged" / "composed_ledger.json").read_text())
+        assert len(merged["entries"]) == 5
+        assert merged["params"]["rounds"] == 5
+
+    @pytest.mark.parametrize("accountant", [
+        {"route": "closed_form", "mode": "general", "composition": "simple"},
+        {"route": "wfdp_a", "composition": "rdp"},
+    ], ids=["simple", "rdp"])
+    def test_recompose_reproduces_run_total(self, tmp_path, accountant):
+        # simulate and compose share one composition path, so re-composing a
+        # run's ledger in its own mode gives its total bit for bit
+        cfg, config = write_config(tmp_path, accountant=accountant, mechanism={"sigma2": 0.05})
+        assert main(["--out", str(tmp_path / "run"), "simulate", "--config", cfg]) == EXIT_OK
+        rc = main(["--out", str(tmp_path / "again"), "compose",
+                   str(tmp_path / "run" / "ledger.json"),
+                   "--mode", config["accountant"]["composition"]])
+        assert rc == EXIT_OK
+        run = json.loads((tmp_path / "run" / "ledger.json").read_text())
+        again = json.loads((tmp_path / "again" / "composed_ledger.json").read_text())
+        assert isinstance(run["total_eps"], float)
+        assert again["total_eps"] == run["total_eps"]
+        assert again["alpha_star"] == run["alpha_star"]
 
 
 class TestImportCost:

@@ -31,7 +31,7 @@ from aggnoise.fedsim import (
     run_round,
     run_simulation,
 )
-from aggnoise import mechanisms
+from aggnoise import accountant, mechanisms
 from aggnoise.fedsim import simulation
 from aggnoise.fedsim.models import ModelOps
 from aggnoise.mechanisms import SchemeKind, UpdateScheme
@@ -432,12 +432,12 @@ class TestRoundEps:
                            curve=RdpCurve(RdpVariant.WFDP_A, self.EMPTY))
 
     def test_empty_validity_interval_is_infinite(self):
-        assert simulation._round_eps(self.curve_entry(), self.EMPTY.delta) == math.inf
+        assert accountant.round_eps(self.curve_entry(), self.EMPTY.delta) == math.inf
 
     def test_unexpected_errors_propagate(self, monkeypatch):
         def broken(curve, delta):
             raise RuntimeError("bug")
 
-        monkeypatch.setattr(simulation, "curve_eps", broken)
+        monkeypatch.setattr(accountant, "curve_eps", broken)
         with pytest.raises(RuntimeError):
-            simulation._round_eps(self.curve_entry(), self.EMPTY.delta)
+            accountant.round_eps(self.curve_entry(), self.EMPTY.delta)
