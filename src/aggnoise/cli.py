@@ -63,9 +63,9 @@ from .fedsim import (
     run_simulation,
     user_update,
 )
-from .fedsim.simulation import _blocks_for, _isotropic_extra, _user_rng
+from .fedsim.simulation import Cohort, _blocks_for, _isotropic_extra, _user_rng
 from .mechanisms import SchemeKind, UpdateScheme
-from .spectra import CovarianceModel, eig_decompose, floor_eigenvalues, sum_covariances
+from .spectra import eig_decompose, floor_eigenvalues, sum_covariances
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -423,8 +423,7 @@ def _account_inner(args) -> int:
     return EXIT_OK
 
 
-def _spectrum_rows(source: str, model: CovarianceModel, sigma2: float) -> list[dict]:
-    eigvals = model.spectrum()
+def _spectrum_rows(source: str, eigvals, sigma2: float) -> list[dict]:
     floored = np.maximum(eigvals, sigma2)
     return [
         {
@@ -447,7 +446,7 @@ def cmd_spectrum(args) -> int:
             raise ConfigError(f"--eigvals: expected comma-separated floats, got {args.eigvals!r}")
         except (NonFinite, NotPositiveSemidefinite) as exc:
             raise ConfigError(f"--eigvals: {exc}") from None
-        rows.extend(_spectrum_rows("input", model, args.sigma2))
+        rows.extend(_spectrum_rows("input", model.spectrum(), args.sigma2))
     elif args.config:
         config = load_config(args.config)
         seed = args.seed if args.seed is not None else config.get("seed", 0)
@@ -459,18 +458,21 @@ def cmd_spectrum(args) -> int:
         floors = mech.kind in (MechanismKind.WFDP, MechanismKind.WFNA)
         sigma2 = args.sigma2 or (mech.sigma2 if floors else 0.0)
         ns_models = []
-        for slot, user in enumerate(users):
-            if user.role is not Role.NON_SENSITIVE:
+        for stack in Cohort(users).stacks:
+            if stack.role is not Role.NON_SENSITIVE:
                 continue
-            # the round-0 model simulate accounts, from the same per-user stream
-            _, est = user_update(
-                user, ops, model.theta, params.clip, blocks, _user_rng(seed, 0, slot)
-            )
-            rows.extend(_spectrum_rows(f"user{user.user_id}", est, sigma2))
-            ns_models.append(floor_eigenvalues(est, sigma2)[0] if sigma2 > 0 else est)
-        extra = 0.0 if args.sigma2 else _isotropic_extra(mech, len(ns_models), len(users))
+            # the round-0 models simulate accounts, from the same per-user streams
+            rngs = [_user_rng(seed, 0, slot) for slot in stack.slots]
+            _, runs = user_update(stack, ops, model.theta, params.clip, blocks, rngs)
+            spectra = np.concatenate([run.spectrum() for run in runs])
+            for slot, eigvals in zip(stack.slots, spectra):
+                rows.extend(_spectrum_rows(f"user{users[slot].user_id}", eigvals, sigma2))
+            ns_models.extend(floor_eigenvalues(run, sigma2)[0] if sigma2 > 0 else run for run in runs)
+        extra = 0.0 if args.sigma2 else _isotropic_extra(
+            mech, sum(run.mean.shape[0] for run in ns_models), len(users)
+        )
         aggregate = sum_covariances(ns_models, isotropic_extra=extra)
-        rows.extend(_spectrum_rows("aggregate", aggregate, 0.0))
+        rows.extend(_spectrum_rows("aggregate", aggregate.spectrum(), 0.0))
     else:
         raise ConfigError("spectrum: pass --eigvals or --config")
     text = rows_to_csv(rows, ["source", "index", "eigenvalue", "floored", "delta"])

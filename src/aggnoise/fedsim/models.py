@@ -1,7 +1,9 @@
 """Differentiable model families for the federated simulation.
 
 Both families operate on a design matrix with an appended bias column, so a
-global parameter vector has length n_features + 1.
+global parameter vector has length n_features + 1. ``ModelOps`` takes design
+rows (``design(features)``), made once by the caller, for one user or for a
+stack of users with the same number of examples.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ def init_model(family: ModelFamily, n_features: int) -> GlobalModel:
 
 
 def design(features: Array) -> Array:
-    """Append the bias column."""
-    return np.hstack([features, np.ones((features.shape[0], 1))])
+    """Append the bias column (to every member, for a stack of feature matrices)."""
+    return np.concatenate([features, np.ones(features.shape[:-1] + (1,))], axis=-1)
 
 
 def _sigmoid(z: Array) -> Array:
@@ -56,35 +58,34 @@ class ModelOps:
     """Per-example gradients, loss and metrics for one model family.
 
     Losses are per-example averages whose gradients are residual * phi:
-    squared error / 2 for regression, log-loss for classification.
+    squared error / 2 for regression, log-loss for classification. Every
+    method reads design rows ``phi`` (see ``design``); gradients also take a
+    stack (k, D, p) of k users' rows with labels (k, D).
     """
 
     def __init__(self, family: ModelFamily):
         self.family = family
 
-    def per_example_gradients(self, theta: Array, features: Array, labels: Array) -> Array:
-        phi = design(features)
+    def per_example_gradients(self, theta: Array, phi: Array, labels: Array) -> Array:
         if self.family is ModelFamily.LINEAR_REGRESSION:
             residual = phi @ theta - labels
         else:
             residual = _sigmoid(phi @ theta) - labels
-        return residual[:, None] * phi
+        return residual[..., None] * phi
 
-    def loss(self, theta: Array, features: Array, labels: Array) -> float:
-        if features.shape[0] == 0:
+    def loss(self, theta: Array, phi: Array, labels: Array) -> float:
+        if phi.shape[0] == 0:
             raise EmptyDataset("cannot evaluate on an empty dataset")
-        phi = design(features)
         z = phi @ theta
         if self.family is ModelFamily.LINEAR_REGRESSION:
             return float(0.5 * np.mean((z - labels) ** 2))
         # numerically stable mean log-loss: log(1 + e^z) - y z
         return float(np.mean(np.logaddexp(0.0, z) - labels * z))
 
-    def metrics(self, theta: Array, features: Array, labels: Array) -> dict:
+    def metrics(self, theta: Array, phi: Array, labels: Array) -> dict:
         """MSE for regression; accuracy and log-loss for classification."""
-        if features.shape[0] == 0:
+        if phi.shape[0] == 0:
             raise EmptyDataset("cannot evaluate on an empty dataset")
-        phi = design(features)
         z = phi @ theta
         if self.family is ModelFamily.LINEAR_REGRESSION:
             return {"mse": float(np.mean((z - labels) ** 2))}
@@ -96,4 +97,4 @@ class ModelOps:
 
 def evaluate_model(model: GlobalModel, features: Array, labels: Array) -> dict:
     """Standard deterministic metrics of a global model on a dataset."""
-    return ModelOps(model.family).metrics(model.theta, features, labels)
+    return ModelOps(model.family).metrics(model.theta, design(features), labels)

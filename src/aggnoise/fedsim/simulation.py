@@ -5,18 +5,27 @@ Each round every user derives its own RNG stream from the master seed and its
 configured mechanism, and submits through the secure-aggregation channel. The
 accountant never sees samples: it receives the analytic covariance of the
 non-sensitive users' submitted updates, which is what the per-round guarantees
-are stated in terms of. ``user_update`` is the one definition of a user's
-update and unfloored covariance model (``aggnoise spectrum --config`` shows the
-same round-0 models); a flooring mechanism returns the floored model it sampled
-from, and that is the one summed, so each model is floored once. Learning-rate
-scaling happens here, after mechanisms ran on the clipped-gradient scale.
+are stated in terms of.
+
+A ``Cohort`` lays the users' data out once per run: one design matrix of
+every user's rows in slot order, which the training loss reads, and stacks
+that slice it, each a run of consecutive slots whose users share role,
+scheme and local size D, at most ``_STACK_BYTES`` of gradients each. A round
+runs each stack's users together: ``user_update`` is the one definition of a
+stack's updates and unfloored covariance models (``aggnoise spectrum
+--config`` shows the same round-0 models), and the mechanisms floor and draw
+for the whole stack, every member from its own stream. A single user is a
+stack of one. A flooring mechanism returns the floored models it sampled
+from, and those are summed, slot by slot, so each model is floored once.
+Learning-rate scaling happens here, after mechanisms ran on the
+clipped-gradient scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,10 +58,15 @@ from ..spectra import (
     estimate_mean_cov,
     sum_covariances,
 )
-from .models import GlobalModel, ModelOps, evaluate_model
+from .models import GlobalModel, ModelOps, design, evaluate_model
 from .secagg import SAChannel
 
 Array = np.ndarray
+
+# Bytes of one stack's (k, D, d) gradients or (k, d, d) second moments. It
+# caps k, and with it the stacked temporaries, at wide dimensions; at small
+# ones a whole cohort is one stack per role.
+_STACK_BYTES = 1 << 20
 
 
 class Role(Enum):
@@ -131,50 +145,100 @@ def _guarantee_refusal(mech: MechanismConfig, users: Sequence[UserState]) -> Opt
     return None
 
 
+@dataclass(frozen=True)
+class UserStack:
+    """Users in consecutive ``slots`` who share a role, a scheme and a local size D.
+
+    ``phi`` (k, D, p) holds their design rows and ``labels`` (k, D) their
+    labels, both views of the cohort's arrays.
+    """
+
+    slots: range
+    role: Role
+    scheme: UpdateScheme
+    phi: Array
+    labels: Array
+
+
+class Cohort:
+    """A run's users with their data laid out once, and the stacks a round runs."""
+
+    def __init__(self, users: Sequence[UserState]):
+        if not users:
+            raise ConfigError("need at least one user")
+        self.users = list(users)
+        self.phi = design(np.concatenate([u.features for u in self.users]))
+        self.labels = np.concatenate([u.labels for u in self.users])
+        width = self.phi.shape[1]
+        self.stacks: list[UserStack] = []
+        start = row = 0
+        for stop in range(1, len(self.users) + 1):
+            first = self.users[start]
+            size = first.features.shape[0]
+            cap = max(1, _STACK_BYTES // (8 * width * max(size, width)))
+            if stop < len(self.users) and stop - start < cap:
+                user = self.users[stop]
+                if (user.role, user.scheme, user.features.shape[0]) == (first.role, first.scheme, size):
+                    continue
+            rows = (stop - start) * size
+            self.stacks.append(UserStack(
+                slots=range(start, stop),
+                role=first.role,
+                scheme=first.scheme,
+                phi=self.phi[row : row + rows].reshape(stop - start, size, width),
+                labels=self.labels[row : row + rows].reshape(stop - start, size),
+            ))
+            start, row = stop, row + rows
+
+
 def user_update(
-    user: UserState,
+    stack: UserStack,
     ops: ModelOps,
     theta: Array,
     clip: float,
     blocks: Optional[BlockSpec],
-    rng: np.random.Generator,
-) -> tuple[Array, Optional[CovarianceModel]]:
-    """One user's raw update and, for a non-sensitive user, its covariance model.
+    rngs: Sequence[np.random.Generator],
+) -> tuple[Array, Optional[list[CovarianceModel]]]:
+    """A stack's raw updates (k, dim) and, for non-sensitive users, their covariance models.
 
-    The model is the unfloored distribution of the update on the
-    clipped-gradient scale, the one the accountant sums: the FEDAVG replays'
-    estimate, a zero spectrum for deterministic FULL_GD, the estimate a
-    Gaussian-sampled update was drawn from, or else the (blockwise when
-    ``blocks`` is set) estimate from the clipped gradients. Sensitive users get
-    None. Draws from ``rng`` in that order: scheme draw, then FEDAVG replays.
+    The models are the unfloored distributions of the updates on the
+    clipped-gradient scale, the ones the accountant sums: the FEDAVG replays'
+    estimates, a zero spectrum for deterministic FULL_GD, the estimates
+    Gaussian-sampled updates were drawn from, or else the (blockwise when
+    ``blocks`` is set) estimates from the clipped gradients. They come as a
+    list of model stacks covering the members in slot order (see
+    ``estimate_mean_cov``); sensitive users get None. Member i draws from
+    ``rngs[i]`` in this order: scheme draw, then FEDAVG replays.
     """
-    scheme = user.scheme
-    x, grads, sampled_from = compute_update(
-        scheme, user.features, user.labels, ops, theta, clip, rng
+    scheme = stack.scheme
+    xs, grads, sampled_from = compute_update(
+        scheme, stack.phi, stack.labels, ops, theta, clip, rngs
     )
-    if user.role is not Role.NON_SENSITIVE:
-        return x, None
+    if stack.role is not Role.NON_SENSITIVE:
+        return xs, None
     if scheme.kind is SchemeKind.FEDAVG:
-        model = estimate_fedavg_distribution(
-            scheme, user.features, user.labels, ops, theta, clip, rng
+        models = estimate_fedavg_distribution(
+            scheme, stack.phi, stack.labels, ops, theta, clip, rngs
         )
     elif scheme.kind is SchemeKind.FULL_GD:
         # full-batch updates are deterministic: no sampling randomness
-        dim = theta.shape[0]
-        model = CovarianceModel(
-            mean=grads.columns.mean(axis=1), eigvecs=np.zeros((dim, 0)), eigvals=np.zeros(0)
-        )
+        count, dim = xs.shape
+        models = [CovarianceModel(
+            mean=grads.columns.mean(axis=-1),
+            eigvecs=np.zeros((count, dim, 0)),
+            eigvals=np.zeros((count, 0)),
+        )]
     elif sampled_from is not None and blocks is None:
-        # the Gaussian-sampled scheme already estimated this model
-        model = sampled_from
+        # the Gaussian-sampled scheme already estimated these models
+        models = sampled_from
     else:
-        model = estimate_mean_cov(grads, scheme.batch, blocks)
-    return x, model
+        models = estimate_mean_cov(grads, scheme.batch, blocks)
+    return xs, models
 
 
 def run_round(
     model: GlobalModel,
-    users: Sequence[UserState],
+    users: Union[Sequence[UserState], Cohort],
     mech: MechanismConfig,
     params: PrivacyParams,
     route: Route,
@@ -189,16 +253,16 @@ def run_round(
     distributed-isotropic mechanism every participant adds its noise share.
     The per-round guarantee is driven by the smallest eigenvalue of the summed
     non-sensitive covariance, which by eigenvalue super-additivity is at least
-    the sum of the per-user floors.
+    the sum of the per-user floors. ``users`` may come laid out as a
+    ``Cohort``, which a run builds once; a plain sequence is laid out here.
     """
-    if not users:
-        raise ConfigError("need at least one user")
-    n_total = len(users)
+    cohort = users if isinstance(users, Cohort) else Cohort(users)
+    n_total = len(cohort.users)
     ops = ModelOps(model.family)
     theta = model.theta
     dim = model.dim
     blocks = _blocks_for(dim, mech)
-    refusal = _guarantee_refusal(mech, users)
+    refusal = _guarantee_refusal(mech, cohort.users)
 
     submissions: list[Array] = []
     ns_models: list[CovarianceModel] = []
@@ -206,38 +270,50 @@ def run_round(
     noise_trace = 0.0
     approx_gaussian = False
 
-    for slot, user in enumerate(users):
-        rng = _user_rng(master_seed, round_index, slot)
-        scheme = user.scheme
-        x, dist_model = user_update(user, ops, theta, params.clip, blocks, rng)
+    for stack in cohort.stacks:
+        rngs = [_user_rng(master_seed, round_index, slot) for slot in stack.slots]
+        scheme = stack.scheme
+        xs, dist_models = user_update(stack, ops, theta, params.clip, blocks, rngs)
         # FedAvg deltas are already on the update scale; gradient schemes get
         # -eta applied by the scheme update itself.
         update_scale = 1.0 if scheme.kind is SchemeKind.FEDAVG else scheme.learning_rate
-        if dist_model is not None:
-            if route is RdpVariant.THEOREM1_RDP:
-                # that bound's context is the per-user spectrum before the 1/B
-                # update scaling, i.e. B times the unfloored model's lambda_min
-                theorem1_context += params.batch * dist_model.lambda_min()
-            noised = None
-            if mech.kind is MechanismKind.WFDP:
-                noised = wfdp_update(dist_model, mech.sigma2, rng)
-                sign = 1.0 if scheme.kind is SchemeKind.FEDAVG else -1.0
-                x = sign * update_scale * noised.vector
-            elif mech.kind is MechanismKind.WFNA:
-                noised = wfna_noise(dist_model, mech.sigma2, rng)
-                x = x + update_scale * noised.vector
-            else:
-                approx_gaussian |= scheme.kind is not SchemeKind.GAUSSIAN_SAMPLED
-            if noised is not None:
-                # the accountant sums the model the mechanism already floored
-                dist_model = noised.floored
-                noise_trace += noised.noise_trace
-            ns_models.append(dist_model)
+        # each member injects at most one noise trace: a lift or a DDP share
+        traces = np.zeros(len(stack.slots))
+        if dist_models is not None:
+            noised_xs, start = [], 0
+            for dist_model in dist_models:
+                members = slice(start, start + dist_model.mean.shape[0])
+                start = members.stop
+                x = xs[members]
+                if route is RdpVariant.THEOREM1_RDP:
+                    # that bound's context is the per-user spectrum before the 1/B
+                    # update scaling, i.e. B times the unfloored model's lambda_min
+                    for lam in dist_model.spectrum()[:, -1].tolist():
+                        theorem1_context += params.batch * lam
+                noised = None
+                if mech.kind is MechanismKind.WFDP:
+                    noised = wfdp_update(dist_model, mech.sigma2, rngs[members])
+                    sign = 1.0 if scheme.kind is SchemeKind.FEDAVG else -1.0
+                    x = sign * update_scale * noised.vector
+                elif mech.kind is MechanismKind.WFNA:
+                    noised = wfna_noise(dist_model, mech.sigma2, rngs[members])
+                    x = x + update_scale * noised.vector
+                else:
+                    approx_gaussian |= scheme.kind is not SchemeKind.GAUSSIAN_SAMPLED
+                if noised is not None:
+                    # the accountant sums the models the mechanism already floored
+                    dist_model = noised.floored
+                    traces[members] = noised.noise_trace
+                ns_models.append(dist_model)
+                noised_xs.append(x)
+            xs = np.concatenate(noised_xs)
         if mech.kind is MechanismKind.DDP:
-            share = ddp_noise(mech.sigma2, n_total, dim, rng)
-            x = x + update_scale * share.vector
-            noise_trace += share.noise_trace
-        submissions.append(x)
+            share = ddp_noise(mech.sigma2, n_total, dim, rngs)
+            xs = xs + update_scale * share.vector
+            traces = share.noise_trace
+        for trace in traces.tolist():  # slot by slot; adding 0.0 changes no bits
+            noise_trace += trace
+        submissions.extend(xs)
 
     channel = SAChannel(n_total, dim, _channel_seed(master_seed, round_index))
     for slot, x in enumerate(submissions):
@@ -252,7 +328,10 @@ def run_round(
     if not ns_models:
         raise ConfigError("need at least one non-sensitive user for inherent-noise accounting")
     summed = sum_covariances(
-        ns_models, isotropic_extra=_isotropic_extra(mech, len(ns_models), n_total)
+        ns_models,
+        isotropic_extra=_isotropic_extra(
+            mech, sum(m.mean.shape[0] for m in ns_models), n_total
+        ),
     )
     lambda_min = summed.lambda_min()
 
@@ -268,9 +347,7 @@ def run_round(
         approx_gaussian,
     )
 
-    all_features = np.vstack([u.features for u in users])
-    all_labels = np.concatenate([u.labels for u in users])
-    train_loss = ops.loss(new_model.theta, all_features, all_labels)
+    train_loss = ops.loss(new_model.theta, cohort.phi, cohort.labels)
     eval_metrics = (
         evaluate_model(new_model, eval_data[0], eval_data[1]) if eval_data is not None else {}
     )
@@ -361,6 +438,7 @@ def run_simulation(
     (the floored-mechanism routes) makes O(T) RDP-curve evaluations, not O(T^2).
     """
     ledger = RoundLedger(params, composition)
+    cohort = Cohort(users)
     rows: list[dict] = []
     current = model
     total: Optional[float] = None
@@ -368,7 +446,7 @@ def run_simulation(
     alpha_star: Optional[float] = None
     for t in range(rounds):
         outcome = run_round(
-            current, users, mech, params, route, master_seed, t, eval_data
+            current, cohort, mech, params, route, master_seed, t, eval_data
         )
         current = outcome.model
         ledger.append(outcome.entry)

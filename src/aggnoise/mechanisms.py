@@ -7,13 +7,20 @@ model (the DP-bearing default), its additive variant that only samples the
 lift, and the isotropic distributed baseline. Learning-rate scaling is the
 caller's job so that clip/batch/dataset-size constants stay on the scale the
 accountant formulas expect.
+
+Every function here also runs on a stack of users: design rows (k, D, p), a
+model stack (see ``CovarianceModel``) and one generator per member. The
+gradients, estimates and floors then run as stacked numpy calls; each
+member's draws still come from its own generator, in the order a call on
+that member alone makes them, so each member's result is that call's, bit
+for bit. Members that share one generator draw one after the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,11 +29,15 @@ from .spectra import (
     CovarianceModel,
     GradientMatrix,
     estimate_mean_cov,
+    _member_normals,
     floor_eigenvalues,
     sample_gaussian,
 )
 
 Array = np.ndarray
+if TYPE_CHECKING:
+    # only annotations name it: evaluating np.random here would import it with the package
+    Generators = Union[np.random.Generator, Sequence[np.random.Generator]]
 
 
 class SchemeKind(Enum):
@@ -67,15 +78,16 @@ class NoisedUpdate:
 
     ``floored`` is the model a flooring mechanism's noised update follows:
     (mean, covariance floored at the mechanism's floor). It is None for noise
-    that floors nothing.
+    that floors nothing. For a stack of users, ``vector`` is (k, dim),
+    ``noise_trace`` (k,) and ``floored`` a model stack.
     """
 
     vector: Array
-    noise_trace: float
+    noise_trace: Union[float, Array]
     floored: Optional[CovarianceModel] = None
 
     def __post_init__(self):
-        if self.noise_trace < 0:
+        if (np.asarray(self.noise_trace) < 0).any():
             raise ValueError(f"noise_trace must be >= 0, got {self.noise_trace}")
 
 
@@ -90,40 +102,51 @@ def clip_gradient(g, clip: float) -> Array:
     return arr * (clip / max(norm, clip))
 
 
-def _clipped_per_example(model, theta: Array, features: Array, labels: Array, clip: float) -> Array:
-    grads = model.per_example_gradients(theta, features, labels)
-    norms = np.linalg.norm(grads, axis=1)
+def _clipped_per_example(model, theta: Array, phi: Array, labels: Array, clip: float) -> Array:
+    grads = model.per_example_gradients(theta, phi, labels)
+    norms = np.linalg.norm(grads, axis=-1)
     scale = clip / np.maximum(norms, clip)
-    return grads * scale[:, None]
+    return grads * scale[..., None]
 
 
 def _local_epochs(
-    scheme: UpdateScheme, model, theta: Array, features: Array, labels: Array, clip: float,
+    scheme: UpdateScheme, model, theta: Array, phi: Array, labels: Array, clip: float,
     rng: np.random.Generator,
 ) -> Array:
     """FedAvg-style local training: local_steps epochs of clipped minibatch SGD."""
-    n = features.shape[0]
+    n = phi.shape[0]
     current = theta.copy()
     for _ in range(scheme.local_steps):
         order = rng.permutation(n)
         for start in range(0, n, scheme.batch):
             idx = order[start : start + scheme.batch]
-            grads = _clipped_per_example(model, current, features[idx], labels[idx], clip)
+            grads = _clipped_per_example(model, current, phi[idx], labels[idx], clip)
             current = current - scheme.learning_rate * grads.mean(axis=0)
     return current - theta
 
 
+def _sample_runs(runs: Sequence[CovarianceModel], rngs: Sequence[np.random.Generator]) -> Array:
+    """One draw per member of consecutive model stacks, member i from ``rngs[i]``."""
+    draws, start = [], 0
+    for run in runs:
+        stop = start + run.mean.shape[0]
+        draws.append(sample_gaussian(run, rngs[start:stop]))
+        start = stop
+    return np.concatenate(draws)
+
+
 def compute_update(
     scheme: UpdateScheme,
-    features: Array,
+    phi: Array,
     labels: Array,
     model,
     theta: Array,
     clip: float,
-    rng: np.random.Generator,
-) -> tuple[Array, GradientMatrix, Optional[CovarianceModel]]:
+    rng: Generators,
+) -> tuple[Array, GradientMatrix, Union[CovarianceModel, list[CovarianceModel], None]]:
     """One round's update for a user, the clipped gradients behind it, and its estimate.
 
+    ``phi`` holds the user's design rows (D, p) (see ``models.design``).
     IID_SGD averages B with-replacement samples of the clipped per-example
     gradients; FULL_GD averages all of them; GAUSSIAN_SAMPLED draws from the
     estimated update distribution (mean, second moment / (B*D)); FEDAVG runs
@@ -132,102 +155,123 @@ def compute_update(
     carry it). The estimate is the ``estimate_mean_cov(grads, scheme.batch)``
     GAUSSIAN_SAMPLED drew from; it is None for the schemes that do not
     estimate.
+
+    For a stack of k users (``phi`` (k, D, p), labels (k, D), one generator
+    each), the updates are (k, dim), the gradients one stacked
+    ``GradientMatrix`` and the estimate ``estimate_mean_cov``'s list of model
+    stacks. Sampling and local training draw from each member's generator.
     """
-    if features.shape[0] == 0:
+    if phi.shape[-2] == 0:
         raise EmptyDataset("user dataset is empty")
+    single = phi.ndim == 2
+    if single:
+        phi, labels, rng = phi[None], labels[None], [rng]
     eta = scheme.learning_rate
     if scheme.kind is SchemeKind.FEDAVG:
-        delta = _local_epochs(scheme, model, theta, features, labels, clip, rng)
-        clipped = clip_gradient(delta, clip)
-        return clipped, GradientMatrix(clipped[:, None], clip), None
-    grads = _clipped_per_example(model, theta, features, labels, clip).T  # (d, D)
-    gmat = GradientMatrix(grads, clip)
+        updates = np.stack([
+            clip_gradient(_local_epochs(scheme, model, theta, rows, ys, clip, member_rng), clip)
+            for rows, ys, member_rng in zip(phi, labels, rng)
+        ])
+        cols = updates[..., None]
+    else:
+        cols = _clipped_per_example(model, theta, phi, labels, clip).swapaxes(-1, -2)  # (k, d, D)
+    gmat = GradientMatrix(cols[0] if single else cols, clip)
+    dist = None
     if scheme.kind is SchemeKind.FULL_GD:
-        return -eta * grads.mean(axis=1), gmat, None
-    if scheme.kind is SchemeKind.IID_SGD:
-        idx = rng.integers(0, grads.shape[1], size=scheme.batch)
-        return -eta * grads[:, idx].mean(axis=1), gmat, None
-    if scheme.kind is SchemeKind.GAUSSIAN_SAMPLED:
+        updates = -eta * cols.mean(axis=-1)
+    elif scheme.kind is SchemeKind.IID_SGD:
+        picks = [member_rng.integers(0, cols.shape[-1], size=scheme.batch) for member_rng in rng]
+        updates = np.stack([-eta * member[:, idx].mean(axis=1) for member, idx in zip(cols, picks)])
+    elif scheme.kind is SchemeKind.GAUSSIAN_SAMPLED:
         dist = estimate_mean_cov(gmat, scheme.batch)
-        return -eta * sample_gaussian(dist, rng), gmat, dist
-    raise ValueError(f"unknown scheme {scheme.kind}")
+        updates = -eta * (sample_gaussian(dist, rng[0])[None] if single else _sample_runs(dist, rng))
+    elif scheme.kind is not SchemeKind.FEDAVG:
+        raise ValueError(f"unknown scheme {scheme.kind}")
+    return (updates[0] if single else updates), gmat, dist
 
 
 def estimate_fedavg_distribution(
     scheme: UpdateScheme,
-    features: Array,
+    phi: Array,
     labels: Array,
     model,
     theta: Array,
     clip: float,
-    rng: np.random.Generator,
+    rng: Generators,
     samples: Optional[int] = None,
-) -> CovarianceModel:
+) -> Union[CovarianceModel, list[CovarianceModel]]:
     """Update distribution under FEDAVG from M independent local-training replays.
 
     Each replay restarts from ``theta`` with a freshly shuffled minibatch
     order; the M resulting (whole-update-clipped) deltas are treated like a
     gradient collection, so the returned model carries the same 1/(B*M)
-    second-moment scaling the other schemes use.
+    second-moment scaling the other schemes use. For a stack of users each
+    member replays from its own generator, and the result is
+    ``estimate_mean_cov``'s list of model stacks.
     """
     m = scheme.fedavg_samples if samples is None else samples
     if m < 2:
         raise ValueError(f"need at least 2 replays, got {m}")
-    if features.shape[0] == 0:
+    if phi.shape[-2] == 0:
         raise EmptyDataset("user dataset is empty")
-    streams = rng.spawn(m)
-    deltas = np.empty((theta.shape[0], m))
-    for j, stream in enumerate(streams):
-        delta = _local_epochs(scheme, model, theta, features, labels, clip, stream)
-        deltas[:, j] = clip_gradient(delta, clip)
-    return estimate_mean_cov(GradientMatrix(deltas, clip), scheme.batch)
+    single = phi.ndim == 2
+    if single:
+        phi, labels, rng = phi[None], labels[None], [rng]
+    deltas = np.empty((phi.shape[0], theta.shape[0], m))
+    for member, (member_phi, member_labels, member_rng) in enumerate(zip(phi, labels, rng)):
+        for j, stream in enumerate(member_rng.spawn(m)):
+            delta = _local_epochs(scheme, model, theta, member_phi, member_labels, clip, stream)
+            deltas[member, :, j] = clip_gradient(delta, clip)
+    return estimate_mean_cov(GradientMatrix(deltas[0] if single else deltas, clip), scheme.batch)
 
 
-def wfdp_update(model: CovarianceModel, floor: float, rng: np.random.Generator) -> NoisedUpdate:
+def wfdp_update(model: CovarianceModel, floor: float, rng: Generators) -> NoisedUpdate:
     """Floor the update spectrum at ``floor`` and emit a Gaussian replacement.
 
     The raw update is replaced by a draw from (mean, floored covariance) of
     ``model``; the injected variance is the trace of the lift,
-    sum_j max(0, floor - lam_j) over the model's full spectrum.
+    sum_j max(0, floor - lam_j) over the model's full spectrum. A model stack
+    takes one generator per member.
     """
     floored, lift_trace = floor_eigenvalues(model, floor)
     vector = sample_gaussian(floored, rng)
     return NoisedUpdate(vector=vector, noise_trace=lift_trace, floored=floored)
 
 
-def wfna_noise(
-    model: CovarianceModel, floor: float, rng: np.random.Generator
-) -> NoisedUpdate:
+def wfna_noise(model: CovarianceModel, floor: float, rng: Generators) -> NoisedUpdate:
     """Additive variant: sample zero-mean noise with the lift covariance only.
 
     The lift has the model's eigenvectors, eigenvalues max(floor - lam, 0)
     and tail max(floor - tail, 0). The caller adds this to the raw
     (non-replaced) update; the sum then has the same floored covariance the
-    replacement variant samples from.
+    replacement variant samples from. A model stack takes one generator per
+    member.
     """
     floored, lift_trace = floor_eigenvalues(model, floor)
     lift = CovarianceModel(
-        mean=np.zeros(model.dim),
+        mean=np.zeros(model.mean.shape),
         eigvecs=model.eigvecs,
         eigvals=np.maximum(floor - model.eigvals, 0.0),
-        tail=max(floor - model.tail, 0.0),
+        tail=np.maximum(floor - model.tail, 0.0),
     )
     noise = sample_gaussian(lift, rng)
     return NoisedUpdate(vector=noise, noise_trace=lift_trace, floored=floored)
 
 
-def ddp_noise(
-    floor: float, n_users: int, dim: int, rng: np.random.Generator
-) -> NoisedUpdate:
+def ddp_noise(floor: float, n_users: int, dim: int, rng: Generators) -> NoisedUpdate:
     """One user's share of distributed isotropic noise.
 
     Zero-mean Gaussian with per-coordinate variance floor / n_users, so the
     shares of n_users participants sum to per-coordinate variance ``floor``.
+    A sequence of generators gives one share per generator, stacked.
     """
     if floor < 0:
         raise ValueError(f"floor must be >= 0, got {floor}")
     if n_users < 1:
         raise ValueError(f"n_users must be >= 1, got {n_users}")
     std = np.sqrt(floor / n_users)
-    vector = std * rng.standard_normal(dim)
-    return NoisedUpdate(vector=vector, noise_trace=dim * floor / n_users)
+    trace = dim * floor / n_users
+    if isinstance(rng, np.random.Generator):
+        return NoisedUpdate(vector=std * rng.standard_normal(dim), noise_trace=trace)
+    vector = std * _member_normals(rng, np.full(len(rng), dim))
+    return NoisedUpdate(vector=vector, noise_trace=np.full(len(rng), trace))

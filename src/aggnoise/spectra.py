@@ -21,6 +21,12 @@ w ~ N(1/D, I/(B*D)). With D > dim/2 it eigendecomposes that dim x dim matrix;
 with at most half as many gradients as coordinates it eigendecomposes a D x D
 reduction (through a thin QR of the gradients) instead and keeps the
 components above the rank threshold, with tail 0.
+
+Gradient matrices and covariance models also come as stacks, one member per
+user, so that a simulation round estimates, floors, samples and sums a run
+of users in stacked numpy calls. A member's result is bit for bit the one
+its user would get alone: members keep a single model's memory layout, and
+each draws its normals from its own generator.
 """
 
 from __future__ import annotations
@@ -59,8 +65,11 @@ def _as_float_array(x, name: str) -> Array:
 class GradientMatrix:
     """Per-user collection of clipped per-example gradients, one per column.
 
-    Every column must have Euclidean norm <= clip_bound (up to 1e-9 relative
-    slack); that bound is what every privacy formula downstream leans on.
+    ``columns`` is one (dim, count) array or a stack (..., dim, count) of
+    them, one member per user. Every column must have Euclidean norm <=
+    clip_bound (up to 1e-9 relative slack); that bound is what every privacy
+    formula downstream leans on. Each member is checked on its own: a stack
+    is rejected with the first offending member's worst norm.
     """
 
     columns: Array
@@ -68,18 +77,20 @@ class GradientMatrix:
 
     def __post_init__(self):
         cols = _as_float_array(self.columns, "gradient columns")
-        if cols.ndim != 2:
+        if cols.ndim < 2:
             raise DimensionMismatch(f"expected a 2-D (dim, count) array, got ndim={cols.ndim}")
-        if cols.shape[1] == 0:
+        if cols.shape[-1] == 0:
             raise EmptyGradients("gradient matrix has zero columns")
-        if cols.shape[0] == 0:
+        if cols.shape[-2] == 0:
             raise DimensionMismatch("gradient matrix has zero rows")
         if not self.clip_bound > 0:
             raise ValueError(f"clip_bound must be positive, got {self.clip_bound}")
-        norms = np.linalg.norm(cols, axis=0)
-        limit = self.clip_bound * (1.0 + 1e-9)
-        if np.any(norms > limit):
-            worst = float(norms.max())
+        norms = np.linalg.norm(cols, axis=-2)
+        over = norms > self.clip_bound * (1.0 + 1e-9)
+        if over.any():
+            # the first member with an over-long column, as a per-user loop meets it
+            first = np.unravel_index(np.argmax(over.any(axis=-1)), over.shape[:-1])
+            worst = float(norms[first].max())
             raise ValueError(
                 f"column norm {worst:.6g} exceeds clip bound {self.clip_bound:.6g}"
             )
@@ -87,11 +98,11 @@ class GradientMatrix:
 
     @property
     def dim(self) -> int:
-        return self.columns.shape[0]
+        return self.columns.shape[-2]
 
     @property
     def count(self) -> int:
-        return self.columns.shape[1]
+        return self.columns.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -145,54 +156,81 @@ class CovarianceModel:
     as 0. Eigenpairs are canonicalized to non-increasing eigenvalue order at
     construction time, so two models representing the same matrix compare
     spectrum-for-spectrum.
+
+    A model may also be a stack of k models with the same dim and r: mean
+    (k, dim), eigvecs (k, dim, r), eigvals (k, r) and tail a scalar or (k,).
+    ``spectrum`` and ``matrix`` then answer per member; the scalar readers
+    (``lambda_*``, ``rank``) read one model only. Eigenvectors are stored
+    column-major per member, the layout sorting a single model's eigenvectors
+    gives them, so that BLAS makes the same calls on a member as on that model.
     """
 
     mean: Array
     eigvecs: Array
     eigvals: Array
-    tail: float = 0.0
+    tail: Union[float, Array] = 0.0
 
     def __post_init__(self):
         mean = _as_float_array(self.mean, "mean")
         vecs = _as_float_array(self.eigvecs, "eigvecs")
         vals = _as_float_array(self.eigvals, "eigvals")
-        if mean.ndim != 1 or vecs.ndim != 2 or vals.ndim != 1:
+        if mean.ndim < 1 or vecs.ndim != mean.ndim + 1 or vals.ndim != mean.ndim:
             raise DimensionMismatch("mean must be 1-D, eigvecs 2-D, eigvals 1-D")
         if (
-            vecs.shape[0] != mean.shape[0]
-            or vecs.shape[1] != vals.shape[0]
-            or vals.shape[0] > mean.shape[0]
+            vecs.shape[:-1] != mean.shape
+            or vecs.shape[:-2] + vecs.shape[-1:] != vals.shape
+            or vals.shape[-1] > mean.shape[-1]
         ):
             raise DimensionMismatch(
                 f"shape mismatch: mean {mean.shape}, eigvecs {vecs.shape}, eigvals {vals.shape}"
             )
-        if np.any(vals < 0):
+        if (vals < 0).any():
             raise NotPositiveSemidefinite(f"negative eigenvalue {vals.min():.3e}")
-        tail = float(self.tail)
-        if not math.isfinite(tail):
+        if mean.ndim == 1:
+            tail = float(self.tail)
+            low = tail
+        else:
+            tail = np.broadcast_to(np.asarray(self.tail, dtype=float), mean.shape[:-1]).copy()
+            low = float(tail.min()) if tail.size else 0.0
+        if not np.isfinite(tail).all():
             raise NonFinite("tail is NaN or Inf")
-        if tail < 0:
-            raise NotPositiveSemidefinite(f"negative tail {tail:.3e}")
-        order = np.argsort(-vals, kind="stable")
+        if low < 0:
+            raise NotPositiveSemidefinite(f"negative tail {low:.3e}")
+        if (vals[..., :-1] >= vals[..., 1:]).all():
+            # already non-increasing (a floored model always is): the order is
+            # the identity, so only a row-major input is laid out again
+            if not vecs.swapaxes(-1, -2).flags.c_contiguous:
+                vecs = _column_major(vecs)
+        elif vals.ndim == 1:
+            order = np.argsort(-vals, kind="stable")
+            vals, vecs = vals[order], vecs[:, order]
+        else:
+            order = np.argsort(-vals, axis=-1, kind="stable")
+            members = np.arange(vals.shape[0])[:, None]
+            vals = vals[members, order]
+            vecs = vecs.swapaxes(-1, -2)[members, order].swapaxes(-1, -2)
         self.mean = mean
-        self.eigvecs = vecs[:, order]
-        self.eigvals = vals[order]
-        self.tail = tail if vals.shape[0] < mean.shape[0] else 0.0
+        self.eigvecs = vecs
+        self.eigvals = vals
+        self.tail = tail if vals.shape[-1] < mean.shape[-1] else tail * 0.0
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
     @property
     def n_components(self) -> int:
-        return self.eigvals.shape[0]
+        return self.eigvals.shape[-1]
 
     def spectrum(self) -> Array:
         """All dim eigenvalues, non-increasing: eigvals plus the tail dim - r times."""
         if self.n_components == self.dim:
             return self.eigvals
-        padded = np.concatenate([self.eigvals, np.full(self.dim - self.n_components, self.tail)])
-        return np.sort(padded)[::-1]
+        tail = np.broadcast_to(
+            np.asarray(self.tail)[..., None], self.eigvals.shape[:-1] + (self.dim - self.n_components,)
+        )
+        padded = np.concatenate([self.eigvals, tail], axis=-1)
+        return np.sort(padded, axis=-1)[..., ::-1]
 
     def lambda_max(self) -> float:
         vals = self.spectrum()
@@ -220,9 +258,15 @@ class CovarianceModel:
         return _reconstruct(self.eigvecs, self.eigvals, self.tail)
 
 
+def _column_major(vecs: Array) -> Array:
+    """A copy of one (dim, r) matrix, or of each member of a stack, laid out column-major."""
+    return np.ascontiguousarray(vecs.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
 def _reconstruct(vecs: Array, vals: Array, tail=0.0) -> Array:
     """U diag(L - tail) U^T + tail I for one (dim, r) U and (r,) L, or for stacks of them."""
     dim = vecs.shape[-2]
+    tail = np.asarray(tail)[..., None]
     mat = (vecs * (vals - tail)[..., None, :]) @ vecs.swapaxes(-1, -2)
     mat.reshape(*mat.shape[:-2], dim * dim)[..., :: dim + 1] += tail  # the diagonal
     return mat
@@ -287,31 +331,54 @@ def _second_moment(cols: Array, mean: Array, batch, centered: bool) -> Array:
     return (shifted @ shifted.swapaxes(-1, -2)) / (batch * count)
 
 
-def _thin_eigpairs(cols: Array, mean: Array, batch: int, centered: bool) -> tuple[Array, Array]:
-    """Eigenpairs of the second moment X X^T of a (dim, D) X with D < dim, at cost O(dim D^2).
+def _thin_block(cols: Array, mean: Array, batch: int, centered: bool):
+    """Eigen-reduction of the second moment of (k, dim, D) stacks X with D < dim, at cost O(dim D^2).
 
     X = cols / sqrt(B*D), centered first when asked. With the thin QR
     X = Q R, X X^T = Q (R R^T) Q^T, so the D x D matrix R R^T gives the
     eigenvalues and Q times its eigenvectors gives orthonormal eigenvectors.
-    Only components above DEFAULT_RANK_TOL * lambda_max are kept.
+    Only components above DEFAULT_RANK_TOL * lambda_max are kept: the
+    ascending eigenvalues keep a suffix, of each member's own width. Returns
+    the widths (k,) and ``part(members, width)``, the kept eigenvectors and
+    ascending eigenvalues of a slice of members that share a width.
     """
-    shifted = cols - mean[:, None] if centered else cols
-    q, r = np.linalg.qr(shifted / math.sqrt(batch * cols.shape[1]))
-    vals, w = _psd_eigh(r @ r.T)
-    keep = vals > DEFAULT_RANK_TOL * vals[-1]
-    return q @ w[:, keep], vals[keep]
+    shifted = cols - mean[..., None] if centered else cols
+    q, r = np.linalg.qr(shifted / math.sqrt(batch * cols.shape[-1]))
+    vals, w = _psd_eigh(r @ r.swapaxes(-1, -2))
+    widths = np.sum(vals > DEFAULT_RANK_TOL * vals[..., -1:], axis=-1)
+    count = cols.shape[-1]
+
+    def part(members: slice, width: int) -> tuple[Array, Array]:
+        kept = _column_major(w[members, :, count - width :])
+        return q[members] @ kept, vals[members, count - width :]
+
+    return widths, part
+
+
+def _dense_block(cols: Array, mean: Array, batch: int, centered: bool):
+    """``_thin_block``'s contract for the full dim x dim decomposition: every member keeps all.
+
+    Each member's eigenpairs come in the order a model of the block alone
+    stores them (non-increasing, ties in place).
+    """
+    vals, vecs = _psd_eigh(_second_moment(cols, mean, batch, centered))
+    order = np.argsort(-vals, axis=-1, kind="stable")
+    vals = np.take_along_axis(vals, order, -1)
+    vecs = np.take_along_axis(vecs, order[..., None, :], -1)
+    widths = np.full(cols.shape[0], cols.shape[-2])
+    return widths, lambda members, width: (vecs[members], vals[members])
 
 
 def _is_thin(cols: Array) -> bool:
     """At most half as many gradients as coordinates: the reduction is then the cheaper path."""
-    return 2 * cols.shape[1] <= cols.shape[0]
+    return 2 * cols.shape[-1] <= cols.shape[-2]
 
 
-def _block_eigpairs(cols: Array, mean: Array, batch: int, centered: bool) -> tuple[Array, Array]:
-    if _is_thin(cols):
-        return _thin_eigpairs(cols, mean, batch, centered)
-    part = eig_decompose(_second_moment(cols, mean, batch, centered))
-    return part.eigvecs, part.eigvals
+def _runs(keys: Array) -> list[slice]:
+    """Maximal slices of consecutive members whose rows of ``keys`` are equal."""
+    cuts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=-1)) + 1
+    edges = [0, *cuts.tolist(), keys.shape[0]]
+    return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
 
 
 def estimate_mean_cov(
@@ -319,7 +386,7 @@ def estimate_mean_cov(
     batch: int,
     blocks: BlockSpec | None = None,
     centered: bool = False,
-) -> CovarianceModel:
+) -> Union[CovarianceModel, list[CovarianceModel]]:
     """Mean and 1/(B*D)-scaled second moment of a gradient collection.
 
     The default (uncentered) estimator matches the Gaussian-weighted update
@@ -340,41 +407,62 @@ def estimate_mean_cov(
     guaranteed to upper- or lower-bound the unblocked one; downstream
     accounting must consume the blockwise model's own spectrum, which is also
     what the sampler draws from.
+
+    ``grads`` may hold a stack of users' gradients (see ``GradientMatrix``);
+    all of them are decomposed in stacked calls. The result is then a list of
+    model stacks, each a run of consecutive members that keep the same number
+    of components; the dense path always returns one. Each member equals the
+    model of that user's gradients alone, bit for bit.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    cols = grads.columns
+    single = grads.columns.ndim == 2
+    cols = grads.columns[None] if single else grads.columns
     dim = grads.dim
-    mean = cols.mean(axis=1)
-    if blocks is None:
-        if not _is_thin(cols):
-            return eig_decompose(_second_moment(cols, mean, batch, centered), mean)
-        blocks = BlockSpec(((0, dim),))
-    blocks.check_dim(dim)
-    parts = [
-        _block_eigpairs(cols[start:stop, :], mean[start:stop], batch, centered)
-        for start, stop in blocks.boundaries
-    ]
-    rank = sum(part_vals.shape[0] for _, part_vals in parts)
-    vecs = np.zeros((dim, rank))
-    vals = np.zeros(rank)
-    offset = 0
-    for (start, stop), (part_vecs, part_vals) in zip(blocks.boundaries, parts):
-        width = part_vals.shape[0]
-        vecs[start:stop, offset : offset + width] = part_vecs
-        vals[offset : offset + width] = part_vals
-        offset += width
-    return CovarianceModel(mean=mean, eigvecs=vecs, eigvals=vals)
+    mean = cols.mean(axis=-1)
+    if blocks is None and not _is_thin(cols):
+        vals, vecs = _psd_eigh(_second_moment(cols, mean, batch, centered))
+        runs = [(mean, vecs, vals)]
+    else:
+        if blocks is None:
+            blocks = BlockSpec(((0, dim),))
+        blocks.check_dim(dim)
+        reductions = [
+            (_thin_block if _is_thin(cols[:, start:stop, :]) else _dense_block)(
+                cols[:, start:stop, :], mean[:, start:stop], batch, centered
+            )
+            for start, stop in blocks.boundaries
+        ]
+        widths = np.stack([w for w, _ in reductions], axis=-1)  # (k, blocks)
+        runs = []
+        for members in _runs(widths):
+            run_widths = widths[members.start].tolist()
+            vals = np.zeros((members.stop - members.start, sum(run_widths)))
+            vecs = np.zeros((vals.shape[0], dim, vals.shape[1]))
+            offset = 0
+            for (start, stop), (_, part), width in zip(blocks.boundaries, reductions, run_widths):
+                part_vecs, part_vals = part(members, width)
+                vecs[:, start:stop, offset : offset + width] = part_vecs
+                vals[:, offset : offset + width] = part_vals
+                offset += width
+            runs.append((mean[members], vecs, vals))
+    if single:
+        ((mean, vecs, vals),) = runs
+        return CovarianceModel(mean=mean[0], eigvecs=vecs[0], eigvals=vals[0])
+    return [CovarianceModel(mean=mean, eigvecs=vecs, eigvals=vals) for mean, vecs, vals in runs]
 
 
-def floor_eigenvalues(model: CovarianceModel, floor: float) -> tuple[CovarianceModel, float]:
+def floor_eigenvalues(
+    model: CovarianceModel, floor: float
+) -> tuple[CovarianceModel, Union[float, Array]]:
     """Lift every eigenvalue, the tail included, to at least ``floor``.
 
     Returns ``(floored, lift_trace)``: the model with eigenvalues
     max(lam, floor) and tail max(tail, floor), and the trace of the added
     covariance, sum_j max(floor - lam_j, 0) + (dim - r) max(floor - tail, 0).
     The directions a low-rank model leaves out are the tail, so flooring
-    fills them too.
+    fills them too. A model stack is floored member by member, and its lift
+    traces come back as a (k,) array.
     """
     if floor < 0:
         raise ValueError(f"floor must be >= 0, got {floor}")
@@ -382,15 +470,16 @@ def floor_eigenvalues(model: CovarianceModel, floor: float) -> tuple[CovarianceM
     # the spectrum is non-increasing, so its lift is not: sum the lift over all
     # dim eigenvalues largest first, the order ledgers' noise traces were
     # recorded in
-    lift_trace = float(np.maximum(floor - model.spectrum(), 0.0)[::-1].sum())
-    # CovarianceModel copies eigvecs when it sorts them; the mean it keeps as given
+    lift_trace = np.maximum(floor - model.spectrum(), 0.0)[..., ::-1].sum(axis=-1)
+    # the lifted eigenvalues stay non-increasing, so the floored model shares
+    # the eigenvectors; the mean it keeps as given, so it gets a copy
     floored = CovarianceModel(
         mean=model.mean.copy(),
         eigvecs=model.eigvecs,
         eigvals=np.maximum(vals, floor),
-        tail=max(model.tail, floor),
+        tail=np.maximum(model.tail, floor),
     )
-    return floored, lift_trace
+    return floored, float(lift_trace) if lift_trace.ndim == 0 else lift_trace
 
 
 def centered_draws(
@@ -418,14 +507,51 @@ def centered_draws(
     return z[:, :r] @ head.T + math.sqrt(model.tail) * off_span[:, coords]
 
 
-def sample_gaussian(model: CovarianceModel, rng: np.random.Generator) -> Array:
+def _member_normals(rngs: Sequence[np.random.Generator], widths: Array) -> Array:
+    """Row i holds ``widths[i]`` standard normals drawn from ``rngs[i]``, then zeros.
+
+    Consecutive members that share one generator and one width are drawn in
+    one call, which fills their rows as one call per member would.
+    """
+    cuts = [0] + [
+        i for i in range(1, len(rngs))
+        if rngs[i] is not rngs[i - 1] or widths[i] != widths[i - 1]
+    ] + [len(rngs)]
+    if len(cuts) == 2:
+        return rngs[0].standard_normal((len(rngs), int(widths[0])))
+    out = np.zeros((len(rngs), int(widths.max())))
+    for start, stop in zip(cuts, cuts[1:]):
+        width = int(widths[start])
+        out[start:stop, :width] = rngs[start].standard_normal((stop - start, width))
+    return out
+
+
+def sample_gaussian(model: CovarianceModel, rng) -> Array:
     """Draw mean + U (sqrt(L) * a) + sqrt(tail) (w - U U^T w), one row of ``centered_draws``.
 
     Deterministic given the generator state; a zero spectrum returns the mean
     exactly, and rank-deficient models without a tail sample only inside
-    their eigenspace.
+    their eigenspace. For a model stack, ``rng`` is a sequence of generators,
+    one per member, and row i is member i's draw from ``rng[i]``: the same
+    normals and bits as a call on that member alone, in stacked products.
     """
-    return model.mean + centered_draws(model, 1, rng)[0]
+    if model.mean.ndim == 1:
+        return model.mean + centered_draws(model, 1, rng)[0]
+    if not np.isfinite(model.eigvals).all():
+        raise NonFinite("model eigvals contain NaN or Inf")
+    vecs, r = model.eigvecs, model.n_components
+    tailed = model.tail != 0.0
+    z = _member_normals(rng, r + model.dim * tailed)[:, None, :]
+    # each member's factor is column-major, like a single model's, so each
+    # product is the one centered_draws makes
+    head = vecs * np.sqrt(model.eigvals)[:, None, :]
+    draws = z[..., :r] @ head.swapaxes(-1, -2)
+    if tailed.any():
+        w = z[..., r:]
+        off_span = w - (w @ vecs) @ vecs.swapaxes(-1, -2)
+        spread = draws + np.sqrt(model.tail)[:, None, None] * off_span
+        draws = np.where(tailed[:, None, None], spread, draws)
+    return model.mean + draws[:, 0]
 
 
 def renyi_gaussian(alpha: float, p: CovarianceModel, q: CovarianceModel) -> float:
@@ -518,6 +644,8 @@ def sum_covariances(
     added and the dim x dim total is eigendecomposed into a full-dimension
     model. ``isotropic_extra`` adds that much variance to every coordinate,
     which is how distributed isotropic noise shares enter the aggregate.
+    ``models`` may hold model stacks; their members are added in order, as
+    if each were listed on its own.
     """
     if not models:
         raise ValueError("need at least one model to sum")
@@ -526,16 +654,19 @@ def sum_covariances(
     for m in models:
         if m.dim != dim:
             raise DimensionMismatch("models have inconsistent dimensions")
-        mean += m.mean
+        for member_mean in m.mean.reshape(-1, dim):
+            mean += member_mean
     # a full-dimension model stores tail 0, so it is isotropic only when it is
     # zero; skipping it saves the scan on the dense sums of small-dim models
-    if all(m.n_components < dim and np.all(m.eigvals == m.tail) for m in models):
+    if all(m.n_components < dim and np.all(m.eigvals == np.asarray(m.tail)[..., None]) for m in models):
         # summed in the order the dense path adds its diagonal, so c I matches it bit for bit
-        tail = sum(m.tail for m in models) + isotropic_extra
+        tail = sum(float(t) for m in models for t in np.asarray(m.tail).reshape(-1)) + isotropic_extra
         return CovarianceModel(mean, np.zeros((dim, 0)), np.zeros(0), tail=tail)
     total = np.zeros((dim, dim))
     for m in models:
-        total += m.matrix()
+        # a stack is reconstructed in one call and added member by member
+        for member in m.matrix().reshape(-1, dim, dim):
+            total += member
     if isotropic_extra:
         total[np.diag_indices(dim)] += isotropic_extra
     return eig_decompose(total, mean)

@@ -14,7 +14,14 @@ from aggnoise.accountant import (
     RdpCurve,
     RdpVariant,
 )
-from aggnoise.errors import ConfigError, EmptyDataset, MalformedCsv, TooFewExamples
+from aggnoise.errors import (
+    ConfigError,
+    EmptyDataset,
+    EmptyValidityInterval,
+    MalformedCsv,
+    NonFinite,
+    TooFewExamples,
+)
 from aggnoise.fedsim import (
     GlobalModel,
     MechanismConfig,
@@ -33,8 +40,11 @@ from aggnoise.fedsim import (
 )
 from aggnoise import accountant, mechanisms
 from aggnoise.fedsim import simulation
-from aggnoise.fedsim.models import ModelOps
+from aggnoise.fedsim.models import ModelOps, design
+from aggnoise.fedsim.secagg import SAChannel
+from aggnoise.fedsim.simulation import Cohort, RoundOutcome
 from aggnoise.mechanisms import SchemeKind, UpdateScheme
+from aggnoise.spectra import CovarianceModel, estimate_mean_cov, sum_covariances
 
 
 class TestDatasets:
@@ -140,12 +150,13 @@ class TestModels:
                 if family is ModelFamily.LINEAR_REGRESSION
                 else rng.integers(0, 2, 3).astype(float)
             )
-            grads = ops.per_example_gradients(theta, features, labels)
+            phi = design(features)
+            grads = ops.per_example_gradients(theta, phi, labels)
             h = 1e-6
             for j in range(4):
                 bump = np.zeros(4)
                 bump[j] = h
-                num = (ops.loss(theta + bump, features, labels) - ops.loss(theta - bump, features, labels)) / (2 * h)
+                num = (ops.loss(theta + bump, phi, labels) - ops.loss(theta - bump, phi, labels)) / (2 * h)
                 assert grads[:, j].mean() == pytest.approx(num, abs=1e-5)
 
 
@@ -185,7 +196,7 @@ class TestRunRound:
         params = PrivacyParams(clip=5.0, batch=1, local_size=40, ns_users=4, delta=1e-3)
         mech = MechanismConfig(MechanismKind.NONE)
         ops = ModelOps(family)
-        all_f = np.vstack([u.features for u in users])
+        all_f = design(np.vstack([u.features for u in users]))
         all_l = np.concatenate([u.labels for u in users])
         losses = [ops.loss(model.theta, all_f, all_l)]
         for t in range(100):
@@ -328,8 +339,10 @@ class TestFullGdModel:
         scheme = UpdateScheme(SchemeKind.FULL_GD, learning_rate=0.1)
         users, _, family = make_users(2, 0, scheme, seed=31, task="regression", features=6)
         theta = init_model(family, 6).theta
-        _, model = simulation.user_update(users[0], ModelOps(family), theta, 1.0, None,
-                                          np.random.default_rng(0))
+        stack = Cohort(users).stacks[0]
+        _, (models,) = simulation.user_update(stack, ModelOps(family), theta, 1.0, None,
+                                              [np.random.default_rng(0)] * 2)
+        model = CovarianceModel(models.mean[0], models.eigvecs[0], models.eigvals[0], models.tail[0])
         dim = theta.shape[0]
         assert model.n_components == 0
         assert model.lambda_max() == 0.0
@@ -341,15 +354,20 @@ class TestFullGdModel:
         assert np.array_equal(update.vector, expected)
 
 
+def members(stack):
+    return stack.mean.shape[0] if stack.mean.ndim == 2 else 1
+
+
 class TestEstimatesPerRound:
     def estimate_blocks(self, monkeypatch, block_count):
-        """The ``blocks`` argument of every estimate one WFDP round makes."""
+        """The ``blocks`` argument of every estimate one WFDP round makes, once per stack member."""
         seen = []
         original = simulation.estimate_mean_cov
 
         def counting(grads, batch, blocks=None, **kwargs):
-            seen.append(blocks)
-            return original(grads, batch, blocks, **kwargs)
+            runs = original(grads, batch, blocks, **kwargs)
+            seen.extend([blocks] * sum(members(run) for run in runs))
+            return runs
 
         monkeypatch.setattr(mechanisms, "estimate_mean_cov", counting)
         monkeypatch.setattr(simulation, "estimate_mean_cov", counting)
@@ -378,7 +396,7 @@ class TestFloorsPerRound:
         original = mechanisms.floor_eigenvalues
 
         def counting(model, floor):
-            calls.append(floor)
+            calls.extend([floor] * members(model))
             return original(model, floor)
 
         monkeypatch.setattr(mechanisms, "floor_eigenvalues", counting)
@@ -441,3 +459,195 @@ class TestRoundEps:
         monkeypatch.setattr(accountant, "curve_eps", broken)
         with pytest.raises(RuntimeError):
             accountant.round_eps(self.curve_entry(), self.EMPTY.delta)
+
+
+def per_user_round(model, users, mech, params, route, master_seed, round_index):
+    """The round as a loop over users, one model each, in slot order: the stacked round's reference.
+
+    Each user runs the single-user library calls on its own design rows and
+    stream; models are summed as a list of single models, and the training
+    loss reads the users' rows stacked afresh.
+    """
+    n_total = len(users)
+    ops = ModelOps(model.family)
+    theta, dim = model.theta, model.dim
+    blocks = simulation._blocks_for(dim, mech)
+    refusal = simulation._guarantee_refusal(mech, users)
+    submissions, ns_models = [], []
+    theorem1_context = noise_trace = 0.0
+    approx_gaussian = False
+    for slot, user in enumerate(users):
+        rng = simulation._user_rng(master_seed, round_index, slot)
+        scheme = user.scheme
+        phi = design(user.features)
+        x, grads, sampled_from = mechanisms.compute_update(
+            scheme, phi, user.labels, ops, theta, params.clip, rng
+        )
+        update_scale = 1.0 if scheme.kind is SchemeKind.FEDAVG else scheme.learning_rate
+        if user.role is Role.NON_SENSITIVE:
+            if scheme.kind is SchemeKind.FEDAVG:
+                dist_model = mechanisms.estimate_fedavg_distribution(
+                    scheme, phi, user.labels, ops, theta, params.clip, rng
+                )
+            elif scheme.kind is SchemeKind.FULL_GD:
+                dist_model = CovarianceModel(grads.columns.mean(axis=1), np.zeros((dim, 0)),
+                                             np.zeros(0))
+            elif sampled_from is not None and blocks is None:
+                dist_model = sampled_from
+            else:
+                dist_model = estimate_mean_cov(grads, scheme.batch, blocks)
+            if route is RdpVariant.THEOREM1_RDP:
+                theorem1_context += params.batch * dist_model.lambda_min()
+            noised = None
+            if mech.kind is MechanismKind.WFDP:
+                noised = mechanisms.wfdp_update(dist_model, mech.sigma2, rng)
+                sign = 1.0 if scheme.kind is SchemeKind.FEDAVG else -1.0
+                x = sign * update_scale * noised.vector
+            elif mech.kind is MechanismKind.WFNA:
+                noised = mechanisms.wfna_noise(dist_model, mech.sigma2, rng)
+                x = x + update_scale * noised.vector
+            else:
+                approx_gaussian |= scheme.kind is not SchemeKind.GAUSSIAN_SAMPLED
+            if noised is not None:
+                dist_model = noised.floored
+                noise_trace += noised.noise_trace
+            ns_models.append(dist_model)
+        if mech.kind is MechanismKind.DDP:
+            share = mechanisms.ddp_noise(mech.sigma2, n_total, dim, rng)
+            x = x + update_scale * share.vector
+            noise_trace += share.noise_trace
+        submissions.append(x)
+    channel = SAChannel(n_total, dim, simulation._channel_seed(master_seed, round_index))
+    for slot, x in enumerate(submissions):
+        channel.submit(slot, x)
+    new_model = GlobalModel(theta + channel.aggregate() / n_total, model.family, round_index + 1)
+    summed = sum_covariances(
+        ns_models, isotropic_extra=simulation._isotropic_extra(mech, len(ns_models), n_total)
+    )
+    lambda_min = summed.lambda_min()
+    entry = simulation._account(summed, lambda_min, theorem1_context, params, route,
+                                round_index, noise_trace, refusal, approx_gaussian)
+    all_phi = design(np.vstack([u.features for u in users]))
+    train_loss = ops.loss(new_model.theta, all_phi, np.concatenate([u.labels for u in users]))
+    return RoundOutcome(entry, new_model, train_loss, {}, lambda_min)
+
+
+class TestStackedRoundMatchesPerUserLoop:
+    """``run_round`` equals ``per_user_round`` bit for bit, submitted updates included."""
+
+    SIGMA2 = 0.02
+
+    def both(self, monkeypatch, users, mech, params, route, family, dim, seed=3):
+        submitted = []
+        original = SAChannel.submit
+
+        def recording(channel, slot, update):
+            submitted.append((slot, np.array(update)))
+            return original(channel, slot, update)
+
+        monkeypatch.setattr(SAChannel, "submit", recording)
+        model = init_model(family, dim - 1)
+        outcomes = []
+        for fn in (run_round, per_user_round):
+            submitted.clear()
+            try:
+                outcome = fn(model, users, mech, params, route, seed, 1)
+            except EmptyValidityInterval as exc:  # the route refuses these parameters
+                outcome = str(exc)
+            outcomes.append((outcome, list(submitted)))
+        (stacked, sent_stacked), (looped, sent_looped) = outcomes
+        assert [s for s, _ in sent_stacked] == [s for s, _ in sent_looped]
+        for (_, a), (_, b) in zip(sent_stacked, sent_looped):
+            assert np.array_equal(a, b)
+        if isinstance(looped, str):
+            assert stacked == looped
+            return
+        assert np.array_equal(stacked.model.theta, looped.model.theta)
+        assert stacked.lambda_min == looped.lambda_min
+        assert stacked.entry.noise_trace == looped.entry.noise_trace
+        assert stacked.entry == looped.entry
+        assert stacked.train_loss == looped.train_loss
+        return stacked
+
+    def setup(self, scheme_kind, mech_name, dim, n_total=5, per_user=10, batch=5):
+        scheme = UpdateScheme(scheme_kind, batch=batch, learning_rate=0.2, fedavg_samples=3)
+        users, _, family = make_users(n_total, 1, scheme, seed=dim, task="regression",
+                                      features=dim - 1, per_user=per_user)
+        kind = MechanismKind(mech_name.rstrip("2"))
+        sigma2 = 0.0 if kind is MechanismKind.NONE else self.SIGMA2
+        mech = MechanismConfig(kind, sigma2, block_count=2 if mech_name.endswith("2") else 1)
+        params = PrivacyParams(clip=1.0, batch=batch, local_size=per_user, ns_users=n_total - 1,
+                               delta=1e-3, floor=self.SIGMA2)
+        return users, mech, params, family
+
+    @pytest.mark.parametrize("dim", [5, 12, 40])
+    @pytest.mark.parametrize("mech_name", ["wfdp", "wfna", "ddp", "none", "wfdp2"])
+    @pytest.mark.parametrize("scheme_kind", list(SchemeKind))
+    def test_every_scheme_mechanism_and_shape(self, monkeypatch, scheme_kind, mech_name, dim):
+        users, mech, params, family = self.setup(scheme_kind, mech_name, dim)
+        for route in (RdpVariant.THEOREM1_RDP, ClosedFormMode.SINGULAR):
+            self.both(monkeypatch, users, mech, params, route, family, dim)
+
+    @pytest.mark.parametrize("budget", [1, 8 * 12 * 12 * 2])
+    def test_stacks_of_one_and_a_ragged_last_stack(self, monkeypatch, budget):
+        # budget 1 caps every stack at one user; the other at two, so the
+        # 6 non-sensitive users of 7 run as 2 + 2 + 2 and the sensitive one alone
+        monkeypatch.setattr(simulation, "_STACK_BYTES", budget)
+        users, mech, params, family = self.setup(SchemeKind.GAUSSIAN_SAMPLED, "wfdp", 12,
+                                                 n_total=7)
+        sizes = [len(stack.slots) for stack in Cohort(users).stacks]
+        assert sizes == ([1] * 7 if budget == 1 else [1, 2, 2, 2])
+        self.both(monkeypatch, users, mech, params, ClosedFormMode.GENERAL, family, 12)
+
+    @pytest.mark.parametrize("mech_name", ["wfdp", "ddp"])
+    def test_users_of_unequal_size(self, monkeypatch, mech_name):
+        users, mech, params, family = self.setup(SchemeKind.IID_SGD, mech_name, 12, n_total=6,
+                                                 per_user=30)
+        sizes = [10, 10, 30, 30, 12, 12]
+        users = [UserState(u.user_id, u.role, u.features[:n], u.labels[:n], u.scheme)
+                 for u, n in zip(users, sizes)]
+        assert [stack.phi.shape[:2] for stack in Cohort(users).stacks] == [
+            (1, 10), (1, 10), (2, 30), (2, 12)
+        ]
+        self.both(monkeypatch, users, mech, params, ClosedFormMode.GENERAL, family, 12)
+
+    def test_rank_deficient_member_splits_the_thin_estimate(self, monkeypatch):
+        # one user's rows repeat, so its thin estimate keeps fewer components
+        # than its stack mates': the estimate comes back as several model stacks
+        users, mech, params, family = self.setup(SchemeKind.GAUSSIAN_SAMPLED, "wfdp", 40)
+        repeated = np.repeat(users[2].features[:2], 5, axis=0)
+        users[2] = UserState(2, users[2].role, repeated, users[2].labels, users[2].scheme)
+        stack = Cohort(users).stacks[1]
+        rngs = [np.random.default_rng(i) for i in stack.slots]
+        _, runs = simulation.user_update(stack, ModelOps(family), np.zeros(40), 1.0, None, rngs)
+        assert [members(run) for run in runs] == [1, 1, 2]
+        self.both(monkeypatch, users, mech, params, ClosedFormMode.GENERAL, family, 40)
+
+    def test_non_finite_member_raises_the_per_user_error(self, monkeypatch):
+        users, mech, params, family = self.setup(SchemeKind.GAUSSIAN_SAMPLED, "wfdp", 5)
+        bad = users[3].features.copy()
+        bad[4, 1] = np.nan
+        users[3] = UserState(3, users[3].role, bad, users[3].labels, users[3].scheme)
+        for fn in (run_round, per_user_round):
+            with pytest.raises(NonFinite, match="gradient columns contains NaN or Inf"):
+                fn(init_model(family, 4), users, mech, params, ClosedFormMode.GENERAL, 3, 0)
+
+    def test_over_clipped_member_raises_the_per_user_error(self, monkeypatch):
+        users, mech, params, family = self.setup(SchemeKind.FULL_GD, "wfdp", 5)
+        clipped = mechanisms._clipped_per_example
+
+        def loose(model, theta, phi, labels, clip):
+            # the user in slot 3 gets one column far outside the clip ball
+            grads = clipped(model, theta, phi, labels, clip)
+            for member, member_labels in zip(grads, labels):
+                if np.array_equal(member_labels, users[3].labels):
+                    member[0] *= 1e3
+            return grads
+
+        monkeypatch.setattr(mechanisms, "_clipped_per_example", loose)
+        messages = []
+        for fn in (run_round, per_user_round):
+            with pytest.raises(ValueError, match="exceeds clip bound") as err:
+                fn(init_model(family, 4), users, mech, params, ClosedFormMode.GENERAL, 3, 0)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aggnoise.errors import EmptyDataset, NonFinite
-from aggnoise.fedsim.models import ModelFamily, ModelOps
+from aggnoise.fedsim.models import ModelFamily, ModelOps, design
 from aggnoise.mechanisms import (
     NoisedUpdate,
     SchemeKind,
@@ -78,8 +78,8 @@ class TestComputeUpdate:
         features, labels = one_point_dataset()
         scheme = UpdateScheme(SchemeKind.FULL_GD, learning_rate=0.3)
         theta = np.ones(4)
-        x, grads, _ = compute_update(scheme, features, labels, LINEAR, theta, 1.0, np.random.default_rng(0))
-        g = LINEAR.per_example_gradients(theta, features[:1], labels[:1])[0]
+        x, grads, _ = compute_update(scheme, design(features), labels, LINEAR, theta, 1.0, np.random.default_rng(0))
+        g = LINEAR.per_example_gradients(theta, design(features[:1]), labels[:1])[0]
         expected = -0.3 * clip_gradient(g, 1.0)
         assert np.allclose(x, expected)
         assert grads.count == 6
@@ -89,11 +89,11 @@ class TestComputeUpdate:
         theta = np.ones(4)
         full = compute_update(
             UpdateScheme(SchemeKind.FULL_GD, learning_rate=0.3),
-            features, labels, LINEAR, theta, 1.0, np.random.default_rng(1),
+            design(features), labels, LINEAR, theta, 1.0, np.random.default_rng(1),
         )[0]
         sgd = compute_update(
             UpdateScheme(SchemeKind.IID_SGD, batch=6, learning_rate=0.3),
-            features, labels, LINEAR, theta, 1.0, np.random.default_rng(2),
+            design(features), labels, LINEAR, theta, 1.0, np.random.default_rng(2),
         )[0]
         assert np.allclose(full, sgd)
 
@@ -103,11 +103,11 @@ class TestComputeUpdate:
         features, labels = one_point_dataset()
         theta = np.ones(4)
         scheme = UpdateScheme(SchemeKind.GAUSSIAN_SAMPLED, batch=2, learning_rate=1.0)
-        g = clip_gradient(LINEAR.per_example_gradients(theta, features[:1], labels[:1])[0], 1.0)
+        g = clip_gradient(LINEAR.per_example_gradients(theta, design(features[:1]), labels[:1])[0], 1.0)
         direction = g / np.linalg.norm(g)
         rng = np.random.default_rng(3)
         for _ in range(10):
-            x, _, _ = compute_update(scheme, features, labels, LINEAR, theta, 1.0, rng)
+            x, _, _ = compute_update(scheme, design(features), labels, LINEAR, theta, 1.0, rng)
             residual = x - direction * (direction @ x)
             # off-line contamination is bounded by the eigensolver's noise floor
             assert np.linalg.norm(residual) < 1e-6 * max(np.linalg.norm(x), 1.0)
@@ -118,7 +118,7 @@ class TestComputeUpdate:
         features, labels = one_point_dataset()
         theta = np.ones(4)
         grads = compute_update(
-            UpdateScheme(SchemeKind.FULL_GD), features, labels, LINEAR, theta, 1.0,
+            UpdateScheme(SchemeKind.FULL_GD), design(features), labels, LINEAR, theta, 1.0,
             np.random.default_rng(0),
         )[1]
         model = estimate_mean_cov(grads, batch=2, centered=True)
@@ -128,7 +128,7 @@ class TestComputeUpdate:
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
             compute_update(
-                UpdateScheme(SchemeKind.FULL_GD), np.zeros((0, 2)), np.zeros(0),
+                UpdateScheme(SchemeKind.FULL_GD), design(np.zeros((0, 2))), np.zeros(0),
                 LINEAR, np.zeros(3), 1.0, np.random.default_rng(0),
             )
 
@@ -139,7 +139,7 @@ class TestComputeUpdate:
         theta = np.zeros(4)
         for kind in (SchemeKind.FULL_GD, SchemeKind.IID_SGD):
             scheme = UpdateScheme(kind, batch=4, learning_rate=0.5)
-            x, _, _ = compute_update(scheme, features, labels, LINEAR, theta, 2.0, rng)
+            x, _, _ = compute_update(scheme, design(features), labels, LINEAR, theta, 2.0, rng)
             assert np.linalg.norm(x) <= 0.5 * 2.0 + 1e-9
 
 
@@ -151,7 +151,7 @@ def fedavg_oracle_enumeration(features, labels, theta, eta, batch):
         current = theta.copy()
         for start in range(0, n, batch):
             idx = list(order[start : start + batch])
-            grads = LINEAR.per_example_gradients(current, features[idx], labels[idx])
+            grads = LINEAR.per_example_gradients(current, design(features[idx]), labels[idx])
             current = current - eta * grads.mean(axis=0)
         deltas.append(current - theta)
     deltas = np.array(deltas)
@@ -167,7 +167,7 @@ class TestFedavgDistribution:
         # so all update samples coincide and the second moment is rank one
         scheme = UpdateScheme(SchemeKind.FEDAVG, batch=5, learning_rate=0.1, fedavg_samples=8)
         model = estimate_fedavg_distribution(
-            scheme, features, labels, LINEAR, np.zeros(3), 10.0, rng
+            scheme, design(features), labels, LINEAR, np.zeros(3), 10.0, rng
         )
         assert model.rank() <= 1
         # residual spread around the mean direction is numerically zero
@@ -180,7 +180,7 @@ class TestFedavgDistribution:
         labels = rng.standard_normal(8)
         scheme = UpdateScheme(SchemeKind.FEDAVG, batch=2, learning_rate=0.2, fedavg_samples=2)
         model = estimate_fedavg_distribution(
-            scheme, features, labels, LINEAR, np.zeros(4), 5.0, rng
+            scheme, design(features), labels, LINEAR, np.zeros(4), 5.0, rng
         )
         assert model.rank() <= 2
 
@@ -193,7 +193,7 @@ class TestFedavgDistribution:
         exact_mean, exact_var = fedavg_oracle_enumeration(features, labels, theta, eta, batch)
         scheme = UpdateScheme(SchemeKind.FEDAVG, batch=batch, learning_rate=eta, fedavg_samples=m)
         model = estimate_fedavg_distribution(
-            scheme, features, labels, LINEAR, theta, 100.0, rng
+            scheme, design(features), labels, LINEAR, theta, 100.0, rng
         )
         se = np.sqrt(exact_var / m)
         assert np.all(np.abs(model.mean - exact_mean) <= 3.0 * se + 1e-12)
@@ -252,6 +252,54 @@ class TestWfdpUpdate:
         assert np.abs(ca - cb).max() < 0.01
 
 
+def repeated(model, n):
+    """A stack of n copies of one model."""
+    return CovarianceModel(
+        np.broadcast_to(model.mean, (n, model.dim)),
+        np.broadcast_to(model.eigvecs, (n,) + model.eigvecs.shape),
+        np.broadcast_to(model.eigvals, (n, model.n_components)),
+        model.tail,
+    )
+
+
+class TestStackedMechanisms:
+    """A stack's draws equal the per-call loop's over the same generators."""
+
+    def models(self, dim=5):
+        rng = np.random.default_rng(50)
+        grads = [GradientMatrix(rng.standard_normal((dim, 3)) * 0.2, 1.0) for _ in range(4)]
+        models = [estimate_mean_cov(g, 2) for g in grads]
+        stacked = estimate_mean_cov(GradientMatrix(np.stack([g.columns for g in grads]), 1.0), 2)
+        assert len(stacked) == 1
+        return models, stacked[0]
+
+    @pytest.mark.parametrize("dim", [5, 8])
+    @pytest.mark.parametrize("mechanism", [wfdp_update, wfna_noise])
+    def test_flooring_mechanisms_match_per_member_calls(self, dim, mechanism):
+        models, stack = self.models(dim)
+        looped = [mechanism(m, 0.05, np.random.default_rng(i)) for i, m in enumerate(models)]
+        out = mechanism(stack, 0.05, [np.random.default_rng(i) for i in range(4)])
+        assert np.array_equal(out.vector, np.array([u.vector for u in looped]))
+        assert np.array_equal(out.noise_trace, [u.noise_trace for u in looped])
+        for i, u in enumerate(looped):
+            assert np.array_equal(out.floored.eigvals[i], u.floored.eigvals)
+            assert np.array_equal(out.floored.eigvecs[i], u.floored.eigvecs)
+            assert np.array_equal(out.floored.tail[i], u.floored.tail)
+
+    def test_ddp_shares_match_per_member_calls(self):
+        looped = [ddp_noise(0.2, 4, 3, np.random.default_rng(i)) for i in range(4)]
+        out = ddp_noise(0.2, 4, 3, [np.random.default_rng(i) for i in range(4)])
+        assert np.array_equal(out.vector, np.array([u.vector for u in looped]))
+        assert np.array_equal(out.noise_trace, [u.noise_trace for u in looped])
+
+    def test_shared_generator_draws_in_loop_order(self):
+        models, stack = self.models()
+        rng_loop, rng_stack = np.random.default_rng(3), np.random.default_rng(3)
+        looped = [sample_gaussian(m, rng_loop) for m in models]
+        assert np.array_equal(sample_gaussian(stack, [rng_stack] * 4), np.array(looped))
+        assert rng_loop.bit_generator.state == rng_stack.bit_generator.state
+
+
 class TestWfnaNoise:
     def test_zero_lift_gives_zero_vector(self):
         model = eig_decompose(np.diag([0.5, 0.3]))
@@ -262,7 +310,8 @@ class TestWfnaNoise:
     def test_per_coordinate_variances(self):
         model = eig_decompose(np.diag([0.5, 0.02, 0.0]))
         rng = np.random.default_rng(6)
-        draws = np.array([wfna_noise(model, 0.04, rng).vector for _ in range(100_000)])
+        # one stacked call: every member draws from rng, one after the other
+        draws = wfna_noise(repeated(model, 100_000), 0.04, [rng] * 100_000).vector
         target = np.array([0.0, 0.02, 0.04])
         emp = draws.var(axis=0)
         assert np.all(np.abs(emp - target) <= 0.05 * np.maximum(target, 0.004))
@@ -275,11 +324,12 @@ class TestWfnaNoise:
         floor = 0.05
         n = 200_000
         rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(9)
+        stack = repeated(model, n)
         # additive route: raw Gaussian update + lift noise
-        raw = np.array([sample_gaussian(model, rng_a) for _ in range(n)])
-        lift = np.array([wfna_noise(model, floor, rng_a).vector for _ in range(n)])
+        raw = sample_gaussian(stack, [rng_a] * n)
+        lift = wfna_noise(stack, floor, [rng_a] * n).vector
         additive = raw + lift
-        replaced = np.array([wfdp_update(model, floor, rng_b).vector for _ in range(n)])
+        replaced = wfdp_update(stack, floor, [rng_b] * n).vector
         assert np.abs(additive.mean(axis=0) - replaced.mean(axis=0)).max() < 0.01
         assert np.abs(np.cov(additive.T) - np.cov(replaced.T)).max() < 0.01
 
@@ -295,7 +345,7 @@ class TestDdpNoise:
         n_users, trials = 50, 100_000
         sums = np.zeros((trials, 2))
         for _ in range(n_users):
-            sums += np.array([ddp_noise(0.09, n_users, 2, rng).vector for _ in range(trials)])
+            sums += ddp_noise(0.09, n_users, 2, [rng] * trials).vector
         assert np.all(np.abs(sums.var(axis=0) - 0.09) < 0.05 * 0.09)
 
     def test_zero_floor(self):

@@ -327,12 +327,26 @@ class TestFloorEigenvalues:
         assert floored.tail == 0.7 and floored.lambda_min() == 0.7
         assert lift_trace == pytest.approx(0.9) and lift_trace == pytest.approx(dense_trace)
 
-    def test_results_share_no_memory_with_input(self):
+    def test_results_share_only_the_eigenvectors_with_input(self):
+        # a lifted non-increasing spectrum stays sorted: no argsort, no copy of U
         model = full_rank_model(np.random.default_rng(3), 4)
         floored, _ = floor_eigenvalues(model, 0.5)
-        for theirs in (floored.mean, floored.eigvecs, floored.eigvals):
+        assert floored.eigvecs is model.eigvecs
+        for theirs in (floored.mean, floored.eigvals):
             for ours in (model.mean, model.eigvecs, model.eigvals):
                 assert not np.shares_memory(theirs, ours)
+
+    def test_unsorted_input_is_still_reordered(self):
+        vecs = np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))[0]
+        model = CovarianceModel(np.zeros(4), vecs, np.array([0.1, 0.4, 0.3, 0.2]))
+        assert np.array_equal(model.eigvals, [0.4, 0.3, 0.2, 0.1])
+        assert np.array_equal(model.eigvecs, vecs[:, [1, 2, 3, 0]])
+        assert not np.shares_memory(model.eigvecs, vecs)
+        # a sorted row-major input is laid out column-major, as a sorted copy would be
+        sorted_model = CovarianceModel(np.zeros(4), vecs[:, [1, 2, 3, 0]].copy(order="C"),
+                                       np.array([0.4, 0.3, 0.2, 0.1]))
+        assert sorted_model.eigvecs.flags.f_contiguous
+        assert np.array_equal(sorted_model.eigvecs, model.eigvecs)
 
 
 class TestSampleGaussian:
