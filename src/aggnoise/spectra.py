@@ -24,9 +24,11 @@ components above the rank threshold, with tail 0.
 
 Gradient matrices and covariance models also come as stacks, one member per
 user, so that a simulation round estimates, floors, samples and sums a run
-of users in stacked numpy calls. A member's result is bit for bit the one
-its user would get alone: members keep a single model's memory layout, and
-each draws its normals from its own generator.
+of users in stacked numpy calls, and ``verify``'s dominance suites estimate
+and floor many instances' users at once; a member may carry its own batch
+size and floor. A member's result is bit for bit the one its user would get
+alone: members keep a single model's memory layout, and each draws its
+normals from its own generator.
 """
 
 from __future__ import annotations
@@ -324,17 +326,15 @@ def eig_decompose(sym_matrix, mean=None) -> CovarianceModel:
     )
 
 
-def _second_moment(cols: Array, mean: Array, batch, centered: bool) -> Array:
+def _second_moment(cols: Array, batch) -> Array:
     """X X^T / (B*D) of (..., dim, D) gradient stacks; an array ``batch`` broadcasts per member."""
-    count = cols.shape[-1]
-    shifted = cols - mean[..., None] if centered else cols
-    return (shifted @ shifted.swapaxes(-1, -2)) / (batch * count)
+    return (cols @ cols.swapaxes(-1, -2)) / (batch * cols.shape[-1])
 
 
-def _thin_block(cols: Array, mean: Array, batch: int, centered: bool):
+def _thin_block(cols: Array, batch):
     """Eigen-reduction of the second moment of (k, dim, D) stacks X with D < dim, at cost O(dim D^2).
 
-    X = cols / sqrt(B*D), centered first when asked. With the thin QR
+    X = cols / sqrt(B*D). With the thin QR
     X = Q R, X X^T = Q (R R^T) Q^T, so the D x D matrix R R^T gives the
     eigenvalues and Q times its eigenvectors gives orthonormal eigenvectors.
     Only components above DEFAULT_RANK_TOL * lambda_max are kept: the
@@ -342,8 +342,7 @@ def _thin_block(cols: Array, mean: Array, batch: int, centered: bool):
     the widths (k,) and ``part(members, width)``, the kept eigenvectors and
     ascending eigenvalues of a slice of members that share a width.
     """
-    shifted = cols - mean[..., None] if centered else cols
-    q, r = np.linalg.qr(shifted / math.sqrt(batch * cols.shape[-1]))
+    q, r = np.linalg.qr(cols / np.sqrt(batch * cols.shape[-1]))
     vals, w = _psd_eigh(r @ r.swapaxes(-1, -2))
     widths = np.sum(vals > DEFAULT_RANK_TOL * vals[..., -1:], axis=-1)
     count = cols.shape[-1]
@@ -355,16 +354,13 @@ def _thin_block(cols: Array, mean: Array, batch: int, centered: bool):
     return widths, part
 
 
-def _dense_block(cols: Array, mean: Array, batch: int, centered: bool):
+def _dense_block(cols: Array, batch):
     """``_thin_block``'s contract for the full dim x dim decomposition: every member keeps all.
 
-    Each member's eigenpairs come in the order a model of the block alone
-    stores them (non-increasing, ties in place).
+    Each member's eigenpairs come in ``eigh``'s ascending order; the model
+    they are embedded in sorts them.
     """
-    vals, vecs = _psd_eigh(_second_moment(cols, mean, batch, centered))
-    order = np.argsort(-vals, axis=-1, kind="stable")
-    vals = np.take_along_axis(vals, order, -1)
-    vecs = np.take_along_axis(vecs, order[..., None, :], -1)
+    vals, vecs = _psd_eigh(_second_moment(cols, batch))
     widths = np.full(cols.shape[0], cols.shape[-2])
     return widths, lambda members, width: (vecs[members], vals[members])
 
@@ -383,15 +379,13 @@ def _runs(keys: Array) -> list[slice]:
 
 def estimate_mean_cov(
     grads: GradientMatrix,
-    batch: int,
+    batch: Union[int, Array],
     blocks: BlockSpec | None = None,
-    centered: bool = False,
 ) -> Union[CovarianceModel, list[CovarianceModel]]:
     """Mean and 1/(B*D)-scaled second moment of a gradient collection.
 
-    The default (uncentered) estimator matches the Gaussian-weighted update
-    model under which the closed-form privacy results are exact; pass
-    ``centered=True`` for sensitivity studies with the centered covariance.
+    The second moment is uncentered, which matches the Gaussian-weighted
+    update model under which the closed-form privacy results are exact.
 
     With more than dim/2 gradients D the dim x dim matrix is eigendecomposed
     and the model is full-dimension. With at most dim/2, the matrix has rank
@@ -411,28 +405,26 @@ def estimate_mean_cov(
     ``grads`` may hold a stack of users' gradients (see ``GradientMatrix``);
     all of them are decomposed in stacked calls. The result is then a list of
     model stacks, each a run of consecutive members that keep the same number
-    of components; the dense path always returns one. Each member equals the
-    model of that user's gradients alone, bit for bit.
+    of components; the dense path always returns one. ``batch`` is then one
+    B for every member or a (k,) array of them. Each member equals the model
+    of that user's gradients alone, bit for bit.
     """
-    if batch < 1:
+    if np.any(np.asarray(batch) < 1):
         raise ValueError(f"batch must be >= 1, got {batch}")
+    batch = np.asarray(batch)[..., None, None]  # a member's B broadcasts over its (dim, D) gradients
     single = grads.columns.ndim == 2
     cols = grads.columns[None] if single else grads.columns
     dim = grads.dim
     mean = cols.mean(axis=-1)
     if blocks is None and not _is_thin(cols):
-        vals, vecs = _psd_eigh(_second_moment(cols, mean, batch, centered))
+        vals, vecs = _psd_eigh(_second_moment(cols, batch))
         runs = [(mean, vecs, vals)]
     else:
         if blocks is None:
             blocks = BlockSpec(((0, dim),))
         blocks.check_dim(dim)
-        reductions = [
-            (_thin_block if _is_thin(cols[:, start:stop, :]) else _dense_block)(
-                cols[:, start:stop, :], mean[:, start:stop], batch, centered
-            )
-            for start, stop in blocks.boundaries
-        ]
+        parts = [cols[:, start:stop, :] for start, stop in blocks.boundaries]
+        reductions = [(_thin_block if _is_thin(part) else _dense_block)(part, batch) for part in parts]
         widths = np.stack([w for w, _ in reductions], axis=-1)  # (k, blocks)
         runs = []
         for members in _runs(widths):
@@ -453,7 +445,7 @@ def estimate_mean_cov(
 
 
 def floor_eigenvalues(
-    model: CovarianceModel, floor: float
+    model: CovarianceModel, floor: Union[float, Array]
 ) -> tuple[CovarianceModel, Union[float, Array]]:
     """Lift every eigenvalue, the tail included, to at least ``floor``.
 
@@ -461,22 +453,23 @@ def floor_eigenvalues(
     max(lam, floor) and tail max(tail, floor), and the trace of the added
     covariance, sum_j max(floor - lam_j, 0) + (dim - r) max(floor - tail, 0).
     The directions a low-rank model leaves out are the tail, so flooring
-    fills them too. A model stack is floored member by member, and its lift
-    traces come back as a (k,) array.
+    fills them too. A model stack is floored member by member, at one floor
+    for every member or at a (k,) array of them, and its lift traces come back
+    as a (k,) array.
     """
-    if floor < 0:
+    if np.any(np.asarray(floor) < 0):
         raise ValueError(f"floor must be >= 0, got {floor}")
-    vals = model.eigvals
+    floors = np.asarray(floor)[..., None]  # a member's floor broadcasts over its eigenvalues
     # the spectrum is non-increasing, so its lift is not: sum the lift over all
     # dim eigenvalues largest first, the order ledgers' noise traces were
     # recorded in
-    lift_trace = np.maximum(floor - model.spectrum(), 0.0)[..., ::-1].sum(axis=-1)
+    lift_trace = np.maximum(floors - model.spectrum(), 0.0)[..., ::-1].sum(axis=-1)
     # the lifted eigenvalues stay non-increasing, so the floored model shares
     # the eigenvectors; the mean it keeps as given, so it gets a copy
     floored = CovarianceModel(
         mean=model.mean.copy(),
         eigvecs=model.eigvecs,
-        eigvals=np.maximum(vals, floor),
+        eigvals=np.maximum(model.eigvals, floors),
         tail=np.maximum(model.tail, floor),
     )
     return floored, float(lift_trace) if lift_trace.ndim == 0 else lift_trace

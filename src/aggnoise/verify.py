@@ -12,9 +12,11 @@ The closed-form harness evaluates one substitution pair per instance, the
 extremal one: a difference of 2C/B along the aggregate's minimal
 eigenvector. Its whitened sensitivity 2C/(B sqrt(lambda_min)) is the supremum
 over all pairs of clipped gradients, so random pairs could only come out
-lower. Both harnesses draw their instances a run of trials at a time and then
-run the linear algebra as stacked numpy calls, one stack per dimension, with
-the same bits as the per-model functions of ``spectra``.
+lower. Both harnesses draw their instances a run of trials at a time. They
+estimate and floor the users' models through ``spectra.estimate_mean_cov``
+and ``spectra.floor_eigenvalues``, one stack per dimension and gradient
+count, and sum and eigendecompose the aggregates as stacks per dimension,
+with the same bits as summing each instance through ``sum_covariances``.
 """
 
 from __future__ import annotations
@@ -42,18 +44,18 @@ from .spectra import (
     span_contains,
     sum_covariances,
     _psd_eigh,
-    _reconstruct,
     _renyi_divergence,
-    _second_moment,
 )
 
 Array = np.ndarray
 
 MARGIN_SLACK = 1e-9  # absolute numerical slack on dominance margins
-# trials a dominance suite draws and then evaluates as one stack: large enough
-# that numpy's per-call cost is spread thin, small enough that the instances
-# held at once stay below the memory the per-instance path used
-_TRIALS_PER_STACK = 100
+# trials a dominance suite draws and then evaluates as one stack. A stack makes
+# one estimate_mean_cov call per dimension and gradient count: the default
+# verify run at seed 7 makes 244 of them at 250 trials per stack, against 609
+# at 100, which cost about 0.1 s more CPU. A stack's instances are held at
+# once; at 250 the whole process peaks about 0.4 MB above its peak at 100.
+_TRIALS_PER_STACK = 250
 
 
 class Verdict:
@@ -177,7 +179,6 @@ def build_counterexample(
     cand_b = base + shift
     if np.linalg.norm(cand_b) > clip:
         cand_b = cand_b * (clip / np.linalg.norm(cand_b))
-        shift = cand_b - base
     return Counterexample(
         helpers=helpers,
         candidate_a=base,
@@ -277,54 +278,47 @@ def _random_clipped_columns(
     return GradientMatrix(cols * scales, clip)
 
 
-def _descending(vals: Array, vecs: Array) -> tuple[Array, Array]:
-    """Stacked eigenpairs in non-increasing order, ties kept in place, as CovarianceModel stores them."""
-    order = np.argsort(-vals, axis=-1, kind="stable")
-    return np.take_along_axis(vals, order, -1), np.take_along_axis(vecs, order[..., None, :], -1)
-
-
-def _stacked_estimates(
+def _estimates(
     sets: Sequence[GradientMatrix], batch: Array, floor: Optional[Array] = None
-) -> tuple[Array, Array, Array]:
-    """Means, eigenvalues and eigenvectors of every set's model, stacked on axis 0.
+) -> CovarianceModel:
+    """Every set's model as one stack, member i being ``estimate_mean_cov(sets[i], batch[i])``.
 
-    Member i equals ``estimate_mean_cov(sets[i], batch[i])``, floored at
-    ``floor[i]`` when a floor is given, bit for bit: the second moments are
-    stacked by gradient count and decomposed in one call. Every set has the
-    same dim and more than dim/2 gradients, so every model is full-dimension.
+    The sets are estimated one stack per gradient count and, when ``floor`` is
+    given, floored at ``floor[i]`` in one ``floor_eigenvalues`` call. Every
+    set has the same dim and more than dim/2 gradients, so every model is
+    full-dimension.
     """
     counts = np.array([g.count for g in sets])
     dim = sets[0].dim
     means = np.empty((len(sets), dim))
-    moments = np.empty((len(sets), dim, dim))
+    vals = np.empty((len(sets), dim))
+    vecs = np.empty((len(sets), dim, dim))
     for count in np.unique(counts):
         idx = np.flatnonzero(counts == count)
+        # each set was checked against its own trial's clip when it was drawn
         cols = np.stack([sets[i].columns for i in idx])
-        means[idx] = cols.mean(axis=-1)
-        moments[idx] = _second_moment(cols, means[idx], batch[idx, None, None], centered=False)
-    vals, vecs = _descending(*_psd_eigh(moments))
-    if floor is not None:
-        # a non-increasing spectrum stays non-increasing, so no re-sort
-        vals = np.maximum(vals, floor[:, None])
-    return means, vals, vecs
+        (model,) = estimate_mean_cov(GradientMatrix(cols, max(sets[i].clip_bound for i in idx)), batch[idx])
+        means[idx], vals[idx], vecs[idx] = model.mean, model.eigvals, model.eigvecs
+    models = CovarianceModel(means, vecs, vals)
+    return models if floor is None else floor_eigenvalues(models, floor)[0]
 
 
-def _slot_sums(means: Array, vals: Array, vecs: Array, slots: Array) -> tuple[Array, Array, Array]:
-    """Row t is ``sum_covariances`` of the models ``slots[t]`` names, bit for bit.
+def _slot_sums(models: CovarianceModel, slots: Array) -> CovarianceModel:
+    """Member t is ``sum_covariances`` of the stacked models ``slots[t]`` names, bit for bit.
 
-    ``slots`` is (n, max users) of indices into the stacked models, -1 after a
-    row's last user. Users are added slot by slot onto zeros, the order
+    ``slots`` is (n, max users) of indices into ``models``, -1 after a row's
+    last user. Users are added slot by slot onto zeros, the order
     ``sum_covariances`` adds them in, and each total is eigendecomposed.
-    Returns the summed means, the non-increasing eigenvalues and eigenvectors.
     """
-    mats = _reconstruct(vecs, vals)
-    mean = np.zeros((slots.shape[0], means.shape[1]))
+    mats = models.matrix()
+    mean = np.zeros((slots.shape[0], models.dim))
     total = np.zeros((slots.shape[0],) + mats.shape[1:])
     for k in range(slots.shape[1]):
         rows = np.flatnonzero(slots[:, k] >= 0)
-        mean[rows] += means[slots[rows, k]]
+        mean[rows] += models.mean[slots[rows, k]]
         total[rows] += mats[slots[rows, k]]
-    return (mean, *_descending(*_psd_eigh(total)))
+    vals, vecs = _psd_eigh(total)
+    return CovarianceModel(mean, vecs, vals)
 
 
 def _by_dim(dims: Sequence[int]) -> list[Array]:
@@ -374,11 +368,11 @@ def certify_closed_form(n_trials: int, rng: np.random.Generator) -> list[Dominan
     ||L^-1 x|| <= ||x|| / sqrt(lambda_min) <= 2C / (B sqrt(lambda_min)),
     with equality at x = (2C/B) v_min. So that one pair is the supremum.
 
-    Instances are drawn in trial order, up to _TRIALS_PER_STACK at a time;
-    their estimates, floors, sums, eigendecompositions and whitening solves
-    then run as stacked calls per dimension, with the same results as running
-    them instance by instance through ``estimate_mean_cov``,
-    ``floor_eigenvalues`` and ``sum_covariances``.
+    Instances are drawn in trial order, up to _TRIALS_PER_STACK at a time.
+    Their users are estimated and floored by stacked ``estimate_mean_cov``
+    and ``floor_eigenvalues`` calls; the sums, their eigendecompositions and
+    the whitening solves run as stacked calls per dimension, with the same
+    results as summing instance by instance through ``sum_covariances``.
     """
     return _in_stacks(n_trials, lambda count, first: _closed_form_stack(count, first, rng))
 
@@ -408,18 +402,18 @@ def _closed_form_stack(n_trials: int, first: int, rng: np.random.Generator) -> l
     for idx in _by_dim([t.users[0].dim for t in trials]):
         group = [trials[i] for i in idx]
         sizes = np.array([len(t.users) for t in group])
-        means, vals, vecs = _stacked_estimates(
+        models = _estimates(
             [g for t in group for g in t.users],
             np.repeat([t.params.batch for t in group], sizes),
             np.repeat([t.params.floor for t in group], sizes),
         )
-        _, vals, vecs = _slot_sums(means, vals, vecs, _slot_table(sizes, sizes))
+        sums = _slot_sums(models, _slot_table(sizes, sizes))
         # count >= dim, so every estimate and the sum are full-dimension and
         # the last eigenpair is the smallest eigenvalue's
-        lam_min[idx] = vals[:, -1]
-        chol = np.linalg.cholesky(_reconstruct(vecs, vals))
+        lam_min[idx] = sums.eigvals[:, -1]
+        chol = np.linalg.cholesky(sums.matrix())
         limit = np.array([2.0 * t.params.clip / t.params.batch for t in group])
-        extremal = limit[:, None] * vecs[:, :, -1]
+        extremal = limit[:, None] * sums.eigvecs[:, :, -1]
         w = np.linalg.solve(chol, extremal[:, :, None])
         sensitivity[idx] = np.linalg.norm(w, axis=-2)[:, 0]
 
@@ -496,9 +490,11 @@ def certify_rdp(
     per-variant pass rates of this harness adjudicate the two printed forms of
     the floored-mechanism bound.
 
-    As in ``certify_closed_form``, instances are drawn a run at a time and
-    their linear algebra runs stacked per dimension. A trial's N users and its substituted
-    first user are estimated once each; both aggregates sum from them.
+    As in ``certify_closed_form``, instances are drawn a run at a time, their
+    users are estimated and floored by stacked ``estimate_mean_cov`` and
+    ``floor_eigenvalues`` calls, and the rest runs stacked per dimension. A
+    trial's N users and its substituted first user are estimated once each;
+    both aggregates sum from them.
     """
     if variant not in (RdpVariant.THEOREM1_RDP, RdpVariant.WFDP_A, RdpVariant.WFDP_B):
         raise ValueError(f"certify_rdp does not adjudicate {variant}")
@@ -546,7 +542,7 @@ def _rdp_stack(
         sizes = np.array([len(t.users) for t in group])
         sets = [g for t in group for g in t.users + [t.substituted]]
         # a zero floor (THEOREM1_RDP) leaves the clamped spectra as they are
-        means, vals, vecs = _stacked_estimates(
+        models = _estimates(
             sets,
             np.repeat([t.params.batch for t in group], sizes + 1),
             np.repeat([t.params.floor for t in group], sizes + 1),
@@ -555,13 +551,12 @@ def _rdp_stack(
         slots_p = _slot_table(sizes, sizes + 1)
         slots_q = slots_p.copy()
         slots_q[:, 0] += sizes
-        mean_p, vals_p, vecs_p = _slot_sums(means, vals, vecs, slots_p)
-        mean_q, vals_q, vecs_q = _slot_sums(means, vals, vecs, slots_q)
-        aggregates.append((idx, mean_p, mean_q, _reconstruct(vecs_p, vals_p),
-                           _reconstruct(vecs_q, vals_q), vals_p, vals_q))
+        sum_p, sum_q = _slot_sums(models, slots_p), _slot_sums(models, slots_q)
+        aggregates.append((idx, sum_p.mean, sum_q.mean, sum_p.matrix(), sum_q.matrix(),
+                           sum_p.eigvals, sum_q.eigvals))
         if variant is RdpVariant.THEOREM1_RDP:
             unit = [g for t in group for g in t.users]
-            _, unit_vals, _ = _stacked_estimates(unit, np.ones(len(unit), dtype=int))
+            unit_vals = _estimates(unit, np.ones(len(unit), dtype=int)).eigvals
             slots = _slot_table(sizes, sizes)
             unit_min = np.where(slots >= 0, unit_vals[slots, -1], 0.0)
             for k in range(slots.shape[1]):  # slot by slot, the order sum() adds them in

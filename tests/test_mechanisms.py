@@ -112,18 +112,18 @@ class TestComputeUpdate:
             # off-line contamination is bounded by the eigensolver's noise floor
             assert np.linalg.norm(residual) < 1e-6 * max(np.linalg.norm(x), 1.0)
 
-    def test_gaussian_sampled_centered_estimator_is_deterministic(self):
-        # the centered covariance of identical gradients is zero, so sampling
-        # from it returns the mean update exactly
+    def test_gaussian_sampled_zero_spectrum_is_deterministic(self):
+        # a zero covariance around the full-GD gradients' mean: sampling from
+        # it returns that mean exactly
         features, labels = one_point_dataset()
         theta = np.ones(4)
         grads = compute_update(
             UpdateScheme(SchemeKind.FULL_GD), design(features), labels, LINEAR, theta, 1.0,
             np.random.default_rng(0),
         )[1]
-        model = estimate_mean_cov(grads, batch=2, centered=True)
+        model = eig_decompose(np.zeros((grads.dim, grads.dim)), grads.columns.mean(axis=1))
         draw = sample_gaussian(model, np.random.default_rng(5))
-        assert np.allclose(draw, model.mean, atol=1e-12)
+        assert np.array_equal(draw, model.mean)
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
@@ -208,13 +208,11 @@ class TestWfdpUpdate:
     def test_pure_additive_case(self):
         mu = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         model = CovarianceModel(mu, np.eye(5), np.zeros(5))
-        draws = []
-        rng = np.random.default_rng(1)
-        for _ in range(100_000):
-            out = wfdp_update(model, 0.01, rng)
-            draws.append(out.vector)
+        n = 100_000
+        # members sharing one generator draw as n calls in a row would
+        out = wfdp_update(repeated(model, n), 0.01, [np.random.default_rng(1)] * n)
         assert out.noise_trace == pytest.approx(0.05)
-        draws = np.array(draws)
+        draws = out.vector
         assert np.allclose(draws.mean(axis=0), mu, atol=0.002)
         emp_var = draws.var(axis=0)
         assert np.all(np.abs(emp_var - 0.01) < 0.001)
@@ -243,9 +241,9 @@ class TestWfdpUpdate:
         n = 100_000
         rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(5)
         model = estimate_mean_cov(grads, 1)
-        xa = np.array([wfdp_update(model, 0.02, rng_a).vector for _ in range(n)])
+        xa = wfdp_update(repeated(model, n), 0.02, [rng_a] * n).vector
         model_blocked = estimate_mean_cov(grads, 1, blocks=blocks)
-        xb = np.array([wfdp_update(model_blocked, 0.02, rng_b).vector for _ in range(n)])
+        xb = wfdp_update(repeated(model_blocked, n), 0.02, [rng_b] * n).vector
         assert np.abs(xa.mean(axis=0) - xb.mean(axis=0)).max() < 0.01
         ca = np.cov(xa.T)
         cb = np.cov(xb.T)

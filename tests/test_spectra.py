@@ -134,16 +134,50 @@ class TestStackedPrimitives:
         with pytest.raises(DimensionMismatch):
             _psd_eigh(np.zeros((2, 3, 4)))
 
-    @pytest.mark.parametrize("centered", [False, True])
-    def test_stacked_second_moment_per_member_batch(self, centered):
+    def test_stacked_second_moment_per_member_batch(self):
         rng = np.random.default_rng(4)
         cols = rng.standard_normal((3, 4, 7))
-        means = cols.mean(axis=-1)
         batch = np.array([1, 3, 2])
-        stacked = _second_moment(cols, means, batch[:, None, None], centered)
+        stacked = _second_moment(cols, batch[:, None, None])
         for i in range(3):
-            one = _second_moment(cols[i], means[i], int(batch[i]), centered)
+            one = _second_moment(cols[i], int(batch[i]))
             assert np.array_equal(stacked[i], one)
+
+    @pytest.mark.parametrize(
+        "dim, count, blocks",
+        [(4, 7, None), (12, 4, None), (14, 5, BlockSpec(((0, 4), (4, 14))))],
+        ids=["dense", "thin", "dense_and_thin_blocks"],
+    )
+    def test_per_member_batch_and_floor_equal_per_member_calls(self, dim, count, blocks):
+        rng = np.random.default_rng(6)
+        cols = rng.standard_normal((4, dim, count))
+        cols /= np.linalg.norm(cols, axis=-2, keepdims=True)
+        cols[1, :, 2:] = 0.0  # a rank-deficient member: the thin path splits its run
+        batch = np.array([1, 3, 2, 4])
+        floor = np.array([0.0, 0.05, 0.01, 0.2])
+        members = 0
+        for run in estimate_mean_cov(GradientMatrix(cols, 1.0), batch, blocks):
+            floored, lift = floor_eigenvalues(run, floor[members : members + run.mean.shape[0]])
+            for i in range(run.mean.shape[0]):
+                k = members + i
+                one = estimate_mean_cov(GradientMatrix(cols[k], 1.0), int(batch[k]), blocks)
+                one_floored, one_lift = floor_eigenvalues(one, float(floor[k]))
+                for stacked, alone in ((run, one), (floored, one_floored)):
+                    assert np.array_equal(stacked.mean[i], alone.mean)
+                    assert np.array_equal(stacked.eigvals[i], alone.eigvals)
+                    assert np.array_equal(stacked.eigvecs[i], alone.eigvecs)
+                    assert np.array_equal(np.asarray(stacked.tail)[i], alone.tail)
+                assert lift[i] == one_lift
+            members += run.mean.shape[0]
+        assert members == 4
+
+    def test_per_member_batch_or_floor_below_range_raises(self):
+        grads = GradientMatrix(np.full((2, 3, 4), 0.1), 1.0)
+        with pytest.raises(ValueError):
+            estimate_mean_cov(grads, np.array([2, 0]))
+        (model,) = estimate_mean_cov(grads, np.array([2, 1]))
+        with pytest.raises(ValueError):
+            floor_eigenvalues(model, np.array([0.1, -1e-3]))
 
     def test_stacked_renyi_equals_each_pair(self):
         rng = np.random.default_rng(5)
@@ -243,14 +277,6 @@ class TestEstimateMeanCov:
         assert np.allclose(bm[3:, 3:], fm[3:, 3:])
         assert np.allclose(bm[:3, 3:], 0.0)
         assert np.allclose(blocked.mean, full.mean)
-
-    def test_centered_flag(self):
-        rng = np.random.default_rng(3)
-        g = random_gradients(rng, dim=3, count=8, clip=1.0)
-        un = estimate_mean_cov(g, batch=1)
-        ce = estimate_mean_cov(g, batch=1, centered=True)
-        mu = g.columns.mean(axis=1)
-        assert np.allclose(un.matrix() - ce.matrix(), np.outer(mu, mu), atol=1e-12)
 
     def test_block_mismatch(self):
         g = GradientMatrix(np.zeros((4, 2)), 1.0)
@@ -539,23 +565,22 @@ def _thin_inputs(rng, dim=50, count=20):
     }
 
 
-def _dense_second_moment(grads, batch, centered, blocks):
-    cols = grads.columns
-    dim, count = cols.shape
-    x = cols - cols.mean(axis=1)[:, None] if centered else cols
+def _dense_second_moment(grads, batch, blocks):
+    x = grads.columns
+    dim, count = x.shape
     mask = np.zeros((dim, dim))
     for start, stop in blocks.boundaries if blocks is not None else ((0, dim),):
         mask[start:stop, start:stop] = 1.0
     return mask * (x @ x.T) / (batch * count)
 
 
-def _dense_oracle(grads, batch, centered, blocks):
+def _dense_oracle(grads, batch, blocks):
     """Eigenpairs of the dense second moment, per block, with the rank threshold applied.
 
     Eigenvalues at or below DEFAULT_RANK_TOL times their block's largest are
     the ones ``rank()`` counts as zero; the oracle sets them to 0.
     """
-    matrix = _dense_second_moment(grads, batch, centered, blocks)
+    matrix = _dense_second_moment(grads, batch, blocks)
     dim = matrix.shape[0]
     vals, vecs = np.zeros(dim), np.zeros((dim, dim))
     for start, stop in blocks.boundaries if blocks is not None else ((0, dim),):
@@ -577,23 +602,22 @@ class TestLowRankModels:
 
     BLOCKS = (None, BlockSpec(((0, 10), (10, 50))))
 
-    @pytest.mark.parametrize("centered", [False, True])
     @pytest.mark.parametrize("blocks", BLOCKS)
-    def test_matches_dense_eigh_floor_sum_oracle(self, centered, blocks):
+    def test_matches_dense_eigh_floor_sum_oracle(self, blocks):
         batch = 3
         user_inputs = [_thin_inputs(np.random.default_rng(40 + u)) for u in range(3)]
         for kind in user_inputs[0]:
             models, dense = [], []
             for inputs in user_inputs:
                 grads = inputs[kind]
-                model = estimate_mean_cov(grads, batch, blocks=blocks, centered=centered)
-                vals, vecs = _dense_oracle(grads, batch, centered, blocks)
+                model = estimate_mean_cov(grads, batch, blocks=blocks)
+                vals, vecs = _dense_oracle(grads, batch, blocks)
                 lam_max = vals.max()
                 assert model.n_components < model.dim
                 dense_matrix = (vecs * vals) @ vecs.T
                 assert np.abs(model.matrix() - dense_matrix).max() <= 1e-12 * lam_max, kind
                 # the dropped components are below the rank threshold
-                raw = _dense_second_moment(grads, batch, centered, blocks)
+                raw = _dense_second_moment(grads, batch, blocks)
                 assert np.abs(model.matrix() - raw).max() <= (DEFAULT_RANK_TOL + 1e-12) * lam_max
                 assert np.abs(model.eigvecs.T @ model.eigvecs - np.eye(model.n_components)).max() <= 1e-12
                 models.append(model)
