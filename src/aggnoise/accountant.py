@@ -543,6 +543,8 @@ class CompositionResult:
 
 def _entry_curve(entry: LedgerEntry, params: PrivacyParams) -> RdpCurve:
     """Curve for RDP composition; closed-form rounds become plain Gaussian curves."""
+    if entry.cause is not None:
+        raise NoDpGuarantee(f"round {entry.round_index}: {entry.cause}")
     if entry.curve is not None:
         return entry.curve
     if entry.lambda_min is None or entry.lambda_min <= 0:

@@ -52,20 +52,19 @@ from .fedsim import (
     MechanismConfig,
     MechanismKind,
     ModelFamily,
-    ModelOps,
     Role,
     SyntheticSpec,
     UserState,
     init_model,
     load_csv,
     make_synthetic,
+    noise_round,
     partition_equal,
     run_simulation,
-    user_update,
 )
-from .fedsim.simulation import Cohort, _blocks_for, _isotropic_extra, _user_rng
+from .fedsim.simulation import Cohort
 from .mechanisms import SchemeKind, UpdateScheme
-from .spectra import eig_decompose, floor_eigenvalues, sum_covariances
+from .spectra import eig_decompose
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -293,7 +292,7 @@ def _build_run(config: dict, seed: int):
         ns_users=n_total - n_sensitive,
         delta=acct.get("delta", 1e-5),
         approx_gauss_delta0=acct.get("delta0", 0.0),
-        floor=mech.sigma2,
+        floor=mech.floor,
         sampling_ratio=acct.get("sampling_ratio", 1.0),
         rounds=config["rounds"],
     )
@@ -438,6 +437,8 @@ def _spectrum_rows(source: str, eigvals, sigma2: float) -> list[dict]:
 
 
 def cmd_spectrum(args) -> int:
+    if not (math.isfinite(args.sigma2) and args.sigma2 >= 0):
+        raise ConfigError(f"--sigma2: expected a finite floor >= 0, got {args.sigma2!r}")
     rows = []
     if args.eigvals:
         try:
@@ -451,28 +452,16 @@ def cmd_spectrum(args) -> int:
         config = load_config(args.config)
         seed = args.seed if args.seed is not None else config.get("seed", 0)
         users, model, mech, params, _, _, _, _ = _build_run(config, seed)
-        ops = ModelOps(model.family)
-        blocks = _blocks_for(model.dim, mech)
-        # --sigma2 is a what-if floor on every user; without it, the floor and
-        # the DDP variance are the ones simulate accounts
-        floors = mech.kind in (MechanismKind.WFDP, MechanismKind.WFNA)
-        sigma2 = args.sigma2 or (mech.sigma2 if floors else 0.0)
-        ns_models = []
-        for stack in Cohort(users).stacks:
-            if stack.role is not Role.NON_SENSITIVE:
-                continue
-            # the round-0 models simulate accounts, from the same per-user streams
-            rngs = [_user_rng(seed, 0, slot) for slot in stack.slots]
-            _, runs = user_update(stack, ops, model.theta, params.clip, blocks, rngs)
-            spectra = np.concatenate([run.spectrum() for run in runs])
-            for slot, eigvals in zip(stack.slots, spectra):
-                rows.extend(_spectrum_rows(f"user{users[slot].user_id}", eigvals, sigma2))
-            ns_models.extend(floor_eigenvalues(run, sigma2)[0] if sigma2 > 0 else run for run in runs)
-        extra = 0.0 if args.sigma2 else _isotropic_extra(
-            mech, sum(run.mean.shape[0] for run in ns_models), len(users)
-        )
-        aggregate = sum_covariances(ns_models, isotropic_extra=extra)
-        rows.extend(_spectrum_rows("aggregate", aggregate.spectrum(), 0.0))
+        if args.sigma2:
+            # the what-if: every non-sensitive user floored at --sigma2
+            mech = MechanismConfig(MechanismKind.WFDP, args.sigma2, mech.block_count)
+        # simulate's round-0 pass, from the same per-user streams
+        _, unfloored, summed, _, _ = noise_round(model, Cohort(users), mech, params.clip, seed, 0)
+        ns_users = [user for user in users if user.role is Role.NON_SENSITIVE]
+        spectra = np.concatenate([run.spectrum() for run in unfloored])
+        for user, eigvals in zip(ns_users, spectra):
+            rows.extend(_spectrum_rows(f"user{user.user_id}", eigvals, mech.floor))
+        rows.extend(_spectrum_rows("aggregate", summed.spectrum(), 0.0))
     else:
         raise ConfigError("spectrum: pass --eigvals or --config")
     text = rows_to_csv(rows, ["source", "index", "eigenvalue", "floored", "delta"])

@@ -2,7 +2,7 @@
 
 from .datasets import SyntheticSpec, load_csv, make_synthetic, partition_equal
 from .models import GlobalModel, ModelFamily, ModelOps, evaluate_model, init_model
-from .secagg import DEFAULT_SCALE_BITS, FixedPointCodec, SAChannel, secure_aggregate
+from .secagg import FixedPointCodec, SAChannel, secure_aggregate
 from .simulation import (
     MechanismConfig,
     MechanismKind,
@@ -10,13 +10,13 @@ from .simulation import (
     RoundOutcome,
     SimulationResult,
     UserState,
+    noise_round,
     run_round,
     run_simulation,
     user_update,
 )
 
 __all__ = [
-    "DEFAULT_SCALE_BITS",
     "FixedPointCodec",
     "GlobalModel",
     "MechanismConfig",
@@ -33,6 +33,7 @@ __all__ = [
     "init_model",
     "load_csv",
     "make_synthetic",
+    "noise_round",
     "partition_equal",
     "run_round",
     "run_simulation",

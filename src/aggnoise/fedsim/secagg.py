@@ -2,7 +2,7 @@
 
 Real deployments wrap this in key agreement and dropout recovery; here the
 point is the trust boundary and exact decoding. Updates are fixed-point
-encoded (scale 2^16 by default), each unordered user pair (i, j), i < j,
+encoded at scale 2^16, each unordered user pair (i, j), i < j,
 shares a mask which enters user i's ciphertext with + and user j's with -, so
 the masks of a full participant set sum to zero in the ring and the server
 can decode only the aggregate. Plaintexts are not retained after submission.
@@ -23,22 +23,17 @@ from ..errors import DimensionMismatch, MissingParticipant, NonFinite, Overflow
 
 Array = np.ndarray
 
-RING_BITS = 64
-DEFAULT_SCALE_BITS = 16
+SCALE_BITS = 16
 # |x| < 2^47 / scale keeps sums of up to 2^15 encodings inside +/- 2^62.
 _MAGNITUDE_BITS = 47
 _MAX_PARTICIPANTS = 1 << (62 - _MAGNITUDE_BITS)
 
 
 class FixedPointCodec:
-    """Round-to-nearest fixed-point encoding into the 2^64 ring."""
+    """Round-to-nearest fixed-point encoding into the 2^64 ring, at scale 2^SCALE_BITS."""
 
-    def __init__(self, scale_bits: int = DEFAULT_SCALE_BITS):
-        if not 1 <= scale_bits < _MAGNITUDE_BITS:
-            raise ValueError(f"scale_bits out of range: {scale_bits}")
-        self.scale_bits = scale_bits
-        self.scale = float(1 << scale_bits)
-        self.magnitude_limit = float(1 << (_MAGNITUDE_BITS - scale_bits))
+    scale = float(1 << SCALE_BITS)
+    magnitude_limit = float(1 << (_MAGNITUDE_BITS - SCALE_BITS))
 
     def encode(self, x) -> Array:
         arr = np.asarray(x, dtype=float)
@@ -46,7 +41,7 @@ class FixedPointCodec:
             raise NonFinite("cannot encode NaN or Inf")
         if np.any(np.abs(arr) >= self.magnitude_limit):
             raise Overflow(
-                f"|value| must be < {self.magnitude_limit:g} at scale 2^{self.scale_bits}"
+                f"|value| must be < {self.magnitude_limit:g} at scale 2^{SCALE_BITS}"
             )
         return np.rint(arr * self.scale).astype(np.int64).view(np.uint64)
 
@@ -91,8 +86,7 @@ class SAChannel:
     on the first submission.
     """
 
-    def __init__(self, n_participants: int, dim: int, seed: int,
-                 scale_bits: int = DEFAULT_SCALE_BITS):
+    def __init__(self, n_participants: int, dim: int, seed: int):
         if n_participants < 1:
             raise ValueError("need at least one participant")
         if n_participants > _MAX_PARTICIPANTS:
@@ -103,7 +97,7 @@ class SAChannel:
         self.n_participants = n_participants
         self.dim = dim
         self.seed = int(seed)
-        self.codec = FixedPointCodec(scale_bits)
+        self.codec = FixedPointCodec()
         self._ciphertexts: dict[int, Array] = {}
         self._masks: Optional[Array] = None
 
@@ -136,13 +130,13 @@ class SAChannel:
         return self.codec.decode(total)
 
 
-def secure_aggregate(updates, seed: int, scale_bits: int = DEFAULT_SCALE_BITS) -> Array:
+def secure_aggregate(updates, seed: int) -> Array:
     """Convenience one-shot aggregation of a list of equal-length updates."""
     updates = [np.asarray(u, dtype=float) for u in updates]
     if not updates:
         raise ValueError("need at least one update")
     dim = updates[0].shape[0]
-    channel = SAChannel(len(updates), dim, seed, scale_bits)
+    channel = SAChannel(len(updates), dim, seed)
     for i, u in enumerate(updates):
         channel.submit(i, u)
     return channel.aggregate()

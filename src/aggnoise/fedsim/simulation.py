@@ -12,13 +12,14 @@ every user's rows in slot order, which the training loss reads, and stacks
 that slice it, each a run of consecutive slots whose users share role,
 scheme and local size D, at most ``_STACK_BYTES`` of gradients each. A round
 runs each stack's users together: ``user_update`` is the one definition of a
-stack's updates and unfloored covariance models (``aggnoise spectrum
---config`` shows the same round-0 models), and the mechanisms floor and draw
-for the whole stack, every member from its own stream. A single user is a
-stack of one. A flooring mechanism returns the floored models it sampled
-from, and those are summed, slot by slot, so each model is floored once.
-Learning-rate scaling happens here, after mechanisms ran on the
-clipped-gradient scale.
+stack's updates and unfloored covariance models, and the mechanisms floor and
+draw for the whole stack, every member from its own stream. A single user is a
+stack of one. ``noise_round`` is the one place a round's mechanism is applied:
+it returns the noised submissions, the unfloored models and the summed model
+the accountant reads, and ``aggnoise spectrum --config`` prints round 0 of it.
+A flooring mechanism returns the floored models it sampled from, and those are
+summed, slot by slot, so each model is floored once. Learning-rate scaling
+happens here, after mechanisms ran on the clipped-gradient scale.
 """
 
 from __future__ import annotations
@@ -104,6 +105,11 @@ class MechanismConfig:
                 raise ConfigError(f"mechanism.sigma2 must be > 0 for {self.kind.value}")
         if self.block_count < 1:
             raise ConfigError("mechanism.block_count must be >= 1")
+
+    @property
+    def floor(self) -> float:
+        """The per-user eigenvalue floor: sigma^2 for the flooring mechanisms, else 0."""
+        return self.sigma2 if self.kind in (MechanismKind.WFDP, MechanismKind.WFNA) else 0.0
 
 
 @dataclass
@@ -236,6 +242,79 @@ def user_update(
     return xs, models
 
 
+def noise_round(
+    model: GlobalModel,
+    cohort: Cohort,
+    mech: MechanismConfig,
+    clip: float,
+    master_seed: int,
+    round_index: int,
+) -> tuple[list[Array], list[CovarianceModel], CovarianceModel, float, bool]:
+    """One round's mechanism pass over every stack, before secure aggregation.
+
+    Returns the noised submissions in slot order; the non-sensitive users'
+    unfloored model stacks from ``user_update``; the summed model the
+    accountant reads: the floored models when the mechanism floors (WFDP
+    replaces the update, WFNA adds the lift), plus the variance of the DDP
+    shares; the injected noise trace; and whether any update is only
+    approximately Gaussian.
+    """
+    n_total = len(cohort.users)
+    ops = ModelOps(model.family)
+    blocks = _blocks_for(model.dim, mech)
+    submissions: list[Array] = []
+    unfloored: list[CovarianceModel] = []
+    summands: list[CovarianceModel] = []
+    noise_trace = 0.0
+    approx_gaussian = False
+
+    for stack in cohort.stacks:
+        rngs = [_user_rng(master_seed, round_index, slot) for slot in stack.slots]
+        scheme = stack.scheme
+        xs, dist_models = user_update(stack, ops, model.theta, clip, blocks, rngs)
+        # FedAvg deltas are already on the update scale; gradient schemes get
+        # -eta applied by the scheme update itself.
+        update_scale = 1.0 if scheme.kind is SchemeKind.FEDAVG else scheme.learning_rate
+        # each member injects at most one noise trace: a lift or a DDP share
+        traces = np.zeros(len(stack.slots))
+        if dist_models is not None:
+            unfloored.extend(dist_models)
+            noised_xs, start = [], 0
+            for dist_model in dist_models:
+                members = slice(start, start + dist_model.mean.shape[0])
+                start = members.stop
+                x = xs[members]
+                noised = None
+                if mech.kind is MechanismKind.WFDP:
+                    noised = wfdp_update(dist_model, mech.sigma2, rngs[members])
+                    sign = 1.0 if scheme.kind is SchemeKind.FEDAVG else -1.0
+                    x = sign * update_scale * noised.vector
+                elif mech.kind is MechanismKind.WFNA:
+                    noised = wfna_noise(dist_model, mech.sigma2, rngs[members])
+                    x = x + update_scale * noised.vector
+                else:
+                    approx_gaussian |= scheme.kind is not SchemeKind.GAUSSIAN_SAMPLED
+                if noised is not None:
+                    dist_model = noised.floored
+                    traces[members] = noised.noise_trace
+                summands.append(dist_model)
+                noised_xs.append(x)
+            xs = np.concatenate(noised_xs)
+        if mech.kind is MechanismKind.DDP:
+            share = ddp_noise(mech.sigma2, n_total, model.dim, rngs)
+            xs = xs + update_scale * share.vector
+            traces = share.noise_trace
+        for trace in traces.tolist():  # slot by slot; adding 0.0 changes no bits
+            noise_trace += trace
+        submissions.extend(xs)
+
+    if not summands:
+        raise ConfigError("need at least one non-sensitive user for inherent-noise accounting")
+    n_ns = sum(m.mean.shape[0] for m in summands)
+    summed = sum_covariances(summands, isotropic_extra=_isotropic_extra(mech, n_ns, n_total))
+    return submissions, unfloored, summed, noise_trace, approx_gaussian
+
+
 def run_round(
     model: GlobalModel,
     users: Union[Sequence[UserState], Cohort],
@@ -248,106 +327,42 @@ def run_round(
 ) -> RoundOutcome:
     """Execute one FL round and account it.
 
-    Non-sensitive users supply the inherent noise (their spectra are floored
-    when the mechanism floors); sensitive users always clip, and under the
-    distributed-isotropic mechanism every participant adds its noise share.
-    The per-round guarantee is driven by the smallest eigenvalue of the summed
-    non-sensitive covariance, which by eigenvalue super-additivity is at least
-    the sum of the per-user floors. ``users`` may come laid out as a
-    ``Cohort``, which a run builds once; a plain sequence is laid out here.
+    The round is ``noise_round``'s pass, secure aggregation of its
+    submissions, and the accountant's entry for its summed model. The
+    per-round guarantee is driven by the smallest eigenvalue of that sum,
+    which by eigenvalue super-additivity is at least the sum of the per-user
+    floors. ``users`` may come laid out as a ``Cohort``, which a run builds
+    once; a plain sequence is laid out here.
     """
     cohort = users if isinstance(users, Cohort) else Cohort(users)
     n_total = len(cohort.users)
-    ops = ModelOps(model.family)
-    theta = model.theta
-    dim = model.dim
-    blocks = _blocks_for(dim, mech)
-    refusal = _guarantee_refusal(mech, cohort.users)
+    submissions, unfloored, summed, noise_trace, approx_gaussian = noise_round(
+        model, cohort, mech, params.clip, master_seed, round_index
+    )
 
-    submissions: list[Array] = []
-    ns_models: list[CovarianceModel] = []
-    theorem1_context = 0.0
-    noise_trace = 0.0
-    approx_gaussian = False
-
-    for stack in cohort.stacks:
-        rngs = [_user_rng(master_seed, round_index, slot) for slot in stack.slots]
-        scheme = stack.scheme
-        xs, dist_models = user_update(stack, ops, theta, params.clip, blocks, rngs)
-        # FedAvg deltas are already on the update scale; gradient schemes get
-        # -eta applied by the scheme update itself.
-        update_scale = 1.0 if scheme.kind is SchemeKind.FEDAVG else scheme.learning_rate
-        # each member injects at most one noise trace: a lift or a DDP share
-        traces = np.zeros(len(stack.slots))
-        if dist_models is not None:
-            noised_xs, start = [], 0
-            for dist_model in dist_models:
-                members = slice(start, start + dist_model.mean.shape[0])
-                start = members.stop
-                x = xs[members]
-                if route is RdpVariant.THEOREM1_RDP:
-                    # that bound's context is the per-user spectrum before the 1/B
-                    # update scaling, i.e. B times the unfloored model's lambda_min
-                    for lam in dist_model.spectrum()[:, -1].tolist():
-                        theorem1_context += params.batch * lam
-                noised = None
-                if mech.kind is MechanismKind.WFDP:
-                    noised = wfdp_update(dist_model, mech.sigma2, rngs[members])
-                    sign = 1.0 if scheme.kind is SchemeKind.FEDAVG else -1.0
-                    x = sign * update_scale * noised.vector
-                elif mech.kind is MechanismKind.WFNA:
-                    noised = wfna_noise(dist_model, mech.sigma2, rngs[members])
-                    x = x + update_scale * noised.vector
-                else:
-                    approx_gaussian |= scheme.kind is not SchemeKind.GAUSSIAN_SAMPLED
-                if noised is not None:
-                    # the accountant sums the models the mechanism already floored
-                    dist_model = noised.floored
-                    traces[members] = noised.noise_trace
-                ns_models.append(dist_model)
-                noised_xs.append(x)
-            xs = np.concatenate(noised_xs)
-        if mech.kind is MechanismKind.DDP:
-            share = ddp_noise(mech.sigma2, n_total, dim, rngs)
-            xs = xs + update_scale * share.vector
-            traces = share.noise_trace
-        for trace in traces.tolist():  # slot by slot; adding 0.0 changes no bits
-            noise_trace += trace
-        submissions.extend(xs)
-
-    channel = SAChannel(n_total, dim, _channel_seed(master_seed, round_index))
+    channel = SAChannel(n_total, model.dim, _channel_seed(master_seed, round_index))
     for slot, x in enumerate(submissions):
         channel.submit(slot, x)
-    aggregate = channel.aggregate()
     new_model = GlobalModel(
-        theta=theta + aggregate / n_total,
+        theta=model.theta + channel.aggregate() / n_total,
         family=model.family,
         round_index=round_index + 1,
     )
 
-    if not ns_models:
-        raise ConfigError("need at least one non-sensitive user for inherent-noise accounting")
-    summed = sum_covariances(
-        ns_models,
-        isotropic_extra=_isotropic_extra(
-            mech, sum(m.mean.shape[0] for m in ns_models), n_total
-        ),
-    )
+    theorem1_context = 0.0
+    if route is RdpVariant.THEOREM1_RDP:
+        # that bound's context is the per-user spectrum before the 1/B update
+        # scaling, i.e. B times each unfloored model's lambda_min, slot by slot
+        for run in unfloored:
+            for lam in run.spectrum()[:, -1].tolist():
+                theorem1_context += params.batch * lam
     lambda_min = summed.lambda_min()
-
     entry = _account(
-        summed,
-        lambda_min,
-        theorem1_context,
-        params,
-        route,
-        round_index,
-        noise_trace,
-        refusal,
-        approx_gaussian,
+        summed, lambda_min, theorem1_context, params, route, round_index, noise_trace,
+        _guarantee_refusal(mech, cohort.users), approx_gaussian,
     )
 
-    train_loss = ops.loss(new_model.theta, cohort.phi, cohort.labels)
+    train_loss = ModelOps(model.family).loss(new_model.theta, cohort.phi, cohort.labels)
     eval_metrics = (
         evaluate_model(new_model, eval_data[0], eval_data[1]) if eval_data is not None else {}
     )
@@ -377,12 +392,8 @@ def _account(
     approx_gaussian: bool,
 ) -> LedgerEntry:
     if refusal is not None:
-        return LedgerEntry(
-            round_index=round_index,
-            route="refused",
-            lambda_min=lambda_min,
-            eps=None,
-            noise_trace=noise_trace,
+        return account_round(
+            lambda_min, params, route, round_index=round_index, noise_trace=noise_trace,
             cause=refusal,
         )
     warnings = (WARN_APPROX_GAUSSIAN,) if approx_gaussian else ()

@@ -310,10 +310,12 @@ class TestCompose:
         totals = [compose(wine_ledger(rounds=t)).total_eps for t in (1, 5, 20, 50)]
         assert all(b > a for a, b in zip(totals, totals[1:]))
 
-    def test_refused_round_propagates(self):
-        ledger = RoundLedger(WINE)
+    @pytest.mark.parametrize("mode", list(CompositionMode))
+    def test_refused_round_propagates(self, mode):
+        ledger = RoundLedger(WINE, mode)
         ledger.append(
-            LedgerEntry(round_index=0, route="refused", eps=None, cause="no guarantee")
+            LedgerEntry(round_index=0, route="refused", lambda_min=0.25, eps=None,
+                        cause="no guarantee")
         )
         with pytest.raises(NoDpGuarantee):
             compose(ledger)

@@ -249,11 +249,17 @@ class TestSimulateCommand:
         merged = json.loads((tmp_path / "m" / "composed_ledger.json").read_text())
         assert merged["total_eps"] == pytest.approx(ledger["total_eps"], rel=1e-9)
 
-    def test_infeasible_floor_parameters_exit_config(self, tmp_path, capsys):
+    # ddp and none floor nothing, so the floored-mechanism bound has no floor to read
+    @pytest.mark.parametrize("mechanism", [
+        {"kind": "wfdp", "sigma2": 1e-7},
+        {"kind": "ddp", "sigma2": 0.5},
+        {"kind": "none", "sigma2": 0.5},
+    ], ids=["wfdp", "ddp", "none"])
+    def test_infeasible_floor_parameters_exit_config(self, tmp_path, capsys, mechanism):
         cfg, _ = write_config(
             tmp_path,
             scheme={"kind": "gaussian_sampled", "batch": 10, "learning_rate": 0.2},
-            mechanism={"kind": "wfdp", "sigma2": 1e-7},
+            mechanism=mechanism,
             accountant={"route": "wfdp_a", "composition": "rdp", "delta": 1e-4,
                         "clip": 1.0},
         )
@@ -352,6 +358,15 @@ class TestSpectrumCommand:
         rc = main(["--out", str(tmp_path), "spectrum", "--eigvals", eigvals])
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: --eigvals: ")
+
+    @pytest.mark.parametrize("sigma2", ["-0.5", "nan"])
+    @pytest.mark.parametrize("source", ["eigvals", "config"])
+    def test_negative_sigma2_config_error(self, tmp_path, capsys, source, sigma2):
+        cfg, _ = write_config(tmp_path)
+        flags = ["--eigvals", "0.5,0.02"] if source == "eigvals" else ["--config", cfg]
+        rc = main(["--out", str(tmp_path / "o"), "spectrum", *flags, "--sigma2", sigma2])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: --sigma2: ")
 
 
 class TestComposeCommand:

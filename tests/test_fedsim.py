@@ -251,7 +251,7 @@ class TestRunRound:
                                delta=1e-3, floor=0.01)
         outcome = run_round(model, users, MechanismConfig(MechanismKind.WFNA, sigma2=0.01),
                             params, ClosedFormMode.GENERAL, master_seed=5, round_index=0)
-        assert outcome.entry.eps is None
+        assert outcome.entry.eps == math.inf
         assert "no DP guarantee" in outcome.entry.cause
 
     def test_needs_non_sensitive_user(self):
