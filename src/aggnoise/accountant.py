@@ -14,12 +14,13 @@ with; ``round_eps`` is the one map from a ledger entry to its per-round eps.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -227,6 +228,30 @@ def alpha_validity(
     raise ValueError(f"unknown variant {variant}")
 
 
+def _rdp_terms(a, params: PrivacyParams, variant: RdpVariant, sum_lambda_min: Optional[float]):
+    """Numerator and denominator of the variant's RDP bound at order(s) ``a``.
+
+    The one copy of the formulas: ``a`` is a float on ``rdp_bound``'s scalar
+    path and an array on its array path, and both evaluate the same operations
+    in the same order, so a scalar equals the array element bit for bit.
+    """
+    c2 = params.clip * params.clip
+    b = float(params.batch)
+    d = float(params.local_size)
+    if variant is RdpVariant.THEOREM1_RDP:
+        num = 2.0 * a * b * c2 / d**2 + a * c2 / ((a - 1.0) * d)
+        return num, sum_lambda_min - a * c2 / d
+    if variant is RdpVariant.WFDP_A:
+        num = 2.0 * a * b * c2 / d**2 + 2.0 * a * c2 / ((a - 1.0) * d)
+        return num, params.ns_users * params.floor - 2.0 * a * c2 / d
+    if variant is RdpVariant.WFDP_B:
+        num = 2.0 * a * c2 / d**2 + 2.0 * a * c2 / ((a - 1.0) * b * d)
+        return num, params.ns_users * params.floor - 2.0 * a * c2 / (b * d)
+    if variant is RdpVariant.GAUSSIAN:
+        return 2.0 * a * c2, b * b * sum_lambda_min
+    raise ValueError(f"unknown variant {variant}")  # pragma: no cover - enum is closed
+
+
 def rdp_bound(
     alpha,
     params: PrivacyParams,
@@ -243,36 +268,22 @@ def rdp_bound(
                   sum_lambda_min; used to re-express closed-form rounds)
 
     Accepts a scalar or an array of orders; out-of-range entries are reported
-    as +inf rather than raised.
+    as +inf rather than raised. A float order takes a scalar path in float
+    arithmetic, equal bit for bit to the array path's element.
     """
-    a = np.asarray(alpha, dtype=float)
-    c2 = params.clip * params.clip
-    b = float(params.batch)
-    d = float(params.local_size)
+    if variant is RdpVariant.GAUSSIAN and (sum_lambda_min is None or sum_lambda_min <= 0):
+        raise NonPositiveLambda("GAUSSIAN variant needs positive sum_lambda_min")
     lo, hi = alpha_validity(params, variant, sum_lambda_min)
+    if isinstance(alpha, float):
+        if not lo < alpha < hi:
+            return math.inf
+        num, den = _rdp_terms(alpha, params, variant, sum_lambda_min)
+        return float(num / den) if den > 0 else math.inf
+    a = np.asarray(alpha, dtype=float)
     inside = (a > lo) & (a < hi)
-    out = np.full(a.shape, math.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if variant is RdpVariant.THEOREM1_RDP:
-            num = 2.0 * a * b * c2 / d**2 + a * c2 / ((a - 1.0) * d)
-            den = sum_lambda_min - a * c2 / d
-        elif variant is RdpVariant.WFDP_A:
-            ns2 = params.ns_users * params.floor
-            num = 2.0 * a * b * c2 / d**2 + 2.0 * a * c2 / ((a - 1.0) * d)
-            den = ns2 - 2.0 * a * c2 / d
-        elif variant is RdpVariant.WFDP_B:
-            ns2 = params.ns_users * params.floor
-            num = 2.0 * a * c2 / d**2 + 2.0 * a * c2 / ((a - 1.0) * b * d)
-            den = ns2 - 2.0 * a * c2 / (b * d)
-        elif variant is RdpVariant.GAUSSIAN:
-            if sum_lambda_min is None or sum_lambda_min <= 0:
-                raise NonPositiveLambda("GAUSSIAN variant needs positive sum_lambda_min")
-            num = 2.0 * a * c2
-            den = np.full(a.shape, b * b * sum_lambda_min)
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown variant {variant}")
-        vals = np.where(inside & (den > 0), num / np.where(den > 0, den, 1.0), math.inf)
-    out = np.where(inside, vals, out)
+        num, den = _rdp_terms(a, params, variant, sum_lambda_min)
+        out = np.where(inside & (den > 0), num / np.where(den > 0, den, 1.0), math.inf)
     if np.ndim(alpha) == 0:
         return float(out)
     return out
@@ -323,12 +334,6 @@ def _composed_rdp(weighted: Counter, alpha):
     return sum(count * curve(alpha) for curve, count in weighted.items())
 
 
-def _objective_grid(weighted: Counter, delta: float, lo: float, hi: float):
-    grid = np.geomspace(lo, hi, GRID_POINTS)
-    objective = _composed_rdp(weighted, grid) + math.log(1.0 / delta) / (grid - 1.0)
-    return grid, objective
-
-
 def _golden_refine(fn, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section minimization to GOLDEN_REL_TOL relative interval width."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -349,11 +354,8 @@ def _golden_refine(fn, lo: float, hi: float) -> tuple[float, float]:
     return x, fn(x)
 
 
-def _shared_interval(curves: Iterable[RdpCurve]) -> tuple[float, float]:
-    lo, hi = 1.0, math.inf
-    for curve in curves:
-        clo, chi = curve.alpha_interval()
-        lo, hi = max(lo, clo), min(hi, chi)
+def _shared_interval(lo: float, hi: float) -> tuple[float, float]:
+    """The searched order interval inside the curves' shared bounds (lo, hi)."""
     if not hi > lo:
         raise EmptyValidityInterval(
             f"empty alpha validity interval ({lo:.6g}, {hi:.6g}); "
@@ -364,31 +366,97 @@ def _shared_interval(curves: Iterable[RdpCurve]) -> tuple[float, float]:
     return lo + _INTERVAL_MARGIN * span, hi - _INTERVAL_MARGIN * span
 
 
+class CompositionState:
+    """Running RDP composition of a ledger's rounds, kept up to date by ``append``.
+
+    ``curves`` counts the distinct curves in order of first appearance, the
+    order in which their RDP values are summed; ``bounds`` is the running max of
+    their lower and min of their upper order bounds. ``append`` only queues a
+    round's curve, and reading either folds the queue in with one C-level
+    count, so appending costs what building a list of curves does. ``stop`` is
+    the first entry that ends composition: one with infinite eps, or one
+    without a usable curve; later entries add nothing. The order grid is kept
+    until the interval changes.
+    """
+
+    def __init__(self, curves: Sequence[RdpCurve] = ()):
+        self._curves: Counter = Counter()
+        self._bounds = (1.0, math.inf)
+        self._queued = list(curves)
+        self.stop: Optional[LedgerEntry] = None
+        self._grid: Optional[tuple[tuple[float, float], np.ndarray]] = None
+
+    def add(self, entry: LedgerEntry, params: PrivacyParams) -> None:
+        if self.stop is not None:
+            return
+        if _infinite(entry):
+            self.stop = entry
+            return
+        try:
+            self._queued.append(_entry_curve(entry, params))
+        except NoDpGuarantee:
+            self.stop = entry
+
+    def _fold(self) -> None:
+        seen = len(self._curves)
+        self._curves.update(self._queued)
+        self._queued.clear()
+        lo, hi = self._bounds
+        for curve in itertools.islice(self._curves, seen, None):
+            clo, chi = curve.alpha_interval()
+            lo, hi = max(lo, clo), min(hi, chi)
+        self._bounds = (lo, hi)
+
+    @property
+    def curves(self) -> Counter:
+        if self._queued:
+            self._fold()
+        return self._curves
+
+    @property
+    def bounds(self) -> tuple[float, float]:
+        if self._queued:
+            self._fold()
+        return self._bounds
+
+    def order_grid(self) -> np.ndarray:
+        """GRID_POINTS log-spaced orders across the shared interval."""
+        interval = _shared_interval(*self.bounds)
+        if self._grid is None or self._grid[0] != interval:
+            self._grid = (interval, np.geomspace(*interval, GRID_POINTS))
+        return self._grid[1]
+
+
 def optimize_alpha(
-    curve: Union[RdpCurve, Sequence[RdpCurve]],
+    curve: Union[RdpCurve, Sequence[RdpCurve], CompositionState],
     delta: float,
 ) -> tuple[float, float]:
     """Minimize rdp_to_dp(alpha, curve(alpha), delta) over the validity interval.
 
     Dense log-spaced grid search (GRID_POINTS orders) followed by one
     golden-section pass between the best grid point's neighbours. Accepts a
-    single curve or several, in which case their RDP values are summed per
-    order (multi-round composition). Repeated curves are collapsed first, so
-    the cost scales with the number of *distinct* curves, not rounds: a ledger
-    of T identical rounds costs what one round does.
+    single curve, several (their RDP values are summed per order: multi-round
+    composition), or a ledger's ``CompositionState``, whose curve ``Counter``,
+    bounds and order grid are used as they are. Repeated curves are collapsed,
+    so the cost scales with the number of *distinct* curves, not rounds: a
+    ledger of T identical rounds costs what one round does.
 
     Returns (alpha_star, eps_star). Raises EmptyValidityInterval when the
     interval is empty (e.g. N sigma^2 D <= 2 C^2 for the floored mechanism).
     """
-    weighted = Counter([curve] if isinstance(curve, RdpCurve) else curve)
-    lo, hi = _shared_interval(weighted)
-    grid, objective = _objective_grid(weighted, delta, lo, hi)
+    if isinstance(curve, CompositionState):
+        state = curve
+    else:
+        state = CompositionState([curve] if isinstance(curve, RdpCurve) else curve)
+    weighted = state.curves
+    grid = state.order_grid()
+    objective = _composed_rdp(weighted, grid) + math.log(1.0 / delta) / (grid - 1.0)
     finite = np.isfinite(objective)
     if not finite.any():
         raise EmptyValidityInterval("RDP bound is infinite on the whole order grid")
     idx = int(np.argmin(np.where(finite, objective, math.inf)))
-    left = grid[max(idx - 1, 0)]
-    right = grid[min(idx + 1, grid.size - 1)]
+    left = float(grid[max(idx - 1, 0)])
+    right = float(grid[min(idx + 1, grid.size - 1)])
 
     def fn(x: float) -> float:
         return rdp_to_dp(x, _composed_rdp(weighted, x), delta)
@@ -495,6 +563,8 @@ class RoundLedger:
         self.params = params
         self.composition = composition
         self.entries: list[LedgerEntry] = []
+        # SIMPLE composition reads the entries' scalars, so only RDP keeps a state
+        self.state = CompositionState() if composition is CompositionMode.RDP else None
 
     def append(self, entry: LedgerEntry) -> None:
         if self.entries and entry.round_index <= self.entries[-1].round_index:
@@ -502,6 +572,8 @@ class RoundLedger:
                 f"round {entry.round_index} not after {self.entries[-1].round_index}"
             )
         self.entries.append(entry)
+        if self.state is not None:
+            self.state.add(entry, self.params)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -554,6 +626,10 @@ def _entry_curve(entry: LedgerEntry, params: PrivacyParams) -> RdpCurve:
     return RdpCurve(RdpVariant.GAUSSIAN, params, sum_lambda_min=entry.lambda_min)
 
 
+def _infinite(entry: LedgerEntry) -> bool:
+    return entry.eps is not None and math.isinf(entry.eps)
+
+
 def round_eps(entry: LedgerEntry, delta: float) -> float:
     """A round's scalar epsilon at ``delta``: its own eps, else its curve optimized.
 
@@ -578,7 +654,9 @@ def compose(ledger: RoundLedger, delta: Optional[float] = None) -> CompositionRe
     This is the one place a total is computed; the mode is the ledger's own
     ``composition``. SIMPLE sums the rounds' ``round_eps``, each amplified by
     the configured sampling ratio. RDP sums per-round RDP curves on a shared
-    order grid, converts once and minimizes over the order; no subsampling
+    order grid, converts once and minimizes over the order; it reads the
+    ledger's running ``CompositionState``, not the entries, so its cost is set
+    by the number of distinct curves, not rounds. No subsampling
     amplification is applied on this route (the amplified-RDP curve is out of
     scope), which only ever overstates epsilon.
     """
@@ -596,13 +674,13 @@ def compose(ledger: RoundLedger, delta: Optional[float] = None) -> CompositionRe
             total += amplify_subsampling(eps, q)
         return CompositionResult(total, mode, delta)
 
-    curves = []
-    for entry in ledger.entries:
-        if entry.eps is not None and math.isinf(entry.eps):
+    state = ledger.state
+    if state.stop is not None:
+        if _infinite(state.stop):
             return CompositionResult(math.inf, mode, delta)
-        curves.append(_entry_curve(entry, ledger.params))
-    warnings = (WARN_MIXED_VARIANTS,) if len({c.variant for c in curves}) > 1 else ()
-    alpha_star, eps_star = optimize_alpha(curves, delta)
+        _entry_curve(state.stop, ledger.params)  # raises NoDpGuarantee for this round
+    warnings = (WARN_MIXED_VARIANTS,) if len({c.variant for c in state.curves}) > 1 else ()
+    alpha_star, eps_star = optimize_alpha(state, delta)
     return CompositionResult(eps_star, mode, delta, alpha_star=alpha_star, warnings=warnings)
 
 

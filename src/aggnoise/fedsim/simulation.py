@@ -444,9 +444,14 @@ def run_simulation(
 
     The per-round metrics rows are CSV-ready; the cumulative epsilon column
     composes the ledger prefix after every round so the trace is monotone by
-    construction. Composition collapses repeated RDP curves and per-round
-    scalars are memoized per curve, so a run whose rounds share one curve
-    (the floored-mechanism routes) makes O(T) RDP-curve evaluations, not O(T^2).
+    construction. RDP composition reads the ledger's running state, which
+    ``append`` updates, so each round's ``compose`` costs one order-grid
+    evaluation and one golden-section refine, each summing over the *distinct*
+    curves. A run whose rounds share one curve (the floored-mechanism routes)
+    costs O(1) per round and O(T) in total; per-round scalars are memoized per
+    curve. Rounds with distinct curves (``theorem1_rdp``, closed forms in RDP
+    mode) still cost O(t) at round t, and SIMPLE composition re-reads the t
+    entries' scalars.
     """
     ledger = RoundLedger(params, composition)
     cohort = Cohort(users)

@@ -5,6 +5,8 @@ on the stated formulas, or dense grid search for the optimized orders) and
 frozen, so a regression in the implementation cannot hide behind itself.
 """
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -137,6 +139,8 @@ class TestDeltaApproxGaussian:
 
 RDP_PARAMS = PrivacyParams(clip=1.0, batch=10, local_size=100, ns_users=50,
                            delta=1e-5, floor=0.01)
+VARIANT_CONTEXTS = [(RdpVariant.THEOREM1_RDP, 0.5), (RdpVariant.WFDP_A, None),
+                    (RdpVariant.WFDP_B, None), (RdpVariant.GAUSSIAN, 0.5)]
 
 
 class TestRdpBound:
@@ -163,6 +167,37 @@ class TestRdpBound:
     def test_vectorized_orders(self):
         vals = rdp_bound(np.array([2.0, 30.0]), RDP_PARAMS, RdpVariant.WFDP_A)
         assert np.isfinite(vals[0]) and np.isinf(vals[1])
+
+    @pytest.mark.parametrize("variant, context", VARIANT_CONTEXTS)
+    def test_scalar_path_equals_array_element(self, variant, context):
+        lo, hi = accountant.alpha_validity(RDP_PARAMS, variant, context)
+        top = hi if math.isfinite(hi) else 1e6
+        inside = [lo + frac * (top - lo) for frac in (1e-9, 1e-3, 0.1, 0.37, 0.5, 0.9, 1.0 - 1e-9)]
+        inside += [np.nextafter(lo, math.inf), np.nextafter(top, -math.inf), 2.0, 16.45]
+        edges = [lo, hi, np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf), 0.5]
+        for a in inside + edges:
+            scalar = rdp_bound(float(a), RDP_PARAMS, variant, context)
+            element = rdp_bound(np.array([a]), RDP_PARAMS, variant, context)[0]
+            assert type(scalar) is float
+            assert scalar == element, a
+        for a in edges:
+            assert rdp_bound(float(a), RDP_PARAMS, variant, context) == math.inf
+
+    @given(frac=st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_path_equals_array_element_anywhere(self, frac):
+        for variant, context in VARIANT_CONTEXTS:
+            lo, hi = accountant.alpha_validity(RDP_PARAMS, variant, context)
+            a = lo + frac * (min(hi, 1e6) - lo)
+            assert rdp_bound(a, RDP_PARAMS, variant, context) == rdp_bound(
+                np.array([a]), RDP_PARAMS, variant, context
+            )[0]
+
+    @pytest.mark.parametrize("context", [None, 0.0, -0.5])
+    def test_gaussian_without_positive_lambda_raises_on_both_paths(self, context):
+        for alpha in (2.0, 0.5, np.array([2.0]), np.array([0.5])):
+            with pytest.raises(NonPositiveLambda):
+                rdp_bound(alpha, RDP_PARAMS, RdpVariant.GAUSSIAN, context)
 
     @given(frac=st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
     @settings(max_examples=60, deadline=None)
@@ -356,6 +391,14 @@ def curve_ledger(variants, params=RDP_PARAMS, composition=CompositionMode.RDP):
     return ledger
 
 
+class CountingList(list):
+    iterations = 0
+
+    def __iter__(self):
+        CountingList.iterations += 1
+        return super().__iter__()
+
+
 class TestDistinctCurveComposition:
     def test_identical_rounds_match_dense_grid(self):
         rounds = 50
@@ -403,9 +446,162 @@ class TestDistinctCurveComposition:
         assert few > 0
         assert count_for(200) == few
 
+    def test_repeated_curve_compose_is_independent_of_rounds(self, monkeypatch):
+        calls = 0
+        grids = 0
+        original, geomspace = accountant.rdp_bound, np.geomspace
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(*args, **kwargs)
+
+        def counting_grid(*args, **kwargs):
+            nonlocal grids
+            grids += 1
+            return geomspace(*args, **kwargs)
+
+        monkeypatch.setattr(accountant, "rdp_bound", counting)
+        monkeypatch.setattr(accountant.np, "geomspace", counting_grid)
+
+        def one_compose(rounds):
+            nonlocal calls, grids
+            ledger = curve_ledger([RdpVariant.WFDP_A] * rounds)
+            compose(ledger)
+            ledger.entries = CountingList(ledger.entries)
+            CountingList.iterations = calls = grids = 0
+            compose(ledger)
+            assert CountingList.iterations == 0
+            assert grids == 0  # the interval is unchanged, so is the grid
+            return calls
+
+        few = one_compose(10)
+        assert few > 0
+        assert one_compose(1000) == few
+
     def test_curve_eps_matches_optimize_alpha(self):
         curve = RdpCurve(RdpVariant.WFDP_B, RDP_PARAMS)
         assert curve_eps(curve, 1e-5) == optimize_alpha(curve, 1e-5)[1]
+
+
+def compose_outcome(ledger):
+    """compose's result as comparable data, or the type of the error it raised."""
+    try:
+        result = compose(ledger)
+    except (NoDpGuarantee, EmptyValidityInterval) as exc:
+        return type(exc)
+    return result.total_eps, result.alpha_star, result.warnings
+
+
+def listed_outcome(ledger):
+    """The composition rule applied to the entries themselves, curve list and all."""
+    if ledger.composition is CompositionMode.SIMPLE:
+        return compose_outcome(ledger)
+    curves = []
+    for entry in ledger.entries:
+        if entry.eps is not None and math.isinf(entry.eps):
+            return math.inf, None, ()
+        try:
+            curves.append(accountant._entry_curve(entry, ledger.params))
+        except NoDpGuarantee:
+            return NoDpGuarantee
+    try:
+        alpha_star, eps_star = optimize_alpha(curves, ledger.params.delta)
+    except EmptyValidityInterval:
+        return EmptyValidityInterval
+    warnings = (WARN_MIXED_VARIANTS,) if len({c.variant for c in curves}) > 1 else ()
+    return eps_star, alpha_star, warnings
+
+
+def assert_running_state_matches_fresh(entries, mode, params=RDP_PARAMS):
+    ledger = RoundLedger(params, mode)
+    outcomes = []
+    for entry in entries:
+        ledger.append(entry)
+        running = compose_outcome(ledger)
+        rebuilt = RoundLedger.from_dict(json.loads(ledger.to_json()))
+        assert running == compose_outcome(rebuilt)
+        assert running == listed_outcome(ledger)
+        outcomes.append(running)
+    return outcomes
+
+
+def rdp_entry(t, route, lam=0.0, params=RDP_PARAMS):
+    return account_round(lam, params, route, round_index=t)
+
+
+def theorem1_context(t):
+    # each round's upper order bound D * lambda / C^2 is smaller than the last
+    return 0.5 - 0.02 * t
+
+
+class TestRunningComposition:
+    @pytest.mark.parametrize("mode", list(CompositionMode))
+    def test_repeated_curves(self, mode):
+        outcomes = assert_running_state_matches_fresh(
+            [rdp_entry(t, RdpVariant.WFDP_A) for t in range(8)], mode
+        )
+        totals = [total for total, _, _ in outcomes]
+        assert all(b > a for a, b in zip(totals, totals[1:]))
+
+    @pytest.mark.parametrize("mode", list(CompositionMode))
+    def test_distinct_theorem1_curves_with_shrinking_interval(self, mode):
+        entries = [rdp_entry(t, RdpVariant.THEOREM1_RDP, theorem1_context(t)) for t in range(8)]
+        outcomes = assert_running_state_matches_fresh(entries, mode)
+        if mode is CompositionMode.RDP:
+            ledger = RoundLedger(RDP_PARAMS, mode)
+            for entry in entries:
+                ledger.append(entry)
+            assert ledger.state.bounds == entries[-1].curve.alpha_interval()
+            assert len(ledger.state.curves) == len(entries)
+            assert all(alpha < ledger.state.bounds[1] for _, alpha, _ in outcomes)
+
+    @pytest.mark.parametrize("mode", list(CompositionMode))
+    def test_mixed_variants(self, mode):
+        routes = [RdpVariant.WFDP_A, RdpVariant.WFDP_B, RdpVariant.WFDP_A,
+                  ClosedFormMode.GENERAL, RdpVariant.THEOREM1_RDP, RdpVariant.WFDP_B]
+        entries = [rdp_entry(t, route, lam=0.5) for t, route in enumerate(routes)]
+        outcomes = assert_running_state_matches_fresh(entries, mode)
+        if mode is CompositionMode.RDP:
+            assert outcomes[0][2] == ()
+            assert all(warnings == (WARN_MIXED_VARIANTS,) for _, _, warnings in outcomes[1:])
+
+    @pytest.mark.parametrize("mode", list(CompositionMode))
+    @pytest.mark.parametrize("infinite_first", [True, False])
+    def test_first_stopping_entry_decides(self, mode, infinite_first):
+        infinite = LedgerEntry(round_index=0, route="closed_form:general", eps=math.inf)
+        refused = LedgerEntry(round_index=0, route="refused", lambda_min=0.25,
+                              cause="no guarantee")
+        stops = [infinite, refused] if infinite_first else [refused, infinite]
+        entries = [rdp_entry(0, RdpVariant.WFDP_A)]
+        entries += [dataclasses.replace(e, round_index=t + 1) for t, e in enumerate(stops)]
+        entries.append(rdp_entry(3, RdpVariant.WFDP_B))
+        outcomes = assert_running_state_matches_fresh(entries, mode)
+        if infinite_first:
+            assert outcomes[1:] == [(math.inf, None, ())] * 3
+        else:
+            assert outcomes[1:] == [NoDpGuarantee] * 3
+
+    @pytest.mark.parametrize("mode", list(CompositionMode))
+    def test_entry_without_curve_or_lambda(self, mode):
+        bare = LedgerEntry(round_index=1, route="closed_form:general", eps=0.3)
+        entries = [rdp_entry(0, ClosedFormMode.GENERAL, lam=0.5), bare,
+                   rdp_entry(2, ClosedFormMode.GENERAL, lam=0.5)]
+        outcomes = assert_running_state_matches_fresh(entries, mode)
+        if mode is CompositionMode.RDP:
+            assert outcomes[1:] == [NoDpGuarantee] * 2
+        else:
+            assert all(isinstance(o, tuple) for o in outcomes)
+
+    def test_simple_ledger_does_no_curve_work(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a SIMPLE ledger built a curve on append")
+
+        monkeypatch.setattr(accountant, "_entry_curve", forbidden)
+        ledger = RoundLedger(RDP_PARAMS, CompositionMode.SIMPLE)
+        for t in range(3):
+            ledger.append(rdp_entry(t, RdpVariant.WFDP_A))
+        assert ledger.state is None
 
 
 class TestAccountRound:
