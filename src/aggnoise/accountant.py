@@ -13,8 +13,8 @@ with; ``round_eps`` is the one map from a ledger entry to its per-round eps.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-import itertools
 import json
 import math
 from collections import Counter
@@ -118,17 +118,7 @@ class PrivacyParams:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
 
     def to_dict(self) -> dict:
-        return {
-            "clip": self.clip,
-            "batch": self.batch,
-            "local_size": self.local_size,
-            "ns_users": self.ns_users,
-            "delta": self.delta,
-            "approx_gauss_delta0": self.approx_gauss_delta0,
-            "floor": self.floor,
-            "sampling_ratio": self.sampling_ratio,
-            "rounds": self.rounds,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PrivacyParams":
@@ -297,6 +287,13 @@ class RdpCurve:
     params: PrivacyParams
     sum_lambda_min: Optional[float] = None
 
+    # hashed once: ledgers count curves and curve_eps caches on them
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.variant, self.params, self.sum_lambda_min)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def alpha_interval(self) -> tuple[float, float]:
         return alpha_validity(self.params, self.variant, self.sum_lambda_min)
 
@@ -367,57 +364,48 @@ def _shared_interval(lo: float, hi: float) -> tuple[float, float]:
 
 
 class CompositionState:
-    """Running RDP composition of a ledger's rounds, kept up to date by ``append``.
+    """Running composition of a ledger's rounds, kept up to date by ``append``.
 
-    ``curves`` counts the distinct curves in order of first appearance, the
-    order in which their RDP values are summed; ``bounds`` is the running max of
-    their lower and min of their upper order bounds. ``append`` only queues a
-    round's curve, and reading either folds the queue in with one C-level
-    count, so appending costs what building a list of curves does. ``stop`` is
-    the first entry that ends composition: one with infinite eps, or one
-    without a usable curve; later entries add nothing. The order grid is kept
+    ``stop`` is the first entry that ends composition, in either mode: one
+    whose term is infinite or that has no guarantee (see ``_entry_term``);
+    later entries add nothing. A SIMPLE ledger keeps ``total``, the sum of
+    its rounds' ``round_eps`` at the ledger's delta, each amplified by the
+    sampling ratio, in round order. An RDP ledger keeps ``curves``, which
+    counts the distinct curves in order of first appearance, the order in
+    which their RDP values are summed, and ``bounds``, the running max of
+    their lower and min of their upper order bounds. The order grid is kept
     until the interval changes.
     """
 
     def __init__(self, curves: Sequence[RdpCurve] = ()):
-        self._curves: Counter = Counter()
-        self._bounds = (1.0, math.inf)
-        self._queued = list(curves)
+        self.total = 0.0
+        self.curves: Counter = Counter()
+        self.bounds = (1.0, math.inf)
         self.stop: Optional[LedgerEntry] = None
         self._grid: Optional[tuple[tuple[float, float], np.ndarray]] = None
+        for curve in curves:
+            self._count(curve)
 
-    def add(self, entry: LedgerEntry, params: PrivacyParams) -> None:
+    def add(self, entry: LedgerEntry, params: PrivacyParams, mode: CompositionMode) -> None:
         if self.stop is not None:
             return
-        if _infinite(entry):
-            self.stop = entry
-            return
         try:
-            self._queued.append(_entry_curve(entry, params))
+            term = _entry_term(entry, params, mode)
         except NoDpGuarantee:
+            term = None
+        if term is None:
             self.stop = entry
+        elif mode is CompositionMode.SIMPLE:
+            self.total += term
+        else:
+            self._count(term)
 
-    def _fold(self) -> None:
-        seen = len(self._curves)
-        self._curves.update(self._queued)
-        self._queued.clear()
-        lo, hi = self._bounds
-        for curve in itertools.islice(self._curves, seen, None):
-            clo, chi = curve.alpha_interval()
-            lo, hi = max(lo, clo), min(hi, chi)
-        self._bounds = (lo, hi)
-
-    @property
-    def curves(self) -> Counter:
-        if self._queued:
-            self._fold()
-        return self._curves
-
-    @property
-    def bounds(self) -> tuple[float, float]:
-        if self._queued:
-            self._fold()
-        return self._bounds
+    def _count(self, curve: RdpCurve) -> None:
+        count = self.curves[curve]
+        if not count:
+            (lo, hi), (clo, chi) = self.bounds, curve.alpha_interval()
+            self.bounds = (max(lo, clo), min(hi, chi))
+        self.curves[curve] = count + 1
 
     def order_grid(self) -> np.ndarray:
         """GRID_POINTS log-spaced orders across the shared interval."""
@@ -563,8 +551,7 @@ class RoundLedger:
         self.params = params
         self.composition = composition
         self.entries: list[LedgerEntry] = []
-        # SIMPLE composition reads the entries' scalars, so only RDP keeps a state
-        self.state = CompositionState() if composition is CompositionMode.RDP else None
+        self.state = CompositionState()
 
     def append(self, entry: LedgerEntry) -> None:
         if self.entries and entry.round_index <= self.entries[-1].round_index:
@@ -572,8 +559,7 @@ class RoundLedger:
                 f"round {entry.round_index} not after {self.entries[-1].round_index}"
             )
         self.entries.append(entry)
-        if self.state is not None:
-            self.state.add(entry, self.params)
+        self.state.add(entry, self.params, self.composition)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -648,37 +634,40 @@ def round_eps(entry: LedgerEntry, delta: float) -> float:
         return math.inf
 
 
-def compose(ledger: RoundLedger, delta: Optional[float] = None) -> CompositionResult:
-    """Total epsilon across all ledger rounds at a single target delta.
+def _entry_term(entry: LedgerEntry, params: PrivacyParams, mode: CompositionMode):
+    """A round's term in its ledger's composition; None when it makes the total +inf.
+
+    SIMPLE: its ``round_eps`` at ``params.delta``, amplified by the sampling
+    ratio. RDP: its curve, unless its eps is infinite. Raises NoDpGuarantee
+    for a round that has no guarantee in ``mode``.
+    """
+    if mode is CompositionMode.SIMPLE:
+        eps = round_eps(entry, params.delta)
+        return None if math.isinf(eps) else amplify_subsampling(eps, params.sampling_ratio)
+    return None if _infinite(entry) else _entry_curve(entry, params)
+
+
+def compose(ledger: RoundLedger) -> CompositionResult:
+    """Total epsilon across all ledger rounds at the ledger's delta.
 
     This is the one place a total is computed; the mode is the ledger's own
-    ``composition``. SIMPLE sums the rounds' ``round_eps``, each amplified by
-    the configured sampling ratio. RDP sums per-round RDP curves on a shared
-    order grid, converts once and minimizes over the order; it reads the
-    ledger's running ``CompositionState``, not the entries, so its cost is set
-    by the number of distinct curves, not rounds. No subsampling
-    amplification is applied on this route (the amplified-RDP curve is out of
-    scope), which only ever overstates epsilon.
+    ``composition``. It reads the ledger's running ``CompositionState``, never
+    the entries. SIMPLE takes the state's sum of amplified per-round eps. RDP
+    sums the distinct curves, each scaled by its count, on a shared order
+    grid, converts once and minimizes over the order, so its cost is set by
+    the number of distinct curves, not rounds. No subsampling amplification
+    is applied on this route (the amplified-RDP curve is out of scope), which
+    only ever overstates epsilon. The first round that stops composition
+    makes the total +inf, or raises its NoDpGuarantee.
     """
     if len(ledger) == 0:
         raise EmptyLedger("cannot compose an empty ledger")
-    mode = ledger.composition
-    delta = ledger.params.delta if delta is None else delta
-    q = ledger.params.sampling_ratio
-    if mode is CompositionMode.SIMPLE:
-        total = 0.0
-        for entry in ledger.entries:
-            eps = round_eps(entry, delta)
-            if math.isinf(eps):
-                return CompositionResult(math.inf, mode, delta)
-            total += amplify_subsampling(eps, q)
-        return CompositionResult(total, mode, delta)
-
-    state = ledger.state
+    mode, delta, state = ledger.composition, ledger.params.delta, ledger.state
     if state.stop is not None:
-        if _infinite(state.stop):
-            return CompositionResult(math.inf, mode, delta)
-        _entry_curve(state.stop, ledger.params)  # raises NoDpGuarantee for this round
+        _entry_term(state.stop, ledger.params, mode)  # raises NoDpGuarantee for this round
+        return CompositionResult(math.inf, mode, delta)
+    if mode is CompositionMode.SIMPLE:
+        return CompositionResult(state.total, mode, delta)
     warnings = (WARN_MIXED_VARIANTS,) if len({c.variant for c in state.curves}) > 1 else ()
     alpha_star, eps_star = optimize_alpha(state, delta)
     return CompositionResult(eps_star, mode, delta, alpha_star=alpha_star, warnings=warnings)

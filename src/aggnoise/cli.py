@@ -44,6 +44,7 @@ from .errors import (
     ConfigError,
     DeltaOutOfRegion,
     EmptyValidityInterval,
+    LedgerOrderError,
     NonFinite,
     NonPositiveLambda,
     NotPositiveSemidefinite,
@@ -338,7 +339,7 @@ def cmd_simulate(args) -> int:
     csv_text = rows_to_csv(result.rows, CSV_COLUMNS)
     ledger_text = result.ledger.to_json(
         total_eps=result.total_eps,
-        extra={"total_cause": result.total_cause, "alpha_star": result.alpha_star},
+        extra={"alpha_star": result.alpha_star},
     )
     manifest = {
         "seed": seed,
@@ -559,7 +560,7 @@ def cmd_compose(args) -> int:
                 ledgers.append(RoundLedger.from_dict(json.load(fh)))
         except FileNotFoundError:
             raise ConfigError(f"ledger file not found: {path}")
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError, json.JSONDecodeError, LedgerOrderError) as exc:
             raise ConfigError(f"ledger file {path} is malformed: {exc}")
     if not ledgers:
         raise ConfigError("compose: need at least one ledger file")
@@ -570,11 +571,18 @@ def cmd_compose(args) -> int:
     for ledger in ledgers:
         if dataclasses.replace(ledger.params, rounds=params.rounds) != params:
             raise ConfigError("compose: ledgers carry different privacy parameters")
-    merged = RoundLedger(params, CompositionMode(args.mode))
+    mode = CompositionMode(args.mode)
+    if args.delta not in (None, params.delta):
+        closed = any(entry.eps is not None and math.isfinite(entry.eps) for entry in entries)
+        if mode is CompositionMode.SIMPLE and closed:
+            raise ConfigError(f"--delta: closed-form rounds hold only at delta = {params.delta:g}")
+        if not 0 < args.delta < 1:
+            raise ConfigError(f"--delta: expected a value in (0, 1), got {args.delta:g}")
+        params = dataclasses.replace(params, delta=args.delta)
+    merged = RoundLedger(params, mode)
     for index, entry in enumerate(entries):
         merged.append(dataclasses.replace(entry, round_index=index))
-    delta = args.delta if args.delta is not None else params.delta
-    result = compose(merged, delta)
+    result = compose(merged)
     if args.out:
         atomic_write_text(
             os.path.join(args.out, "composed_ledger.json"),
@@ -583,7 +591,7 @@ def cmd_compose(args) -> int:
         )
     print(
         f"composed {len(merged)} rounds ({args.mode}): total eps = {result.total_eps:.6g} "
-        f"at delta = {delta:g}"
+        f"at delta = {params.delta:g}"
     )
     return EXIT_OK
 

@@ -43,7 +43,7 @@ from ..accountant import (
     compose,
     round_eps,
 )
-from ..errors import ConfigError, NoDpGuarantee, SingularCovariance
+from ..errors import ConfigError, SingularCovariance
 from ..mechanisms import (
     SchemeKind,
     UpdateScheme,
@@ -425,7 +425,6 @@ class SimulationResult:
     rows: list[dict]
     model: GlobalModel
     total_eps: Optional[float]
-    total_cause: Optional[str] = None
     alpha_star: Optional[float] = None
 
 
@@ -444,21 +443,20 @@ def run_simulation(
 
     The per-round metrics rows are CSV-ready; the cumulative epsilon column
     composes the ledger prefix after every round so the trace is monotone by
-    construction. RDP composition reads the ledger's running state, which
-    ``append`` updates, so each round's ``compose`` costs one order-grid
-    evaluation and one golden-section refine, each summing over the *distinct*
+    construction. Composition reads the ledger's running state, which
+    ``append`` updates, in both modes: SIMPLE adds each round's amplified
+    scalar once, and RDP costs one order-grid evaluation and one
+    golden-section refine per ``compose``, each summing over the *distinct*
     curves. A run whose rounds share one curve (the floored-mechanism routes)
     costs O(1) per round and O(T) in total; per-round scalars are memoized per
     curve. Rounds with distinct curves (``theorem1_rdp``, closed forms in RDP
-    mode) still cost O(t) at round t, and SIMPLE composition re-reads the t
-    entries' scalars.
+    mode) still cost O(t) at round t.
     """
     ledger = RoundLedger(params, composition)
     cohort = Cohort(users)
     rows: list[dict] = []
     current = model
     total: Optional[float] = None
-    cause: Optional[str] = None
     alpha_star: Optional[float] = None
     for t in range(rounds):
         outcome = run_round(
@@ -466,15 +464,9 @@ def run_simulation(
         )
         current = outcome.model
         ledger.append(outcome.entry)
-        try:
-            result = compose(ledger)
-            total, cause, alpha_star = result.total_eps, None, result.alpha_star
-        except NoDpGuarantee as exc:
-            total, cause = None, str(exc)
-        try:
-            eps_round = round_eps(outcome.entry, params.delta)
-        except NoDpGuarantee:
-            eps_round = None  # a refused round has no per-round epsilon
+        # refused rounds carry eps = inf, so no round makes this raise NoDpGuarantee
+        result = compose(ledger)
+        total, alpha_star = result.total_eps, result.alpha_star
         eval_metric = ""
         if outcome.eval_metrics:
             key = "mse" if "mse" in outcome.eval_metrics else "accuracy"
@@ -485,7 +477,7 @@ def run_simulation(
                 "train_loss": outcome.train_loss,
                 "eval_metric": eval_metric,
                 "lambda_min": outcome.lambda_min,
-                "eps_round": eps_round,
+                "eps_round": round_eps(outcome.entry, params.delta),
                 "eps_cumulative": total,
                 "noise_trace": outcome.entry.noise_trace,
             }
@@ -495,6 +487,5 @@ def run_simulation(
         rows=rows,
         model=current,
         total_eps=total,
-        total_cause=cause,
         alpha_star=alpha_star,
     )

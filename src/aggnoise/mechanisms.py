@@ -198,7 +198,6 @@ def estimate_fedavg_distribution(
     theta: Array,
     clip: float,
     rng: Generators,
-    samples: Optional[int] = None,
 ) -> Union[CovarianceModel, list[CovarianceModel]]:
     """Update distribution under FEDAVG from M independent local-training replays.
 
@@ -209,7 +208,7 @@ def estimate_fedavg_distribution(
     member replays from its own generator, and the result is
     ``estimate_mean_cov``'s list of model stacks.
     """
-    m = scheme.fedavg_samples if samples is None else samples
+    m = scheme.fedavg_samples
     if m < 2:
         raise ValueError(f"need at least 2 replays, got {m}")
     if phi.shape[-2] == 0:

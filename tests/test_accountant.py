@@ -38,6 +38,7 @@ from aggnoise.accountant import (
     optimize_alpha,
     rdp_bound,
     rdp_to_dp,
+    round_eps,
 )
 from aggnoise.errors import (
     DeltaOutOfRegion,
@@ -464,13 +465,13 @@ class TestDistinctCurveComposition:
         monkeypatch.setattr(accountant, "rdp_bound", counting)
         monkeypatch.setattr(accountant.np, "geomspace", counting_grid)
 
-        def one_compose(rounds):
+        def one_compose(rounds, mode=CompositionMode.RDP):
             nonlocal calls, grids
-            ledger = curve_ledger([RdpVariant.WFDP_A] * rounds)
-            compose(ledger)
+            ledger = curve_ledger([RdpVariant.WFDP_A] * rounds, composition=mode)
+            first = compose(ledger)
             ledger.entries = CountingList(ledger.entries)
             CountingList.iterations = calls = grids = 0
-            compose(ledger)
+            assert compose(ledger) == first
             assert CountingList.iterations == 0
             assert grids == 0  # the interval is unchanged, so is the grid
             return calls
@@ -478,6 +479,8 @@ class TestDistinctCurveComposition:
         few = one_compose(10)
         assert few > 0
         assert one_compose(1000) == few
+        # a SIMPLE compose reads the running sum: no curve work
+        assert one_compose(10, CompositionMode.SIMPLE) == 0
 
     def test_curve_eps_matches_optimize_alpha(self):
         curve = RdpCurve(RdpVariant.WFDP_B, RDP_PARAMS)
@@ -496,7 +499,16 @@ def compose_outcome(ledger):
 def listed_outcome(ledger):
     """The composition rule applied to the entries themselves, curve list and all."""
     if ledger.composition is CompositionMode.SIMPLE:
-        return compose_outcome(ledger)
+        total = 0.0
+        for entry in ledger.entries:
+            try:
+                eps = round_eps(entry, ledger.params.delta)
+            except NoDpGuarantee:
+                return NoDpGuarantee
+            if math.isinf(eps):
+                return math.inf, None, ()
+            total += amplify_subsampling(eps, ledger.params.sampling_ratio)
+        return total, None, ()
     curves = []
     for entry in ledger.entries:
         if entry.eps is not None and math.isinf(entry.eps):
@@ -593,6 +605,15 @@ class TestRunningComposition:
         else:
             assert all(isinstance(o, tuple) for o in outcomes)
 
+    def test_subsampled_simple_total(self):
+        params = dataclasses.replace(RDP_PARAMS, sampling_ratio=0.1)
+        routes = [ClosedFormMode.GENERAL, RdpVariant.WFDP_A, ClosedFormMode.GENERAL,
+                  RdpVariant.THEOREM1_RDP]
+        entries = [rdp_entry(t, route, lam=0.5, params=params) for t, route in enumerate(routes)]
+        outcomes = assert_running_state_matches_fresh(entries, CompositionMode.SIMPLE, params)
+        eps = [round_eps(entry, params.delta) for entry in entries]
+        assert outcomes[-1][0] < sum(eps)
+
     def test_simple_ledger_does_no_curve_work(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("a SIMPLE ledger built a curve on append")
@@ -601,7 +622,9 @@ class TestRunningComposition:
         ledger = RoundLedger(RDP_PARAMS, CompositionMode.SIMPLE)
         for t in range(3):
             ledger.append(rdp_entry(t, RdpVariant.WFDP_A))
-        assert ledger.state is None
+        assert not ledger.state.curves
+        assert ledger.state.bounds == (1.0, math.inf)
+        assert compose(ledger).total_eps == ledger.state.total > 0
 
 
 class TestAccountRound:

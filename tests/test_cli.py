@@ -6,7 +6,38 @@ import json
 import numpy as np
 import pytest
 
+from aggnoise import accountant
+from aggnoise.accountant import (
+    ClosedFormMode,
+    CompositionMode,
+    PrivacyParams,
+    RdpVariant,
+    RoundLedger,
+    account_round,
+    curve_eps,
+    optimize_alpha,
+)
 from aggnoise.cli import EXIT_CONFIG, EXIT_OK, main
+
+CLOSED_PARAMS = PrivacyParams(clip=2.0, batch=100, local_size=400, ns_users=5, delta=1e-3)
+RDP_PARAMS = PrivacyParams(clip=1.0, batch=10, local_size=100, ns_users=50, delta=1e-5,
+                           floor=0.01)
+
+
+def write_ledger(path, params, routes, composition=CompositionMode.SIMPLE, lam=0.25):
+    """A ledger of one account_round entry per route, as ``simulate`` writes it."""
+    ledger = RoundLedger(params, composition)
+    for t, route in enumerate(routes):
+        ledger.append(account_round(lam, params, route, round_index=t))
+    path.write_text(ledger.to_json())
+    return ledger
+
+
+def composed_total(tmp_path, capsys, *flags):
+    out = tmp_path / "composed"
+    assert main(["--out", str(out), "compose", *flags]) == EXIT_OK
+    capsys.readouterr()
+    return json.loads((out / "composed_ledger.json").read_text())
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -438,6 +469,68 @@ class TestComposeCommand:
         assert isinstance(run["total_eps"], float)
         assert again["total_eps"] == run["total_eps"]
         assert again["alpha_star"] == run["alpha_star"]
+
+
+    @pytest.mark.parametrize("malform", ["missing_clip", "unknown_key", "entries_not_list",
+                                         "rounds_not_increasing"])
+    def test_malformed_ledger_is_config_error(self, tmp_path, capsys, malform):
+        path = tmp_path / "ledger.json"
+        write_ledger(path, CLOSED_PARAMS, [ClosedFormMode.GENERAL] * 2)
+        doc = json.loads(path.read_text())
+        if malform == "missing_clip":
+            del doc["params"]["clip"]
+        elif malform == "unknown_key":
+            doc["params"]["sigma"] = 1.0
+        elif malform == "entries_not_list":
+            doc["entries"] = 5
+        else:
+            doc["entries"][1]["round_index"] = 0
+        path.write_text(json.dumps(doc))
+        assert main(["--out", str(tmp_path / "o"), "compose", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: ledger file {path} is malformed")
+
+    def test_simple_delta_override_on_closed_form_rounds_rejected(self, tmp_path, capsys):
+        # their eps holds at the delta they were accounted at, not at --delta
+        path = tmp_path / "closed.json"
+        write_ledger(path, CLOSED_PARAMS, [ClosedFormMode.GENERAL] * 3)
+        rc = main(["--out", str(tmp_path / "o"), "compose", str(path), "--delta", "1e-9"])
+        assert rc == EXIT_CONFIG
+        assert "--delta" in capsys.readouterr().err
+        rc = main(["--out", str(tmp_path / "o"), "compose", str(path), "--mode", "rdp",
+                   "--delta", "0"])
+        assert rc == EXIT_CONFIG
+        assert "--delta" in capsys.readouterr().err
+        same = composed_total(tmp_path, capsys, str(path), "--delta", "1e-3")
+        assert same["params"]["delta"] == 1e-3
+
+    @pytest.mark.parametrize("source", ["rdp_routes", "closed_form"])
+    def test_rdp_delta_override(self, tmp_path, capsys, source):
+        path = tmp_path / "ledger.json"
+        if source == "rdp_routes":
+            ledger = write_ledger(path, RDP_PARAMS, [RdpVariant.WFDP_A, RdpVariant.THEOREM1_RDP,
+                                                     RdpVariant.WFDP_A],
+                                  CompositionMode.RDP, lam=0.5)
+        else:
+            ledger = write_ledger(path, CLOSED_PARAMS, [ClosedFormMode.GENERAL] * 3)
+        composed = composed_total(tmp_path, capsys, str(path), "--mode", "rdp",
+                                  "--delta", "1e-7")
+        curves = [accountant._entry_curve(e, ledger.params) for e in ledger.entries]
+        alpha_star, eps_star = optimize_alpha(curves, 1e-7)
+        assert composed["params"]["delta"] == 1e-7
+        assert composed["total_eps"] == eps_star
+        assert composed["alpha_star"] == alpha_star
+
+    def test_simple_delta_override_on_rdp_rounds(self, tmp_path, capsys):
+        # a curve's eps is optimized at whatever delta it is composed at
+        path = tmp_path / "ledger.json"
+        ledger = write_ledger(path, RDP_PARAMS, [RdpVariant.WFDP_A, RdpVariant.THEOREM1_RDP],
+                              CompositionMode.RDP, lam=0.5)
+        composed = composed_total(tmp_path, capsys, str(path), "--delta", "1e-7")
+        expected = 0.0
+        for entry in ledger.entries:
+            expected += curve_eps(entry.curve, 1e-7)
+        assert composed["params"]["delta"] == 1e-7
+        assert composed["total_eps"] == expected
 
 
 class TestImportCost:
