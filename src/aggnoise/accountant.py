@@ -493,10 +493,14 @@ def _json_float(value: Optional[float]):
     return value
 
 
-def _parse_float(value) -> Optional[float]:
+def _parse_float(value, name: str) -> Optional[float]:
+    """A ledger entry's non-negative float field ("inf" allowed); NaN or a negative value is malformed."""
     if value is None:
         return None
-    return float(value)
+    number = float(value)
+    if not number >= 0:
+        raise ValueError(f"{name} must be a number >= 0, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -533,12 +537,12 @@ class LedgerEntry:
         return cls(
             round_index=d["round_index"],
             route=d["route"],
-            lambda_min=d.get("lambda_min"),
-            eps=_parse_float(d.get("eps")),
+            lambda_min=_parse_float(d.get("lambda_min"), "lambda_min"),
+            eps=_parse_float(d.get("eps"), "eps"),
             delta_total=d.get("delta_total"),
             region=d.get("region"),
             curve=RdpCurve.from_dict(d["curve"]) if d.get("curve") else None,
-            noise_trace=d.get("noise_trace", 0.0),
+            noise_trace=_parse_float(d.get("noise_trace", 0.0), "noise_trace"),
             warnings=tuple(d.get("warnings", ())),
             cause=d.get("cause"),
         )

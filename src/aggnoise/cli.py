@@ -457,9 +457,8 @@ def cmd_spectrum(args) -> int:
             # the what-if: every non-sensitive user floored at --sigma2
             mech = MechanismConfig(MechanismKind.WFDP, args.sigma2, mech.block_count)
         # simulate's round-0 pass, from the same per-user streams
-        _, unfloored, summed, _, _ = noise_round(model, Cohort(users), mech, params.clip, seed, 0)
+        _, spectra, summed, _, _ = noise_round(model, Cohort(users), mech, params.clip, seed, 0)
         ns_users = [user for user in users if user.role is Role.NON_SENSITIVE]
-        spectra = np.concatenate([run.spectrum() for run in unfloored])
         for user, eigvals in zip(ns_users, spectra):
             rows.extend(_spectrum_rows(f"user{user.user_id}", eigvals, mech.floor))
         rows.extend(_spectrum_rows("aggregate", summed.spectrum(), 0.0))

@@ -14,8 +14,12 @@ scheme and local size D, at most ``_STACK_BYTES`` of gradients each. A round
 runs each stack's users together: ``user_update`` is the one definition of a
 stack's updates and unfloored covariance models, and the mechanisms floor and
 draw for the whole stack, every member from its own stream. A single user is a
-stack of one. ``noise_round`` is the one place a round's mechanism is applied:
-it returns the noised submissions, the unfloored models and the summed model
+stack of one. Under unblocked WFDP a non-sensitive Gaussian-sampled or IID-SGD
+stack goes through ``floored_update`` instead: WFDP replaces its updates, so
+each member's spectrum is read first (eigenvalues only), and a member whose
+spectrum the floor covers becomes sigma^2 I with no eigenvectors at all.
+``noise_round`` is the one place a round's mechanism is applied: it returns
+the noised submissions, the unfloored per-user spectra and the summed model
 the accountant reads, and ``aggnoise spectrum --config`` prints round 0 of it.
 A flooring mechanism returns the floored models it sampled from, and those are
 summed, slot by slot, so each model is floored once. Learning-rate scaling
@@ -45,17 +49,21 @@ from ..accountant import (
 )
 from ..errors import ConfigError, SingularCovariance
 from ..mechanisms import (
+    NoisedUpdate,
     SchemeKind,
     UpdateScheme,
+    clipped_gradients,
     compute_update,
     ddp_noise,
     estimate_fedavg_distribution,
+    wfdp_from_spectra,
     wfdp_update,
     wfna_noise,
 )
 from ..spectra import (
     BlockSpec,
     CovarianceModel,
+    GradientMatrix,
     estimate_mean_cov,
     sum_covariances,
 )
@@ -214,7 +222,8 @@ def user_update(
     ``blocks`` is set) estimates from the clipped gradients. They come as a
     list of model stacks covering the members in slot order (see
     ``estimate_mean_cov``); sensitive users get None. Member i draws from
-    ``rngs[i]`` in this order: scheme draw, then FEDAVG replays.
+    ``rngs[i]`` in this order: scheme draw, then FEDAVG replays. Stacks that
+    unblocked WFDP floors from their spectra go through ``floored_update``.
     """
     scheme = stack.scheme
     xs, grads, sampled_from = compute_update(
@@ -242,6 +251,43 @@ def user_update(
     return xs, models
 
 
+def _floors_from_spectra(stack: UserStack, mech: MechanismConfig, blocks: Optional[BlockSpec]) -> bool:
+    """Whether WFDP floors this stack's users from their spectra (see ``floored_update``)."""
+    return (
+        mech.kind is MechanismKind.WFDP
+        and blocks is None
+        and stack.role is Role.NON_SENSITIVE
+        and stack.scheme.kind in (SchemeKind.GAUSSIAN_SAMPLED, SchemeKind.IID_SGD)
+    )
+
+
+def floored_update(
+    stack: UserStack,
+    ops: ModelOps,
+    theta: Array,
+    clip: float,
+    floor: float,
+    rngs: Sequence[np.random.Generator],
+) -> tuple[Array, list[NoisedUpdate]]:
+    """A non-sensitive GAUSSIAN_SAMPLED or IID_SGD stack under unblocked WFDP.
+
+    WFDP replaces the raw update, so a GAUSSIAN_SAMPLED stack makes no draw
+    and no estimate from its gradients; IID_SGD still draws its minibatch,
+    which keeps each stream where ``user_update`` leaves it. The gradients
+    then go through ``wfdp_from_spectra``: each member's spectrum first, and
+    eigenvectors only for a member with an eigenvalue above ``floor``.
+    Returns the members' unfloored spectra (k, dim) and the noised updates of
+    consecutive runs of members, on the clipped-gradient scale.
+    """
+    scheme = stack.scheme
+    drawn = scheme.kind is SchemeKind.GAUSSIAN_SAMPLED
+    if drawn:
+        grads = GradientMatrix(clipped_gradients(stack.phi, stack.labels, ops, theta, clip), clip)
+    else:
+        _, grads, _ = compute_update(scheme, stack.phi, stack.labels, ops, theta, clip, rngs)
+    return wfdp_from_spectra(grads, scheme.batch, floor, rngs, skip_draw=drawn)
+
+
 def noise_round(
     model: GlobalModel,
     cohort: Cohort,
@@ -249,21 +295,21 @@ def noise_round(
     clip: float,
     master_seed: int,
     round_index: int,
-) -> tuple[list[Array], list[CovarianceModel], CovarianceModel, float, bool]:
+) -> tuple[list[Array], Array, CovarianceModel, float, bool]:
     """One round's mechanism pass over every stack, before secure aggregation.
 
     Returns the noised submissions in slot order; the non-sensitive users'
-    unfloored model stacks from ``user_update``; the summed model the
-    accountant reads: the floored models when the mechanism floors (WFDP
-    replaces the update, WFNA adds the lift), plus the variance of the DDP
-    shares; the injected noise trace; and whether any update is only
+    unfloored spectra (n_ns, dim), non-increasing, in slot order; the summed
+    model the accountant reads: the floored models when the mechanism floors
+    (WFDP replaces the update, WFNA adds the lift), plus the variance of the
+    DDP shares; the injected noise trace; and whether any update is only
     approximately Gaussian.
     """
     n_total = len(cohort.users)
     ops = ModelOps(model.family)
     blocks = _blocks_for(model.dim, mech)
     submissions: list[Array] = []
-    unfloored: list[CovarianceModel] = []
+    spectra: list[Array] = []
     summands: list[CovarianceModel] = []
     noise_trace = 0.0
     approx_gaussian = False
@@ -271,35 +317,42 @@ def noise_round(
     for stack in cohort.stacks:
         rngs = [_user_rng(master_seed, round_index, slot) for slot in stack.slots]
         scheme = stack.scheme
-        xs, dist_models = user_update(stack, ops, model.theta, clip, blocks, rngs)
         # FedAvg deltas are already on the update scale; gradient schemes get
         # -eta applied by the scheme update itself.
         update_scale = 1.0 if scheme.kind is SchemeKind.FEDAVG else scheme.learning_rate
+        sign = 1.0 if scheme.kind is SchemeKind.FEDAVG else -1.0
         # each member injects at most one noise trace: a lift or a DDP share
         traces = np.zeros(len(stack.slots))
-        if dist_models is not None:
-            unfloored.extend(dist_models)
-            noised_xs, start = [], 0
-            for dist_model in dist_models:
-                members = slice(start, start + dist_model.mean.shape[0])
-                start = members.stop
-                x = xs[members]
-                noised = None
-                if mech.kind is MechanismKind.WFDP:
-                    noised = wfdp_update(dist_model, mech.sigma2, rngs[members])
-                    sign = 1.0 if scheme.kind is SchemeKind.FEDAVG else -1.0
-                    x = sign * update_scale * noised.vector
-                elif mech.kind is MechanismKind.WFNA:
-                    noised = wfna_noise(dist_model, mech.sigma2, rngs[members])
-                    x = x + update_scale * noised.vector
-                else:
-                    approx_gaussian |= scheme.kind is not SchemeKind.GAUSSIAN_SAMPLED
-                if noised is not None:
-                    dist_model = noised.floored
-                    traces[members] = noised.noise_trace
-                summands.append(dist_model)
-                noised_xs.append(x)
-            xs = np.concatenate(noised_xs)
+        if _floors_from_spectra(stack, mech, blocks):
+            stack_spectra, noised_runs = floored_update(stack, ops, model.theta, clip, mech.sigma2, rngs)
+            spectra.append(stack_spectra)
+            summands.extend(noised.floored for noised in noised_runs)
+            xs = np.concatenate([sign * update_scale * noised.vector for noised in noised_runs])
+            traces = np.concatenate([noised.noise_trace for noised in noised_runs])
+        else:
+            xs, dist_models = user_update(stack, ops, model.theta, clip, blocks, rngs)
+            if dist_models is not None:
+                spectra.extend(run.spectrum() for run in dist_models)
+                noised_xs, start = [], 0
+                for dist_model in dist_models:
+                    members = slice(start, start + dist_model.mean.shape[0])
+                    start = members.stop
+                    x = xs[members]
+                    noised = None
+                    if mech.kind is MechanismKind.WFDP:
+                        noised = wfdp_update(dist_model, mech.sigma2, rngs[members])
+                        x = sign * update_scale * noised.vector
+                    elif mech.kind is MechanismKind.WFNA:
+                        noised = wfna_noise(dist_model, mech.sigma2, rngs[members])
+                        x = x + update_scale * noised.vector
+                    else:
+                        approx_gaussian |= scheme.kind is not SchemeKind.GAUSSIAN_SAMPLED
+                    if noised is not None:
+                        dist_model = noised.floored
+                        traces[members] = noised.noise_trace
+                    summands.append(dist_model)
+                    noised_xs.append(x)
+                xs = np.concatenate(noised_xs)
         if mech.kind is MechanismKind.DDP:
             share = ddp_noise(mech.sigma2, n_total, model.dim, rngs)
             xs = xs + update_scale * share.vector
@@ -312,7 +365,7 @@ def noise_round(
         raise ConfigError("need at least one non-sensitive user for inherent-noise accounting")
     n_ns = sum(m.mean.shape[0] for m in summands)
     summed = sum_covariances(summands, isotropic_extra=_isotropic_extra(mech, n_ns, n_total))
-    return submissions, unfloored, summed, noise_trace, approx_gaussian
+    return submissions, np.concatenate(spectra), summed, noise_trace, approx_gaussian
 
 
 def run_round(
@@ -336,7 +389,7 @@ def run_round(
     """
     cohort = users if isinstance(users, Cohort) else Cohort(users)
     n_total = len(cohort.users)
-    submissions, unfloored, summed, noise_trace, approx_gaussian = noise_round(
+    submissions, spectra, summed, noise_trace, approx_gaussian = noise_round(
         model, cohort, mech, params.clip, master_seed, round_index
     )
 
@@ -352,10 +405,9 @@ def run_round(
     theorem1_context = 0.0
     if route is RdpVariant.THEOREM1_RDP:
         # that bound's context is the per-user spectrum before the 1/B update
-        # scaling, i.e. B times each unfloored model's lambda_min, slot by slot
-        for run in unfloored:
-            for lam in run.spectrum()[:, -1].tolist():
-                theorem1_context += params.batch * lam
+        # scaling, i.e. B times each unfloored lambda_min, slot by slot
+        for lam in spectra[:, -1].tolist():
+            theorem1_context += params.batch * lam
     lambda_min = summed.lambda_min()
     entry = _account(
         summed, lambda_min, theorem1_context, params, route, round_index, noise_trace,

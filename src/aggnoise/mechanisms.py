@@ -14,6 +14,11 @@ gradients, estimates and floors then run as stacked numpy calls; each
 member's draws still come from its own generator, in the order a call on
 that member alone makes them, so each member's result is that call's, bit
 for bit. Members that share one generator draw one after the other.
+
+``wfdp_from_spectra`` is WFDP for a stack whose updates it replaces: it reads
+each member's spectrum first and estimates eigenvectors only for a member
+with an eigenvalue above the floor; a member the floor covers is floored to
+sigma^2 I directly.
 """
 
 from __future__ import annotations
@@ -29,9 +34,12 @@ from .spectra import (
     CovarianceModel,
     GradientMatrix,
     estimate_mean_cov,
+    _lift_trace,
     _member_normals,
+    _runs,
     floor_eigenvalues,
     sample_gaussian,
+    second_moment_spectra,
 )
 
 Array = np.ndarray
@@ -135,6 +143,17 @@ def _sample_runs(runs: Sequence[CovarianceModel], rngs: Sequence[np.random.Gener
     return np.concatenate(draws)
 
 
+def clipped_gradients(phi: Array, labels: Array, model, theta: Array, clip: float) -> Array:
+    """A stack's clipped per-example gradients as (k, dim, D) columns; making them draws nothing.
+
+    They are what IID_SGD, FULL_GD and GAUSSIAN_SAMPLED updates are made from
+    (see ``compute_update``); ``GradientMatrix`` checks them.
+    """
+    if phi.shape[-2] == 0:
+        raise EmptyDataset("user dataset is empty")
+    return _clipped_per_example(model, theta, phi, labels, clip).swapaxes(-1, -2)
+
+
 def compute_update(
     scheme: UpdateScheme,
     phi: Array,
@@ -174,7 +193,7 @@ def compute_update(
         ])
         cols = updates[..., None]
     else:
-        cols = _clipped_per_example(model, theta, phi, labels, clip).swapaxes(-1, -2)  # (k, d, D)
+        cols = clipped_gradients(phi, labels, model, theta, clip)  # (k, d, D)
     gmat = GradientMatrix(cols[0] if single else cols, clip)
     dist = None
     if scheme.kind is SchemeKind.FULL_GD:
@@ -235,6 +254,61 @@ def wfdp_update(model: CovarianceModel, floor: float, rng: Generators) -> Noised
     floored, lift_trace = floor_eigenvalues(model, floor)
     vector = sample_gaussian(floored, rng)
     return NoisedUpdate(vector=vector, noise_trace=lift_trace, floored=floored)
+
+
+def wfdp_from_spectra(
+    grads: GradientMatrix, batch: int, floor: float, rngs: Sequence[np.random.Generator],
+    skip_draw: bool,
+) -> tuple[Array, list[NoisedUpdate]]:
+    """WFDP for a stack of users' clipped gradients, decomposing only what the floor leaves.
+
+    Each member's spectrum comes first, from ``second_moment_spectra``. A
+    member whose spectrum is at or below ``floor`` floors to floor * I: its
+    model stores no eigenpairs and has tail ``floor``, its lift trace is
+    sum_j max(floor - lam_j, 0), and its draw is its mean plus sqrt(floor)
+    times dim normals. A member with an eigenvalue above the floor gets
+    ``estimate_mean_cov`` and ``wfdp_update``, as on its own. With
+    ``skip_draw`` (the GAUSSIAN_SAMPLED draw from the estimate, which WFDP
+    replaces, is not made) each member's stream first skips, in slot order,
+    the normals that draw takes, one per component the estimate keeps, so
+    the floored draws start where they would after it.
+
+    Returns the (k, dim) non-increasing unfloored spectra in slot order (an
+    estimated member's row is its estimate's spectrum) and the noised updates
+    of consecutive runs of members, in slot order.
+    """
+    spectra, widths = second_moment_spectra(grads, batch)
+    cols = grads.columns
+    covered = spectra[:, 0] <= floor
+    runs = []  # (members, None) for a covered run, (members, model) for an estimated one
+    for members in _runs(covered[:, None]):
+        if covered[members.start]:
+            runs.append((members, None))
+            continue
+        start = members.start
+        for model in estimate_mean_cov(GradientMatrix(cols[members], grads.clip_bound), batch):
+            run = slice(start, start + model.mean.shape[0])
+            start = run.stop
+            spectra[run] = model.spectrum()
+            widths[run] = model.n_components
+            runs.append((run, model))
+    if skip_draw:
+        _member_normals(rngs, widths)
+    noised = []
+    for members, model in runs:
+        if model is None:
+            count = members.stop - members.start
+            model = CovarianceModel(
+                mean=cols[members].mean(axis=-1),
+                eigvecs=np.zeros((count, grads.dim, 0)),
+                eigvals=np.zeros((count, 0)),
+                tail=floor,
+            )
+            lift_trace = _lift_trace(spectra[members], floor)
+            noised.append(NoisedUpdate(sample_gaussian(model, rngs[members]), lift_trace, model))
+        else:
+            noised.append(wfdp_update(model, floor, rngs[members]))
+    return spectra, noised
 
 
 def wfna_noise(model: CovarianceModel, floor: float, rng: Generators) -> NoisedUpdate:

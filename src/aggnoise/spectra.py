@@ -20,7 +20,10 @@ sampling-noise covariance of a Gaussian-weighted update with weights
 w ~ N(1/D, I/(B*D)). With D > dim/2 it eigendecomposes that dim x dim matrix;
 with at most half as many gradients as coordinates it eigendecomposes a D x D
 reduction (through a thin QR of the gradients) instead and keeps the
-components above the rank threshold, with tail 0.
+components above the rank threshold, with tail 0. ``second_moment_spectra``
+reads the same matrices' eigenvalues alone, with no eigenvectors and no QR
+(the D x D Gram matrix stands in for the reduction): a caller that only needs
+to know whether a floor covers a user's whole spectrum pays for no more.
 
 Gradient matrices and covariance models also come as stacks, one member per
 user, so that a simulation round estimates, floors, samples and sums a run
@@ -279,13 +282,15 @@ def _any_member(flags) -> bool:
     return bool(flags) if flags.ndim == 0 else bool(flags.any())
 
 
-def _psd_eigh(sym_matrix) -> tuple[Array, Array]:
+def _psd_eigh(sym_matrix, vectors: bool = True) -> tuple[Array, Array | None]:
     """Ascending eigenvalues (tiny negatives clamped to 0) and eigenvectors of PSD matrices.
 
     ``sym_matrix`` is one (dim, dim) matrix or a stack (..., dim, dim); the
     symmetry and clamp checks hold for each member on its own scale, and a
     stack is rejected when any member fails them. Per-member values stay numpy
     scalars for one matrix, which keeps the checks as cheap as scalar code.
+    With ``vectors`` false only the eigenvalues are computed (``eigvalsh``),
+    under the same checks, and None stands in for the eigenvectors.
     """
     mat = _as_float_array(sym_matrix, "matrix")
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
@@ -296,7 +301,11 @@ def _psd_eigh(sym_matrix) -> tuple[Array, Array]:
     bad = asym > 1e-9 * scale
     if _any_member(bad):
         raise NonSymmetric(f"asymmetry {np.max(np.where(bad, asym, 0.0)):.3e} exceeds tolerance")
-    vals, vecs = np.linalg.eigh(0.5 * (mat + mat_t))
+    sym = 0.5 * (mat + mat_t)
+    if vectors:
+        vals, vecs = np.linalg.eigh(sym)
+    else:
+        vals, vecs = np.linalg.eigvalsh(sym), None
     # each member's smallest and largest eigenvalue (.T keeps one matrix's scalars)
     low, high = vals.T[0], vals.T[-1]
     # low < -clamp * max(high, 0), split so that no member needs a max
@@ -444,6 +453,44 @@ def estimate_mean_cov(
     return [CovarianceModel(mean=mean, eigvecs=vecs, eigvals=vals) for mean, vecs, vals in runs]
 
 
+def second_moment_spectra(grads: GradientMatrix, batch: Union[int, Array]) -> tuple[Array, Array]:
+    """Eigenvalues only of each member's 1/(B*D)-scaled second moment, no eigenvectors.
+
+    Returns ``(spectra, widths)``: the (..., dim) non-increasing spectra of
+    the matrices ``estimate_mean_cov`` decomposes, and the number of
+    components it keeps for each member. With more than dim/2 gradients the
+    dim x dim matrix X X^T/(B*D) is decomposed and every member keeps dim;
+    with at most dim/2, the D x D Gram matrix X^T X/(B*D) has the same nonzero
+    eigenvalues (no QR needed), its spectrum is padded with dim - D zeros,
+    and a member keeps the eigenvalues above the rank threshold. A stack is
+    one stacked ``eigvalsh`` call; ``batch`` broadcasts as in
+    ``estimate_mean_cov``. The values agree with the estimates' spectra up to
+    the last bits ``eigvalsh`` and ``eigh`` differ in.
+    """
+    if np.any(np.asarray(batch) < 1):
+        raise ValueError(f"batch must be >= 1, got {batch}")
+    cols = grads.columns
+    batch = np.asarray(batch)[..., None, None]
+    dim, count = cols.shape[-2:]
+    if not _is_thin(cols):
+        vals, _ = _psd_eigh(_second_moment(cols, batch), vectors=False)
+        return vals[..., ::-1], np.full(cols.shape[:-2], dim)
+    vals, _ = _psd_eigh((cols.swapaxes(-1, -2) @ cols) / (batch * count), vectors=False)
+    widths = np.sum(vals > DEFAULT_RANK_TOL * vals[..., -1:], axis=-1)
+    padding = np.zeros(cols.shape[:-2] + (dim - count,))
+    return np.concatenate([vals[..., ::-1], padding], axis=-1), widths
+
+
+def _lift_trace(spectrum: Array, floors: Array) -> Array:
+    """sum_j max(floor - lam_j, 0) over non-increasing spectra, summed largest eigenvalue first.
+
+    The lift of a non-increasing spectrum is non-decreasing; summing it from
+    the largest eigenvalue's end is the order ledgers' noise traces were
+    recorded in. ``floors`` broadcasts against ``spectrum``.
+    """
+    return np.maximum(floors - spectrum, 0.0)[..., ::-1].sum(axis=-1)
+
+
 def floor_eigenvalues(
     model: CovarianceModel, floor: Union[float, Array]
 ) -> tuple[CovarianceModel, Union[float, Array]]:
@@ -460,10 +507,7 @@ def floor_eigenvalues(
     if np.any(np.asarray(floor) < 0):
         raise ValueError(f"floor must be >= 0, got {floor}")
     floors = np.asarray(floor)[..., None]  # a member's floor broadcasts over its eigenvalues
-    # the spectrum is non-increasing, so its lift is not: sum the lift over all
-    # dim eigenvalues largest first, the order ledgers' noise traces were
-    # recorded in
-    lift_trace = np.maximum(floors - model.spectrum(), 0.0)[..., ::-1].sum(axis=-1)
+    lift_trace = _lift_trace(model.spectrum(), floors)
     # the lifted eigenvalues stay non-increasing, so the floored model shares
     # the eigenvectors; the mean it keeps as given, so it gets a copy
     floored = CovarianceModel(

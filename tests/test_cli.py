@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from aggnoise.accountant import (
     curve_eps,
     optimize_alpha,
 )
-from aggnoise.cli import EXIT_CONFIG, EXIT_OK, main
+from aggnoise.cli import EXIT_CONFIG, EXIT_OK, _build_run, main
+from aggnoise.fedsim.models import ModelOps, design
+from aggnoise.mechanisms import clipped_gradients
 
 CLOSED_PARAMS = PrivacyParams(clip=2.0, batch=100, local_size=400, ns_users=5, delta=1e-3)
 RDP_PARAMS = PrivacyParams(clip=1.0, batch=10, local_size=100, ns_users=50, delta=1e-5,
@@ -381,6 +384,27 @@ class TestSpectrumCommand:
             assert all(float(r["floored"]) == 0.005 for r in rows if r["source"] == user
                        and float(r["eigenvalue"]) == 0.0)
 
+    @pytest.mark.parametrize("dataset", [{}, {"features": 39, "per_user": 10}],
+                             ids=["dense", "thin"])
+    def test_covered_users_list_their_second_moment_spectra(self, tmp_path, dataset):
+        # sigma^2 = 0.5 is above every user's spectrum: each floors to 0.5 I
+        cfg, config = write_config(tmp_path, dataset=dataset, mechanism={"sigma2": 0.5})
+        assert main(["--out", str(tmp_path / "spec"), "spectrum", "--config", cfg]) == EXIT_OK
+        with open(tmp_path / "spec" / "spectrum.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        users, model, _, params, _, _, _, _ = _build_run(config, config["seed"])
+        ops = ModelOps(model.family)
+        batch = config["scheme"]["batch"]
+        for user in users[1:]:
+            cols = clipped_gradients(design(user.features)[None], user.labels[None], ops,
+                                     model.theta, params.clip)[0]
+            reference = np.linalg.eigvalsh(cols @ cols.T / (batch * cols.shape[1]))[::-1]
+            values = [float(r["eigenvalue"]) for r in rows if r["source"] == f"user{user.user_id}"]
+            assert values[0] <= 0.5
+            assert np.allclose(values, reference, rtol=1e-12, atol=1e-12 * reference[0])
+        aggregate = [float(r["eigenvalue"]) for r in rows if r["source"] == "aggregate"]
+        assert aggregate == [0.5 + 0.5 + 0.5] * model.dim
+
     def test_requires_input(self, capsys):
         assert main(["spectrum"]) == EXIT_CONFIG
 
@@ -488,6 +512,22 @@ class TestComposeCommand:
         path.write_text(json.dumps(doc))
         assert main(["--out", str(tmp_path / "o"), "compose", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: ledger file {path} is malformed")
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan], ids=["negative", "nan"])
+    @pytest.mark.parametrize("field", ["eps", "lambda_min", "noise_trace"])
+    def test_invalid_entry_value_is_config_error(self, tmp_path, capsys, field, value):
+        # an RDP ledger of closed-form rounds: RDP composition reads only its
+        # lambda_min, SIMPLE composition amplifies its eps
+        path = tmp_path / "ledger.json"
+        write_ledger(path, CLOSED_PARAMS, [ClosedFormMode.GENERAL] * 2, CompositionMode.RDP)
+        doc = json.loads(path.read_text())
+        doc["entries"][1][field] = value
+        path.write_text(json.dumps(doc))
+        rc = main(["--out", str(tmp_path / "o"), "compose", str(path), "--mode", "simple"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: ledger file {path} is malformed")
+        assert field in err
 
     def test_simple_delta_override_on_closed_form_rounds_rejected(self, tmp_path, capsys):
         # their eps holds at the delta they were accounted at, not at --delta

@@ -1,5 +1,6 @@
 """Dataset handling, model families and full federated rounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -39,12 +40,20 @@ from aggnoise.fedsim import (
     run_simulation,
 )
 from aggnoise import accountant, mechanisms
+from aggnoise import spectra as spectra_module
 from aggnoise.fedsim import simulation
 from aggnoise.fedsim.models import ModelOps, design
 from aggnoise.fedsim.secagg import SAChannel
 from aggnoise.fedsim.simulation import Cohort, RoundOutcome
 from aggnoise.mechanisms import SchemeKind, UpdateScheme
-from aggnoise.spectra import CovarianceModel, estimate_mean_cov, sum_covariances
+from aggnoise.spectra import (
+    CovarianceModel,
+    GradientMatrix,
+    estimate_mean_cov,
+    sample_gaussian,
+    second_moment_spectra,
+    sum_covariances,
+)
 
 
 class TestDatasets:
@@ -359,7 +368,7 @@ def members(stack):
 
 
 class TestEstimatesPerRound:
-    def estimate_blocks(self, monkeypatch, block_count):
+    def estimate_blocks(self, monkeypatch, block_count, sigma2=0.01):
         """The ``blocks`` argument of every estimate one WFDP round makes, once per stack member."""
         seen = []
         original = simulation.estimate_mean_cov
@@ -374,14 +383,19 @@ class TestEstimatesPerRound:
         scheme = UpdateScheme(SchemeKind.GAUSSIAN_SAMPLED, batch=10, learning_rate=0.1)
         users, _, family = make_users(4, 1, scheme, seed=27, task="regression", features=4)
         params = PrivacyParams(clip=1.0, batch=10, local_size=40, ns_users=3,
-                               delta=1e-3, floor=0.01)
-        mech = MechanismConfig(MechanismKind.WFDP, sigma2=0.01, block_count=block_count)
+                               delta=1e-3, floor=sigma2)
+        mech = MechanismConfig(MechanismKind.WFDP, sigma2=sigma2, block_count=block_count)
         run_round(init_model(family, 4), users, mech, params, ClosedFormMode.GENERAL,
                   master_seed=8, round_index=0)
         return seen
 
-    def test_gaussian_sampled_user_estimated_once(self, monkeypatch):
-        assert self.estimate_blocks(monkeypatch, 1) == [None] * 4
+    # the non-sensitive users' largest eigenvalues are 0.0239, 0.0194 and 0.0266
+    @pytest.mark.parametrize("sigma2,estimates", [(0.01, 4), (0.022, 3), (0.05, 1)],
+                             ids=["none_covered", "one_covered", "all_covered"])
+    def test_gaussian_sampled_user_estimated_once(self, monkeypatch, sigma2, estimates):
+        # the sensitive user's draw needs its estimate; a non-sensitive user is
+        # estimated only when it has an eigenvalue above the floor, and never twice
+        assert self.estimate_blocks(monkeypatch, 1, sigma2) == [None] * estimates
 
     def test_blockwise_estimate_still_made(self, monkeypatch):
         seen = self.estimate_blocks(monkeypatch, 2)
@@ -466,7 +480,11 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
 
     Each user runs the single-user library calls on its own design rows and
     stream; models are summed as a list of single models, and the training
-    loss reads the users' rows stacked afresh.
+    loss reads the users' rows stacked afresh. Under unblocked WFDP a
+    non-sensitive Gaussian-sampled or IID-SGD user reads its spectrum first:
+    at or below the floor it is floored to sigma^2 I with no estimate, above
+    it is estimated and floored; a Gaussian-sampled user's stream skips the
+    draw WFDP replaces.
     """
     n_total = len(users)
     ops = ModelOps(model.family)
@@ -480,10 +498,46 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
         rng = simulation._user_rng(master_seed, round_index, slot)
         scheme = user.scheme
         phi = design(user.features)
+        update_scale = 1.0 if scheme.kind is SchemeKind.FEDAVG else scheme.learning_rate
+        from_spectrum = (
+            user.role is Role.NON_SENSITIVE and mech.kind is MechanismKind.WFDP and blocks is None
+            and scheme.kind in (SchemeKind.GAUSSIAN_SAMPLED, SchemeKind.IID_SGD)
+        )
+        if from_spectrum:
+            # WFDP replaces the update: the Gaussian-sampled draw is skipped, not made
+            drawn = scheme.kind is SchemeKind.GAUSSIAN_SAMPLED
+            if drawn:
+                cols = mechanisms.clipped_gradients(phi[None], user.labels[None], ops, theta,
+                                                    params.clip)
+                grads = GradientMatrix(cols[0], params.clip)
+            else:
+                _, grads, _ = mechanisms.compute_update(
+                    scheme, phi, user.labels, ops, theta, params.clip, rng
+                )
+            spectrum, width = second_moment_spectra(grads, scheme.batch)
+            if spectrum[0] <= mech.sigma2:
+                # floored to sigma^2 I, from d fresh normals
+                if drawn:
+                    rng.standard_normal(int(width))
+                floored = CovarianceModel(grads.columns.mean(axis=1), np.zeros((dim, 0)),
+                                          np.zeros(0), tail=mech.sigma2)
+                lift = np.maximum(mech.sigma2 - spectrum, 0.0)[::-1].sum()
+                noised = mechanisms.NoisedUpdate(sample_gaussian(floored, rng), lift, floored)
+            else:
+                dist_model = estimate_mean_cov(grads, scheme.batch)
+                spectrum = dist_model.spectrum()
+                if drawn:
+                    rng.standard_normal(dist_model.n_components)
+                noised = mechanisms.wfdp_update(dist_model, mech.sigma2, rng)
+            if route is RdpVariant.THEOREM1_RDP:
+                theorem1_context += params.batch * spectrum[-1]
+            submissions.append(-update_scale * noised.vector)
+            noise_trace += noised.noise_trace
+            ns_models.append(noised.floored)
+            continue
         x, grads, sampled_from = mechanisms.compute_update(
             scheme, phi, user.labels, ops, theta, params.clip, rng
         )
-        update_scale = 1.0 if scheme.kind is SchemeKind.FEDAVG else scheme.learning_rate
         if user.role is Role.NON_SENSITIVE:
             if scheme.kind is SchemeKind.FEDAVG:
                 dist_model = mechanisms.estimate_fedavg_distribution(
@@ -623,6 +677,23 @@ class TestStackedRoundMatchesPerUserLoop:
         assert [members(run) for run in runs] == [1, 1, 2]
         self.both(monkeypatch, users, mech, params, ClosedFormMode.GENERAL, family, 40)
 
+    # the non-sensitive users' largest eigenvalues: d = 5: 0.0591, 0.0492, 0.112,
+    # 0.0468; d = 12: 0.0526, 0.0606, 0.048, 0.0424; d = 40: 0.0316, 0.0318,
+    # 0.0367, 0.0326, so each floor below covers some of them and 0.5 all
+    @pytest.mark.parametrize("dim,sigma2", [(5, 0.06), (12, 0.05), (40, 0.032), (12, 0.5),
+                                            (40, 0.5)])
+    @pytest.mark.parametrize("scheme_kind", [SchemeKind.GAUSSIAN_SAMPLED, SchemeKind.IID_SGD])
+    def test_floor_covering_some_or_all_users(self, monkeypatch, scheme_kind, dim, sigma2):
+        users, _, params, family = self.setup(scheme_kind, "wfdp", dim)
+        mech = MechanismConfig(MechanismKind.WFDP, sigma2)
+        params = dataclasses.replace(params, floor=sigma2)
+        _, spectra, _, _, _ = simulation.noise_round(init_model(family, dim - 1), Cohort(users),
+                                                     mech, params.clip, 3, 1)
+        covered = spectra[:, 0] <= sigma2
+        assert covered.any() and covered.all() == (sigma2 == 0.5)
+        for route in (RdpVariant.THEOREM1_RDP, ClosedFormMode.SINGULAR):
+            self.both(monkeypatch, users, mech, params, route, family, dim)
+
     def test_non_finite_member_raises_the_per_user_error(self, monkeypatch):
         users, mech, params, family = self.setup(SchemeKind.GAUSSIAN_SAMPLED, "wfdp", 5)
         bad = users[3].features.copy()
@@ -651,3 +722,60 @@ class TestStackedRoundMatchesPerUserLoop:
                 fn(init_model(family, 4), users, mech, params, ClosedFormMode.GENERAL, 3, 0)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+
+
+class TestFloorsFromSpectra:
+    """Unblocked WFDP floors a user its floor covers to sigma^2 I, with no eigenvectors."""
+
+    SIGMA2 = 0.5  # above every user's largest eigenvalue
+
+    def setup(self, features):
+        scheme = UpdateScheme(SchemeKind.GAUSSIAN_SAMPLED, batch=5, learning_rate=0.2)
+        users, _, family = make_users(6, 1, scheme, seed=41, task="regression",
+                                      features=features, per_user=20)
+        return users, init_model(family, features), MechanismConfig(MechanismKind.WFDP, self.SIGMA2)
+
+    @pytest.mark.parametrize("features", [11, 59], ids=["dense", "thin"])
+    def test_covered_round_sums_to_isotropic(self, features):
+        users, model, mech = self.setup(features)
+        _, spectra, summed, noise_trace, _ = simulation.noise_round(
+            model, Cohort(users), mech, 1.0, 5, 0
+        )
+        tail = 0.0
+        for _ in users[1:]:  # slot by slot
+            tail += self.SIGMA2
+        assert summed.n_components == 0
+        assert summed.tail == tail and summed.lambda_min() == tail
+        ops = ModelOps(model.family)
+        lifts = 0.0
+        for user, spectrum in zip(users[1:], spectra):
+            cols = mechanisms.clipped_gradients(design(user.features)[None], user.labels[None],
+                                                ops, model.theta, 1.0)[0]
+            moment = cols @ cols.T / (5 * cols.shape[1])
+            # the spectrum is the second moment's, and every eigenvalue is lifted to sigma^2
+            reference = np.linalg.eigvalsh(moment)[::-1]
+            assert np.allclose(spectrum, reference, rtol=1e-12, atol=1e-12 * reference[0])
+            assert spectrum[0] <= self.SIGMA2
+            lifts += model.dim * self.SIGMA2 - np.trace(moment)
+        assert noise_trace == pytest.approx(lifts, rel=1e-12)
+
+    @pytest.mark.parametrize("features", [11, 59], ids=["dense", "thin"])
+    def test_covered_users_are_not_decomposed(self, monkeypatch, features):
+        # a regression guard: eigh and qr run only for the sensitive user's
+        # estimate, which its Gaussian-sampled update is drawn from
+        calls = []
+        for name in ("eigh", "qr"):
+            def counting(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, a.shape))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(spectra_module.np.linalg, name, counting)
+        users, model, mech = self.setup(features)
+        params = PrivacyParams(clip=1.0, batch=5, local_size=20, ns_users=5, delta=1e-3,
+                               floor=self.SIGMA2)
+        run_round(model, users, mech, params, ClosedFormMode.GENERAL, master_seed=5, round_index=0)
+        dim, count = model.dim, 20
+        if 2 * count > dim:
+            assert calls == [("eigh", (1, dim, dim))]
+        else:
+            assert calls == [("qr", (1, dim, count)), ("eigh", (1, count, count))]

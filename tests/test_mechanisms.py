@@ -17,6 +17,7 @@ from aggnoise.mechanisms import (
     compute_update,
     ddp_noise,
     estimate_fedavg_distribution,
+    wfdp_from_spectra,
     wfdp_update,
     wfna_noise,
 )
@@ -27,6 +28,7 @@ from aggnoise.spectra import (
     eig_decompose,
     estimate_mean_cov,
     sample_gaussian,
+    second_moment_spectra,
 )
 
 LINEAR = ModelOps(ModelFamily.LINEAR_REGRESSION)
@@ -296,6 +298,71 @@ class TestStackedMechanisms:
         looped = [sample_gaussian(m, rng_loop) for m in models]
         assert np.array_equal(sample_gaussian(stack, [rng_stack] * 4), np.array(looped))
         assert rng_loop.bit_generator.state == rng_stack.bit_generator.state
+
+
+class TestWfdpFromSpectra:
+    """Members the floor covers are floored to sigma^2 I; the others are estimated and floored."""
+
+    BATCH = 2
+
+    def stack(self, dim, count):
+        # members 1, 2 and 4 have small gradients; the floor sits between the two groups
+        rng = np.random.default_rng(60)
+        cols = rng.standard_normal((5, dim, count))
+        cols /= np.linalg.norm(cols, axis=1, keepdims=True)
+        cols *= np.array([1.0, 0.1, 0.15, 0.9, 0.12])[:, None, None]
+        grads = GradientMatrix(cols, 1.0)
+        top = second_moment_spectra(grads, self.BATCH)[0][:, 0]
+        floor = 0.5 * (max(top[[1, 2, 4]]) + min(top[[0, 3]]))
+        return grads, floor
+
+    @pytest.mark.parametrize("dim,count", [(6, 10), (30, 6)], ids=["dense", "thin"])
+    @pytest.mark.parametrize("skip_draw", [True, False])
+    def test_mixed_stack_matches_per_member_calls(self, dim, count, skip_draw):
+        grads, floor = self.stack(dim, count)
+        spectra, runs = wfdp_from_spectra(
+            grads, self.BATCH, floor, [np.random.default_rng(i) for i in range(5)], skip_draw
+        )
+        assert [run.vector.shape[0] for run in runs] == [1, 2, 1, 1]
+        members = [(run, j) for run in runs for j in range(run.vector.shape[0])]
+        for i, cols in enumerate(grads.columns):
+            run, j = members[i]
+            rng = np.random.default_rng(i)
+            one = GradientMatrix(cols, 1.0)
+            if i in (0, 3):
+                model = estimate_mean_cov(one, self.BATCH)
+                if skip_draw:
+                    rng.standard_normal(model.n_components)  # the Gaussian-sampled draw
+                expected = wfdp_update(model, floor, rng)
+                assert np.array_equal(spectra[i], model.spectrum())
+                assert np.array_equal(run.floored.eigvecs[j], expected.floored.eigvecs)
+                assert np.array_equal(run.floored.eigvals[j], expected.floored.eigvals)
+            else:
+                spectrum, width = second_moment_spectra(one, self.BATCH)
+                assert np.array_equal(spectra[i], spectrum)
+                assert width == (dim if 2 * count > dim else count)
+                if skip_draw:
+                    rng.standard_normal(int(width))
+                # sigma^2 I: no eigenpairs, tail sigma^2, the mean plus sigma times d normals
+                model = CovarianceModel(cols.mean(axis=1), np.zeros((dim, 0)), np.zeros(0), floor)
+                lift = np.maximum(floor - spectrum, 0.0)[::-1].sum()
+                expected = NoisedUpdate(sample_gaussian(model, rng), lift, model)
+                assert run.floored.n_components == 0 and run.floored.tail[j] == floor
+                # every eigenvalue is lifted: d sigma^2 minus the second moment's trace
+                trace = np.trace(cols @ cols.T) / (self.BATCH * count)
+                assert run.noise_trace[j] == pytest.approx(dim * floor - trace, rel=1e-12)
+            assert np.array_equal(run.vector[j], expected.vector)
+            assert run.noise_trace[j] == expected.noise_trace
+
+    def test_uncovered_stack_equals_estimate_and_wfdp_update(self):
+        grads, floor = self.stack(6, 10)
+        rngs = [np.random.default_rng(i) for i in range(5)]
+        spectra, (run,) = wfdp_from_spectra(grads, self.BATCH, 0.0, rngs, skip_draw=False)
+        (model,) = estimate_mean_cov(grads, self.BATCH)
+        expected = wfdp_update(model, 0.0, [np.random.default_rng(i) for i in range(5)])
+        assert np.array_equal(spectra, model.spectrum())
+        assert np.array_equal(run.vector, expected.vector)
+        assert np.array_equal(run.floored.eigvecs, expected.floored.eigvecs)
 
 
 class TestWfnaNoise:

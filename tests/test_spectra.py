@@ -25,6 +25,7 @@ from aggnoise.spectra import (
     floor_eigenvalues,
     renyi_gaussian,
     sample_gaussian,
+    second_moment_spectra,
     span_contains,
     sum_covariances,
     _psd_eigh,
@@ -170,6 +171,47 @@ class TestStackedPrimitives:
                 assert lift[i] == one_lift
             members += run.mean.shape[0]
         assert members == 4
+
+    def test_eigenvalues_only_keep_every_check(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((3, 4, 4))
+        stack = a @ a.swapaxes(-1, -2)
+        vals, vecs = _psd_eigh(stack, vectors=False)
+        assert vecs is None
+        assert np.allclose(vals, _psd_eigh(stack)[0], rtol=1e-13, atol=0.0)
+        big = 1e6 * np.eye(2)
+        with pytest.raises(NonSymmetric):
+            _psd_eigh(np.stack([big, np.array([[1.0, 1e-6], [0.0, 1.0]])]), vectors=False)
+        with pytest.raises(NotPositiveSemidefinite, match="-1.000e-06"):
+            _psd_eigh(np.stack([big, np.diag([1.0, -1e-6])]), vectors=False)
+        low, _ = _psd_eigh(np.stack([big, np.diag([1.0, -1e-12])]), vectors=False)
+        assert low[1, 0] == 0.0  # within the clamp, clamped
+        with pytest.raises(DimensionMismatch):
+            _psd_eigh(np.zeros((2, 3, 4)), vectors=False)
+
+    @pytest.mark.parametrize("dim, count", [(4, 7), (12, 4)], ids=["dense", "thin"])
+    def test_second_moment_spectra_match_the_estimates(self, dim, count):
+        rng = np.random.default_rng(8)
+        cols = rng.standard_normal((4, dim, count))
+        cols /= np.linalg.norm(cols, axis=-2, keepdims=True)
+        cols[1, :, 2:] = 0.0  # rank deficient: the thin estimate keeps 2 components
+        batch = np.array([1, 3, 2, 4])
+        grads = GradientMatrix(cols, 1.0)
+        spectra, widths = second_moment_spectra(grads, batch)
+        assert spectra.shape == (4, dim)
+        for k in range(4):
+            one = GradientMatrix(cols[k], 1.0)
+            model = estimate_mean_cov(one, int(batch[k]))
+            reference = np.linalg.eigvalsh(_second_moment(cols[k], int(batch[k])))[::-1]
+            assert np.all(spectra[k, :-1] >= spectra[k, 1:])
+            assert np.allclose(spectra[k], reference, rtol=1e-12, atol=1e-12 * reference[0])
+            assert np.allclose(spectra[k], model.spectrum(), rtol=1e-12, atol=1e-12 * reference[0])
+            assert widths[k] == model.n_components
+            # a member alone gets the values it gets in the stack
+            one_spectrum, one_width = second_moment_spectra(one, int(batch[k]))
+            assert np.array_equal(one_spectrum, spectra[k]) and one_width == widths[k]
+        with pytest.raises(ValueError, match="batch must be >= 1"):
+            second_moment_spectra(grads, 0)
 
     def test_per_member_batch_or_floor_below_range_raises(self):
         grads = GradientMatrix(np.full((2, 3, 4), 0.1), 1.0)
