@@ -1,11 +1,12 @@
 """Privacy accounting for aggregated-update noise.
 
 Implements the closed-form (eps, delta) bounds driven by the smallest
-eigenvalue of the aggregate update covariance, the RDP bounds for the
-eigenvalue-floored mechanism (both printed variants, which disagree and are
-adjudicated empirically by the verify module), RDP-to-DP conversion, order
-optimization, subsampling amplification, and multi-round composition over a
-round ledger.
+eigenvalue of the aggregate update covariance, the exact delta(eps) of the
+Gaussian mechanism (with Phi and log Phi from ``math`` alone), the RDP
+bounds for the eigenvalue-floored mechanism (both printed variants, which
+disagree and are adjudicated empirically by the verify module), RDP-to-DP
+conversion, order optimization, subsampling amplification, and multi-round
+composition over a round ledger.
 
 Every total epsilon comes from ``compose``, in the mode the ledger was built
 with; ``round_eps`` is the one map from a ledger entry to its per-round eps.
@@ -182,6 +183,59 @@ def eps_dp_closed_form(
             f"delta={delta:.3g} >= f(eps)={bound:.3g} in the low-privacy region"
         )
     return ClosedFormBound(eps=eps, region=Region.LOW, delta_bound=bound, warnings=tuple(warnings))
+
+
+def norm_cdf(x: float) -> float:
+    """Standard normal CDF Phi(x)."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def log_norm_cdf(x: float) -> float:
+    """log Phi(x), accurate in both tails.
+
+    It is log1p(-Phi(-x)) for x > 0 and log(Phi(x)) for -20 <= x <= 0.
+    Below -20 it is the asymptotic series of Abramowitz & Stegun 26.2.12,
+    log phi(x) - log(-x) + log(1 - 1/x^2 + 1*3/x^4 - ...), summed until a
+    term falls below 1e-17. The k-th term is (2k-1)!!/x^(2k), so that takes
+    at most 10 terms (none once x^2 overflows); a NaN never reaches the
+    series.
+    """
+    if x < -20.0:
+        inv2 = 1.0 / (x * x)
+        term, total, k = 1.0, 0.0, 1
+        while abs(term) >= 1e-17:
+            term *= -(2 * k - 1) * inv2
+            total += term
+            k += 1
+        return -0.5 * x * x - 0.5 * math.log(2.0 * math.pi) - math.log(-x) + math.log1p(total)
+    if x > 0.0:
+        return math.log1p(-norm_cdf(-x))
+    return math.log(norm_cdf(x))
+
+
+def analytic_gaussian_delta(sensitivity: float, noise_std: float, eps: float) -> float:
+    """Exact delta(eps) of the Gaussian mechanism (hockey-stick divergence).
+
+    delta = Phi(D/(2s) - eps s/D) - e^eps Phi(-D/(2s) - eps s/D) for
+    sensitivity D > 0 and noise scale s (Balle & Wang, ICML 2018). It is 0 at
+    D = 0 or eps = inf, and 1 at D = inf for finite eps. Evaluated in log
+    space so the e^eps * Phi(...) product stays accurate far in the tail.
+    """
+    if not sensitivity >= 0:
+        raise ValueError(f"sensitivity must be >= 0, got {sensitivity}")
+    if not 0 < noise_std < math.inf:
+        raise ValueError(f"noise_std must be positive and finite, got {noise_std}")
+    if not eps >= 0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
+    if sensitivity == 0.0 or eps == math.inf:
+        return 0.0
+    if sensitivity == math.inf:
+        return 1.0
+    a = sensitivity / (2.0 * noise_std)
+    b = eps * noise_std / sensitivity
+    first = norm_cdf(a - b)
+    second = math.exp(eps + log_norm_cdf(-a - b))
+    return max(first - second, 0.0)
 
 
 @dataclass(frozen=True)

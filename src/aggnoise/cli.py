@@ -41,6 +41,7 @@ from .accountant import (
 )
 from .errors import (
     AggNoiseError,
+    BadDimension,
     ConfigError,
     DeltaOutOfRegion,
     EmptyValidityInterval,
@@ -472,7 +473,17 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value, least in (("--trials-closed", args.trials_closed, 0),
+                               ("--trials-rdp", args.trials_rdp, 0),
+                               ("--ce-trials", args.ce_trials, 1),
+                               ("--advantage-trials", args.advantage_trials, 1)):
+        if value < least:
+            raise ConfigError(f"{flag}: expected an integer >= {least}, got {value}")
     seed = args.seed if args.seed is not None else 0
+    try:  # built before the suites, on its own generator, so a bad --ce-dim runs none of them
+        ce = verify_mod.build_counterexample(args.ce_dim, rng=np.random.default_rng(seed + 1))
+    except BadDimension as exc:
+        raise ConfigError(f"--ce-dim: {exc}") from None
     rng = np.random.default_rng(seed)
     report: dict = {"seed": seed}
     failures = 0
@@ -504,7 +515,6 @@ def cmd_verify(args) -> int:
     # documented, not asserted: the printed low-privacy branch vs the oracle
     report["low_region_probe"] = verify_mod.probe_low_region().to_dict()
 
-    ce = verify_mod.build_counterexample(args.ce_dim, rng=np.random.default_rng(seed + 1))
     verdict = verify_mod.check_necessary_condition(ce.all_gradients(), ce.replacement)
     success = verify_mod.run_distinguisher(ce, args.ce_trials, np.random.default_rng(seed + 2))
     report["counterexample"] = {

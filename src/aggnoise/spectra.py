@@ -28,10 +28,10 @@ to know whether a floor covers a user's whole spectrum pays for no more.
 Gradient matrices and covariance models also come as stacks, one member per
 user, so that a simulation round estimates, floors, samples and sums a run
 of users in stacked numpy calls, and ``verify``'s dominance suites estimate
-and floor many instances' users at once; a member may carry its own batch
-size and floor. A member's result is bit for bit the one its user would get
-alone: members keep a single model's memory layout, and each draws its
-normals from its own generator.
+and floor many instances' users at once; a member may carry its own clip
+bound, batch size and floor. A member's result is bit for bit the one its
+user would get alone: members keep a single model's memory layout, and each
+draws its normals from its own generator.
 """
 
 from __future__ import annotations
@@ -73,12 +73,14 @@ class GradientMatrix:
     ``columns`` is one (dim, count) array or a stack (..., dim, count) of
     them, one member per user. Every column must have Euclidean norm <=
     clip_bound (up to 1e-9 relative slack); that bound is what every privacy
-    formula downstream leans on. Each member is checked on its own: a stack
-    is rejected with the first offending member's worst norm.
+    formula downstream leans on. ``clip_bound`` is one C for every member or
+    an array of per-member bounds that broadcasts over the stack's leading
+    axes. Each member is checked against its own bound: a stack is rejected
+    with the first offending member's worst norm and bound.
     """
 
     columns: Array
-    clip_bound: float
+    clip_bound: Union[float, Array]
 
     def __post_init__(self):
         cols = _as_float_array(self.columns, "gradient columns")
@@ -88,17 +90,21 @@ class GradientMatrix:
             raise EmptyGradients("gradient matrix has zero columns")
         if cols.shape[-2] == 0:
             raise DimensionMismatch("gradient matrix has zero rows")
-        if not self.clip_bound > 0:
+        clip = np.asarray(self.clip_bound, dtype=float)
+        if clip.ndim > cols.ndim - 2:
+            raise DimensionMismatch(
+                f"clip bounds of shape {clip.shape} for a stack of shape {cols.shape[:-2]}"
+            )
+        if not (clip > 0).all():
             raise ValueError(f"clip_bound must be positive, got {self.clip_bound}")
         norms = np.linalg.norm(cols, axis=-2)
-        over = norms > self.clip_bound * (1.0 + 1e-9)
+        over = norms > clip[..., None] * (1.0 + 1e-9)
         if over.any():
             # the first member with an over-long column, as a per-user loop meets it
             first = np.unravel_index(np.argmax(over.any(axis=-1)), over.shape[:-1])
             worst = float(norms[first].max())
-            raise ValueError(
-                f"column norm {worst:.6g} exceeds clip bound {self.clip_bound:.6g}"
-            )
+            bound = float(np.broadcast_to(clip, over.shape[:-1])[first])
+            raise ValueError(f"column norm {worst:.6g} exceeds clip bound {bound:.6g}")
         object.__setattr__(self, "columns", cols)
 
     @property

@@ -2,21 +2,24 @@
 
 Everything the accountant claims is checked here against exact computations
 on small instances: the span-membership necessary condition, the
-distinguisher counterexample it rules out, the exact Gaussian-mechanism
-delta(eps) oracle, and dominance harnesses that pit each bound against the
-exact Renyi divergence / exact delta on randomized instances. The harnesses
-never throw on a failed comparison; they report, so an unsound printed bound
-variant shows up as data rather than a crash.
+distinguisher counterexample it rules out, and dominance harnesses that pit
+each bound against the exact Renyi divergence, or against the exact
+Gaussian-mechanism delta(eps) (``accountant.analytic_gaussian_delta``), on
+randomized instances. The harnesses never throw on a failed comparison; they
+report, so an unsound printed bound variant shows up as data rather than a
+crash.
 
 The closed-form harness evaluates one substitution pair per instance, the
 extremal one: a difference of 2C/B along the aggregate's minimal
 eigenvector. Its whitened sensitivity 2C/(B sqrt(lambda_min)) is the supremum
 over all pairs of clipped gradients, so random pairs could only come out
-lower. Both harnesses draw their instances a run of trials at a time. They
-estimate and floor the users' models through ``spectra.estimate_mean_cov``
-and ``spectra.floor_eigenvalues``, one stack per dimension and gradient
-count, and sum and eigendecompose the aggregates as stacks per dimension,
-with the same bits as summing each instance through ``sum_covariances``.
+lower. Both harnesses draw their instances a run of trials at a time, as
+plain arrays. One ``GradientMatrix`` per dimension and gradient count checks
+every user's gradients against that user's own trial clip, and
+``spectra.estimate_mean_cov`` and ``spectra.floor_eigenvalues`` estimate and
+floor the users' models from it. The aggregates are summed and
+eigendecomposed as stacks per dimension, with the same bits as summing each
+instance through ``sum_covariances``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .accountant import (
     ClosedFormMode,
     PrivacyParams,
     RdpVariant,
+    analytic_gaussian_delta,
     eps_dp_closed_form,
     rdp_bound,
 )
@@ -244,60 +248,34 @@ def counterexample_floored_lambda_min(instance: Counterexample, floor: float) ->
     return _floored_sum(instance.helpers, instance.batch, floor).lambda_min()
 
 
-def analytic_gaussian_delta(sensitivity: float, noise_std: float, eps: float) -> float:
-    """Exact delta(eps) of the Gaussian mechanism (hockey-stick divergence).
-
-    delta = Phi(D/(2s) - eps s/D) - e^eps Phi(-D/(2s) - eps s/D) for
-    sensitivity D > 0 and noise scale s; identically 0 at D = 0. Evaluated in
-    log space so the e^eps * Phi(...) product stays accurate far in the tail.
-    """
-    if sensitivity < 0:
-        raise ValueError(f"sensitivity must be >= 0, got {sensitivity}")
-    if not noise_std > 0:
-        raise ValueError(f"noise_std must be positive, got {noise_std}")
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    if sensitivity == 0.0:
-        return 0.0
-    # imported here so that loading the CLI, which imports this module, loads no scipy
-    from scipy.special import log_ndtr, ndtr
-
-    a = sensitivity / (2.0 * noise_std)
-    b = eps * noise_std / sensitivity
-    first = ndtr(a - b)
-    second = math.exp(eps + log_ndtr(-a - b))
-    return max(float(first - second), 0.0)
-
-
-def _random_clipped_columns(
-    dim: int, count: int, clip: float, rng: np.random.Generator
-) -> GradientMatrix:
+def _random_clipped_columns(dim: int, count: int, clip: float, rng: np.random.Generator) -> Array:
     cols = rng.standard_normal((dim, count))
     norms = np.linalg.norm(cols, axis=0)
     scales = clip * (0.6 + 0.4 * rng.random(count)) / norms
-    return GradientMatrix(cols * scales, clip)
+    return cols * scales
 
 
 def _estimates(
-    sets: Sequence[GradientMatrix], batch: Array, floor: Optional[Array] = None
+    sets: Sequence[Array], clip: Array, batch: Array, floor: Optional[Array] = None
 ) -> CovarianceModel:
-    """Every set's model as one stack, member i being ``estimate_mean_cov(sets[i], batch[i])``.
+    """Every set's model as one stack, member i being
+    ``estimate_mean_cov(GradientMatrix(sets[i], clip[i]), batch[i])``.
 
-    The sets are estimated one stack per gradient count and, when ``floor`` is
-    given, floored at ``floor[i]`` in one ``floor_eigenvalues`` call. Every
-    set has the same dim and more than dim/2 gradients, so every model is
-    full-dimension.
+    ``sets`` are raw (dim, count) gradient draws. They are checked and
+    estimated one stack per gradient count, each member against its own
+    ``clip[i]``, and, when ``floor`` is given, floored at ``floor[i]`` in one
+    ``floor_eigenvalues`` call. Every set has the same dim and more than dim/2
+    gradients, so every model is full-dimension.
     """
-    counts = np.array([g.count for g in sets])
-    dim = sets[0].dim
+    counts = np.array([g.shape[1] for g in sets])
+    dim = sets[0].shape[0]
     means = np.empty((len(sets), dim))
     vals = np.empty((len(sets), dim))
     vecs = np.empty((len(sets), dim, dim))
     for count in np.unique(counts):
         idx = np.flatnonzero(counts == count)
-        # each set was checked against its own trial's clip when it was drawn
-        cols = np.stack([sets[i].columns for i in idx])
-        (model,) = estimate_mean_cov(GradientMatrix(cols, max(sets[i].clip_bound for i in idx)), batch[idx])
+        cols = np.stack([sets[i] for i in idx])
+        (model,) = estimate_mean_cov(GradientMatrix(cols, clip[idx]), batch[idx])
         means[idx], vals[idx], vecs[idx] = model.mean, model.eigvals, model.eigvecs
     models = CovarianceModel(means, vecs, vals)
     return models if floor is None else floor_eigenvalues(models, floor)[0]
@@ -352,8 +330,8 @@ def _in_stacks(n_trials: int, evaluate) -> list[DominanceReport]:
 @dataclass
 class _Trial:
     params: PrivacyParams  # its floor is the one every user's model is floored at
-    users: list[GradientMatrix]
-    substituted: Optional[GradientMatrix] = None  # certify_rdp: users[0], first gradient replaced
+    users: list[Array]  # raw (dim, count) draws, checked against params.clip by _estimates
+    substituted: Optional[Array] = None  # certify_rdp: users[0], first gradient replaced
 
 
 def certify_closed_form(n_trials: int, rng: np.random.Generator) -> list[DominanceReport]:
@@ -399,11 +377,12 @@ def _closed_form_stack(n_trials: int, first: int, rng: np.random.Generator) -> l
 
     lam_min = np.empty(n_trials)
     sensitivity = np.empty(n_trials)
-    for idx in _by_dim([t.users[0].dim for t in trials]):
+    for idx in _by_dim([t.users[0].shape[0] for t in trials]):
         group = [trials[i] for i in idx]
         sizes = np.array([len(t.users) for t in group])
         models = _estimates(
             [g for t in group for g in t.users],
+            np.repeat([t.params.clip for t in group], sizes),
             np.repeat([t.params.batch for t in group], sizes),
             np.repeat([t.params.floor for t in group], sizes),
         )
@@ -426,7 +405,7 @@ def _closed_form_stack(n_trials: int, first: int, rng: np.random.Generator) -> l
         reports.append(
             DominanceReport(
                 descriptor=(
-                    f"closed_form trial={first + trial} d={t.users[0].dim} N={p.ns_users} "
+                    f"closed_form trial={first + trial} d={t.users[0].shape[0]} N={p.ns_users} "
                     f"D={p.local_size} B={p.batch} C={p.clip:.3f} delta={p.delta:g} "
                     f"region={bound.region.value} lam={lam:.3e} eps={bound.eps:.4f}"
                 ),
@@ -464,10 +443,10 @@ def probe_low_region(delta: float = 1e-3) -> DominanceReport:
     )
 
 
-def _substitute_column(grads: GradientMatrix, new_col: Array) -> GradientMatrix:
-    cols = grads.columns.copy()
+def _substitute_column(cols: Array, new_col: Array) -> Array:
+    cols = cols.copy()
     cols[:, 0] = new_col
-    return GradientMatrix(cols, grads.clip_bound)
+    return cols
 
 
 def _random_clipped(dim: int, clip: float, rng: np.random.Generator) -> Array:
@@ -521,7 +500,7 @@ def _rdp_stack(
             cols = rng.standard_normal((dim, count))
             norms = np.linalg.norm(cols, axis=0)
             scales = clip * (0.7 + 0.3 * rng.random(count)) / norms
-            users.append(GradientMatrix(cols * scales, clip))
+            users.append(cols * scales)
         substituted = _substitute_column(users[0], _random_clipped(dim, clip, rng))
 
         if variant is RdpVariant.THEOREM1_RDP:
@@ -537,13 +516,14 @@ def _rdp_stack(
     # THEOREM1_RDP's context: the users' summed unit-batch (1/D-scaled) lambda_min
     context = np.zeros(n_trials)
     aggregates = []  # per dim: trial indices, then means, covariances and spectra of p and q
-    for idx in _by_dim([t.users[0].dim for t in trials]):
+    for idx in _by_dim([t.users[0].shape[0] for t in trials]):
         group = [trials[i] for i in idx]
         sizes = np.array([len(t.users) for t in group])
         sets = [g for t in group for g in t.users + [t.substituted]]
         # a zero floor (THEOREM1_RDP) leaves the clamped spectra as they are
         models = _estimates(
             sets,
+            np.repeat([t.params.clip for t in group], sizes + 1),
             np.repeat([t.params.batch for t in group], sizes + 1),
             np.repeat([t.params.floor for t in group], sizes + 1),
         )
@@ -556,7 +536,9 @@ def _rdp_stack(
                            sum_p.eigvals, sum_q.eigvals))
         if variant is RdpVariant.THEOREM1_RDP:
             unit = [g for t in group for g in t.users]
-            unit_vals = _estimates(unit, np.ones(len(unit), dtype=int)).eigvals
+            unit_vals = _estimates(
+                unit, np.repeat([t.params.clip for t in group], sizes), np.ones(len(unit), dtype=int)
+            ).eigvals
             slots = _slot_table(sizes, sizes)
             unit_min = np.where(slots >= 0, unit_vals[slots, -1], 0.0)
             for k in range(slots.shape[1]):  # slot by slot, the order sum() adds them in
@@ -589,7 +571,7 @@ def _rdp_stack(
             reports.append(
                 DominanceReport(
                     descriptor=(
-                        f"{variant.value} trial={first + trial} alpha={alpha:g} d={t.users[0].dim} "
+                        f"{variant.value} trial={first + trial} alpha={alpha:g} d={t.users[0].shape[0]} "
                         f"N={p.ns_users} D={p.local_size} B={p.batch} C={p.clip:.3f}"
                         + (f" sigma2={p.floor:.3e}" if p.floor else "")
                     ),

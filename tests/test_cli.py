@@ -590,9 +590,8 @@ class TestImportCost:
         assert out.stdout.strip() == "False"
 
     def test_cli_loads_verify_but_no_scipy(self):
-        # verify's scipy import waits for the first exact-delta evaluation, so
-        # simulate/account/spectrum runs load no scipy at all; verify itself
-        # stays loaded at import time, where traced runs look for its bindings
+        # nothing in the package imports scipy; verify itself stays loaded at
+        # import time, where traced runs look for its bindings
         import os
         import subprocess
         import sys
@@ -609,6 +608,28 @@ class TestImportCost:
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "True []"
+
+    def test_verify_run_loads_no_scipy(self, tmp_path):
+        # the exact Gaussian delta oracle and every suite run on numpy and math alone
+        import os
+        import subprocess
+        import sys
+
+        import aggnoise
+
+        src = os.path.dirname(os.path.dirname(aggnoise.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = ["--out", str(tmp_path), "--seed", "0", "verify", "--trials-closed", "20",
+                "--trials-rdp", "10", "--ce-trials", "300", "--advantage-trials", "20000"]
+        probe = (
+            "import sys; from aggnoise.cli import main; "
+            f"rc = main({argv!r}); "
+            "print(rc, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "0 []"
+        assert (tmp_path / "verify_report.json").exists()
 
 
 class TestVerifyCommand:
@@ -635,6 +656,25 @@ class TestVerifyCommand:
         report = json.loads((out / "verify_report.json").read_text())
         assert report["closed_form"]["total"] == 0 and report["closed_form"]["sound"]
         assert all(s["total"] == 0 and s["sound"] for s in report["rdp"].values())
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--advantage-trials", "0"),
+        ("--ce-trials", "0"),
+        ("--ce-trials", "-3"),
+        ("--trials-closed", "-1"),
+        ("--trials-rdp", "-1"),
+        ("--ce-dim", "6"),
+        ("--ce-dim", "0"),
+        ("--ce-dim", "-8"),
+    ])
+    def test_bad_flag_exits_before_any_suite(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        rc = main(["--out", str(out), "--seed", "0", "verify", flag, value])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+        assert not (out / "verify_report.json").exists()
 
     def test_thin_counterexample_passes(self, tmp_path):
         # at --ce-dim 64 the helpers' floored sum is isotropic with no stored

@@ -287,6 +287,37 @@ class TestGradientMatrix:
         g = GradientMatrix(np.zeros((5, 7)), clip_bound=1.0)
         assert g.dim == 5 and g.count == 7
 
+    def test_scalar_clip_unchanged(self):
+        cols = np.stack([np.eye(2), 2.0 * np.eye(2)])
+        g = GradientMatrix(cols, clip_bound=2.0)
+        assert g.clip_bound == 2.0 and g.columns.shape == (2, 2, 2)
+        with pytest.raises(ValueError, match=r"column norm 2 exceeds clip bound 1\b"):
+            GradientMatrix(cols, clip_bound=1.0)
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="clip_bound must be positive"):
+                GradientMatrix(cols, clip_bound=bad)
+
+    def test_per_member_clip_checks_each_member_against_its_own(self):
+        # member norms 1, 3, 2, 5 against bounds 1, 4, 1.5, 4: members 2 and 3
+        # are over; the message names member 2's worst norm and its own bound
+        cols = np.stack([s * np.eye(3)[:, :2] for s in (1.0, 3.0, 2.0, 5.0)])
+        GradientMatrix(cols[:2], clip_bound=np.array([1.0, 4.0]))
+        with pytest.raises(ValueError, match=r"column norm 2 exceeds clip bound 1\.5\b"):
+            GradientMatrix(cols, clip_bound=np.array([1.0, 4.0, 1.5, 4.0]))
+        # the largest bound alone would pass member 2
+        with pytest.raises(ValueError, match=r"column norm 5 exceeds clip bound 4\b"):
+            GradientMatrix(cols, clip_bound=np.array([1.0, 4.0, 2.0, 4.0]))
+        GradientMatrix(cols.reshape(2, 2, 3, 2), clip_bound=np.array([[1.0, 3.0], [2.0, 5.0]]))
+
+    @pytest.mark.parametrize("clip", [[1.0, 0.0], [1.0, -2.0], [float("nan"), 1.0]])
+    def test_per_member_clip_must_be_positive(self, clip):
+        with pytest.raises(ValueError, match="clip_bound must be positive"):
+            GradientMatrix(np.zeros((2, 3, 4)), clip_bound=np.array(clip))
+
+    def test_per_member_clip_needs_a_stack(self):
+        with pytest.raises(DimensionMismatch):
+            GradientMatrix(np.zeros((3, 4)), clip_bound=np.array([1.0, 1.0, 1.0]))
+
 
 class TestEstimateMeanCov:
     def test_two_axis_vectors(self):

@@ -1,17 +1,22 @@
 """Oracle module self-checks: the verifiers are verified here."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import log_ndtr, ndtr
 from scipy.stats import norm
 
 from aggnoise.accountant import (
     ClosedFormMode,
     PrivacyParams,
     RdpVariant,
+    analytic_gaussian_delta,
     eps_dp_closed_form,
+    log_norm_cdf,
+    norm_cdf,
     rdp_bound,
 )
 from aggnoise.errors import BadDimension
@@ -26,11 +31,11 @@ from aggnoise.verify import (
     Counterexample,
     DominanceReport,
     Verdict,
+    _estimates,
     _floored_sum,
     _random_clipped,
     _random_clipped_columns,
     _substitute_column,
-    analytic_gaussian_delta,
     build_counterexample,
     certify_closed_form,
     certify_rdp,
@@ -56,7 +61,9 @@ def closed_form_instances(n_trials, rng):
         root = math.sqrt(2.0 * math.log(1.25 / delta))
         lambda_0 = 4.0 * clip * clip * root / (batch * batch)
         floor = lambda_0 / n_users * float(rng.choice([1.05, 2.0, 5.0, 20.0]))
-        users = [_random_clipped_columns(dim, count, clip, rng) for _ in range(n_users)]
+        # the reference path checks each user's draw against its clip on its own
+        users = [GradientMatrix(_random_clipped_columns(dim, count, clip, rng), clip)
+                 for _ in range(n_users)]
         yield params, floor, users
 
 
@@ -99,7 +106,8 @@ def per_instance_rdp(variant, n_trials, rng, alphas=(1.5, 2.0, 4.0)):
             norms = np.linalg.norm(cols, axis=0)
             scales = clip * (0.7 + 0.3 * rng.random(count)) / norms
             users.append(GradientMatrix(cols * scales, clip))
-        substituted = [_substitute_column(users[0], _random_clipped(dim, clip, rng))] + users[1:]
+        replaced = _substitute_column(users[0].columns, _random_clipped(dim, clip, rng))
+        substituted = [GradientMatrix(replaced, clip)] + users[1:]
         if variant is RdpVariant.THEOREM1_RDP:
             floor = 0.0
             context = float(sum(estimate_mean_cov(g, 1).lambda_min() for g in users))
@@ -179,6 +187,56 @@ class TestAnalyticGaussianDelta:
         # far tail: the e^eps * Phi(-...) product must not overflow to junk
         val = analytic_gaussian_delta(0.1, 1.0, 30.0)
         assert 0.0 <= val < 1e-300 or val == 0.0
+
+    @pytest.mark.parametrize(
+        "args", [(math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan),
+                 (-1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, -1.0)]
+    )
+    def test_rejects_nan_and_out_of_range(self, args):
+        with pytest.raises(ValueError):
+            analytic_gaussian_delta(*args)
+
+    def test_infinite_arguments(self):
+        assert analytic_gaussian_delta(1.0, 1.0, math.inf) == 0.0
+        assert analytic_gaussian_delta(math.inf, 1.0, math.inf) == 0.0
+        assert analytic_gaussian_delta(math.inf, 1.0, 0.0) == 1.0
+        assert analytic_gaussian_delta(math.inf, 2.0, 5.0) == 1.0
+        assert analytic_gaussian_delta(1e-320, 1.0, 1.0) == 0.0
+        assert analytic_gaussian_delta(1e300, 1e-300, 1e300) == 1.0
+
+
+class TestNormCdf:
+    """Phi and log Phi from ``math`` alone, against scipy.special."""
+
+    GRID = np.linspace(-60.0, 40.0, 200_001)
+
+    def test_cdf_matches_ndtr(self):
+        ref = ndtr(self.GRID)
+        ours = np.array([norm_cdf(float(x)) for x in self.GRID])
+        normal = np.abs(ref) >= sys.float_info.min
+        assert normal.sum() > 150_000
+        assert np.max(np.abs(ours[normal] - ref[normal]) / ref[normal]) <= 1e-12
+
+    def test_log_cdf_matches_log_ndtr(self):
+        ref = log_ndtr(self.GRID)
+        ours = np.array([log_norm_cdf(float(x)) for x in self.GRID])
+        normal = np.abs(ref) >= sys.float_info.min
+        assert normal.sum() > 190_000
+        assert np.max(np.abs(ours[normal] - ref[normal]) / np.abs(ref[normal])) <= 1e-10
+
+    def test_series_boundary(self):
+        # -20 itself takes log(Phi(x)); one ulp below takes the series
+        below, above = math.nextafter(-20.0, -math.inf), math.nextafter(-20.0, 0.0)
+        for x in (below, -20.0, above):
+            assert log_norm_cdf(x) == pytest.approx(float(log_ndtr(x)), rel=1e-12)
+        assert log_norm_cdf(below) < log_norm_cdf(-20.0) < log_norm_cdf(above)
+
+    def test_special_values(self):
+        assert math.isnan(norm_cdf(math.nan)) and math.isnan(log_norm_cdf(math.nan))
+        assert norm_cdf(math.inf) == 1.0 and log_norm_cdf(math.inf) == 0.0
+        assert norm_cdf(-math.inf) == 0.0 and log_norm_cdf(-math.inf) == -math.inf
+        assert log_norm_cdf(-1e200) == -math.inf
+        assert norm_cdf(0.0) == 0.5 and log_norm_cdf(0.0) == -math.log(2.0)
 
 
 class TestNecessaryCondition:
@@ -428,6 +486,15 @@ class TestStackedSuites:
         certify_rdp(RdpVariant.WFDP_B, 20, stacked_rng)
         per_instance_rdp(RdpVariant.WFDP_B, 20, reference_rng)
         assert stacked_rng.random() == reference_rng.random()
+
+    def test_estimates_check_each_draw_against_its_own_clip(self):
+        # a draw over its own trial's clip is rejected even when a larger clip shares its stack
+        rng = np.random.default_rng(4)
+        long = _random_clipped_columns(3, 5, 2.0, rng)  # norms in [1.2, 2]
+        short = _random_clipped_columns(3, 5, 1.0, rng)
+        _estimates([short, long], np.array([1.0, 2.0]), np.array([1, 1]))
+        with pytest.raises(ValueError, match=r"exceeds clip bound 1\b"):
+            _estimates([long, short], np.array([1.0, 2.0]), np.array([1, 1]))
 
     def test_rejects_unadjudicated_variant(self):
         with pytest.raises(ValueError):
