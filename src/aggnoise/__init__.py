@@ -34,7 +34,7 @@ from .mechanisms import (
     clip_gradient,
     compute_update,
     ddp_noise,
-    estimate_fedavg_distribution,
+    fedavg_replays,
     wfdp_update,
     wfna_noise,
 )

@@ -287,6 +287,12 @@ def _build_run(config: dict, seed: int):
     d_local = per_user[0][0].shape[0]
     if scheme.kind is SchemeKind.IID_SGD and scheme.batch > d_local:
         raise ConfigError(f"scheme.batch: {scheme.batch} exceeds per-user dataset size {d_local}")
+    if acct.get("sampling_ratio", 1.0) < 1.0:
+        raise ConfigError(
+            f"accountant.sampling_ratio: got {acct['sampling_ratio']:g}, but every user takes "
+            "part in every round and the server sees who does, so no subsampling amplifies; "
+            "only 1.0 is valid"
+        )
     params = PrivacyParams(
         clip=acct.get("clip", 1.0),
         batch=scheme.batch,
@@ -295,7 +301,6 @@ def _build_run(config: dict, seed: int):
         delta=acct.get("delta", 1e-5),
         approx_gauss_delta0=acct.get("delta0", 0.0),
         floor=mech.floor,
-        sampling_ratio=acct.get("sampling_ratio", 1.0),
         rounds=config["rounds"],
     )
     route_key = acct.get("route", "closed_form")

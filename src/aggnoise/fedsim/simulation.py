@@ -14,10 +14,10 @@ scheme and local size D, at most ``_STACK_BYTES`` of gradients each. A round
 runs each stack's users together: ``user_update`` is the one definition of a
 stack's updates and unfloored covariance models, and the mechanisms floor and
 draw for the whole stack, every member from its own stream. A single user is a
-stack of one. Under unblocked WFDP a non-sensitive Gaussian-sampled or IID-SGD
-stack goes through ``floored_update`` instead: WFDP replaces its updates, so
-each member's spectrum is read first (eigenvalues only), and a member whose
-spectrum the floor covers becomes sigma^2 I with no eigenvectors at all.
+stack of one. Under WFDP every non-sensitive stack goes through
+``floored_update`` instead: WFDP replaces its updates, so each member's
+spectrum is read first (eigenvalues only), and a member whose spectrum the
+floor covers becomes sigma^2 I with no eigenvectors at all.
 ``noise_round`` is the one place a round's mechanism is applied: it returns
 the noised submissions, the unfloored per-user spectra and the summed model
 the accountant reads, and ``aggnoise spectrum --config`` prints round 0 of it.
@@ -55,9 +55,8 @@ from ..mechanisms import (
     clipped_gradients,
     compute_update,
     ddp_noise,
-    estimate_fedavg_distribution,
+    fedavg_replays,
     wfdp_from_spectra,
-    wfdp_update,
     wfna_noise,
 )
 from ..spectra import (
@@ -222,8 +221,8 @@ def user_update(
     ``blocks`` is set) estimates from the clipped gradients. They come as a
     list of model stacks covering the members in slot order (see
     ``estimate_mean_cov``); sensitive users get None. Member i draws from
-    ``rngs[i]`` in this order: scheme draw, then FEDAVG replays. Stacks that
-    unblocked WFDP floors from their spectra go through ``floored_update``.
+    ``rngs[i]`` in this order: scheme draw, then FEDAVG replays. Non-sensitive
+    stacks under WFDP go through ``floored_update`` instead.
     """
     scheme = stack.scheme
     xs, grads, sampled_from = compute_update(
@@ -232,17 +231,11 @@ def user_update(
     if stack.role is not Role.NON_SENSITIVE:
         return xs, None
     if scheme.kind is SchemeKind.FEDAVG:
-        models = estimate_fedavg_distribution(
-            scheme, stack.phi, stack.labels, ops, theta, clip, rngs
-        )
+        replays = fedavg_replays(scheme, stack.phi, stack.labels, ops, theta, clip, rngs)
+        models = estimate_mean_cov(replays, scheme.batch)
     elif scheme.kind is SchemeKind.FULL_GD:
         # full-batch updates are deterministic: no sampling randomness
-        count, dim = xs.shape
-        models = [CovarianceModel(
-            mean=grads.columns.mean(axis=-1),
-            eigvecs=np.zeros((count, dim, 0)),
-            eigvals=np.zeros((count, 0)),
-        )]
+        models = [CovarianceModel.isotropic(grads.columns.mean(axis=-1))]
     elif sampled_from is not None and blocks is None:
         # the Gaussian-sampled scheme already estimated these models
         models = sampled_from
@@ -251,41 +244,35 @@ def user_update(
     return xs, models
 
 
-def _floors_from_spectra(stack: UserStack, mech: MechanismConfig, blocks: Optional[BlockSpec]) -> bool:
-    """Whether WFDP floors this stack's users from their spectra (see ``floored_update``)."""
-    return (
-        mech.kind is MechanismKind.WFDP
-        and blocks is None
-        and stack.role is Role.NON_SENSITIVE
-        and stack.scheme.kind in (SchemeKind.GAUSSIAN_SAMPLED, SchemeKind.IID_SGD)
-    )
-
-
 def floored_update(
     stack: UserStack,
     ops: ModelOps,
     theta: Array,
     clip: float,
     floor: float,
+    blocks: Optional[BlockSpec],
     rngs: Sequence[np.random.Generator],
 ) -> tuple[Array, list[NoisedUpdate]]:
-    """A non-sensitive GAUSSIAN_SAMPLED or IID_SGD stack under unblocked WFDP.
+    """A non-sensitive stack under WFDP, which replaces its updates, so none is made.
 
-    WFDP replaces the raw update, so a GAUSSIAN_SAMPLED stack makes no draw
-    and no estimate from its gradients; IID_SGD still draws its minibatch,
-    which keeps each stream where ``user_update`` leaves it. The gradients
-    then go through ``wfdp_from_spectra``: each member's spectrum first, and
-    eigenvectors only for a member with an eigenvalue above ``floor``.
-    Returns the members' unfloored spectra (k, dim) and the noised updates of
-    consecutive runs of members, on the clipped-gradient scale.
+    The updates' distribution goes to ``wfdp_from_spectra`` as gradients: the
+    FEDAVG replays (unblocked, as ``user_update`` estimates them), or else the
+    clipped gradients, FULL_GD's as an infinite batch. IID_SGD still draws its
+    minibatch and a GAUSSIAN_SAMPLED stream skips the draw WFDP replaces,
+    which keeps each stream where ``user_update`` leaves it. Returns the
+    members' unfloored spectra (k, dim) and the noised updates of consecutive
+    runs of members, on the clipped-gradient scale.
     """
     scheme = stack.scheme
-    drawn = scheme.kind is SchemeKind.GAUSSIAN_SAMPLED
-    if drawn:
-        grads = GradientMatrix(clipped_gradients(stack.phi, stack.labels, ops, theta, clip), clip)
-    else:
+    batch = np.inf if scheme.kind is SchemeKind.FULL_GD else scheme.batch
+    if scheme.kind is SchemeKind.FEDAVG:
+        grads, blocks = fedavg_replays(scheme, stack.phi, stack.labels, ops, theta, clip, rngs), None
+    elif scheme.kind is SchemeKind.IID_SGD:
         _, grads, _ = compute_update(scheme, stack.phi, stack.labels, ops, theta, clip, rngs)
-    return wfdp_from_spectra(grads, scheme.batch, floor, rngs, skip_draw=drawn)
+    else:
+        grads = GradientMatrix(clipped_gradients(stack.phi, stack.labels, ops, theta, clip), clip)
+    skip_draw = scheme.kind is SchemeKind.GAUSSIAN_SAMPLED
+    return wfdp_from_spectra(grads, batch, floor, rngs, skip_draw, blocks)
 
 
 def noise_round(
@@ -323,8 +310,10 @@ def noise_round(
         sign = 1.0 if scheme.kind is SchemeKind.FEDAVG else -1.0
         # each member injects at most one noise trace: a lift or a DDP share
         traces = np.zeros(len(stack.slots))
-        if _floors_from_spectra(stack, mech, blocks):
-            stack_spectra, noised_runs = floored_update(stack, ops, model.theta, clip, mech.sigma2, rngs)
+        if stack.role is Role.NON_SENSITIVE and mech.kind is MechanismKind.WFDP:
+            stack_spectra, noised_runs = floored_update(
+                stack, ops, model.theta, clip, mech.sigma2, blocks, rngs
+            )
             spectra.append(stack_spectra)
             summands.extend(noised.floored for noised in noised_runs)
             xs = np.concatenate([sign * update_scale * noised.vector for noised in noised_runs])
@@ -338,18 +327,13 @@ def noise_round(
                     members = slice(start, start + dist_model.mean.shape[0])
                     start = members.stop
                     x = xs[members]
-                    noised = None
-                    if mech.kind is MechanismKind.WFDP:
-                        noised = wfdp_update(dist_model, mech.sigma2, rngs[members])
-                        x = sign * update_scale * noised.vector
-                    elif mech.kind is MechanismKind.WFNA:
+                    if mech.kind is MechanismKind.WFNA:
                         noised = wfna_noise(dist_model, mech.sigma2, rngs[members])
                         x = x + update_scale * noised.vector
-                    else:
-                        approx_gaussian |= scheme.kind is not SchemeKind.GAUSSIAN_SAMPLED
-                    if noised is not None:
                         dist_model = noised.floored
                         traces[members] = noised.noise_trace
+                    else:
+                        approx_gaussian |= scheme.kind is not SchemeKind.GAUSSIAN_SAMPLED
                     summands.append(dist_model)
                     noised_xs.append(x)
                 xs = np.concatenate(noised_xs)
@@ -385,8 +369,14 @@ def run_round(
     per-round guarantee is driven by the smallest eigenvalue of that sum,
     which by eigenvalue super-additivity is at least the sum of the per-user
     floors. ``users`` may come laid out as a ``Cohort``, which a run builds
-    once; a plain sequence is laid out here.
+    once; a plain sequence is laid out here. The floored-mechanism routes
+    read the floor from ``params``, so it must be the one ``mech`` applies.
     """
+    if route in (RdpVariant.WFDP_A, RdpVariant.WFDP_B) and params.floor != mech.floor:
+        raise ConfigError(
+            f"route {route.value} reads floor {params.floor:g} from the privacy parameters, "
+            f"but mechanism {mech.kind.value} floors at {mech.floor:g}"
+        )
     cohort = users if isinstance(users, Cohort) else Cohort(users)
     n_total = len(cohort.users)
     submissions, spectra, summed, noise_trace, approx_gaussian = noise_round(

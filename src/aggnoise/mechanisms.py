@@ -15,7 +15,7 @@ member's draws still come from its own generator, in the order a call on
 that member alone makes them, so each member's result is that call's, bit
 for bit. Members that share one generator draw one after the other.
 
-``wfdp_from_spectra`` is WFDP for a stack whose updates it replaces: it reads
+``wfdp_from_spectra`` is WFDP, which replaces a stack's updates: it reads
 each member's spectrum first and estimates eigenvectors only for a member
 with an eigenvalue above the floor; a member the floor covers is floored to
 sigma^2 I directly.
@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import EmptyDataset, NonFinite
 from .spectra import (
+    BlockSpec,
     CovarianceModel,
     GradientMatrix,
     estimate_mean_cov,
@@ -209,7 +210,7 @@ def compute_update(
     return (updates[0] if single else updates), gmat, dist
 
 
-def estimate_fedavg_distribution(
+def fedavg_replays(
     scheme: UpdateScheme,
     phi: Array,
     labels: Array,
@@ -217,15 +218,16 @@ def estimate_fedavg_distribution(
     theta: Array,
     clip: float,
     rng: Generators,
-) -> Union[CovarianceModel, list[CovarianceModel]]:
-    """Update distribution under FEDAVG from M independent local-training replays.
+) -> GradientMatrix:
+    """FEDAVG's update distribution as M independent local-training replays.
 
     Each replay restarts from ``theta`` with a freshly shuffled minibatch
-    order; the M resulting (whole-update-clipped) deltas are treated like a
-    gradient collection, so the returned model carries the same 1/(B*M)
-    second-moment scaling the other schemes use. For a stack of users each
-    member replays from its own generator, and the result is
-    ``estimate_mean_cov``'s list of model stacks.
+    order, from its own stream spawned from ``rng``; the M resulting
+    (whole-update-clipped) deltas are the columns of a gradient collection,
+    so ``estimate_mean_cov(replays, scheme.batch)`` gives them the same
+    1/(B*M) second-moment scaling the other schemes use. For a stack of
+    users each member replays from its own generator, into a (k, dim, M)
+    stack.
     """
     m = scheme.fedavg_samples
     if m < 2:
@@ -240,7 +242,7 @@ def estimate_fedavg_distribution(
         for j, stream in enumerate(member_rng.spawn(m)):
             delta = _local_epochs(scheme, model, theta, member_phi, member_labels, clip, stream)
             deltas[member, :, j] = clip_gradient(delta, clip)
-    return estimate_mean_cov(GradientMatrix(deltas[0] if single else deltas, clip), scheme.batch)
+    return GradientMatrix(deltas[0] if single else deltas, clip)
 
 
 def wfdp_update(model: CovarianceModel, floor: float, rng: Generators) -> NoisedUpdate:
@@ -257,13 +259,15 @@ def wfdp_update(model: CovarianceModel, floor: float, rng: Generators) -> Noised
 
 
 def wfdp_from_spectra(
-    grads: GradientMatrix, batch: int, floor: float, rngs: Sequence[np.random.Generator],
-    skip_draw: bool,
+    grads: GradientMatrix, batch: float, floor: float, rngs: Sequence[np.random.Generator],
+    skip_draw: bool, blocks: Optional[BlockSpec] = None,
 ) -> tuple[Array, list[NoisedUpdate]]:
     """WFDP for a stack of users' clipped gradients, decomposing only what the floor leaves.
 
-    Each member's spectrum comes first, from ``second_moment_spectra``. A
-    member whose spectrum is at or below ``floor`` floors to floor * I: its
+    Each member's spectrum comes first, from ``second_moment_spectra``
+    (blockwise with ``blocks``); an infinite ``batch`` (FULL_GD's
+    deterministic mean) has the zero spectrum, read without a decomposition.
+    A member whose spectrum is at or below ``floor`` floors to floor * I: its
     model stores no eigenpairs and has tail ``floor``, its lift trace is
     sum_j max(floor - lam_j, 0), and its draw is its mean plus sqrt(floor)
     times dim normals. A member with an eigenvalue above the floor gets
@@ -277,8 +281,11 @@ def wfdp_from_spectra(
     estimated member's row is its estimate's spectrum) and the noised updates
     of consecutive runs of members, in slot order.
     """
-    spectra, widths = second_moment_spectra(grads, batch)
     cols = grads.columns
+    if np.isfinite(batch):
+        spectra, widths = second_moment_spectra(grads, batch, blocks)
+    else:  # a deterministic update: the zero spectrum, which keeps no component
+        spectra, widths = np.zeros(cols.shape[:-1]), np.zeros(cols.shape[0], dtype=int)
     covered = spectra[:, 0] <= floor
     runs = []  # (members, None) for a covered run, (members, model) for an estimated one
     for members in _runs(covered[:, None]):
@@ -286,7 +293,7 @@ def wfdp_from_spectra(
             runs.append((members, None))
             continue
         start = members.start
-        for model in estimate_mean_cov(GradientMatrix(cols[members], grads.clip_bound), batch):
+        for model in estimate_mean_cov(GradientMatrix(cols[members], grads.clip_bound), batch, blocks):
             run = slice(start, start + model.mean.shape[0])
             start = run.stop
             spectra[run] = model.spectrum()
@@ -297,13 +304,7 @@ def wfdp_from_spectra(
     noised = []
     for members, model in runs:
         if model is None:
-            count = members.stop - members.start
-            model = CovarianceModel(
-                mean=cols[members].mean(axis=-1),
-                eigvecs=np.zeros((count, grads.dim, 0)),
-                eigvals=np.zeros((count, 0)),
-                tail=floor,
-            )
+            model = CovarianceModel.isotropic(cols[members].mean(axis=-1), floor)
             lift_trace = _lift_trace(spectra[members], floor)
             noised.append(NoisedUpdate(sample_gaussian(model, rngs[members]), lift_trace, model))
         else:

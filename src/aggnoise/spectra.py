@@ -225,6 +225,11 @@ class CovarianceModel:
         self.eigvals = vals
         self.tail = tail if vals.shape[-1] < mean.shape[-1] else tail * 0.0
 
+    @classmethod
+    def isotropic(cls, mean: Array, tail: Union[float, Array] = 0.0) -> "CovarianceModel":
+        """tail * I about ``mean`` (one mean or a (k, dim) stack), stored with no eigenpairs."""
+        return cls(mean, np.zeros(mean.shape + (0,)), np.zeros(mean.shape[:-1] + (0,)), tail)
+
     @property
     def dim(self) -> int:
         return self.mean.shape[-1]
@@ -459,32 +464,41 @@ def estimate_mean_cov(
     return [CovarianceModel(mean=mean, eigvecs=vecs, eigvals=vals) for mean, vecs, vals in runs]
 
 
-def second_moment_spectra(grads: GradientMatrix, batch: Union[int, Array]) -> tuple[Array, Array]:
+def second_moment_spectra(
+    grads: GradientMatrix, batch: Union[int, Array], blocks: BlockSpec | None = None
+) -> tuple[Array, Array]:
     """Eigenvalues only of each member's 1/(B*D)-scaled second moment, no eigenvectors.
 
     Returns ``(spectra, widths)``: the (..., dim) non-increasing spectra of
-    the matrices ``estimate_mean_cov`` decomposes, and the number of
-    components it keeps for each member. With more than dim/2 gradients the
-    dim x dim matrix X X^T/(B*D) is decomposed and every member keeps dim;
-    with at most dim/2, the D x D Gram matrix X^T X/(B*D) has the same nonzero
-    eigenvalues (no QR needed), its spectrum is padded with dim - D zeros,
-    and a member keeps the eigenvalues above the rank threshold. A stack is
-    one stacked ``eigvalsh`` call; ``batch`` broadcasts as in
+    the matrices ``estimate_mean_cov`` decomposes (blockwise with ``blocks``),
+    and the number of components it keeps for each member. A block with more
+    gradients than half its width decomposes X X^T/(B*D) and keeps every
+    coordinate; with at most half, the D x D Gram matrix X^T X/(B*D) has the
+    same nonzero eigenvalues (no QR needed), is padded with zeros, and keeps
+    the eigenvalues above the rank threshold. Each block of a stack is one
+    stacked ``eigvalsh`` call; ``batch`` broadcasts as in
     ``estimate_mean_cov``. The values agree with the estimates' spectra up to
     the last bits ``eigvalsh`` and ``eigh`` differ in.
     """
     if np.any(np.asarray(batch) < 1):
         raise ValueError(f"batch must be >= 1, got {batch}")
-    cols = grads.columns
     batch = np.asarray(batch)[..., None, None]
-    dim, count = cols.shape[-2:]
-    if not _is_thin(cols):
-        vals, _ = _psd_eigh(_second_moment(cols, batch), vectors=False)
-        return vals[..., ::-1], np.full(cols.shape[:-2], dim)
-    vals, _ = _psd_eigh((cols.swapaxes(-1, -2) @ cols) / (batch * count), vectors=False)
-    widths = np.sum(vals > DEFAULT_RANK_TOL * vals[..., -1:], axis=-1)
-    padding = np.zeros(cols.shape[:-2] + (dim - count,))
-    return np.concatenate([vals[..., ::-1], padding], axis=-1), widths
+    blocks = BlockSpec(((0, grads.dim),)) if blocks is None else blocks
+    blocks.check_dim(grads.dim)
+    parts, widths = [], np.zeros(grads.columns.shape[:-2], dtype=int)
+    for start, stop in blocks.boundaries:
+        part = grads.columns[..., start:stop, :]
+        dim, count = part.shape[-2:]
+        if not _is_thin(part):
+            vals, _ = _psd_eigh(_second_moment(part, batch), vectors=False)
+            widths += dim
+        else:
+            vals, _ = _psd_eigh((part.swapaxes(-1, -2) @ part) / (batch * count), vectors=False)
+            widths += np.sum(vals > DEFAULT_RANK_TOL * vals[..., -1:], axis=-1)
+            vals = np.concatenate([np.zeros(vals.shape[:-1] + (dim - count,)), vals], axis=-1)
+        parts.append(vals)
+    spectra = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts, axis=-1), axis=-1)
+    return spectra[..., ::-1], widths
 
 
 def _lift_trace(spectrum: Array, floors: Array) -> Array:
@@ -704,7 +718,7 @@ def sum_covariances(
     if all(m.n_components < dim and np.all(m.eigvals == np.asarray(m.tail)[..., None]) for m in models):
         # summed in the order the dense path adds its diagonal, so c I matches it bit for bit
         tail = sum(float(t) for m in models for t in np.asarray(m.tail).reshape(-1)) + isotropic_extra
-        return CovarianceModel(mean, np.zeros((dim, 0)), np.zeros(0), tail=tail)
+        return CovarianceModel.isotropic(mean, tail)
     total = np.zeros((dim, dim))
     for m in models:
         # a stack is reconstructed in one call and added member by member

@@ -321,6 +321,32 @@ class TestSimulateCommand:
         assert manifest["dataset_hash"] == hashlib.sha256(data_path.read_bytes()).hexdigest()
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["spectrum"]])
+def test_sampling_ratio_below_one_is_refused(tmp_path, capsys, command):
+    # every user takes part in every round, visibly to the server: nothing amplifies
+    cfg, _ = write_config(tmp_path, accountant={"sampling_ratio": 0.5})
+    assert main(["--out", str(tmp_path / "o"), *command, "--config", cfg]) == EXIT_CONFIG
+    assert "accountant.sampling_ratio" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    cfg, _ = write_config(tmp_path, accountant={"sampling_ratio": 1.0})
+    assert main(["--out", str(tmp_path / "o"), *command, "--config", cfg]) == EXIT_OK
+
+
+def test_python_m_aggnoise_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+
+    import aggnoise
+
+    src = os.path.dirname(os.path.dirname(aggnoise.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "aggnoise", "--help"], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0
+    assert out.stdout.startswith("usage: aggnoise")
+
+
 class TestSpectrumCommand:
     def test_flooring_demo_rows(self, tmp_path):
         out = tmp_path / "o"

@@ -397,10 +397,59 @@ class TestEstimatesPerRound:
         # estimated only when it has an eigenvalue above the floor, and never twice
         assert self.estimate_blocks(monkeypatch, 1, sigma2) == [None] * estimates
 
-    def test_blockwise_estimate_still_made(self, monkeypatch):
-        seen = self.estimate_blocks(monkeypatch, 2)
-        assert seen.count(None) == 4
-        assert sum(blocks is not None for blocks in seen) == 3
+    # their largest blockwise eigenvalues are 0.0203, 0.0169 and 0.0242
+    @pytest.mark.parametrize("sigma2,estimates", [(0.01, 3), (0.018, 2), (0.05, 0)],
+                             ids=["none_covered", "one_covered", "all_covered"])
+    def test_blockwise_user_estimated_once_above_the_floor(self, monkeypatch, sigma2, estimates):
+        # the sensitive user's draw needs its unblocked estimate; a non-sensitive
+        # user gets one blockwise estimate above the floor and none below it
+        seen = self.estimate_blocks(monkeypatch, 2, sigma2)
+        assert seen.count(None) == 1
+        assert sum(blocks is not None for blocks in seen) == estimates
+
+
+class TestOneWfdpPath:
+    """Under WFDP every non-sensitive stack is floored from its spectrum, never via ``user_update``."""
+
+    SIGMA2 = 0.02
+
+    def round(self, monkeypatch, scheme_kind, block_count):
+        roles = []
+        original = simulation.user_update
+
+        def recording(stack, *args):
+            roles.append(stack.role)
+            return original(stack, *args)
+
+        monkeypatch.setattr(simulation, "user_update", recording)
+        scheme = UpdateScheme(scheme_kind, batch=10, learning_rate=0.2, fedavg_samples=4)
+        users, _, family = make_users(4, 1, scheme, seed=29, task="regression", features=4)
+        params = PrivacyParams(clip=1.0, batch=10, local_size=40, ns_users=3,
+                               delta=1e-3, floor=self.SIGMA2)
+        mech = MechanismConfig(MechanismKind.WFDP, self.SIGMA2, block_count)
+        outcome = run_round(init_model(family, 4), users, mech, params, RdpVariant.WFDP_B,
+                            master_seed=10, round_index=0)
+        assert outcome.lambda_min >= 3 * self.SIGMA2 - 1e-12
+        return roles
+
+    @pytest.mark.parametrize("block_count", [1, 2])
+    @pytest.mark.parametrize("scheme_kind", list(SchemeKind))
+    def test_no_non_sensitive_stack_reaches_user_update(self, monkeypatch, scheme_kind,
+                                                         block_count):
+        assert self.round(monkeypatch, scheme_kind, block_count) == [Role.SENSITIVE]
+
+    @pytest.mark.parametrize("block_count", [1, 2])
+    def test_full_gd_is_covered_without_a_decomposition(self, monkeypatch, block_count):
+        # the deterministic update's spectrum is zero: nothing is decomposed at all
+        calls = []
+        for name in ("eigh", "eigvalsh", "qr"):
+            def counting(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(spectra_module.np.linalg, name, counting)
+        self.round(monkeypatch, SchemeKind.FULL_GD, block_count)
+        assert calls == []
 
 
 class TestFloorsPerRound:
@@ -436,11 +485,19 @@ class TestRoundPerSchemeAndMechanism:
         params = PrivacyParams(clip=1.0, batch=10, local_size=40, ns_users=3,
                                delta=1e-3, floor=self.SIGMA2)
         sigma2 = 0.0 if mech_kind is MechanismKind.NONE else self.SIGMA2
-        # WFDP_B reads (N, sigma^2) from params, so no round gets a singular-cause entry
-        outcome = run_round(init_model(family, 4), users, MechanismConfig(mech_kind, sigma2),
-                            params, RdpVariant.WFDP_B, master_seed=10, round_index=0)
-        entry = outcome.entry
+        mech = MechanismConfig(mech_kind, sigma2)
         floors = mech_kind in (MechanismKind.WFDP, MechanismKind.WFNA)
+        if not floors:
+            # WFDP_B reads the floor from params, which no mechanism here applies
+            with pytest.raises(ConfigError, match=f"floor 0.02 .* {mech_kind.value} floors at 0$"):
+                run_round(init_model(family, 4), users, mech, params, RdpVariant.WFDP_B,
+                          master_seed=10, round_index=0)
+        # WFDP_B reads (N, sigma^2) from params and GAUSSIAN reads no floor, so
+        # no round gets a singular-cause entry
+        route = RdpVariant.WFDP_B if floors else RdpVariant.GAUSSIAN
+        outcome = run_round(init_model(family, 4), users, mech, params, route,
+                            master_seed=10, round_index=0)
+        entry = outcome.entry
         gaussian = scheme_kind is SchemeKind.GAUSSIAN_SAMPLED
         if floors:
             assert outcome.lambda_min >= 3 * sigma2 - 1e-12
@@ -452,7 +509,7 @@ class TestRoundPerSchemeAndMechanism:
             assert "no DP guarantee" in entry.cause
         else:
             assert entry.cause is None
-            assert entry.route == "rdp:wfdp_b"
+            assert entry.route == f"rdp:{route.value}"
 
 
 class TestRoundEps:
@@ -480,11 +537,12 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
 
     Each user runs the single-user library calls on its own design rows and
     stream; models are summed as a list of single models, and the training
-    loss reads the users' rows stacked afresh. Under unblocked WFDP a
-    non-sensitive Gaussian-sampled or IID-SGD user reads its spectrum first:
-    at or below the floor it is floored to sigma^2 I with no estimate, above
-    it is estimated and floored; a Gaussian-sampled user's stream skips the
-    draw WFDP replaces.
+    loss reads the users' rows stacked afresh. Under WFDP a non-sensitive
+    user's update distribution (the FEDAVG replays, unblocked, or else the
+    clipped gradients, FULL_GD's with a zero spectrum) reads its spectrum
+    first: at or below the floor it is floored to sigma^2 I with no estimate,
+    above it is estimated and floored; a Gaussian-sampled user's stream skips
+    the draw WFDP replaces, and an IID-SGD user still draws its minibatch.
     """
     n_total = len(users)
     ops = ModelOps(model.family)
@@ -499,22 +557,26 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
         scheme = user.scheme
         phi = design(user.features)
         update_scale = 1.0 if scheme.kind is SchemeKind.FEDAVG else scheme.learning_rate
-        from_spectrum = (
-            user.role is Role.NON_SENSITIVE and mech.kind is MechanismKind.WFDP and blocks is None
-            and scheme.kind in (SchemeKind.GAUSSIAN_SAMPLED, SchemeKind.IID_SGD)
-        )
-        if from_spectrum:
-            # WFDP replaces the update: the Gaussian-sampled draw is skipped, not made
+        if user.role is Role.NON_SENSITIVE and mech.kind is MechanismKind.WFDP:
+            # WFDP replaces the update: it is not made, and a Gaussian-sampled draw is skipped
             drawn = scheme.kind is SchemeKind.GAUSSIAN_SAMPLED
-            if drawn:
-                cols = mechanisms.clipped_gradients(phi[None], user.labels[None], ops, theta,
-                                                    params.clip)
-                grads = GradientMatrix(cols[0], params.clip)
-            else:
+            user_blocks = blocks
+            if scheme.kind is SchemeKind.FEDAVG:
+                grads = mechanisms.fedavg_replays(scheme, phi, user.labels, ops, theta,
+                                                  params.clip, rng)
+                user_blocks = None
+            elif scheme.kind is SchemeKind.IID_SGD:
                 _, grads, _ = mechanisms.compute_update(
                     scheme, phi, user.labels, ops, theta, params.clip, rng
                 )
-            spectrum, width = second_moment_spectra(grads, scheme.batch)
+            else:
+                cols = mechanisms.clipped_gradients(phi[None], user.labels[None], ops, theta,
+                                                    params.clip)
+                grads = GradientMatrix(cols[0], params.clip)
+            if scheme.kind is SchemeKind.FULL_GD:
+                spectrum = np.zeros(dim)  # deterministic: no sampling randomness
+            else:
+                spectrum, width = second_moment_spectra(grads, scheme.batch, user_blocks)
             if spectrum[0] <= mech.sigma2:
                 # floored to sigma^2 I, from d fresh normals
                 if drawn:
@@ -524,14 +586,15 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
                 lift = np.maximum(mech.sigma2 - spectrum, 0.0)[::-1].sum()
                 noised = mechanisms.NoisedUpdate(sample_gaussian(floored, rng), lift, floored)
             else:
-                dist_model = estimate_mean_cov(grads, scheme.batch)
+                dist_model = estimate_mean_cov(grads, scheme.batch, user_blocks)
                 spectrum = dist_model.spectrum()
                 if drawn:
                     rng.standard_normal(dist_model.n_components)
                 noised = mechanisms.wfdp_update(dist_model, mech.sigma2, rng)
             if route is RdpVariant.THEOREM1_RDP:
                 theorem1_context += params.batch * spectrum[-1]
-            submissions.append(-update_scale * noised.vector)
+            sign = 1.0 if scheme.kind is SchemeKind.FEDAVG else -1.0
+            submissions.append(sign * update_scale * noised.vector)
             noise_trace += noised.noise_trace
             ns_models.append(noised.floored)
             continue
@@ -540,9 +603,9 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
         )
         if user.role is Role.NON_SENSITIVE:
             if scheme.kind is SchemeKind.FEDAVG:
-                dist_model = mechanisms.estimate_fedavg_distribution(
-                    scheme, phi, user.labels, ops, theta, params.clip, rng
-                )
+                replays = mechanisms.fedavg_replays(scheme, phi, user.labels, ops, theta,
+                                                    params.clip, rng)
+                dist_model = estimate_mean_cov(replays, scheme.batch)
             elif scheme.kind is SchemeKind.FULL_GD:
                 dist_model = CovarianceModel(grads.columns.mean(axis=1), np.zeros((dim, 0)),
                                              np.zeros(0))
@@ -552,19 +615,13 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
                 dist_model = estimate_mean_cov(grads, scheme.batch, blocks)
             if route is RdpVariant.THEOREM1_RDP:
                 theorem1_context += params.batch * dist_model.lambda_min()
-            noised = None
-            if mech.kind is MechanismKind.WFDP:
-                noised = mechanisms.wfdp_update(dist_model, mech.sigma2, rng)
-                sign = 1.0 if scheme.kind is SchemeKind.FEDAVG else -1.0
-                x = sign * update_scale * noised.vector
-            elif mech.kind is MechanismKind.WFNA:
+            if mech.kind is MechanismKind.WFNA:
                 noised = mechanisms.wfna_noise(dist_model, mech.sigma2, rng)
                 x = x + update_scale * noised.vector
-            else:
-                approx_gaussian |= scheme.kind is not SchemeKind.GAUSSIAN_SAMPLED
-            if noised is not None:
                 dist_model = noised.floored
                 noise_trace += noised.noise_trace
+            else:
+                approx_gaussian |= scheme.kind is not SchemeKind.GAUSSIAN_SAMPLED
             ns_models.append(dist_model)
         if mech.kind is MechanismKind.DDP:
             share = mechanisms.ddp_noise(mech.sigma2, n_total, dim, rng)

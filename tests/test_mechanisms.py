@@ -16,7 +16,7 @@ from aggnoise.mechanisms import (
     clip_gradient,
     compute_update,
     ddp_noise,
-    estimate_fedavg_distribution,
+    fedavg_replays,
     wfdp_from_spectra,
     wfdp_update,
     wfna_noise,
@@ -168,9 +168,8 @@ class TestFedavgDistribution:
         # batch = dataset size: every replay is full-batch GD, no randomness,
         # so all update samples coincide and the second moment is rank one
         scheme = UpdateScheme(SchemeKind.FEDAVG, batch=5, learning_rate=0.1, fedavg_samples=8)
-        model = estimate_fedavg_distribution(
-            scheme, design(features), labels, LINEAR, np.zeros(3), 10.0, rng
-        )
+        replays = fedavg_replays(scheme, design(features), labels, LINEAR, np.zeros(3), 10.0, rng)
+        model = estimate_mean_cov(replays, scheme.batch)
         assert model.rank() <= 1
         # residual spread around the mean direction is numerically zero
         centered = model.matrix() - np.outer(model.mean, model.mean) / scheme.batch
@@ -181,9 +180,9 @@ class TestFedavgDistribution:
         features = rng.standard_normal((8, 3))
         labels = rng.standard_normal(8)
         scheme = UpdateScheme(SchemeKind.FEDAVG, batch=2, learning_rate=0.2, fedavg_samples=2)
-        model = estimate_fedavg_distribution(
-            scheme, design(features), labels, LINEAR, np.zeros(4), 5.0, rng
-        )
+        replays = fedavg_replays(scheme, design(features), labels, LINEAR, np.zeros(4), 5.0, rng)
+        assert replays.columns.shape == (4, 2)
+        model = estimate_mean_cov(replays, scheme.batch)
         assert model.rank() <= 2
 
     def test_quadratic_loss_mean_matches_enumeration(self):
@@ -194,9 +193,8 @@ class TestFedavgDistribution:
         eta, batch, m = 0.4, 2, 200
         exact_mean, exact_var = fedavg_oracle_enumeration(features, labels, theta, eta, batch)
         scheme = UpdateScheme(SchemeKind.FEDAVG, batch=batch, learning_rate=eta, fedavg_samples=m)
-        model = estimate_fedavg_distribution(
-            scheme, design(features), labels, LINEAR, theta, 100.0, rng
-        )
+        replays = fedavg_replays(scheme, design(features), labels, LINEAR, theta, 100.0, rng)
+        model = estimate_mean_cov(replays, scheme.batch)
         se = np.sqrt(exact_var / m)
         assert np.all(np.abs(model.mean - exact_mean) <= 3.0 * se + 1e-12)
 
@@ -363,6 +361,21 @@ class TestWfdpFromSpectra:
         assert np.array_equal(spectra, model.spectrum())
         assert np.array_equal(run.vector, expected.vector)
         assert np.array_equal(run.floored.eigvecs, expected.floored.eigvecs)
+
+
+    def test_infinite_batch_is_covered_without_a_decomposition(self, monkeypatch):
+        # a deterministic update (FULL_GD) has the zero spectrum: sigma^2 I, from d normals each
+        grads, _ = self.stack(6, 10)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        spectra, (run,) = wfdp_from_spectra(
+            grads, np.inf, 0.3, [np.random.default_rng(i) for i in range(5)], skip_draw=True
+        )
+        assert np.array_equal(spectra, np.zeros((5, 6)))
+        assert run.floored.n_components == 0 and np.array_equal(run.floored.tail, [0.3] * 5)
+        assert np.array_equal(run.noise_trace, [sum([0.3] * 6)] * 5)  # every eigenvalue lifted
+        for i, cols in enumerate(grads.columns):
+            normals = np.random.default_rng(i).standard_normal(6)
+            assert np.array_equal(run.vector[i], cols.mean(axis=1) + np.sqrt(0.3) * normals)
 
 
 class TestWfnaNoise:

@@ -189,29 +189,37 @@ class TestStackedPrimitives:
         with pytest.raises(DimensionMismatch):
             _psd_eigh(np.zeros((2, 3, 4)), vectors=False)
 
-    @pytest.mark.parametrize("dim, count", [(4, 7), (12, 4)], ids=["dense", "thin"])
-    def test_second_moment_spectra_match_the_estimates(self, dim, count):
+    @pytest.mark.parametrize("dim, count, bounds", [
+        (4, 7, None), (12, 4, None), (4, 7, ((0, 2), (2, 4))), (12, 4, ((0, 9), (9, 12))),
+        (20, 4, ((0, 10), (10, 20))),
+    ], ids=["dense", "thin", "dense_blocks", "thin_and_dense_block", "thin_blocks"])
+    def test_second_moment_spectra_match_the_estimates(self, dim, count, bounds):
         rng = np.random.default_rng(8)
         cols = rng.standard_normal((4, dim, count))
         cols /= np.linalg.norm(cols, axis=-2, keepdims=True)
-        cols[1, :, 2:] = 0.0  # rank deficient: the thin estimate keeps 2 components
+        cols[1, :, 2:] = 0.0  # rank deficient: a thin estimate keeps 2 components
         batch = np.array([1, 3, 2, 4])
         grads = GradientMatrix(cols, 1.0)
-        spectra, widths = second_moment_spectra(grads, batch)
+        blocks = None if bounds is None else BlockSpec(bounds)
+        spectra, widths = second_moment_spectra(grads, batch, blocks)
         assert spectra.shape == (4, dim)
         for k in range(4):
             one = GradientMatrix(cols[k], 1.0)
-            model = estimate_mean_cov(one, int(batch[k]))
-            reference = np.linalg.eigvalsh(_second_moment(cols[k], int(batch[k])))[::-1]
+            model = estimate_mean_cov(one, int(batch[k]), blocks)
+            # each block's second moment, the whole matrix without blocks
+            reference = np.sort(np.concatenate([
+                np.linalg.eigvalsh(_second_moment(cols[k, start:stop], int(batch[k])))
+                for start, stop in (bounds or ((0, dim),))
+            ]))[::-1]
             assert np.all(spectra[k, :-1] >= spectra[k, 1:])
             assert np.allclose(spectra[k], reference, rtol=1e-12, atol=1e-12 * reference[0])
             assert np.allclose(spectra[k], model.spectrum(), rtol=1e-12, atol=1e-12 * reference[0])
             assert widths[k] == model.n_components
             # a member alone gets the values it gets in the stack
-            one_spectrum, one_width = second_moment_spectra(one, int(batch[k]))
+            one_spectrum, one_width = second_moment_spectra(one, int(batch[k]), blocks)
             assert np.array_equal(one_spectrum, spectra[k]) and one_width == widths[k]
         with pytest.raises(ValueError, match="batch must be >= 1"):
-            second_moment_spectra(grads, 0)
+            second_moment_spectra(grads, 0, blocks)
 
     def test_per_member_batch_or_floor_below_range_raises(self):
         grads = GradientMatrix(np.full((2, 3, 4), 0.1), 1.0)
