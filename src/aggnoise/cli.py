@@ -23,11 +23,6 @@ import tempfile
 
 import numpy as np
 
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
-
 from . import verify as verify_mod
 from .accountant import (
     ClosedFormMode,
@@ -197,14 +192,55 @@ def load_config(path: str) -> dict:
     return config
 
 
+_BOUNDS = (
+    ("minimum", lambda v, m: v < m, "less than the minimum of"),
+    ("exclusiveMinimum", lambda v, m: v <= m, "less than or equal to the minimum of"),
+    ("maximum", lambda v, m: v > m, "greater than the maximum of"),
+    ("exclusiveMaximum", lambda v, m: v >= m, "greater than or equal to the maximum of"),
+)
+
+
+def _has_type(value, name: str) -> bool:
+    # stricter than JSON Schema on purpose: 2.0 is not an integer, and a
+    # number is finite; a bool is neither
+    if isinstance(value, bool):
+        return name == "boolean"
+    if name == "number":
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, {"integer": int, "object": dict, "string": str, "boolean": bool}[name])
+
+
+def _schema_error(value, schema: dict, path: tuple):
+    """The first way ``value`` breaks ``schema``, as ``(path, message)``, or None.
+
+    Covers only the keywords ``CONFIG_SCHEMA`` uses."""
+    if "type" in schema and not _has_type(value, schema["type"]):
+        kind = "finite number" if schema["type"] == "number" else schema["type"]
+        return path, f"{value!r} is not of type {kind!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        return path, f"{value!r} is not one of {schema['enum']!r}"
+    for keyword, breaks, words in _BOUNDS:
+        if keyword in schema and breaks(value, schema[keyword]):
+            return path, f"{value!r} is {words} {schema[keyword]!r}"
+    for name in schema.get("required", ()):
+        if name not in value:
+            return path, f"{name!r} is a required property"
+    properties = schema.get("properties", {})
+    for name, item in value.items() if properties else ():  # an object, by its type
+        if name in properties:
+            error = _schema_error(item, properties[name], path + (name,))
+            if error is not None:
+                return error
+        elif schema.get("additionalProperties", True) is False:
+            return path, f"additional properties are not allowed ({name!r} was unexpected)"
+    return None
+
+
 def validate_config(config: dict) -> None:
-    if jsonschema is None:  # pragma: no cover
-        raise ConfigError("jsonschema is required to validate configs")
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        key = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config key '{key}': {exc.message}") from None
+    error = _schema_error(config, CONFIG_SCHEMA, ())
+    if error is not None:
+        path, message = error
+        raise ConfigError(f"config key '{'/'.join(path) or '<root>'}': {message}")
 
 
 def config_hash(config: dict) -> str:
@@ -255,7 +291,10 @@ def _build_run(config: dict, seed: int):
     else:
         if "path" not in ds:
             raise ConfigError("dataset.path: required for kind 'csv'")
-        features, labels = load_csv(ds["path"], ds.get("has_header", False))
+        try:
+            features, labels = load_csv(ds["path"], ds.get("has_header", False))
+        except OSError as exc:
+            raise ConfigError(f"dataset.path: cannot read {ds['path']!r}: {exc.strerror}") from None
         per_user = partition_equal(features, labels, n_total, rng)
         eval_data = (features, labels)
         family = (
@@ -410,6 +449,13 @@ def _account_inner(args) -> int:
         ledger.append(account_round(lam, params, route, round_index=t))
     total = compose(ledger)
 
+    if params.sampling_ratio < 1.0:
+        print(
+            f"warning: --q {args.q:g} assumes amplification by subsampling, which needs "
+            "participation to be hidden from the adversary; simulate refuses "
+            "sampling_ratio < 1 for that reason, since the server sees who takes part",
+            file=sys.stderr,
+        )
     if composition is CompositionMode.RDP:
         print(
             f"per-round optimized eps* = {per_round.total_eps:.6g} "

@@ -97,9 +97,20 @@ class TestAccountCommand:
     def test_subsampling_flag(self, capsys):
         rc = main(["account", "--route", "closed", "--lambda", "0.25", "--C", "2",
                    "--B", "100", "--delta", "1e-3", "--q", "0.01", "--T", "10"])
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
         assert rc == EXIT_OK
-        assert "amplified per-round eps" in out
+        assert "amplified per-round eps" in captured.out
+        # the what-if names its assumption, on stderr so stdout stays frozen
+        (warning,) = captured.err.splitlines()
+        assert warning.startswith("warning: --q 0.01 ")
+        assert "participation to be hidden from the adversary" in warning
+        assert "simulate refuses sampling_ratio < 1" in warning
+
+    def test_no_subsampling_warning_at_q_one(self, capsys):
+        rc = main(["account", "--route", "closed", "--lambda", "0.25", "--C", "2",
+                   "--B", "100", "--delta", "1e-3"])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().err == ""
 
 
 # stdout recorded before ``account`` composed through the ledger; the one
@@ -319,6 +330,38 @@ class TestSimulateCommand:
         import hashlib
 
         assert manifest["dataset_hash"] == hashlib.sha256(data_path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["spectrum"]])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        # integral floats: JSON Schema counts 2.0 as an integer, the run cannot use it
+        ("rounds", 2.0),
+        ("seed", 1.0),
+        ("dataset/features", 3.0),
+        ("users/total", 4.0),
+        ("scheme/batch", 2.0),
+        # non-finite numbers, which Python's json reads as NaN and Infinity
+        ("accountant/delta", math.nan),
+        ("mechanism/sigma2", math.inf),
+        ("accountant/clip", math.inf),
+        ("dataset/noise", -math.inf),
+    ],
+)
+def test_non_integral_or_non_finite_value_is_config_error(tmp_path, capsys, command, key, value):
+    section, _, name = key.rpartition("/")
+    cfg, _ = write_config(tmp_path, **({section: {name: value}} if section else {name: value}))
+    assert main(["--out", str(tmp_path / "o"), *command, "--config", cfg]) == EXIT_CONFIG
+    assert f"config key '{key}': " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_missing_csv_is_config_error(tmp_path, capsys):
+    cfg, _ = write_config(tmp_path, dataset={"kind": "csv", "path": str(tmp_path / "absent.csv")})
+    assert main(["--out", str(tmp_path / "o"), "simulate", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "dataset.path" in err and "absent.csv" in err
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["spectrum"]])
@@ -634,6 +677,25 @@ class TestImportCost:
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout.strip() == "True []"
+
+    def test_cli_loads_no_jsonschema(self):
+        # configs are checked by the package's own schema checker
+        import os
+        import subprocess
+        import sys
+
+        import aggnoise
+
+        src = os.path.dirname(os.path.dirname(aggnoise.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = (
+            "import sys, aggnoise.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'jsonschema' or m.startswith('jsonschema.')))"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_verify_run_loads_no_scipy(self, tmp_path):
         # the exact Gaussian delta oracle and every suite run on numpy and math alone
