@@ -99,23 +99,24 @@ class PrivacyParams:
     rounds: int = 1
 
     def __post_init__(self):
-        if not self.clip > 0:
-            raise ValueError(f"clip must be positive, got {self.clip}")
-        if self.batch < 1:
+        # every check is written so that NaN fails it
+        if not 0 < self.clip < math.inf:
+            raise ValueError(f"clip must be positive and finite, got {self.clip}")
+        if not self.batch >= 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
-        if self.local_size < 1:
+        if not self.local_size >= 1:
             raise ValueError(f"local_size must be >= 1, got {self.local_size}")
-        if self.ns_users < 1:
+        if not self.ns_users >= 1:
             raise ValueError(f"ns_users must be >= 1, got {self.ns_users}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.approx_gauss_delta0 < 0:
-            raise ValueError(f"approx_gauss_delta0 must be >= 0, got {self.approx_gauss_delta0}")
-        if self.floor < 0:
-            raise ValueError(f"floor must be >= 0, got {self.floor}")
+        if not 0 <= self.approx_gauss_delta0 < math.inf:
+            raise ValueError(f"approx_gauss_delta0 must be finite and >= 0, got {self.approx_gauss_delta0}")
+        if not 0 <= self.floor < math.inf:
+            raise ValueError(f"floor must be finite and >= 0, got {self.floor}")
         if not 0.0 < self.sampling_ratio <= 1.0:
             raise ValueError(f"sampling_ratio must be in (0, 1], got {self.sampling_ratio}")
-        if self.rounds < 1:
+        if not self.rounds >= 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
 
     def to_dict(self) -> dict:
@@ -366,7 +367,7 @@ class RdpCurve:
         return cls(
             variant=RdpVariant(d["variant"]),
             params=PrivacyParams.from_dict(d["params"]),
-            sum_lambda_min=d.get("sum_lambda_min"),
+            sum_lambda_min=_parse_float(d.get("sum_lambda_min"), "sum_lambda_min", finite=True),
         )
 
 
@@ -547,13 +548,17 @@ def _json_float(value: Optional[float]):
     return value
 
 
-def _parse_float(value, name: str) -> Optional[float]:
-    """A ledger entry's non-negative float field ("inf" allowed); NaN or a negative value is malformed."""
+def _parse_float(value, name: str, finite: bool = False) -> Optional[float]:
+    """A ledger's non-negative float field; NaN or a negative value is malformed.
+
+    "inf" is allowed unless ``finite`` is set.
+    """
     if value is None:
         return None
     number = float(value)
-    if not number >= 0:
-        raise ValueError(f"{name} must be a number >= 0, got {value!r}")
+    if not number >= 0 or (finite and number == math.inf):
+        kind = "a finite number" if finite else "a number"
+        raise ValueError(f"{name} must be {kind} >= 0, got {value!r}")
     return number
 
 
@@ -593,7 +598,7 @@ class LedgerEntry:
             route=d["route"],
             lambda_min=_parse_float(d.get("lambda_min"), "lambda_min"),
             eps=_parse_float(d.get("eps"), "eps"),
-            delta_total=d.get("delta_total"),
+            delta_total=_parse_float(d.get("delta_total"), "delta_total", finite=True),
             region=d.get("region"),
             curve=RdpCurve.from_dict(d["curve"]) if d.get("curve") else None,
             noise_trace=_parse_float(d.get("noise_trace", 0.0), "noise_trace"),

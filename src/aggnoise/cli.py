@@ -410,6 +410,14 @@ def cmd_account(args) -> int:
 
 
 def _account_inner(args) -> int:
+    for flag, value in (("--lambda", args.lam), ("--sum-lambda-min", args.sum_lambda_min)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{flag}: expected a finite number, got {value!r}")
+    if args.sigma is not None:
+        if args.sigma2 is not None:
+            raise ConfigError("--sigma: give the floor as --sigma or as --sigma2, not both")
+        if not 0 <= args.sigma < math.inf:
+            raise ConfigError(f"--sigma: expected a finite standard deviation >= 0, got {args.sigma!r}")
     params = PrivacyParams(
         clip=args.C,
         batch=args.B,
@@ -513,7 +521,7 @@ def cmd_spectrum(args) -> int:
         ns_users = [user for user in users if user.role is Role.NON_SENSITIVE]
         for user, eigvals in zip(ns_users, spectra):
             rows.extend(_spectrum_rows(f"user{user.user_id}", eigvals, mech.floor))
-        rows.extend(_spectrum_rows("aggregate", summed.spectrum(), 0.0))
+        rows.extend(_spectrum_rows("aggregate", summed, 0.0))
     else:
         raise ConfigError("spectrum: pass --eigvals or --config")
     text = rows_to_csv(rows, ["source", "index", "eigenvalue", "floored", "delta"])

@@ -19,11 +19,12 @@ stack of one. Under WFDP every non-sensitive stack goes through
 spectrum is read first (eigenvalues only), and a member whose spectrum the
 floor covers becomes sigma^2 I with no eigenvectors at all.
 ``noise_round`` is the one place a round's mechanism is applied: it returns
-the noised submissions, the unfloored per-user spectra and the summed model
-the accountant reads, and ``aggnoise spectrum --config`` prints round 0 of it.
-A flooring mechanism returns the floored models it sampled from, and those are
-summed, slot by slot, so each model is floored once. Learning-rate scaling
-happens here, after mechanisms ran on the clipped-gradient scale.
+the noised submissions, the unfloored per-user spectra and the spectrum of the
+summed covariance, which is all the accountant reads, and ``aggnoise spectrum
+--config`` prints round 0 of it. A flooring mechanism returns the floored
+models it sampled from, and those are summed, slot by slot, so each model is
+floored once. Learning-rate scaling happens here, after mechanisms ran on the
+clipped-gradient scale.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from ..accountant import (
     compose,
     round_eps,
 )
-from ..errors import ConfigError, SingularCovariance
+from ..errors import ConfigError
 from ..mechanisms import (
     NoisedUpdate,
     SchemeKind,
@@ -64,6 +65,7 @@ from ..spectra import (
     CovarianceModel,
     GradientMatrix,
     estimate_mean_cov,
+    rank,
     sum_covariances,
 )
 from .models import GlobalModel, ModelOps, design, evaluate_model
@@ -282,15 +284,16 @@ def noise_round(
     clip: float,
     master_seed: int,
     round_index: int,
-) -> tuple[list[Array], Array, CovarianceModel, float, bool]:
+) -> tuple[list[Array], Array, Array, float, bool]:
     """One round's mechanism pass over every stack, before secure aggregation.
 
     Returns the noised submissions in slot order; the non-sensitive users'
-    unfloored spectra (n_ns, dim), non-increasing, in slot order; the summed
-    model the accountant reads: the floored models when the mechanism floors
-    (WFDP replaces the update, WFNA adds the lift), plus the variance of the
-    DDP shares; the injected noise trace; and whether any update is only
-    approximately Gaussian.
+    unfloored spectra (n_ns, dim), non-increasing, in slot order; the
+    non-increasing (dim,) spectrum of the summed covariance the accountant
+    reads: the floored models' when the mechanism floors (WFDP replaces the
+    update, WFNA adds the lift), plus the variance of the DDP shares; the
+    injected noise trace; and whether any update is only approximately
+    Gaussian.
     """
     n_total = len(cohort.users)
     ops = ModelOps(model.family)
@@ -365,7 +368,7 @@ def run_round(
     """Execute one FL round and account it.
 
     The round is ``noise_round``'s pass, secure aggregation of its
-    submissions, and the accountant's entry for its summed model. The
+    submissions, and the accountant's entry for its summed spectrum. The
     per-round guarantee is driven by the smallest eigenvalue of that sum,
     which by eigenvalue super-additivity is at least the sum of the per-user
     floors. ``users`` may come laid out as a ``Cohort``, which a run builds
@@ -398,7 +401,7 @@ def run_round(
         # scaling, i.e. B times each unfloored lambda_min, slot by slot
         for lam in spectra[:, -1].tolist():
             theorem1_context += params.batch * lam
-    lambda_min = summed.lambda_min()
+    lambda_min = float(summed[-1])
     entry = _account(
         summed, lambda_min, theorem1_context, params, route, round_index, noise_trace,
         _guarantee_refusal(mech, cohort.users), approx_gaussian,
@@ -423,7 +426,7 @@ def _channel_seed(master_seed: int, round_index: int) -> int:
 
 
 def _account(
-    summed: CovarianceModel,
+    summed: Array,
     lambda_min: float,
     theorem1_context: float,
     params: PrivacyParams,
@@ -440,16 +443,17 @@ def _account(
         )
     warnings = (WARN_APPROX_GAUSSIAN,) if approx_gaussian else ()
     lam, cause = lambda_min, None
+    summed_rank = int(rank(summed))
     if route is ClosedFormMode.SINGULAR:
-        try:
-            lam = summed.lambda_min_nonzero()
-        except SingularCovariance:
+        if summed_rank:
+            lam = float(summed[summed_rank - 1])  # the smallest eigenvalue above the threshold
+        else:
             lam = 0.0
             cause = "necessary condition violated: aggregate non-sensitive covariance is zero"
-    elif isinstance(route, ClosedFormMode) and summed.rank() < summed.dim:
+    elif isinstance(route, ClosedFormMode) and summed_rank < summed.size:
         cause = (
             "necessary condition violated: aggregate non-sensitive covariance "
-            f"is singular (rank {summed.rank()} < {summed.dim}); a worst-case "
+            f"is singular (rank {summed_rank} < {summed.size}); a worst-case "
             "substituted gradient escapes its span"
         )
     elif route is RdpVariant.THEOREM1_RDP:

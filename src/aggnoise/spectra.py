@@ -7,11 +7,13 @@ eigendecomposition (its tail is 0). Everything that reads a spectrum reads all
 dim eigenvalues: the r stored ones plus tau repeated dim - r times. Flooring
 lifts both the stored eigenvalues and the tail, low-rank sampling draws from
 the stored eigenspace and the tail separately, and Renyi divergences work on
-the reconstructed matrices. A sum of isotropic models (every stored eigenvalue
-equal to its tail) is the summed tails times I; any other sum adds the
-reconstructed matrices and eigendecomposes the dim x dim total. Rank and the
-nonzero lambda_min count eigenvalues above ``DEFAULT_RANK_TOL`` times
-lambda_max.
+the reconstructed matrices. A sum of models is read as its spectrum alone: a
+sum of isotropic models (every stored eigenvalue equal to its tail) has the
+summed tails as every eigenvalue; any other sum adds the reconstructed
+matrices and reads the eigenvalues of the dim x dim total, with no
+eigenvectors. ``rank`` counts a spectrum's eigenvalues above
+``DEFAULT_RANK_TOL`` times its largest; every rank and rank-threshold test
+in the package reads it.
 
 The second-moment estimator follows the update-generation convention of the
 rest of the package: the per-user matrix is the *uncentered* second moment of
@@ -170,8 +172,7 @@ class CovarianceModel:
 
     A model may also be a stack of k models with the same dim and r: mean
     (k, dim), eigvecs (k, dim, r), eigvals (k, r) and tail a scalar or (k,).
-    ``spectrum`` and ``matrix`` then answer per member; the scalar readers
-    (``lambda_*``, ``rank``) read one model only. Eigenvectors are stored
+    ``spectrum`` and ``matrix`` then answer per member. Eigenvectors are stored
     column-major per member, the layout sorting a single model's eigenvectors
     gives them, so that BLAS makes the same calls on a member as on that model.
     """
@@ -248,30 +249,17 @@ class CovarianceModel:
         padded = np.concatenate([self.eigvals, tail], axis=-1)
         return np.sort(padded, axis=-1)[..., ::-1]
 
-    def lambda_max(self) -> float:
-        vals = self.spectrum()
-        return float(vals[0]) if vals.size else 0.0
-
-    def lambda_min(self) -> float:
-        vals = self.spectrum()
-        return float(vals[-1]) if vals.size else 0.0
-
-    def lambda_min_nonzero(self) -> float:
-        """Smallest eigenvalue above the rank threshold DEFAULT_RANK_TOL * lambda_max."""
-        vals = self.spectrum()
-        above = vals[vals > DEFAULT_RANK_TOL * self.lambda_max()]
-        if above.size == 0:
-            raise SingularCovariance("model has no eigenvalue above the rank threshold")
-        return float(above[-1])
-
-    def rank(self) -> int:
-        """Number of eigenvalues above DEFAULT_RANK_TOL * lambda_max."""
-        vals = self.spectrum()
-        return int(np.sum(vals > DEFAULT_RANK_TOL * self.lambda_max()))
-
     def matrix(self) -> Array:
         """Reconstruct the dense covariance (U diag(L - tail) U^T + tail I), at cost dim^2 r."""
         return _reconstruct(self.eigvecs, self.eigvals, self.tail)
+
+
+def rank(spectra: Array) -> Array:
+    """Eigenvalues above DEFAULT_RANK_TOL times the largest, per member of (..., dim) spectra.
+
+    The spectra may be in either order; a (dim,) spectrum gives one count.
+    """
+    return np.sum(spectra > DEFAULT_RANK_TOL * spectra.max(axis=-1, keepdims=True, initial=0.0), axis=-1)
 
 
 def _column_major(vecs: Array) -> Array:
@@ -357,14 +345,14 @@ def _thin_block(cols: Array, batch):
     X = cols / sqrt(B*D). With the thin QR
     X = Q R, X X^T = Q (R R^T) Q^T, so the D x D matrix R R^T gives the
     eigenvalues and Q times its eigenvectors gives orthonormal eigenvectors.
-    Only components above DEFAULT_RANK_TOL * lambda_max are kept: the
-    ascending eigenvalues keep a suffix, of each member's own width. Returns
-    the widths (k,) and ``part(members, width)``, the kept eigenvectors and
-    ascending eigenvalues of a slice of members that share a width.
+    Only the ``rank`` components are kept: the ascending eigenvalues keep a
+    suffix, of each member's own width. Returns the widths (k,) and
+    ``part(members, width)``, the kept eigenvectors and ascending eigenvalues
+    of a slice of members that share a width.
     """
     q, r = np.linalg.qr(cols / np.sqrt(batch * cols.shape[-1]))
     vals, w = _psd_eigh(r @ r.swapaxes(-1, -2))
-    widths = np.sum(vals > DEFAULT_RANK_TOL * vals[..., -1:], axis=-1)
+    widths = rank(vals)
     count = cols.shape[-1]
 
     def part(members: slice, width: int) -> tuple[Array, Array]:
@@ -494,7 +482,7 @@ def second_moment_spectra(
             widths += dim
         else:
             vals, _ = _psd_eigh((part.swapaxes(-1, -2) @ part) / (batch * count), vectors=False)
-            widths += np.sum(vals > DEFAULT_RANK_TOL * vals[..., -1:], axis=-1)
+            widths += rank(vals)
             vals = np.concatenate([np.zeros(vals.shape[:-1] + (dim - count,)), vals], axis=-1)
         parts.append(vals)
     spectra = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts, axis=-1), axis=-1)
@@ -637,8 +625,7 @@ def _renyi_divergence(alpha, mean_p, mean_q, sig_p, sig_q, spec_p, spec_q) -> Ar
     if alpha <= 0 or alpha == 1.0:
         raise ValueError(f"alpha must be positive and != 1, got {alpha}")
     for name, spec in (("p", spec_p), ("q", spec_q)):
-        # rank < dim: the smallest eigenvalue is at or below the rank threshold
-        if np.any(spec[..., -1] <= DEFAULT_RANK_TOL * spec[..., 0]):
+        if np.any(rank(spec) < spec.shape[-1]):
             raise SingularCovariance(f"model {name} is rank deficient")
     sig_a = (1.0 - alpha) * sig_p + alpha * sig_q
     try:
@@ -691,34 +678,30 @@ def span_contains(
 def sum_covariances(
     models: Sequence[CovarianceModel],
     isotropic_extra: float = 0.0,
-) -> CovarianceModel:
-    """Distribution of a sum of independent Gaussians: means add, covariances add.
+) -> Array:
+    """Spectrum of the covariance of a sum of independent Gaussians, non-increasing.
 
-    When every stored eigenvalue of every model equals its model's tail, each
-    model is tail_i I and the sum is c I, with c the summed tails plus
-    ``isotropic_extra``: a model with no stored eigenpairs and tail c, built
-    with no decomposition at all. Otherwise every model's ``matrix()`` is
-    added and the dim x dim total is eigendecomposed into a full-dimension
-    model. ``isotropic_extra`` adds that much variance to every coordinate,
-    which is how distributed isotropic noise shares enter the aggregate.
-    ``models`` may hold model stacks; their members are added in order, as
-    if each were listed on its own.
+    Covariances add; the means are not summed. When every stored eigenvalue
+    of every model equals its model's tail, each model is tail_i I and the sum
+    is c I, with c the summed tails plus ``isotropic_extra``: its (dim,)
+    spectrum is c repeated, with no decomposition at all. Otherwise every
+    model's ``matrix()`` is added and the eigenvalues of the dim x dim total,
+    without eigenvectors, are returned. ``isotropic_extra`` adds that much
+    variance to every coordinate, which is how distributed isotropic noise
+    shares enter the aggregate. ``models`` may hold model stacks; their
+    members are added in order, as if each were listed on its own.
     """
     if not models:
         raise ValueError("need at least one model to sum")
     dim = models[0].dim
-    mean = np.zeros(dim)
-    for m in models:
-        if m.dim != dim:
-            raise DimensionMismatch("models have inconsistent dimensions")
-        for member_mean in m.mean.reshape(-1, dim):
-            mean += member_mean
+    if any(m.dim != dim for m in models):
+        raise DimensionMismatch("models have inconsistent dimensions")
     # a full-dimension model stores tail 0, so it is isotropic only when it is
     # zero; skipping it saves the scan on the dense sums of small-dim models
     if all(m.n_components < dim and np.all(m.eigvals == np.asarray(m.tail)[..., None]) for m in models):
-        # summed in the order the dense path adds its diagonal, so c I matches it bit for bit
+        # summed in the order the dense path adds its diagonal, so c matches it bit for bit
         tail = sum(float(t) for m in models for t in np.asarray(m.tail).reshape(-1)) + isotropic_extra
-        return CovarianceModel.isotropic(mean, tail)
+        return np.full(dim, tail)
     total = np.zeros((dim, dim))
     for m in models:
         # a stack is reconstructed in one call and added member by member
@@ -726,4 +709,5 @@ def sum_covariances(
             total += member
     if isotropic_extra:
         total[np.diag_indices(dim)] += isotropic_extra
-    return eig_decompose(total, mean)
+    # a contiguous copy: numpy reduces a reversed view in memory order, not in the order it lists
+    return _psd_eigh(total, vectors=False)[0][::-1].copy()

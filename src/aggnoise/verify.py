@@ -17,9 +17,10 @@ lower. Both harnesses draw their instances a run of trials at a time, as
 plain arrays. One ``GradientMatrix`` per dimension and gradient count checks
 every user's gradients against that user's own trial clip, and
 ``spectra.estimate_mean_cov`` and ``spectra.floor_eigenvalues`` estimate and
-floor the users' models from it. The aggregates are summed and
-eigendecomposed as stacks per dimension, with the same bits as summing each
-instance through ``sum_covariances``.
+floor the users' models from it. The aggregates' covariances are summed as
+stacks per dimension, with the same bits as summing each instance through
+``sum_covariances``; the closed-form suite eigendecomposes its totals for
+their minimal eigenvectors, and the RDP suite reads only their spectra.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .spectra import (
     CovarianceModel,
     GradientMatrix,
     centered_draws,
+    eig_decompose,
     estimate_mean_cov,
     floor_eigenvalues,
     span_contains,
@@ -194,17 +196,17 @@ def build_counterexample(
     )
 
 
-def _floored_sum(
+def _floored_models(
     gradient_sets: Sequence[GradientMatrix], batch: int, floor: float
-) -> CovarianceModel:
-    """Sum of the users' estimated models, each floored at ``floor`` when it is > 0."""
+) -> list[CovarianceModel]:
+    """The users' estimated models, each floored at ``floor`` when it is > 0."""
     models = []
     for g in gradient_sets:
         model = estimate_mean_cov(g, batch)
         if floor > 0:
             model, _ = floor_eigenvalues(model, floor)
         models.append(model)
-    return sum_covariances(models)
+    return models
 
 
 def run_distinguisher(
@@ -219,9 +221,12 @@ def run_distinguisher(
     models; the distinguished user sends one of the two candidates uniformly.
     The attack looks only at the aggregate's last-quarter coordinates and
     picks the nearer candidate. Returns the fraction of correct guesses.
+    The helpers' sum is drawn from as one model: the eigendecomposition of
+    their summed covariance, about their summed mean.
     """
     q = instance.quarter_start
-    agg_model = _floored_sum(instance.helpers, instance.batch, floor)
+    models = _floored_models(instance.helpers, instance.batch, floor)
+    agg_model = eig_decompose(sum(m.matrix() for m in models), sum(m.mean for m in models))
     mean_q = agg_model.mean[q:]
     secret = rng.integers(0, 2, size=trials)
     noise = centered_draws(agg_model, trials, rng, slice(q, None))
@@ -245,7 +250,7 @@ def dp_advantage_bound(eps: float, delta: float) -> float:
 
 def counterexample_floored_lambda_min(instance: Counterexample, floor: float) -> float:
     """Exact smallest eigenvalue of the helpers' summed floored covariance."""
-    return _floored_sum(instance.helpers, instance.batch, floor).lambda_min()
+    return float(sum_covariances(_floored_models(instance.helpers, instance.batch, floor))[-1])
 
 
 def _random_clipped_columns(dim: int, count: int, clip: float, rng: np.random.Generator) -> Array:
@@ -281,12 +286,13 @@ def _estimates(
     return models if floor is None else floor_eigenvalues(models, floor)[0]
 
 
-def _slot_sums(models: CovarianceModel, slots: Array) -> CovarianceModel:
-    """Member t is ``sum_covariances`` of the stacked models ``slots[t]`` names, bit for bit.
+def _slot_sums(models: CovarianceModel, slots: Array) -> tuple[Array, Array]:
+    """Summed means (n, dim) and covariances (n, dim, dim) of the stacked models ``slots[t]`` names.
 
     ``slots`` is (n, max users) of indices into ``models``, -1 after a row's
     last user. Users are added slot by slot onto zeros, the order
-    ``sum_covariances`` adds them in, and each total is eigendecomposed.
+    ``sum_covariances`` adds them in, so total t is the matrix whose spectrum
+    it returns, bit for bit.
     """
     mats = models.matrix()
     mean = np.zeros((slots.shape[0], models.dim))
@@ -295,8 +301,7 @@ def _slot_sums(models: CovarianceModel, slots: Array) -> CovarianceModel:
         rows = np.flatnonzero(slots[:, k] >= 0)
         mean[rows] += models.mean[slots[rows, k]]
         total[rows] += mats[slots[rows, k]]
-    vals, vecs = _psd_eigh(total)
-    return CovarianceModel(mean, vecs, vals)
+    return mean, total
 
 
 def _by_dim(dims: Sequence[int]) -> list[Array]:
@@ -349,8 +354,8 @@ def certify_closed_form(n_trials: int, rng: np.random.Generator) -> list[Dominan
     Instances are drawn in trial order, up to _TRIALS_PER_STACK at a time.
     Their users are estimated and floored by stacked ``estimate_mean_cov``
     and ``floor_eigenvalues`` calls; the sums, their eigendecompositions and
-    the whitening solves run as stacked calls per dimension, with the same
-    results as summing instance by instance through ``sum_covariances``.
+    the whitening solves run as stacked calls per dimension. The sums are the
+    matrices ``sum_covariances`` would add instance by instance.
     """
     return _in_stacks(n_trials, lambda count, first: _closed_form_stack(count, first, rng))
 
@@ -386,13 +391,13 @@ def _closed_form_stack(n_trials: int, first: int, rng: np.random.Generator) -> l
             np.repeat([t.params.batch for t in group], sizes),
             np.repeat([t.params.floor for t in group], sizes),
         )
-        sums = _slot_sums(models, _slot_table(sizes, sizes))
-        # count >= dim, so every estimate and the sum are full-dimension and
-        # the last eigenpair is the smallest eigenvalue's
-        lam_min[idx] = sums.eigvals[:, -1]
-        chol = np.linalg.cholesky(sums.matrix())
+        _, totals = _slot_sums(models, _slot_table(sizes, sizes))
+        # eigh's first eigenpair is the smallest eigenvalue's; its vector is the extremal direction
+        vals, vecs = _psd_eigh(totals)
+        lam_min[idx] = vals[:, 0]
+        chol = np.linalg.cholesky(totals)
         limit = np.array([2.0 * t.params.clip / t.params.batch for t in group])
-        extremal = limit[:, None] * sums.eigvecs[:, :, -1]
+        extremal = limit[:, None] * vecs[:, :, 0]
         w = np.linalg.solve(chol, extremal[:, :, None])
         sensitivity[idx] = np.linalg.norm(w, axis=-2)[:, 0]
 
@@ -531,9 +536,10 @@ def _rdp_stack(
         slots_p = _slot_table(sizes, sizes + 1)
         slots_q = slots_p.copy()
         slots_q[:, 0] += sizes
-        sum_p, sum_q = _slot_sums(models, slots_p), _slot_sums(models, slots_q)
-        aggregates.append((idx, sum_p.mean, sum_q.mean, sum_p.matrix(), sum_q.matrix(),
-                           sum_p.eigvals, sum_q.eigvals))
+        (mean_p, total_p), (mean_q, total_q) = _slot_sums(models, slots_p), _slot_sums(models, slots_q)
+        # non-increasing, as sum_covariances returns them
+        spec_p, spec_q = (_psd_eigh(total, vectors=False)[0][..., ::-1] for total in (total_p, total_q))
+        aggregates.append((idx, mean_p, mean_q, total_p, total_q, spec_p, spec_q))
         if variant is RdpVariant.THEOREM1_RDP:
             unit = [g for t in group for g in t.users]
             unit_vals = _estimates(

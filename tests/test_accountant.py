@@ -138,6 +138,22 @@ class TestDeltaApproxGaussian:
         assert out.meaningless
 
 
+class TestPrivacyParams:
+    @pytest.mark.parametrize("field, value", [
+        ("clip", math.nan), ("clip", math.inf), ("batch", math.nan), ("local_size", math.nan),
+        ("ns_users", math.nan), ("delta", math.nan), ("approx_gauss_delta0", math.nan),
+        ("approx_gauss_delta0", math.inf), ("floor", math.nan), ("floor", math.inf),
+        ("floor", -0.1), ("sampling_ratio", math.nan), ("rounds", math.nan),
+    ])
+    def test_rejects_non_finite_or_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PrivacyParams(**{"clip": 1.0, "batch": 1, field: value})
+
+    def test_accepts_finite_values(self):
+        p = PrivacyParams(clip=1.0, batch=1, approx_gauss_delta0=0.0, floor=0.0)
+        assert p.floor == 0.0 and p.approx_gauss_delta0 == 0.0
+
+
 RDP_PARAMS = PrivacyParams(clip=1.0, batch=10, local_size=100, ns_users=50,
                            delta=1e-5, floor=0.01)
 VARIANT_CONTEXTS = [(RdpVariant.THEOREM1_RDP, 0.5), (RdpVariant.WFDP_A, None),

@@ -113,6 +113,27 @@ class TestAccountCommand:
         assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("flags, named", [
+    ("--route closed --lambda 0.25 --C 2 --B 100 --delta 1e-3 --delta0 nan", "delta0"),
+    ("--route closed --lambda inf --C 2 --B 100 --delta 1e-3", "--lambda"),
+    ("--route closed --lambda nan --C 2 --B 100 --delta 1e-3", "--lambda"),
+    ("--route theorem1-rdp --sum-lambda-min inf --C 1 --B 10 --D 100 --delta 1e-5",
+     "--sum-lambda-min"),
+    ("--route wfdp-a --C 1 --B 10 --D 100 --N 50 --sigma 0.1 --sigma2 0.5 --delta 1e-5",
+     "--sigma2"),
+    ("--route wfdp-a --C 1 --B 10 --D 100 --N 50 --sigma -0.1 --delta 1e-5", "--sigma"),
+    ("--route wfdp-a --C 1 --B 10 --D 100 --N 50 --sigma nan --delta 1e-5", "--sigma"),
+    ("--route wfdp-a --C 1 --B 10 --D 100 --N 50 --sigma2 nan --delta 1e-5", "floor"),
+    ("--route wfdp-a --C inf --B 10 --D 100 --N 50 --sigma 0.1 --delta 1e-5", "clip"),
+], ids=["delta0-nan", "lambda-inf", "lambda-nan", "sum-lambda-min-inf", "sigma-and-sigma2",
+        "sigma-negative", "sigma-nan", "sigma2-nan", "clip-inf"])
+def test_account_refuses_non_finite_or_conflicting_flags(flags, named, capsys):
+    assert main(["account"] + flags.split()) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and named in captured.err
+
+
 # stdout recorded before ``account`` composed through the ledger; the one
 # line added since is the meaningless_delta warning the round's entry carries
 ACCOUNT_GOLDEN = {
@@ -582,8 +603,11 @@ class TestComposeCommand:
         assert main(["--out", str(tmp_path / "o"), "compose", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: ledger file {path} is malformed")
 
-    @pytest.mark.parametrize("value", [-1.0, math.nan], ids=["negative", "nan"])
-    @pytest.mark.parametrize("field", ["eps", "lambda_min", "noise_trace"])
+    @pytest.mark.parametrize("field, value", [
+        pytest.param(field, value, id=f"{field}-{name}")
+        for field in ("eps", "lambda_min", "noise_trace", "delta_total")
+        for name, value in (("negative", -1.0), ("nan", math.nan))
+    ] + [pytest.param("delta_total", math.inf, id="delta_total-inf")])
     def test_invalid_entry_value_is_config_error(self, tmp_path, capsys, field, value):
         # an RDP ledger of closed-form rounds: RDP composition reads only its
         # lambda_min, SIMPLE composition amplifies its eps
@@ -597,6 +621,20 @@ class TestComposeCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: ledger file {path} is malformed")
         assert field in err
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    def test_invalid_sum_lambda_min_is_config_error(self, tmp_path, capsys, value):
+        path = tmp_path / "ledger.json"
+        write_ledger(path, RDP_PARAMS, [RdpVariant.THEOREM1_RDP] * 2, CompositionMode.RDP, lam=0.5)
+        doc = json.loads(path.read_text())
+        assert doc["entries"][1]["curve"]["sum_lambda_min"] == 0.5
+        doc["entries"][1]["curve"]["sum_lambda_min"] = value
+        path.write_text(json.dumps(doc))
+        rc = main(["--out", str(tmp_path / "o"), "compose", str(path)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: ledger file {path} is malformed")
+        assert "sum_lambda_min" in err
 
     def test_simple_delta_override_on_closed_form_rounds_rejected(self, tmp_path, capsys):
         # their eps holds at the delta they were accounted at, not at --delta

@@ -354,7 +354,7 @@ class TestFullGdModel:
         model = CovarianceModel(models.mean[0], models.eigvecs[0], models.eigvals[0], models.tail[0])
         dim = theta.shape[0]
         assert model.n_components == 0
-        assert model.lambda_max() == 0.0
+        assert np.array_equal(model.spectrum(), np.zeros(dim))
         update = mechanisms.wfdp_update(model, 0.04, np.random.default_rng(3))
         assert np.array_equal(update.floored.matrix(), 0.04 * np.eye(dim))
         assert update.noise_trace == pytest.approx(dim * 0.04, rel=1e-15)
@@ -614,7 +614,7 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
             else:
                 dist_model = estimate_mean_cov(grads, scheme.batch, blocks)
             if route is RdpVariant.THEOREM1_RDP:
-                theorem1_context += params.batch * dist_model.lambda_min()
+                theorem1_context += params.batch * dist_model.spectrum()[-1]
             if mech.kind is MechanismKind.WFNA:
                 noised = mechanisms.wfna_noise(dist_model, mech.sigma2, rng)
                 x = x + update_scale * noised.vector
@@ -635,7 +635,7 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
     summed = sum_covariances(
         ns_models, isotropic_extra=simulation._isotropic_extra(mech, len(ns_models), n_total)
     )
-    lambda_min = summed.lambda_min()
+    lambda_min = float(summed[-1])
     entry = simulation._account(summed, lambda_min, theorem1_context, params, route,
                                 round_index, noise_trace, refusal, approx_gaussian)
     all_phi = design(np.vstack([u.features for u in users]))
@@ -781,6 +781,60 @@ class TestStackedRoundMatchesPerUserLoop:
         assert messages[0] == messages[1]
 
 
+class TestAccountReadsTheSpectrum:
+    """``_account`` reads rank and the smallest nonzero eigenvalue off the summed spectrum."""
+
+    PARAMS = PrivacyParams(clip=1.0, batch=10, local_size=40, ns_users=2, delta=1e-3)
+
+    def account(self, spectrum, route):
+        return simulation._account(np.array(spectrum), spectrum[-1], 0.0, self.PARAMS, route,
+                                   0, 0.0, None, False)
+
+    def test_singular_route_reads_the_smallest_nonzero_eigenvalue(self):
+        entry = self.account([0.5, 0.02, 0.0], ClosedFormMode.SINGULAR)
+        assert entry.cause is None and entry.lambda_min == 0.02
+        # below the rank threshold (1e-10 times the largest) counts as zero
+        assert self.account([0.5, 0.02, 4e-11], ClosedFormMode.SINGULAR).lambda_min == 0.02
+        zero = self.account([0.0, 0.0, 0.0], ClosedFormMode.SINGULAR)
+        assert zero.eps == math.inf and "covariance is zero" in zero.cause
+
+    def test_general_route_refuses_a_rank_deficient_sum(self):
+        entry = self.account([0.5, 0.02, 4e-11], ClosedFormMode.GENERAL)
+        assert entry.eps == math.inf and "rank 2 < 3" in entry.cause
+        assert self.account([0.5, 0.02, 6e-11], ClosedFormMode.GENERAL).cause is None
+
+
+class TestAggregateSpectrum:
+    """A round reads its aggregate as eigenvalues alone: one 2-D eigvalsh of the sum, no 2-D eigh."""
+
+    @pytest.mark.parametrize("features", [11, 59], ids=["dense", "thin"])
+    @pytest.mark.parametrize("kind", [MechanismKind.WFDP, MechanismKind.NONE], ids=["wfdp", "none"])
+    def test_one_eigvalsh_of_the_sum(self, monkeypatch, kind, features):
+        scheme = UpdateScheme(SchemeKind.GAUSSIAN_SAMPLED, batch=5, learning_rate=0.2)
+        users, _, family = make_users(6, 1, scheme, seed=41, task="regression",
+                                      features=features, per_user=20)
+        model = init_model(family, features)
+        # a floor far below the users' spectra: every user is estimated and the sum is dense
+        mech = MechanismConfig(kind, 1e-6 if kind is MechanismKind.WFDP else 0.0)
+        params = PrivacyParams(clip=1.0, batch=5, local_size=20, ns_users=5, delta=1e-3,
+                               floor=mech.floor)
+        shapes = {"eigh": [], "eigvalsh": []}
+        for name, calls in shapes.items():
+            original = getattr(np.linalg, name)
+
+            def recording(a, *args, _calls=calls, _original=original, **kwargs):
+                _calls.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        run_round(model, users, mech, params, ClosedFormMode.GENERAL, master_seed=5, round_index=0)
+        dim = model.dim
+        assert [s for s in shapes["eigvalsh"] if len(s) == 2] == [(dim, dim)]
+        assert [s for s in shapes["eigh"] if len(s) == 2] == []
+        # the users' estimates and spectra are the stacked 3-D calls
+        assert all(len(s) == 3 for calls in shapes.values() for s in calls if len(s) != 2)
+
+
 class TestFloorsFromSpectra:
     """Unblocked WFDP floors a user its floor covers to sigma^2 I, with no eigenvectors."""
 
@@ -801,8 +855,7 @@ class TestFloorsFromSpectra:
         tail = 0.0
         for _ in users[1:]:  # slot by slot
             tail += self.SIGMA2
-        assert summed.n_components == 0
-        assert summed.tail == tail and summed.lambda_min() == tail
+        assert np.array_equal(summed, np.full(model.dim, tail))
         ops = ModelOps(model.family)
         lifts = 0.0
         for user, spectrum in zip(users[1:], spectra):

@@ -23,6 +23,7 @@ from aggnoise.spectra import (
     eig_decompose,
     estimate_mean_cov,
     floor_eigenvalues,
+    rank,
     renyi_gaussian,
     sample_gaussian,
     second_moment_spectra,
@@ -31,6 +32,7 @@ from aggnoise.spectra import (
     _psd_eigh,
     _renyi_divergence,
     _second_moment,
+    _thin_block,
 )
 
 
@@ -273,13 +275,14 @@ class TestModelConstructions:
         estimate_mean_cov(g, batch=2)
         assert len(count_models) == 1
 
-    def test_sum_covariances_builds_one_model(self, count_models):
+    def test_sum_covariances_builds_no_model(self, count_models):
         rng = np.random.default_rng(12)
         models = [full_rank_model(rng, 3) for _ in range(3)]
         count_models.clear()
         summed = sum_covariances(models, isotropic_extra=0.1)
-        assert len(count_models) == 1
-        assert np.allclose(summed.mean, sum(m.mean for m in models))
+        assert len(count_models) == 0
+        dense = sum(m.matrix() for m in models) + 0.1 * np.eye(3)
+        assert np.allclose(summed, np.linalg.eigvalsh(dense)[::-1], rtol=1e-12, atol=0)
 
 
 class TestGradientMatrix:
@@ -340,7 +343,7 @@ class TestEstimateMeanCov:
         model = estimate_mean_cov(g, batch=1)
         assert np.allclose(model.mean, vec)
         assert np.allclose(model.matrix(), np.outer(vec, vec))
-        assert model.rank() == 1
+        assert rank(model.spectrum()) == 1
 
     def test_batch_scaling(self):
         vec = np.array([0.6, 0.8])
@@ -385,7 +388,7 @@ class TestFloorEigenvalues:
         assert np.allclose(floored.eigvals, [0.5, 0.04, 0.04])
         assert sorted(floored.eigvals - model.eigvals) == pytest.approx([0.0, 0.02, 0.04])
         assert lift_trace == pytest.approx(0.06)
-        assert floored.lambda_min() >= 0.04
+        assert floored.spectrum()[-1] >= 0.04
 
     def test_noop_when_spectrum_above_floor(self):
         model = eig_decompose(np.diag([0.5, 0.2]))
@@ -431,7 +434,7 @@ class TestFloorEigenvalues:
         dense, dense_trace = floor_eigenvalues(eig_decompose(partial.matrix()), 0.7)
         assert np.allclose(floored.matrix(), dense.matrix(), atol=1e-15)
         assert np.allclose(floored.matrix(), np.diag([1.0, 0.7, 0.7]))
-        assert floored.tail == 0.7 and floored.lambda_min() == 0.7
+        assert floored.tail == 0.7 and floored.spectrum()[-1] == 0.7
         assert lift_trace == pytest.approx(0.9) and lift_trace == pytest.approx(dense_trace)
 
     def test_results_share_only_the_eigenvectors_with_input(self):
@@ -611,22 +614,38 @@ class TestSpectrumInvariants:
             clip = float(0.5 + 2 * rng.random())
             g = random_gradients(rng, int(rng.integers(2, 6)), int(rng.integers(2, 12)), clip)
             model = estimate_mean_cov(g, batch=1)
-            assert model.lambda_max() <= clip**2 + 1e-9
+            assert model.spectrum()[0] <= clip**2 + 1e-9
 
     def test_min_eigenvalue_superadditive(self):
         rng = np.random.default_rng(55)
         for _ in range(20):
             models = [full_rank_model(rng, 4) for _ in range(int(rng.integers(2, 5)))]
             total = sum_covariances(models)
-            assert total.lambda_min() >= sum(m.lambda_min() for m in models) - 1e-9
+            assert total[-1] >= sum(m.spectrum()[-1] for m in models) - 1e-9
 
-    def test_lambda_min_nonzero(self):
-        model = eig_decompose(np.diag([0.5, 0.02, 0.0]))
-        assert model.lambda_min() == 0.0
-        assert model.lambda_min_nonzero() == pytest.approx(0.02)
-        zero = eig_decompose(np.zeros((2, 2)))
-        with pytest.raises(SingularCovariance):
-            zero.lambda_min_nonzero()
+    def test_rank_and_smallest_nonzero_eigenvalue(self):
+        spectrum = eig_decompose(np.diag([0.5, 0.02, 0.0])).spectrum()
+        assert spectrum[-1] == 0.0
+        assert rank(spectrum) == 2
+        assert spectrum[rank(spectrum) - 1] == pytest.approx(0.02)
+        assert rank(eig_decompose(np.zeros((2, 2))).spectrum()) == 0
+
+    def test_rank_gives_the_widths_thin_block_kept(self):
+        rng = np.random.default_rng(61)
+        cols = rng.standard_normal((4, 20, 6))
+        cols /= np.linalg.norm(cols, axis=-2, keepdims=True)
+        cols[1, :, 3:] = cols[1, :, :3]  # rank 3
+        cols[2, :, 1:] = cols[2, :, :1]  # rank 1
+        cols[3] *= 1e-3  # the threshold is relative to each member's largest eigenvalue
+        batch = np.array([1, 2, 3, 4])[:, None, None]
+        widths, _ = _thin_block(cols, batch)
+        # the rule _thin_block applied inline before: ascending eigenvalues
+        # above DEFAULT_RANK_TOL times each member's last, largest one
+        _, r = np.linalg.qr(cols / np.sqrt(batch * 6))
+        vals, _ = _psd_eigh(r @ r.swapaxes(-1, -2))
+        inline = np.sum(vals > DEFAULT_RANK_TOL * vals[..., -1:], axis=-1)
+        assert widths.tolist() == inline.tolist() == [6, 3, 1, 6]
+        assert rank(vals).tolist() == rank(vals[..., ::-1]).tolist() == inline.tolist()
 
 
 def _clipped(cols, clip=1.0):
@@ -710,13 +729,13 @@ class TestLowRankModels:
                 floored, lift_trace = floor_eigenvalues(model, sigma2)
                 dense_floored = np.maximum(vals, sigma2)
                 dense_trace = float(np.maximum(sigma2 - vals, 0.0).sum())
-                assert floored.lambda_min() == pytest.approx(dense_floored.min(), rel=1e-12, abs=0)
+                assert floored.spectrum()[-1] == pytest.approx(dense_floored.min(), rel=1e-12, abs=0)
                 assert lift_trace == pytest.approx(dense_trace, rel=1e-12, abs=0), kind
                 floored_sum += (vecs * dense_floored) @ vecs.T
                 floored_models.append(floored)
             summed = sum_covariances(floored_models)
             expected = float(np.linalg.eigvalsh(floored_sum)[0])
-            assert summed.lambda_min() == pytest.approx(expected, rel=1e-12, abs=0), kind
+            assert summed[-1] == pytest.approx(expected, rel=1e-12, abs=0), kind
 
     def test_dense_path_is_unchanged(self):
         # D >= dim: the same eigendecomposition of the same matrix, and the
@@ -741,9 +760,9 @@ class TestLowRankModels:
         grads = random_gradients(np.random.default_rng(31), dim=6, count=3, clip=1.0)
         model = estimate_mean_cov(grads, 1)
         assert model.n_components == 3
-        floored, _ = floor_eigenvalues(model, 0.5 * model.lambda_max())
+        floored, _ = floor_eigenvalues(model, 0.5 * model.spectrum()[0])
         target = floored.matrix()
-        scale = floored.lambda_max()
+        scale = floored.spectrum()[0]
         rng = np.random.default_rng(32)
         n = 30_000
         replaced = np.array([sample_gaussian(floored, rng) for _ in range(n)]) - model.mean
@@ -773,7 +792,7 @@ class TestLowRankModels:
         assert sizes and max(sizes) <= count
         sigma2 = float(np.median(models[0].eigvals))
         summed = sum_covariances([floor_eigenvalues(m, sigma2)[0] for m in models])
-        assert summed.lambda_min() == pytest.approx(users * sigma2, rel=1e-12, abs=0)
+        assert summed[-1] == pytest.approx(users * sigma2, rel=1e-12, abs=0)
         # a floor >= C^2/B lifts every eigenvalue (the trace is at most C^2/B)
         # to the tail: every floored model is isotropic and the sum decomposes nothing
         sigma2 = 1.0**2 / batch
@@ -782,9 +801,10 @@ class TestLowRankModels:
             for name in ("eigh", "qr"):
                 patch.setattr(np.linalg, name, _forbidden(name))
             summed = sum_covariances(floored)
-        assert summed.n_components == 0
-        assert summed.tail == pytest.approx(users * sigma2, rel=1e-15, abs=0)
-        assert summed.lambda_min() == summed.tail
+        tail = 0.0
+        for _ in floored:  # model by model, the order sum_covariances adds them in
+            tail += sigma2
+        assert np.array_equal(summed, np.full(dim, tail))
 
     def test_thin_estimate_builds_one_model(self, monkeypatch):
         calls = []
@@ -801,12 +821,11 @@ class TestLowRankModels:
     def test_spectrum_readers_include_the_tail(self):
         model = CovarianceModel(np.zeros(4), np.eye(4)[:, :2], np.array([2.0, 0.5]), tail=1.0)
         assert np.array_equal(model.spectrum(), [2.0, 1.0, 1.0, 0.5])
-        assert model.lambda_max() == 2.0 and model.lambda_min() == 0.5
-        assert model.rank() == 4
+        assert rank(model.spectrum()) == 4
         assert np.allclose(model.matrix(), np.diag([2.0, 0.5, 1.0, 1.0]))
         untailed = CovarianceModel(np.zeros(4), np.eye(4)[:, :2], np.array([2.0, 0.5]))
-        assert untailed.rank() == 2 and untailed.lambda_min() == 0.0
-        assert untailed.lambda_min_nonzero() == 0.5
+        assert np.array_equal(untailed.spectrum(), [2.0, 0.5, 0.0, 0.0])
+        assert rank(untailed.spectrum()) == 2
 
     def test_full_dimension_model_stores_no_tail(self):
         model = CovarianceModel(np.zeros(2), np.eye(2), np.ones(2), tail=3.0)
@@ -835,16 +854,14 @@ def _thin_model(rng, dim, count, floor=0.0):
 
 
 def _dense_sum(models, extra):
-    """The dense formula: add every matrix(), then eigendecompose the total."""
+    """The dense formula: add every matrix(), then the non-increasing eigenvalues of the total."""
     dim = models[0].dim
     total = np.zeros((dim, dim))
-    mean = np.zeros(dim)
     for m in models:
         total += m.matrix()
-        mean += m.mean
     if extra:
         total[np.diag_indices(dim)] += extra
-    return eig_decompose(total, mean)
+    return np.maximum(np.linalg.eigvalsh(0.5 * (total + total.T)), 0.0)[::-1]
 
 
 class TestIsotropicSum:
@@ -859,11 +876,8 @@ class TestIsotropicSum:
         # eigvalsh is backward stable: each eigenvalue is off by a small
         # multiple of dim * eps * lambda_max
         backward = 4 * self.DIM * np.finfo(float).eps * lam_max
-        assert np.abs(summed.spectrum()[::-1] - np.linalg.eigvalsh(dense)).max() <= backward
-        assert np.abs(summed.matrix() - dense).max() <= 1e-12 * lam_max
-        assert np.array_equal(summed.mean, sum(m.mean for m in models))
-        vecs = summed.eigvecs
-        assert np.abs(vecs.T @ vecs - np.eye(summed.n_components)).max(initial=0.0) <= 1e-12
+        assert summed.shape == (self.DIM,)
+        assert np.abs(summed[::-1] - np.linalg.eigvalsh(dense)).max() <= backward
         return summed
 
     @pytest.mark.parametrize("extra", [0.0, 0.03])
@@ -874,11 +888,11 @@ class TestIsotropicSum:
         models.append(CovarianceModel(rng.standard_normal(self.DIM), np.zeros((self.DIM, 0)), np.zeros(0)))
         assert all(m.eigvals.max(initial=m.tail) == m.tail for m in models)
         with monkeypatch.context() as patch:
-            for name in ("eigh", "qr"):
+            for name in ("eigh", "eigvalsh", "qr"):
                 patch.setattr(np.linalg, name, _forbidden(name))
             summed = sum_covariances(models, isotropic_extra=extra)
-        assert summed.n_components == 0
-        assert summed.lambda_min() == pytest.approx(3 * 0.6 + extra, rel=1e-12, abs=0)
+        assert np.array_equal(summed, np.full(self.DIM, sum(m.tail for m in models) + extra))
+        assert summed[-1] == pytest.approx(3 * 0.6 + extra, rel=1e-12, abs=0)
         self._check_against_dense(models, extra)
 
     def test_other_sums_are_the_dense_formula(self):
@@ -891,11 +905,7 @@ class TestIsotropicSum:
             # one thin model, thin with isotropic, mixed thin and full-dimension
             for subset in ([floored], [floored, isotropic], thin + [full], thin + [floored]):
                 summed = self._check_against_dense(subset, extra)
-                reference = _dense_sum(subset, extra)
-                assert summed.n_components == self.DIM and summed.tail == 0.0
-                assert np.array_equal(summed.eigvals, reference.eigvals)
-                assert np.array_equal(summed.eigvecs, reference.eigvecs)
-                assert np.array_equal(summed.mean, reference.mean)
+                assert np.array_equal(summed, _dense_sum(subset, extra))
 
     def test_eigenvalue_off_the_tail_takes_the_dense_path(self):
         rng = np.random.default_rng(53)
@@ -913,7 +923,4 @@ class TestIsotropicSum:
             )
             models = [first] + others
             summed = self._check_against_dense(models, 0.0)
-            reference = _dense_sum(models, 0.0)
-            assert summed.n_components == self.DIM
-            assert np.array_equal(summed.eigvals, reference.eigvals)
-            assert np.array_equal(summed.eigvecs, reference.eigvecs)
+            assert np.array_equal(summed, _dense_sum(models, 0.0))

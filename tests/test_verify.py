@@ -22,17 +22,20 @@ from aggnoise.accountant import (
 from aggnoise.errors import BadDimension
 from aggnoise.spectra import (
     GradientMatrix,
+    eig_decompose,
     estimate_mean_cov,
     floor_eigenvalues,
     renyi_gaussian,
     sum_covariances,
+    _psd_eigh,
+    _renyi_divergence,
 )
 from aggnoise.verify import (
     Counterexample,
     DominanceReport,
     Verdict,
     _estimates,
-    _floored_sum,
+    _floored_models,
     _random_clipped,
     _random_clipped_columns,
     _substitute_column,
@@ -67,20 +70,29 @@ def closed_form_instances(n_trials, rng):
         yield params, floor, users
 
 
+def summed(gradient_sets, batch, floor):
+    """An instance's summed mean and covariance, added model by model as ``sum_covariances`` adds them."""
+    models = _floored_models(gradient_sets, batch, floor)
+    return sum(m.mean for m in models), sum(m.matrix() for m in models)
+
+
 def per_instance_closed_form(n_trials, rng):
     """The reference suite: each instance through the public per-model path."""
     reports = []
     for trial, (params, floor, users) in enumerate(closed_form_instances(n_trials, rng)):
-        aggregate = _floored_sum(users, params.batch, floor)
-        lam_min = aggregate.lambda_min()
+        _, total = summed(users, params.batch, floor)
+        # eigh's first eigenpair: the smallest eigenvalue, and the first of its
+        # eigenvectors when flooring ties it
+        vals, vecs = _psd_eigh(total)
+        lam_min = float(vals[0])
         bound = eps_dp_closed_form(lam_min, params, ClosedFormMode.GENERAL)
-        chol = np.linalg.cholesky(aggregate.matrix())
-        extremal = (2.0 * params.clip / params.batch) * aggregate.eigvecs[:, -1]
+        chol = np.linalg.cholesky(total)
+        extremal = (2.0 * params.clip / params.batch) * vecs[:, 0]
         w = np.linalg.solve(chol, extremal[:, None])
         sensitivity = float(np.linalg.norm(w, axis=0)[0])
         reports.append(DominanceReport(
             descriptor=(
-                f"closed_form trial={trial} d={aggregate.dim} N={params.ns_users} "
+                f"closed_form trial={trial} d={total.shape[0]} N={params.ns_users} "
                 f"D={params.local_size} B={params.batch} C={params.clip:.3f} "
                 f"delta={params.delta:g} region={bound.region.value} "
                 f"lam={lam_min:.3e} eps={bound.eps:.4f}"
@@ -110,7 +122,7 @@ def per_instance_rdp(variant, n_trials, rng, alphas=(1.5, 2.0, 4.0)):
         substituted = [GradientMatrix(replaced, clip)] + users[1:]
         if variant is RdpVariant.THEOREM1_RDP:
             floor = 0.0
-            context = float(sum(estimate_mean_cov(g, 1).lambda_min() for g in users))
+            context = float(sum(estimate_mean_cov(g, 1).spectrum()[-1] for g in users))
             if context <= 0:
                 continue
         else:
@@ -119,8 +131,9 @@ def per_instance_rdp(variant, n_trials, rng, alphas=(1.5, 2.0, 4.0)):
             floor = base * float(rng.choice([1.5, 3.0, 10.0]))
         params = PrivacyParams(clip=clip, batch=batch, local_size=count,
                                ns_users=n_users, delta=1e-5, floor=floor)
-        p = _floored_sum(users, batch, floor)
-        q = _floored_sum(substituted, batch, floor)
+        (mean_p, sig_p), (mean_q, sig_q) = summed(users, batch, floor), summed(substituted, batch, floor)
+        spec_p = sum_covariances(_floored_models(users, batch, floor))
+        spec_q = sum_covariances(_floored_models(substituted, batch, floor))
         for alpha in alphas:
             bound = rdp_bound(alpha, params, variant, sum_lambda_min=context)
             if not math.isfinite(bound):
@@ -131,7 +144,7 @@ def per_instance_rdp(variant, n_trials, rng, alphas=(1.5, 2.0, 4.0)):
                     f"N={n_users} D={count} B={batch} C={clip:.3f}"
                     + (f" sigma2={floor:.3e}" if floor else "")
                 ),
-                exact=renyi_gaussian(alpha, p, q),
+                exact=float(_renyi_divergence(alpha, mean_p, mean_q, sig_p, sig_q, spec_p, spec_q)),
                 bound=float(bound),
             ))
     return reports
@@ -306,15 +319,18 @@ class TestCounterexample:
             build_counterexample(0)
 
     def test_floored_distinguisher_draws_the_tail(self):
-        # d = 64: three helpers of 6 gradients each, floored at 1.0, sum to
-        # 3 I with no stored eigenpairs; the noise must still cover every
-        # coordinate, exactly as a dense 3 I would
+        # d = 64: three helpers of 6 gradients each, floored at 1.0 to
+        # isotropic models (every eigenvalue 1, 58 of them the tail), sum to
+        # 3 I; the noise must still cover every coordinate, exactly as a dense
+        # 3 I would
         ce = build_counterexample(64, rng=np.random.default_rng(1))
-        agg = _floored_sum(ce.helpers, ce.batch, 1.0)
-        assert agg.n_components == 0 and agg.tail == 3.0
+        models = _floored_models(ce.helpers, ce.batch, 1.0)
+        assert all(m.n_components < 64 and np.all(m.spectrum() == 1.0) for m in models)
+        agg = sum_covariances(models)
+        assert np.array_equal(agg, np.full(64, 3.0))
         success = run_distinguisher(ce, 20_000, np.random.default_rng(3), floor=1.0)
         params = PrivacyParams(clip=ce.clip, batch=ce.batch, delta=1e-3)
-        eps = eps_dp_closed_form(agg.lambda_min(), params).eps
+        eps = eps_dp_closed_form(agg[-1], params).eps
         assert 2.0 * success - 1.0 <= dp_advantage_bound(eps, params.delta)
         assert success < 0.6
 
@@ -351,7 +367,7 @@ class TestCertifyClosedForm:
 
         def margin(scale):
             agg = sum_covariances([base] * 3)
-            lam = agg.lambda_min() * scale
+            lam = agg[-1] * scale
             eps = eps_dp_closed_form(lam, params).eps
             sens = 2 * params.clip / params.batch / math.sqrt(lam)
             return params.delta - analytic_gaussian_delta(sens, 1.0, eps)
@@ -368,7 +384,7 @@ class TestCertifyClosedForm:
             model, _ = floor_eigenvalues(estimate_mean_cov(GradientMatrix(cols, 1.0), 10), 0.06)
             models.append(model)
         agg = sum_covariances(models)
-        lam = agg.lambda_min()
+        lam = agg[-1]
         bound = eps_dp_closed_form(lam, params)
         assert bound.region.value == "high"
         # worst case: difference of 2C/B aligned with the minimal eigenvector
@@ -386,9 +402,10 @@ class TestCertifyClosedForm:
         ratios = []
         lams = []
         for params, floor, users in closed_form_instances(1000, np.random.default_rng(7)):
-            aggregate = _floored_sum(users, params.batch, floor)
-            lams.append(f"lam={aggregate.lambda_min():.3e} ")
-            chol = np.linalg.cholesky(aggregate.matrix())
+            _, total = summed(users, params.batch, floor)
+            aggregate = eig_decompose(total)
+            lams.append(f"lam={aggregate.spectrum()[-1]:.3e} ")
+            chol = np.linalg.cholesky(total)
             clip, dim = params.clip, aggregate.dim
             a = pair_rng.standard_normal((dim, pairs))
             b = pair_rng.standard_normal((dim, pairs))
@@ -426,7 +443,7 @@ class TestCertifyRdp:
         cols /= np.linalg.norm(cols, axis=0)
         grads = GradientMatrix(cols, 1.0)
         model, _ = floor_eigenvalues(estimate_mean_cov(grads, 2), 0.1)
-        agg = sum_covariances([model, model])
+        agg = eig_decompose(model.matrix() + model.matrix(), model.mean + model.mean)
         assert renyi_gaussian(2.0, agg, agg) == pytest.approx(0.0, abs=1e-12)
 
     def test_wfdp_variants_adjudicated(self):
@@ -518,9 +535,9 @@ class TestFlooredSum:
                 model, _ = floor_eigenvalues(model, floor)
             total += model.matrix()
         expected = float(np.linalg.eigvalsh(total)[0])
-        summed = _floored_sum(sets, 2, floor)
-        assert summed.lambda_min() == pytest.approx(expected, rel=1e-10, abs=1e-14)
-        assert summed.lambda_min() >= 3 * floor - 1e-12
+        lam_min = sum_covariances(_floored_models(sets, 2, floor))[-1]
+        assert lam_min == pytest.approx(expected, rel=1e-10, abs=1e-14)
+        assert lam_min >= 3 * floor - 1e-12
 
 
 class TestDominanceReport:
