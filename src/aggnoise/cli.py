@@ -517,7 +517,9 @@ def cmd_spectrum(args) -> int:
             # the what-if: every non-sensitive user floored at --sigma2
             mech = MechanismConfig(MechanismKind.WFDP, args.sigma2, mech.block_count)
         # simulate's round-0 pass, from the same per-user streams
-        _, spectra, summed, _, _ = noise_round(model, Cohort(users), mech, params.clip, seed, 0)
+        _, spectra, summed, _, _ = noise_round(
+            model, Cohort(users), mech, params.clip, seed, 0, spectra=True
+        )
         ns_users = [user for user in users if user.role is Role.NON_SENSITIVE]
         for user, eigvals in zip(ns_users, spectra):
             rows.extend(_spectrum_rows(f"user{user.user_id}", eigvals, mech.floor))

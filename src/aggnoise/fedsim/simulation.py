@@ -15,13 +15,15 @@ runs each stack's users together: ``user_update`` is the one definition of a
 stack's updates and unfloored covariance models, and the mechanisms floor and
 draw for the whole stack, every member from its own stream. A single user is a
 stack of one. Under WFDP every non-sensitive stack goes through
-``floored_update`` instead: WFDP replaces its updates, so each member's
-spectrum is read first (eigenvalues only), and a member whose spectrum the
-floor covers becomes sigma^2 I with no eigenvectors at all.
+``floored_update`` instead: WFDP replaces its updates, so coverage is decided
+first, by a Cholesky certificate when every block is dense and else by the
+members' eigenvalues (always for a thin block), and a member the floor covers
+becomes sigma^2 I with no eigenvectors at all.
 ``noise_round`` is the one place a round's mechanism is applied: it returns
-the noised submissions, the unfloored per-user spectra and the spectrum of the
-summed covariance, which is all the accountant reads, and ``aggnoise spectrum
---config`` prints round 0 of it. A flooring mechanism returns the floored
+the noised submissions, the unfloored per-user spectra when asked for (the
+``theorem1_rdp`` context and ``aggnoise spectrum --config``, which prints
+round 0 of it, read them) and the spectrum of the summed covariance, which is
+all the other routes read. A flooring mechanism returns the floored
 models it sampled from, and those are summed, slot by slot, so each model is
 floored once. Learning-rate scaling happens here, after mechanisms ran on the
 clipped-gradient scale.
@@ -254,7 +256,8 @@ def floored_update(
     floor: float,
     blocks: Optional[BlockSpec],
     rngs: Sequence[np.random.Generator],
-) -> tuple[Array, list[NoisedUpdate]]:
+    spectra: bool,
+) -> tuple[Optional[Array], list[NoisedUpdate]]:
     """A non-sensitive stack under WFDP, which replaces its updates, so none is made.
 
     The updates' distribution goes to ``wfdp_from_spectra`` as gradients: the
@@ -262,8 +265,9 @@ def floored_update(
     clipped gradients, FULL_GD's as an infinite batch. IID_SGD still draws its
     minibatch and a GAUSSIAN_SAMPLED stream skips the draw WFDP replaces,
     which keeps each stream where ``user_update`` leaves it. Returns the
-    members' unfloored spectra (k, dim) and the noised updates of consecutive
-    runs of members, on the clipped-gradient scale.
+    members' unfloored spectra (k, dim), or None unless ``spectra`` asks for
+    them, and the noised updates of consecutive runs of members, on the
+    clipped-gradient scale.
     """
     scheme = stack.scheme
     batch = np.inf if scheme.kind is SchemeKind.FULL_GD else scheme.batch
@@ -274,7 +278,7 @@ def floored_update(
     else:
         grads = GradientMatrix(clipped_gradients(stack.phi, stack.labels, ops, theta, clip), clip)
     skip_draw = scheme.kind is SchemeKind.GAUSSIAN_SAMPLED
-    return wfdp_from_spectra(grads, batch, floor, rngs, skip_draw, blocks)
+    return wfdp_from_spectra(grads, batch, floor, rngs, skip_draw, blocks, spectra)
 
 
 def noise_round(
@@ -284,22 +288,25 @@ def noise_round(
     clip: float,
     master_seed: int,
     round_index: int,
-) -> tuple[list[Array], Array, Array, float, bool]:
+    spectra: bool = False,
+) -> tuple[list[Array], Optional[Array], Array, float, bool]:
     """One round's mechanism pass over every stack, before secure aggregation.
 
     Returns the noised submissions in slot order; the non-sensitive users'
-    unfloored spectra (n_ns, dim), non-increasing, in slot order; the
-    non-increasing (dim,) spectrum of the summed covariance the accountant
-    reads: the floored models' when the mechanism floors (WFDP replaces the
-    update, WFNA adds the lift), plus the variance of the DDP shares; the
-    injected noise trace; and whether any update is only approximately
-    Gaussian.
+    unfloored spectra (n_ns, dim), non-increasing, in slot order, or None
+    unless ``spectra`` asks for them (only the ``theorem1_rdp`` context and
+    ``spectrum --config`` read them, and the other results are the same bytes
+    either way); the non-increasing (dim,) spectrum of the summed covariance
+    the accountant reads: the floored models' when the mechanism floors (WFDP
+    replaces the update, WFNA adds the lift), plus the variance of the DDP
+    shares; the injected noise trace; and whether any update is only
+    approximately Gaussian.
     """
     n_total = len(cohort.users)
     ops = ModelOps(model.family)
     blocks = _blocks_for(model.dim, mech)
     submissions: list[Array] = []
-    spectra: list[Array] = []
+    user_spectra: list[Array] = []
     summands: list[CovarianceModel] = []
     noise_trace = 0.0
     approx_gaussian = False
@@ -315,16 +322,17 @@ def noise_round(
         traces = np.zeros(len(stack.slots))
         if stack.role is Role.NON_SENSITIVE and mech.kind is MechanismKind.WFDP:
             stack_spectra, noised_runs = floored_update(
-                stack, ops, model.theta, clip, mech.sigma2, blocks, rngs
+                stack, ops, model.theta, clip, mech.sigma2, blocks, rngs, spectra
             )
-            spectra.append(stack_spectra)
+            user_spectra.append(stack_spectra)
             summands.extend(noised.floored for noised in noised_runs)
             xs = np.concatenate([sign * update_scale * noised.vector for noised in noised_runs])
             traces = np.concatenate([noised.noise_trace for noised in noised_runs])
         else:
             xs, dist_models = user_update(stack, ops, model.theta, clip, blocks, rngs)
             if dist_models is not None:
-                spectra.extend(run.spectrum() for run in dist_models)
+                if spectra:
+                    user_spectra.extend(run.spectrum() for run in dist_models)
                 noised_xs, start = [], 0
                 for dist_model in dist_models:
                     members = slice(start, start + dist_model.mean.shape[0])
@@ -352,7 +360,8 @@ def noise_round(
         raise ConfigError("need at least one non-sensitive user for inherent-noise accounting")
     n_ns = sum(m.mean.shape[0] for m in summands)
     summed = sum_covariances(summands, isotropic_extra=_isotropic_extra(mech, n_ns, n_total))
-    return submissions, np.concatenate(spectra), summed, noise_trace, approx_gaussian
+    per_user = np.concatenate(user_spectra) if spectra else None
+    return submissions, per_user, summed, noise_trace, approx_gaussian
 
 
 def run_round(
@@ -382,8 +391,9 @@ def run_round(
         )
     cohort = users if isinstance(users, Cohort) else Cohort(users)
     n_total = len(cohort.users)
+    theorem1 = route is RdpVariant.THEOREM1_RDP
     submissions, spectra, summed, noise_trace, approx_gaussian = noise_round(
-        model, cohort, mech, params.clip, master_seed, round_index
+        model, cohort, mech, params.clip, master_seed, round_index, spectra=theorem1
     )
 
     channel = SAChannel(n_total, model.dim, _channel_seed(master_seed, round_index))
@@ -396,7 +406,7 @@ def run_round(
     )
 
     theorem1_context = 0.0
-    if route is RdpVariant.THEOREM1_RDP:
+    if theorem1:
         # that bound's context is the per-user spectrum before the 1/B update
         # scaling, i.e. B times each unfloored lambda_min, slot by slot
         for lam in spectra[:, -1].tolist():

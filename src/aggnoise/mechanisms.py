@@ -15,10 +15,11 @@ member's draws still come from its own generator, in the order a call on
 that member alone makes them, so each member's result is that call's, bit
 for bit. Members that share one generator draw one after the other.
 
-``wfdp_from_spectra`` is WFDP, which replaces a stack's updates: it reads
-each member's spectrum first and estimates eigenvectors only for a member
-with an eigenvalue above the floor; a member the floor covers is floored to
-sigma^2 I directly.
+``wfdp_from_spectra`` is WFDP, which replaces a stack's updates: it decides
+first which members the floor covers, by a Cholesky certificate when every
+block is dense and else by their eigenvalues (always for a thin block), and
+estimates eigenvectors only for a member with an eigenvalue above the floor;
+a member the floor covers is floored to sigma^2 I directly.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .spectra import (
     CovarianceModel,
     GradientMatrix,
     estimate_mean_cov,
-    _lift_trace,
+    floor_covers,
     _member_normals,
     _runs,
     floor_eigenvalues,
@@ -260,17 +261,26 @@ def wfdp_update(model: CovarianceModel, floor: float, rng: Generators) -> Noised
 
 def wfdp_from_spectra(
     grads: GradientMatrix, batch: float, floor: float, rngs: Sequence[np.random.Generator],
-    skip_draw: bool, blocks: Optional[BlockSpec] = None,
-) -> tuple[Array, list[NoisedUpdate]]:
+    skip_draw: bool, blocks: Optional[BlockSpec] = None, spectra: bool = True,
+) -> tuple[Optional[Array], list[NoisedUpdate]]:
     """WFDP for a stack of users' clipped gradients, decomposing only what the floor leaves.
 
-    Each member's spectrum comes first, from ``second_moment_spectra``
-    (blockwise with ``blocks``); an infinite ``batch`` (FULL_GD's
-    deterministic mean) has the zero spectrum, read without a decomposition.
-    A member whose spectrum is at or below ``floor`` floors to floor * I: its
-    model stores no eigenpairs and has tail ``floor``, its lift trace is
-    sum_j max(floor - lam_j, 0), and its draw is its mean plus sqrt(floor)
-    times dim normals. A member with an eigenvalue above the floor gets
+    Coverage is decided first. ``floor_covers`` certifies, by Cholesky
+    factorizations alone, that the floor covers every member of a stack whose
+    blocks are all dense (blockwise with ``blocks``); such a stack reads no
+    eigenvalue. Otherwise each member's spectrum comes from
+    ``second_moment_spectra``, which a thin block needs for the rank its
+    estimate keeps, and the floor covers a member whose spectrum is at or
+    below it. An infinite ``batch`` (FULL_GD's deterministic mean) has the
+    zero spectrum, read without either. The certificate runs only when
+    ``spectra`` is false, as the spectra it skips are not returned; it passes
+    only members the spectrum path covers, so the noised updates do not
+    depend on ``spectra``.
+
+    A covered member floors to floor * I: its model stores no eigenpairs and
+    has tail ``floor``, its lift trace is dim * floor - sum ||x||^2/(B*D),
+    reduced from the columns, and its draw is its mean plus sqrt(floor) times
+    dim normals. A member with an eigenvalue above the floor gets
     ``estimate_mean_cov`` and ``wfdp_update``, as on its own. With
     ``skip_draw`` (the GAUSSIAN_SAMPLED draw from the estimate, which WFDP
     replaces, is not made) each member's stream first skips, in slot order,
@@ -278,15 +288,20 @@ def wfdp_from_spectra(
     the floored draws start where they would after it.
 
     Returns the (k, dim) non-increasing unfloored spectra in slot order (an
-    estimated member's row is its estimate's spectrum) and the noised updates
-    of consecutive runs of members, in slot order.
+    estimated member's row is its estimate's spectrum), or None when
+    ``spectra`` is false, and the noised updates of consecutive runs of
+    members, in slot order.
     """
     cols = grads.columns
-    if np.isfinite(batch):
-        spectra, widths = second_moment_spectra(grads, batch, blocks)
-    else:  # a deterministic update: the zero spectrum, which keeps no component
-        spectra, widths = np.zeros(cols.shape[:-1]), np.zeros(cols.shape[0], dtype=int)
-    covered = spectra[:, 0] <= floor
+    members_count = cols.shape[0]
+    if not np.isfinite(batch):  # a deterministic update: the zero spectrum, which keeps no component
+        unfloored, widths = np.zeros(cols.shape[:-1]), np.zeros(members_count, dtype=int)
+    elif not spectra and floor_covers(grads, batch, floor, blocks):
+        # every block is dense, so each member keeps every coordinate
+        unfloored, widths = None, np.full(members_count, grads.dim)
+    else:
+        unfloored, widths = second_moment_spectra(grads, batch, blocks)
+    covered = np.full(members_count, True) if unfloored is None else unfloored[:, 0] <= floor
     runs = []  # (members, None) for a covered run, (members, model) for an estimated one
     for members in _runs(covered[:, None]):
         if covered[members.start]:
@@ -296,7 +311,7 @@ def wfdp_from_spectra(
         for model in estimate_mean_cov(GradientMatrix(cols[members], grads.clip_bound), batch, blocks):
             run = slice(start, start + model.mean.shape[0])
             start = run.stop
-            spectra[run] = model.spectrum()
+            unfloored[run] = model.spectrum()
             widths[run] = model.n_components
             runs.append((run, model))
     if skip_draw:
@@ -305,11 +320,13 @@ def wfdp_from_spectra(
     for members, model in runs:
         if model is None:
             model = CovarianceModel.isotropic(cols[members].mean(axis=-1), floor)
-            lift_trace = _lift_trace(spectra[members], floor)
+            # every eigenvalue is lifted: d sigma^2 minus the second moment's trace
+            moment_trace = grads.squared_norms[members].sum(axis=-1) / (batch * grads.count)
+            lift_trace = grads.dim * floor - moment_trace
             noised.append(NoisedUpdate(sample_gaussian(model, rngs[members]), lift_trace, model))
         else:
             noised.append(wfdp_update(model, floor, rngs[members]))
-    return spectra, noised
+    return (unfloored if spectra else None), noised
 
 
 def wfna_noise(model: CovarianceModel, floor: float, rng: Generators) -> NoisedUpdate:

@@ -22,10 +22,12 @@ sampling-noise covariance of a Gaussian-weighted update with weights
 w ~ N(1/D, I/(B*D)). With D > dim/2 it eigendecomposes that dim x dim matrix;
 with at most half as many gradients as coordinates it eigendecomposes a D x D
 reduction (through a thin QR of the gradients) instead and keeps the
-components above the rank threshold, with tail 0. ``second_moment_spectra``
+components above the rank threshold, with tail 0. Whether a floor covers
+a user's whole spectrum is decided without one: ``floor_covers`` certifies
+it by Cholesky factorizations of the shifted dense matrices, and thin blocks
+and members it cannot certify are left to ``second_moment_spectra``, which
 reads the same matrices' eigenvalues alone, with no eigenvectors and no QR
-(the D x D Gram matrix stands in for the reduction): a caller that only needs
-to know whether a floor covers a user's whole spectrum pays for no more.
+(the D x D Gram matrix stands in for the reduction).
 
 Gradient matrices and covariance models also come as stacks, one member per
 user, so that a simulation round estimates, floors, samples and sums a run
@@ -39,7 +41,7 @@ draws its normals from its own generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -59,6 +61,7 @@ Array = np.ndarray
 
 DEFAULT_RANK_TOL = 1e-10
 _NEG_EIG_CLAMP = 1e-10  # relative to lambda_max; more negative input is rejected
+_EPS = 2.0**-52  # float64 machine epsilon
 
 
 def _as_float_array(x, name: str) -> Array:
@@ -78,11 +81,14 @@ class GradientMatrix:
     formula downstream leans on. ``clip_bound`` is one C for every member or
     an array of per-member bounds that broadcasts over the stack's leading
     axes. Each member is checked against its own bound: a stack is rejected
-    with the first offending member's worst norm and bound.
+    with the first offending member's worst norm and bound. The check's
+    squared column norms are kept as ``squared_norms`` (..., count), summed
+    without BLAS.
     """
 
     columns: Array
     clip_bound: Union[float, Array]
+    squared_norms: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cols = _as_float_array(self.columns, "gradient columns")
@@ -99,7 +105,8 @@ class GradientMatrix:
             )
         if not (clip > 0).all():
             raise ValueError(f"clip_bound must be positive, got {self.clip_bound}")
-        norms = np.linalg.norm(cols, axis=-2)
+        squared_norms = (cols * cols).sum(axis=-2)  # np.linalg.norm's own reduction
+        norms = np.sqrt(squared_norms)
         over = norms > clip[..., None] * (1.0 + 1e-9)
         if over.any():
             # the first member with an over-long column, as a per-user loop meets it
@@ -108,6 +115,7 @@ class GradientMatrix:
             bound = float(np.broadcast_to(clip, over.shape[:-1])[first])
             raise ValueError(f"column norm {worst:.6g} exceeds clip bound {bound:.6g}")
         object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "squared_norms", squared_norms)
 
     @property
     def dim(self) -> int:
@@ -489,14 +497,74 @@ def second_moment_spectra(
     return spectra[..., ::-1], widths
 
 
-def _lift_trace(spectrum: Array, floors: Array) -> Array:
-    """sum_j max(floor - lam_j, 0) over non-increasing spectra, summed largest eigenvalue first.
+def _positive_definite(mats: Array) -> bool:
+    """Whether one stacked Cholesky factorization of every member runs to completion."""
+    try:
+        np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
-    The lift of a non-increasing spectrum is non-decreasing; summing it from
-    the largest eigenvalue's end is the order ledgers' noise traces were
-    recorded in. ``floors`` broadcasts against ``spectrum``.
+
+def floor_covers(
+    grads: GradientMatrix, batch: Union[int, Array], floor: float, blocks: BlockSpec | None = None
+) -> bool:
+    """Whether ``floor`` provably covers every member's second moment, with no eigenvalues.
+
+    True only when every block is dense (more gradients than half its width)
+    and, for each member and block, M = X X^T/(B*D) passes three checks: it is
+    exactly symmetric, floor (1 - eta) I - M factors by Cholesky, and so does
+    M + tau I. False says nothing about the members; their eigenvalues
+    (``second_moment_spectra``) then decide, as they must for a thin block,
+    whose estimate keeps the Gram matrix's rank. ``batch`` broadcasts as in
+    ``estimate_mean_cov``.
+
+    A True answer implies what the eigenvalue path would find. Exact symmetry
+    makes M the very matrix ``_psd_eigh`` reads, and passes its symmetry
+    check. A Cholesky factorization R of a d x d matrix A that runs to
+    completion is exact for some A + E with |E| <= gamma_{d+1} |R^T| |R|
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10), so
+    ||E||_2 <= d gamma_{d+1} ||A + E||_2, about d^2 eps ||A||_2 / 2. For
+    A = floor (1 - eta) I - M that gives lambda_max(M) <= floor (1 - eta +
+    d^2 eps), and eigvalsh's computed value is larger by at most a modest
+    p(d) eps floor. With eta = 4 d^2 eps, the 3 d^2 eps left over covers that
+    and the rounding of A's diagonal, so ``eigvalsh`` puts every eigenvalue
+    at or below the floor. Likewise the Cholesky of M + tau I, with
+    tau = (1e-10 - eta) tr(M)/d <= (1e-10 - eta) lambda_max, bounds the
+    computed lambda_min below by -1e-10 lambda_max: the clamp ``_psd_eigh``
+    enforces. A block wider than about 330 has eta >= 1e-10, no room for tau,
+    and is never certified.
     """
-    return np.maximum(floors - spectrum, 0.0)[..., ::-1].sum(axis=-1)
+    if blocks is not None:
+        blocks.check_dim(grads.dim)
+    bounds = ((0, grads.dim),) if blocks is None else blocks.boundaries
+    parts = [grads.columns[..., start:stop, :] for start, stop in bounds]
+    etas = [4 * part.shape[-2] ** 2 * _EPS for part in parts]
+    if any(_is_thin(part) for part in parts) or max(etas) >= _NEG_EIG_CLAMP:
+        return False
+    if np.any(np.asarray(batch) < 1):
+        raise ValueError(f"batch must be >= 1, got {batch}")
+    batch = np.asarray(batch)[..., None, None]
+    for part, eta in zip(parts, etas):
+        dim = part.shape[-2]
+        mat = _second_moment(part, batch)
+        if not (np.isfinite(mat).all() and (mat == mat.swapaxes(-1, -2)).all()):
+            return False
+        # the shifted matrices are formed in M's fresh, contiguous buffer, whose
+        # flattened rows step along the diagonal: negation is exact, and each
+        # diagonal is written from a saved copy of M's
+        diag = mat.reshape(*mat.shape[:-2], dim * dim)[..., :: dim + 1]
+        moment_diag = diag.copy()
+        mat *= -1.0
+        diag[...] = floor * (1.0 - eta) - moment_diag
+        if not _positive_definite(mat):
+            return False
+        mat *= -1.0
+        tau = (_NEG_EIG_CLAMP - eta) * moment_diag.sum(axis=-1, keepdims=True) / dim
+        diag[...] = moment_diag + tau
+        if not _positive_definite(mat):
+            return False
+    return True
 
 
 def floor_eigenvalues(
@@ -515,7 +583,9 @@ def floor_eigenvalues(
     if np.any(np.asarray(floor) < 0):
         raise ValueError(f"floor must be >= 0, got {floor}")
     floors = np.asarray(floor)[..., None]  # a member's floor broadcasts over its eigenvalues
-    lift_trace = _lift_trace(model.spectrum(), floors)
+    # the lift of a non-increasing spectrum is non-decreasing; it is summed from
+    # the largest eigenvalue's end, the order ledgers' noise traces were recorded in
+    lift_trace = np.maximum(floors - model.spectrum(), 0.0)[..., ::-1].sum(axis=-1)
     # the lifted eigenvalues stay non-increasing, so the floored model shares
     # the eigenvectors; the mean it keeps as given, so it gets a copy
     floored = CovarianceModel(
@@ -637,8 +707,9 @@ def _renyi_divergence(alpha, mean_p, mean_q, sig_p, sig_q, spec_p, spec_q) -> Ar
     white = np.linalg.solve(chol, (mean_p - mean_q)[..., None])
     term_mean = 0.5 * alpha * (white.swapaxes(-1, -2) @ white)[..., 0, 0]
     logdet_a = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    logdet_p = np.sum(np.log(spec_p), axis=-1)
-    logdet_q = np.sum(np.log(spec_q), axis=-1)
+    # contiguous copies: a reversed view's logs can differ from its copy's in the last bit
+    logdet_p = np.sum(np.log(np.ascontiguousarray(spec_p)), axis=-1)
+    logdet_q = np.sum(np.log(np.ascontiguousarray(spec_q)), axis=-1)
     term_det = -(logdet_a - (1.0 - alpha) * logdet_p - alpha * logdet_q) / (2.0 * (alpha - 1.0))
     return np.maximum(term_mean + term_det, 0.0)
 

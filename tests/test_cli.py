@@ -221,6 +221,40 @@ class TestSimulateCommand:
         manifest = json.loads((out_a / "manifest.json").read_text())
         assert set(manifest) >= {"seed", "config_hash", "dataset_hash"}
 
+    def test_covered_run_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # 199 non-sensitive users at d = 101, each covered by the floor and
+        # certified by Cholesky; no eigenvalue feeds their lifts, so the
+        # reports are the same bytes at one and two OpenBLAS threads
+        import os
+        import subprocess
+        import sys
+
+        import aggnoise
+
+        config = {
+            "seed": 5,
+            "rounds": 3,
+            "dataset": {"kind": "synthetic", "task": "regression", "features": 100,
+                        "per_user": 100},
+            "users": {"total": 200, "sensitive": 1},
+            "scheme": {"kind": "gaussian_sampled", "batch": 10},
+            "mechanism": {"kind": "wfdp", "sigma2": 0.01},
+            "accountant": {"route": "closed_form", "mode": "general", "delta": 1e-3,
+                           "clip": 1.0, "composition": "simple"},
+        }
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        src = os.path.dirname(os.path.dirname(aggnoise.__file__))
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "aggnoise", "--seed", "5", "--out", str(out),
+                            "simulate", "--config", str(cfg)], env=env, capture_output=True,
+                           check=True)
+            reports.append([(out / name).read_bytes() for name in ("metrics.csv", "ledger.json")])
+        assert reports[0] == reports[1]
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg, _ = write_config(tmp_path)
         out_a = tmp_path / "a"

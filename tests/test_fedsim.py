@@ -583,7 +583,10 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
                     rng.standard_normal(int(width))
                 floored = CovarianceModel(grads.columns.mean(axis=1), np.zeros((dim, 0)),
                                           np.zeros(0), tail=mech.sigma2)
-                lift = np.maximum(mech.sigma2 - spectrum, 0.0)[::-1].sum()
+                # every eigenvalue is lifted: d sigma^2 minus the second moment's trace
+                batch = np.inf if scheme.kind is SchemeKind.FULL_GD else scheme.batch
+                squared_norms = np.sum(grads.columns ** 2, axis=0)
+                lift = dim * mech.sigma2 - np.sum(squared_norms) / (batch * grads.count)
                 noised = mechanisms.NoisedUpdate(sample_gaussian(floored, rng), lift, floored)
             else:
                 dist_model = estimate_mean_cov(grads, scheme.batch, user_blocks)
@@ -745,7 +748,7 @@ class TestStackedRoundMatchesPerUserLoop:
         mech = MechanismConfig(MechanismKind.WFDP, sigma2)
         params = dataclasses.replace(params, floor=sigma2)
         _, spectra, _, _, _ = simulation.noise_round(init_model(family, dim - 1), Cohort(users),
-                                                     mech, params.clip, 3, 1)
+                                                     mech, params.clip, 3, 1, spectra=True)
         covered = spectra[:, 0] <= sigma2
         assert covered.any() and covered.all() == (sigma2 == 0.5)
         for route in (RdpVariant.THEOREM1_RDP, ClosedFormMode.SINGULAR):
@@ -850,7 +853,7 @@ class TestFloorsFromSpectra:
     def test_covered_round_sums_to_isotropic(self, features):
         users, model, mech = self.setup(features)
         _, spectra, summed, noise_trace, _ = simulation.noise_round(
-            model, Cohort(users), mech, 1.0, 5, 0
+            model, Cohort(users), mech, 1.0, 5, 0, spectra=True
         )
         tail = 0.0
         for _ in users[1:]:  # slot by slot
@@ -889,3 +892,46 @@ class TestFloorsFromSpectra:
             assert calls == [("eigh", (1, dim, dim))]
         else:
             assert calls == [("qr", (1, dim, count)), ("eigh", (1, count, count))]
+
+    @pytest.mark.parametrize("block_count", [1, 2])
+    @pytest.mark.parametrize("features", [11, 59], ids=["dense", "thin"])
+    @pytest.mark.parametrize("covering", ["all", "some"])
+    def test_asking_for_spectra_changes_no_other_result(self, features, block_count, covering):
+        users, model, _ = self.setup(features)
+        sigma2 = self.SIGMA2
+        if covering == "some":  # the median of the users' largest eigenvalues
+            mech = MechanismConfig(MechanismKind.WFDP, sigma2, block_count)
+            _, spectra, _, _, _ = simulation.noise_round(model, Cohort(users), mech, 1.0, 5, 0,
+                                                         spectra=True)
+            sigma2 = float(np.median(spectra[:, 0]))
+        mech = MechanismConfig(MechanismKind.WFDP, sigma2, block_count)
+        (sent, none, summed, trace, _), (sent_asked, spectra, summed_asked, trace_asked, _) = [
+            simulation.noise_round(model, Cohort(users), mech, 1.0, 5, 0, spectra=asked)
+            for asked in (False, True)
+        ]
+        assert none is None and spectra.shape == (len(users) - 1, model.dim)
+        assert [x.tobytes() for x in sent] == [x.tobytes() for x in sent_asked]
+        assert summed.tobytes() == summed_asked.tobytes()
+        assert np.float64(trace).tobytes() == np.float64(trace_asked).tobytes()
+
+    @pytest.mark.parametrize("block_count", [1, 2])
+    def test_covered_dense_round_reads_no_eigenvalue(self, monkeypatch, block_count):
+        # IID-SGD estimates nothing for the sensitive user, and the isotropic sum needs no eigvalsh
+        scheme = UpdateScheme(SchemeKind.IID_SGD, batch=5, learning_rate=0.2)
+        users, _, family = make_users(6, 1, scheme, seed=41, task="regression", features=11,
+                                      per_user=20)
+        mech = MechanismConfig(MechanismKind.WFDP, self.SIGMA2, block_count)
+        params = PrivacyParams(clip=1.0, batch=5, local_size=20, ns_users=5, delta=1e-3,
+                               floor=self.SIGMA2)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("an eigenvalue was computed")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        outcome = run_round(init_model(family, 11), users, mech, params, ClosedFormMode.GENERAL,
+                            master_seed=5, round_index=0)
+        tail = 0.0
+        for _ in users[1:]:  # slot by slot
+            tail += self.SIGMA2
+        assert outcome.lambda_min == tail

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aggnoise.errors import EmptyDataset, NonFinite
+from aggnoise import spectra as spectra_module
+from aggnoise.errors import EmptyDataset, NonFinite, NotPositiveSemidefinite
 from aggnoise.fedsim.models import ModelFamily, ModelOps, design
 from aggnoise.mechanisms import (
     NoisedUpdate,
@@ -27,6 +28,7 @@ from aggnoise.spectra import (
     GradientMatrix,
     eig_decompose,
     estimate_mean_cov,
+    floor_covers,
     rank,
     sample_gaussian,
     second_moment_spectra,
@@ -344,7 +346,7 @@ class TestWfdpFromSpectra:
                     rng.standard_normal(int(width))
                 # sigma^2 I: no eigenpairs, tail sigma^2, the mean plus sigma times d normals
                 model = CovarianceModel(cols.mean(axis=1), np.zeros((dim, 0)), np.zeros(0), floor)
-                lift = np.maximum(floor - spectrum, 0.0)[::-1].sum()
+                lift = dim * floor - np.sum(np.sum(cols ** 2, axis=0)) / (self.BATCH * count)
                 expected = NoisedUpdate(sample_gaussian(model, rng), lift, model)
                 assert run.floored.n_components == 0 and run.floored.tail[j] == floor
                 # every eigenvalue is lifted: d sigma^2 minus the second moment's trace
@@ -373,10 +375,123 @@ class TestWfdpFromSpectra:
         )
         assert np.array_equal(spectra, np.zeros((5, 6)))
         assert run.floored.n_components == 0 and np.array_equal(run.floored.tail, [0.3] * 5)
-        assert np.array_equal(run.noise_trace, [sum([0.3] * 6)] * 5)  # every eigenvalue lifted
+        assert np.array_equal(run.noise_trace, [6 * 0.3] * 5)  # every eigenvalue lifted
         for i, cols in enumerate(grads.columns):
             normals = np.random.default_rng(i).standard_normal(6)
             assert np.array_equal(run.vector[i], cols.mean(axis=1) + np.sqrt(0.3) * normals)
+
+
+class TestFloorCertificate:
+    """A stack the Cholesky certificate covers reads no eigenvalue; it covers only what they would."""
+
+    BATCH = 2
+
+    def gradients(self, dim, count, members=4, seed=61):
+        rng = np.random.default_rng(seed)
+        cols = rng.standard_normal((members, dim, count))
+        cols /= np.linalg.norm(cols, axis=1, keepdims=True)
+        return cols * rng.uniform(0.2, 1.0, size=(members, 1, 1))
+
+    @staticmethod
+    def refuse(monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("an eigenvalue was computed")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+
+    @pytest.mark.parametrize("bounds", [None, ((0, 5), (5, 12))], ids=["dense", "dense_blocks"])
+    @pytest.mark.parametrize("skip_draw", [True, False])
+    def test_covered_stack_reads_no_eigenvalue(self, monkeypatch, bounds, skip_draw):
+        dim, count, floor = 12, 10, 0.2  # every largest eigenvalue is below 0.1
+        cols = self.gradients(dim, count)
+        blocks = None if bounds is None else BlockSpec(bounds)
+        self.refuse(monkeypatch)
+        spectra, (run,) = wfdp_from_spectra(
+            GradientMatrix(cols, 1.0), self.BATCH, floor,
+            [np.random.default_rng(i) for i in range(4)], skip_draw, blocks, spectra=False,
+        )
+        assert spectra is None
+        assert run.floored.n_components == 0 and np.array_equal(run.floored.tail, [floor] * 4)
+        for i, member in enumerate(cols):
+            lift = dim * floor - np.sum(np.sum(member ** 2, axis=0)) / (self.BATCH * count)
+            assert run.noise_trace[i] == lift
+            rng = np.random.default_rng(i)
+            if skip_draw:
+                rng.standard_normal(dim)  # the dense estimate keeps every coordinate
+            expected = member.mean(axis=1) + np.sqrt(floor) * rng.standard_normal(dim)
+            assert np.array_equal(run.vector[i], expected)
+
+    @pytest.mark.parametrize("bounds", [None, ((0, 5), (5, 12))], ids=["dense", "dense_blocks"])
+    def test_certificate_covers_only_what_the_spectra_cover(self, bounds):
+        # each member's largest eigenvalue sits a hair or a little above or below the floor
+        dim, count, floor = 12, 10, 0.01
+        blocks = None if bounds is None else BlockSpec(bounds)
+        cols = self.gradients(dim, count, members=5)
+        top = second_moment_spectra(GradientMatrix(cols, 1.0), self.BATCH, blocks)[0][:, 0]
+        targets = floor * (1.0 + np.array([-1e-6, -1e-12, 0.0, 1e-12, 1e-6]))
+        cols *= np.sqrt(targets / top)[:, None, None]
+        grads = GradientMatrix(cols, 1.0)
+        spectra, _ = second_moment_spectra(grads, self.BATCH, blocks)
+        rule = spectra[:, 0] <= floor
+        assert rule[0] and not rule[-1]
+        certified = [
+            floor_covers(GradientMatrix(member, 1.0), self.BATCH, floor, blocks) for member in cols
+        ]
+        # eta = 4 * 12^2 * eps, about 1.3e-13, so a member 1e-12 below the floor is certified
+        assert certified == [True, True, False, False, False]
+        assert all(rule[i] for i in range(5) if certified[i])
+        # whichever path decides, a stack covers the members the spectra cover
+        rngs = [np.random.default_rng(i) for i in range(5)]
+        _, runs = wfdp_from_spectra(grads, self.BATCH, floor, rngs, True, blocks, spectra=False)
+        covered = [run.floored.n_components == 0 for run in runs for _ in run.vector]
+        assert covered == rule.tolist()
+        for i, member in enumerate(cols):
+            _, (one,) = wfdp_from_spectra(GradientMatrix(member[None], 1.0), self.BATCH, floor,
+                                          [np.random.default_rng(i)], True, blocks, spectra=False)
+            assert (one.floored.n_components == 0) == rule[i]
+
+    def test_certificate_refuses_a_stack_it_cannot_clear(self, monkeypatch):
+        cols = self.gradients(12, 10)
+        grads = GradientMatrix(cols, 1.0)
+        assert floor_covers(grads, self.BATCH, 0.2)
+        # one member above the floor fails the whole stack
+        loud = cols.copy()
+        loud[2] *= 10.0
+        assert not floor_covers(GradientMatrix(loud, 10.0), self.BATCH, 0.2)
+        # a thin block needs the Gram matrix's rank; zero gradients fail the PSD check
+        assert not floor_covers(GradientMatrix(self.gradients(30, 6), 1.0), self.BATCH, 0.2)
+        assert not floor_covers(GradientMatrix(np.zeros((2, 6, 10)), 1.0), self.BATCH, 0.2)
+        # a second moment that is not exactly symmetric is left to the eigenvalue path
+        moment = spectra_module._second_moment
+        skew = np.triu(np.full((12, 12), 1e-15), 1)
+        monkeypatch.setattr(spectra_module, "_second_moment",
+                            lambda cols, batch: moment(cols, batch) + skew)
+        assert not floor_covers(grads, self.BATCH, 0.2)
+        # nor is one below _psd_eigh's clamp, although the floor covers it
+        dent = np.diag([-1e-6] + [0.0] * 11)
+        monkeypatch.setattr(spectra_module, "_second_moment",
+                            lambda cols, batch: moment(cols, batch) + dent)
+        assert not floor_covers(grads, self.BATCH, 0.2)
+        with pytest.raises(NotPositiveSemidefinite):
+            wfdp_from_spectra(grads, self.BATCH, 0.2, [np.random.default_rng(i) for i in range(4)],
+                              True, spectra=False)
+
+    def test_thin_stack_still_reads_eigenvalues(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        cols = self.gradients(30, 6)
+        _, (run,) = wfdp_from_spectra(GradientMatrix(cols, 1.0), self.BATCH, 0.2,
+                                      [np.random.default_rng(i) for i in range(4)], True,
+                                      spectra=False)
+        assert run.floored.n_components == 0
+        assert calls == [(4, 6, 6)]  # the Gram matrices, for the rank each estimate keeps
 
 
 class TestWfnaNoise:

@@ -577,6 +577,17 @@ class TestRenyiGaussian:
         with pytest.raises(IndefiniteSigmaAlpha):
             renyi_gaussian(4.0, p, q)
 
+    def test_reversed_view_spectrum_gives_its_copys_bits(self):
+        # a spectrum whose logs, taken on the reversed view, once differed
+        # from its copy's in the last bit and moved the divergence with them
+        ascending = np.array([0.79, 0.981, 1.137, 1.291, 1.366, 1.396, 1.462, 1.65, 1.732])
+        view = ascending[::-1]
+        q = CovarianceModel(np.zeros(9), np.eye(9), np.ones(9))
+        as_view = CovarianceModel(np.zeros(9), np.eye(9), view)
+        as_copy = CovarianceModel(np.zeros(9), np.eye(9), view.copy())
+        assert as_view.spectrum().strides[0] < 0 < as_copy.spectrum().strides[0]
+        assert renyi_gaussian(0.5, as_view, q) == renyi_gaussian(0.5, as_copy, q)
+
 
 class TestSpanContains:
     def test_orthogonal_direction(self):
