@@ -12,12 +12,12 @@ every user's rows in slot order, which the training loss reads, and stacks
 that slice it, each a run of consecutive slots whose users share role,
 scheme and local size D, at most ``_STACK_BYTES`` of gradients each. A round
 runs each stack's users together: ``user_update`` is the one definition of a
-stack's updates and unfloored covariance models, and the mechanisms floor and
-draw for the whole stack, every member from its own stream. A single user is a
-stack of one. Under WFDP every non-sensitive stack goes through
-``floored_update`` instead: WFDP replaces its updates, so coverage is decided
-first, by a Cholesky certificate when every block is dense and else by the
-members' eigenvalues (always for a thin block), and a member the floor covers
+stack's updates and unfloored covariance models, one model stack per user
+stack, and the mechanisms floor and draw for the whole stack, every member
+from its own stream. A single user is a stack of one. Under WFDP every
+non-sensitive stack goes through ``floored_update`` instead: WFDP replaces
+its updates, so coverage is decided first, block by block, by a Cholesky
+certificate or else by the block's eigenvalues, and a member the floor covers
 becomes sigma^2 I with no eigenvectors at all.
 ``noise_round`` is the one place a round's mechanism is applied: it returns
 the noised submissions, the unfloored per-user spectra when asked for (the
@@ -215,16 +215,15 @@ def user_update(
     clip: float,
     blocks: Optional[BlockSpec],
     rngs: Sequence[np.random.Generator],
-) -> tuple[Array, Optional[list[CovarianceModel]]]:
+) -> tuple[Array, Optional[CovarianceModel]]:
     """A stack's raw updates (k, dim) and, for non-sensitive users, their covariance models.
 
     The models are the unfloored distributions of the updates on the
     clipped-gradient scale, the ones the accountant sums: the FEDAVG replays'
     estimates, a zero spectrum for deterministic FULL_GD, the estimates
     Gaussian-sampled updates were drawn from, or else the (blockwise when
-    ``blocks`` is set) estimates from the clipped gradients. They come as a
-    list of model stacks covering the members in slot order (see
-    ``estimate_mean_cov``); sensitive users get None. Member i draws from
+    ``blocks`` is set) estimates from the clipped gradients, as one model
+    stack in slot order; sensitive users get None. Member i draws from
     ``rngs[i]`` in this order: scheme draw, then FEDAVG replays. Non-sensitive
     stacks under WFDP go through ``floored_update`` instead.
     """
@@ -239,7 +238,7 @@ def user_update(
         models = estimate_mean_cov(replays, scheme.batch)
     elif scheme.kind is SchemeKind.FULL_GD:
         # full-batch updates are deterministic: no sampling randomness
-        models = [CovarianceModel.isotropic(grads.columns.mean(axis=-1))]
+        models = CovarianceModel.isotropic(grads.columns.mean(axis=-1))
     elif sampled_from is not None and blocks is None:
         # the Gaussian-sampled scheme already estimated these models
         models = sampled_from
@@ -329,25 +328,18 @@ def noise_round(
             xs = np.concatenate([sign * update_scale * noised.vector for noised in noised_runs])
             traces = np.concatenate([noised.noise_trace for noised in noised_runs])
         else:
-            xs, dist_models = user_update(stack, ops, model.theta, clip, blocks, rngs)
-            if dist_models is not None:
+            xs, dist_model = user_update(stack, ops, model.theta, clip, blocks, rngs)
+            if dist_model is not None:
                 if spectra:
-                    user_spectra.extend(run.spectrum() for run in dist_models)
-                noised_xs, start = [], 0
-                for dist_model in dist_models:
-                    members = slice(start, start + dist_model.mean.shape[0])
-                    start = members.stop
-                    x = xs[members]
-                    if mech.kind is MechanismKind.WFNA:
-                        noised = wfna_noise(dist_model, mech.sigma2, rngs[members])
-                        x = x + update_scale * noised.vector
-                        dist_model = noised.floored
-                        traces[members] = noised.noise_trace
-                    else:
-                        approx_gaussian |= scheme.kind is not SchemeKind.GAUSSIAN_SAMPLED
-                    summands.append(dist_model)
-                    noised_xs.append(x)
-                xs = np.concatenate(noised_xs)
+                    user_spectra.append(dist_model.spectrum())
+                if mech.kind is MechanismKind.WFNA:
+                    noised = wfna_noise(dist_model, mech.sigma2, rngs)
+                    xs = xs + update_scale * noised.vector
+                    dist_model = noised.floored
+                    traces = noised.noise_trace
+                else:
+                    approx_gaussian |= scheme.kind is not SchemeKind.GAUSSIAN_SAMPLED
+                summands.append(dist_model)
         if mech.kind is MechanismKind.DDP:
             share = ddp_noise(mech.sigma2, n_total, model.dim, rngs)
             xs = xs + update_scale * share.vector

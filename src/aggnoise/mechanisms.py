@@ -16,10 +16,11 @@ that member alone makes them, so each member's result is that call's, bit
 for bit. Members that share one generator draw one after the other.
 
 ``wfdp_from_spectra`` is WFDP, which replaces a stack's updates: it decides
-first which members the floor covers, by a Cholesky certificate when every
-block is dense and else by their eigenvalues (always for a thin block), and
-estimates eigenvectors only for a member with an eigenvalue above the floor;
-a member the floor covers is floored to sigma^2 I directly.
+first which members the floor covers, block by block, by a Cholesky
+certificate or else by the block's eigenvalues, and estimates eigenvectors
+only for a member with an eigenvalue above the floor; a member the floor
+covers is floored to sigma^2 I directly. A skipped Gaussian-sampled draw
+advances each stream by the estimate's width, which the shapes fix.
 """
 
 from __future__ import annotations
@@ -36,12 +37,11 @@ from .spectra import (
     CovarianceModel,
     GradientMatrix,
     estimate_mean_cov,
-    floor_covers,
+    estimate_width,
+    floor_coverage,
     _member_normals,
-    _runs,
     floor_eigenvalues,
     sample_gaussian,
-    second_moment_spectra,
 )
 
 Array = np.ndarray
@@ -135,16 +135,6 @@ def _local_epochs(
     return current - theta
 
 
-def _sample_runs(runs: Sequence[CovarianceModel], rngs: Sequence[np.random.Generator]) -> Array:
-    """One draw per member of consecutive model stacks, member i from ``rngs[i]``."""
-    draws, start = [], 0
-    for run in runs:
-        stop = start + run.mean.shape[0]
-        draws.append(sample_gaussian(run, rngs[start:stop]))
-        start = stop
-    return np.concatenate(draws)
-
-
 def clipped_gradients(phi: Array, labels: Array, model, theta: Array, clip: float) -> Array:
     """A stack's clipped per-example gradients as (k, dim, D) columns; making them draws nothing.
 
@@ -164,7 +154,7 @@ def compute_update(
     theta: Array,
     clip: float,
     rng: Generators,
-) -> tuple[Array, GradientMatrix, Union[CovarianceModel, list[CovarianceModel], None]]:
+) -> tuple[Array, GradientMatrix, Optional[CovarianceModel]]:
     """One round's update for a user, the clipped gradients behind it, and its estimate.
 
     ``phi`` holds the user's design rows (D, p) (see ``models.design``).
@@ -179,8 +169,8 @@ def compute_update(
 
     For a stack of k users (``phi`` (k, D, p), labels (k, D), one generator
     each), the updates are (k, dim), the gradients one stacked
-    ``GradientMatrix`` and the estimate ``estimate_mean_cov``'s list of model
-    stacks. Sampling and local training draw from each member's generator.
+    ``GradientMatrix`` and the estimate one model stack. Sampling and local
+    training draw from each member's generator.
     """
     if phi.shape[-2] == 0:
         raise EmptyDataset("user dataset is empty")
@@ -205,7 +195,7 @@ def compute_update(
         updates = np.stack([-eta * member[:, idx].mean(axis=1) for member, idx in zip(cols, picks)])
     elif scheme.kind is SchemeKind.GAUSSIAN_SAMPLED:
         dist = estimate_mean_cov(gmat, scheme.batch)
-        updates = -eta * (sample_gaussian(dist, rng[0])[None] if single else _sample_runs(dist, rng))
+        updates = -eta * (sample_gaussian(dist, rng[0])[None] if single else sample_gaussian(dist, rng))
     elif scheme.kind is not SchemeKind.FEDAVG:
         raise ValueError(f"unknown scheme {scheme.kind}")
     return (updates[0] if single else updates), gmat, dist
@@ -265,17 +255,13 @@ def wfdp_from_spectra(
 ) -> tuple[Optional[Array], list[NoisedUpdate]]:
     """WFDP for a stack of users' clipped gradients, decomposing only what the floor leaves.
 
-    Coverage is decided first. ``floor_covers`` certifies, by Cholesky
-    factorizations alone, that the floor covers every member of a stack whose
-    blocks are all dense (blockwise with ``blocks``); such a stack reads no
-    eigenvalue. Otherwise each member's spectrum comes from
-    ``second_moment_spectra``, which a thin block needs for the rank its
-    estimate keeps, and the floor covers a member whose spectrum is at or
-    below it. An infinite ``batch`` (FULL_GD's deterministic mean) has the
-    zero spectrum, read without either. The certificate runs only when
-    ``spectra`` is false, as the spectra it skips are not returned; it passes
-    only members the spectrum path covers, so the noised updates do not
-    depend on ``spectra``.
+    Coverage is decided first, by ``floor_coverage`` (blockwise with
+    ``blocks``): a block its Cholesky certificate clears reads no eigenvalue,
+    and the floor covers a member whose every block it covers. The
+    certificate runs only when ``spectra`` is false, as the spectra it skips
+    are not returned; it passes only members the spectrum path covers, so the
+    noised updates do not depend on ``spectra``. An infinite ``batch``
+    (FULL_GD's deterministic mean) has the zero spectrum, read without either.
 
     A covered member floors to floor * I: its model stores no eigenpairs and
     has tail ``floor``, its lift trace is dim * floor - sum ||x||^2/(B*D),
@@ -284,49 +270,39 @@ def wfdp_from_spectra(
     ``estimate_mean_cov`` and ``wfdp_update``, as on its own. With
     ``skip_draw`` (the GAUSSIAN_SAMPLED draw from the estimate, which WFDP
     replaces, is not made) each member's stream first skips, in slot order,
-    the normals that draw takes, one per component the estimate keeps, so
-    the floored draws start where they would after it.
+    one normal per component its estimate keeps (``estimate_width``, blockwise
+    with ``blocks``), and the floored draws start after them.
 
     Returns the (k, dim) non-increasing unfloored spectra in slot order (an
     estimated member's row is its estimate's spectrum), or None when
     ``spectra`` is false, and the noised updates of consecutive runs of
-    members, in slot order.
+    covered or estimated members, in slot order.
     """
     cols = grads.columns
-    members_count = cols.shape[0]
-    if not np.isfinite(batch):  # a deterministic update: the zero spectrum, which keeps no component
-        unfloored, widths = np.zeros(cols.shape[:-1]), np.zeros(members_count, dtype=int)
-    elif not spectra and floor_covers(grads, batch, floor, blocks):
-        # every block is dense, so each member keeps every coordinate
-        unfloored, widths = None, np.full(members_count, grads.dim)
+    if not np.isfinite(batch):  # a deterministic update: the zero spectrum, with no component to skip
+        covered = np.full(cols.shape[0], True)
+        unfloored = np.zeros(cols.shape[:-1]) if spectra else None
     else:
-        unfloored, widths = second_moment_spectra(grads, batch, blocks)
-    covered = np.full(members_count, True) if unfloored is None else unfloored[:, 0] <= floor
-    runs = []  # (members, None) for a covered run, (members, model) for an estimated one
-    for members in _runs(covered[:, None]):
-        if covered[members.start]:
-            runs.append((members, None))
-            continue
-        start = members.start
-        for model in estimate_mean_cov(GradientMatrix(cols[members], grads.clip_bound), batch, blocks):
-            run = slice(start, start + model.mean.shape[0])
-            start = run.stop
-            unfloored[run] = model.spectrum()
-            widths[run] = model.n_components
-            runs.append((run, model))
-    if skip_draw:
-        _member_normals(rngs, widths)
+        covered, unfloored = floor_coverage(grads, batch, floor, blocks, spectra)
+        if skip_draw:
+            _member_normals(rngs, np.full(len(rngs), estimate_width(grads.dim, grads.count, blocks)))
+    cuts = np.flatnonzero(covered[1:] != covered[:-1]) + 1
+    edges = [0, *cuts.tolist(), cols.shape[0]]
     noised = []
-    for members, model in runs:
-        if model is None:
+    for start, stop in zip(edges, edges[1:]):  # runs of consecutive covered or estimated members
+        members = slice(start, stop)
+        if covered[start]:
             model = CovarianceModel.isotropic(cols[members].mean(axis=-1), floor)
             # every eigenvalue is lifted: d sigma^2 minus the second moment's trace
             moment_trace = grads.squared_norms[members].sum(axis=-1) / (batch * grads.count)
             lift_trace = grads.dim * floor - moment_trace
             noised.append(NoisedUpdate(sample_gaussian(model, rngs[members]), lift_trace, model))
-        else:
-            noised.append(wfdp_update(model, floor, rngs[members]))
-    return (unfloored if spectra else None), noised
+            continue
+        model = estimate_mean_cov(GradientMatrix(cols[members], grads.clip_bound), batch, blocks)
+        if spectra:
+            unfloored[members] = model.spectrum()
+        noised.append(wfdp_update(model, floor, rngs[members]))
+    return unfloored, noised
 
 
 def wfna_noise(model: CovarianceModel, floor: float, rng: Generators) -> NoisedUpdate:

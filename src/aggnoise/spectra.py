@@ -21,21 +21,23 @@ clipped per-example gradients scaled by 1/(B*D), which equals the
 sampling-noise covariance of a Gaussian-weighted update with weights
 w ~ N(1/D, I/(B*D)). With D > dim/2 it eigendecomposes that dim x dim matrix;
 with at most half as many gradients as coordinates it eigendecomposes a D x D
-reduction (through a thin QR of the gradients) instead and keeps the
-components above the rank threshold, with tail 0. Whether a floor covers
-a user's whole spectrum is decided without one: ``floor_covers`` certifies
-it by Cholesky factorizations of the shifted dense matrices, and thin blocks
-and members it cannot certify are left to ``second_moment_spectra``, which
-reads the same matrices' eigenvalues alone, with no eigenvectors and no QR
-(the D x D Gram matrix stands in for the reduction).
+reduction (through a thin QR of the gradients) instead and keeps all D
+components, with tail 0. The shapes alone fix an estimate's width
+(``estimate_width``). Whether a floor covers a user's whole spectrum is
+decided without an estimate: ``floor_coverage`` forms each block's matrix
+once (the dense second moment, or for a thin block the D x D Gram matrix,
+which has the same nonzero eigenvalues), certifies it by Cholesky
+factorizations, and reads the eigenvalues alone of a block it cannot
+certify, with no eigenvectors and no QR.
 
 Gradient matrices and covariance models also come as stacks, one member per
 user, so that a simulation round estimates, floors, samples and sums a run
 of users in stacked numpy calls, and ``verify``'s dominance suites estimate
 and floor many instances' users at once; a member may carry its own clip
-bound, batch size and floor. A member's result is bit for bit the one its
-user would get alone: members keep a single model's memory layout, and each
-draws its normals from its own generator.
+bound, batch size and floor. A stack of gradients gives one model stack, as
+every member keeps the same width. A member's result is bit for bit the one
+its user would get alone: members keep a single model's memory layout, and
+each draws its normals from its own generator.
 """
 
 from __future__ import annotations
@@ -342,62 +344,52 @@ def eig_decompose(sym_matrix, mean=None) -> CovarianceModel:
     )
 
 
+def _is_thin(dim: int, count: int) -> bool:
+    """At most half as many gradients as coordinates: the D x D reduction is then the cheaper path."""
+    return 2 * count <= dim
+
+
+def estimate_width(dim: int, count: int, blocks: BlockSpec | None = None) -> int:
+    """Components ``estimate_mean_cov`` keeps from ``count`` gradients of ``dim`` coordinates.
+
+    A block keeps one per gradient when it is thin and one per coordinate
+    otherwise; the shapes alone decide, whatever the gradients' rank.
+    """
+    bounds = ((0, dim),) if blocks is None else blocks.boundaries
+    return sum(count if _is_thin(stop - start, count) else stop - start for start, stop in bounds)
+
+
 def _second_moment(cols: Array, batch) -> Array:
-    """X X^T / (B*D) of (..., dim, D) gradient stacks; an array ``batch`` broadcasts per member."""
+    """The matrix a (..., dim, D) gradient block's eigenvalues are read from, scaled by 1/(B*D).
+
+    X X^T for a dense block; for a thin one the D x D Gram matrix X^T X, which
+    has the same nonzero eigenvalues. An array ``batch`` broadcasts per member.
+    """
+    if _is_thin(*cols.shape[-2:]):
+        return (cols.swapaxes(-1, -2) @ cols) / (batch * cols.shape[-1])
     return (cols @ cols.swapaxes(-1, -2)) / (batch * cols.shape[-1])
 
 
-def _thin_block(cols: Array, batch):
-    """Eigen-reduction of the second moment of (k, dim, D) stacks X with D < dim, at cost O(dim D^2).
+def _block_eigh(cols: Array, batch) -> tuple[Array, Array]:
+    """Ascending eigenvalues and eigenvectors of a (k, dim, D) block's second moment, all of them.
 
-    X = cols / sqrt(B*D). With the thin QR
-    X = Q R, X X^T = Q (R R^T) Q^T, so the D x D matrix R R^T gives the
-    eigenvalues and Q times its eigenvectors gives orthonormal eigenvectors.
-    Only the ``rank`` components are kept: the ascending eigenvalues keep a
-    suffix, of each member's own width. Returns the widths (k,) and
-    ``part(members, width)``, the kept eigenvectors and ascending eigenvalues
-    of a slice of members that share a width.
+    A dense block eigendecomposes X X^T/(B*D) and keeps dim components. A
+    thin one keeps D at cost O(dim D^2): with X = cols / sqrt(B*D) = Q R,
+    X X^T = Q (R R^T) Q^T, so the D x D matrix R R^T gives the eigenvalues
+    and Q times its eigenvectors orthonormal eigenvectors.
     """
+    if not _is_thin(*cols.shape[-2:]):
+        return _psd_eigh(_second_moment(cols, batch))
     q, r = np.linalg.qr(cols / np.sqrt(batch * cols.shape[-1]))
     vals, w = _psd_eigh(r @ r.swapaxes(-1, -2))
-    widths = rank(vals)
-    count = cols.shape[-1]
-
-    def part(members: slice, width: int) -> tuple[Array, Array]:
-        kept = _column_major(w[members, :, count - width :])
-        return q[members] @ kept, vals[members, count - width :]
-
-    return widths, part
-
-
-def _dense_block(cols: Array, batch):
-    """``_thin_block``'s contract for the full dim x dim decomposition: every member keeps all.
-
-    Each member's eigenpairs come in ``eigh``'s ascending order; the model
-    they are embedded in sorts them.
-    """
-    vals, vecs = _psd_eigh(_second_moment(cols, batch))
-    widths = np.full(cols.shape[0], cols.shape[-2])
-    return widths, lambda members, width: (vecs[members], vals[members])
-
-
-def _is_thin(cols: Array) -> bool:
-    """At most half as many gradients as coordinates: the reduction is then the cheaper path."""
-    return 2 * cols.shape[-1] <= cols.shape[-2]
-
-
-def _runs(keys: Array) -> list[slice]:
-    """Maximal slices of consecutive members whose rows of ``keys`` are equal."""
-    cuts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=-1)) + 1
-    edges = [0, *cuts.tolist(), keys.shape[0]]
-    return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
+    return vals, q @ _column_major(w)
 
 
 def estimate_mean_cov(
     grads: GradientMatrix,
     batch: Union[int, Array],
     blocks: BlockSpec | None = None,
-) -> Union[CovarianceModel, list[CovarianceModel]]:
+) -> CovarianceModel:
     """Mean and 1/(B*D)-scaled second moment of a gradient collection.
 
     The second moment is uncentered, which matches the Gaussian-weighted
@@ -406,8 +398,8 @@ def estimate_mean_cov(
     With more than dim/2 gradients D the dim x dim matrix is eigendecomposed
     and the model is full-dimension. With at most dim/2, the matrix has rank
     <= D: a thin QR of the gradients reduces it to a D x D matrix (cost
-    O(dim D^2), not O(dim^3)) and the model keeps the components above the
-    rank threshold, with tail 0. Only the shape decides which; near D = dim
+    O(dim D^2), not O(dim^3)) and the model keeps all D components, with
+    tail 0. Only the shape decides which (``estimate_width``); near D = dim
     the dense path is the cheaper one.
 
     With ``blocks`` the returned model is block-diagonal: each coordinate
@@ -419,82 +411,35 @@ def estimate_mean_cov(
     what the sampler draws from.
 
     ``grads`` may hold a stack of users' gradients (see ``GradientMatrix``);
-    all of them are decomposed in stacked calls. The result is then a list of
-    model stacks, each a run of consecutive members that keep the same number
-    of components; the dense path always returns one. ``batch`` is then one
-    B for every member or a (k,) array of them. Each member equals the model
-    of that user's gradients alone, bit for bit.
+    all of them are decomposed in stacked calls into one model stack, whose
+    members all keep the same number of components. ``batch`` is then one B
+    for every member or a (k,) array of them. Each member equals the model of
+    that user's gradients alone, bit for bit.
     """
     if np.any(np.asarray(batch) < 1):
         raise ValueError(f"batch must be >= 1, got {batch}")
     batch = np.asarray(batch)[..., None, None]  # a member's B broadcasts over its (dim, D) gradients
     single = grads.columns.ndim == 2
     cols = grads.columns[None] if single else grads.columns
-    dim = grads.dim
+    dim, count = grads.dim, grads.count
     mean = cols.mean(axis=-1)
-    if blocks is None and not _is_thin(cols):
-        vals, vecs = _psd_eigh(_second_moment(cols, batch))
-        runs = [(mean, vecs, vals)]
+    if blocks is None:
+        vals, vecs = _block_eigh(cols, batch)
     else:
-        if blocks is None:
-            blocks = BlockSpec(((0, dim),))
         blocks.check_dim(dim)
-        parts = [cols[:, start:stop, :] for start, stop in blocks.boundaries]
-        reductions = [(_thin_block if _is_thin(part) else _dense_block)(part, batch) for part in parts]
-        widths = np.stack([w for w, _ in reductions], axis=-1)  # (k, blocks)
-        runs = []
-        for members in _runs(widths):
-            run_widths = widths[members.start].tolist()
-            vals = np.zeros((members.stop - members.start, sum(run_widths)))
-            vecs = np.zeros((vals.shape[0], dim, vals.shape[1]))
-            offset = 0
-            for (start, stop), (_, part), width in zip(blocks.boundaries, reductions, run_widths):
-                part_vecs, part_vals = part(members, width)
-                vecs[:, start:stop, offset : offset + width] = part_vecs
-                vals[:, offset : offset + width] = part_vals
-                offset += width
-            runs.append((mean[members], vecs, vals))
+        width = estimate_width(dim, count, blocks)
+        vals = np.zeros((cols.shape[0], width))
+        vecs = np.zeros((cols.shape[0], dim, width))
+        offset = 0
+        for start, stop in blocks.boundaries:
+            part_vals, part_vecs = _block_eigh(cols[:, start:stop, :], batch)
+            width = part_vals.shape[-1]
+            vecs[:, start:stop, offset : offset + width] = part_vecs
+            vals[:, offset : offset + width] = part_vals
+            offset += width
     if single:
-        ((mean, vecs, vals),) = runs
-        return CovarianceModel(mean=mean[0], eigvecs=vecs[0], eigvals=vals[0])
-    return [CovarianceModel(mean=mean, eigvecs=vecs, eigvals=vals) for mean, vecs, vals in runs]
-
-
-def second_moment_spectra(
-    grads: GradientMatrix, batch: Union[int, Array], blocks: BlockSpec | None = None
-) -> tuple[Array, Array]:
-    """Eigenvalues only of each member's 1/(B*D)-scaled second moment, no eigenvectors.
-
-    Returns ``(spectra, widths)``: the (..., dim) non-increasing spectra of
-    the matrices ``estimate_mean_cov`` decomposes (blockwise with ``blocks``),
-    and the number of components it keeps for each member. A block with more
-    gradients than half its width decomposes X X^T/(B*D) and keeps every
-    coordinate; with at most half, the D x D Gram matrix X^T X/(B*D) has the
-    same nonzero eigenvalues (no QR needed), is padded with zeros, and keeps
-    the eigenvalues above the rank threshold. Each block of a stack is one
-    stacked ``eigvalsh`` call; ``batch`` broadcasts as in
-    ``estimate_mean_cov``. The values agree with the estimates' spectra up to
-    the last bits ``eigvalsh`` and ``eigh`` differ in.
-    """
-    if np.any(np.asarray(batch) < 1):
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    batch = np.asarray(batch)[..., None, None]
-    blocks = BlockSpec(((0, grads.dim),)) if blocks is None else blocks
-    blocks.check_dim(grads.dim)
-    parts, widths = [], np.zeros(grads.columns.shape[:-2], dtype=int)
-    for start, stop in blocks.boundaries:
-        part = grads.columns[..., start:stop, :]
-        dim, count = part.shape[-2:]
-        if not _is_thin(part):
-            vals, _ = _psd_eigh(_second_moment(part, batch), vectors=False)
-            widths += dim
-        else:
-            vals, _ = _psd_eigh((part.swapaxes(-1, -2) @ part) / (batch * count), vectors=False)
-            widths += rank(vals)
-            vals = np.concatenate([np.zeros(vals.shape[:-1] + (dim - count,)), vals], axis=-1)
-        parts.append(vals)
-    spectra = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts, axis=-1), axis=-1)
-    return spectra[..., ::-1], widths
+        mean, vecs, vals = mean[0], vecs[0], vals[0]
+    return CovarianceModel(mean=mean, eigvecs=vecs, eigvals=vals)
 
 
 def _positive_definite(mats: Array) -> bool:
@@ -506,65 +451,95 @@ def _positive_definite(mats: Array) -> bool:
     return True
 
 
-def floor_covers(
-    grads: GradientMatrix, batch: Union[int, Array], floor: float, blocks: BlockSpec | None = None
-) -> bool:
-    """Whether ``floor`` provably covers every member's second moment, with no eigenvalues.
+def _certified(mat: Array, floor: float) -> bool:
+    """Whether two Cholesky factorizations prove every member of ``mat`` at or below ``floor``.
 
-    True only when every block is dense (more gradients than half its width)
-    and, for each member and block, M = X X^T/(B*D) passes three checks: it is
-    exactly symmetric, floor (1 - eta) I - M factors by Cholesky, and so does
-    M + tau I. False says nothing about the members; their eigenvalues
-    (``second_moment_spectra``) then decide, as they must for a thin block,
-    whose estimate keeps the Gram matrix's rank. ``batch`` broadcasts as in
-    ``estimate_mean_cov``.
-
-    A True answer implies what the eigenvalue path would find. Exact symmetry
-    makes M the very matrix ``_psd_eigh`` reads, and passes its symmetry
-    check. A Cholesky factorization R of a d x d matrix A that runs to
-    completion is exact for some A + E with |E| <= gamma_{d+1} |R^T| |R|
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10), so
-    ||E||_2 <= d gamma_{d+1} ||A + E||_2, about d^2 eps ||A||_2 / 2. For
-    A = floor (1 - eta) I - M that gives lambda_max(M) <= floor (1 - eta +
-    d^2 eps), and eigvalsh's computed value is larger by at most a modest
-    p(d) eps floor. With eta = 4 d^2 eps, the 3 d^2 eps left over covers that
-    and the rounding of A's diagonal, so ``eigvalsh`` puts every eigenvalue
-    at or below the floor. Likewise the Cholesky of M + tau I, with
-    tau = (1e-10 - eta) tr(M)/d <= (1e-10 - eta) lambda_max, bounds the
-    computed lambda_min below by -1e-10 lambda_max: the clamp ``_psd_eigh``
-    enforces. A block wider than about 330 has eta >= 1e-10, no room for tau,
-    and is never certified.
+    ``mat`` is a block's stack of second moments M (see ``floor_coverage``),
+    in its fresh, contiguous buffer, whose flattened rows step along the
+    diagonal. The shifted matrices are formed in that buffer: negation is
+    exact, each diagonal is written from a saved copy of M's, and M is left
+    as it was found.
     """
-    if blocks is not None:
-        blocks.check_dim(grads.dim)
-    bounds = ((0, grads.dim),) if blocks is None else blocks.boundaries
-    parts = [grads.columns[..., start:stop, :] for start, stop in bounds]
-    etas = [4 * part.shape[-2] ** 2 * _EPS for part in parts]
-    if any(_is_thin(part) for part in parts) or max(etas) >= _NEG_EIG_CLAMP:
+    side = mat.shape[-1]
+    eta = 4 * side**2 * _EPS
+    if eta >= _NEG_EIG_CLAMP or not (np.isfinite(mat).all() and (mat == mat.swapaxes(-1, -2)).all()):
         return False
+    diag = mat.reshape(*mat.shape[:-2], side * side)[..., :: side + 1]
+    moment_diag = diag.copy()
+    mat *= -1.0
+    diag[...] = floor * (1.0 - eta) - moment_diag
+    certified = _positive_definite(mat)
+    mat *= -1.0
+    if certified:
+        tau = (_NEG_EIG_CLAMP - eta) * moment_diag.sum(axis=-1, keepdims=True) / side
+        diag[...] = moment_diag + tau
+        certified = _positive_definite(mat)
+    diag[...] = moment_diag
+    return certified
+
+
+def floor_coverage(
+    grads: GradientMatrix,
+    batch: Union[int, Array],
+    floor: float,
+    blocks: BlockSpec | None = None,
+    spectra: bool = False,
+) -> tuple[Array, Array | None]:
+    """Which members ``floor`` covers, and with ``spectra`` their second moments' eigenvalues.
+
+    Returns ``(covered, spectra)``: one flag per member, set when every
+    eigenvalue of its 1/(B*D)-scaled second moment (blockwise with
+    ``blocks``) is at or below ``floor``, and the (..., dim) non-increasing
+    spectra, or None unless asked for. Each block's matrix is formed once:
+    X X^T/(B*D) for a block with more gradients than half its width, else the
+    D x D Gram matrix X^T X/(B*D), which has the same nonzero eigenvalues (a
+    thin block's spectrum is padded with zeros). Without ``spectra`` a
+    block is first offered to a certificate that needs no eigenvalue; only a
+    block it does not clear reads the eigenvalues of the same matrix, in one
+    stacked ``eigvalsh`` call, as every block does with ``spectra``. ``batch``
+    broadcasts as in ``estimate_mean_cov``. The values agree with the
+    estimates' spectra up to the last bits ``eigvalsh`` and ``eigh`` differ in.
+
+    The certificate clears a block when, for every member, M is exactly
+    symmetric, floor (1 - eta) I - M factors by Cholesky, and so does
+    M + tau I, with eta = 4 w^2 eps for M's side w. It clears only what the
+    eigenvalues would cover. Exact symmetry makes M the very matrix
+    ``_psd_eigh`` reads, and passes its symmetry check. A Cholesky
+    factorization R of a w x w matrix A that runs to completion is exact for
+    some A + E with |E| <= gamma_{w+1} |R^T| |R| (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 10), so ||E||_2 <= w gamma_{w+1}
+    ||A + E||_2, about w^2 eps ||A||_2 / 2. For A = floor (1 - eta) I - M that
+    gives lambda_max(M) <= floor (1 - eta + w^2 eps), and eigvalsh's computed
+    value is larger by at most a modest p(w) eps floor. With eta = 4 w^2 eps,
+    the 3 w^2 eps left over covers that and the rounding of A's diagonal, so
+    ``eigvalsh`` puts every eigenvalue at or below the floor. Likewise the
+    Cholesky of M + tau I, with tau = (1e-10 - eta) tr(M)/w <= (1e-10 - eta)
+    lambda_max, bounds the computed lambda_min below by -1e-10 lambda_max: the
+    clamp ``_psd_eigh`` enforces. A thin block's Gram matrix has the nonzero
+    eigenvalues of X X^T, so the same proof covers it. A matrix wider than
+    about 330 has eta >= 1e-10, no room for tau, and is never certified.
+    """
     if np.any(np.asarray(batch) < 1):
         raise ValueError(f"batch must be >= 1, got {batch}")
+    if not 0.0 <= floor < math.inf:
+        raise ValueError(f"floor must be finite and >= 0, got {floor}")
     batch = np.asarray(batch)[..., None, None]
-    for part, eta in zip(parts, etas):
-        dim = part.shape[-2]
-        mat = _second_moment(part, batch)
-        if not (np.isfinite(mat).all() and (mat == mat.swapaxes(-1, -2)).all()):
-            return False
-        # the shifted matrices are formed in M's fresh, contiguous buffer, whose
-        # flattened rows step along the diagonal: negation is exact, and each
-        # diagonal is written from a saved copy of M's
-        diag = mat.reshape(*mat.shape[:-2], dim * dim)[..., :: dim + 1]
-        moment_diag = diag.copy()
-        mat *= -1.0
-        diag[...] = floor * (1.0 - eta) - moment_diag
-        if not _positive_definite(mat):
-            return False
-        mat *= -1.0
-        tau = (_NEG_EIG_CLAMP - eta) * moment_diag.sum(axis=-1, keepdims=True) / dim
-        diag[...] = moment_diag + tau
-        if not _positive_definite(mat):
-            return False
-    return True
+    blocks = BlockSpec(((0, grads.dim),)) if blocks is None else blocks
+    blocks.check_dim(grads.dim)
+    covered = np.full(grads.columns.shape[:-2], True)
+    parts = []
+    for start, stop in blocks.boundaries:
+        mat = _second_moment(grads.columns[..., start:stop, :], batch)
+        if not spectra and _certified(mat, floor):
+            continue
+        vals, _ = _psd_eigh(mat, vectors=False)
+        covered &= vals[..., -1] <= floor
+        padding = np.zeros(vals.shape[:-1] + (stop - start - vals.shape[-1],))
+        parts.append(np.concatenate([padding, vals], axis=-1))
+    if not spectra:
+        return covered, None
+    ascending = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts, axis=-1), axis=-1)
+    return covered, ascending[..., ::-1]
 
 
 def floor_eigenvalues(

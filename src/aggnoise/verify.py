@@ -280,7 +280,7 @@ def _estimates(
     for count in np.unique(counts):
         idx = np.flatnonzero(counts == count)
         cols = np.stack([sets[i] for i in idx])
-        (model,) = estimate_mean_cov(GradientMatrix(cols, clip[idx]), batch[idx])
+        model = estimate_mean_cov(GradientMatrix(cols, clip[idx]), batch[idx])
         means[idx], vals[idx], vecs[idx] = model.mean, model.eigvals, model.eigvecs
     models = CovarianceModel(means, vecs, vals)
     return models if floor is None else floor_eigenvalues(models, floor)[0]

@@ -50,8 +50,8 @@ from aggnoise.spectra import (
     CovarianceModel,
     GradientMatrix,
     estimate_mean_cov,
+    floor_coverage,
     sample_gaussian,
-    second_moment_spectra,
     sum_covariances,
 )
 
@@ -349,8 +349,8 @@ class TestFullGdModel:
         users, _, family = make_users(2, 0, scheme, seed=31, task="regression", features=6)
         theta = init_model(family, 6).theta
         stack = Cohort(users).stacks[0]
-        _, (models,) = simulation.user_update(stack, ModelOps(family), theta, 1.0, None,
-                                              [np.random.default_rng(0)] * 2)
+        _, models = simulation.user_update(stack, ModelOps(family), theta, 1.0, None,
+                                           [np.random.default_rng(0)] * 2)
         model = CovarianceModel(models.mean[0], models.eigvecs[0], models.eigvals[0], models.tail[0])
         dim = theta.shape[0]
         assert model.n_components == 0
@@ -374,9 +374,9 @@ class TestEstimatesPerRound:
         original = simulation.estimate_mean_cov
 
         def counting(grads, batch, blocks=None, **kwargs):
-            runs = original(grads, batch, blocks, **kwargs)
-            seen.extend([blocks] * sum(members(run) for run in runs))
-            return runs
+            model = original(grads, batch, blocks, **kwargs)
+            seen.extend([blocks] * members(model))
+            return model
 
         monkeypatch.setattr(mechanisms, "estimate_mean_cov", counting)
         monkeypatch.setattr(simulation, "estimate_mean_cov", counting)
@@ -576,11 +576,15 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
             if scheme.kind is SchemeKind.FULL_GD:
                 spectrum = np.zeros(dim)  # deterministic: no sampling randomness
             else:
-                spectrum, width = second_moment_spectra(grads, scheme.batch, user_blocks)
+                _, spectrum = floor_coverage(grads, scheme.batch, mech.sigma2, user_blocks,
+                                             spectra=True)
             if spectrum[0] <= mech.sigma2:
                 # floored to sigma^2 I, from d fresh normals
                 if drawn:
-                    rng.standard_normal(int(width))
+                    # the draw's normals: D for a thin block, one per coordinate for a dense one
+                    bounds = ((0, dim),) if user_blocks is None else user_blocks.boundaries
+                    rng.standard_normal(sum(grads.count if 2 * grads.count <= stop - start
+                                            else stop - start for start, stop in bounds))
                 floored = CovarianceModel(grads.columns.mean(axis=1), np.zeros((dim, 0)),
                                           np.zeros(0), tail=mech.sigma2)
                 # every eigenvalue is lifted: d sigma^2 minus the second moment's trace
@@ -725,16 +729,29 @@ class TestStackedRoundMatchesPerUserLoop:
         ]
         self.both(monkeypatch, users, mech, params, ClosedFormMode.GENERAL, family, 12)
 
-    def test_rank_deficient_member_splits_the_thin_estimate(self, monkeypatch):
-        # one user's rows repeat, so its thin estimate keeps fewer components
-        # than its stack mates': the estimate comes back as several model stacks
+    def test_rank_deficient_member_stays_in_its_stack(self, monkeypatch):
+        # one user's rows repeat, so its thin second moment has rank 2 of D = 10;
+        # its estimate still keeps D components, in its stack mates' model stack
         users, mech, params, family = self.setup(SchemeKind.GAUSSIAN_SAMPLED, "wfdp", 40)
         repeated = np.repeat(users[2].features[:2], 5, axis=0)
         users[2] = UserState(2, users[2].role, repeated, users[2].labels, users[2].scheme)
         stack = Cohort(users).stacks[1]
+        assert stack.slots == range(1, 5)
+        ops, theta = ModelOps(family), np.zeros(40)
         rngs = [np.random.default_rng(i) for i in stack.slots]
-        _, runs = simulation.user_update(stack, ModelOps(family), np.zeros(40), 1.0, None, rngs)
-        assert [members(run) for run in runs] == [1, 1, 2]
+        _, model = simulation.user_update(stack, ops, theta, 1.0, None, rngs)
+        assert members(model) == 4 and model.n_components == 10
+        cols = mechanisms.clipped_gradients(stack.phi[1:2], stack.labels[1:2], ops, theta, 1.0)
+        alone = estimate_mean_cov(GradientMatrix(cols[0], 1.0), stack.scheme.batch)
+        assert spectra_module.rank(alone.spectrum()) == 2
+        for stacked, one in ((model.mean[1], alone.mean), (model.eigvals[1], alone.eigvals),
+                             (model.eigvecs[1], alone.eigvecs)):
+            assert np.array_equal(stacked, one)
+        # its draw took D normals, as its stack mates' did; under WFDP the skip of as
+        # many is checked against the per-user loop below
+        skipped = np.random.default_rng(2)
+        skipped.standard_normal(10)
+        assert rngs[1].bit_generator.state == skipped.bit_generator.state
         self.both(monkeypatch, users, mech, params, ClosedFormMode.GENERAL, family, 40)
 
     # the non-sensitive users' largest eigenvalues: d = 5: 0.0591, 0.0492, 0.112,

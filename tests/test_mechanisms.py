@@ -28,10 +28,10 @@ from aggnoise.spectra import (
     GradientMatrix,
     eig_decompose,
     estimate_mean_cov,
-    floor_covers,
+    estimate_width,
+    floor_coverage,
     rank,
     sample_gaussian,
-    second_moment_spectra,
 )
 
 LINEAR = ModelOps(ModelFamily.LINEAR_REGRESSION)
@@ -271,8 +271,8 @@ class TestStackedMechanisms:
         grads = [GradientMatrix(rng.standard_normal((dim, 3)) * 0.2, 1.0) for _ in range(4)]
         models = [estimate_mean_cov(g, 2) for g in grads]
         stacked = estimate_mean_cov(GradientMatrix(np.stack([g.columns for g in grads]), 1.0), 2)
-        assert len(stacked) == 1
-        return models, stacked[0]
+        assert stacked.mean.shape[0] == 4
+        return models, stacked
 
     @pytest.mark.parametrize("dim", [5, 8])
     @pytest.mark.parametrize("mechanism", [wfdp_update, wfna_noise])
@@ -313,7 +313,7 @@ class TestWfdpFromSpectra:
         cols /= np.linalg.norm(cols, axis=1, keepdims=True)
         cols *= np.array([1.0, 0.1, 0.15, 0.9, 0.12])[:, None, None]
         grads = GradientMatrix(cols, 1.0)
-        top = second_moment_spectra(grads, self.BATCH)[0][:, 0]
+        top = floor_coverage(grads, self.BATCH, 0.0, spectra=True)[1][:, 0]
         floor = 0.5 * (max(top[[1, 2, 4]]) + min(top[[0, 3]]))
         return grads, floor
 
@@ -339,11 +339,12 @@ class TestWfdpFromSpectra:
                 assert np.array_equal(run.floored.eigvecs[j], expected.floored.eigvecs)
                 assert np.array_equal(run.floored.eigvals[j], expected.floored.eigvals)
             else:
-                spectrum, width = second_moment_spectra(one, self.BATCH)
-                assert np.array_equal(spectra[i], spectrum)
+                covered, spectrum = floor_coverage(one, self.BATCH, floor, spectra=True)
+                assert covered and np.array_equal(spectra[i], spectrum)
+                width = estimate_width(dim, count)
                 assert width == (dim if 2 * count > dim else count)
                 if skip_draw:
-                    rng.standard_normal(int(width))
+                    rng.standard_normal(width)
                 # sigma^2 I: no eigenpairs, tail sigma^2, the mean plus sigma times d normals
                 model = CovarianceModel(cols.mean(axis=1), np.zeros((dim, 0)), np.zeros(0), floor)
                 lift = dim * floor - np.sum(np.sum(cols ** 2, axis=0)) / (self.BATCH * count)
@@ -359,7 +360,7 @@ class TestWfdpFromSpectra:
         grads, floor = self.stack(6, 10)
         rngs = [np.random.default_rng(i) for i in range(5)]
         spectra, (run,) = wfdp_from_spectra(grads, self.BATCH, 0.0, rngs, skip_draw=False)
-        (model,) = estimate_mean_cov(grads, self.BATCH)
+        model = estimate_mean_cov(grads, self.BATCH)
         expected = wfdp_update(model, 0.0, [np.random.default_rng(i) for i in range(5)])
         assert np.array_equal(spectra, model.spectrum())
         assert np.array_equal(run.vector, expected.vector)
@@ -422,25 +423,41 @@ class TestFloorCertificate:
             expected = member.mean(axis=1) + np.sqrt(floor) * rng.standard_normal(dim)
             assert np.array_equal(run.vector[i], expected)
 
-    @pytest.mark.parametrize("bounds", [None, ((0, 5), (5, 12))], ids=["dense", "dense_blocks"])
-    def test_certificate_covers_only_what_the_spectra_cover(self, bounds):
+    def coverage(self, monkeypatch, grads, floor, blocks=None):
+        """``floor_coverage``'s flags, and whether its certificate cleared every block unread."""
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", counting)
+            covered, spectra = floor_coverage(grads, self.BATCH, floor, blocks)
+        assert spectra is None
+        return covered, not calls
+
+    @pytest.mark.parametrize("dim,count,bounds", [
+        (12, 10, None), (12, 10, ((0, 5), (5, 12))), (30, 6, None), (30, 6, ((0, 10), (10, 30))),
+    ], ids=["dense", "dense_blocks", "thin", "thin_and_dense_blocks"])
+    def test_certificate_covers_only_what_the_spectra_cover(self, monkeypatch, dim, count, bounds):
         # each member's largest eigenvalue sits a hair or a little above or below the floor
-        dim, count, floor = 12, 10, 0.01
+        floor = 0.01
         blocks = None if bounds is None else BlockSpec(bounds)
         cols = self.gradients(dim, count, members=5)
-        top = second_moment_spectra(GradientMatrix(cols, 1.0), self.BATCH, blocks)[0][:, 0]
+        top = floor_coverage(GradientMatrix(cols, 1.0), self.BATCH, floor, blocks, spectra=True)[1][:, 0]
         targets = floor * (1.0 + np.array([-1e-6, -1e-12, 0.0, 1e-12, 1e-6]))
         cols *= np.sqrt(targets / top)[:, None, None]
         grads = GradientMatrix(cols, 1.0)
-        spectra, _ = second_moment_spectra(grads, self.BATCH, blocks)
+        rule_covered, spectra = floor_coverage(grads, self.BATCH, floor, blocks, spectra=True)
         rule = spectra[:, 0] <= floor
-        assert rule[0] and not rule[-1]
-        certified = [
-            floor_covers(GradientMatrix(member, 1.0), self.BATCH, floor, blocks) for member in cols
-        ]
-        # eta = 4 * 12^2 * eps, about 1.3e-13, so a member 1e-12 below the floor is certified
-        assert certified == [True, True, False, False, False]
-        assert all(rule[i] for i in range(5) if certified[i])
+        assert rule[0] and not rule[-1] and rule_covered.tolist() == rule.tolist()
+        members = [self.coverage(monkeypatch, GradientMatrix(member, 1.0), floor, blocks)
+                   for member in cols]
+        # eta = 4 w^2 eps is at most about 1.3e-13, so a member 1e-12 below the floor is certified
+        assert [cleared for _, cleared in members] == [True, True, False, False, False]
+        assert [bool(covered) for covered, _ in members] == rule.tolist()
         # whichever path decides, a stack covers the members the spectra cover
         rngs = [np.random.default_rng(i) for i in range(5)]
         _, runs = wfdp_from_spectra(grads, self.BATCH, floor, rngs, True, blocks, spectra=False)
@@ -451,47 +468,94 @@ class TestFloorCertificate:
                                           [np.random.default_rng(i)], True, blocks, spectra=False)
             assert (one.floored.n_components == 0) == rule[i]
 
+    @pytest.mark.parametrize("dim,count,bounds", [
+        (12, 10, None), (12, 10, ((0, 5), (5, 12))), (30, 6, None), (30, 6, ((0, 10), (10, 30))),
+    ], ids=["dense", "dense_blocks", "thin", "thin_and_dense_blocks"])
+    def test_one_matrix_and_one_eigvalsh_per_block(self, monkeypatch, dim, count, bounds):
+        # one member above the floor in every block: the certificate fails on the
+        # matrix it formed, and the eigenvalues are read from that same buffer
+        blocks = None if bounds is None else BlockSpec(bounds)
+        cols = self.gradients(dim, count)
+        cols[2] *= 10.0
+        moments, eigvalsh = [], []
+        moment, original = spectra_module._second_moment, np.linalg.eigvalsh
+
+        def forming(part, batch):
+            moments.append(part.shape)
+            return moment(part, batch)
+
+        def reading(a, *args, **kwargs):
+            eigvalsh.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(spectra_module, "_second_moment", forming)
+        monkeypatch.setattr(np.linalg, "eigvalsh", reading)
+        _, runs = wfdp_from_spectra(GradientMatrix(cols, 10.0), self.BATCH, 0.2,
+                                    [np.random.default_rng(i) for i in range(4)], True, blocks,
+                                    spectra=False)
+        assert [run.floored.n_components == 0 for run in runs] == [True, False, True]
+        widths = [stop - start for start, stop in (bounds or ((0, dim),))]
+        # the stack's matrices; the estimate of the member above the floor forms its own
+        assert [shape for shape in moments if shape[0] == 4] == [(4, w, count) for w in widths]
+        # a thin block's matrix is its count x count Gram matrix
+        assert eigvalsh == [(4, count, count) if 2 * count <= w else (4, w, w) for w in widths]
+
+    def test_zero_batch_raises_on_a_thin_stack(self):
+        with pytest.raises(ValueError, match="batch must be >= 1"):
+            floor_coverage(GradientMatrix(self.gradients(30, 6), 1.0), 0, 0.2)
+
+    @pytest.mark.parametrize("floor", [float("nan"), float("inf"), -1e-3])
+    def test_nan_or_out_of_range_floor_raises_on_a_dense_stack(self, floor):
+        # a Cholesky factorization does not fail on NaN, so the check runs first
+        with pytest.raises(ValueError, match="floor must be finite and >= 0"):
+            floor_coverage(GradientMatrix(self.gradients(12, 10), 1.0), 2, floor)
+
     def test_certificate_refuses_a_stack_it_cannot_clear(self, monkeypatch):
         cols = self.gradients(12, 10)
         grads = GradientMatrix(cols, 1.0)
-        assert floor_covers(grads, self.BATCH, 0.2)
+        covered, cleared = self.coverage(monkeypatch, grads, 0.2)
+        assert covered.all() and cleared
         # one member above the floor fails the whole stack
         loud = cols.copy()
         loud[2] *= 10.0
-        assert not floor_covers(GradientMatrix(loud, 10.0), self.BATCH, 0.2)
-        # a thin block needs the Gram matrix's rank; zero gradients fail the PSD check
-        assert not floor_covers(GradientMatrix(self.gradients(30, 6), 1.0), self.BATCH, 0.2)
-        assert not floor_covers(GradientMatrix(np.zeros((2, 6, 10)), 1.0), self.BATCH, 0.2)
+        covered, cleared = self.coverage(monkeypatch, GradientMatrix(loud, 10.0), 0.2)
+        assert covered.tolist() == [True, True, False, True] and not cleared
+        # a thin block is cleared on its Gram matrix; zero gradients fail the PSD check
+        covered, cleared = self.coverage(monkeypatch, GradientMatrix(self.gradients(30, 6), 1.0), 0.2)
+        assert covered.all() and cleared
+        covered, cleared = self.coverage(monkeypatch, GradientMatrix(np.zeros((2, 6, 10)), 1.0), 0.2)
+        assert covered.all() and not cleared
         # a second moment that is not exactly symmetric is left to the eigenvalue path
         moment = spectra_module._second_moment
         skew = np.triu(np.full((12, 12), 1e-15), 1)
         monkeypatch.setattr(spectra_module, "_second_moment",
                             lambda cols, batch: moment(cols, batch) + skew)
-        assert not floor_covers(grads, self.BATCH, 0.2)
+        covered, cleared = self.coverage(monkeypatch, grads, 0.2)
+        assert covered.all() and not cleared
         # nor is one below _psd_eigh's clamp, although the floor covers it
         dent = np.diag([-1e-6] + [0.0] * 11)
         monkeypatch.setattr(spectra_module, "_second_moment",
                             lambda cols, batch: moment(cols, batch) + dent)
-        assert not floor_covers(grads, self.BATCH, 0.2)
+        with pytest.raises(NotPositiveSemidefinite):
+            floor_coverage(grads, self.BATCH, 0.2)
         with pytest.raises(NotPositiveSemidefinite):
             wfdp_from_spectra(grads, self.BATCH, 0.2, [np.random.default_rng(i) for i in range(4)],
                               True, spectra=False)
 
-    def test_thin_stack_still_reads_eigenvalues(self, monkeypatch):
-        calls = []
-        original = np.linalg.eigvalsh
-
-        def counting(a, *args, **kwargs):
-            calls.append(np.shape(a))
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    def test_covered_thin_stack_reads_no_eigenvalue(self, monkeypatch):
+        # the certificate reads the Gram matrices: no eigenvalue, no QR
+        self.refuse(monkeypatch)
+        monkeypatch.setattr(np.linalg, "qr", None)
         cols = self.gradients(30, 6)
         _, (run,) = wfdp_from_spectra(GradientMatrix(cols, 1.0), self.BATCH, 0.2,
                                       [np.random.default_rng(i) for i in range(4)], True,
                                       spectra=False)
-        assert run.floored.n_components == 0
-        assert calls == [(4, 6, 6)]  # the Gram matrices, for the rank each estimate keeps
+        assert run.floored.n_components == 0 and np.array_equal(run.floored.tail, [0.2] * 4)
+        for i, member in enumerate(cols):
+            rng = np.random.default_rng(i)
+            rng.standard_normal(6)  # the thin estimate keeps one component per gradient
+            expected = member.mean(axis=1) + np.sqrt(0.2) * rng.standard_normal(30)
+            assert np.array_equal(run.vector[i], expected)
 
 
 class TestWfnaNoise:

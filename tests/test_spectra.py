@@ -22,17 +22,17 @@ from aggnoise.spectra import (
     centered_draws,
     eig_decompose,
     estimate_mean_cov,
+    estimate_width,
+    floor_coverage,
     floor_eigenvalues,
     rank,
     renyi_gaussian,
     sample_gaussian,
-    second_moment_spectra,
     span_contains,
     sum_covariances,
     _psd_eigh,
     _renyi_divergence,
     _second_moment,
-    _thin_block,
 )
 
 
@@ -155,24 +155,22 @@ class TestStackedPrimitives:
         rng = np.random.default_rng(6)
         cols = rng.standard_normal((4, dim, count))
         cols /= np.linalg.norm(cols, axis=-2, keepdims=True)
-        cols[1, :, 2:] = 0.0  # a rank-deficient member: the thin path splits its run
+        cols[1, :, 2:] = 0.0  # a rank-deficient member keeps as many components as its mates
         batch = np.array([1, 3, 2, 4])
         floor = np.array([0.0, 0.05, 0.01, 0.2])
-        members = 0
-        for run in estimate_mean_cov(GradientMatrix(cols, 1.0), batch, blocks):
-            floored, lift = floor_eigenvalues(run, floor[members : members + run.mean.shape[0]])
-            for i in range(run.mean.shape[0]):
-                k = members + i
-                one = estimate_mean_cov(GradientMatrix(cols[k], 1.0), int(batch[k]), blocks)
-                one_floored, one_lift = floor_eigenvalues(one, float(floor[k]))
-                for stacked, alone in ((run, one), (floored, one_floored)):
-                    assert np.array_equal(stacked.mean[i], alone.mean)
-                    assert np.array_equal(stacked.eigvals[i], alone.eigvals)
-                    assert np.array_equal(stacked.eigvecs[i], alone.eigvecs)
-                    assert np.array_equal(np.asarray(stacked.tail)[i], alone.tail)
-                assert lift[i] == one_lift
-            members += run.mean.shape[0]
-        assert members == 4
+        stack = estimate_mean_cov(GradientMatrix(cols, 1.0), batch, blocks)
+        assert stack.mean.shape[0] == 4
+        assert stack.n_components == estimate_width(dim, count, blocks)
+        floored, lift = floor_eigenvalues(stack, floor)
+        for k in range(4):
+            one = estimate_mean_cov(GradientMatrix(cols[k], 1.0), int(batch[k]), blocks)
+            one_floored, one_lift = floor_eigenvalues(one, float(floor[k]))
+            for stacked, alone in ((stack, one), (floored, one_floored)):
+                assert np.array_equal(stacked.mean[k], alone.mean)
+                assert np.array_equal(stacked.eigvals[k], alone.eigvals)
+                assert np.array_equal(stacked.eigvecs[k], alone.eigvecs)
+                assert np.array_equal(np.asarray(stacked.tail)[k], alone.tail)
+            assert lift[k] == one_lift
 
     def test_eigenvalues_only_keep_every_check(self):
         rng = np.random.default_rng(7)
@@ -199,35 +197,37 @@ class TestStackedPrimitives:
         rng = np.random.default_rng(8)
         cols = rng.standard_normal((4, dim, count))
         cols /= np.linalg.norm(cols, axis=-2, keepdims=True)
-        cols[1, :, 2:] = 0.0  # rank deficient: a thin estimate keeps 2 components
+        cols[1, :, 2:] = 0.0  # rank deficient: a thin estimate still keeps every component
         batch = np.array([1, 3, 2, 4])
         grads = GradientMatrix(cols, 1.0)
         blocks = None if bounds is None else BlockSpec(bounds)
-        spectra, widths = second_moment_spectra(grads, batch, blocks)
+        floor = 0.3
+        covered, spectra = floor_coverage(grads, batch, floor, blocks, spectra=True)
         assert spectra.shape == (4, dim)
+        assert covered.tolist() == (spectra[:, 0] <= floor).tolist()
         for k in range(4):
             one = GradientMatrix(cols[k], 1.0)
             model = estimate_mean_cov(one, int(batch[k]), blocks)
-            # each block's second moment, the whole matrix without blocks
+            # each block's dense second moment, the whole matrix without blocks
             reference = np.sort(np.concatenate([
-                np.linalg.eigvalsh(_second_moment(cols[k, start:stop], int(batch[k])))
+                np.linalg.eigvalsh(cols[k, start:stop] @ cols[k, start:stop].T / (batch[k] * count))
                 for start, stop in (bounds or ((0, dim),))
             ]))[::-1]
             assert np.all(spectra[k, :-1] >= spectra[k, 1:])
             assert np.allclose(spectra[k], reference, rtol=1e-12, atol=1e-12 * reference[0])
             assert np.allclose(spectra[k], model.spectrum(), rtol=1e-12, atol=1e-12 * reference[0])
-            assert widths[k] == model.n_components
+            assert model.n_components == estimate_width(dim, count, blocks)
             # a member alone gets the values it gets in the stack
-            one_spectrum, one_width = second_moment_spectra(one, int(batch[k]), blocks)
-            assert np.array_equal(one_spectrum, spectra[k]) and one_width == widths[k]
+            one_covered, one_spectrum = floor_coverage(one, int(batch[k]), floor, blocks, spectra=True)
+            assert np.array_equal(one_spectrum, spectra[k]) and one_covered == covered[k]
         with pytest.raises(ValueError, match="batch must be >= 1"):
-            second_moment_spectra(grads, 0, blocks)
+            floor_coverage(grads, 0, floor, blocks)
 
     def test_per_member_batch_or_floor_below_range_raises(self):
         grads = GradientMatrix(np.full((2, 3, 4), 0.1), 1.0)
         with pytest.raises(ValueError):
             estimate_mean_cov(grads, np.array([2, 0]))
-        (model,) = estimate_mean_cov(grads, np.array([2, 1]))
+        model = estimate_mean_cov(grads, np.array([2, 1]))
         with pytest.raises(ValueError):
             floor_eigenvalues(model, np.array([0.1, -1e-3]))
 
@@ -649,14 +649,17 @@ class TestSpectrumInvariants:
         cols[2, :, 1:] = cols[2, :, :1]  # rank 1
         cols[3] *= 1e-3  # the threshold is relative to each member's largest eigenvalue
         batch = np.array([1, 2, 3, 4])[:, None, None]
-        widths, _ = _thin_block(cols, batch)
-        # the rule _thin_block applied inline before: ascending eigenvalues
-        # above DEFAULT_RANK_TOL times each member's last, largest one
+        # the rule a thin estimate once kept its components by: ascending
+        # eigenvalues above DEFAULT_RANK_TOL times each member's last, largest one
         _, r = np.linalg.qr(cols / np.sqrt(batch * 6))
         vals, _ = _psd_eigh(r @ r.swapaxes(-1, -2))
         inline = np.sum(vals > DEFAULT_RANK_TOL * vals[..., -1:], axis=-1)
-        assert widths.tolist() == inline.tolist() == [6, 3, 1, 6]
+        assert inline.tolist() == [6, 3, 1, 6]
         assert rank(vals).tolist() == rank(vals[..., ::-1]).tolist() == inline.tolist()
+        # the estimate now keeps all of them, whatever the rank
+        model = estimate_mean_cov(GradientMatrix(cols, 1.0), batch[:, 0, 0])
+        assert model.n_components == 6 == estimate_width(20, 6)
+        assert rank(model.spectrum()).tolist() == inline.tolist()
 
 
 def _clipped(cols, clip=1.0):
@@ -685,18 +688,19 @@ def _dense_second_moment(grads, batch, blocks):
     return mask * (x @ x.T) / (batch * count)
 
 
-def _dense_oracle(grads, batch, blocks):
-    """Eigenpairs of the dense second moment, per block, with the rank threshold applied.
+def _dense_oracle(grads, batch, blocks, rank_tol=0.0):
+    """Eigenpairs of the dense second moment, per block.
 
-    Eigenvalues at or below DEFAULT_RANK_TOL times their block's largest are
-    the ones ``rank()`` counts as zero; the oracle sets them to 0.
+    Eigenvalues at or below ``rank_tol`` times their block's largest are set
+    to 0, and so are tiny negatives; with DEFAULT_RANK_TOL these are the
+    ones ``rank()`` counts as zero.
     """
     matrix = _dense_second_moment(grads, batch, blocks)
     dim = matrix.shape[0]
     vals, vecs = np.zeros(dim), np.zeros((dim, dim))
     for start, stop in blocks.boundaries if blocks is not None else ((0, dim),):
         lam, u = np.linalg.eigh(matrix[start:stop, start:stop])
-        vals[start:stop] = np.where(lam > DEFAULT_RANK_TOL * lam[-1], lam, 0.0)
+        vals[start:stop] = np.where(lam > rank_tol * lam[-1], lam, 0.0)
         vecs[start:stop, start:stop] = u
     return vals, vecs
 
@@ -709,7 +713,7 @@ def _forbidden(name):
 
 
 class TestLowRankModels:
-    """Models estimated from fewer gradients than dim/2 carry r <= D eigenpairs plus a tail."""
+    """Models estimated from D <= dim/2 gradients carry D eigenpairs plus a tail."""
 
     BLOCKS = (None, BlockSpec(((0, 10), (10, 50))))
 
@@ -724,16 +728,16 @@ class TestLowRankModels:
                 model = estimate_mean_cov(grads, batch, blocks=blocks)
                 vals, vecs = _dense_oracle(grads, batch, blocks)
                 lam_max = vals.max()
-                assert model.n_components < model.dim
-                dense_matrix = (vecs * vals) @ vecs.T
-                assert np.abs(model.matrix() - dense_matrix).max() <= 1e-12 * lam_max, kind
-                # the dropped components are below the rank threshold
+                assert model.n_components == estimate_width(50, 20, blocks) < model.dim
+                # every component is kept, down to the smallest
                 raw = _dense_second_moment(grads, batch, blocks)
-                assert np.abs(model.matrix() - raw).max() <= (DEFAULT_RANK_TOL + 1e-12) * lam_max
+                assert np.abs(model.matrix() - raw).max() <= 1e-12 * lam_max, kind
                 assert np.abs(model.eigvecs.T @ model.eigvecs - np.eye(model.n_components)).max() <= 1e-12
                 models.append(model)
                 dense.append((vals, vecs))
-            sigma2 = float(np.median(dense[0][0][dense[0][0] > 0]))
+            # the median of the first user's eigenvalues above the rank threshold
+            kept = _dense_oracle(user_inputs[0][kind], batch, blocks, DEFAULT_RANK_TOL)[0]
+            sigma2 = float(np.median(kept[kept > 0]))
             floored_sum = np.zeros((50, 50))
             floored_models = []
             for model, (vals, vecs) in zip(models, dense):
