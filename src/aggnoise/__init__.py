@@ -39,7 +39,6 @@ from .mechanisms import (
     wfna_noise,
 )
 from .spectra import (
-    BlockSpec,
     CovarianceModel,
     GradientMatrix,
     eig_decompose,

@@ -21,10 +21,6 @@ class EmptyGradients(AggNoiseError):
     """A gradient collection with zero columns was supplied."""
 
 
-class BlockMismatch(AggNoiseError):
-    """Block boundaries do not partition the coordinate range."""
-
-
 class SingularCovariance(AggNoiseError):
     """A full-rank covariance was required but the input is rank deficient."""
 

@@ -16,9 +16,13 @@ stack's updates and unfloored covariance models, one model stack per user
 stack, and the mechanisms floor and draw for the whole stack, every member
 from its own stream. A single user is a stack of one. Under WFDP every
 non-sensitive stack goes through ``floored_update`` instead: WFDP replaces
-its updates, so coverage is decided first, block by block, by a Cholesky
-certificate or else by the block's eigenvalues, and a member the floor covers
-becomes sigma^2 I with no eigenvectors at all.
+its updates, so coverage is decided first, by a Cholesky certificate or else
+by the eigenvalues, and a member the floor covers becomes sigma^2 I with no
+eigenvectors at all. Only this module knows ``mechanism.blocks``, and only
+WFDP takes it: a blockwise round floors each coordinate block's rows as a
+problem of their own, so a user's update is drawn from, and accounted as,
+the block-diagonal model of its floored blocks. Any other mechanism submits
+an update with cross-block covariance, so it refuses blocks.
 ``noise_round`` is the one place a round's mechanism is applied: it returns
 the noised submissions, the unfloored per-user spectra when asked for (the
 ``theorem1_rdp`` context and ``aggnoise spectrum --config``, which prints
@@ -63,10 +67,11 @@ from ..mechanisms import (
     wfna_noise,
 )
 from ..spectra import (
-    BlockSpec,
     CovarianceModel,
     GradientMatrix,
+    _member_normals,
     estimate_mean_cov,
+    estimate_width,
     rank,
     sum_covariances,
 )
@@ -115,7 +120,14 @@ class MechanismConfig:
             if not self.sigma2 > 0:
                 raise ConfigError(f"mechanism.sigma2 must be > 0 for {self.kind.value}")
         if self.block_count < 1:
-            raise ConfigError("mechanism.block_count must be >= 1")
+            raise ConfigError("mechanism.blocks must be >= 1")
+        if self.block_count > 1 and self.kind is not MechanismKind.WFDP:
+            # only WFDP replaces each update with a draw from the block-diagonal
+            # model the accountant sums; any other update keeps its cross-block terms
+            raise ConfigError(
+                f"mechanism.blocks: {self.kind.value} takes no blocks (got {self.block_count}); "
+                "only wfdp floors coordinate blocks apart"
+            )
 
     @property
     def floor(self) -> float:
@@ -137,10 +149,21 @@ def _user_rng(master_seed: int, round_index: int, slot: int) -> np.random.Genera
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _blocks_for(dim: int, mech: MechanismConfig) -> Optional[BlockSpec]:
-    if mech.block_count <= 1:
-        return None
-    return BlockSpec.equal_parts(dim, mech.block_count)
+def _blocks_for(dim: int, mech: MechanismConfig) -> list[tuple[int, int]]:
+    """The (start, stop) row ranges WFDP floors apart: ``mech.block_count`` near-equal parts."""
+    if mech.block_count > dim:
+        raise ConfigError(
+            f"mechanism.blocks: cannot split dimension {dim} into {mech.block_count} blocks"
+        )
+    edges = np.linspace(0, dim, mech.block_count + 1).round().astype(int).tolist()
+    return list(zip(edges, edges[1:]))
+
+
+def _spectrum_union(parts: Sequence[Array]) -> Array:
+    """A block-diagonal matrix's spectrum, non-increasing: its blocks' (..., width) ones together."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.sort(np.concatenate(parts, axis=-1), axis=-1)[..., ::-1].copy()
 
 
 def _isotropic_extra(mech: MechanismConfig, n_ns: int, n_total: int) -> float:
@@ -213,7 +236,6 @@ def user_update(
     ops: ModelOps,
     theta: Array,
     clip: float,
-    blocks: Optional[BlockSpec],
     rngs: Sequence[np.random.Generator],
 ) -> tuple[Array, Optional[CovarianceModel]]:
     """A stack's raw updates (k, dim) and, for non-sensitive users, their covariance models.
@@ -221,9 +243,9 @@ def user_update(
     The models are the unfloored distributions of the updates on the
     clipped-gradient scale, the ones the accountant sums: the FEDAVG replays'
     estimates, a zero spectrum for deterministic FULL_GD, the estimates
-    Gaussian-sampled updates were drawn from, or else the (blockwise when
-    ``blocks`` is set) estimates from the clipped gradients, as one model
-    stack in slot order; sensitive users get None. Member i draws from
+    Gaussian-sampled updates were drawn from, or else the estimates from the
+    clipped gradients, as one model stack in slot order, at most one estimate
+    per user; sensitive users get None. Member i draws from
     ``rngs[i]`` in this order: scheme draw, then FEDAVG replays. Non-sensitive
     stacks under WFDP go through ``floored_update`` instead.
     """
@@ -239,11 +261,11 @@ def user_update(
     elif scheme.kind is SchemeKind.FULL_GD:
         # full-batch updates are deterministic: no sampling randomness
         models = CovarianceModel.isotropic(grads.columns.mean(axis=-1))
-    elif sampled_from is not None and blocks is None:
+    elif sampled_from is not None:
         # the Gaussian-sampled scheme already estimated these models
         models = sampled_from
     else:
-        models = estimate_mean_cov(grads, scheme.batch, blocks)
+        models = estimate_mean_cov(grads, scheme.batch)
     return xs, models
 
 
@@ -253,31 +275,40 @@ def floored_update(
     theta: Array,
     clip: float,
     floor: float,
-    blocks: Optional[BlockSpec],
+    blocks: Sequence[tuple[int, int]],
     rngs: Sequence[np.random.Generator],
     spectra: bool,
-) -> tuple[Optional[Array], list[NoisedUpdate]]:
+) -> list[tuple[Optional[Array], list[NoisedUpdate]]]:
     """A non-sensitive stack under WFDP, which replaces its updates, so none is made.
 
-    The updates' distribution goes to ``wfdp_from_spectra`` as gradients: the
-    FEDAVG replays (unblocked, as ``user_update`` estimates them), or else the
-    clipped gradients, FULL_GD's as an infinite batch. IID_SGD still draws its
-    minibatch and a GAUSSIAN_SAMPLED stream skips the draw WFDP replaces,
-    which keeps each stream where ``user_update`` leaves it. Returns the
-    members' unfloored spectra (k, dim), or None unless ``spectra`` asks for
-    them, and the noised updates of consecutive runs of members, on the
-    clipped-gradient scale.
+    The updates' distribution comes as gradients: the FEDAVG replays, or else
+    the clipped gradients, FULL_GD's as an infinite batch. IID_SGD still draws
+    its minibatch, and a GAUSSIAN_SAMPLED stream skips the draw WFDP replaces,
+    one normal per component of the unblocked estimate it would be drawn from
+    (``estimate_width``), which keeps each stream where ``user_update`` leaves
+    it. Each coordinate block's rows then go through ``wfdp_from_spectra`` on
+    their own, in block order, from the same streams: a block the floor covers
+    is floored to sigma^2 I, and only a block above the floor is estimated.
+    Returns, per block, the members' unfloored spectra (k, block width), or
+    None unless ``spectra`` asks for them, and the noised updates of
+    consecutive runs of members, on the clipped-gradient scale.
     """
     scheme = stack.scheme
     batch = np.inf if scheme.kind is SchemeKind.FULL_GD else scheme.batch
     if scheme.kind is SchemeKind.FEDAVG:
-        grads, blocks = fedavg_replays(scheme, stack.phi, stack.labels, ops, theta, clip, rngs), None
+        grads = fedavg_replays(scheme, stack.phi, stack.labels, ops, theta, clip, rngs)
     elif scheme.kind is SchemeKind.IID_SGD:
         _, grads, _ = compute_update(scheme, stack.phi, stack.labels, ops, theta, clip, rngs)
     else:
         grads = GradientMatrix(clipped_gradients(stack.phi, stack.labels, ops, theta, clip), clip)
-    skip_draw = scheme.kind is SchemeKind.GAUSSIAN_SAMPLED
-    return wfdp_from_spectra(grads, batch, floor, rngs, skip_draw, blocks, spectra)
+    if scheme.kind is SchemeKind.GAUSSIAN_SAMPLED:
+        _member_normals(rngs, np.full(len(rngs), estimate_width(grads.dim, grads.count)))
+    # the whole range is the gradients as they are; a row block carries its own
+    # squared norms, and its columns, no longer than the whole ones, pass the clip check
+    parts = [grads] if len(blocks) == 1 else [
+        GradientMatrix(grads.columns[..., start:stop, :], clip) for start, stop in blocks
+    ]
+    return [wfdp_from_spectra(part, batch, floor, rngs, spectra) for part in parts]
 
 
 def noise_round(
@@ -299,14 +330,16 @@ def noise_round(
     the accountant reads: the floored models' when the mechanism floors (WFDP
     replaces the update, WFNA adds the lift), plus the variance of the DDP
     shares; the injected noise trace; and whether any update is only
-    approximately Gaussian.
+    approximately Gaussian. Blockwise WFDP sums each block's floored models
+    on their own; the sum is block-diagonal, so its spectrum, like each
+    user's, is all the blocks' spectra together.
     """
     n_total = len(cohort.users)
     ops = ModelOps(model.family)
     blocks = _blocks_for(model.dim, mech)
     submissions: list[Array] = []
     user_spectra: list[Array] = []
-    summands: list[CovarianceModel] = []
+    summands: list[list[CovarianceModel]] = [[] for _ in blocks]  # one list per block
     noise_trace = 0.0
     approx_gaussian = False
 
@@ -320,15 +353,20 @@ def noise_round(
         # each member injects at most one noise trace: a lift or a DDP share
         traces = np.zeros(len(stack.slots))
         if stack.role is Role.NON_SENSITIVE and mech.kind is MechanismKind.WFDP:
-            stack_spectra, noised_runs = floored_update(
+            per_block = floored_update(
                 stack, ops, model.theta, clip, mech.sigma2, blocks, rngs, spectra
             )
-            user_spectra.append(stack_spectra)
-            summands.extend(noised.floored for noised in noised_runs)
-            xs = np.concatenate([sign * update_scale * noised.vector for noised in noised_runs])
-            traces = np.concatenate([noised.noise_trace for noised in noised_runs])
+            vectors = []
+            for block_summands, (_, noised_runs) in zip(summands, per_block):
+                block_summands.extend(noised.floored for noised in noised_runs)
+                vectors.append(np.concatenate([noised.vector for noised in noised_runs]))
+                # a member's blocks' lifts, in block order; adding to 0.0 changes no bits
+                traces = traces + np.concatenate([noised.noise_trace for noised in noised_runs])
+            if spectra:
+                user_spectra.append(_spectrum_union([part for part, _ in per_block]))
+            xs = sign * update_scale * np.concatenate(vectors, axis=-1)
         else:
-            xs, dist_model = user_update(stack, ops, model.theta, clip, blocks, rngs)
+            xs, dist_model = user_update(stack, ops, model.theta, clip, rngs)
             if dist_model is not None:
                 if spectra:
                     user_spectra.append(dist_model.spectrum())
@@ -339,7 +377,7 @@ def noise_round(
                     traces = noised.noise_trace
                 else:
                     approx_gaussian |= scheme.kind is not SchemeKind.GAUSSIAN_SAMPLED
-                summands.append(dist_model)
+                summands[0].append(dist_model)  # one block: only WFDP takes more
         if mech.kind is MechanismKind.DDP:
             share = ddp_noise(mech.sigma2, n_total, model.dim, rngs)
             xs = xs + update_scale * share.vector
@@ -348,10 +386,11 @@ def noise_round(
             noise_trace += trace
         submissions.extend(xs)
 
-    if not summands:
+    if not summands[0]:
         raise ConfigError("need at least one non-sensitive user for inherent-noise accounting")
-    n_ns = sum(m.mean.shape[0] for m in summands)
-    summed = sum_covariances(summands, isotropic_extra=_isotropic_extra(mech, n_ns, n_total))
+    n_ns = sum(m.mean.shape[0] for m in summands[0])
+    extra = _isotropic_extra(mech, n_ns, n_total)
+    summed = _spectrum_union([sum_covariances(block, isotropic_extra=extra) for block in summands])
     per_user = np.concatenate(user_spectra) if spectra else None
     return submissions, per_user, summed, noise_trace, approx_gaussian
 

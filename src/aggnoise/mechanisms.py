@@ -16,11 +16,10 @@ that member alone makes them, so each member's result is that call's, bit
 for bit. Members that share one generator draw one after the other.
 
 ``wfdp_from_spectra`` is WFDP, which replaces a stack's updates: it decides
-first which members the floor covers, block by block, by a Cholesky
-certificate or else by the block's eigenvalues, and estimates eigenvectors
-only for a member with an eigenvalue above the floor; a member the floor
-covers is floored to sigma^2 I directly. A skipped Gaussian-sampled draw
-advances each stream by the estimate's width, which the shapes fix.
+first which members the floor covers, by a Cholesky certificate or else by
+their eigenvalues, and estimates eigenvectors only for a member with an
+eigenvalue above the floor; a member the floor covers is floored to
+sigma^2 I directly. Nothing here knows a partition of the coordinates.
 """
 
 from __future__ import annotations
@@ -33,11 +32,9 @@ import numpy as np
 
 from .errors import EmptyDataset, NonFinite
 from .spectra import (
-    BlockSpec,
     CovarianceModel,
     GradientMatrix,
     estimate_mean_cov,
-    estimate_width,
     floor_coverage,
     _member_normals,
     floor_eigenvalues,
@@ -251,27 +248,23 @@ def wfdp_update(model: CovarianceModel, floor: float, rng: Generators) -> Noised
 
 def wfdp_from_spectra(
     grads: GradientMatrix, batch: float, floor: float, rngs: Sequence[np.random.Generator],
-    skip_draw: bool, blocks: Optional[BlockSpec] = None, spectra: bool = True,
+    spectra: bool = True,
 ) -> tuple[Optional[Array], list[NoisedUpdate]]:
     """WFDP for a stack of users' clipped gradients, decomposing only what the floor leaves.
 
-    Coverage is decided first, by ``floor_coverage`` (blockwise with
-    ``blocks``): a block its Cholesky certificate clears reads no eigenvalue,
-    and the floor covers a member whose every block it covers. The
-    certificate runs only when ``spectra`` is false, as the spectra it skips
-    are not returned; it passes only members the spectrum path covers, so the
-    noised updates do not depend on ``spectra``. An infinite ``batch``
+    Coverage is decided first, by ``floor_coverage``: a stack its Cholesky
+    certificate clears reads no eigenvalue. The certificate runs only when
+    ``spectra`` is false, as the spectra it skips are not returned; it passes
+    only members the spectrum path covers, so the noised updates do not
+    depend on ``spectra``. An infinite ``batch``
     (FULL_GD's deterministic mean) has the zero spectrum, read without either.
 
     A covered member floors to floor * I: its model stores no eigenpairs and
     has tail ``floor``, its lift trace is dim * floor - sum ||x||^2/(B*D),
     reduced from the columns, and its draw is its mean plus sqrt(floor) times
     dim normals. A member with an eigenvalue above the floor gets
-    ``estimate_mean_cov`` and ``wfdp_update``, as on its own. With
-    ``skip_draw`` (the GAUSSIAN_SAMPLED draw from the estimate, which WFDP
-    replaces, is not made) each member's stream first skips, in slot order,
-    one normal per component its estimate keeps (``estimate_width``, blockwise
-    with ``blocks``), and the floored draws start after them.
+    ``estimate_mean_cov`` and ``wfdp_update``, as on its own. Each member
+    draws from ``rngs[i]`` where the caller left it.
 
     Returns the (k, dim) non-increasing unfloored spectra in slot order (an
     estimated member's row is its estimate's spectrum), or None when
@@ -279,13 +272,11 @@ def wfdp_from_spectra(
     covered or estimated members, in slot order.
     """
     cols = grads.columns
-    if not np.isfinite(batch):  # a deterministic update: the zero spectrum, with no component to skip
+    if not np.isfinite(batch):  # a deterministic update: the zero spectrum
         covered = np.full(cols.shape[0], True)
         unfloored = np.zeros(cols.shape[:-1]) if spectra else None
     else:
-        covered, unfloored = floor_coverage(grads, batch, floor, blocks, spectra)
-        if skip_draw:
-            _member_normals(rngs, np.full(len(rngs), estimate_width(grads.dim, grads.count, blocks)))
+        covered, unfloored = floor_coverage(grads, batch, floor, spectra)
     cuts = np.flatnonzero(covered[1:] != covered[:-1]) + 1
     edges = [0, *cuts.tolist(), cols.shape[0]]
     noised = []
@@ -298,7 +289,7 @@ def wfdp_from_spectra(
             lift_trace = grads.dim * floor - moment_trace
             noised.append(NoisedUpdate(sample_gaussian(model, rngs[members]), lift_trace, model))
             continue
-        model = estimate_mean_cov(GradientMatrix(cols[members], grads.clip_bound), batch, blocks)
+        model = estimate_mean_cov(GradientMatrix(cols[members], grads.clip_bound), batch)
         if spectra:
             unfloored[members] = model.spectrum()
         noised.append(wfdp_update(model, floor, rngs[members]))

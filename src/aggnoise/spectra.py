@@ -24,11 +24,13 @@ with at most half as many gradients as coordinates it eigendecomposes a D x D
 reduction (through a thin QR of the gradients) instead and keeps all D
 components, with tail 0. The shapes alone fix an estimate's width
 (``estimate_width``). Whether a floor covers a user's whole spectrum is
-decided without an estimate: ``floor_coverage`` forms each block's matrix
-once (the dense second moment, or for a thin block the D x D Gram matrix,
+decided without an estimate: ``floor_coverage`` forms the user's matrix
+once (the dense second moment, or for thin gradients the D x D Gram matrix,
 which has the same nonzero eigenvalues), certifies it by Cholesky
-factorizations, and reads the eigenvalues alone of a block it cannot
-certify, with no eigenvectors and no QR.
+factorizations, and reads the eigenvalues alone of a matrix it cannot
+certify, with no eigenvectors and no QR. Nothing here knows a partition of
+the coordinates: a caller that floors coordinate blocks apart hands each
+block's rows over as gradients of their own.
 
 Gradient matrices and covariance models also come as stacks, one member per
 user, so that a simulation round estimates, floors, samples and sums a run
@@ -49,7 +51,6 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import (
-    BlockMismatch,
     DimensionMismatch,
     EmptyGradients,
     IndefiniteSigmaAlpha,
@@ -126,46 +127,6 @@ class GradientMatrix:
     @property
     def count(self) -> int:
         return self.columns.shape[-1]
-
-
-@dataclass(frozen=True)
-class BlockSpec:
-    """Partition of coordinates 0..dim into contiguous, non-empty ranges."""
-
-    boundaries: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        bounds = tuple((int(a), int(b)) for a, b in self.boundaries)
-        if not bounds:
-            raise BlockMismatch("block spec must contain at least one range")
-        prev = 0
-        for start, stop in bounds:
-            if start != prev:
-                raise BlockMismatch(f"block starting at {start} leaves a gap after {prev}")
-            if stop <= start:
-                raise BlockMismatch(f"empty block [{start}, {stop})")
-            prev = stop
-        object.__setattr__(self, "boundaries", bounds)
-
-    @classmethod
-    def equal_parts(cls, dim: int, block_count: int) -> "BlockSpec":
-        """Split 0..dim into block_count contiguous parts of near-equal size."""
-        if block_count < 1 or block_count > dim:
-            raise BlockMismatch(f"cannot split dimension {dim} into {block_count} blocks")
-        edges = np.linspace(0, dim, block_count + 1).round().astype(int)
-        return cls(tuple((int(edges[i]), int(edges[i + 1])) for i in range(block_count)))
-
-    @property
-    def block_count(self) -> int:
-        return len(self.boundaries)
-
-    @property
-    def dim(self) -> int:
-        return self.boundaries[-1][1]
-
-    def check_dim(self, dim: int) -> None:
-        if self.dim != dim:
-            raise BlockMismatch(f"blocks cover {self.dim} coordinates, data has {dim}")
 
 
 @dataclass
@@ -349,20 +310,19 @@ def _is_thin(dim: int, count: int) -> bool:
     return 2 * count <= dim
 
 
-def estimate_width(dim: int, count: int, blocks: BlockSpec | None = None) -> int:
+def estimate_width(dim: int, count: int) -> int:
     """Components ``estimate_mean_cov`` keeps from ``count`` gradients of ``dim`` coordinates.
 
-    A block keeps one per gradient when it is thin and one per coordinate
+    One per gradient when the gradients are thin and one per coordinate
     otherwise; the shapes alone decide, whatever the gradients' rank.
     """
-    bounds = ((0, dim),) if blocks is None else blocks.boundaries
-    return sum(count if _is_thin(stop - start, count) else stop - start for start, stop in bounds)
+    return count if _is_thin(dim, count) else dim
 
 
 def _second_moment(cols: Array, batch) -> Array:
-    """The matrix a (..., dim, D) gradient block's eigenvalues are read from, scaled by 1/(B*D).
+    """The matrix (..., dim, D) gradients' eigenvalues are read from, scaled by 1/(B*D).
 
-    X X^T for a dense block; for a thin one the D x D Gram matrix X^T X, which
+    X X^T for dense gradients; for thin ones the D x D Gram matrix X^T X, which
     has the same nonzero eigenvalues. An array ``batch`` broadcasts per member.
     """
     if _is_thin(*cols.shape[-2:]):
@@ -370,25 +330,9 @@ def _second_moment(cols: Array, batch) -> Array:
     return (cols @ cols.swapaxes(-1, -2)) / (batch * cols.shape[-1])
 
 
-def _block_eigh(cols: Array, batch) -> tuple[Array, Array]:
-    """Ascending eigenvalues and eigenvectors of a (k, dim, D) block's second moment, all of them.
-
-    A dense block eigendecomposes X X^T/(B*D) and keeps dim components. A
-    thin one keeps D at cost O(dim D^2): with X = cols / sqrt(B*D) = Q R,
-    X X^T = Q (R R^T) Q^T, so the D x D matrix R R^T gives the eigenvalues
-    and Q times its eigenvectors orthonormal eigenvectors.
-    """
-    if not _is_thin(*cols.shape[-2:]):
-        return _psd_eigh(_second_moment(cols, batch))
-    q, r = np.linalg.qr(cols / np.sqrt(batch * cols.shape[-1]))
-    vals, w = _psd_eigh(r @ r.swapaxes(-1, -2))
-    return vals, q @ _column_major(w)
-
-
 def estimate_mean_cov(
     grads: GradientMatrix,
     batch: Union[int, Array],
-    blocks: BlockSpec | None = None,
 ) -> CovarianceModel:
     """Mean and 1/(B*D)-scaled second moment of a gradient collection.
 
@@ -402,14 +346,6 @@ def estimate_mean_cov(
     tail 0. Only the shape decides which (``estimate_width``); near D = dim
     the dense path is the cheaper one.
 
-    With ``blocks`` the returned model is block-diagonal: each coordinate
-    block is decomposed independently, by the same rule, and cross-block
-    covariance is zero. Eigenvectors are embedded back into the full
-    coordinate space. Note the blockwise smallest eigenvalue is not
-    guaranteed to upper- or lower-bound the unblocked one; downstream
-    accounting must consume the blockwise model's own spectrum, which is also
-    what the sampler draws from.
-
     ``grads`` may hold a stack of users' gradients (see ``GradientMatrix``);
     all of them are decomposed in stacked calls into one model stack, whose
     members all keep the same number of components. ``batch`` is then one B
@@ -421,22 +357,15 @@ def estimate_mean_cov(
     batch = np.asarray(batch)[..., None, None]  # a member's B broadcasts over its (dim, D) gradients
     single = grads.columns.ndim == 2
     cols = grads.columns[None] if single else grads.columns
-    dim, count = grads.dim, grads.count
     mean = cols.mean(axis=-1)
-    if blocks is None:
-        vals, vecs = _block_eigh(cols, batch)
+    if _is_thin(grads.dim, grads.count):
+        # with X = cols / sqrt(B*D) = Q R, X X^T = Q (R R^T) Q^T: the D x D matrix
+        # R R^T gives the eigenvalues, and Q times its eigenvectors orthonormal ones
+        q, r = np.linalg.qr(cols / np.sqrt(batch * grads.count))
+        vals, w = _psd_eigh(r @ r.swapaxes(-1, -2))
+        vecs = q @ _column_major(w)
     else:
-        blocks.check_dim(dim)
-        width = estimate_width(dim, count, blocks)
-        vals = np.zeros((cols.shape[0], width))
-        vecs = np.zeros((cols.shape[0], dim, width))
-        offset = 0
-        for start, stop in blocks.boundaries:
-            part_vals, part_vecs = _block_eigh(cols[:, start:stop, :], batch)
-            width = part_vals.shape[-1]
-            vecs[:, start:stop, offset : offset + width] = part_vecs
-            vals[:, offset : offset + width] = part_vals
-            offset += width
+        vals, vecs = _psd_eigh(_second_moment(cols, batch))
     if single:
         mean, vecs, vals = mean[0], vecs[0], vals[0]
     return CovarianceModel(mean=mean, eigvecs=vecs, eigvals=vals)
@@ -454,7 +383,7 @@ def _positive_definite(mats: Array) -> bool:
 def _certified(mat: Array, floor: float) -> bool:
     """Whether two Cholesky factorizations prove every member of ``mat`` at or below ``floor``.
 
-    ``mat`` is a block's stack of second moments M (see ``floor_coverage``),
+    ``mat`` is a stack of second moments M (see ``floor_coverage``),
     in its fresh, contiguous buffer, whose flattened rows step along the
     diagonal. The shifted matrices are formed in that buffer: negation is
     exact, each diagonal is written from a saved copy of M's, and M is left
@@ -482,25 +411,24 @@ def floor_coverage(
     grads: GradientMatrix,
     batch: Union[int, Array],
     floor: float,
-    blocks: BlockSpec | None = None,
     spectra: bool = False,
 ) -> tuple[Array, Array | None]:
     """Which members ``floor`` covers, and with ``spectra`` their second moments' eigenvalues.
 
     Returns ``(covered, spectra)``: one flag per member, set when every
-    eigenvalue of its 1/(B*D)-scaled second moment (blockwise with
-    ``blocks``) is at or below ``floor``, and the (..., dim) non-increasing
-    spectra, or None unless asked for. Each block's matrix is formed once:
-    X X^T/(B*D) for a block with more gradients than half its width, else the
-    D x D Gram matrix X^T X/(B*D), which has the same nonzero eigenvalues (a
-    thin block's spectrum is padded with zeros). Without ``spectra`` a
-    block is first offered to a certificate that needs no eigenvalue; only a
-    block it does not clear reads the eigenvalues of the same matrix, in one
-    stacked ``eigvalsh`` call, as every block does with ``spectra``. ``batch``
-    broadcasts as in ``estimate_mean_cov``. The values agree with the
-    estimates' spectra up to the last bits ``eigvalsh`` and ``eigh`` differ in.
+    eigenvalue of its 1/(B*D)-scaled second moment is at or below ``floor``,
+    and the (..., dim) non-increasing spectra, or None unless asked for. The
+    members' matrices are formed once: X X^T/(B*D) with more gradients than
+    half the width, else the D x D Gram matrix X^T X/(B*D), which has the same
+    nonzero eigenvalues (a thin spectrum is padded with zeros). Without
+    ``spectra`` the stack is first offered to a certificate that needs no
+    eigenvalue; only a stack it does not clear reads the eigenvalues of the
+    same matrices, in one stacked ``eigvalsh`` call, as every stack does with
+    ``spectra``. ``batch`` broadcasts as in ``estimate_mean_cov``. The values
+    agree with the estimates' spectra up to the last bits ``eigvalsh`` and
+    ``eigh`` differ in.
 
-    The certificate clears a block when, for every member, M is exactly
+    The certificate clears a stack when, for every member, M is exactly
     symmetric, floor (1 - eta) I - M factors by Cholesky, and so does
     M + tau I, with eta = 4 w^2 eps for M's side w. It clears only what the
     eigenvalues would cover. Exact symmetry makes M the very matrix
@@ -515,7 +443,7 @@ def floor_coverage(
     ``eigvalsh`` puts every eigenvalue at or below the floor. Likewise the
     Cholesky of M + tau I, with tau = (1e-10 - eta) tr(M)/w <= (1e-10 - eta)
     lambda_max, bounds the computed lambda_min below by -1e-10 lambda_max: the
-    clamp ``_psd_eigh`` enforces. A thin block's Gram matrix has the nonzero
+    clamp ``_psd_eigh`` enforces. A thin Gram matrix has the nonzero
     eigenvalues of X X^T, so the same proof covers it. A matrix wider than
     about 330 has eta >= 1e-10, no room for tau, and is never certified.
     """
@@ -523,23 +451,16 @@ def floor_coverage(
         raise ValueError(f"batch must be >= 1, got {batch}")
     if not 0.0 <= floor < math.inf:
         raise ValueError(f"floor must be finite and >= 0, got {floor}")
-    batch = np.asarray(batch)[..., None, None]
-    blocks = BlockSpec(((0, grads.dim),)) if blocks is None else blocks
-    blocks.check_dim(grads.dim)
     covered = np.full(grads.columns.shape[:-2], True)
-    parts = []
-    for start, stop in blocks.boundaries:
-        mat = _second_moment(grads.columns[..., start:stop, :], batch)
-        if not spectra and _certified(mat, floor):
-            continue
-        vals, _ = _psd_eigh(mat, vectors=False)
-        covered &= vals[..., -1] <= floor
-        padding = np.zeros(vals.shape[:-1] + (stop - start - vals.shape[-1],))
-        parts.append(np.concatenate([padding, vals], axis=-1))
+    mat = _second_moment(grads.columns, np.asarray(batch)[..., None, None])
+    if not spectra and _certified(mat, floor):
+        return covered, None
+    vals, _ = _psd_eigh(mat, vectors=False)
+    covered &= vals[..., -1] <= floor
     if not spectra:
         return covered, None
-    ascending = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts, axis=-1), axis=-1)
-    return covered, ascending[..., ::-1]
+    padding = np.zeros(vals.shape[:-1] + (grads.dim - vals.shape[-1],))
+    return covered, np.concatenate([padding, vals], axis=-1)[..., ::-1]
 
 
 def floor_eigenvalues(

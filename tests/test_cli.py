@@ -430,6 +430,31 @@ def test_sampling_ratio_below_one_is_refused(tmp_path, capsys, command):
     assert main(["--out", str(tmp_path / "o"), *command, "--config", cfg]) == EXIT_OK
 
 
+@pytest.mark.parametrize("mechanism", [{"kind": "wfna"}, {"kind": "ddp"},
+                                       {"kind": "none", "sigma2": 0.0}],
+                         ids=["wfna", "ddp", "none"])
+def test_blocks_without_wfdp_are_refused(tmp_path, capsys, mechanism):
+    # only WFDP draws each update from the block-diagonal model the accountant sums
+    cfg, _ = write_config(tmp_path, mechanism={**mechanism, "blocks": 2})
+    assert main(["--out", str(tmp_path / "o"), "simulate", "--config", cfg]) == EXIT_CONFIG
+    assert f"mechanism.blocks: {mechanism['kind']} takes no blocks" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    cfg, _ = write_config(tmp_path, mechanism={**mechanism, "blocks": 1})
+    assert main(["--out", str(tmp_path / "o"), "simulate", "--config", cfg]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["spectrum"]])
+def test_more_blocks_than_coordinates_are_refused(tmp_path, capsys, command):
+    # 5 features and the bias make d = 6
+    cfg, _ = write_config(tmp_path, dataset={"features": 5}, mechanism={"blocks": 100})
+    assert main(["--out", str(tmp_path / "o"), *command, "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "mechanism.blocks: cannot split dimension 6 into 100 blocks" in err
+    assert not (tmp_path / "o").exists()
+    cfg, _ = write_config(tmp_path, dataset={"features": 5}, mechanism={"blocks": 6})
+    assert main(["--out", str(tmp_path / "o"), *command, "--config", cfg]) == EXIT_OK
+
+
 def test_python_m_aggnoise_runs_the_cli():
     import os
     import subprocess

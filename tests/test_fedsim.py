@@ -349,7 +349,7 @@ class TestFullGdModel:
         users, _, family = make_users(2, 0, scheme, seed=31, task="regression", features=6)
         theta = init_model(family, 6).theta
         stack = Cohort(users).stacks[0]
-        _, models = simulation.user_update(stack, ModelOps(family), theta, 1.0, None,
+        _, models = simulation.user_update(stack, ModelOps(family), theta, 1.0,
                                            [np.random.default_rng(0)] * 2)
         model = CovarianceModel(models.mean[0], models.eigvecs[0], models.eigvals[0], models.tail[0])
         dim = theta.shape[0]
@@ -369,13 +369,13 @@ def members(stack):
 
 class TestEstimatesPerRound:
     def estimate_blocks(self, monkeypatch, block_count, sigma2=0.01):
-        """The ``blocks`` argument of every estimate one WFDP round makes, once per stack member."""
+        """The rows of every estimate one WFDP round makes, once per stack member."""
         seen = []
         original = simulation.estimate_mean_cov
 
-        def counting(grads, batch, blocks=None, **kwargs):
-            model = original(grads, batch, blocks, **kwargs)
-            seen.extend([blocks] * members(model))
+        def counting(grads, batch):
+            model = original(grads, batch)
+            seen.extend([grads.dim] * members(model))
             return model
 
         monkeypatch.setattr(mechanisms, "estimate_mean_cov", counting)
@@ -395,17 +395,19 @@ class TestEstimatesPerRound:
     def test_gaussian_sampled_user_estimated_once(self, monkeypatch, sigma2, estimates):
         # the sensitive user's draw needs its estimate; a non-sensitive user is
         # estimated only when it has an eigenvalue above the floor, and never twice
-        assert self.estimate_blocks(monkeypatch, 1, sigma2) == [None] * estimates
+        assert self.estimate_blocks(monkeypatch, 1, sigma2) == [5] * estimates
 
-    # their largest blockwise eigenvalues are 0.0203, 0.0169 and 0.0242
-    @pytest.mark.parametrize("sigma2,estimates", [(0.01, 3), (0.018, 2), (0.05, 0)],
+    # d = 5 splits into rows (0, 2) and (2, 5); the users' largest eigenvalues per
+    # block are (0.0203, 0.0183), (0.0144, 0.0169) and (0.0204, 0.0242), so at 0.019
+    # the first user's second block is covered although its first is not
+    @pytest.mark.parametrize("sigma2,first,second", [(0.01, 3, 3), (0.019, 2, 1), (0.05, 0, 0)],
                              ids=["none_covered", "one_covered", "all_covered"])
-    def test_blockwise_user_estimated_once_above_the_floor(self, monkeypatch, sigma2, estimates):
+    def test_blockwise_user_estimated_once_above_the_floor(self, monkeypatch, sigma2, first,
+                                                           second):
         # the sensitive user's draw needs its unblocked estimate; a non-sensitive
-        # user gets one blockwise estimate above the floor and none below it
+        # user's block is estimated once above the floor and not at all below it
         seen = self.estimate_blocks(monkeypatch, 2, sigma2)
-        assert seen.count(None) == 1
-        assert sum(blocks is not None for blocks in seen) == estimates
+        assert seen == [5] + [2] * first + [3] * second
 
 
 class TestOneWfdpPath:
@@ -538,20 +540,24 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
     Each user runs the single-user library calls on its own design rows and
     stream; models are summed as a list of single models, and the training
     loss reads the users' rows stacked afresh. Under WFDP a non-sensitive
-    user's update distribution (the FEDAVG replays, unblocked, or else the
-    clipped gradients, FULL_GD's with a zero spectrum) reads its spectrum
-    first: at or below the floor it is floored to sigma^2 I with no estimate,
-    above it is estimated and floored; a Gaussian-sampled user's stream skips
-    the draw WFDP replaces, and an IID-SGD user still draws its minibatch.
+    user's update distribution (the FEDAVG replays, or else the clipped
+    gradients, FULL_GD's with a zero spectrum) is made once: a Gaussian-sampled
+    user's stream skips the unblocked draw WFDP replaces, and an IID-SGD user
+    still draws its minibatch. Then each coordinate block's rows, one block
+    unless ``mech`` has more, read their spectrum: at or below the floor the
+    block is floored to sigma^2 I with no estimate, above it it is estimated
+    and floored. A user's spectrum and the aggregate's are the blocks' together.
     """
     n_total = len(users)
     ops = ModelOps(model.family)
     theta, dim = model.theta, model.dim
     blocks = simulation._blocks_for(dim, mech)
     refusal = simulation._guarantee_refusal(mech, users)
-    submissions, ns_models = [], []
+    submissions = []
+    ns_models = [[] for _ in blocks]
     theorem1_context = noise_trace = 0.0
     approx_gaussian = False
+    sigma2 = mech.sigma2
     for slot, user in enumerate(users):
         rng = simulation._user_rng(master_seed, round_index, slot)
         scheme = user.scheme
@@ -559,12 +565,9 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
         update_scale = 1.0 if scheme.kind is SchemeKind.FEDAVG else scheme.learning_rate
         if user.role is Role.NON_SENSITIVE and mech.kind is MechanismKind.WFDP:
             # WFDP replaces the update: it is not made, and a Gaussian-sampled draw is skipped
-            drawn = scheme.kind is SchemeKind.GAUSSIAN_SAMPLED
-            user_blocks = blocks
             if scheme.kind is SchemeKind.FEDAVG:
                 grads = mechanisms.fedavg_replays(scheme, phi, user.labels, ops, theta,
                                                   params.clip, rng)
-                user_blocks = None
             elif scheme.kind is SchemeKind.IID_SGD:
                 _, grads, _ = mechanisms.compute_update(
                     scheme, phi, user.labels, ops, theta, params.clip, rng
@@ -573,37 +576,41 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
                 cols = mechanisms.clipped_gradients(phi[None], user.labels[None], ops, theta,
                                                     params.clip)
                 grads = GradientMatrix(cols[0], params.clip)
-            if scheme.kind is SchemeKind.FULL_GD:
-                spectrum = np.zeros(dim)  # deterministic: no sampling randomness
-            else:
-                _, spectrum = floor_coverage(grads, scheme.batch, mech.sigma2, user_blocks,
-                                             spectra=True)
-            if spectrum[0] <= mech.sigma2:
-                # floored to sigma^2 I, from d fresh normals
-                if drawn:
-                    # the draw's normals: D for a thin block, one per coordinate for a dense one
-                    bounds = ((0, dim),) if user_blocks is None else user_blocks.boundaries
-                    rng.standard_normal(sum(grads.count if 2 * grads.count <= stop - start
-                                            else stop - start for start, stop in bounds))
-                floored = CovarianceModel(grads.columns.mean(axis=1), np.zeros((dim, 0)),
-                                          np.zeros(0), tail=mech.sigma2)
-                # every eigenvalue is lifted: d sigma^2 minus the second moment's trace
-                batch = np.inf if scheme.kind is SchemeKind.FULL_GD else scheme.batch
-                squared_norms = np.sum(grads.columns ** 2, axis=0)
-                lift = dim * mech.sigma2 - np.sum(squared_norms) / (batch * grads.count)
-                noised = mechanisms.NoisedUpdate(sample_gaussian(floored, rng), lift, floored)
-            else:
-                dist_model = estimate_mean_cov(grads, scheme.batch, user_blocks)
-                spectrum = dist_model.spectrum()
-                if drawn:
-                    rng.standard_normal(dist_model.n_components)
-                noised = mechanisms.wfdp_update(dist_model, mech.sigma2, rng)
+            if scheme.kind is SchemeKind.GAUSSIAN_SAMPLED:
+                # the unblocked draw's normals: D when thin, one per coordinate when dense
+                rng.standard_normal(grads.count if 2 * grads.count <= dim else dim)
+            batch = np.inf if scheme.kind is SchemeKind.FULL_GD else scheme.batch
+            vectors, spectra, lift = [], [], 0.0
+            for block_models, (start, stop) in zip(ns_models, blocks):
+                rows = GradientMatrix(grads.columns[start:stop], params.clip)
+                width = stop - start
+                if scheme.kind is SchemeKind.FULL_GD:
+                    spectrum = np.zeros(width)  # deterministic: no sampling randomness
+                else:
+                    _, spectrum = floor_coverage(rows, scheme.batch, sigma2, spectra=True)
+                if spectrum[0] <= sigma2:
+                    # floored to sigma^2 I, from one fresh normal per row
+                    floored = CovarianceModel(rows.columns.mean(axis=1), np.zeros((width, 0)),
+                                              np.zeros(0), tail=sigma2)
+                    # every eigenvalue is lifted: width sigma^2 minus the second moment's trace
+                    squared_norms = np.sum(rows.columns ** 2, axis=0)
+                    block_lift = width * sigma2 - np.sum(squared_norms) / (batch * rows.count)
+                    noised = mechanisms.NoisedUpdate(sample_gaussian(floored, rng), block_lift,
+                                                     floored)
+                else:
+                    dist_model = estimate_mean_cov(rows, scheme.batch)
+                    spectrum = dist_model.spectrum()
+                    noised = mechanisms.wfdp_update(dist_model, sigma2, rng)
+                vectors.append(noised.vector)
+                spectra.append(spectrum)
+                lift += noised.noise_trace
+                block_models.append(noised.floored)
+            spectrum = spectra[0] if len(blocks) == 1 else np.sort(np.concatenate(spectra))[::-1]
             if route is RdpVariant.THEOREM1_RDP:
                 theorem1_context += params.batch * spectrum[-1]
             sign = 1.0 if scheme.kind is SchemeKind.FEDAVG else -1.0
-            submissions.append(sign * update_scale * noised.vector)
-            noise_trace += noised.noise_trace
-            ns_models.append(noised.floored)
+            submissions.append(sign * update_scale * np.concatenate(vectors))
+            noise_trace += lift
             continue
         x, grads, sampled_from = mechanisms.compute_update(
             scheme, phi, user.labels, ops, theta, params.clip, rng
@@ -616,22 +623,22 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
             elif scheme.kind is SchemeKind.FULL_GD:
                 dist_model = CovarianceModel(grads.columns.mean(axis=1), np.zeros((dim, 0)),
                                              np.zeros(0))
-            elif sampled_from is not None and blocks is None:
+            elif sampled_from is not None:
                 dist_model = sampled_from
             else:
-                dist_model = estimate_mean_cov(grads, scheme.batch, blocks)
+                dist_model = estimate_mean_cov(grads, scheme.batch)
             if route is RdpVariant.THEOREM1_RDP:
                 theorem1_context += params.batch * dist_model.spectrum()[-1]
             if mech.kind is MechanismKind.WFNA:
-                noised = mechanisms.wfna_noise(dist_model, mech.sigma2, rng)
+                noised = mechanisms.wfna_noise(dist_model, sigma2, rng)
                 x = x + update_scale * noised.vector
                 dist_model = noised.floored
                 noise_trace += noised.noise_trace
             else:
                 approx_gaussian |= scheme.kind is not SchemeKind.GAUSSIAN_SAMPLED
-            ns_models.append(dist_model)
+            ns_models[0].append(dist_model)
         if mech.kind is MechanismKind.DDP:
-            share = mechanisms.ddp_noise(mech.sigma2, n_total, dim, rng)
+            share = mechanisms.ddp_noise(sigma2, n_total, dim, rng)
             x = x + update_scale * share.vector
             noise_trace += share.noise_trace
         submissions.append(x)
@@ -639,9 +646,9 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
     for slot, x in enumerate(submissions):
         channel.submit(slot, x)
     new_model = GlobalModel(theta + channel.aggregate() / n_total, model.family, round_index + 1)
-    summed = sum_covariances(
-        ns_models, isotropic_extra=simulation._isotropic_extra(mech, len(ns_models), n_total)
-    )
+    extra = simulation._isotropic_extra(mech, len(ns_models[0]), n_total)
+    parts = [sum_covariances(block_models, isotropic_extra=extra) for block_models in ns_models]
+    summed = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))[::-1]
     lambda_min = float(summed[-1])
     entry = simulation._account(summed, lambda_min, theorem1_context, params, route,
                                 round_index, noise_trace, refusal, approx_gaussian)
@@ -739,7 +746,7 @@ class TestStackedRoundMatchesPerUserLoop:
         assert stack.slots == range(1, 5)
         ops, theta = ModelOps(family), np.zeros(40)
         rngs = [np.random.default_rng(i) for i in stack.slots]
-        _, model = simulation.user_update(stack, ops, theta, 1.0, None, rngs)
+        _, model = simulation.user_update(stack, ops, theta, 1.0, rngs)
         assert members(model) == 4 and model.n_components == 10
         cols = mechanisms.clipped_gradients(stack.phi[1:2], stack.labels[1:2], ops, theta, 1.0)
         alone = estimate_mean_cov(GradientMatrix(cols[0], 1.0), stack.scheme.batch)
@@ -952,3 +959,152 @@ class TestFloorsFromSpectra:
         for _ in users[1:]:  # slot by slot
             tail += self.SIGMA2
         assert outcome.lambda_min == tail
+
+
+class TestBlockwiseWfdp:
+    """Blockwise WFDP floors each coordinate block's rows as a problem of their own.
+
+    A user's update is drawn from, and accounted as, the block-diagonal model
+    of its floored blocks, so the round's spectrum is the eigenvalues of that
+    block-diagonal sum, and a user's is its blocks' spectra together.
+    """
+
+    # d = 39 splits into rows (0, 20) and (20, 39): D = 10 gradients are thin in
+    # the first block and dense in the second
+    FEATURES, PER_USER, SEED = 38, 10, 3
+    BLOCKS = [(0, 20), (20, 39)]
+
+    def setup(self, scheme_kind):
+        """Users, model, a floor and, per non-sensitive user, each block's dense second moment.
+
+        The floor lies between one member's blocks' largest eigenvalues, so
+        that member's first block is covered and its second is not.
+        """
+        scheme = UpdateScheme(scheme_kind, batch=5, learning_rate=0.2, fedavg_samples=3)
+        users, _, family = make_users(5, 1, scheme, seed=43, task="regression",
+                                      features=self.FEATURES, per_user=self.PER_USER)
+        model = init_model(family, self.FEATURES)
+        ops = ModelOps(family)
+        moments = []
+        for slot, user in enumerate(users[1:], start=1):
+            phi = design(user.features)
+            if scheme_kind is SchemeKind.FEDAVG:
+                stream = simulation._user_rng(self.SEED, 0, slot)
+                cols = mechanisms.fedavg_replays(scheme, phi, user.labels, ops, model.theta, 1.0,
+                                                 stream).columns
+            else:
+                cols = mechanisms.clipped_gradients(phi[None], user.labels[None], ops,
+                                                    model.theta, 1.0)[0]
+            moments.append([cols[start:stop] @ cols[start:stop].T / (5 * cols.shape[1])
+                            for start, stop in self.BLOCKS])
+        tops = np.array([[np.linalg.eigvalsh(m)[-1] for m in user] for user in moments])
+        member = int(np.argmax(tops[:, 1] - tops[:, 0]))
+        assert tops[member, 0] < tops[member, 1]
+        sigma2 = 0.5 * (tops[member, 0] + tops[member, 1])
+        mech = MechanismConfig(MechanismKind.WFDP, sigma2, block_count=2)
+        assert simulation._blocks_for(model.dim, mech) == self.BLOCKS
+        return users, model, mech, moments, tops, member
+
+    SCHEMES = [SchemeKind.GAUSSIAN_SAMPLED, SchemeKind.IID_SGD, SchemeKind.FEDAVG]
+
+    @pytest.mark.parametrize("scheme_kind", SCHEMES)
+    def test_round_matches_the_dense_block_oracle(self, scheme_kind):
+        users, model, mech, moments, _, _ = self.setup(scheme_kind)
+        _, spectra, summed, _, _ = simulation.noise_round(model, Cohort(users), mech, 1.0,
+                                                          self.SEED, 0, spectra=True)
+        total = np.zeros((model.dim, model.dim))
+        for user_moments, user_spectrum in zip(moments, spectra):
+            blockwise = []
+            for (start, stop), moment in zip(self.BLOCKS, user_moments):
+                lam, vecs = np.linalg.eigh(moment)
+                total[start:stop, start:stop] += (vecs * np.maximum(lam, mech.sigma2)) @ vecs.T
+                blockwise.append(lam)
+            union = np.sort(np.concatenate(blockwise))[::-1]
+            np.testing.assert_allclose(user_spectrum, union, rtol=1e-12, atol=1e-12 * union[0])
+        # eigvalsh of the sum over users of blockdiag(floored M_u,b)
+        np.testing.assert_allclose(summed, np.linalg.eigvalsh(total)[::-1], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("scheme_kind", SCHEMES)
+    def test_covered_block_is_not_estimated(self, monkeypatch, scheme_kind):
+        users, model, mech, _, tops, member = self.setup(scheme_kind)
+        calls = []
+        for name in ("eigh", "qr"):
+            def recording(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(spectra_module.np.linalg, name, recording)
+        simulation.noise_round(model, Cohort(users), mech, 1.0, self.SEED, 0)
+        # a block's estimate is a QR of its rows when thin, else an eigh of its
+        # width; the sensitive user's unblocked estimate has all 39 rows
+        estimated = [
+            sum(shape[0] for name, shape in calls
+                if shape[1] == stop - start and (name == "qr" or shape[2] == stop - start))
+            for start, stop in self.BLOCKS
+        ]
+        above = tops > mech.sigma2
+        assert above[member].tolist() == [False, True]
+        assert estimated == above.sum(axis=0).tolist()
+
+    @pytest.mark.parametrize("dim,count", [(12, 10), (39, 10)],
+                             ids=["dense_blocks", "thin_and_dense_blocks"])
+    def test_one_matrix_and_one_eigvalsh_per_block(self, monkeypatch, dim, count):
+        # one member above the floor in every block: each block's certificate fails
+        # on the matrix it formed, and the eigenvalues are read from that same buffer
+        rng = np.random.default_rng(61)
+        cols = rng.standard_normal((4, dim, count))
+        cols /= np.linalg.norm(cols, axis=1, keepdims=True)
+        cols *= rng.uniform(0.2, 1.0, size=(4, 1, 1))
+        cols[2] *= 10.0
+        # at theta = 0 with labels -1, a linear model's per-example gradients are its rows
+        scheme = UpdateScheme(SchemeKind.GAUSSIAN_SAMPLED, batch=2)
+        stack = simulation.UserStack(range(4), Role.NON_SENSITIVE, scheme,
+                                     cols.swapaxes(-1, -2), -np.ones((4, count)))
+        blocks = simulation._blocks_for(dim, MechanismConfig(MechanismKind.WFDP, 0.2, 2))
+        moments, eigvalsh = [], []
+        moment, original = spectra_module._second_moment, np.linalg.eigvalsh
+
+        def forming(part, batch):
+            moments.append(part.shape)
+            return moment(part, batch)
+
+        def reading(a, *args, **kwargs):
+            eigvalsh.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(spectra_module, "_second_moment", forming)
+        monkeypatch.setattr(np.linalg, "eigvalsh", reading)
+        per_block = simulation.floored_update(
+            stack, ModelOps(ModelFamily.LINEAR_REGRESSION), np.zeros(dim), 10.0, 0.2, blocks,
+            [np.random.default_rng(i) for i in range(4)], spectra=False,
+        )
+        for spectra, runs in per_block:
+            assert spectra is None
+            assert [run.floored.n_components == 0 for run in runs] == [True, False, True]
+        widths = [stop - start for start, stop in blocks]
+        # the stack's matrices; the estimate of the member above the floor forms its own
+        assert [shape for shape in moments if shape[0] == 4] == [(4, w, count) for w in widths]
+        # a thin block's matrix is its count x count Gram matrix
+        assert eigvalsh == [(4, count, count) if 2 * count <= w else (4, w, w) for w in widths]
+
+    def test_blocks_are_the_equal_parts(self):
+        def blocks(dim, count):
+            return simulation._blocks_for(dim, MechanismConfig(MechanismKind.WFDP, 0.1, count))
+
+        assert blocks(10, 3) == [(0, 3), (3, 7), (7, 10)]
+        assert blocks(10, 1) == [(0, 10)]
+        assert blocks(10, 10) == [(i, i + 1) for i in range(10)]
+        with pytest.raises(ConfigError,
+                           match="mechanism.blocks: cannot split dimension 10 into 11 blocks"):
+            blocks(10, 11)
+
+
+class TestMechanismConfig:
+    @pytest.mark.parametrize("kind", [MechanismKind.WFNA, MechanismKind.DDP, MechanismKind.NONE])
+    def test_blocks_need_wfdp(self, kind):
+        # only WFDP replaces the update with a draw from the block-diagonal model
+        sigma2 = 0.0 if kind is MechanismKind.NONE else 0.02
+        with pytest.raises(ConfigError, match=f"mechanism.blocks: {kind.value} takes no blocks"):
+            MechanismConfig(kind, sigma2, block_count=2)
+        assert MechanismConfig(kind, sigma2, block_count=1).block_count == 1
+        assert MechanismConfig(MechanismKind.WFDP, 0.02, block_count=2).block_count == 2

@@ -23,7 +23,6 @@ from aggnoise.mechanisms import (
     wfna_noise,
 )
 from aggnoise.spectra import (
-    BlockSpec,
     CovarianceModel,
     GradientMatrix,
     eig_decompose,
@@ -232,21 +231,24 @@ class TestWfdpUpdate:
 
     def test_blockwise_matches_unblocked_for_block_diagonal_truth(self):
         # columns supported on disjoint blocks give an exactly block-diagonal
-        # second moment, so both estimates describe the same Gaussian
+        # second moment, so flooring each block's rows on their own describes
+        # the same Gaussian as flooring the whole
         rng = np.random.default_rng(3)
         cols = np.zeros((4, 12))
         cols[:2, :6] = rng.standard_normal((2, 6))
         cols[2:, 6:] = rng.standard_normal((2, 6))
         cols /= np.maximum(np.linalg.norm(cols, axis=0), 1.0)
         grads = GradientMatrix(cols, 1.0)
-        blocks = BlockSpec.equal_parts(4, 2)
 
         n = 100_000
         rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(5)
         model = estimate_mean_cov(grads, 1)
         xa = wfdp_update(repeated(model, n), 0.02, [rng_a] * n).vector
-        model_blocked = estimate_mean_cov(grads, 1, blocks=blocks)
-        xb = wfdp_update(repeated(model_blocked, n), 0.02, [rng_b] * n).vector
+        xb = np.concatenate([
+            wfdp_update(repeated(estimate_mean_cov(GradientMatrix(cols[rows], 1.0), 1), n), 0.02,
+                        [rng_b] * n).vector
+            for rows in (slice(0, 2), slice(2, 4))
+        ], axis=1)
         assert np.abs(xa.mean(axis=0) - xb.mean(axis=0)).max() < 0.01
         ca = np.cov(xa.T)
         cb = np.cov(xb.T)
@@ -318,12 +320,15 @@ class TestWfdpFromSpectra:
         return grads, floor
 
     @pytest.mark.parametrize("dim,count", [(6, 10), (30, 6)], ids=["dense", "thin"])
-    @pytest.mark.parametrize("skip_draw", [True, False])
-    def test_mixed_stack_matches_per_member_calls(self, dim, count, skip_draw):
+    @pytest.mark.parametrize("skipped", [True, False])
+    def test_mixed_stack_matches_per_member_calls(self, dim, count, skipped):
+        # with ``skipped`` the caller has advanced each stream past the
+        # Gaussian-sampled draw WFDP replaces; the floored draws start there
         grads, floor = self.stack(dim, count)
-        spectra, runs = wfdp_from_spectra(
-            grads, self.BATCH, floor, [np.random.default_rng(i) for i in range(5)], skip_draw
-        )
+        rngs = [np.random.default_rng(i) for i in range(5)]
+        for rng in rngs if skipped else ():
+            rng.standard_normal(estimate_width(dim, count))
+        spectra, runs = wfdp_from_spectra(grads, self.BATCH, floor, rngs)
         assert [run.vector.shape[0] for run in runs] == [1, 2, 1, 1]
         members = [(run, j) for run in runs for j in range(run.vector.shape[0])]
         for i, cols in enumerate(grads.columns):
@@ -332,7 +337,7 @@ class TestWfdpFromSpectra:
             one = GradientMatrix(cols, 1.0)
             if i in (0, 3):
                 model = estimate_mean_cov(one, self.BATCH)
-                if skip_draw:
+                if skipped:
                     rng.standard_normal(model.n_components)  # the Gaussian-sampled draw
                 expected = wfdp_update(model, floor, rng)
                 assert np.array_equal(spectra[i], model.spectrum())
@@ -343,7 +348,7 @@ class TestWfdpFromSpectra:
                 assert covered and np.array_equal(spectra[i], spectrum)
                 width = estimate_width(dim, count)
                 assert width == (dim if 2 * count > dim else count)
-                if skip_draw:
+                if skipped:
                     rng.standard_normal(width)
                 # sigma^2 I: no eigenpairs, tail sigma^2, the mean plus sigma times d normals
                 model = CovarianceModel(cols.mean(axis=1), np.zeros((dim, 0)), np.zeros(0), floor)
@@ -359,7 +364,7 @@ class TestWfdpFromSpectra:
     def test_uncovered_stack_equals_estimate_and_wfdp_update(self):
         grads, floor = self.stack(6, 10)
         rngs = [np.random.default_rng(i) for i in range(5)]
-        spectra, (run,) = wfdp_from_spectra(grads, self.BATCH, 0.0, rngs, skip_draw=False)
+        spectra, (run,) = wfdp_from_spectra(grads, self.BATCH, 0.0, rngs)
         model = estimate_mean_cov(grads, self.BATCH)
         expected = wfdp_update(model, 0.0, [np.random.default_rng(i) for i in range(5)])
         assert np.array_equal(spectra, model.spectrum())
@@ -372,7 +377,7 @@ class TestWfdpFromSpectra:
         grads, _ = self.stack(6, 10)
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
         spectra, (run,) = wfdp_from_spectra(
-            grads, np.inf, 0.3, [np.random.default_rng(i) for i in range(5)], skip_draw=True
+            grads, np.inf, 0.3, [np.random.default_rng(i) for i in range(5)]
         )
         assert np.array_equal(spectra, np.zeros((5, 6)))
         assert run.floored.n_components == 0 and np.array_equal(run.floored.tail, [0.3] * 5)
@@ -401,16 +406,16 @@ class TestFloorCertificate:
         monkeypatch.setattr(np.linalg, "eigvalsh", refused)
         monkeypatch.setattr(np.linalg, "eigh", refused)
 
-    @pytest.mark.parametrize("bounds", [None, ((0, 5), (5, 12))], ids=["dense", "dense_blocks"])
-    @pytest.mark.parametrize("skip_draw", [True, False])
-    def test_covered_stack_reads_no_eigenvalue(self, monkeypatch, bounds, skip_draw):
+    @pytest.mark.parametrize("skipped", [True, False])
+    def test_covered_stack_reads_no_eigenvalue(self, monkeypatch, skipped):
         dim, count, floor = 12, 10, 0.2  # every largest eigenvalue is below 0.1
         cols = self.gradients(dim, count)
-        blocks = None if bounds is None else BlockSpec(bounds)
         self.refuse(monkeypatch)
+        rngs = [np.random.default_rng(i) for i in range(4)]
+        for rng in rngs if skipped else ():
+            rng.standard_normal(dim)
         spectra, (run,) = wfdp_from_spectra(
-            GradientMatrix(cols, 1.0), self.BATCH, floor,
-            [np.random.default_rng(i) for i in range(4)], skip_draw, blocks, spectra=False,
+            GradientMatrix(cols, 1.0), self.BATCH, floor, rngs, spectra=False,
         )
         assert spectra is None
         assert run.floored.n_components == 0 and np.array_equal(run.floored.tail, [floor] * 4)
@@ -418,13 +423,13 @@ class TestFloorCertificate:
             lift = dim * floor - np.sum(np.sum(member ** 2, axis=0)) / (self.BATCH * count)
             assert run.noise_trace[i] == lift
             rng = np.random.default_rng(i)
-            if skip_draw:
+            if skipped:
                 rng.standard_normal(dim)  # the dense estimate keeps every coordinate
             expected = member.mean(axis=1) + np.sqrt(floor) * rng.standard_normal(dim)
             assert np.array_equal(run.vector[i], expected)
 
-    def coverage(self, monkeypatch, grads, floor, blocks=None):
-        """``floor_coverage``'s flags, and whether its certificate cleared every block unread."""
+    def coverage(self, monkeypatch, grads, floor):
+        """``floor_coverage``'s flags, and whether its certificate cleared the stack unread."""
         calls = []
         original = np.linalg.eigvalsh
 
@@ -434,47 +439,41 @@ class TestFloorCertificate:
 
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigvalsh", counting)
-            covered, spectra = floor_coverage(grads, self.BATCH, floor, blocks)
+            covered, spectra = floor_coverage(grads, self.BATCH, floor)
         assert spectra is None
         return covered, not calls
 
-    @pytest.mark.parametrize("dim,count,bounds", [
-        (12, 10, None), (12, 10, ((0, 5), (5, 12))), (30, 6, None), (30, 6, ((0, 10), (10, 30))),
-    ], ids=["dense", "dense_blocks", "thin", "thin_and_dense_blocks"])
-    def test_certificate_covers_only_what_the_spectra_cover(self, monkeypatch, dim, count, bounds):
+    @pytest.mark.parametrize("dim,count", [(12, 10), (30, 6)], ids=["dense", "thin"])
+    def test_certificate_covers_only_what_the_spectra_cover(self, monkeypatch, dim, count):
         # each member's largest eigenvalue sits a hair or a little above or below the floor
         floor = 0.01
-        blocks = None if bounds is None else BlockSpec(bounds)
         cols = self.gradients(dim, count, members=5)
-        top = floor_coverage(GradientMatrix(cols, 1.0), self.BATCH, floor, blocks, spectra=True)[1][:, 0]
+        top = floor_coverage(GradientMatrix(cols, 1.0), self.BATCH, floor, spectra=True)[1][:, 0]
         targets = floor * (1.0 + np.array([-1e-6, -1e-12, 0.0, 1e-12, 1e-6]))
         cols *= np.sqrt(targets / top)[:, None, None]
         grads = GradientMatrix(cols, 1.0)
-        rule_covered, spectra = floor_coverage(grads, self.BATCH, floor, blocks, spectra=True)
+        rule_covered, spectra = floor_coverage(grads, self.BATCH, floor, spectra=True)
         rule = spectra[:, 0] <= floor
         assert rule[0] and not rule[-1] and rule_covered.tolist() == rule.tolist()
-        members = [self.coverage(monkeypatch, GradientMatrix(member, 1.0), floor, blocks)
+        members = [self.coverage(monkeypatch, GradientMatrix(member, 1.0), floor)
                    for member in cols]
         # eta = 4 w^2 eps is at most about 1.3e-13, so a member 1e-12 below the floor is certified
         assert [cleared for _, cleared in members] == [True, True, False, False, False]
         assert [bool(covered) for covered, _ in members] == rule.tolist()
         # whichever path decides, a stack covers the members the spectra cover
         rngs = [np.random.default_rng(i) for i in range(5)]
-        _, runs = wfdp_from_spectra(grads, self.BATCH, floor, rngs, True, blocks, spectra=False)
+        _, runs = wfdp_from_spectra(grads, self.BATCH, floor, rngs, spectra=False)
         covered = [run.floored.n_components == 0 for run in runs for _ in run.vector]
         assert covered == rule.tolist()
         for i, member in enumerate(cols):
             _, (one,) = wfdp_from_spectra(GradientMatrix(member[None], 1.0), self.BATCH, floor,
-                                          [np.random.default_rng(i)], True, blocks, spectra=False)
+                                          [np.random.default_rng(i)], spectra=False)
             assert (one.floored.n_components == 0) == rule[i]
 
-    @pytest.mark.parametrize("dim,count,bounds", [
-        (12, 10, None), (12, 10, ((0, 5), (5, 12))), (30, 6, None), (30, 6, ((0, 10), (10, 30))),
-    ], ids=["dense", "dense_blocks", "thin", "thin_and_dense_blocks"])
-    def test_one_matrix_and_one_eigvalsh_per_block(self, monkeypatch, dim, count, bounds):
-        # one member above the floor in every block: the certificate fails on the
-        # matrix it formed, and the eigenvalues are read from that same buffer
-        blocks = None if bounds is None else BlockSpec(bounds)
+    @pytest.mark.parametrize("dim,count", [(12, 10), (30, 6)], ids=["dense", "thin"])
+    def test_one_matrix_and_one_eigvalsh(self, monkeypatch, dim, count):
+        # one member above the floor: the certificate fails on the matrix it
+        # formed, and the eigenvalues are read from that same buffer
         cols = self.gradients(dim, count)
         cols[2] *= 10.0
         moments, eigvalsh = [], []
@@ -491,14 +490,12 @@ class TestFloorCertificate:
         monkeypatch.setattr(spectra_module, "_second_moment", forming)
         monkeypatch.setattr(np.linalg, "eigvalsh", reading)
         _, runs = wfdp_from_spectra(GradientMatrix(cols, 10.0), self.BATCH, 0.2,
-                                    [np.random.default_rng(i) for i in range(4)], True, blocks,
-                                    spectra=False)
+                                    [np.random.default_rng(i) for i in range(4)], spectra=False)
         assert [run.floored.n_components == 0 for run in runs] == [True, False, True]
-        widths = [stop - start for start, stop in (bounds or ((0, dim),))]
-        # the stack's matrices; the estimate of the member above the floor forms its own
-        assert [shape for shape in moments if shape[0] == 4] == [(4, w, count) for w in widths]
-        # a thin block's matrix is its count x count Gram matrix
-        assert eigvalsh == [(4, count, count) if 2 * count <= w else (4, w, w) for w in widths]
+        # the stack's matrix; the estimate of the member above the floor forms its own
+        assert [shape for shape in moments if shape[0] == 4] == [(4, dim, count)]
+        # a thin stack's matrix is its count x count Gram matrix
+        assert eigvalsh == [(4, count, count) if 2 * count <= dim else (4, dim, dim)]
 
     def test_zero_batch_raises_on_a_thin_stack(self):
         with pytest.raises(ValueError, match="batch must be >= 1"):
@@ -540,7 +537,7 @@ class TestFloorCertificate:
             floor_coverage(grads, self.BATCH, 0.2)
         with pytest.raises(NotPositiveSemidefinite):
             wfdp_from_spectra(grads, self.BATCH, 0.2, [np.random.default_rng(i) for i in range(4)],
-                              True, spectra=False)
+                              spectra=False)
 
     def test_covered_thin_stack_reads_no_eigenvalue(self, monkeypatch):
         # the certificate reads the Gram matrices: no eigenvalue, no QR
@@ -548,12 +545,10 @@ class TestFloorCertificate:
         monkeypatch.setattr(np.linalg, "qr", None)
         cols = self.gradients(30, 6)
         _, (run,) = wfdp_from_spectra(GradientMatrix(cols, 1.0), self.BATCH, 0.2,
-                                      [np.random.default_rng(i) for i in range(4)], True,
-                                      spectra=False)
+                                      [np.random.default_rng(i) for i in range(4)], spectra=False)
         assert run.floored.n_components == 0 and np.array_equal(run.floored.tail, [0.2] * 4)
         for i, member in enumerate(cols):
             rng = np.random.default_rng(i)
-            rng.standard_normal(6)  # the thin estimate keeps one component per gradient
             expected = member.mean(axis=1) + np.sqrt(0.2) * rng.standard_normal(30)
             assert np.array_equal(run.vector[i], expected)
 

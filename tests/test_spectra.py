@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aggnoise.errors import (
-    BlockMismatch,
     DimensionMismatch,
     EmptyGradients,
     IndefiniteSigmaAlpha,
@@ -16,7 +15,6 @@ from aggnoise.errors import (
 )
 from aggnoise.spectra import (
     DEFAULT_RANK_TOL,
-    BlockSpec,
     CovarianceModel,
     GradientMatrix,
     centered_draws,
@@ -146,24 +144,20 @@ class TestStackedPrimitives:
             one = _second_moment(cols[i], int(batch[i]))
             assert np.array_equal(stacked[i], one)
 
-    @pytest.mark.parametrize(
-        "dim, count, blocks",
-        [(4, 7, None), (12, 4, None), (14, 5, BlockSpec(((0, 4), (4, 14))))],
-        ids=["dense", "thin", "dense_and_thin_blocks"],
-    )
-    def test_per_member_batch_and_floor_equal_per_member_calls(self, dim, count, blocks):
+    @pytest.mark.parametrize("dim, count", [(4, 7), (12, 4)], ids=["dense", "thin"])
+    def test_per_member_batch_and_floor_equal_per_member_calls(self, dim, count):
         rng = np.random.default_rng(6)
         cols = rng.standard_normal((4, dim, count))
         cols /= np.linalg.norm(cols, axis=-2, keepdims=True)
         cols[1, :, 2:] = 0.0  # a rank-deficient member keeps as many components as its mates
         batch = np.array([1, 3, 2, 4])
         floor = np.array([0.0, 0.05, 0.01, 0.2])
-        stack = estimate_mean_cov(GradientMatrix(cols, 1.0), batch, blocks)
+        stack = estimate_mean_cov(GradientMatrix(cols, 1.0), batch)
         assert stack.mean.shape[0] == 4
-        assert stack.n_components == estimate_width(dim, count, blocks)
+        assert stack.n_components == estimate_width(dim, count)
         floored, lift = floor_eigenvalues(stack, floor)
         for k in range(4):
-            one = estimate_mean_cov(GradientMatrix(cols[k], 1.0), int(batch[k]), blocks)
+            one = estimate_mean_cov(GradientMatrix(cols[k], 1.0), int(batch[k]))
             one_floored, one_lift = floor_eigenvalues(one, float(floor[k]))
             for stacked, alone in ((stack, one), (floored, one_floored)):
                 assert np.array_equal(stacked.mean[k], alone.mean)
@@ -189,39 +183,32 @@ class TestStackedPrimitives:
         with pytest.raises(DimensionMismatch):
             _psd_eigh(np.zeros((2, 3, 4)), vectors=False)
 
-    @pytest.mark.parametrize("dim, count, bounds", [
-        (4, 7, None), (12, 4, None), (4, 7, ((0, 2), (2, 4))), (12, 4, ((0, 9), (9, 12))),
-        (20, 4, ((0, 10), (10, 20))),
-    ], ids=["dense", "thin", "dense_blocks", "thin_and_dense_block", "thin_blocks"])
-    def test_second_moment_spectra_match_the_estimates(self, dim, count, bounds):
+    @pytest.mark.parametrize("dim, count", [(4, 7), (12, 4)], ids=["dense", "thin"])
+    def test_second_moment_spectra_match_the_estimates(self, dim, count):
         rng = np.random.default_rng(8)
         cols = rng.standard_normal((4, dim, count))
         cols /= np.linalg.norm(cols, axis=-2, keepdims=True)
         cols[1, :, 2:] = 0.0  # rank deficient: a thin estimate still keeps every component
         batch = np.array([1, 3, 2, 4])
         grads = GradientMatrix(cols, 1.0)
-        blocks = None if bounds is None else BlockSpec(bounds)
         floor = 0.3
-        covered, spectra = floor_coverage(grads, batch, floor, blocks, spectra=True)
+        covered, spectra = floor_coverage(grads, batch, floor, spectra=True)
         assert spectra.shape == (4, dim)
         assert covered.tolist() == (spectra[:, 0] <= floor).tolist()
         for k in range(4):
             one = GradientMatrix(cols[k], 1.0)
-            model = estimate_mean_cov(one, int(batch[k]), blocks)
-            # each block's dense second moment, the whole matrix without blocks
-            reference = np.sort(np.concatenate([
-                np.linalg.eigvalsh(cols[k, start:stop] @ cols[k, start:stop].T / (batch[k] * count))
-                for start, stop in (bounds or ((0, dim),))
-            ]))[::-1]
+            model = estimate_mean_cov(one, int(batch[k]))
+            # the dense second moment's
+            reference = np.linalg.eigvalsh(cols[k] @ cols[k].T / (batch[k] * count))[::-1]
             assert np.all(spectra[k, :-1] >= spectra[k, 1:])
             assert np.allclose(spectra[k], reference, rtol=1e-12, atol=1e-12 * reference[0])
             assert np.allclose(spectra[k], model.spectrum(), rtol=1e-12, atol=1e-12 * reference[0])
-            assert model.n_components == estimate_width(dim, count, blocks)
+            assert model.n_components == estimate_width(dim, count)
             # a member alone gets the values it gets in the stack
-            one_covered, one_spectrum = floor_coverage(one, int(batch[k]), floor, blocks, spectra=True)
+            one_covered, one_spectrum = floor_coverage(one, int(batch[k]), floor, spectra=True)
             assert np.array_equal(one_spectrum, spectra[k]) and one_covered == covered[k]
         with pytest.raises(ValueError, match="batch must be >= 1"):
-            floor_coverage(grads, 0, floor, blocks)
+            floor_coverage(grads, 0, floor)
 
     def test_per_member_batch_or_floor_below_range_raises(self):
         grads = GradientMatrix(np.full((2, 3, 4), 0.1), 1.0)
@@ -351,34 +338,6 @@ class TestEstimateMeanCov:
         model = estimate_mean_cov(g, batch=5)
         assert np.allclose(model.matrix(), np.outer(vec, vec) / 5)
 
-    def test_blockwise_matches_unblocked_subblocks(self):
-        rng = np.random.default_rng(7)
-        g = random_gradients(rng, dim=6, count=10, clip=2.0)
-        full = estimate_mean_cov(g, batch=3)
-        blocked = estimate_mean_cov(g, batch=3, blocks=BlockSpec.equal_parts(6, 2))
-        fm, bm = full.matrix(), blocked.matrix()
-        assert np.allclose(bm[:3, :3], fm[:3, :3])
-        assert np.allclose(bm[3:, 3:], fm[3:, 3:])
-        assert np.allclose(bm[:3, 3:], 0.0)
-        assert np.allclose(blocked.mean, full.mean)
-
-    def test_block_mismatch(self):
-        g = GradientMatrix(np.zeros((4, 2)), 1.0)
-        with pytest.raises(BlockMismatch):
-            estimate_mean_cov(g, 1, blocks=BlockSpec(((0, 3),)))
-
-
-class TestBlockSpec:
-    def test_equal_parts(self):
-        spec = BlockSpec.equal_parts(10, 3)
-        assert spec.block_count == 3
-        assert spec.dim == 10
-
-    def test_rejects_gap_and_empty(self):
-        with pytest.raises(BlockMismatch):
-            BlockSpec(((0, 2), (3, 4)))
-        with pytest.raises(BlockMismatch):
-            BlockSpec(((0, 0),))
 
 
 class TestFloorEigenvalues:
@@ -679,30 +638,20 @@ def _thin_inputs(rng, dim=50, count=20):
     }
 
 
-def _dense_second_moment(grads, batch, blocks):
+def _dense_second_moment(grads, batch):
     x = grads.columns
-    dim, count = x.shape
-    mask = np.zeros((dim, dim))
-    for start, stop in blocks.boundaries if blocks is not None else ((0, dim),):
-        mask[start:stop, start:stop] = 1.0
-    return mask * (x @ x.T) / (batch * count)
+    return (x @ x.T) / (batch * x.shape[1])
 
 
-def _dense_oracle(grads, batch, blocks, rank_tol=0.0):
-    """Eigenpairs of the dense second moment, per block.
+def _dense_oracle(grads, batch, rank_tol=0.0):
+    """Eigenpairs of the dense second moment.
 
-    Eigenvalues at or below ``rank_tol`` times their block's largest are set
-    to 0, and so are tiny negatives; with DEFAULT_RANK_TOL these are the
-    ones ``rank()`` counts as zero.
+    Eigenvalues at or below ``rank_tol`` times the largest are set to 0, and
+    so are tiny negatives; with DEFAULT_RANK_TOL these are the ones
+    ``rank()`` counts as zero.
     """
-    matrix = _dense_second_moment(grads, batch, blocks)
-    dim = matrix.shape[0]
-    vals, vecs = np.zeros(dim), np.zeros((dim, dim))
-    for start, stop in blocks.boundaries if blocks is not None else ((0, dim),):
-        lam, u = np.linalg.eigh(matrix[start:stop, start:stop])
-        vals[start:stop] = np.where(lam > rank_tol * lam[-1], lam, 0.0)
-        vecs[start:stop, start:stop] = u
-    return vals, vecs
+    lam, vecs = np.linalg.eigh(_dense_second_moment(grads, batch))
+    return np.where(lam > rank_tol * lam[-1], lam, 0.0), vecs
 
 
 def _forbidden(name):
@@ -715,28 +664,25 @@ def _forbidden(name):
 class TestLowRankModels:
     """Models estimated from D <= dim/2 gradients carry D eigenpairs plus a tail."""
 
-    BLOCKS = (None, BlockSpec(((0, 10), (10, 50))))
-
-    @pytest.mark.parametrize("blocks", BLOCKS)
-    def test_matches_dense_eigh_floor_sum_oracle(self, blocks):
+    def test_matches_dense_eigh_floor_sum_oracle(self):
         batch = 3
         user_inputs = [_thin_inputs(np.random.default_rng(40 + u)) for u in range(3)]
         for kind in user_inputs[0]:
             models, dense = [], []
             for inputs in user_inputs:
                 grads = inputs[kind]
-                model = estimate_mean_cov(grads, batch, blocks=blocks)
-                vals, vecs = _dense_oracle(grads, batch, blocks)
+                model = estimate_mean_cov(grads, batch)
+                vals, vecs = _dense_oracle(grads, batch)
                 lam_max = vals.max()
-                assert model.n_components == estimate_width(50, 20, blocks) < model.dim
+                assert model.n_components == estimate_width(50, 20) < model.dim
                 # every component is kept, down to the smallest
-                raw = _dense_second_moment(grads, batch, blocks)
+                raw = _dense_second_moment(grads, batch)
                 assert np.abs(model.matrix() - raw).max() <= 1e-12 * lam_max, kind
                 assert np.abs(model.eigvecs.T @ model.eigvecs - np.eye(model.n_components)).max() <= 1e-12
                 models.append(model)
                 dense.append((vals, vecs))
             # the median of the first user's eigenvalues above the rank threshold
-            kept = _dense_oracle(user_inputs[0][kind], batch, blocks, DEFAULT_RANK_TOL)[0]
+            kept = _dense_oracle(user_inputs[0][kind], batch, DEFAULT_RANK_TOL)[0]
             sigma2 = float(np.median(kept[kept > 0]))
             floored_sum = np.zeros((50, 50))
             floored_models = []
