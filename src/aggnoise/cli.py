@@ -269,6 +269,11 @@ def _build_run(config: dict, seed: int):
     n_sensitive = users_cfg.get("sensitive", 1)
     if n_sensitive >= n_total:
         raise ConfigError("users.sensitive: need at least one non-sensitive user")
+    if scheme_cfg["kind"] == "fedavg" and scheme_cfg.get("fedavg_samples", 0) < 2:
+        raise ConfigError(
+            "scheme.fedavg_samples: fedavg needs at least 2 local replays to estimate "
+            f"a covariance, got {scheme_cfg.get('fedavg_samples', 0)}"
+        )
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xDA7A,)))
     if ds["kind"] == "synthetic":
@@ -603,9 +608,10 @@ def cmd_verify(args) -> int:
         "advantage_bound": limit,
         "trials": args.advantage_trials,
     }
+    relation = "<=" if advantage <= limit else ">"
     print(
-        f"floored counterexample: advantage={advantage:.4f} <= bound {limit:.4f} "
-        f"(eps={bound.eps:.4f})"
+        f"floored counterexample: advantage={advantage:.4f} {relation} bound {limit:.4f} "
+        f"(eps={bound.eps:.4f}; the check allows 3/sqrt(trials) = {mc_sigma:.4f} above it)"
     )
     if advantage > limit + mc_sigma:
         failures += 1

@@ -37,9 +37,10 @@ user, so that a simulation round estimates, floors, samples and sums a run
 of users in stacked numpy calls, and ``verify``'s dominance suites estimate
 and floor many instances' users at once; a member may carry its own clip
 bound, batch size and floor. A stack of gradients gives one model stack, as
-every member keeps the same width. A member's result is bit for bit the one
-its user would get alone: members keep a single model's memory layout, and
-each draws its normals from its own generator.
+every member keeps the same width. A single model is ordered, checked and
+sampled as a stack of one, by the stacked code itself. A member's result is
+bit for bit the one its user would get alone: members keep a single model's
+memory layout, and each draws its normals from its own generator.
 """
 
 from __future__ import annotations
@@ -169,29 +170,22 @@ class CovarianceModel:
             )
         if (vals < 0).any():
             raise NotPositiveSemidefinite(f"negative eigenvalue {vals.min():.3e}")
-        if mean.ndim == 1:
-            tail = float(self.tail)
-            low = tail
-        else:
-            tail = np.broadcast_to(np.asarray(self.tail, dtype=float), mean.shape[:-1]).copy()
-            low = float(tail.min()) if tail.size else 0.0
+        # a single model's tail comes out as a numpy float, a stack's as a (k,) array
+        tail = np.full(mean.shape[:-1], self.tail, dtype=float)[()]
         if not np.isfinite(tail).all():
             raise NonFinite("tail is NaN or Inf")
-        if low < 0:
-            raise NotPositiveSemidefinite(f"negative tail {low:.3e}")
+        if (tail < 0).any():
+            raise NotPositiveSemidefinite(f"negative tail {tail.min():.3e}")
         if (vals[..., :-1] >= vals[..., 1:]).all():
             # already non-increasing (a floored model always is): the order is
             # the identity, so only a row-major input is laid out again
             if not vecs.swapaxes(-1, -2).flags.c_contiguous:
                 vecs = _column_major(vecs)
-        elif vals.ndim == 1:
-            order = np.argsort(-vals, kind="stable")
-            vals, vecs = vals[order], vecs[:, order]
         else:
+            # taking rows of the transpose leaves each member's eigenvectors column-major
             order = np.argsort(-vals, axis=-1, kind="stable")
-            members = np.arange(vals.shape[0])[:, None]
-            vals = vals[members, order]
-            vecs = vecs.swapaxes(-1, -2)[members, order].swapaxes(-1, -2)
+            vals = np.take_along_axis(vals, order, axis=-1)
+            vecs = np.take_along_axis(vecs.swapaxes(-1, -2), order[..., None], axis=-2).swapaxes(-1, -2)
         self.mean = mean
         self.eigvecs = vecs
         self.eigvals = vals
@@ -247,11 +241,6 @@ def _reconstruct(vecs: Array, vals: Array, tail=0.0) -> Array:
     return mat
 
 
-def _any_member(flags) -> bool:
-    """Whether any flag is set: one numpy bool for one matrix, an array of them for a stack."""
-    return bool(flags) if flags.ndim == 0 else bool(flags.any())
-
-
 def _psd_eigh(sym_matrix, vectors: bool = True) -> tuple[Array, Array | None]:
     """Ascending eigenvalues (tiny negatives clamped to 0) and eigenvectors of PSD matrices.
 
@@ -269,7 +258,7 @@ def _psd_eigh(sym_matrix, vectors: bool = True) -> tuple[Array, Array | None]:
     scale = np.abs(mat).max(axis=(-2, -1), initial=1.0)
     asym = np.abs(mat - mat_t).max(axis=(-2, -1))
     bad = asym > 1e-9 * scale
-    if _any_member(bad):
+    if bad.any():
         raise NonSymmetric(f"asymmetry {np.max(np.where(bad, asym, 0.0)):.3e} exceeds tolerance")
     sym = 0.5 * (mat + mat_t)
     if vectors:
@@ -280,7 +269,7 @@ def _psd_eigh(sym_matrix, vectors: bool = True) -> tuple[Array, Array | None]:
     low, high = vals.T[0], vals.T[-1]
     # low < -clamp * max(high, 0), split so that no member needs a max
     bad = (low < 0.0) & (low < -_NEG_EIG_CLAMP * high)
-    if _any_member(bad):
+    if bad.any():
         clamp_floor = -_NEG_EIG_CLAMP * np.maximum(high, 0.0)
         worst = np.unravel_index(np.argmax(np.where(bad, clamp_floor - low, -np.inf)), np.shape(bad))
         raise NotPositiveSemidefinite(
@@ -493,31 +482,6 @@ def floor_eigenvalues(
     return floored, float(lift_trace) if lift_trace.ndim == 0 else lift_trace
 
 
-def centered_draws(
-    model: CovarianceModel,
-    count: int,
-    rng: np.random.Generator,
-    coords: slice = slice(None),
-) -> Array:
-    """``count`` zero-mean draws of the model's covariance, one per row, at ``coords``.
-
-    Each row is U (sqrt(L) * a) + sqrt(tail) (w - U U^T w), restricted to the
-    coordinates ``coords``. ``a`` holds r standard normals and ``w`` dim more,
-    drawn after ``a`` and only when the model has a nonzero tail; the rows are
-    drawn one after the other from one ``standard_normal`` call.
-    """
-    if np.any(~np.isfinite(model.eigvals)):
-        raise NonFinite("model eigvals contain NaN or Inf")
-    r = model.n_components
-    head = (model.eigvecs * np.sqrt(model.eigvals))[coords]
-    if model.tail == 0.0:
-        return rng.standard_normal((count, r)) @ head.T
-    z = rng.standard_normal((count, r + model.dim))
-    w = z[:, r:]
-    off_span = w - (w @ model.eigvecs) @ model.eigvecs.T
-    return z[:, :r] @ head.T + math.sqrt(model.tail) * off_span[:, coords]
-
-
 def _member_normals(rngs: Sequence[np.random.Generator], widths: Array) -> Array:
     """Row i holds ``widths[i]`` standard normals drawn from ``rngs[i]``, then zeros.
 
@@ -538,31 +502,36 @@ def _member_normals(rngs: Sequence[np.random.Generator], widths: Array) -> Array
 
 
 def sample_gaussian(model: CovarianceModel, rng) -> Array:
-    """Draw mean + U (sqrt(L) * a) + sqrt(tail) (w - U U^T w), one row of ``centered_draws``.
+    """Draw mean + U (sqrt(L) * a) + sqrt(tail) (w - U U^T w) from each member's generator.
 
-    Deterministic given the generator state; a zero spectrum returns the mean
-    exactly, and rank-deficient models without a tail sample only inside
-    their eigenspace. For a model stack, ``rng`` is a sequence of generators,
-    one per member, and row i is member i's draw from ``rng[i]``: the same
-    normals and bits as a call on that member alone, in stacked products.
+    ``a`` holds r standard normals and ``w`` dim more, drawn after ``a`` in
+    the same call and only when the member has a nonzero tail. Deterministic
+    given the generator state; a zero spectrum returns the mean exactly, and
+    rank-deficient models without a tail sample only inside their eigenspace.
+    For a model stack, ``rng`` is a sequence of generators, one per member,
+    and row i is member i's draw from ``rng[i]``. A single model with one
+    generator is drawn as a stack of one, and its draw is that stack's row.
     """
-    if model.mean.ndim == 1:
-        return model.mean + centered_draws(model, 1, rng)[0]
-    if not np.isfinite(model.eigvals).all():
+    mean, vecs, vals, tail = model.mean, model.eigvecs, model.eigvals, model.tail
+    single = mean.ndim == 1
+    if single:
+        mean, vecs, vals, tail, rng = mean[None], vecs[None], vals[None], np.reshape(tail, (1,)), [rng]
+    if not np.isfinite(vals).all():
         raise NonFinite("model eigvals contain NaN or Inf")
-    vecs, r = model.eigvecs, model.n_components
-    tailed = model.tail != 0.0
-    z = _member_normals(rng, r + model.dim * tailed)[:, None, :]
-    # each member's factor is column-major, like a single model's, so each
-    # product is the one centered_draws makes
-    head = vecs * np.sqrt(model.eigvals)[:, None, :]
+    r, dim = vals.shape[-1], mean.shape[-1]
+    tailed = tail != 0.0
+    z = _member_normals(rng, r + dim * tailed)[:, None, :]
+    # each member's factor is column-major, as a model alone has it, so each
+    # member's product is the one it would get alone
+    head = vecs * np.sqrt(vals)[:, None, :]
     draws = z[..., :r] @ head.swapaxes(-1, -2)
     if tailed.any():
         w = z[..., r:]
         off_span = w - (w @ vecs) @ vecs.swapaxes(-1, -2)
-        spread = draws + np.sqrt(model.tail)[:, None, None] * off_span
+        spread = draws + np.sqrt(tail)[:, None, None] * off_span
         draws = np.where(tailed[:, None, None], spread, draws)
-    return model.mean + draws[:, 0]
+    draws = mean + draws[:, 0]
+    return draws[0] if single else draws
 
 
 def renyi_gaussian(alpha: float, p: CovarianceModel, q: CovarianceModel) -> float:
@@ -610,27 +579,18 @@ def _renyi_divergence(alpha, mean_p, mean_q, sig_p, sig_q, spec_p, spec_q) -> Ar
     return np.maximum(term_mean + term_det, 0.0)
 
 
-def span_contains(
-    columns: Union[GradientMatrix, Array, Sequence[Array]],
-    vector,
-    tol: float = 1e-8,
-) -> bool:
-    """Whether ``vector`` lies in the column space of ``columns``.
+def span_contains(columns: Array, vector, tol: float = 1e-8) -> bool:
+    """Whether ``vector`` lies in the column space of the (dim, n) array ``columns``.
 
     The column-space rank is read off singular values above tol * sigma_max;
     membership means the projection residual is <= tol * max(||v||, 1).
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if isinstance(columns, GradientMatrix):
-        cols = columns.columns
-    else:
-        cols = _as_float_array(np.column_stack(columns) if isinstance(columns, (list, tuple)) else columns, "columns")
-        if cols.ndim == 1:
-            cols = cols[:, None]
+    cols = _as_float_array(columns, "columns")
     v = _as_float_array(vector, "vector")
-    if v.ndim != 1 or v.shape[0] != cols.shape[0]:
-        raise DimensionMismatch(f"vector length {v.shape} vs column dim {cols.shape[0]}")
+    if cols.ndim != 2 or v.ndim != 1 or v.shape[0] != cols.shape[0]:
+        raise DimensionMismatch(f"vector of shape {v.shape} vs columns of shape {cols.shape}")
     vnorm = float(np.linalg.norm(v))
     if vnorm == 0.0:
         return True

@@ -43,7 +43,6 @@ from .errors import BadDimension, DimensionMismatch
 from .spectra import (
     CovarianceModel,
     GradientMatrix,
-    centered_draws,
     eig_decompose,
     estimate_mean_cov,
     floor_eigenvalues,
@@ -229,7 +228,8 @@ def run_distinguisher(
     agg_model = eig_decompose(sum(m.matrix() for m in models), sum(m.mean for m in models))
     mean_q = agg_model.mean[q:]
     secret = rng.integers(0, 2, size=trials)
-    noise = centered_draws(agg_model, trials, rng, slice(q, None))
+    head = (agg_model.eigvecs * np.sqrt(agg_model.eigvals))[q:]
+    noise = rng.standard_normal((trials, agg_model.n_components)) @ head.T
     cand = np.where(
         secret[:, None] == 0,
         instance.candidate_a[None, q:],

@@ -455,6 +455,23 @@ def test_more_blocks_than_coordinates_are_refused(tmp_path, capsys, command):
     assert main(["--out", str(tmp_path / "o"), *command, "--config", cfg]) == EXIT_OK
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["spectrum"]])
+@pytest.mark.parametrize("samples", [None, 0, 1], ids=["absent", "0", "1"])
+def test_fedavg_with_fewer_than_two_replays_is_refused(tmp_path, capsys, command, samples):
+    # the schema admits 0 and 1, and the key defaults to 0
+    scheme = {"kind": "fedavg"} if samples is None else {"kind": "fedavg", "fedavg_samples": samples}
+    cfg, _ = write_config(tmp_path, scheme=scheme)
+    assert main(["--out", str(tmp_path / "o"), *command, "--config", cfg]) == EXIT_CONFIG
+    assert "scheme.fedavg_samples" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_fedavg_with_two_replays_runs(tmp_path):
+    cfg, _ = write_config(tmp_path, scheme={"kind": "fedavg", "fedavg_samples": 2})
+    assert main(["--out", str(tmp_path / "o"), "simulate", "--config", cfg]) == EXIT_OK
+    assert (tmp_path / "o" / "ledger.json").exists()
+
+
 def test_python_m_aggnoise_runs_the_cli():
     import os
     import subprocess
@@ -860,6 +877,21 @@ class TestVerifyCommand:
         assert flag in captured.err
         assert captured.out == ""
         assert not (out / "verify_report.json").exists()
+
+    def test_floored_line_states_the_relation_that_holds(self, tmp_path, capsys):
+        # one advantage trial guesses right or wrong outright: an advantage of
+        # +-1, which passes only through the 3/sqrt(trials) allowance
+        out = tmp_path / "o"
+        rc = main(["--out", str(out), "--seed", "0", "verify",
+                   "--trials-closed", "0", "--trials-rdp", "0",
+                   "--ce-trials", "1", "--advantage-trials", "1"])
+        assert rc == EXIT_OK
+        floored = json.loads((out / "verify_report.json").read_text())["counterexample_floored"]
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("floored counterexample:"))
+        relation = "<=" if floored["advantage"] <= floored["advantage_bound"] else ">"
+        assert f"advantage={floored['advantage']:.4f} {relation} bound" in line
+        assert "3/sqrt(trials) = 3.0000 above it" in line
 
     def test_thin_counterexample_passes(self, tmp_path):
         # at --ce-dim 64 the helpers' floored sum is isotropic with no stored

@@ -17,7 +17,6 @@ from aggnoise.spectra import (
     DEFAULT_RANK_TOL,
     CovarianceModel,
     GradientMatrix,
-    centered_draws,
     eig_decompose,
     estimate_mean_cov,
     estimate_width,
@@ -453,19 +452,22 @@ class TestSampleGaussian:
         assert np.array_equal(xa, xb)
 
     @pytest.mark.parametrize("floor", [0.0, 0.3])
-    def test_rows_are_successive_draws(self, floor):
-        # centered_draws(model, n) lays its rows out as n sample_gaussian calls
-        # draw them, tail included, here on a rank-3 model in d = 8
+    def test_single_model_is_a_stack_of_one(self, floor):
+        # a rank-3 model in d = 8, with a tail once floored: its draw is row 0
+        # of the same model as a stack of one, and takes the same normals
         grads = random_gradients(np.random.default_rng(2), dim=8, count=3, clip=1.0)
         model = estimate_mean_cov(grads, 1)
         if floor:
             model, _ = floor_eigenvalues(model, floor)
-        rng_rows, rng_one = np.random.default_rng(4), np.random.default_rng(4)
-        rows = centered_draws(model, 5, rng_rows, slice(2, None))
-        one_by_one = np.array([sample_gaussian(model, rng_one) - model.mean for _ in range(5)])
-        assert rows.shape == (5, 6)
-        assert np.abs(rows - one_by_one[:, 2:]).max() <= 1e-14
-        assert rng_rows.bit_generator.state == rng_one.bit_generator.state
+        assert (model.tail != 0.0) == bool(floor)
+        stack = CovarianceModel(model.mean[None], model.eigvecs[None], model.eigvals[None],
+                                np.reshape(model.tail, (1,)))
+        rng_single, rng_stack = np.random.default_rng(4), np.random.default_rng(4)
+        single = sample_gaussian(model, rng_single)
+        stacked = sample_gaussian(stack, [rng_stack])
+        assert single.shape == (8,) and stacked.shape == (1, 8)
+        assert np.array_equal(single, stacked[0])
+        assert rng_single.bit_generator.state == rng_stack.bit_generator.state
 
 
 def renyi_quadrature_2d(alpha, p, q, half_width=12.0, points=601):
@@ -564,6 +566,11 @@ class TestSpanContains:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             span_contains(np.eye(3), np.zeros(2))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 2)], ids=["1d", "3d"])
+    def test_columns_must_be_two_dimensional(self, shape):
+        with pytest.raises(DimensionMismatch):
+            span_contains(np.ones(shape), np.ones(3))
 
     @given(scale=st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=25, deadline=None)

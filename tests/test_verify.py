@@ -303,6 +303,11 @@ class TestCounterexample:
         success = run_distinguisher(ce, 20_000, np.random.default_rng(6), floor=1.0)
         assert success < 0.9
 
+    def test_floored_distinguisher_pinned(self):
+        # the draw's normals and products are fixed: this rate pins them
+        ce = build_counterexample(8, rng=np.random.default_rng(5))
+        assert run_distinguisher(ce, 2000, np.random.default_rng(6), floor=1.0) == 0.528
+
     def test_smallest_legal_dimension(self):
         # quarter = 1 coordinate: the instance still constructs and the
         # last-quarter attack is still perfect (the span verdict needs a
