@@ -274,6 +274,15 @@ def _build_run(config: dict, seed: int):
             "scheme.fedavg_samples: fedavg needs at least 2 local replays to estimate "
             f"a covariance, got {scheme_cfg.get('fedavg_samples', 0)}"
         )
+    mech = MechanismConfig(MechanismKind(mech_cfg["kind"]), mech_cfg.get("sigma2", 0.0),
+                           mech_cfg.get("blocks", 1))
+    route_key = acct.get("route", "closed_form")
+    if route_key in ("wfdp_a", "wfdp_b") and mech.floor == 0:
+        raise ConfigError(f"accountant.route: {route_key} bounds a floored mechanism (wfdp or "
+                          f"wfna), but mechanism {mech.kind.value} floors nothing")
+    if route_key == "closed_form":
+        route_key = f"closed_form:{acct.get('mode', 'general')}"
+    route = _ROUTE_MAP[route_key]
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xDA7A,)))
     if ds["kind"] == "synthetic":
@@ -322,12 +331,6 @@ def _build_run(config: dict, seed: int):
         role = Role.SENSITIVE if i < n_sensitive else Role.NON_SENSITIVE
         user_states.append(UserState(i, role, feats, labels, scheme))
 
-    mech = MechanismConfig(
-        kind=MechanismKind(mech_cfg["kind"]),
-        sigma2=mech_cfg.get("sigma2", 0.0),
-        block_count=mech_cfg.get("blocks", 1),
-    )
-
     d_local = per_user[0][0].shape[0]
     if scheme.kind is SchemeKind.IID_SGD and scheme.batch > d_local:
         raise ConfigError(f"scheme.batch: {scheme.batch} exceeds per-user dataset size {d_local}")
@@ -347,10 +350,6 @@ def _build_run(config: dict, seed: int):
         floor=mech.floor,
         rounds=config["rounds"],
     )
-    route_key = acct.get("route", "closed_form")
-    if route_key == "closed_form":
-        route_key = f"closed_form:{acct.get('mode', 'general')}"
-    route = _ROUTE_MAP[route_key]
     composition = CompositionMode(acct.get("composition", "simple"))
     model = init_model(family, per_user[0][0].shape[1])
     return user_states, model, mech, params, route, composition, eval_data, dataset_hash
@@ -440,6 +439,23 @@ def _account_inner(args) -> int:
     if route_key not in _ROUTE_MAP:
         raise ConfigError(f"--route: unknown route {args.route!r}")
     route = _ROUTE_MAP[route_key]
+    # a flag the route would ignore, or that another flag would override, is refused
+    floored = route in (RdpVariant.WFDP_A, RdpVariant.WFDP_B)
+    floor_flag = "--sigma" if args.sigma is not None else "--sigma2"
+    for flag, refused, why in (
+        ("--iid", args.iid and route is not ClosedFormMode.GENERAL,
+         "only --route closed --mode general reads --lambda as a per-user minimum"),
+        ("--sum-lambda-min", args.sum_lambda_min is not None and route is not RdpVariant.THEOREM1_RDP,
+         "only --route theorem1-rdp reads it"),
+        ("--sum-lambda-min", args.sum_lambda_min is not None and args.lam is not None,
+         "give theorem1-rdp's context as --sum-lambda-min or as --lambda, not both"),
+        ("--lambda", args.lam is not None and floored,
+         f"--route {args.route} reads the floor and --N, not an eigenvalue"),
+        (floor_flag, (args.sigma, args.sigma2) != (None, None) and not floored,
+         f"--route {args.route} reads no floor; only wfdp-a and wfdp-b do"),
+    ):
+        if refused:
+            raise ConfigError(f"{flag}: {why}")
 
     if isinstance(route, ClosedFormMode):
         if args.lam is None:

@@ -29,8 +29,8 @@ the noised submissions, the unfloored per-user spectra when asked for (the
 round 0 of it, read them) and the spectrum of the summed covariance, which is
 all the other routes read. A flooring mechanism returns the floored
 models it sampled from, and those are summed, slot by slot, so each model is
-floored once. Learning-rate scaling happens here, after mechanisms ran on the
-clipped-gradient scale.
+floored once. Learning-rate scaling happens here, once per update, after
+mechanisms ran on the clipped-gradient scale.
 """
 
 from __future__ import annotations
@@ -240,6 +240,7 @@ def user_update(
 ) -> tuple[Array, Optional[CovarianceModel]]:
     """A stack's raw updates (k, dim) and, for non-sensitive users, their covariance models.
 
+    The updates are ``compute_update``'s, raw: unscaled by the learning rate.
     The models are the unfloored distributions of the updates on the
     clipped-gradient scale, the ones the accountant sums: the FEDAVG replays'
     estimates, a zero spectrum for deterministic FULL_GD, the estimates
@@ -250,23 +251,23 @@ def user_update(
     stacks under WFDP go through ``floored_update`` instead.
     """
     scheme = stack.scheme
-    xs, grads, sampled_from = compute_update(
+    raw, grads, sampled_from = compute_update(
         scheme, stack.phi, stack.labels, ops, theta, clip, rngs
     )
     if stack.role is not Role.NON_SENSITIVE:
-        return xs, None
+        return raw, None
     if scheme.kind is SchemeKind.FEDAVG:
         replays = fedavg_replays(scheme, stack.phi, stack.labels, ops, theta, clip, rngs)
         models = estimate_mean_cov(replays, scheme.batch)
     elif scheme.kind is SchemeKind.FULL_GD:
-        # full-batch updates are deterministic: no sampling randomness
-        models = CovarianceModel.isotropic(grads.columns.mean(axis=-1))
+        # full-batch updates are deterministic, their gradients' mean: no sampling randomness
+        models = CovarianceModel.isotropic(raw)
     elif sampled_from is not None:
         # the Gaussian-sampled scheme already estimated these models
         models = sampled_from
     else:
         models = estimate_mean_cov(grads, scheme.batch)
-    return xs, models
+    return raw, models
 
 
 def floored_update(
@@ -300,7 +301,7 @@ def floored_update(
     elif scheme.kind is SchemeKind.IID_SGD:
         _, grads, _ = compute_update(scheme, stack.phi, stack.labels, ops, theta, clip, rngs)
     else:
-        grads = GradientMatrix(clipped_gradients(stack.phi, stack.labels, ops, theta, clip), clip)
+        grads = clipped_gradients(stack.phi, stack.labels, ops, theta, clip)
     if scheme.kind is SchemeKind.GAUSSIAN_SAMPLED:
         _member_normals(rngs, np.full(len(rngs), estimate_width(grads.dim, grads.count)))
     # the whole range is the gradients as they are; a row block carries its own
@@ -321,6 +322,10 @@ def noise_round(
     spectra: bool = False,
 ) -> tuple[list[Array], Optional[Array], Array, float, bool]:
     """One round's mechanism pass over every stack, before secure aggregation.
+
+    Each raw update or WFDP draw is scaled here once, by -eta (by 1 under
+    FEDAVG, whose local steps carry eta), and WFNA's lift or a DDP share by
+    eta (or 1) is added to it.
 
     Returns the noised submissions in slot order; the non-sensitive users'
     unfloored spectra (n_ns, dim), non-increasing, in slot order, or None
@@ -346,12 +351,11 @@ def noise_round(
     for stack in cohort.stacks:
         rngs = [_user_rng(master_seed, round_index, slot) for slot in stack.slots]
         scheme = stack.scheme
-        # FedAvg deltas are already on the update scale; gradient schemes get
-        # -eta applied by the scheme update itself.
+        # FedAvg deltas already carry the learning rate; a gradient scheme steps by -eta
         update_scale = 1.0 if scheme.kind is SchemeKind.FEDAVG else scheme.learning_rate
         sign = 1.0 if scheme.kind is SchemeKind.FEDAVG else -1.0
-        # each member injects at most one noise trace: a lift or a DDP share
-        traces = np.zeros(len(stack.slots))
+        # each member injects at most one noise: a lift or a DDP share (WFNA adds its lift)
+        traces, additive = np.zeros(len(stack.slots)), None
         if stack.role is Role.NON_SENSITIVE and mech.kind is MechanismKind.WFDP:
             per_block = floored_update(
                 stack, ops, model.theta, clip, mech.sigma2, blocks, rngs, spectra
@@ -364,15 +368,15 @@ def noise_round(
                 traces = traces + np.concatenate([noised.noise_trace for noised in noised_runs])
             if spectra:
                 user_spectra.append(_spectrum_union([part for part, _ in per_block]))
-            xs = sign * update_scale * np.concatenate(vectors, axis=-1)
+            raw = np.concatenate(vectors, axis=-1)
         else:
-            xs, dist_model = user_update(stack, ops, model.theta, clip, rngs)
+            raw, dist_model = user_update(stack, ops, model.theta, clip, rngs)
             if dist_model is not None:
                 if spectra:
                     user_spectra.append(dist_model.spectrum())
                 if mech.kind is MechanismKind.WFNA:
                     noised = wfna_noise(dist_model, mech.sigma2, rngs)
-                    xs = xs + update_scale * noised.vector
+                    additive = noised.vector
                     dist_model = noised.floored
                     traces = noised.noise_trace
                 else:
@@ -380,8 +384,11 @@ def noise_round(
                 summands[0].append(dist_model)  # one block: only WFDP takes more
         if mech.kind is MechanismKind.DDP:
             share = ddp_noise(mech.sigma2, n_total, model.dim, rngs)
-            xs = xs + update_scale * share.vector
+            additive = share.vector
             traces = share.noise_trace
+        xs = sign * update_scale * raw
+        if additive is not None:
+            xs = xs + update_scale * additive
         for trace in traces.tolist():  # slot by slot; adding 0.0 changes no bits
             noise_trace += trace
         submissions.extend(xs)

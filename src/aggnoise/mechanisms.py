@@ -8,12 +8,13 @@ lift, and the isotropic distributed baseline. Learning-rate scaling is the
 caller's job so that clip/batch/dataset-size constants stay on the scale the
 accountant formulas expect.
 
-Every function here also runs on a stack of users: design rows (k, D, p), a
-model stack (see ``CovarianceModel``) and one generator per member. The
-gradients, estimates and floors then run as stacked numpy calls; each
-member's draws still come from its own generator, in the order a call on
-that member alone makes them, so each member's result is that call's, bit
-for bit. Members that share one generator draw one after the other.
+Every function here runs on a stack of users: design rows (k, D, p), a model
+stack (see ``CovarianceModel``) and one generator per member; the mechanisms
+also take a single model. The gradients, estimates and floors run as stacked
+numpy calls; each member's draws still come from its own generator, in the
+order a call on that member alone makes them, so each member's result is
+that call's, bit for bit. Members that share one generator draw one after
+the other.
 
 ``wfdp_from_spectra`` is WFDP, which replaces a stack's updates: it decides
 first which members the floor covers, by a Cholesky certificate or else by
@@ -132,15 +133,30 @@ def _local_epochs(
     return current - theta
 
 
-def clipped_gradients(phi: Array, labels: Array, model, theta: Array, clip: float) -> Array:
-    """A stack's clipped per-example gradients as (k, dim, D) columns; making them draws nothing.
+def _local_deltas(scheme: UpdateScheme, model, theta: Array, phi: Array, labels: Array, clip: float,
+                  streams: Sequence[Sequence[np.random.Generator]]) -> Array:
+    """(k, dim, M) local-training deltas: member i trains once per stream in ``streams[i]``.
+
+    Each delta is clipped whole by ``clip_gradient``, whose vector norm a
+    stacked norm reduction would not match bit for bit.
+    """
+    deltas = np.empty((phi.shape[0], theta.shape[0], len(streams[0])))
+    for member, (rows, ys, member_streams) in enumerate(zip(phi, labels, streams)):
+        for j, stream in enumerate(member_streams):
+            delta = _local_epochs(scheme, model, theta, rows, ys, clip, stream)
+            deltas[member, :, j] = clip_gradient(delta, clip)
+    return deltas
+
+
+def clipped_gradients(phi: Array, labels: Array, model, theta: Array, clip: float) -> GradientMatrix:
+    """A stack's clipped per-example gradients as checked (k, dim, D) columns; making them draws nothing.
 
     They are what IID_SGD, FULL_GD and GAUSSIAN_SAMPLED updates are made from
-    (see ``compute_update``); ``GradientMatrix`` checks them.
+    (see ``compute_update``).
     """
     if phi.shape[-2] == 0:
         raise EmptyDataset("user dataset is empty")
-    return _clipped_per_example(model, theta, phi, labels, clip).swapaxes(-1, -2)
+    return GradientMatrix(_clipped_per_example(model, theta, phi, labels, clip).swapaxes(-1, -2), clip)
 
 
 def compute_update(
@@ -150,52 +166,40 @@ def compute_update(
     model,
     theta: Array,
     clip: float,
-    rng: Generators,
-) -> tuple[Array, GradientMatrix, Optional[CovarianceModel]]:
-    """One round's update for a user, the clipped gradients behind it, and its estimate.
+    rngs: Sequence[np.random.Generator],
+) -> tuple[Array, Optional[GradientMatrix], Optional[CovarianceModel]]:
+    """A stack's updates (k, dim), the clipped gradients behind them, and their estimates.
 
-    ``phi`` holds the user's design rows (D, p) (see ``models.design``).
-    IID_SGD averages B with-replacement samples of the clipped per-example
-    gradients; FULL_GD averages all of them; GAUSSIAN_SAMPLED draws from the
-    estimated update distribution (mean, second moment / (B*D)); FEDAVG runs
-    local training and clips the whole resulting delta to ``clip``. All but
-    FEDAVG are negated and scaled by the learning rate (FEDAVG's steps already
-    carry it). The estimate is the ``estimate_mean_cov(grads, scheme.batch)``
-    GAUSSIAN_SAMPLED drew from; it is None for the schemes that do not
-    estimate.
-
-    For a stack of k users (``phi`` (k, D, p), labels (k, D), one generator
-    each), the updates are (k, dim), the gradients one stacked
-    ``GradientMatrix`` and the estimate one model stack. Sampling and local
-    training draw from each member's generator.
+    ``phi`` holds the users' design rows (k, D, p) (see ``models.design``),
+    ``labels`` (k, D), and ``rngs`` one generator per member. IID_SGD averages
+    B with-replacement samples of the clipped per-example gradients; FULL_GD
+    averages all of them; GAUSSIAN_SAMPLED draws from the estimated update
+    distribution (mean, second moment / (B*D)); FEDAVG runs local training and
+    clips the whole resulting delta to ``clip``. The updates stay on the
+    clipped-gradient scale, with no learning rate (FEDAVG's steps carry it).
+    The gradients are None for FEDAVG, and the estimates are the model stack
+    ``estimate_mean_cov(grads, scheme.batch)`` GAUSSIAN_SAMPLED drew from,
+    None for the schemes that do not estimate.
     """
     if phi.shape[-2] == 0:
         raise EmptyDataset("user dataset is empty")
-    single = phi.ndim == 2
-    if single:
-        phi, labels, rng = phi[None], labels[None], [rng]
-    eta = scheme.learning_rate
     if scheme.kind is SchemeKind.FEDAVG:
-        updates = np.stack([
-            clip_gradient(_local_epochs(scheme, model, theta, rows, ys, clip, member_rng), clip)
-            for rows, ys, member_rng in zip(phi, labels, rng)
-        ])
-        cols = updates[..., None]
-    else:
-        cols = clipped_gradients(phi, labels, model, theta, clip)  # (k, d, D)
-    gmat = GradientMatrix(cols[0] if single else cols, clip)
+        deltas = _local_deltas(scheme, model, theta, phi, labels, clip, [[rng] for rng in rngs])
+        return deltas[..., 0], None, None
+    grads = clipped_gradients(phi, labels, model, theta, clip)
+    cols = grads.columns  # (k, d, D)
     dist = None
     if scheme.kind is SchemeKind.FULL_GD:
-        updates = -eta * cols.mean(axis=-1)
+        updates = cols.mean(axis=-1)
     elif scheme.kind is SchemeKind.IID_SGD:
-        picks = [member_rng.integers(0, cols.shape[-1], size=scheme.batch) for member_rng in rng]
-        updates = np.stack([-eta * member[:, idx].mean(axis=1) for member, idx in zip(cols, picks)])
+        picks = [rng.integers(0, cols.shape[-1], size=scheme.batch) for rng in rngs]
+        updates = np.stack([member[:, idx].mean(axis=1) for member, idx in zip(cols, picks)])
     elif scheme.kind is SchemeKind.GAUSSIAN_SAMPLED:
-        dist = estimate_mean_cov(gmat, scheme.batch)
-        updates = -eta * (sample_gaussian(dist, rng[0])[None] if single else sample_gaussian(dist, rng))
-    elif scheme.kind is not SchemeKind.FEDAVG:
+        dist = estimate_mean_cov(grads, scheme.batch)
+        updates = sample_gaussian(dist, rngs)
+    else:
         raise ValueError(f"unknown scheme {scheme.kind}")
-    return (updates[0] if single else updates), gmat, dist
+    return updates, grads, dist
 
 
 def fedavg_replays(
@@ -205,32 +209,23 @@ def fedavg_replays(
     model,
     theta: Array,
     clip: float,
-    rng: Generators,
+    rngs: Sequence[np.random.Generator],
 ) -> GradientMatrix:
     """FEDAVG's update distribution as M independent local-training replays.
 
     Each replay restarts from ``theta`` with a freshly shuffled minibatch
-    order, from its own stream spawned from ``rng``; the M resulting
-    (whole-update-clipped) deltas are the columns of a gradient collection,
-    so ``estimate_mean_cov(replays, scheme.batch)`` gives them the same
-    1/(B*M) second-moment scaling the other schemes use. For a stack of
-    users each member replays from its own generator, into a (k, dim, M)
-    stack.
+    order, from its own stream spawned from its member's generator; the M
+    resulting (whole-update-clipped) deltas are the columns of a (k, dim, M)
+    gradient stack, so ``estimate_mean_cov(replays, scheme.batch)`` gives them
+    the same 1/(B*M) second-moment scaling the other schemes use.
     """
     m = scheme.fedavg_samples
     if m < 2:
         raise ValueError(f"need at least 2 replays, got {m}")
     if phi.shape[-2] == 0:
         raise EmptyDataset("user dataset is empty")
-    single = phi.ndim == 2
-    if single:
-        phi, labels, rng = phi[None], labels[None], [rng]
-    deltas = np.empty((phi.shape[0], theta.shape[0], m))
-    for member, (member_phi, member_labels, member_rng) in enumerate(zip(phi, labels, rng)):
-        for j, stream in enumerate(member_rng.spawn(m)):
-            delta = _local_epochs(scheme, model, theta, member_phi, member_labels, clip, stream)
-            deltas[member, :, j] = clip_gradient(delta, clip)
-    return GradientMatrix(deltas[0] if single else deltas, clip)
+    streams = [rng.spawn(m) for rng in rngs]
+    return GradientMatrix(_local_deltas(scheme, model, theta, phi, labels, clip, streams), clip)
 
 
 def wfdp_update(model: CovarianceModel, floor: float, rng: Generators) -> NoisedUpdate:

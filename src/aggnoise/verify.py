@@ -253,37 +253,38 @@ def counterexample_floored_lambda_min(instance: Counterexample, floor: float) ->
     return float(sum_covariances(_floored_models(instance.helpers, instance.batch, floor))[-1])
 
 
-def _random_clipped_columns(dim: int, count: int, clip: float, rng: np.random.Generator) -> Array:
+def _random_clipped_columns(dim: int, count: int, clip: float, rng, low: float, spread: float) -> Array:
+    """``count`` random directions, with norms drawn uniformly from clip * [low, low + spread)."""
     cols = rng.standard_normal((dim, count))
     norms = np.linalg.norm(cols, axis=0)
-    scales = clip * (0.6 + 0.4 * rng.random(count)) / norms
+    scales = clip * (low + spread * rng.random(count)) / norms
     return cols * scales
 
 
-def _estimates(
-    sets: Sequence[Array], clip: Array, batch: Array, floor: Optional[Array] = None
-) -> CovarianceModel:
-    """Every set's model as one stack, member i being
-    ``estimate_mean_cov(GradientMatrix(sets[i], clip[i]), batch[i])``.
+def _estimates(group: Sequence[_Trial], sets_of) -> CovarianceModel:
+    """Every trial's gradient sets, ``sets_of(trial)``, estimated and floored as one model stack.
 
-    ``sets`` are raw (dim, count) gradient draws. They are checked and
-    estimated one stack per gradient count, each member against its own
-    ``clip[i]``, and, when ``floor`` is given, floored at ``floor[i]`` in one
-    ``floor_eigenvalues`` call. Every set has the same dim and more than dim/2
-    gradients, so every model is full-dimension.
+    Member i is ``floor_eigenvalues(estimate_mean_cov(GradientMatrix(g, C), B),
+    floor)[0]`` for its raw (dim, count) draws g and its own trial's C, B and
+    floor; a zero floor leaves the clamped estimate as it is. The draws are
+    checked and estimated one stack per gradient count, and floored in one
+    call. Every set has the same dim and more than dim/2 gradients, so every
+    model is full-dimension.
     """
-    counts = np.array([g.shape[1] for g in sets])
-    dim = sets[0].shape[0]
+    sets = [(g, t.params) for t in group for g in sets_of(t)]
+    counts = np.array([g.shape[1] for g, _ in sets])
+    clip = np.array([p.clip for _, p in sets])
+    batch = np.array([p.batch for _, p in sets])
+    dim = sets[0][0].shape[0]
     means = np.empty((len(sets), dim))
     vals = np.empty((len(sets), dim))
     vecs = np.empty((len(sets), dim, dim))
-    for count in np.unique(counts):
+    for count in sorted(set(counts.tolist())):
         idx = np.flatnonzero(counts == count)
-        cols = np.stack([sets[i] for i in idx])
+        cols = np.stack([sets[i][0] for i in idx])
         model = estimate_mean_cov(GradientMatrix(cols, clip[idx]), batch[idx])
         means[idx], vals[idx], vecs[idx] = model.mean, model.eigvals, model.eigvecs
-    models = CovarianceModel(means, vecs, vals)
-    return models if floor is None else floor_eigenvalues(models, floor)[0]
+    return floor_eigenvalues(CovarianceModel(means, vecs, vals), np.array([p.floor for _, p in sets]))[0]
 
 
 def _slot_sums(models: CovarianceModel, slots: Array) -> tuple[Array, Array]:
@@ -306,8 +307,7 @@ def _slot_sums(models: CovarianceModel, slots: Array) -> tuple[Array, Array]:
 
 def _by_dim(dims: Sequence[int]) -> list[Array]:
     """Trial indices of each dimension that occurs, in trial order."""
-    dims = np.asarray(dims, dtype=int)
-    return [np.flatnonzero(dims == d) for d in np.unique(dims)]
+    return [np.flatnonzero(np.array(dims) == d) for d in sorted(set(dims))]
 
 
 def _slot_table(sizes: Array, stored: Array) -> Array:
@@ -377,7 +377,7 @@ def _closed_form_stack(n_trials: int, first: int, rng: np.random.Generator) -> l
         floor = lambda_0 / n_users * float(rng.choice([1.05, 2.0, 5.0, 20.0]))
         params = PrivacyParams(clip=clip, batch=batch, local_size=count,
                                ns_users=n_users, delta=delta, floor=floor)
-        users = [_random_clipped_columns(dim, count, clip, rng) for _ in range(n_users)]
+        users = [_random_clipped_columns(dim, count, clip, rng, 0.6, 0.4) for _ in range(n_users)]
         trials.append(_Trial(params, users))
 
     lam_min = np.empty(n_trials)
@@ -385,12 +385,7 @@ def _closed_form_stack(n_trials: int, first: int, rng: np.random.Generator) -> l
     for idx in _by_dim([t.users[0].shape[0] for t in trials]):
         group = [trials[i] for i in idx]
         sizes = np.array([len(t.users) for t in group])
-        models = _estimates(
-            [g for t in group for g in t.users],
-            np.repeat([t.params.clip for t in group], sizes),
-            np.repeat([t.params.batch for t in group], sizes),
-            np.repeat([t.params.floor for t in group], sizes),
-        )
+        models = _estimates(group, lambda t: t.users)
         _, totals = _slot_sums(models, _slot_table(sizes, sizes))
         # eigh's first eigenpair is the smallest eigenvalue's; its vector is the extremal direction
         vals, vecs = _psd_eigh(totals)
@@ -500,12 +495,7 @@ def _rdp_stack(
         batch = int(rng.integers(1, 5))
         clip = float(0.5 + 1.0 * rng.random())
 
-        users = []
-        for _ in range(n_users):
-            cols = rng.standard_normal((dim, count))
-            norms = np.linalg.norm(cols, axis=0)
-            scales = clip * (0.7 + 0.3 * rng.random(count)) / norms
-            users.append(cols * scales)
+        users = [_random_clipped_columns(dim, count, clip, rng, 0.7, 0.3) for _ in range(n_users)]
         substituted = _substitute_column(users[0], _random_clipped(dim, clip, rng))
 
         if variant is RdpVariant.THEOREM1_RDP:
@@ -518,20 +508,15 @@ def _rdp_stack(
                                ns_users=n_users, delta=1e-5, floor=floor)
         trials.append(_Trial(params, users, substituted))
 
-    # THEOREM1_RDP's context: the users' summed unit-batch (1/D-scaled) lambda_min
+    # THEOREM1_RDP's context: the users' summed unit-batch (1/D-scaled) lambda_min,
+    # read as B times each batch-B estimate's, as run_round reads it
     context = np.zeros(n_trials)
     aggregates = []  # per dim: trial indices, then means, covariances and spectra of p and q
     for idx in _by_dim([t.users[0].shape[0] for t in trials]):
         group = [trials[i] for i in idx]
         sizes = np.array([len(t.users) for t in group])
-        sets = [g for t in group for g in t.users + [t.substituted]]
         # a zero floor (THEOREM1_RDP) leaves the clamped spectra as they are
-        models = _estimates(
-            sets,
-            np.repeat([t.params.clip for t in group], sizes + 1),
-            np.repeat([t.params.batch for t in group], sizes + 1),
-            np.repeat([t.params.floor for t in group], sizes + 1),
-        )
+        models = _estimates(group, lambda t: t.users + [t.substituted])
         # slot k of p is user k; q swaps user 0 for its substitute, stored after user N-1
         slots_p = _slot_table(sizes, sizes + 1)
         slots_q = slots_p.copy()
@@ -541,13 +526,9 @@ def _rdp_stack(
         spec_p, spec_q = (_psd_eigh(total, vectors=False)[0][..., ::-1] for total in (total_p, total_q))
         aggregates.append((idx, mean_p, mean_q, total_p, total_q, spec_p, spec_q))
         if variant is RdpVariant.THEOREM1_RDP:
-            unit = [g for t in group for g in t.users]
-            unit_vals = _estimates(
-                unit, np.repeat([t.params.clip for t in group], sizes), np.ones(len(unit), dtype=int)
-            ).eigvals
-            slots = _slot_table(sizes, sizes)
-            unit_min = np.where(slots >= 0, unit_vals[slots, -1], 0.0)
-            for k in range(slots.shape[1]):  # slot by slot, the order sum() adds them in
+            batch = np.array([t.params.batch for t in group])[:, None]
+            unit_min = np.where(slots_p >= 0, batch * models.eigvals[slots_p, -1], 0.0)
+            for k in range(slots_p.shape[1]):  # slot by slot, the order run_round adds them in
                 context[idx] += unit_min[:, k]
 
     bounds = np.full((n_trials, len(alphas)), math.inf)

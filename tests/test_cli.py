@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from aggnoise import accountant
+from aggnoise import cli as cli_module
 from aggnoise.accountant import (
     ClosedFormMode,
     CompositionMode,
@@ -125,8 +126,30 @@ class TestAccountCommand:
     ("--route wfdp-a --C 1 --B 10 --D 100 --N 50 --sigma nan --delta 1e-5", "--sigma"),
     ("--route wfdp-a --C 1 --B 10 --D 100 --N 50 --sigma2 nan --delta 1e-5", "floor"),
     ("--route wfdp-a --C inf --B 10 --D 100 --N 50 --sigma 0.1 --delta 1e-5", "clip"),
+    # flags the route ignores, or that another flag overrides
+    ("--route closed --mode singular --iid --lambda 0.05 --C 2 --B 100 --N 20 --delta 1e-3",
+     "--iid"),
+    ("--route wfdp-a --iid --C 1 --B 10 --D 100 --N 50 --sigma 0.1 --delta 1e-5", "--iid"),
+    ("--route theorem1-rdp --iid --sum-lambda-min 50 --C 1 --B 10 --D 100 --delta 1e-5", "--iid"),
+    ("--route closed --lambda 0.25 --sum-lambda-min 9 --C 2 --B 100 --delta 1e-3",
+     "--sum-lambda-min"),
+    ("--route wfdp-a --sum-lambda-min 9 --C 1 --B 10 --D 100 --N 50 --sigma 0.1 --delta 1e-5",
+     "--sum-lambda-min"),
+    ("--route theorem1-rdp --lambda 2 --sum-lambda-min 3 --C 1 --B 10 --D 100 --delta 1e-5",
+     "--sum-lambda-min"),
+    ("--route wfdp-a --lambda 7 --C 1 --B 10 --D 100 --N 50 --sigma 0.1 --delta 1e-5", "--lambda"),
+    ("--route wfdp-b --lambda 7 --C 1 --B 10 --D 100 --N 50 --sigma 0.1 --delta 1e-5", "--lambda"),
+    ("--route closed --lambda 0.25 --C 2 --B 100 --sigma 0.1 --delta 1e-3", "--sigma"),
+    ("--route closed --lambda 0.25 --C 2 --B 100 --sigma2 0.01 --delta 1e-3", "--sigma2"),
+    ("--route theorem1-rdp --sum-lambda-min 50 --C 1 --B 10 --D 100 --sigma 0.1 --delta 1e-5",
+     "--sigma"),
+    ("--route theorem1-rdp --sum-lambda-min 50 --C 1 --B 10 --D 100 --sigma2 0.01 --delta 1e-5",
+     "--sigma2"),
 ], ids=["delta0-nan", "lambda-inf", "lambda-nan", "sum-lambda-min-inf", "sigma-and-sigma2",
-        "sigma-negative", "sigma-nan", "sigma2-nan", "clip-inf"])
+        "sigma-negative", "sigma-nan", "sigma2-nan", "clip-inf", "iid-singular", "iid-wfdp-a",
+        "iid-theorem1", "sum-lambda-min-closed", "sum-lambda-min-wfdp-a",
+        "sum-lambda-min-and-lambda", "lambda-wfdp-a", "lambda-wfdp-b", "sigma-closed",
+        "sigma2-closed", "sigma-theorem1", "sigma2-theorem1"])
 def test_account_refuses_non_finite_or_conflicting_flags(flags, named, capsys):
     assert main(["account"] + flags.split()) == EXIT_CONFIG
     captured = capsys.readouterr()
@@ -349,7 +372,8 @@ class TestSimulateCommand:
         merged = json.loads((tmp_path / "m" / "composed_ledger.json").read_text())
         assert merged["total_eps"] == pytest.approx(ledger["total_eps"], rel=1e-9)
 
-    # ddp and none floor nothing, so the floored-mechanism bound has no floor to read
+    # wfdp's floor is too small for the bound's order interval; ddp and none floor
+    # nothing, so the floored-mechanism route is refused by name before any data is built
     @pytest.mark.parametrize("mechanism", [
         {"kind": "wfdp", "sigma2": 1e-7},
         {"kind": "ddp", "sigma2": 0.5},
@@ -366,7 +390,11 @@ class TestSimulateCommand:
         rc = main(["--out", str(tmp_path / "o"), "simulate", "--config", cfg])
         err = capsys.readouterr().err
         assert rc == EXIT_CONFIG
-        assert "empty alpha validity interval" in err
+        if mechanism["kind"] == "wfdp":
+            assert "empty alpha validity interval" in err
+        else:
+            assert "accountant.route: wfdp_a bounds a floored mechanism" in err
+            assert f"mechanism {mechanism['kind']} floors nothing" in err
 
     def test_csv_dataset_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -472,6 +500,31 @@ def test_fedavg_with_two_replays_runs(tmp_path):
     assert (tmp_path / "o" / "ledger.json").exists()
 
 
+@pytest.mark.parametrize("route", ["wfdp_a", "wfdp_b"])
+@pytest.mark.parametrize("mechanism", [{"kind": "none"}, {"kind": "ddp", "sigma2": 0.02}],
+                         ids=["none", "ddp"])
+def test_wfdp_route_without_a_floor_is_refused_before_the_data(tmp_path, capsys, monkeypatch,
+                                                               route, mechanism):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the data was built")
+
+    monkeypatch.setattr(cli_module, "make_synthetic", unreachable)
+    cfg, config = write_config(tmp_path, accountant={"route": route, "composition": "rdp"})
+    config["mechanism"] = mechanism  # replaced whole: none carries no sigma2
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(["--out", str(tmp_path / "o"), "simulate", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "accountant.route" in err and route in err and mechanism["kind"] in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_wfna_with_a_wfdp_route_runs(tmp_path):
+    cfg, _ = write_config(tmp_path, mechanism={"kind": "wfna", "sigma2": 0.02},
+                          accountant={"route": "wfdp_a", "composition": "rdp", "delta": 1e-5})
+    assert main(["--out", str(tmp_path / "o"), "simulate", "--config", cfg]) == EXIT_OK
+    assert (tmp_path / "o" / "ledger.json").exists()
+
+
 def test_python_m_aggnoise_runs_the_cli():
     import os
     import subprocess
@@ -563,7 +616,7 @@ class TestSpectrumCommand:
         batch = config["scheme"]["batch"]
         for user in users[1:]:
             cols = clipped_gradients(design(user.features)[None], user.labels[None], ops,
-                                     model.theta, params.clip)[0]
+                                     model.theta, params.clip).columns[0]
             reference = np.linalg.eigvalsh(cols @ cols.T / (batch * cols.shape[1]))[::-1]
             values = [float(r["eigenvalue"]) for r in rows if r["source"] == f"user{user.user_id}"]
             assert values[0] <= 0.5

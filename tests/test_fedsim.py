@@ -534,11 +534,23 @@ class TestRoundEps:
             accountant.round_eps(self.curve_entry(), self.EMPTY.delta)
 
 
+def of_one(grads):
+    """A stack of one's gradients as that user's own (dim, count) ``GradientMatrix``."""
+    return GradientMatrix(grads.columns[0], grads.clip_bound)
+
+
+def model_of_one(models):
+    """A model stack of one as that user's own model."""
+    return CovarianceModel(models.mean[0], models.eigvecs[0], models.eigvals[0], models.tail[0])
+
+
 def per_user_round(model, users, mech, params, route, master_seed, round_index):
     """The round as a loop over users, one model each, in slot order: the stacked round's reference.
 
-    Each user runs the single-user library calls on its own design rows and
-    stream; models are summed as a list of single models, and the training
+    Each user runs the library calls as a stack of one on its own design rows
+    and stream, and takes its own gradients and model out of it; its update is
+    scaled by -eta (FEDAVG's by 1), its WFNA lift or DDP share by eta (or 1);
+    models are summed as a list of single models, and the training
     loss reads the users' rows stacked afresh. Under WFDP a non-sensitive
     user's update distribution (the FEDAVG replays, or else the clipped
     gradients, FULL_GD's with a zero spectrum) is made once: a Gaussian-sampled
@@ -566,16 +578,16 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
         if user.role is Role.NON_SENSITIVE and mech.kind is MechanismKind.WFDP:
             # WFDP replaces the update: it is not made, and a Gaussian-sampled draw is skipped
             if scheme.kind is SchemeKind.FEDAVG:
-                grads = mechanisms.fedavg_replays(scheme, phi, user.labels, ops, theta,
-                                                  params.clip, rng)
+                grads = of_one(mechanisms.fedavg_replays(scheme, phi[None], user.labels[None], ops,
+                                                         theta, params.clip, [rng]))
             elif scheme.kind is SchemeKind.IID_SGD:
                 _, grads, _ = mechanisms.compute_update(
-                    scheme, phi, user.labels, ops, theta, params.clip, rng
+                    scheme, phi[None], user.labels[None], ops, theta, params.clip, [rng]
                 )
+                grads = of_one(grads)
             else:
-                cols = mechanisms.clipped_gradients(phi[None], user.labels[None], ops, theta,
-                                                    params.clip)
-                grads = GradientMatrix(cols[0], params.clip)
+                grads = of_one(mechanisms.clipped_gradients(phi[None], user.labels[None], ops,
+                                                            theta, params.clip))
             if scheme.kind is SchemeKind.GAUSSIAN_SAMPLED:
                 # the unblocked draw's normals: D when thin, one per coordinate when dense
                 rng.standard_normal(grads.count if 2 * grads.count <= dim else dim)
@@ -612,21 +624,22 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
             submissions.append(sign * update_scale * np.concatenate(vectors))
             noise_trace += lift
             continue
-        x, grads, sampled_from = mechanisms.compute_update(
-            scheme, phi, user.labels, ops, theta, params.clip, rng
+        raw, grads, sampled_from = mechanisms.compute_update(
+            scheme, phi[None], user.labels[None], ops, theta, params.clip, [rng]
         )
+        x = raw[0] if scheme.kind is SchemeKind.FEDAVG else -scheme.learning_rate * raw[0]
         if user.role is Role.NON_SENSITIVE:
             if scheme.kind is SchemeKind.FEDAVG:
-                replays = mechanisms.fedavg_replays(scheme, phi, user.labels, ops, theta,
-                                                    params.clip, rng)
-                dist_model = estimate_mean_cov(replays, scheme.batch)
+                replays = mechanisms.fedavg_replays(scheme, phi[None], user.labels[None], ops,
+                                                    theta, params.clip, [rng])
+                dist_model = estimate_mean_cov(of_one(replays), scheme.batch)
             elif scheme.kind is SchemeKind.FULL_GD:
-                dist_model = CovarianceModel(grads.columns.mean(axis=1), np.zeros((dim, 0)),
+                dist_model = CovarianceModel(of_one(grads).columns.mean(axis=1), np.zeros((dim, 0)),
                                              np.zeros(0))
             elif sampled_from is not None:
-                dist_model = sampled_from
+                dist_model = model_of_one(sampled_from)
             else:
-                dist_model = estimate_mean_cov(grads, scheme.batch)
+                dist_model = estimate_mean_cov(of_one(grads), scheme.batch)
             if route is RdpVariant.THEOREM1_RDP:
                 theorem1_context += params.batch * dist_model.spectrum()[-1]
             if mech.kind is MechanismKind.WFNA:
@@ -749,7 +762,7 @@ class TestStackedRoundMatchesPerUserLoop:
         _, model = simulation.user_update(stack, ops, theta, 1.0, rngs)
         assert members(model) == 4 and model.n_components == 10
         cols = mechanisms.clipped_gradients(stack.phi[1:2], stack.labels[1:2], ops, theta, 1.0)
-        alone = estimate_mean_cov(GradientMatrix(cols[0], 1.0), stack.scheme.batch)
+        alone = estimate_mean_cov(of_one(cols), stack.scheme.batch)
         assert spectra_module.rank(alone.spectrum()) == 2
         for stacked, one in ((model.mean[1], alone.mean), (model.eigvals[1], alone.eigvals),
                              (model.eigvecs[1], alone.eigvecs)):
@@ -806,6 +819,45 @@ class TestStackedRoundMatchesPerUserLoop:
                 fn(init_model(family, 4), users, mech, params, ClosedFormMode.GENERAL, 3, 0)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+
+
+class TestRoundScalesEachUpdateOnce:
+    """``compute_update`` returns updates on the clipped-gradient scale; the round scales them."""
+
+    def submitted(self, monkeypatch, scheme_kind):
+        scheme = UpdateScheme(scheme_kind, batch=5, learning_rate=0.3, fedavg_samples=3)
+        users, _, family = make_users(4, 1, scheme, seed=47, task="regression", features=5,
+                                      per_user=20)
+        sent = {}
+        original = SAChannel.submit
+
+        def recording(channel, slot, update):
+            sent[slot] = np.array(update)
+            return original(channel, slot, update)
+
+        monkeypatch.setattr(SAChannel, "submit", recording)
+        model = init_model(family, 5)
+        params = PrivacyParams(clip=1.0, batch=5, local_size=20, ns_users=3, delta=1e-3)
+        run_round(model, users, MechanismConfig(MechanismKind.NONE), params, RdpVariant.GAUSSIAN,
+                  master_seed=4, round_index=2)
+        rngs = [simulation._user_rng(4, 2, slot) for slot in range(len(users))]
+        return users, ModelOps(family), model.theta, rngs, sent
+
+    def test_full_gd_stack_submits_minus_eta_times_the_update(self, monkeypatch):
+        users, ops, theta, rngs, sent = self.submitted(monkeypatch, SchemeKind.FULL_GD)
+        stack = Cohort(users).stacks[1]
+        assert stack.slots == range(1, 4)
+        raw, _, _ = mechanisms.compute_update(stack.scheme, stack.phi, stack.labels, ops, theta,
+                                              1.0, [rngs[slot] for slot in stack.slots])
+        for slot, update in zip(stack.slots, raw):
+            assert np.array_equal(sent[slot], -0.3 * update)
+
+    def test_fedavg_stack_submits_the_clipped_delta(self, monkeypatch):
+        users, ops, theta, rngs, sent = self.submitted(monkeypatch, SchemeKind.FEDAVG)
+        for slot, user in enumerate(users):
+            delta = mechanisms._local_epochs(user.scheme, ops, theta, design(user.features),
+                                             user.labels, 1.0, rngs[slot])
+            assert np.array_equal(sent[slot], mechanisms.clip_gradient(delta, 1.0))
 
 
 class TestAccountReadsTheSpectrum:
@@ -887,7 +939,7 @@ class TestFloorsFromSpectra:
         lifts = 0.0
         for user, spectrum in zip(users[1:], spectra):
             cols = mechanisms.clipped_gradients(design(user.features)[None], user.labels[None],
-                                                ops, model.theta, 1.0)[0]
+                                                ops, model.theta, 1.0).columns[0]
             moment = cols @ cols.T / (5 * cols.shape[1])
             # the spectrum is the second moment's, and every eigenvalue is lifted to sigma^2
             reference = np.linalg.eigvalsh(moment)[::-1]
@@ -990,11 +1042,11 @@ class TestBlockwiseWfdp:
             phi = design(user.features)
             if scheme_kind is SchemeKind.FEDAVG:
                 stream = simulation._user_rng(self.SEED, 0, slot)
-                cols = mechanisms.fedavg_replays(scheme, phi, user.labels, ops, model.theta, 1.0,
-                                                 stream).columns
+                cols = mechanisms.fedavg_replays(scheme, phi[None], user.labels[None], ops,
+                                                 model.theta, 1.0, [stream]).columns[0]
             else:
                 cols = mechanisms.clipped_gradients(phi[None], user.labels[None], ops,
-                                                    model.theta, 1.0)[0]
+                                                    model.theta, 1.0).columns[0]
             moments.append([cols[start:stop] @ cols[start:stop].T / (5 * cols.shape[1])
                             for start, stop in self.BLOCKS])
         tops = np.array([[np.linalg.eigvalsh(m)[-1] for m in user] for user in moments])

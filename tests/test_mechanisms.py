@@ -77,28 +77,50 @@ def one_point_dataset(d=3, repeats=6):
     return x, y
 
 
+def update_of_one(scheme, features, labels, theta, clip, rng):
+    """One user's ``compute_update`` as a stack of one: its (dim,) update, gradients and estimate."""
+    x, grads, dist = compute_update(scheme, design(features)[None], labels[None], LINEAR, theta,
+                                    clip, [rng])
+    return x[0], grads, dist
+
+
 class TestComputeUpdate:
     def test_full_gd_identical_examples(self):
         features, labels = one_point_dataset()
         scheme = UpdateScheme(SchemeKind.FULL_GD, learning_rate=0.3)
         theta = np.ones(4)
-        x, grads, _ = compute_update(scheme, design(features), labels, LINEAR, theta, 1.0, np.random.default_rng(0))
+        x, grads, _ = update_of_one(scheme, features, labels, theta, 1.0, np.random.default_rng(0))
         g = LINEAR.per_example_gradients(theta, design(features[:1]), labels[:1])[0]
-        expected = -0.3 * clip_gradient(g, 1.0)
-        assert np.allclose(x, expected)
+        # the update is the mean clipped gradient: the learning rate is the caller's
+        assert np.allclose(-0.3 * x, -0.3 * clip_gradient(g, 1.0))
         assert grads.count == 6
+
+    def test_no_learning_rate_is_applied(self):
+        rng = np.random.default_rng(9)
+        features, labels = rng.standard_normal((10, 3)), rng.standard_normal(10)
+        theta = np.zeros(4)
+        for kind in SchemeKind:
+            updates = [
+                update_of_one(UpdateScheme(kind, batch=4, learning_rate=eta, fedavg_samples=2),
+                              features, labels, theta, 1.0, np.random.default_rng(4))[0]
+                for eta in (0.3, 0.3 if kind is SchemeKind.FEDAVG else 7.0)
+            ]
+            assert np.array_equal(updates[0], updates[1])
+
+    def test_fedavg_returns_no_gradients(self):
+        features, labels = one_point_dataset()
+        scheme = UpdateScheme(SchemeKind.FEDAVG, batch=2, learning_rate=0.3, fedavg_samples=2)
+        x, grads, dist = update_of_one(scheme, features, labels, np.ones(4), 1.0,
+                                       np.random.default_rng(0))
+        assert x.shape == (4,) and grads is None and dist is None
 
     def test_iid_sgd_collapses_to_full_gd_on_repeated_example(self):
         features, labels = one_point_dataset()
         theta = np.ones(4)
-        full = compute_update(
-            UpdateScheme(SchemeKind.FULL_GD, learning_rate=0.3),
-            design(features), labels, LINEAR, theta, 1.0, np.random.default_rng(1),
-        )[0]
-        sgd = compute_update(
-            UpdateScheme(SchemeKind.IID_SGD, batch=6, learning_rate=0.3),
-            design(features), labels, LINEAR, theta, 1.0, np.random.default_rng(2),
-        )[0]
+        full = update_of_one(UpdateScheme(SchemeKind.FULL_GD, learning_rate=0.3),
+                             features, labels, theta, 1.0, np.random.default_rng(1))[0]
+        sgd = update_of_one(UpdateScheme(SchemeKind.IID_SGD, batch=6, learning_rate=0.3),
+                            features, labels, theta, 1.0, np.random.default_rng(2))[0]
         assert np.allclose(full, sgd)
 
     def test_gaussian_sampled_stays_on_gradient_line(self):
@@ -111,7 +133,7 @@ class TestComputeUpdate:
         direction = g / np.linalg.norm(g)
         rng = np.random.default_rng(3)
         for _ in range(10):
-            x, _, _ = compute_update(scheme, design(features), labels, LINEAR, theta, 1.0, rng)
+            x, _, _ = update_of_one(scheme, features, labels, theta, 1.0, rng)
             residual = x - direction * (direction @ x)
             # off-line contamination is bounded by the eigensolver's noise floor
             assert np.linalg.norm(residual) < 1e-6 * max(np.linalg.norm(x), 1.0)
@@ -121,20 +143,16 @@ class TestComputeUpdate:
         # it returns that mean exactly
         features, labels = one_point_dataset()
         theta = np.ones(4)
-        grads = compute_update(
-            UpdateScheme(SchemeKind.FULL_GD), design(features), labels, LINEAR, theta, 1.0,
-            np.random.default_rng(0),
-        )[1]
-        model = eig_decompose(np.zeros((grads.dim, grads.dim)), grads.columns.mean(axis=1))
+        grads = update_of_one(UpdateScheme(SchemeKind.FULL_GD), features, labels, theta, 1.0,
+                              np.random.default_rng(0))[1]
+        model = eig_decompose(np.zeros((grads.dim, grads.dim)), grads.columns[0].mean(axis=1))
         draw = sample_gaussian(model, np.random.default_rng(5))
         assert np.array_equal(draw, model.mean)
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
-            compute_update(
-                UpdateScheme(SchemeKind.FULL_GD), design(np.zeros((0, 2))), np.zeros(0),
-                LINEAR, np.zeros(3), 1.0, np.random.default_rng(0),
-            )
+            update_of_one(UpdateScheme(SchemeKind.FULL_GD), np.zeros((0, 2)), np.zeros(0),
+                          np.zeros(3), 1.0, np.random.default_rng(0))
 
     def test_norm_bounded_by_clip_times_rate(self):
         rng = np.random.default_rng(8)
@@ -143,8 +161,8 @@ class TestComputeUpdate:
         theta = np.zeros(4)
         for kind in (SchemeKind.FULL_GD, SchemeKind.IID_SGD):
             scheme = UpdateScheme(kind, batch=4, learning_rate=0.5)
-            x, _, _ = compute_update(scheme, design(features), labels, LINEAR, theta, 2.0, rng)
-            assert np.linalg.norm(x) <= 0.5 * 2.0 + 1e-9
+            x, _, _ = update_of_one(scheme, features, labels, theta, 2.0, rng)
+            assert np.linalg.norm(0.5 * x) <= 0.5 * 2.0 + 1e-9
 
 
 def fedavg_oracle_enumeration(features, labels, theta, eta, batch):
@@ -162,6 +180,14 @@ def fedavg_oracle_enumeration(features, labels, theta, eta, batch):
     return deltas.mean(axis=0), deltas.var(axis=0)
 
 
+def replays_of_one(scheme, features, labels, theta, clip, rng):
+    """One user's ``fedavg_replays`` as a stack of one, returned as that user's (dim, M) replays."""
+    replays = fedavg_replays(scheme, design(features)[None], labels[None], LINEAR, theta, clip,
+                             [rng])
+    assert replays.columns.shape[0] == 1
+    return GradientMatrix(replays.columns[0], clip)
+
+
 class TestFedavgDistribution:
     def test_deterministic_local_training_collapses(self):
         rng = np.random.default_rng(10)
@@ -170,7 +196,7 @@ class TestFedavgDistribution:
         # batch = dataset size: every replay is full-batch GD, no randomness,
         # so all update samples coincide and the second moment is rank one
         scheme = UpdateScheme(SchemeKind.FEDAVG, batch=5, learning_rate=0.1, fedavg_samples=8)
-        replays = fedavg_replays(scheme, design(features), labels, LINEAR, np.zeros(3), 10.0, rng)
+        replays = replays_of_one(scheme, features, labels, np.zeros(3), 10.0, rng)
         model = estimate_mean_cov(replays, scheme.batch)
         assert rank(model.spectrum()) <= 1
         # residual spread around the mean direction is numerically zero
@@ -182,7 +208,7 @@ class TestFedavgDistribution:
         features = rng.standard_normal((8, 3))
         labels = rng.standard_normal(8)
         scheme = UpdateScheme(SchemeKind.FEDAVG, batch=2, learning_rate=0.2, fedavg_samples=2)
-        replays = fedavg_replays(scheme, design(features), labels, LINEAR, np.zeros(4), 5.0, rng)
+        replays = replays_of_one(scheme, features, labels, np.zeros(4), 5.0, rng)
         assert replays.columns.shape == (4, 2)
         model = estimate_mean_cov(replays, scheme.batch)
         assert rank(model.spectrum()) <= 2
@@ -195,7 +221,7 @@ class TestFedavgDistribution:
         eta, batch, m = 0.4, 2, 200
         exact_mean, exact_var = fedavg_oracle_enumeration(features, labels, theta, eta, batch)
         scheme = UpdateScheme(SchemeKind.FEDAVG, batch=batch, learning_rate=eta, fedavg_samples=m)
-        replays = fedavg_replays(scheme, design(features), labels, LINEAR, theta, 100.0, rng)
+        replays = replays_of_one(scheme, features, labels, theta, 100.0, rng)
         model = estimate_mean_cov(replays, scheme.batch)
         se = np.sqrt(exact_var / m)
         assert np.all(np.abs(model.mean - exact_mean) <= 3.0 * se + 1e-12)

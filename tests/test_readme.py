@@ -1,9 +1,13 @@
 """The README's code stays runnable as written."""
 
 import math
+import shlex
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from aggnoise.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +26,21 @@ def test_library_use_example_runs():
     assert np.isfinite(update).all()
     assert floored.spectrum().min() >= 0.01
     assert math.isfinite(namespace["total"].total_eps)
+
+
+def cli_account_lines() -> list[str]:
+    """Every ``aggnoise account`` command of the fenced sh blocks under the CLI heading."""
+    text = README.read_text().split("## CLI\n", 1)[1].split("\n## ", 1)[0]
+    blocks = [block.split("```", 1)[0] for block in text.split("```sh\n")[1:]]
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("aggnoise account ")]
+
+
+def test_cli_section_documents_account():
+    assert len(cli_account_lines()) >= 2
+
+
+@pytest.mark.parametrize("line", cli_account_lines())
+def test_account_example_runs(line, capsys):
+    assert main(shlex.split(line)[1:]) == EXIT_OK
+    assert capsys.readouterr().out

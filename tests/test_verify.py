@@ -1,6 +1,8 @@
 """Oracle module self-checks: the verifiers are verified here."""
 
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -9,6 +11,7 @@ from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtr
 from scipy.stats import norm
 
+import aggnoise
 from aggnoise.accountant import (
     ClosedFormMode,
     PrivacyParams,
@@ -39,6 +42,7 @@ from aggnoise.verify import (
     _random_clipped,
     _random_clipped_columns,
     _substitute_column,
+    _Trial,
     build_counterexample,
     certify_closed_form,
     certify_rdp,
@@ -65,7 +69,7 @@ def closed_form_instances(n_trials, rng):
         lambda_0 = 4.0 * clip * clip * root / (batch * batch)
         floor = lambda_0 / n_users * float(rng.choice([1.05, 2.0, 5.0, 20.0]))
         # the reference path checks each user's draw against its clip on its own
-        users = [GradientMatrix(_random_clipped_columns(dim, count, clip, rng), clip)
+        users = [GradientMatrix(_random_clipped_columns(dim, count, clip, rng, 0.6, 0.4), clip)
                  for _ in range(n_users)]
         yield params, floor, users
 
@@ -122,7 +126,8 @@ def per_instance_rdp(variant, n_trials, rng, alphas=(1.5, 2.0, 4.0)):
         substituted = [GradientMatrix(replaced, clip)] + users[1:]
         if variant is RdpVariant.THEOREM1_RDP:
             floor = 0.0
-            context = float(sum(estimate_mean_cov(g, 1).spectrum()[-1] for g in users))
+            # the users' summed unit-batch lambda_min, as B times each batch-B estimate's
+            context = float(sum(batch * estimate_mean_cov(g, batch).spectrum()[-1] for g in users))
             if context <= 0:
                 continue
         else:
@@ -512,11 +517,52 @@ class TestStackedSuites:
     def test_estimates_check_each_draw_against_its_own_clip(self):
         # a draw over its own trial's clip is rejected even when a larger clip shares its stack
         rng = np.random.default_rng(4)
-        long = _random_clipped_columns(3, 5, 2.0, rng)  # norms in [1.2, 2]
-        short = _random_clipped_columns(3, 5, 1.0, rng)
-        _estimates([short, long], np.array([1.0, 2.0]), np.array([1, 1]))
+        long = _random_clipped_columns(3, 5, 2.0, rng, 0.6, 0.4)  # norms in [1.2, 2]
+        short = _random_clipped_columns(3, 5, 1.0, rng, 0.6, 0.4)
+        small, large = (PrivacyParams(clip=clip, batch=1, local_size=5) for clip in (1.0, 2.0))
+        _estimates([_Trial(small, [short]), _Trial(large, [long])], lambda t: t.users)
         with pytest.raises(ValueError, match=r"exceeds clip bound 1\b"):
-            _estimates([long, short], np.array([1.0, 2.0]), np.array([1, 1]))
+            _estimates([_Trial(small, [long]), _Trial(large, [short])], lambda t: t.users)
+
+    def test_estimates_read_each_trial_s_batch_and_floor(self):
+        rng = np.random.default_rng(6)
+        trials = [
+            _Trial(PrivacyParams(clip=1.0, batch=batch, local_size=5, floor=floor),
+                   [_random_clipped_columns(3, 5, 1.0, rng, 0.6, 0.4) for _ in range(users)])
+            for batch, floor, users in ((1, 0.0, 2), (3, 0.05, 1), (2, 0.01, 3))
+        ]
+        models = _estimates(trials, lambda t: t.users)
+        member = 0
+        for t in trials:
+            for g in t.users:
+                alone, _ = floor_eigenvalues(
+                    estimate_mean_cov(GradientMatrix(g, t.params.clip), t.params.batch), t.params.floor
+                )
+                for stacked, one in ((models.mean[member], alone.mean),
+                                     (models.eigvals[member], alone.eigvals),
+                                     (models.eigvecs[member], alone.eigvecs)):
+                    assert np.array_equal(stacked, one)
+                member += 1
+        assert member == models.mean.shape[0] == 6
+
+    def test_suites_do_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma; nothing on the verify path needs it
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from aggnoise.accountant import RdpVariant\n"
+            "from aggnoise.verify import certify_closed_form, certify_rdp\n"
+            "rng = np.random.default_rng(3)\n"
+            "assert certify_closed_form(5, rng)\n"
+            "for variant in (RdpVariant.THEOREM1_RDP, RdpVariant.WFDP_A, RdpVariant.WFDP_B):\n"
+            "    assert certify_rdp(variant, 5, rng)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(aggnoise.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "False\n"
 
     def test_rejects_unadjudicated_variant(self):
         with pytest.raises(ValueError):
