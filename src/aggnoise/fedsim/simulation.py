@@ -243,12 +243,13 @@ def user_update(
     The updates are ``compute_update``'s, raw: unscaled by the learning rate.
     The models are the unfloored distributions of the updates on the
     clipped-gradient scale, the ones the accountant sums: the FEDAVG replays'
-    estimates, a zero spectrum for deterministic FULL_GD, the estimates
+    estimates, a zero spectrum for deterministic FULL_GD, the estimates dense
     Gaussian-sampled updates were drawn from, or else the estimates from the
     clipped gradients, as one model stack in slot order, at most one estimate
-    per user; sensitive users get None. Member i draws from
-    ``rngs[i]`` in this order: scheme draw, then FEDAVG replays. Non-sensitive
-    stacks under WFDP go through ``floored_update`` instead.
+    per user; sensitive users get None, so one with thin gradients is never
+    estimated. Member i draws from ``rngs[i]`` in this order: scheme draw,
+    then FEDAVG replays. Non-sensitive stacks under WFDP go through
+    ``floored_update`` instead.
     """
     scheme = stack.scheme
     raw, grads, sampled_from = compute_update(
@@ -263,7 +264,7 @@ def user_update(
         # full-batch updates are deterministic, their gradients' mean: no sampling randomness
         models = CovarianceModel.isotropic(raw)
     elif sampled_from is not None:
-        # the Gaussian-sampled scheme already estimated these models
+        # a dense Gaussian-sampled stack already estimated these models
         models = sampled_from
     else:
         models = estimate_mean_cov(grads, scheme.batch)
@@ -285,7 +286,7 @@ def floored_update(
     The updates' distribution comes as gradients: the FEDAVG replays, or else
     the clipped gradients, FULL_GD's as an infinite batch. IID_SGD still draws
     its minibatch, and a GAUSSIAN_SAMPLED stream skips the draw WFDP replaces,
-    one normal per component of the unblocked estimate it would be drawn from
+    one normal per component of the unblocked estimate, estimated or not
     (``estimate_width``), which keeps each stream where ``user_update`` leaves
     it. Each coordinate block's rows then go through ``wfdp_from_spectra`` on
     their own, in block order, from the same streams: a block the floor covers
@@ -444,9 +445,10 @@ def run_round(
     )
 
     theorem1_context = 0.0
-    if theorem1:
+    if theorem1 and (rank(spectra) == model.dim).any():
         # that bound's context is the per-user spectrum before the 1/B update
-        # scaling, i.e. B times each unfloored lambda_min, slot by slot
+        # scaling, i.e. B times each unfloored lambda_min, slot by slot; it is
+        # zero when every user's covariance is singular, and _account refuses it
         for lam in spectra[:, -1].tolist():
             theorem1_context += params.batch * lam
     lambda_min = float(summed[-1])
@@ -505,7 +507,13 @@ def _account(
             "substituted gradient escapes its span"
         )
     elif route is RdpVariant.THEOREM1_RDP:
-        lam = theorem1_context
+        if theorem1_context > 0:
+            lam = theorem1_context
+        else:
+            cause = (
+                "necessary condition violated: every non-sensitive user's covariance "
+                "is singular, so theorem 1's context sum_u B lambda_min(Sigma_u) is zero"
+            )
     # floored-mechanism RDP variants read (N, sigma^2) from params
     return account_round(
         lam, params, route, round_index=round_index, noise_trace=noise_trace,

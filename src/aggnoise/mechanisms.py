@@ -31,11 +31,12 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import EmptyDataset, NonFinite
+from .errors import DimensionMismatch, EmptyDataset, NonFinite
 from .spectra import (
     CovarianceModel,
     GradientMatrix,
     estimate_mean_cov,
+    estimate_width,
     floor_coverage,
     _member_normals,
     floor_eigenvalues,
@@ -159,6 +160,18 @@ def clipped_gradients(phi: Array, labels: Array, model, theta: Array, clip: floa
     return GradientMatrix(_clipped_per_example(model, theta, phi, labels, clip).swapaxes(-1, -2), clip)
 
 
+def _check_stack(phi: Array, labels: Array, rngs: Sequence[np.random.Generator]) -> None:
+    """Refuse anything but a stack: (k, D, p) design rows, (k, D) labels and k generators."""
+    rows, ys = np.shape(phi), np.shape(labels)
+    count = None if isinstance(rngs, np.random.Generator) else len(rngs)
+    if len(rows) != 3 or ys != rows[:2] or count != rows[0]:
+        given = "one bare generator" if count is None else f"{count} generators"
+        raise DimensionMismatch(
+            "expected a stack of (k, D, p) design rows, (k, D) labels and k generators, "
+            f"got rows {rows}, labels {ys} and {given}"
+        )
+
+
 def compute_update(
     scheme: UpdateScheme,
     phi: Array,
@@ -171,16 +184,20 @@ def compute_update(
     """A stack's updates (k, dim), the clipped gradients behind them, and their estimates.
 
     ``phi`` holds the users' design rows (k, D, p) (see ``models.design``),
-    ``labels`` (k, D), and ``rngs`` one generator per member. IID_SGD averages
-    B with-replacement samples of the clipped per-example gradients; FULL_GD
-    averages all of them; GAUSSIAN_SAMPLED draws from the estimated update
-    distribution (mean, second moment / (B*D)); FEDAVG runs local training and
-    clips the whole resulting delta to ``clip``. The updates stay on the
-    clipped-gradient scale, with no learning rate (FEDAVG's steps carry it).
-    The gradients are None for FEDAVG, and the estimates are the model stack
-    ``estimate_mean_cov(grads, scheme.batch)`` GAUSSIAN_SAMPLED drew from,
-    None for the schemes that do not estimate.
+    ``labels`` (k, D), and ``rngs`` one generator per member; anything else
+    raises DimensionMismatch. IID_SGD averages B with-replacement samples of
+    the clipped per-example gradients; FULL_GD averages all of them;
+    GAUSSIAN_SAMPLED draws from (mean, second moment / (B*D)): thin gradients
+    X (at most dim/2 of them) give the paper's X w, w ~ N(1/D, I/(B*D)), as
+    mean + X z / sqrt(B*D) from the D normals z a draw from their estimate
+    takes, and dense ones are drawn from their estimate; FEDAVG runs local
+    training and clips the whole resulting delta to ``clip``. The updates stay
+    on the clipped-gradient scale, with no learning rate (FEDAVG's steps carry
+    it). The gradients are None for FEDAVG, and the estimates are the model
+    stack ``estimate_mean_cov(grads, scheme.batch)`` a dense GAUSSIAN_SAMPLED
+    stack drew from, None when nothing was estimated.
     """
+    _check_stack(phi, labels, rngs)
     if phi.shape[-2] == 0:
         raise EmptyDataset("user dataset is empty")
     if scheme.kind is SchemeKind.FEDAVG:
@@ -195,8 +212,13 @@ def compute_update(
         picks = [rng.integers(0, cols.shape[-1], size=scheme.batch) for rng in rngs]
         updates = np.stack([member[:, idx].mean(axis=1) for member, idx in zip(cols, picks)])
     elif scheme.kind is SchemeKind.GAUSSIAN_SAMPLED:
-        dist = estimate_mean_cov(grads, scheme.batch)
-        updates = sample_gaussian(dist, rngs)
+        if estimate_width(grads.dim, grads.count) < grads.dim:  # thin: drawn from the gradients
+            z = _member_normals(rngs, np.full(len(rngs), grads.count))
+            spread = (cols @ z[..., None])[..., 0] / np.sqrt(scheme.batch * grads.count)
+            updates = cols.mean(axis=-1) + spread
+        else:
+            dist = estimate_mean_cov(grads, scheme.batch)
+            updates = sample_gaussian(dist, rngs)
     else:
         raise ValueError(f"unknown scheme {scheme.kind}")
     return updates, grads, dist
@@ -217,11 +239,13 @@ def fedavg_replays(
     order, from its own stream spawned from its member's generator; the M
     resulting (whole-update-clipped) deltas are the columns of a (k, dim, M)
     gradient stack, so ``estimate_mean_cov(replays, scheme.batch)`` gives them
-    the same 1/(B*M) second-moment scaling the other schemes use.
+    the same 1/(B*M) second-moment scaling the other schemes use. The inputs
+    are a stack, as ``compute_update``'s.
     """
     m = scheme.fedavg_samples
     if m < 2:
         raise ValueError(f"need at least 2 replays, got {m}")
+    _check_stack(phi, labels, rngs)
     if phi.shape[-2] == 0:
         raise EmptyDataset("user dataset is empty")
     streams = [rng.spawn(m) for rng in rngs]

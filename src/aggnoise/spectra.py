@@ -23,8 +23,11 @@ w ~ N(1/D, I/(B*D)). With D > dim/2 it eigendecomposes that dim x dim matrix;
 with at most half as many gradients as coordinates it eigendecomposes a D x D
 reduction (through a thin QR of the gradients) instead and keeps all D
 components, with tail 0. The shapes alone fix an estimate's width
-(``estimate_width``). Whether a floor covers a user's whole spectrum is
-decided without an estimate: ``floor_coverage`` forms the user's matrix
+(``estimate_width``). A thin Gaussian-sampled update needs no estimate: it
+is drawn straight from its gradients X as mean + X z / sqrt(B*D), from the D
+normals z a draw from its estimate takes (``mechanisms.compute_update``);
+only a dense one is drawn from its estimate. Whether a floor covers a user's
+whole spectrum is decided without an estimate: ``floor_coverage`` forms the user's matrix
 once (the dense second moment, or for thin gradients the D x D Gram matrix,
 which has the same nonzero eigenvalues), certifies it by Cholesky
 factorizations, and reads the eigenvalues alone of a matrix it cannot

@@ -330,6 +330,28 @@ class TestSimulateCommand:
         assert entry["eps"] == "inf"
         assert "necessary condition violated" in entry["cause"]
 
+    def test_theorem1_route_refuses_singular_user_covariances(self, tmp_path):
+        # D = 10 gradients of d = 40 coordinates: every user's covariance has rank
+        # at most 10, so theorem 1's context, sum_u B lambda_min, is zero
+        cfg, _ = write_config(
+            tmp_path,
+            dataset={"features": 39, "per_user": 10},
+            scheme={"kind": "gaussian_sampled", "batch": 2},
+            mechanism={"kind": "none", "sigma2": 0.0},
+            accountant={"route": "theorem1_rdp", "composition": "rdp"},
+        )
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "simulate", "--config", cfg]) == EXIT_OK
+        ledger = json.loads((out / "ledger.json").read_text())
+        assert ledger["total_eps"] == "inf"
+        assert len(ledger["entries"]) == 3
+        for entry in ledger["entries"]:
+            assert entry["route"] == "refused" and entry["eps"] == "inf"
+            assert entry["cause"] == (
+                "necessary condition violated: every non-sensitive user's covariance "
+                "is singular, so theorem 1's context sum_u B lambda_min(Sigma_u) is zero"
+            )
+
     def test_eps_vs_users_sweep_decreases(self, tmp_path):
         # batch size keeps every N in the high-privacy region, where the
         # aggregate-more-users effect is monotone (no low-region clamp)

@@ -559,6 +559,8 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
     unless ``mech`` has more, read their spectrum: at or below the floor the
     block is floored to sigma^2 I with no estimate, above it it is estimated
     and floored. A user's spectrum and the aggregate's are the blocks' together.
+    Theorem 1's context sums B lambda_min over the users, and is zero when no
+    user's spectrum has full rank.
     """
     n_total = len(users)
     ops = ModelOps(model.family)
@@ -568,6 +570,7 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
     submissions = []
     ns_models = [[] for _ in blocks]
     theorem1_context = noise_trace = 0.0
+    full_rank_users = 0
     approx_gaussian = False
     sigma2 = mech.sigma2
     for slot, user in enumerate(users):
@@ -620,6 +623,7 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
             spectrum = spectra[0] if len(blocks) == 1 else np.sort(np.concatenate(spectra))[::-1]
             if route is RdpVariant.THEOREM1_RDP:
                 theorem1_context += params.batch * spectrum[-1]
+                full_rank_users += spectra_module.rank(spectrum) == dim
             sign = 1.0 if scheme.kind is SchemeKind.FEDAVG else -1.0
             submissions.append(sign * update_scale * np.concatenate(vectors))
             noise_trace += lift
@@ -642,6 +646,7 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
                 dist_model = estimate_mean_cov(of_one(grads), scheme.batch)
             if route is RdpVariant.THEOREM1_RDP:
                 theorem1_context += params.batch * dist_model.spectrum()[-1]
+                full_rank_users += spectra_module.rank(dist_model.spectrum()) == dim
             if mech.kind is MechanismKind.WFNA:
                 noised = mechanisms.wfna_noise(dist_model, sigma2, rng)
                 x = x + update_scale * noised.vector
@@ -663,6 +668,8 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
     parts = [sum_covariances(block_models, isotropic_extra=extra) for block_models in ns_models]
     summed = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))[::-1]
     lambda_min = float(summed[-1])
+    if not full_rank_users:
+        theorem1_context = 0.0
     entry = simulation._account(summed, lambda_min, theorem1_context, params, route,
                                 round_index, noise_trace, refusal, approx_gaussian)
     all_phi = design(np.vstack([u.features for u in users]))
@@ -882,6 +889,38 @@ class TestAccountReadsTheSpectrum:
         assert entry.eps == math.inf and "rank 2 < 3" in entry.cause
         assert self.account([0.5, 0.02, 6e-11], ClosedFormMode.GENERAL).cause is None
 
+    def test_theorem1_route_refuses_a_zero_context(self):
+        spectrum = np.array([0.5, 0.02, 0.01])
+        refused = simulation._account(spectrum, 0.01, 0.0, self.PARAMS, RdpVariant.THEOREM1_RDP,
+                                      0, 0.0, None, False)
+        assert refused.eps == math.inf and "covariance is singular" in refused.cause
+        entry = simulation._account(spectrum, 0.01, 0.2, self.PARAMS, RdpVariant.THEOREM1_RDP,
+                                    0, 0.0, None, False)
+        assert entry.cause is None and entry.curve.sum_lambda_min == 0.2
+
+    def test_theorem1_context_is_zero_when_every_user_is_singular(self, monkeypatch):
+        # D = 3 replays of d = 5 coordinates: each user's dense estimate has rank 3,
+        # and its computed lambda_min is rounding, not a context
+        scheme = UpdateScheme(SchemeKind.FEDAVG, batch=2, learning_rate=0.2, fedavg_samples=3)
+        users, _, family = make_users(4, 1, scheme, seed=2, task="regression", features=4,
+                                      per_user=10)
+        params = PrivacyParams(clip=1.0, batch=2, local_size=10, ns_users=3, delta=1e-3)
+        contexts = []
+        original = simulation._account
+
+        def recording(summed, lambda_min, theorem1_context, *args):
+            contexts.append(theorem1_context)
+            return original(summed, lambda_min, theorem1_context, *args)
+
+        monkeypatch.setattr(simulation, "_account", recording)
+        _, spectra, _, _, _ = simulation.noise_round(init_model(family, 4), Cohort(users),
+                                                     MechanismConfig(MechanismKind.NONE), 1.0, 5,
+                                                     0, spectra=True)
+        assert (spectra_module.rank(spectra) < 5).all() and spectra[:, -1].max() > 0.0
+        outcome = run_round(init_model(family, 4), users, MechanismConfig(MechanismKind.NONE),
+                            params, RdpVariant.THEOREM1_RDP, master_seed=5, round_index=0)
+        assert contexts == [0.0] and "covariance is singular" in outcome.entry.cause
+
 
 class TestAggregateSpectrum:
     """A round reads its aggregate as eigenvalues alone: one 2-D eigvalsh of the sum, no 2-D eigh."""
@@ -950,8 +989,9 @@ class TestFloorsFromSpectra:
 
     @pytest.mark.parametrize("features", [11, 59], ids=["dense", "thin"])
     def test_covered_users_are_not_decomposed(self, monkeypatch, features):
-        # a regression guard: eigh and qr run only for the sensitive user's
-        # estimate, which its Gaussian-sampled update is drawn from
+        # a regression guard: eigh runs only for the sensitive user's dense
+        # estimate, which its Gaussian-sampled update is drawn from; a thin
+        # update is drawn from its gradients, so a thin round decomposes nothing
         calls = []
         for name in ("eigh", "qr"):
             def counting(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
@@ -967,7 +1007,7 @@ class TestFloorsFromSpectra:
         if 2 * count > dim:
             assert calls == [("eigh", (1, dim, dim))]
         else:
-            assert calls == [("qr", (1, dim, count)), ("eigh", (1, count, count))]
+            assert calls == []
 
     @pytest.mark.parametrize("block_count", [1, 2])
     @pytest.mark.parametrize("features", [11, 59], ids=["dense", "thin"])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aggnoise import spectra as spectra_module
-from aggnoise.errors import EmptyDataset, NonFinite, NotPositiveSemidefinite
+from aggnoise.errors import DimensionMismatch, EmptyDataset, NonFinite, NotPositiveSemidefinite
 from aggnoise.fedsim.models import ModelFamily, ModelOps, design
 from aggnoise.mechanisms import (
     NoisedUpdate,
@@ -163,6 +163,92 @@ class TestComputeUpdate:
             scheme = UpdateScheme(kind, batch=4, learning_rate=0.5)
             x, _, _ = update_of_one(scheme, features, labels, theta, 2.0, rng)
             assert np.linalg.norm(0.5 * x) <= 0.5 * 2.0 + 1e-9
+
+    @pytest.mark.parametrize("kind", list(SchemeKind))
+    def test_anything_but_a_stack_is_refused(self, kind):
+        rng = np.random.default_rng(1)
+        features, labels = rng.standard_normal((6, 3)), rng.standard_normal(6)
+        phi = design(features)  # one user's (6, 4) rows
+        scheme = UpdateScheme(kind, batch=2, fedavg_samples=2)
+        stack = phi[None], labels[None]
+        expected = r"expected a stack of \(k, D, p\) design rows, \(k, D\) labels and k generators"
+        for rows, ys, rngs in [
+            (phi, labels, np.random.default_rng(1)),  # a single user with a bare generator
+            (*stack, np.random.default_rng(1)),  # a stack of one with a bare generator
+            (*stack, [np.random.default_rng(1)] * 2),  # one generator too many
+            (stack[0], labels, [np.random.default_rng(1)]),  # labels unstacked
+        ]:
+            with pytest.raises(DimensionMismatch, match=expected):
+                compute_update(scheme, rows, ys, LINEAR, np.zeros(4), 1.0, rngs)
+            if kind is SchemeKind.FEDAVG:
+                with pytest.raises(DimensionMismatch, match=expected):
+                    fedavg_replays(scheme, rows, ys, LINEAR, np.zeros(4), 1.0, rngs)
+
+
+class TestGaussianSampledDraw:
+    """A thin Gaussian-sampled update is drawn from its gradients; a dense one from its estimate."""
+
+    BATCH = 2
+
+    def stack(self, features, per_user, members, seed=0):
+        rng = np.random.default_rng(seed)
+        phi = design(rng.standard_normal((members, per_user, features)))
+        labels = 3.0 * rng.standard_normal((members, per_user))
+        return phi, labels, np.zeros(features + 1)
+
+    def test_thin_draw_has_the_estimated_mean_and_covariance(self):
+        # one user repeated in a stack of n members: n independent draws in one call
+        n, per_user = 20000, 8
+        phi, labels, theta = self.stack(20, per_user, 1, seed=3)
+        scheme = UpdateScheme(SchemeKind.GAUSSIAN_SAMPLED, batch=self.BATCH)
+        rows = np.broadcast_to(phi, (n,) + phi.shape[1:])
+        ys = np.broadcast_to(labels, (n, per_user))
+        draws, grads, dist = compute_update(scheme, rows, ys, LINEAR, theta, 1.0,
+                                            [np.random.default_rng(11)] * n)
+        assert dist is None and estimate_width(grads.dim, grads.count) == per_user < grads.dim
+        cols = grads.columns[0]
+        mean = cols.mean(axis=1)
+        cov = cols @ cols.T / (self.BATCH * per_user)  # X X^T / (B D)
+        # a rank-D covariance: the draws stay in the gradients' span
+        assert spectra_module.span_contains(cols, draws[7] - mean)
+        tolerance = 5.0 * np.sqrt(np.diag(cov) / n)
+        assert np.all(np.abs(draws.mean(axis=0) - mean) <= tolerance)
+        centered = draws - mean
+        sample_cov = centered.T @ centered / n
+        assert np.linalg.norm(sample_cov - cov) <= 0.06 * np.linalg.norm(cov)
+
+    def test_thin_draw_takes_the_estimate_draws_normals(self):
+        per_user = 8
+        phi, labels, theta = self.stack(20, per_user, 3)
+        scheme = UpdateScheme(SchemeKind.GAUSSIAN_SAMPLED, batch=self.BATCH)
+        rngs = [np.random.default_rng(seed) for seed in (4, 5, 6)]
+        draws, grads, _ = compute_update(scheme, phi, labels, LINEAR, theta, 1.0, rngs)
+        from_estimate = [np.random.default_rng(seed) for seed in (4, 5, 6)]
+        sample_gaussian(estimate_mean_cov(grads, self.BATCH), from_estimate)
+        for seed, rng, other in zip((4, 5, 6), rngs, from_estimate):
+            called = np.random.default_rng(seed)
+            z = np.array([called.standard_normal() for _ in range(per_user)])
+            assert rng.bit_generator.state == called.bit_generator.state
+            assert rng.bit_generator.state == other.bit_generator.state
+            # the draw is mean + X z / sqrt(B D), from those D normals
+            cols = grads.columns[seed - 4]
+            expected = cols.mean(axis=1) + cols @ z / np.sqrt(self.BATCH * per_user)
+            assert np.allclose(draws[seed - 4], expected, rtol=1e-12, atol=1e-15)
+
+    # d = 5 and 9 are dense (D = 8 > d/2), as is d = D = 8, whose estimate also keeps D components
+    @pytest.mark.parametrize("features", [4, 8, 7])
+    def test_dense_draw_is_the_estimate_draw(self, features):
+        phi, labels, theta = self.stack(features, 8, 3)
+        scheme = UpdateScheme(SchemeKind.GAUSSIAN_SAMPLED, batch=self.BATCH)
+        draws, grads, dist = compute_update(scheme, phi, labels, LINEAR, theta, 1.0,
+                                            [np.random.default_rng(seed) for seed in (4, 5, 6)])
+        assert estimate_width(grads.dim, grads.count) == grads.dim
+        expected = estimate_mean_cov(grads, self.BATCH)
+        for got, want in ((dist.mean, expected.mean), (dist.eigvecs, expected.eigvecs),
+                          (dist.eigvals, expected.eigvals)):
+            assert np.array_equal(got, want)
+        again = sample_gaussian(expected, [np.random.default_rng(seed) for seed in (4, 5, 6)])
+        assert draws.tobytes() == again.tobytes()
 
 
 def fedavg_oracle_enumeration(features, labels, theta, eta, batch):
