@@ -7,6 +7,7 @@ filling") mechanism that guarantees DP with the minimum added noise.
 """
 
 from .accountant import (
+    ROUTES,
     ClosedFormBound,
     ClosedFormMode,
     CompositionMode,
@@ -15,8 +16,10 @@ from .accountant import (
     PrivacyParams,
     RdpCurve,
     RdpVariant,
+    Reads,
     Region,
     RoundLedger,
+    Route,
     account_round,
     amplify_subsampling,
     compose,

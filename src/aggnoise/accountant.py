@@ -21,7 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -181,7 +181,7 @@ def eps_dp_closed_form(
     bound = delta_validity_limit(eps)
     if delta >= bound:
         raise DeltaOutOfRegion(
-            f"delta={delta:.3g} >= f(eps)={bound:.3g} in the low-privacy region"
+            f"delta={delta!r} >= f(eps)={bound!r} in the low-privacy region"
         )
     return ClosedFormBound(eps=eps, region=Region.LOW, delta_bound=bound, warnings=tuple(warnings))
 
@@ -736,7 +736,90 @@ def compose(ledger: RoundLedger) -> CompositionResult:
     return CompositionResult(eps_star, mode, delta, alpha_star=alpha_star, warnings=warnings)
 
 
-Route = Union[ClosedFormMode, RdpVariant]
+class Reads(Enum):
+    """The one input a route's bound reads, in words."""
+
+    LAMBDA_MIN = "the aggregate's smallest eigenvalue"
+    NONZERO_LAMBDA_MIN = "the aggregate's smallest non-zero eigenvalue"
+    PER_USER_LAMBDA = "one user's smallest eigenvalue, times N"
+    CONTEXT = "theorem 1's context sum_u B lambda_min(Sigma_u)"
+    FLOOR = "the floor N sigma^2"
+
+
+@dataclass(frozen=True)
+class Route:
+    """One accountant route, a row of ``ROUTES``.
+
+    ``name`` is its key and its ledger ``route``, behind ``rdp:`` for an RDP
+    route; ``config`` is the ``accountant.route`` that selects it (a closed
+    form's with its ``mode``; None if no round supplies its input), ``cli``
+    its ``account --route``. ``build`` makes a round's entry fields from the
+    one input it ``reads``: a closed form's eps, which an RDP ledger
+    re-expresses as a GAUSSIAN curve of lambda_min, or an RDP curve. It
+    raises DeltaOutOfRegion or EmptyValidityInterval where the bound has no
+    value; ``limit`` names a round-read input's least value with an order
+    above 1 (a floor's interval depends on the parameters alone).
+    ``verify`` does not fail on an ``adjudicated`` route's dominance suite:
+    the printed floored-mechanism variants disagree, and it decides between them.
+    """
+
+    name: str
+    config: Optional[str]
+    cli: str
+    formula: Union[ClosedFormMode, RdpVariant]
+    reads: Reads
+    composition: CompositionMode
+    build: Callable[..., dict]
+    limit: str = ""
+    adjudicated: bool = False
+
+    @property
+    def mode(self) -> Optional[str]:
+        return self.name.partition(":")[2] or None
+
+
+def _closed_form_fields(route: Route, value: float, params: PrivacyParams, warnings) -> dict:
+    bound = eps_dp_closed_form(value, params, route.formula)
+    delta_total, warnings = params.delta, warnings + bound.warnings
+    if params.approx_gauss_delta0 > 0:
+        inflated = delta_approx_gaussian(bound.eps, params)
+        delta_total = inflated.total
+        if inflated.meaningless:
+            warnings = warnings + (WARN_MEANINGLESS_DELTA,)
+    # the aggregate's eigenvalue, the one an RDP ledger re-expresses
+    lam = value * params.ns_users if route.reads is Reads.PER_USER_LAMBDA else value
+    return dict(route=route.name, lambda_min=lam, eps=bound.eps, delta_total=delta_total,
+                region=bound.region.value, warnings=warnings)
+
+
+def _curve_fields(route: Route, value: float, params: PrivacyParams, warnings) -> dict:
+    floor = route.reads is Reads.FLOOR  # read from params
+    curve = RdpCurve(route.formula, params, sum_lambda_min=None if floor else value)
+    lo, hi = curve.alpha_interval()
+    if not hi > lo:
+        why = ""
+        if route.limit and hi > 0:  # hi is linear in the input, so value / hi is the limit
+            why = f"; {route.reads.value} = {value:.6g} is at most {route.limit} = {value / hi:.6g}"
+        raise EmptyValidityInterval(
+            f"empty alpha validity interval for {route.name}: upper bound {hi:.6g} <= 1{why}"
+        )
+    return dict(route=f"rdp:{route.name}", lambda_min=value, curve=curve, warnings=warnings)
+
+
+ROUTES: dict[str, Route] = {route.name: route for route in (
+    Route("closed_form:general", "closed_form", "closed", ClosedFormMode.GENERAL,
+          Reads.LAMBDA_MIN, CompositionMode.SIMPLE, _closed_form_fields),
+    Route("closed_form:singular", "closed_form", "closed", ClosedFormMode.SINGULAR,
+          Reads.NONZERO_LAMBDA_MIN, CompositionMode.SIMPLE, _closed_form_fields),
+    Route("closed_form:iid", None, "closed", ClosedFormMode.IID,
+          Reads.PER_USER_LAMBDA, CompositionMode.SIMPLE, _closed_form_fields),
+    Route("theorem1_rdp", "theorem1_rdp", "theorem1-rdp", RdpVariant.THEOREM1_RDP,
+          Reads.CONTEXT, CompositionMode.RDP, _curve_fields, limit="C^2/D"),
+    Route("wfdp_a", "wfdp_a", "wfdp-a", RdpVariant.WFDP_A,
+          Reads.FLOOR, CompositionMode.RDP, _curve_fields, adjudicated=True),
+    Route("wfdp_b", "wfdp_b", "wfdp-b", RdpVariant.WFDP_B,
+          Reads.FLOOR, CompositionMode.RDP, _curve_fields, adjudicated=True),
+)}
 
 
 def account_round(
@@ -748,59 +831,27 @@ def account_round(
     extra_warnings: Sequence[str] = (),
     cause: Optional[str] = None,
 ) -> LedgerEntry:
-    """Build a ledger entry for one round via the requested route.
+    """Build a ledger entry for one round on ``route``, from the input it reads.
 
-    Closed-form routes produce a scalar bound immediately (chaining the
-    approximate-Gaussian delta inflation when delta0 > 0); RDP routes store
-    the curve and defer the scalar to composition. A non-None ``cause`` marks
-    a round whose guarantee failed outright (epsilon = +inf).
+    ``lambda_min`` is that input; a FLOOR route reads ``params`` and only
+    records it. A round with a non-None ``cause``, or whose bound has no
+    value at this input (a low-privacy closed form past its delta limit, an
+    empty RDP order interval; the error is the cause), is refused: eps = +inf.
     """
     warnings = tuple(extra_warnings)
-    if cause is not None:
-        return LedgerEntry(
-            round_index=round_index,
-            route="refused",
-            lambda_min=lambda_min if lambda_min > 0 else None,
-            eps=math.inf,
-            delta_total=params.delta,
-            noise_trace=noise_trace,
-            warnings=warnings,
-            cause=cause,
-        )
-    if isinstance(route, ClosedFormMode):
-        bound = eps_dp_closed_form(lambda_min, params, route)
-        delta_total = params.delta
-        merged = warnings + bound.warnings
-        if params.approx_gauss_delta0 > 0:
-            inflated = delta_approx_gaussian(bound.eps, params)
-            delta_total = inflated.total
-            if inflated.meaningless:
-                merged = merged + (WARN_MEANINGLESS_DELTA,)
-        lam_eff = lambda_min * params.ns_users if route is ClosedFormMode.IID else lambda_min
-        return LedgerEntry(
-            round_index=round_index,
-            route=f"closed_form:{route.value}",
-            lambda_min=lam_eff,
-            eps=bound.eps,
-            delta_total=delta_total,
-            region=bound.region.value,
-            noise_trace=noise_trace,
-            warnings=merged,
-        )
-    if isinstance(route, RdpVariant):
-        sum_lam = lambda_min if route in (RdpVariant.THEOREM1_RDP, RdpVariant.GAUSSIAN) else None
-        curve = RdpCurve(route, params, sum_lambda_min=sum_lam)
-        lo, hi = curve.alpha_interval()
-        if not hi > lo:
-            raise EmptyValidityInterval(
-                f"empty alpha validity interval for {route.value}: upper bound {hi:.6g} <= 1"
-            )
-        return LedgerEntry(
-            round_index=round_index,
-            route=f"rdp:{route.value}",
-            lambda_min=lambda_min,
-            curve=curve,
-            noise_trace=noise_trace,
-            warnings=warnings,
-        )
-    raise ValueError(f"unknown route {route!r}")
+    if cause is None:
+        try:
+            fields = route.build(route, lambda_min, params, warnings)
+            return LedgerEntry(round_index=round_index, noise_trace=noise_trace, **fields)
+        except (DeltaOutOfRegion, EmptyValidityInterval) as exc:
+            cause = str(exc)
+    return LedgerEntry(
+        round_index=round_index,
+        route="refused",
+        lambda_min=lambda_min if lambda_min > 0 else None,
+        eps=math.inf,
+        delta_total=params.delta,
+        noise_trace=noise_trace,
+        warnings=warnings,
+        cause=cause,
+    )

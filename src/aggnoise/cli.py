@@ -25,10 +25,11 @@ import numpy as np
 
 from . import verify as verify_mod
 from .accountant import (
-    ClosedFormMode,
+    ROUTES,
     CompositionMode,
     PrivacyParams,
-    RdpVariant,
+    Reads,
+    Route,
     RoundLedger,
     account_round,
     compose,
@@ -38,7 +39,6 @@ from .errors import (
     AggNoiseError,
     BadDimension,
     ConfigError,
-    DeltaOutOfRegion,
     EmptyValidityInterval,
     LedgerOrderError,
     NonFinite,
@@ -67,6 +67,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_VERIFY = 4
+
+# the routes a config can select: every one but those whose input no round supplies
+_CONFIG_ROUTES = [route for route in ROUTES.values() if route.config is not None]
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -127,8 +130,8 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "route": {"enum": ["closed_form", "theorem1_rdp", "wfdp_a", "wfdp_b"]},
-                "mode": {"enum": ["general", "singular"]},
+                "route": {"enum": list(dict.fromkeys(route.config for route in _CONFIG_ROUTES))},
+                "mode": {"enum": [route.mode for route in _CONFIG_ROUTES if route.mode]},
                 "composition": {"enum": ["simple", "rdp"]},
                 "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                 "delta0": {"type": "number", "minimum": 0},
@@ -139,13 +142,22 @@ CONFIG_SCHEMA = {
     },
 }
 
-_ROUTE_MAP = {
-    "closed_form:general": ClosedFormMode.GENERAL,
-    "closed_form:singular": ClosedFormMode.SINGULAR,
-    "theorem1_rdp": RdpVariant.THEOREM1_RDP,
-    "wfdp_a": RdpVariant.WFDP_A,
-    "wfdp_b": RdpVariant.WFDP_B,
-}
+
+def _route_named(name: str, mode: str | None, keys: tuple[str, str]) -> Route:
+    """The row that a route's config or CLI name and a mode (absent: general) select.
+
+    ``keys`` are the route's and the mode's key or flag, for errors.
+    """
+    key = name.replace("-", "_")
+    rows = [row for row in ROUTES.values() if key in (row.config, row.cli.replace("-", "_"))]
+    if not rows:
+        raise ConfigError(f"{keys[0]}: unknown route {name!r}")
+    if mode is not None and rows[0].mode is None:
+        raise ConfigError(
+            f"{keys[1]}: route {name} reads {rows[0].reads.value}; "
+            "only the closed forms take a mode"
+        )
+    return next(row for row in rows if row.mode in (mode or "general", None))
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -276,13 +288,11 @@ def _build_run(config: dict, seed: int):
         )
     mech = MechanismConfig(MechanismKind(mech_cfg["kind"]), mech_cfg.get("sigma2", 0.0),
                            mech_cfg.get("blocks", 1))
-    route_key = acct.get("route", "closed_form")
-    if route_key in ("wfdp_a", "wfdp_b") and mech.floor == 0:
-        raise ConfigError(f"accountant.route: {route_key} bounds a floored mechanism (wfdp or "
+    route = _route_named(acct.get("route", "closed_form"), acct.get("mode"),
+                         ("accountant.route", "accountant.mode"))
+    if route.reads is Reads.FLOOR and mech.floor == 0:
+        raise ConfigError(f"accountant.route: {route.name} bounds a floored mechanism (wfdp or "
                           f"wfna), but mechanism {mech.kind.value} floors nothing")
-    if route_key == "closed_form":
-        route_key = f"closed_form:{acct.get('mode', 'general')}"
-    route = _ROUTE_MAP[route_key]
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xDA7A,)))
     if ds["kind"] == "synthetic":
@@ -350,6 +360,11 @@ def _build_run(config: dict, seed: int):
         floor=mech.floor,
         rounds=config["rounds"],
     )
+    if route.reads is Reads.FLOOR:  # its order interval depends on the parameters alone
+        try:
+            route.build(route, 0.0, params, ())
+        except EmptyValidityInterval as exc:
+            raise ConfigError(f"mechanism.sigma2: {exc}") from None
     composition = CompositionMode(acct.get("composition", "simple"))
     model = init_model(family, per_user[0][0].shape[1])
     return user_states, model, mech, params, route, composition, eval_data, dataset_hash
@@ -375,16 +390,11 @@ def cmd_simulate(args) -> int:
     (users, model, mech, params, route, composition, eval_data, dataset_hash) = _build_run(
         config, seed
     )
-    try:
-        result = run_simulation(
-            users, model, mech, params, route,
-            rounds=config["rounds"], master_seed=seed,
-            eval_data=eval_data, composition=composition,
-        )
-    except EmptyValidityInterval as exc:
-        # a purely parameter-determined infeasibility: the configured
-        # (N, sigma^2, D, C) cannot yield a finite epsilon on this route
-        raise ConfigError(str(exc)) from None
+    result = run_simulation(
+        users, model, mech, params, route,
+        rounds=config["rounds"], master_seed=seed,
+        eval_data=eval_data, composition=composition,
+    )
     csv_text = rows_to_csv(result.rows, CSV_COLUMNS)
     ledger_text = result.ledger.to_json(
         total_eps=result.total_eps,
@@ -409,7 +419,7 @@ def cmd_account(args) -> int:
     # flag mistakes and precondition violations are configuration errors here
     try:
         return _account_inner(args)
-    except (EmptyValidityInterval, DeltaOutOfRegion, NonPositiveLambda, ValueError) as exc:
+    except (EmptyValidityInterval, NonPositiveLambda, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -433,46 +443,42 @@ def _account_inner(args) -> int:
         sampling_ratio=args.q,
         rounds=args.T,
     )
-    route_key = args.route.replace("-", "_")
-    if route_key in ("closed_form", "closed"):
-        route_key = f"closed_form:{args.mode}"
-    if route_key not in _ROUTE_MAP:
-        raise ConfigError(f"--route: unknown route {args.route!r}")
-    route = _ROUTE_MAP[route_key]
+    route = _route_named(args.route, args.mode, ("--route", "--mode"))
     # a flag the route would ignore, or that another flag would override, is refused
-    floored = route in (RdpVariant.WFDP_A, RdpVariant.WFDP_B)
+    floored = route.reads is Reads.FLOOR
     floor_flag = "--sigma" if args.sigma is not None else "--sigma2"
+    floor_routes = " and ".join(r.cli for r in ROUTES.values() if r.reads is Reads.FLOOR)
     for flag, refused, why in (
-        ("--iid", args.iid and route is not ClosedFormMode.GENERAL,
+        ("--iid", args.iid and route.reads is not Reads.LAMBDA_MIN,
          "only --route closed --mode general reads --lambda as a per-user minimum"),
-        ("--sum-lambda-min", args.sum_lambda_min is not None and route is not RdpVariant.THEOREM1_RDP,
+        ("--sum-lambda-min", args.sum_lambda_min is not None and route.reads is not Reads.CONTEXT,
          "only --route theorem1-rdp reads it"),
         ("--sum-lambda-min", args.sum_lambda_min is not None and args.lam is not None,
          "give theorem1-rdp's context as --sum-lambda-min or as --lambda, not both"),
         ("--lambda", args.lam is not None and floored,
          f"--route {args.route} reads the floor and --N, not an eigenvalue"),
         (floor_flag, (args.sigma, args.sigma2) != (None, None) and not floored,
-         f"--route {args.route} reads no floor; only wfdp-a and wfdp-b do"),
+         f"--route {args.route} reads no floor; only {floor_routes} do"),
     ):
         if refused:
             raise ConfigError(f"{flag}: {why}")
+    if args.iid:
+        route = ROUTES["closed_form:iid"]
 
-    if isinstance(route, ClosedFormMode):
-        if args.lam is None:
-            raise ConfigError("--route closed: --lambda is required")
-        route = ClosedFormMode.IID if args.iid else route
-        lam, composition = args.lam, CompositionMode.SIMPLE
-    elif route is RdpVariant.THEOREM1_RDP:
-        lam = args.sum_lambda_min if args.sum_lambda_min is not None else args.lam
-        if lam is None:
-            raise ConfigError("--route theorem1-rdp: --sum-lambda-min is required")
-        composition = CompositionMode.RDP
-    else:
-        # the floored-mechanism variants read (N, sigma^2) from params
-        lam, composition = 0.0, CompositionMode.RDP
-    # T identical rounds; composing the first alone gives the per-round line
+    lam = args.sum_lambda_min if args.sum_lambda_min is not None else args.lam
+    if floored:
+        lam = 0.0  # the floored-mechanism variants read (N, sigma^2) from params
+    elif lam is None:
+        flag = "--sum-lambda-min" if route.reads is Reads.CONTEXT else "--lambda"
+        raise ConfigError(f"--route {route.cli}: {flag} is required")
+    composition = route.composition
+    # T identical rounds; composing the first alone gives the per-round line.
+    # A bound with no value at these flags refuses the round: a config error here
+    first = account_round(lam, params, route)
+    if first.cause is not None:
+        raise ConfigError(first.cause)
     ledger = RoundLedger(params, composition)
-    ledger.append(account_round(lam, params, route))
+    ledger.append(first)
     per_round = compose(ledger)
     for t in range(1, args.T):
         ledger.append(account_round(lam, params, route, round_index=t))
@@ -491,7 +497,6 @@ def _account_inner(args) -> int:
             f"at alpha* = {per_round.alpha_star:.6g}"
         )
     else:
-        first = ledger.entries[0]
         print(f"per-round eps = {first.eps:.6g} (region {first.region})")
         if params.approx_gauss_delta0 > 0:
             print(f"per-round delta (Gaussian-approximation inflated) = {first.delta_total:.6g}")
@@ -581,16 +586,18 @@ def cmd_verify(args) -> int:
     )
 
     adjudication = {}
-    for variant in (RdpVariant.THEOREM1_RDP, RdpVariant.WFDP_A, RdpVariant.WFDP_B):
-        reports = verify_mod.certify_rdp(variant, args.trials_rdp, rng)
+    for route in ROUTES.values():
+        if route.composition is not CompositionMode.RDP:
+            continue
+        reports = verify_mod.certify_rdp(route.formula, args.trials_rdp, rng)
         summary = verify_mod.summarize_reports(reports)
-        adjudication[variant.value] = summary
+        adjudication[route.name] = summary
         verdict = "sound" if summary["sound"] else "UNSOUND"
         print(
-            f"rdp dominance [{variant.value}]: {summary['total']} comparisons, "
+            f"rdp dominance [{route.name}]: {summary['total']} comparisons, "
             f"{summary['failures']} violations -> {verdict}"
         )
-        if variant is RdpVariant.THEOREM1_RDP and not summary["sound"]:
+        if not route.adjudicated and not summary["sound"]:
             failures += 1
     report["rdp"] = adjudication
 
@@ -719,8 +726,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_acc = sub.add_parser("account", parents=[shared],
                            help="evaluate accountant routes from flags alone")
     p_acc.add_argument("--route", required=True,
-                       help="closed | theorem1-rdp | wfdp-a | wfdp-b")
-    p_acc.add_argument("--mode", default="general", choices=["general", "singular"])
+                       help=" | ".join(dict.fromkeys(route.cli for route in ROUTES.values())))
+    p_acc.add_argument("--mode", default=None,
+                       choices=[route.mode for route in _CONFIG_ROUTES if route.mode],
+                       help="a closed form's mode (default general)")
     p_acc.add_argument("--iid", action="store_true",
                        help="treat --lambda as the per-user minimum eigenvalue")
     p_acc.add_argument("--lambda", dest="lam", type=float, default=None)

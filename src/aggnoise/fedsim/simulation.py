@@ -43,11 +43,10 @@ import numpy as np
 
 from ..accountant import (
     WARN_APPROX_GAUSSIAN,
-    ClosedFormMode,
     CompositionMode,
     LedgerEntry,
     PrivacyParams,
-    RdpVariant,
+    Reads,
     RoundLedger,
     Route,
     account_round,
@@ -416,23 +415,28 @@ def run_round(
     """Execute one FL round and account it.
 
     The round is ``noise_round``'s pass, secure aggregation of its
-    submissions, and the accountant's entry for its summed spectrum. The
-    per-round guarantee is driven by the smallest eigenvalue of that sum,
-    which by eigenvalue super-additivity is at least the sum of the per-user
-    floors. ``users`` may come laid out as a ``Cohort``, which a run builds
-    once; a plain sequence is laid out here. The floored-mechanism routes
-    read the floor from ``params``, so it must be the one ``mech`` applies.
+    submissions, and the accountant's entry for the input ``route`` reads,
+    taken from the round (``_read``). The closed forms read the summed
+    spectrum, whose smallest eigenvalue by eigenvalue super-additivity is at
+    least the sum of the per-user floors. ``users`` may come laid out as a
+    ``Cohort``, which a run builds once; a plain sequence is laid out here.
+    The floored-mechanism routes read the floor from ``params``, so it must
+    be the one ``mech`` applies.
     """
-    if route in (RdpVariant.WFDP_A, RdpVariant.WFDP_B) and params.floor != mech.floor:
+    if route.config is None:
         raise ConfigError(
-            f"route {route.value} reads floor {params.floor:g} from the privacy parameters, "
+            f"route {route.name} reads {route.reads.value}, which a round does not supply"
+        )
+    if route.reads is Reads.FLOOR and params.floor != mech.floor:
+        raise ConfigError(
+            f"route {route.name} reads floor {params.floor:g} from the privacy parameters, "
             f"but mechanism {mech.kind.value} floors at {mech.floor:g}"
         )
     cohort = users if isinstance(users, Cohort) else Cohort(users)
     n_total = len(cohort.users)
-    theorem1 = route is RdpVariant.THEOREM1_RDP
+    reads_context = route.reads is Reads.CONTEXT
     submissions, spectra, summed, noise_trace, approx_gaussian = noise_round(
-        model, cohort, mech, params.clip, master_seed, round_index, spectra=theorem1
+        model, cohort, mech, params.clip, master_seed, round_index, spectra=reads_context
     )
 
     channel = SAChannel(n_total, model.dim, _channel_seed(master_seed, round_index))
@@ -444,16 +448,15 @@ def run_round(
         round_index=round_index + 1,
     )
 
-    theorem1_context = 0.0
-    if theorem1 and (rank(spectra) == model.dim).any():
-        # that bound's context is the per-user spectrum before the 1/B update
+    context = 0.0
+    if reads_context and (rank(spectra) == model.dim).any():
+        # theorem 1's context is the per-user spectrum before the 1/B update
         # scaling, i.e. B times each unfloored lambda_min, slot by slot; it is
         # zero when every user's covariance is singular, and _account refuses it
         for lam in spectra[:, -1].tolist():
-            theorem1_context += params.batch * lam
-    lambda_min = float(summed[-1])
+            context += params.batch * lam
     entry = _account(
-        summed, lambda_min, theorem1_context, params, route, round_index, noise_trace,
+        summed, context, params, route, round_index, noise_trace,
         _guarantee_refusal(mech, cohort.users), approx_gaussian,
     )
 
@@ -466,7 +469,7 @@ def run_round(
         model=new_model,
         train_loss=train_loss,
         eval_metrics=eval_metrics,
-        lambda_min=lambda_min,
+        lambda_min=float(summed[-1]),
     )
 
 
@@ -475,10 +478,38 @@ def _channel_seed(master_seed: int, round_index: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
+def _read(route: Route, summed: Array, context: float) -> tuple[float, Optional[str]]:
+    """The input ``route`` reads from a round's summed spectrum and theorem 1's context.
+
+    Returns it and the cause that refuses the round, or None. A FLOOR route
+    reads the floor from the privacy parameters; its entry, like a refused
+    one, records the aggregate's lambda_min.
+    """
+    lam = float(summed[-1])
+    if route.reads is Reads.FLOOR:
+        return lam, None
+    if route.reads is Reads.CONTEXT:
+        if context > 0:
+            return context, None
+        return lam, ("necessary condition violated: every non-sensitive user's covariance "
+                     "is singular, so theorem 1's context sum_u B lambda_min(Sigma_u) is zero")
+    summed_rank = int(rank(summed))
+    if route.reads is Reads.NONZERO_LAMBDA_MIN:
+        if not summed_rank:
+            return 0.0, "necessary condition violated: aggregate non-sensitive covariance is zero"
+        return float(summed[summed_rank - 1]), None  # the smallest eigenvalue above the threshold
+    if summed_rank < summed.size:
+        return lam, (
+            "necessary condition violated: aggregate non-sensitive covariance "
+            f"is singular (rank {summed_rank} < {summed.size}); a worst-case "
+            "substituted gradient escapes its span"
+        )
+    return lam, None
+
+
 def _account(
     summed: Array,
-    lambda_min: float,
-    theorem1_context: float,
+    context: float,
     params: PrivacyParams,
     route: Route,
     round_index: int,
@@ -486,38 +517,14 @@ def _account(
     refusal: Optional[str],
     approx_gaussian: bool,
 ) -> LedgerEntry:
-    if refusal is not None:
-        return account_round(
-            lambda_min, params, route, round_index=round_index, noise_trace=noise_trace,
-            cause=refusal,
-        )
-    warnings = (WARN_APPROX_GAUSSIAN,) if approx_gaussian else ()
-    lam, cause = lambda_min, None
-    summed_rank = int(rank(summed))
-    if route is ClosedFormMode.SINGULAR:
-        if summed_rank:
-            lam = float(summed[summed_rank - 1])  # the smallest eigenvalue above the threshold
-        else:
-            lam = 0.0
-            cause = "necessary condition violated: aggregate non-sensitive covariance is zero"
-    elif isinstance(route, ClosedFormMode) and summed_rank < summed.size:
-        cause = (
-            "necessary condition violated: aggregate non-sensitive covariance "
-            f"is singular (rank {summed_rank} < {summed.size}); a worst-case "
-            "substituted gradient escapes its span"
-        )
-    elif route is RdpVariant.THEOREM1_RDP:
-        if theorem1_context > 0:
-            lam = theorem1_context
-        else:
-            cause = (
-                "necessary condition violated: every non-sensitive user's covariance "
-                "is singular, so theorem 1's context sum_u B lambda_min(Sigma_u) is zero"
-            )
-    # floored-mechanism RDP variants read (N, sigma^2) from params
+    if refusal is None:
+        value, cause = _read(route, summed, context)
+    else:
+        value, cause = float(summed[-1]), refusal
+    warnings = (WARN_APPROX_GAUSSIAN,) if approx_gaussian and cause is None else ()
     return account_round(
-        lam, params, route, round_index=round_index, noise_trace=noise_trace,
-        extra_warnings=() if cause is not None else warnings, cause=cause,
+        value, params, route, round_index=round_index, noise_trace=noise_trace,
+        extra_warnings=warnings, cause=cause,
     )
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from aggnoise.accountant import (
+    ROUTES,
     ClosedFormMode,
     CompositionMode,
     PrivacyParams,
@@ -118,7 +119,8 @@ def test_criterion_2_eps_vs_n_scaling(capsys):
         ledgers = {mode: RoundLedger(p, mode) for mode in CompositionMode}
         for ledger in ledgers.values():
             for t in range(50):
-                ledger.append(account_round(n * lam0, p, ClosedFormMode.GENERAL, round_index=t))
+                ledger.append(account_round(n * lam0, p, ROUTES["closed_form:general"],
+                                            round_index=t))
         totals_rdp[n] = compose(ledgers[CompositionMode.RDP]).total_eps
         totals_simple[n] = compose(ledgers[CompositionMode.SIMPLE]).total_eps
         assert totals_simple[n] >= totals_rdp[n]
@@ -145,7 +147,7 @@ def test_criterion_3_eps_vs_sigma_halving(capsys):
                           delta=1e-5, floor=sigma * sigma)
         ledger = RoundLedger(p, CompositionMode.RDP)
         for t in range(50):
-            ledger.append(account_round(0.0, p, RdpVariant.WFDP_A, round_index=t))
+            ledger.append(account_round(0.0, p, ROUTES["wfdp_a"], round_index=t))
         totals[sigma] = compose(ledger).total_eps
     ratio_1 = totals[0.05] / totals[0.1]
     ratio_2 = totals[0.1] / totals[0.2]
@@ -238,7 +240,7 @@ def _tail_accuracy(mech_kind, sigma2, data, eval_data, master_seed,
     mech = MechanismConfig(mech_kind, sigma2=sigma2)
     accs = []
     for t in range(rounds):
-        out = run_round(model, users, mech, params, ClosedFormMode.GENERAL,
+        out = run_round(model, users, mech, params, ROUTES["closed_form:general"],
                         master_seed, t, eval_data)
         model = out.model
         if t >= rounds - tail:
@@ -358,7 +360,7 @@ def test_criterion_8_utility_monotonicity(capsys):
         params = PrivacyParams(clip=2.0, batch=60, local_size=60,
                                ns_users=n_users - 1, delta=1e-3)
         result = run_simulation(users, model, MechanismConfig(MechanismKind.NONE),
-                                params, ClosedFormMode.GENERAL, rounds=60,
+                                params, ROUTES["closed_form:general"], rounds=60,
                                 master_seed=1, eval_data=eval_data)
         mse = evaluate_model(result.model, eval_data[0], eval_data[1])["mse"]
         return mse, result.total_eps

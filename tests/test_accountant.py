@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from aggnoise import accountant
 
 from aggnoise.accountant import (
+    ROUTES,
     WARN_MEANINGLESS_DELTA,
     WARN_MIXED_VARIANTS,
     WARN_REGIME,
@@ -308,7 +309,7 @@ class TestAmplifySubsampling:
 def wine_ledger(rounds=50, lam=0.25, composition=CompositionMode.SIMPLE):
     ledger = RoundLedger(WINE, composition)
     for t in range(rounds):
-        ledger.append(account_round(lam, WINE, ClosedFormMode.GENERAL, round_index=t))
+        ledger.append(account_round(lam, WINE, ROUTES["closed_form:general"], round_index=t))
     return ledger
 
 
@@ -319,7 +320,7 @@ class TestCompose:
 
     def test_single_round_rdp_equals_optimize(self):
         ledger = RoundLedger(RDP_PARAMS, CompositionMode.RDP)
-        ledger.append(account_round(0.0, RDP_PARAMS, RdpVariant.WFDP_A, round_index=0))
+        ledger.append(account_round(0.0, RDP_PARAMS, ROUTES["wfdp_a"], round_index=0))
         result = compose(ledger)
         _, eps_star = optimize_alpha(RdpCurve(RdpVariant.WFDP_A, RDP_PARAMS), RDP_PARAMS.delta)
         assert result.total_eps == pytest.approx(eps_star, rel=1e-9)
@@ -334,22 +335,23 @@ class TestCompose:
         def total(order):
             ledger = RoundLedger(WINE)
             for t, lam in enumerate(order):
-                ledger.append(account_round(lam, WINE, ClosedFormMode.GENERAL, round_index=t))
+                ledger.append(account_round(lam, WINE, ROUTES["closed_form:general"],
+                                            round_index=t))
             return compose(ledger).total_eps
         assert total(lams) == pytest.approx(total(lams[::-1]), rel=1e-12)
 
     def test_simple_applies_amplification(self):
         p = PrivacyParams(clip=2.0, batch=100, delta=1e-3, sampling_ratio=0.01)
         ledger = RoundLedger(p)
-        ledger.append(account_round(0.25, p, ClosedFormMode.GENERAL, round_index=0))
+        ledger.append(account_round(0.25, p, ROUTES["closed_form:general"], round_index=0))
         result = compose(ledger)
         per_round = eps_dp_closed_form(0.25, p).eps
         assert result.total_eps == pytest.approx(amplify_subsampling(per_round, 0.01), rel=1e-12)
 
     def test_mixed_variants_warn_but_compose(self):
         ledger = RoundLedger(RDP_PARAMS, CompositionMode.RDP)
-        ledger.append(account_round(0.0, RDP_PARAMS, RdpVariant.WFDP_A, round_index=0))
-        ledger.append(account_round(0.0, RDP_PARAMS, RdpVariant.WFDP_B, round_index=1))
+        ledger.append(account_round(0.0, RDP_PARAMS, ROUTES["wfdp_a"], round_index=0))
+        ledger.append(account_round(0.0, RDP_PARAMS, ROUTES["wfdp_b"], round_index=1))
         result = compose(ledger)
         assert WARN_MIXED_VARIANTS in result.warnings
         assert math.isfinite(result.total_eps)
@@ -374,7 +376,7 @@ class TestCompose:
 
     def test_infinite_round_gives_infinite_total(self):
         ledger = RoundLedger(WINE)
-        ledger.append(account_round(1.0, WINE, ClosedFormMode.GENERAL, round_index=0,
+        ledger.append(account_round(1.0, WINE, ROUTES["closed_form:general"], round_index=0,
                                     cause="necessary condition violated"))
         result = compose(ledger)
         assert math.isinf(result.total_eps)
@@ -419,7 +421,7 @@ class CountingList(list):
 class TestDistinctCurveComposition:
     def test_identical_rounds_match_dense_grid(self):
         rounds = 50
-        result = compose(curve_ledger([RdpVariant.WFDP_A] * rounds))
+        result = compose(curve_ledger([ROUTES["wfdp_a"]] * rounds))
         hi = RDP_PARAMS.ns_users * RDP_PARAMS.floor * RDP_PARAMS.local_size / (
             2.0 * RDP_PARAMS.clip**2
         )
@@ -430,7 +432,7 @@ class TestDistinctCurveComposition:
         assert result.total_eps == pytest.approx(expected, rel=1e-6)
 
     def test_alternating_curves_match_ungrouped_sum(self):
-        variants = [RdpVariant.WFDP_A, RdpVariant.WFDP_B] * 10
+        variants = [ROUTES["wfdp_a"], ROUTES["wfdp_b"]] * 10
         ledger = curve_ledger(variants)
         result = compose(ledger)
         alpha = result.alpha_star
@@ -456,7 +458,7 @@ class TestDistinctCurveComposition:
             nonlocal calls
             curve_eps.cache_clear()
             calls = 0
-            compose(curve_ledger([RdpVariant.WFDP_A] * rounds, composition=mode))
+            compose(curve_ledger([ROUTES["wfdp_a"]] * rounds, composition=mode))
             return calls
 
         few = count_for(2)
@@ -483,7 +485,7 @@ class TestDistinctCurveComposition:
 
         def one_compose(rounds, mode=CompositionMode.RDP):
             nonlocal calls, grids
-            ledger = curve_ledger([RdpVariant.WFDP_A] * rounds, composition=mode)
+            ledger = curve_ledger([ROUTES["wfdp_a"]] * rounds, composition=mode)
             first = compose(ledger)
             ledger.entries = CountingList(ledger.entries)
             CountingList.iterations = calls = grids = 0
@@ -567,14 +569,14 @@ class TestRunningComposition:
     @pytest.mark.parametrize("mode", list(CompositionMode))
     def test_repeated_curves(self, mode):
         outcomes = assert_running_state_matches_fresh(
-            [rdp_entry(t, RdpVariant.WFDP_A) for t in range(8)], mode
+            [rdp_entry(t, ROUTES["wfdp_a"]) for t in range(8)], mode
         )
         totals = [total for total, _, _ in outcomes]
         assert all(b > a for a, b in zip(totals, totals[1:]))
 
     @pytest.mark.parametrize("mode", list(CompositionMode))
     def test_distinct_theorem1_curves_with_shrinking_interval(self, mode):
-        entries = [rdp_entry(t, RdpVariant.THEOREM1_RDP, theorem1_context(t)) for t in range(8)]
+        entries = [rdp_entry(t, ROUTES["theorem1_rdp"], theorem1_context(t)) for t in range(8)]
         outcomes = assert_running_state_matches_fresh(entries, mode)
         if mode is CompositionMode.RDP:
             ledger = RoundLedger(RDP_PARAMS, mode)
@@ -586,8 +588,8 @@ class TestRunningComposition:
 
     @pytest.mark.parametrize("mode", list(CompositionMode))
     def test_mixed_variants(self, mode):
-        routes = [RdpVariant.WFDP_A, RdpVariant.WFDP_B, RdpVariant.WFDP_A,
-                  ClosedFormMode.GENERAL, RdpVariant.THEOREM1_RDP, RdpVariant.WFDP_B]
+        routes = [ROUTES["wfdp_a"], ROUTES["wfdp_b"], ROUTES["wfdp_a"],
+                  ROUTES["closed_form:general"], ROUTES["theorem1_rdp"], ROUTES["wfdp_b"]]
         entries = [rdp_entry(t, route, lam=0.5) for t, route in enumerate(routes)]
         outcomes = assert_running_state_matches_fresh(entries, mode)
         if mode is CompositionMode.RDP:
@@ -601,9 +603,9 @@ class TestRunningComposition:
         refused = LedgerEntry(round_index=0, route="refused", lambda_min=0.25,
                               cause="no guarantee")
         stops = [infinite, refused] if infinite_first else [refused, infinite]
-        entries = [rdp_entry(0, RdpVariant.WFDP_A)]
+        entries = [rdp_entry(0, ROUTES["wfdp_a"])]
         entries += [dataclasses.replace(e, round_index=t + 1) for t, e in enumerate(stops)]
-        entries.append(rdp_entry(3, RdpVariant.WFDP_B))
+        entries.append(rdp_entry(3, ROUTES["wfdp_b"]))
         outcomes = assert_running_state_matches_fresh(entries, mode)
         if infinite_first:
             assert outcomes[1:] == [(math.inf, None, ())] * 3
@@ -613,8 +615,8 @@ class TestRunningComposition:
     @pytest.mark.parametrize("mode", list(CompositionMode))
     def test_entry_without_curve_or_lambda(self, mode):
         bare = LedgerEntry(round_index=1, route="closed_form:general", eps=0.3)
-        entries = [rdp_entry(0, ClosedFormMode.GENERAL, lam=0.5), bare,
-                   rdp_entry(2, ClosedFormMode.GENERAL, lam=0.5)]
+        entries = [rdp_entry(0, ROUTES["closed_form:general"], lam=0.5), bare,
+                   rdp_entry(2, ROUTES["closed_form:general"], lam=0.5)]
         outcomes = assert_running_state_matches_fresh(entries, mode)
         if mode is CompositionMode.RDP:
             assert outcomes[1:] == [NoDpGuarantee] * 2
@@ -623,8 +625,8 @@ class TestRunningComposition:
 
     def test_subsampled_simple_total(self):
         params = dataclasses.replace(RDP_PARAMS, sampling_ratio=0.1)
-        routes = [ClosedFormMode.GENERAL, RdpVariant.WFDP_A, ClosedFormMode.GENERAL,
-                  RdpVariant.THEOREM1_RDP]
+        routes = [ROUTES["closed_form:general"], ROUTES["wfdp_a"], ROUTES["closed_form:general"],
+                  ROUTES["theorem1_rdp"]]
         entries = [rdp_entry(t, route, lam=0.5, params=params) for t, route in enumerate(routes)]
         outcomes = assert_running_state_matches_fresh(entries, CompositionMode.SIMPLE, params)
         eps = [round_eps(entry, params.delta) for entry in entries]
@@ -637,7 +639,7 @@ class TestRunningComposition:
         monkeypatch.setattr(accountant, "_entry_curve", forbidden)
         ledger = RoundLedger(RDP_PARAMS, CompositionMode.SIMPLE)
         for t in range(3):
-            ledger.append(rdp_entry(t, RdpVariant.WFDP_A))
+            ledger.append(rdp_entry(t, ROUTES["wfdp_a"]))
         assert not ledger.state.curves
         assert ledger.state.bounds == (1.0, math.inf)
         assert compose(ledger).total_eps == ledger.state.total > 0
@@ -645,25 +647,25 @@ class TestRunningComposition:
 
 class TestAccountRound:
     def test_wine_round_entry(self):
-        entry = account_round(0.25, WINE, ClosedFormMode.GENERAL, round_index=3)
+        entry = account_round(0.25, WINE, ROUTES["closed_form:general"], round_index=3)
         assert entry.eps == pytest.approx(0.302118362613, abs=1e-9)
         assert entry.region == "high"
         assert entry.round_index == 3
 
     def test_singular_route_chains_delta_inflation(self):
         p = PrivacyParams(clip=2.0, batch=100, delta=1e-3, approx_gauss_delta0=1e-4)
-        entry = account_round(0.25, p, ClosedFormMode.SINGULAR)
+        entry = account_round(0.25, p, ROUTES["closed_form:singular"])
         expected = 1e-3 + (1.0 + math.exp(entry.eps)) * 1e-4
         assert entry.delta_total == pytest.approx(expected, rel=1e-12)
 
     def test_meaningless_delta_flagged(self):
         p = PrivacyParams(clip=2.0, batch=100, delta=0.5, approx_gauss_delta0=0.3)
-        entry = account_round(0.25, p, ClosedFormMode.GENERAL)
+        entry = account_round(0.25, p, ROUTES["closed_form:general"])
         assert entry.delta_total >= 1.0
         assert WARN_MEANINGLESS_DELTA in entry.warnings
 
     def test_rdp_route_defers_scalar(self):
-        entry = account_round(0.0, RDP_PARAMS, RdpVariant.WFDP_A)
+        entry = account_round(0.0, RDP_PARAMS, ROUTES["wfdp_a"])
         assert entry.eps is None
         assert entry.curve is not None
         assert entry.curve.variant is RdpVariant.WFDP_A
@@ -673,14 +675,14 @@ class TestLedger:
     def test_rounds_strictly_increasing(self):
         ledger = wine_ledger(rounds=2)
         with pytest.raises(LedgerOrderError):
-            ledger.append(account_round(0.25, WINE, ClosedFormMode.GENERAL, round_index=1))
+            ledger.append(account_round(0.25, WINE, ROUTES["closed_form:general"], round_index=1))
 
     def test_json_round_trip(self):
         import json
 
         ledger = RoundLedger(RDP_PARAMS, CompositionMode.RDP)
-        ledger.append(account_round(0.0, RDP_PARAMS, RdpVariant.WFDP_A, round_index=0))
-        ledger.append(account_round(0.5, RDP_PARAMS, RdpVariant.THEOREM1_RDP, round_index=1))
+        ledger.append(account_round(0.0, RDP_PARAMS, ROUTES["wfdp_a"], round_index=0))
+        ledger.append(account_round(0.5, RDP_PARAMS, ROUTES["theorem1_rdp"], round_index=1))
         doc = json.loads(ledger.to_json(total_eps=1.23))
         back = RoundLedger.from_dict(doc)
         assert len(back) == 2

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,16 +11,18 @@ import pytest
 from aggnoise import accountant
 from aggnoise import cli as cli_module
 from aggnoise.accountant import (
-    ClosedFormMode,
+    ROUTES,
     CompositionMode,
     PrivacyParams,
-    RdpVariant,
+    Reads,
     RoundLedger,
     account_round,
     curve_eps,
     optimize_alpha,
 )
 from aggnoise.cli import EXIT_CONFIG, EXIT_OK, _build_run, main
+from aggnoise.errors import ConfigError
+from aggnoise.fedsim import simulation
 from aggnoise.fedsim.models import ModelOps, design
 from aggnoise.mechanisms import clipped_gradients
 
@@ -53,8 +56,9 @@ def write_config(tmp_path, name="config.json", **overrides):
         "users": {"total": 4, "sensitive": 1},
         "scheme": {"kind": "gaussian_sampled", "batch": 10, "learning_rate": 0.2},
         "mechanism": {"kind": "wfdp", "sigma2": 0.005},
-        "accountant": {"route": "closed_form", "mode": "general", "delta": 1e-3,
-                       "clip": 1.0, "composition": "simple"},
+        # no mode: an absent one is general, and a route other than closed_form takes none
+        "accountant": {"route": "closed_form", "delta": 1e-3, "clip": 1.0,
+                       "composition": "simple"},
     }
     for key, value in overrides.items():
         if isinstance(value, dict) and key in config:
@@ -145,11 +149,15 @@ class TestAccountCommand:
      "--sigma"),
     ("--route theorem1-rdp --sum-lambda-min 50 --C 1 --B 10 --D 100 --sigma2 0.01 --delta 1e-5",
      "--sigma2"),
+    ("--route wfdp-a --mode singular --C 1 --B 10 --D 100 --N 50 --sigma 0.1 --delta 1e-5",
+     "--mode"),
+    ("--route theorem1-rdp --mode general --sum-lambda-min 50 --C 1 --B 10 --D 100 --delta 1e-5",
+     "--mode"),
 ], ids=["delta0-nan", "lambda-inf", "lambda-nan", "sum-lambda-min-inf", "sigma-and-sigma2",
         "sigma-negative", "sigma-nan", "sigma2-nan", "clip-inf", "iid-singular", "iid-wfdp-a",
         "iid-theorem1", "sum-lambda-min-closed", "sum-lambda-min-wfdp-a",
         "sum-lambda-min-and-lambda", "lambda-wfdp-a", "lambda-wfdp-b", "sigma-closed",
-        "sigma2-closed", "sigma-theorem1", "sigma2-theorem1"])
+        "sigma2-closed", "sigma-theorem1", "sigma2-theorem1", "mode-wfdp-a", "mode-theorem1"])
 def test_account_refuses_non_finite_or_conflicting_flags(flags, named, capsys):
     assert main(["account"] + flags.split()) == EXIT_CONFIG
     captured = capsys.readouterr()
@@ -740,7 +748,7 @@ class TestComposeCommand:
                                          "rounds_not_increasing"])
     def test_malformed_ledger_is_config_error(self, tmp_path, capsys, malform):
         path = tmp_path / "ledger.json"
-        write_ledger(path, CLOSED_PARAMS, [ClosedFormMode.GENERAL] * 2)
+        write_ledger(path, CLOSED_PARAMS, [ROUTES["closed_form:general"]] * 2)
         doc = json.loads(path.read_text())
         if malform == "missing_clip":
             del doc["params"]["clip"]
@@ -763,7 +771,7 @@ class TestComposeCommand:
         # an RDP ledger of closed-form rounds: RDP composition reads only its
         # lambda_min, SIMPLE composition amplifies its eps
         path = tmp_path / "ledger.json"
-        write_ledger(path, CLOSED_PARAMS, [ClosedFormMode.GENERAL] * 2, CompositionMode.RDP)
+        write_ledger(path, CLOSED_PARAMS, [ROUTES["closed_form:general"]] * 2, CompositionMode.RDP)
         doc = json.loads(path.read_text())
         doc["entries"][1][field] = value
         path.write_text(json.dumps(doc))
@@ -776,7 +784,7 @@ class TestComposeCommand:
     @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
     def test_invalid_sum_lambda_min_is_config_error(self, tmp_path, capsys, value):
         path = tmp_path / "ledger.json"
-        write_ledger(path, RDP_PARAMS, [RdpVariant.THEOREM1_RDP] * 2, CompositionMode.RDP, lam=0.5)
+        write_ledger(path, RDP_PARAMS, [ROUTES["theorem1_rdp"]] * 2, CompositionMode.RDP, lam=0.5)
         doc = json.loads(path.read_text())
         assert doc["entries"][1]["curve"]["sum_lambda_min"] == 0.5
         doc["entries"][1]["curve"]["sum_lambda_min"] = value
@@ -790,7 +798,7 @@ class TestComposeCommand:
     def test_simple_delta_override_on_closed_form_rounds_rejected(self, tmp_path, capsys):
         # their eps holds at the delta they were accounted at, not at --delta
         path = tmp_path / "closed.json"
-        write_ledger(path, CLOSED_PARAMS, [ClosedFormMode.GENERAL] * 3)
+        write_ledger(path, CLOSED_PARAMS, [ROUTES["closed_form:general"]] * 3)
         rc = main(["--out", str(tmp_path / "o"), "compose", str(path), "--delta", "1e-9"])
         assert rc == EXIT_CONFIG
         assert "--delta" in capsys.readouterr().err
@@ -805,11 +813,11 @@ class TestComposeCommand:
     def test_rdp_delta_override(self, tmp_path, capsys, source):
         path = tmp_path / "ledger.json"
         if source == "rdp_routes":
-            ledger = write_ledger(path, RDP_PARAMS, [RdpVariant.WFDP_A, RdpVariant.THEOREM1_RDP,
-                                                     RdpVariant.WFDP_A],
+            ledger = write_ledger(path, RDP_PARAMS, [ROUTES["wfdp_a"], ROUTES["theorem1_rdp"],
+                                                     ROUTES["wfdp_a"]],
                                   CompositionMode.RDP, lam=0.5)
         else:
-            ledger = write_ledger(path, CLOSED_PARAMS, [ClosedFormMode.GENERAL] * 3)
+            ledger = write_ledger(path, CLOSED_PARAMS, [ROUTES["closed_form:general"]] * 3)
         composed = composed_total(tmp_path, capsys, str(path), "--mode", "rdp",
                                   "--delta", "1e-7")
         curves = [accountant._entry_curve(e, ledger.params) for e in ledger.entries]
@@ -821,7 +829,7 @@ class TestComposeCommand:
     def test_simple_delta_override_on_rdp_rounds(self, tmp_path, capsys):
         # a curve's eps is optimized at whatever delta it is composed at
         path = tmp_path / "ledger.json"
-        ledger = write_ledger(path, RDP_PARAMS, [RdpVariant.WFDP_A, RdpVariant.THEOREM1_RDP],
+        ledger = write_ledger(path, RDP_PARAMS, [ROUTES["wfdp_a"], ROUTES["theorem1_rdp"]],
                               CompositionMode.RDP, lam=0.5)
         composed = composed_total(tmp_path, capsys, str(path), "--delta", "1e-7")
         expected = 0.0
@@ -978,3 +986,180 @@ class TestVerifyCommand:
         assert rc == EXIT_OK
         floored = json.loads((out / "verify_report.json").read_text())["counterexample_floored"]
         assert floored["advantage"] <= floored["advantage_bound"]
+
+
+@pytest.mark.parametrize("route", ["theorem1_rdp", "wfdp_a"])
+def test_a_mode_on_a_route_that_takes_none_is_refused(tmp_path, capsys, monkeypatch, route):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the data was built")
+
+    monkeypatch.setattr(cli_module, "make_synthetic", unreachable)
+    cfg, _ = write_config(tmp_path, accountant={"route": route, "mode": "singular",
+                                                "composition": "rdp"})
+    assert main(["--out", str(tmp_path / "o"), "simulate", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: accountant.mode: ")
+    assert ROUTES[route].reads.value in err
+
+
+def tiny_config(scheme, mechanism, accountant, **dataset):
+    return {
+        "seed": 7,
+        "rounds": 2,
+        "dataset": {"kind": "synthetic", "task": "regression", "features": 2, "per_user": 8,
+                    **dataset},
+        "users": {"total": 4, "sensitive": 1},
+        "scheme": scheme,
+        "mechanism": mechanism,
+        "accountant": {"delta": 1e-3, "clip": 1.0, **accountant},
+    }
+
+
+GRID_SCHEMES = [{"kind": "iid_sgd", "batch": 2}, {"kind": "full_gd"},
+                {"kind": "gaussian_sampled", "batch": 2},
+                {"kind": "fedavg", "batch": 2, "fedavg_samples": 2}]
+GRID_MECHANISMS = [{"kind": "wfdp", "sigma2": 0.5}, {"kind": "wfna", "sigma2": 0.5},
+                   {"kind": "ddp", "sigma2": 0.5}, {"kind": "none"}]
+GRID_ACCOUNTANTS = [
+    {"route": row.config, **({"mode": row.mode} if row.mode else {}),
+     "composition": row.composition.value}
+    for row in ROUTES.values() if row.config is not None
+]
+# the two configs whose rounds' own data used to end the run: theorem 1's
+# context below C^2/D, and the low-privacy closed form past its delta limit
+THEOREM1_SMALL_CONTEXT = tiny_config(
+    {"kind": "iid_sgd", "batch": 2}, {"kind": "none"},
+    {"route": "theorem1_rdp", "composition": "rdp", "clip": 2.0}, features=4, per_user=10)
+THEOREM1_SMALL_CONTEXT["users"]["total"] = 6
+LOW_REGION_PAST_DELTA = tiny_config(
+    {"kind": "gaussian_sampled", "batch": 2}, {"kind": "none"},
+    {"route": "closed_form", "delta": 0.49999, "clip": 2.0}, features=4, per_user=10)
+LOW_REGION_PAST_DELTA["users"]["total"] = 6
+
+
+def test_only_a_config_error_before_round_0_ends_a_run(tmp_path, monkeypatch, capsys):
+    rounds_run = []
+    original = simulation.run_round
+
+    def counting(*args, **kwargs):
+        rounds_run.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "run_round", counting)
+    configs = [tiny_config(scheme, mechanism, accountant) for scheme in GRID_SCHEMES
+               for mechanism in GRID_MECHANISMS for accountant in GRID_ACCOUNTANTS]
+    configs += [THEOREM1_SMALL_CONTEXT, LOW_REGION_PAST_DELTA]
+    for index, config in enumerate(configs):
+        path, out = tmp_path / f"c{index}.json", tmp_path / f"o{index}"
+        path.write_text(json.dumps(config))
+        rounds_run.clear()
+        rc = main(["--out", str(out), "simulate", "--config", str(path)])
+        capsys.readouterr()
+        assert rc in (EXIT_OK, EXIT_CONFIG), config
+        assert (rc == EXIT_CONFIG) == (not rounds_run), config
+        if rc == EXIT_OK:
+            ledger = json.loads((out / "ledger.json").read_text())
+            assert len(ledger["entries"]) == config["rounds"]
+            for entry in ledger["entries"]:
+                assert (entry["route"] == "refused") == (entry["cause"] is not None)
+
+
+@pytest.mark.parametrize("config, cause", [
+    (THEOREM1_SMALL_CONTEXT,
+     "empty alpha validity interval for theorem1_rdp: upper bound {bound:.6g} <= 1; "
+     "theorem 1's context sum_u B lambda_min(Sigma_u) = {lam:.6g} is at most C^2/D = 0.4"),
+    (LOW_REGION_PAST_DELTA, "delta=0.49999 >= f(eps)="),
+], ids=["theorem1-small-context", "low-region-past-delta"])
+def test_a_round_without_a_bound_is_refused_not_fatal(tmp_path, capsys, config, cause):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["--out", str(tmp_path / "o"), "simulate", "--config", str(path)]) == EXIT_OK
+    ledger = json.loads((tmp_path / "o" / "ledger.json").read_text())
+    assert ledger["total_eps"] == "inf"
+    refused = [entry for entry in ledger["entries"] if entry["route"] == "refused"]
+    assert refused and refused[0]["round_index"] == 0
+    for entry in refused:
+        assert entry["eps"] == "inf"
+        # theorem 1's upper order bound is D * context / C^2 = 2.5 * context here
+        lam = entry["lambda_min"]
+        assert entry["cause"].startswith(cause.format(lam=lam, bound=2.5 * lam))
+
+
+# each route's ledger string and curve variant, as ledgers have always carried them
+LEDGER_ROUTES = {
+    "closed_form:general": ("closed_form:general", None),
+    "closed_form:singular": ("closed_form:singular", None),
+    "closed_form:iid": ("closed_form:iid", None),
+    "theorem1_rdp": ("rdp:theorem1_rdp", "theorem1_rdp"),
+    "wfdp_a": ("rdp:wfdp_a", "wfdp_a"),
+    "wfdp_b": ("rdp:wfdp_b", "wfdp_b"),
+}
+ACCOUNT_INPUTS = {
+    Reads.LAMBDA_MIN: "--lambda 0.5",
+    Reads.NONZERO_LAMBDA_MIN: "--lambda 0.5",
+    Reads.PER_USER_LAMBDA: "--iid --lambda 0.01",
+    Reads.CONTEXT: "--sum-lambda-min 50",
+    Reads.FLOOR: "--sigma 0.1",
+}
+
+
+@pytest.mark.parametrize("row", list(ROUTES.values()), ids=list(ROUTES))
+class TestRouteTable:
+    def test_cli_name_selects_the_row(self, row, monkeypatch, capsys):
+        seen = []
+        original = cli_module.account_round
+
+        def recording(value, params, route, **kwargs):
+            seen.append(route)
+            return original(value, params, route, **kwargs)
+
+        monkeypatch.setattr(cli_module, "account_round", recording)
+        mode = f" --mode {row.mode}" if row.config is not None and row.mode else ""
+        flags = (f"--route {row.cli}{mode} {ACCOUNT_INPUTS[row.reads]} --C 1 --B 10 --D 100 "
+                 "--N 50 --delta 1e-5 --T 2")
+        assert main(["account"] + flags.split()) == EXIT_OK
+        assert f"({row.composition.value})" in capsys.readouterr().out
+        assert seen == [row, row]
+
+    def test_config_name_selects_the_row(self, row, tmp_path):
+        if row.config is None:  # no config names it, and a round refuses it
+            _, config = write_config(tmp_path)
+            users, model, mech, params, _, _, _, _ = _build_run(config, 5)
+            with pytest.raises(ConfigError, match="which a round does not supply"):
+                simulation.run_round(model, users, mech, params, row, 5, 0)
+            return
+        accountant = {"route": row.config, "composition": row.composition.value}
+        if row.mode:
+            accountant["mode"] = row.mode
+        cfg, _ = write_config(tmp_path, accountant=accountant, mechanism={"sigma2": 0.5},
+                              rounds=1)
+        assert main(["--out", str(tmp_path / "o"), "simulate", "--config", cfg]) == EXIT_OK
+        (entry,) = json.loads((tmp_path / "o" / "ledger.json").read_text())["entries"]
+        route, variant = LEDGER_ROUTES[row.name]
+        assert entry["route"] == route
+        assert (entry["curve"] or {}).get("variant") == variant
+
+
+# an RDP ledger of one entry per route, written when routes were enum members,
+# from these inputs; its totals were composed then, at delta 1e-5
+ROUTES_LEDGER = Path(__file__).parent / "data" / "routes_ledger.json"
+ROUTES_LEDGER_INPUTS = {"closed_form:general": 0.5, "closed_form:singular": 0.5,
+                        "closed_form:iid": 0.01, "theorem1_rdp": 50.0, "wfdp_a": 0.0,
+                        "wfdp_b": 0.0}
+
+
+def test_rows_build_the_entries_of_a_ledger_written_before_the_table():
+    old = RoundLedger.from_dict(json.loads(ROUTES_LEDGER.read_text()))
+    rows = {LEDGER_ROUTES[name][0]: ROUTES[name] for name in ROUTES_LEDGER_INPUTS}
+    assert sorted(rows) == sorted(entry.route for entry in old.entries)
+    for entry in old.entries:
+        row = rows[entry.route]
+        value = ROUTES_LEDGER_INPUTS[row.name]
+        assert account_round(value, old.params, row, round_index=entry.round_index) == entry
+
+
+@pytest.mark.parametrize("mode, total", [("simple", 5.713992480381783),
+                                         ("rdp", 2.6287435704586812)])
+def test_a_ledger_written_before_the_table_composes(tmp_path, capsys, mode, total):
+    assert main(["--out", str(tmp_path), "compose", str(ROUTES_LEDGER), "--mode", mode]) == EXIT_OK
+    assert json.loads((tmp_path / "composed_ledger.json").read_text())["total_eps"] == total

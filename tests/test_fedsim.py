@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from aggnoise.accountant import (
+    ROUTES,
     WARN_APPROX_GAUSSIAN,
-    ClosedFormMode,
     CompositionMode,
     LedgerEntry,
     PrivacyParams,
@@ -18,7 +18,6 @@ from aggnoise.accountant import (
 from aggnoise.errors import (
     ConfigError,
     EmptyDataset,
-    EmptyValidityInterval,
     MalformedCsv,
     NonFinite,
     TooFewExamples,
@@ -209,7 +208,7 @@ class TestRunRound:
         all_l = np.concatenate([u.labels for u in users])
         losses = [ops.loss(model.theta, all_f, all_l)]
         for t in range(100):
-            outcome = run_round(model, users, mech, params, ClosedFormMode.GENERAL,
+            outcome = run_round(model, users, mech, params, ROUTES["closed_form:general"],
                                 master_seed=3, round_index=t, eval_data=eval_data)
             model = outcome.model
             losses.append(outcome.train_loss)
@@ -225,7 +224,7 @@ class TestRunRound:
         params = PrivacyParams(clip=1.0, batch=10, local_size=40, ns_users=4,
                                delta=1e-3, floor=sigma2)
         mech = MechanismConfig(MechanismKind.WFDP, sigma2=sigma2)
-        outcome = run_round(model, users, mech, params, ClosedFormMode.GENERAL,
+        outcome = run_round(model, users, mech, params, ROUTES["closed_form:general"],
                             master_seed=1, round_index=0)
         assert outcome.lambda_min >= 4 * sigma2 - 1e-12
         assert outcome.entry.eps is not None and math.isfinite(outcome.entry.eps)
@@ -237,7 +236,7 @@ class TestRunRound:
         model = init_model(family, 2)
         params = PrivacyParams(clip=1.0, batch=1, local_size=40, ns_users=3, delta=1e-3)
         outcome = run_round(model, users, MechanismConfig(MechanismKind.NONE), params,
-                            ClosedFormMode.GENERAL, master_seed=2, round_index=0)
+                            ROUTES["closed_form:general"], master_seed=2, round_index=0)
         # updates below the fixed-point quantum vanish in the ring
         assert np.array_equal(outcome.model.theta, model.theta)
 
@@ -248,7 +247,7 @@ class TestRunRound:
         model = init_model(family, 2)
         params = PrivacyParams(clip=1.0, batch=1, local_size=40, ns_users=2, delta=1e-3)
         outcome = run_round(model, users, MechanismConfig(MechanismKind.NONE), params,
-                            ClosedFormMode.GENERAL, master_seed=4, round_index=0)
+                            ROUTES["closed_form:general"], master_seed=4, round_index=0)
         assert outcome.entry.eps == math.inf
         assert "necessary condition violated" in outcome.entry.cause
 
@@ -259,7 +258,7 @@ class TestRunRound:
         params = PrivacyParams(clip=1.0, batch=5, local_size=40, ns_users=2,
                                delta=1e-3, floor=0.01)
         outcome = run_round(model, users, MechanismConfig(MechanismKind.WFNA, sigma2=0.01),
-                            params, ClosedFormMode.GENERAL, master_seed=5, round_index=0)
+                            params, ROUTES["closed_form:general"], master_seed=5, round_index=0)
         assert outcome.entry.eps == math.inf
         assert "no DP guarantee" in outcome.entry.cause
 
@@ -270,12 +269,12 @@ class TestRunRound:
         params = PrivacyParams(clip=1.0, batch=1, local_size=40, ns_users=1, delta=1e-3)
         with pytest.raises(ConfigError):
             run_round(model, users, MechanismConfig(MechanismKind.NONE), params,
-                      ClosedFormMode.GENERAL, master_seed=0, round_index=0)
+                      ROUTES["closed_form:general"], master_seed=0, round_index=0)
 
 
 class TestRunSimulation:
     def simulation(self, mech_kind=MechanismKind.WFDP, seed=21, rounds=4,
-                   route=ClosedFormMode.GENERAL, composition=CompositionMode.SIMPLE):
+                   route=ROUTES["closed_form:general"], composition=CompositionMode.SIMPLE):
         scheme = UpdateScheme(SchemeKind.GAUSSIAN_SAMPLED, batch=10, learning_rate=0.2)
         users, eval_data, family = make_users(4, 1, scheme, seed=19, task="regression")
         model = init_model(family, 2)
@@ -300,7 +299,7 @@ class TestRunSimulation:
         assert result.total_eps == cum[-1]
 
     def test_rdp_route_composes(self):
-        result = self.simulation(route=RdpVariant.WFDP_B, composition=CompositionMode.RDP)
+        result = self.simulation(route=ROUTES["wfdp_b"], composition=CompositionMode.RDP)
         assert result.total_eps is not None and math.isfinite(result.total_eps)
         assert result.alpha_star is not None
         for row in result.rows:
@@ -324,7 +323,7 @@ class TestRunSimulation:
         params = PrivacyParams(clip=0.5, batch=8, local_size=40, ns_users=2,
                                delta=1e-3, floor=sigma2)
         outcome = run_round(model, users, MechanismConfig(MechanismKind.WFDP, sigma2=sigma2),
-                            params, ClosedFormMode.GENERAL, master_seed=6, round_index=0,
+                            params, ROUTES["closed_form:general"], master_seed=6, round_index=0,
                             eval_data=eval_data)
         assert outcome.lambda_min >= 2 * sigma2 - 1e-12
         assert math.isfinite(outcome.entry.eps)
@@ -337,7 +336,7 @@ class TestRunSimulation:
         params = PrivacyParams(clip=1.0, batch=10, local_size=40, ns_users=3,
                                delta=1e-3, floor=0.01)
         mech = MechanismConfig(MechanismKind.WFDP, sigma2=0.01, block_count=2)
-        outcome = run_round(model, users, mech, params, ClosedFormMode.GENERAL,
+        outcome = run_round(model, users, mech, params, ROUTES["closed_form:general"],
                             master_seed=7, round_index=0)
         # blockwise flooring still guarantees the aggregate floor
         assert outcome.lambda_min >= 3 * 0.01 - 1e-12
@@ -385,7 +384,7 @@ class TestEstimatesPerRound:
         params = PrivacyParams(clip=1.0, batch=10, local_size=40, ns_users=3,
                                delta=1e-3, floor=sigma2)
         mech = MechanismConfig(MechanismKind.WFDP, sigma2=sigma2, block_count=block_count)
-        run_round(init_model(family, 4), users, mech, params, ClosedFormMode.GENERAL,
+        run_round(init_model(family, 4), users, mech, params, ROUTES["closed_form:general"],
                   master_seed=8, round_index=0)
         return seen
 
@@ -429,7 +428,7 @@ class TestOneWfdpPath:
         params = PrivacyParams(clip=1.0, batch=10, local_size=40, ns_users=3,
                                delta=1e-3, floor=self.SIGMA2)
         mech = MechanismConfig(MechanismKind.WFDP, self.SIGMA2, block_count)
-        outcome = run_round(init_model(family, 4), users, mech, params, RdpVariant.WFDP_B,
+        outcome = run_round(init_model(family, 4), users, mech, params, ROUTES["wfdp_b"],
                             master_seed=10, round_index=0)
         assert outcome.lambda_min >= 3 * self.SIGMA2 - 1e-12
         return roles
@@ -471,7 +470,7 @@ class TestFloorsPerRound:
         params = PrivacyParams(clip=1.0, batch=10, local_size=40, ns_users=3,
                                delta=1e-3, floor=0.01)
         outcome = run_round(init_model(family, 4), users, MechanismConfig(mech_kind, sigma2=0.01),
-                            params, ClosedFormMode.GENERAL, master_seed=8, round_index=0)
+                            params, ROUTES["closed_form:general"], master_seed=8, round_index=0)
         assert calls == [0.01] * 3
         assert outcome.lambda_min >= 3 * 0.01 - 1e-12
 
@@ -492,11 +491,11 @@ class TestRoundPerSchemeAndMechanism:
         if not floors:
             # WFDP_B reads the floor from params, which no mechanism here applies
             with pytest.raises(ConfigError, match=f"floor 0.02 .* {mech_kind.value} floors at 0$"):
-                run_round(init_model(family, 4), users, mech, params, RdpVariant.WFDP_B,
+                run_round(init_model(family, 4), users, mech, params, ROUTES["wfdp_b"],
                           master_seed=10, round_index=0)
-        # WFDP_B reads (N, sigma^2) from params and GAUSSIAN reads no floor, so
-        # no round gets a singular-cause entry
-        route = RdpVariant.WFDP_B if floors else RdpVariant.GAUSSIAN
+        # WFDP_B reads (N, sigma^2) from params, and the singular closed form
+        # refuses only a zero aggregate: deterministic full-batch updates, unnoised
+        route = ROUTES["wfdp_b"] if floors else ROUTES["closed_form:singular"]
         outcome = run_round(init_model(family, 4), users, mech, params, route,
                             master_seed=10, round_index=0)
         entry = outcome.entry
@@ -504,14 +503,20 @@ class TestRoundPerSchemeAndMechanism:
         if floors:
             assert outcome.lambda_min >= 3 * sigma2 - 1e-12
         assert (entry.noise_trace > 0) == (mech_kind is not MechanismKind.NONE)
-        expect_warning = not gaussian and mech_kind in (MechanismKind.NONE, MechanismKind.DDP)
+        zero = mech_kind is MechanismKind.NONE and scheme_kind is SchemeKind.FULL_GD
+        # a refused round carries no warning
+        expect_warning = (not gaussian and not zero
+                          and mech_kind in (MechanismKind.NONE, MechanismKind.DDP))
         assert (WARN_APPROX_GAUSSIAN in entry.warnings) == expect_warning
         if mech_kind is MechanismKind.WFNA and not gaussian:
             assert entry.route == "refused"
             assert "no DP guarantee" in entry.cause
+        elif zero:
+            assert entry.route == "refused"
+            assert "covariance is zero" in entry.cause
         else:
             assert entry.cause is None
-            assert entry.route == f"rdp:{route.value}"
+            assert entry.route == ("rdp:wfdp_b" if floors else "closed_form:singular")
 
 
 class TestRoundEps:
@@ -621,7 +626,7 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
                 lift += noised.noise_trace
                 block_models.append(noised.floored)
             spectrum = spectra[0] if len(blocks) == 1 else np.sort(np.concatenate(spectra))[::-1]
-            if route is RdpVariant.THEOREM1_RDP:
+            if route is ROUTES["theorem1_rdp"]:
                 theorem1_context += params.batch * spectrum[-1]
                 full_rank_users += spectra_module.rank(spectrum) == dim
             sign = 1.0 if scheme.kind is SchemeKind.FEDAVG else -1.0
@@ -644,7 +649,7 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
                 dist_model = model_of_one(sampled_from)
             else:
                 dist_model = estimate_mean_cov(of_one(grads), scheme.batch)
-            if route is RdpVariant.THEOREM1_RDP:
+            if route is ROUTES["theorem1_rdp"]:
                 theorem1_context += params.batch * dist_model.spectrum()[-1]
                 full_rank_users += spectra_module.rank(dist_model.spectrum()) == dim
             if mech.kind is MechanismKind.WFNA:
@@ -670,7 +675,7 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
     lambda_min = float(summed[-1])
     if not full_rank_users:
         theorem1_context = 0.0
-    entry = simulation._account(summed, lambda_min, theorem1_context, params, route,
+    entry = simulation._account(summed, theorem1_context, params, route,
                                 round_index, noise_trace, refusal, approx_gaussian)
     all_phi = design(np.vstack([u.features for u in users]))
     train_loss = ops.loss(new_model.theta, all_phi, np.concatenate([u.labels for u in users]))
@@ -695,18 +700,12 @@ class TestStackedRoundMatchesPerUserLoop:
         outcomes = []
         for fn in (run_round, per_user_round):
             submitted.clear()
-            try:
-                outcome = fn(model, users, mech, params, route, seed, 1)
-            except EmptyValidityInterval as exc:  # the route refuses these parameters
-                outcome = str(exc)
+            outcome = fn(model, users, mech, params, route, seed, 1)
             outcomes.append((outcome, list(submitted)))
         (stacked, sent_stacked), (looped, sent_looped) = outcomes
         assert [s for s, _ in sent_stacked] == [s for s, _ in sent_looped]
         for (_, a), (_, b) in zip(sent_stacked, sent_looped):
             assert np.array_equal(a, b)
-        if isinstance(looped, str):
-            assert stacked == looped
-            return
         assert np.array_equal(stacked.model.theta, looped.model.theta)
         assert stacked.lambda_min == looped.lambda_min
         assert stacked.entry.noise_trace == looped.entry.noise_trace
@@ -730,7 +729,7 @@ class TestStackedRoundMatchesPerUserLoop:
     @pytest.mark.parametrize("scheme_kind", list(SchemeKind))
     def test_every_scheme_mechanism_and_shape(self, monkeypatch, scheme_kind, mech_name, dim):
         users, mech, params, family = self.setup(scheme_kind, mech_name, dim)
-        for route in (RdpVariant.THEOREM1_RDP, ClosedFormMode.SINGULAR):
+        for route in (ROUTES["theorem1_rdp"], ROUTES["closed_form:singular"]):
             self.both(monkeypatch, users, mech, params, route, family, dim)
 
     @pytest.mark.parametrize("budget", [1, 8 * 12 * 12 * 2])
@@ -742,7 +741,7 @@ class TestStackedRoundMatchesPerUserLoop:
                                                  n_total=7)
         sizes = [len(stack.slots) for stack in Cohort(users).stacks]
         assert sizes == ([1] * 7 if budget == 1 else [1, 2, 2, 2])
-        self.both(monkeypatch, users, mech, params, ClosedFormMode.GENERAL, family, 12)
+        self.both(monkeypatch, users, mech, params, ROUTES["closed_form:general"], family, 12)
 
     @pytest.mark.parametrize("mech_name", ["wfdp", "ddp"])
     def test_users_of_unequal_size(self, monkeypatch, mech_name):
@@ -754,7 +753,7 @@ class TestStackedRoundMatchesPerUserLoop:
         assert [stack.phi.shape[:2] for stack in Cohort(users).stacks] == [
             (1, 10), (1, 10), (2, 30), (2, 12)
         ]
-        self.both(monkeypatch, users, mech, params, ClosedFormMode.GENERAL, family, 12)
+        self.both(monkeypatch, users, mech, params, ROUTES["closed_form:general"], family, 12)
 
     def test_rank_deficient_member_stays_in_its_stack(self, monkeypatch):
         # one user's rows repeat, so its thin second moment has rank 2 of D = 10;
@@ -779,7 +778,7 @@ class TestStackedRoundMatchesPerUserLoop:
         skipped = np.random.default_rng(2)
         skipped.standard_normal(10)
         assert rngs[1].bit_generator.state == skipped.bit_generator.state
-        self.both(monkeypatch, users, mech, params, ClosedFormMode.GENERAL, family, 40)
+        self.both(monkeypatch, users, mech, params, ROUTES["closed_form:general"], family, 40)
 
     # the non-sensitive users' largest eigenvalues: d = 5: 0.0591, 0.0492, 0.112,
     # 0.0468; d = 12: 0.0526, 0.0606, 0.048, 0.0424; d = 40: 0.0316, 0.0318,
@@ -795,7 +794,7 @@ class TestStackedRoundMatchesPerUserLoop:
                                                      mech, params.clip, 3, 1, spectra=True)
         covered = spectra[:, 0] <= sigma2
         assert covered.any() and covered.all() == (sigma2 == 0.5)
-        for route in (RdpVariant.THEOREM1_RDP, ClosedFormMode.SINGULAR):
+        for route in (ROUTES["theorem1_rdp"], ROUTES["closed_form:singular"]):
             self.both(monkeypatch, users, mech, params, route, family, dim)
 
     def test_non_finite_member_raises_the_per_user_error(self, monkeypatch):
@@ -805,7 +804,7 @@ class TestStackedRoundMatchesPerUserLoop:
         users[3] = UserState(3, users[3].role, bad, users[3].labels, users[3].scheme)
         for fn in (run_round, per_user_round):
             with pytest.raises(NonFinite, match="gradient columns contains NaN or Inf"):
-                fn(init_model(family, 4), users, mech, params, ClosedFormMode.GENERAL, 3, 0)
+                fn(init_model(family, 4), users, mech, params, ROUTES["closed_form:general"], 3, 0)
 
     def test_over_clipped_member_raises_the_per_user_error(self, monkeypatch):
         users, mech, params, family = self.setup(SchemeKind.FULL_GD, "wfdp", 5)
@@ -823,7 +822,7 @@ class TestStackedRoundMatchesPerUserLoop:
         messages = []
         for fn in (run_round, per_user_round):
             with pytest.raises(ValueError, match="exceeds clip bound") as err:
-                fn(init_model(family, 4), users, mech, params, ClosedFormMode.GENERAL, 3, 0)
+                fn(init_model(family, 4), users, mech, params, ROUTES["closed_form:general"], 3, 0)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 
@@ -845,8 +844,8 @@ class TestRoundScalesEachUpdateOnce:
         monkeypatch.setattr(SAChannel, "submit", recording)
         model = init_model(family, 5)
         params = PrivacyParams(clip=1.0, batch=5, local_size=20, ns_users=3, delta=1e-3)
-        run_round(model, users, MechanismConfig(MechanismKind.NONE), params, RdpVariant.GAUSSIAN,
-                  master_seed=4, round_index=2)
+        run_round(model, users, MechanismConfig(MechanismKind.NONE), params,
+                  ROUTES["closed_form:general"], master_seed=4, round_index=2)
         rngs = [simulation._user_rng(4, 2, slot) for slot in range(len(users))]
         return users, ModelOps(family), model.theta, rngs, sent
 
@@ -873,30 +872,41 @@ class TestAccountReadsTheSpectrum:
     PARAMS = PrivacyParams(clip=1.0, batch=10, local_size=40, ns_users=2, delta=1e-3)
 
     def account(self, spectrum, route):
-        return simulation._account(np.array(spectrum), spectrum[-1], 0.0, self.PARAMS, route,
+        return simulation._account(np.array(spectrum), 0.0, self.PARAMS, route,
                                    0, 0.0, None, False)
 
     def test_singular_route_reads_the_smallest_nonzero_eigenvalue(self):
-        entry = self.account([0.5, 0.02, 0.0], ClosedFormMode.SINGULAR)
+        entry = self.account([0.5, 0.02, 0.0], ROUTES["closed_form:singular"])
         assert entry.cause is None and entry.lambda_min == 0.02
         # below the rank threshold (1e-10 times the largest) counts as zero
-        assert self.account([0.5, 0.02, 4e-11], ClosedFormMode.SINGULAR).lambda_min == 0.02
-        zero = self.account([0.0, 0.0, 0.0], ClosedFormMode.SINGULAR)
+        assert self.account([0.5, 0.02, 4e-11], ROUTES["closed_form:singular"]).lambda_min == 0.02
+        zero = self.account([0.0, 0.0, 0.0], ROUTES["closed_form:singular"])
         assert zero.eps == math.inf and "covariance is zero" in zero.cause
 
     def test_general_route_refuses_a_rank_deficient_sum(self):
-        entry = self.account([0.5, 0.02, 4e-11], ClosedFormMode.GENERAL)
+        entry = self.account([0.5, 0.02, 4e-11], ROUTES["closed_form:general"])
         assert entry.eps == math.inf and "rank 2 < 3" in entry.cause
-        assert self.account([0.5, 0.02, 6e-11], ClosedFormMode.GENERAL).cause is None
+        assert self.account([0.5, 0.02, 6e-11], ROUTES["closed_form:general"]).cause is None
 
     def test_theorem1_route_refuses_a_zero_context(self):
         spectrum = np.array([0.5, 0.02, 0.01])
-        refused = simulation._account(spectrum, 0.01, 0.0, self.PARAMS, RdpVariant.THEOREM1_RDP,
+        refused = simulation._account(spectrum, 0.0, self.PARAMS, ROUTES["theorem1_rdp"],
                                       0, 0.0, None, False)
         assert refused.eps == math.inf and "covariance is singular" in refused.cause
-        entry = simulation._account(spectrum, 0.01, 0.2, self.PARAMS, RdpVariant.THEOREM1_RDP,
+        entry = simulation._account(spectrum, 0.2, self.PARAMS, ROUTES["theorem1_rdp"],
                                     0, 0.0, None, False)
         assert entry.cause is None and entry.curve.sum_lambda_min == 0.2
+
+    def test_theorem1_route_refuses_a_context_at_most_its_limit(self):
+        # C^2/D = 1/40: no order above 1 keeps theorem 1's denominator positive
+        refused = simulation._account(np.array([0.5, 0.02, 0.01]), 0.02, self.PARAMS,
+                                      ROUTES["theorem1_rdp"], 0, 0.0, None, False)
+        assert refused.route == "refused" and refused.eps == math.inf
+        assert refused.lambda_min == 0.02
+        assert refused.cause == (
+            "empty alpha validity interval for theorem1_rdp: upper bound 0.8 <= 1; theorem 1's "
+            "context sum_u B lambda_min(Sigma_u) = 0.02 is at most C^2/D = 0.025"
+        )
 
     def test_theorem1_context_is_zero_when_every_user_is_singular(self, monkeypatch):
         # D = 3 replays of d = 5 coordinates: each user's dense estimate has rank 3,
@@ -908,9 +918,9 @@ class TestAccountReadsTheSpectrum:
         contexts = []
         original = simulation._account
 
-        def recording(summed, lambda_min, theorem1_context, *args):
+        def recording(summed, theorem1_context, *args):
             contexts.append(theorem1_context)
-            return original(summed, lambda_min, theorem1_context, *args)
+            return original(summed, theorem1_context, *args)
 
         monkeypatch.setattr(simulation, "_account", recording)
         _, spectra, _, _, _ = simulation.noise_round(init_model(family, 4), Cohort(users),
@@ -918,7 +928,7 @@ class TestAccountReadsTheSpectrum:
                                                      0, spectra=True)
         assert (spectra_module.rank(spectra) < 5).all() and spectra[:, -1].max() > 0.0
         outcome = run_round(init_model(family, 4), users, MechanismConfig(MechanismKind.NONE),
-                            params, RdpVariant.THEOREM1_RDP, master_seed=5, round_index=0)
+                            params, ROUTES["theorem1_rdp"], master_seed=5, round_index=0)
         assert contexts == [0.0] and "covariance is singular" in outcome.entry.cause
 
 
@@ -945,7 +955,8 @@ class TestAggregateSpectrum:
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, recording)
-        run_round(model, users, mech, params, ClosedFormMode.GENERAL, master_seed=5, round_index=0)
+        run_round(model, users, mech, params, ROUTES["closed_form:general"], master_seed=5,
+                  round_index=0)
         dim = model.dim
         assert [s for s in shapes["eigvalsh"] if len(s) == 2] == [(dim, dim)]
         assert [s for s in shapes["eigh"] if len(s) == 2] == []
@@ -1002,7 +1013,8 @@ class TestFloorsFromSpectra:
         users, model, mech = self.setup(features)
         params = PrivacyParams(clip=1.0, batch=5, local_size=20, ns_users=5, delta=1e-3,
                                floor=self.SIGMA2)
-        run_round(model, users, mech, params, ClosedFormMode.GENERAL, master_seed=5, round_index=0)
+        run_round(model, users, mech, params, ROUTES["closed_form:general"], master_seed=5,
+                  round_index=0)
         dim, count = model.dim, 20
         if 2 * count > dim:
             assert calls == [("eigh", (1, dim, dim))]
@@ -1045,8 +1057,8 @@ class TestFloorsFromSpectra:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", refused)
         monkeypatch.setattr(np.linalg, "eigh", refused)
-        outcome = run_round(init_model(family, 11), users, mech, params, ClosedFormMode.GENERAL,
-                            master_seed=5, round_index=0)
+        outcome = run_round(init_model(family, 11), users, mech, params,
+                            ROUTES["closed_form:general"], master_seed=5, round_index=0)
         tail = 0.0
         for _ in users[1:]:  # slot by slot
             tail += self.SIGMA2
