@@ -278,11 +278,11 @@ def _rdp_terms(a, params: PrivacyParams, variant: RdpVariant, sum_lambda_min: Op
 
     The one copy of the formulas: ``a`` is a float on ``rdp_bound``'s scalar
     path and an array on its array path, and both evaluate the same operations
-    in the same order, so a scalar equals the array element bit for bit.
+    in the same order, so a scalar equals the array element bit for bit. Any
+    field may be an array; B and D convert exactly, as float() would.
     """
     c2 = params.clip * params.clip
-    b = float(params.batch)
-    d = float(params.local_size)
+    b, d = params.batch, params.local_size
     if variant is RdpVariant.THEOREM1_RDP:
         num = 2.0 * a * b * c2 / d**2 + a * c2 / ((a - 1.0) * d)
         return num, sum_lambda_min - a * c2 / d
@@ -314,7 +314,8 @@ def rdp_bound(
 
     Accepts a scalar or an array of orders; out-of-range entries are reported
     as +inf rather than raised. A float order takes a scalar path in float
-    arithmetic, equal bit for bit to the array path's element.
+    arithmetic, equal bit for bit to the array path's element, where params'
+    fields and ``sum_lambda_min`` may also be arrays broadcast against the orders.
     """
     if variant is RdpVariant.GAUSSIAN and (sum_lambda_min is None or sum_lambda_min <= 0):
         raise NonPositiveLambda("GAUSSIAN variant needs positive sum_lambda_min")

@@ -526,6 +526,8 @@ def _spectrum_rows(source: str, eigvals, sigma2: float) -> list[dict]:
 def cmd_spectrum(args) -> int:
     if not (math.isfinite(args.sigma2) and args.sigma2 >= 0):
         raise ConfigError(f"--sigma2: expected a finite floor >= 0, got {args.sigma2!r}")
+    if args.eigvals and args.config is not None:
+        raise ConfigError("--config: spectrum reads --eigvals or --config, not both")
     rows = []
     if args.eigvals:
         try:
@@ -788,6 +790,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.config is not None and args.command not in ("simulate", "spectrum"):
+            raise ConfigError(f"--config: {args.command} reads no config; only simulate and spectrum do")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

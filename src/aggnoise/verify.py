@@ -13,21 +13,23 @@ The closed-form harness evaluates one substitution pair per instance, the
 extremal one: a difference of 2C/B along the aggregate's minimal
 eigenvector. Its whitened sensitivity 2C/(B sqrt(lambda_min)) is the supremum
 over all pairs of clipped gradients, so random pairs could only come out
-lower. Both harnesses draw their instances a run of trials at a time, as
-plain arrays. One ``GradientMatrix`` per dimension and gradient count checks
-every user's gradients against that user's own trial clip, and
-``spectra.estimate_mean_cov`` and ``spectra.floor_eigenvalues`` estimate and
-floor the users' models from it. The aggregates' covariances are summed as
-stacks per dimension, with the same bits as summing each instance through
-``sum_covariances``; the closed-form suite eigendecomposes its totals for
-their minimal eigenvectors, and the RDP suite reads only their spectra.
+lower. Both harnesses draw their instances a run of trials at a time, making
+only the generator calls per trial. Per dimension and gradient count, one
+stack scales the users' raw directions to their drawn norms, one
+``GradientMatrix`` checks every user's gradients against that user's own
+trial clip, and ``spectra.estimate_mean_cov`` and ``spectra.floor_eigenvalues``
+estimate and floor the users' models from it. The aggregates' covariances are
+summed as stacks per dimension, with the same bits as summing each instance
+through ``sum_covariances``; the closed-form suite eigendecomposes its totals
+for their minimal eigenvectors, and the RDP suite reads only their spectra.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from types import SimpleNamespace
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -106,15 +108,10 @@ def check_necessary_condition(
     zero-probability affine slice and the server can detect the substitution
     outright.
     """
-    stacks = []
-    for g in gradient_sets:
-        cols = g.columns if isinstance(g, GradientMatrix) else np.asarray(g, dtype=float)
-        if cols.ndim == 1:
-            cols = cols[:, None]
-        stacks.append(cols)
-    if not stacks:
+    sets = [g.columns if isinstance(g, GradientMatrix) else np.asarray(g, dtype=float) for g in gradient_sets]
+    if not sets:
         raise DimensionMismatch("need at least one gradient set")
-    union = np.hstack(stacks)
+    union = np.hstack([cols[:, None] if cols.ndim == 1 else cols for cols in sets])
     if span_contains(union, np.asarray(replacement, dtype=float), tol):
         return Verdict.SATISFIED
     return Verdict.VIOLATED
@@ -184,15 +181,8 @@ def build_counterexample(
     cand_b = base + shift
     if np.linalg.norm(cand_b) > clip:
         cand_b = cand_b * (clip / np.linalg.norm(cand_b))
-    return Counterexample(
-        helpers=helpers,
-        candidate_a=base,
-        candidate_b=cand_b,
-        replacement=cand_b,
-        quarter_start=q_start,
-        clip=clip,
-        batch=1,
-    )
+    return Counterexample(helpers=helpers, candidate_a=base, candidate_b=cand_b, replacement=cand_b,
+                          quarter_start=q_start, clip=clip, batch=1)
 
 
 def _floored_models(
@@ -230,11 +220,7 @@ def run_distinguisher(
     secret = rng.integers(0, 2, size=trials)
     head = (agg_model.eigvecs * np.sqrt(agg_model.eigvals))[q:]
     noise = rng.standard_normal((trials, agg_model.n_components)) @ head.T
-    cand = np.where(
-        secret[:, None] == 0,
-        instance.candidate_a[None, q:],
-        instance.candidate_b[None, q:],
-    )
+    cand = np.where(secret[:, None] == 0, instance.candidate_a[None, q:], instance.candidate_b[None, q:])
     observed = noise + mean_q[None, :] + cand
     da = np.linalg.norm(observed - mean_q[None, :] - instance.candidate_a[None, q:], axis=1)
     db = np.linalg.norm(observed - mean_q[None, :] - instance.candidate_b[None, q:], axis=1)
@@ -253,38 +239,65 @@ def counterexample_floored_lambda_min(instance: Counterexample, floor: float) ->
     return float(sum_covariances(_floored_models(instance.helpers, instance.batch, floor))[-1])
 
 
-def _random_clipped_columns(dim: int, count: int, clip: float, rng, low: float, spread: float) -> Array:
-    """``count`` random directions, with norms drawn uniformly from clip * [low, low + spread)."""
-    cols = rng.standard_normal((dim, count))
-    norms = np.linalg.norm(cols, axis=0)
-    scales = clip * (low + spread * rng.random(count)) / norms
-    return cols * scales
+class _Draw(NamedTuple):  # users' gradients as drawn, one user per row
+    directions: Array  # (k, dim, count) standard normals
+    radii: Optional[Array]  # (k, count) uniforms r: column j gets norm C (low + spread r_j); None: ready
+    first: Optional[Array] = None  # certify_rdp's substitute: the gradient that replaces row 0's column 0
 
 
-def _estimates(group: Sequence[_Trial], sets_of) -> CovarianceModel:
+def _draw(rng: np.random.Generator, n_users: int, dim: int, count: int) -> _Draw:
+    """Each user's ``rng.standard_normal((dim, count))`` and then ``rng.random(count)``, into one block."""
+    draw = _Draw(np.empty((n_users, dim, count)), np.empty((n_users, count)))
+    for directions, radii in zip(draw.directions, draw.radii):
+        rng.standard_normal(out=directions)
+        rng.random(out=radii)
+    return draw
+
+
+def _choice(rng: np.random.Generator, options: Sequence[float]) -> float:
+    """``rng.choice(options)``: the same draw from the stream, without building an array."""
+    return options[int(rng.integers(0, len(options)))]
+
+
+def _scaled(draws: Sequence[_Draw], clip: Array, band: tuple[float, float]) -> Array:
+    """The draws' rows' gradients, bit for bit ``directions * (C * (low + spread * r) / np.linalg.norm(
+    directions, axis=0))`` per row (that norm is sqrt(add.reduce(x * x))), ``first`` over column 0."""
+    low, spread = band
+    cols = np.concatenate([d.directions for d in draws])
+    norms = np.sqrt(np.add.reduce(cols * cols, axis=-2))
+    cols *= (clip[:, None] * (low + spread * np.concatenate([d.radii for d in draws])) / norms)[:, None, :]
+    rows = np.cumsum([0] + [len(d.directions) for d in draws])  # each draw's row 0
+    swapped = [j for j, d in enumerate(draws) if d.first is not None]
+    if swapped:
+        cols[rows[swapped], :, 0] = np.stack([draws[j].first for j in swapped])
+    return cols
+
+
+def _estimates(group: Sequence[_Trial], sets_of, band: Optional[tuple] = None) -> CovarianceModel:
     """Every trial's gradient sets, ``sets_of(trial)``, estimated and floored as one model stack.
 
-    Member i is ``floor_eigenvalues(estimate_mean_cov(GradientMatrix(g, C), B),
-    floor)[0]`` for its raw (dim, count) draws g and its own trial's C, B and
-    floor; a zero floor leaves the clamped estimate as it is. The draws are
+    A set is a (dim, count) array g of gradients or, given ``band`` = (low,
+    spread), a ``_Draw`` of one g per row, ``_scaled`` at that band. Member i,
+    the i-th g in set order, is ``floor_eigenvalues(estimate_mean_cov(
+    GradientMatrix(g, C), B), floor)[0]`` at its own trial's C, B and floor (a
+    zero floor leaves the clamped estimate as it is). The sets are scaled,
     checked and estimated one stack per gradient count, and floored in one
-    call. Every set has the same dim and more than dim/2 gradients, so every
-    model is full-dimension.
+    call. All have one dim and more than dim/2 gradients: full-dimension models.
     """
-    sets = [(g, t.params) for t in group for g in sets_of(t)]
-    counts = np.array([g.shape[1] for g, _ in sets])
-    clip = np.array([p.clip for _, p in sets])
-    batch = np.array([p.batch for _, p in sets])
-    dim = sets[0][0].shape[0]
-    means = np.empty((len(sets), dim))
-    vals = np.empty((len(sets), dim))
-    vecs = np.empty((len(sets), dim, dim))
+    sets = [(g if band else _Draw(g[None], None), t.params) for t in group for g in sets_of(t)]
+    sizes = [len(d.directions) for d, _ in sets]
+    counts = np.array([d.directions.shape[-1] for d, _ in sets])
+    clip, batch, floor = (np.repeat([getattr(p, name) for _, p in sets], sizes)
+                          for name in ("clip", "batch", "floor"))
+    n, dim = len(clip), sets[0][0].directions.shape[-2]
+    means, vals, vecs = np.empty((n, dim)), np.empty((n, dim)), np.empty((n, dim, dim))
     for count in sorted(set(counts.tolist())):
-        idx = np.flatnonzero(counts == count)
-        cols = np.stack([sets[i][0] for i in idx])
+        draws = [sets[i][0] for i in np.flatnonzero(counts == count)]
+        idx = np.flatnonzero(np.repeat(counts, sizes) == count)
+        cols = _scaled(draws, clip[idx], band) if band else np.concatenate([d.directions for d in draws])
         model = estimate_mean_cov(GradientMatrix(cols, clip[idx]), batch[idx])
         means[idx], vals[idx], vecs[idx] = model.mean, model.eigvals, model.eigvecs
-    return floor_eigenvalues(CovarianceModel(means, vecs, vals), np.array([p.floor for _, p in sets]))[0]
+    return floor_eigenvalues(CovarianceModel(means, vecs, vals), floor)[0]
 
 
 def _slot_sums(models: CovarianceModel, slots: Array) -> tuple[Array, Array]:
@@ -335,8 +348,17 @@ def _in_stacks(n_trials: int, evaluate) -> list[DominanceReport]:
 @dataclass
 class _Trial:
     params: PrivacyParams  # its floor is the one every user's model is floored at
-    users: list[Array]  # raw (dim, count) draws, checked against params.clip by _estimates
-    substituted: Optional[Array] = None  # certify_rdp: users[0], first gradient replaced
+    users: Union[list[Array], _Draw]  # (dim, count) gradients, or a suite's draw; _estimates checks them
+    substituted: Optional[_Draw] = None  # certify_rdp: user 0's row, its first gradient replaced
+
+
+def _stacked_bounds(params: Sequence[PrivacyParams], variant: RdpVariant, alphas, context) -> Array:
+    """Row t is ``rdp_bound(alphas, params[t], variant, context[t])``, bit for bit, from one array-path
+    call over the params' fields as (n, 1) columns; a THEOREM1_RDP context <= 0 gives +inf."""
+    names = ("clip", "batch", "local_size", "ns_users", "floor")
+    table = np.array([[getattr(p, name) for name in names] for p in params], dtype=float)
+    columns = SimpleNamespace(**{name: table[:, k, None] for k, name in enumerate(names)})
+    return rdp_bound(alphas, columns, variant, None if context is None else context[:, None])
 
 
 def certify_closed_form(n_trials: int, rng: np.random.Generator) -> list[DominanceReport]:
@@ -351,41 +373,43 @@ def certify_closed_form(n_trials: int, rng: np.random.Generator) -> list[Dominan
     ||L^-1 x|| <= ||x|| / sqrt(lambda_min) <= 2C / (B sqrt(lambda_min)),
     with equality at x = (2C/B) v_min. So that one pair is the supremum.
 
-    Instances are drawn in trial order, up to _TRIALS_PER_STACK at a time.
-    Their users are estimated and floored by stacked ``estimate_mean_cov``
-    and ``floor_eigenvalues`` calls; the sums, their eigendecompositions and
-    the whitening solves run as stacked calls per dimension. The sums are the
-    matrices ``sum_covariances`` would add instance by instance.
+    Instances are drawn in trial order, up to _TRIALS_PER_STACK at a time,
+    and per trial only the draws run; the rest is stacked. Users are scaled,
+    estimated and floored by stacked ``estimate_mean_cov`` and
+    ``floor_eigenvalues`` calls; the sums, their eigendecompositions and the
+    whitening solves run as stacked calls per dimension. The sums are the
+    matrices ``sum_covariances`` would add instance by instance. Only the
+    epsilon and the exact delta are computed per trial.
     """
     return _in_stacks(n_trials, lambda count, first: _closed_form_stack(count, first, rng))
 
 
 def _closed_form_stack(n_trials: int, first: int, rng: np.random.Generator) -> list[DominanceReport]:
-    trials = []
+    trials, dims = [], []
     for _ in range(n_trials):
         dim = int(rng.integers(2, 6))
         n_users = int(rng.integers(2, 7))
         count = int(rng.integers(max(dim, 4), 11))
         batch = int(rng.integers(1, 5))
         clip = float(0.5 + 1.5 * rng.random())
-        delta = float(rng.choice([1e-3, 1e-4]))
+        delta = _choice(rng, (1e-3, 1e-4))
         # the floor keeps every instance in the high-privacy branch, which is
         # where the closed form claims arbitrary delta; probe_low_region()
         # documents what happens to the other branch
         root = math.sqrt(2.0 * math.log(1.25 / delta))
         lambda_0 = 4.0 * clip * clip * root / (batch * batch)
-        floor = lambda_0 / n_users * float(rng.choice([1.05, 2.0, 5.0, 20.0]))
+        floor = lambda_0 / n_users * _choice(rng, (1.05, 2.0, 5.0, 20.0))
         params = PrivacyParams(clip=clip, batch=batch, local_size=count,
                                ns_users=n_users, delta=delta, floor=floor)
-        users = [_random_clipped_columns(dim, count, clip, rng, 0.6, 0.4) for _ in range(n_users)]
-        trials.append(_Trial(params, users))
+        trials.append(_Trial(params, _draw(rng, n_users, dim, count)))
+        dims.append(dim)
 
     lam_min = np.empty(n_trials)
     sensitivity = np.empty(n_trials)
-    for idx in _by_dim([t.users[0].shape[0] for t in trials]):
+    for idx in _by_dim(dims):
         group = [trials[i] for i in idx]
-        sizes = np.array([len(t.users) for t in group])
-        models = _estimates(group, lambda t: t.users)
+        sizes = np.array([t.params.ns_users for t in group])
+        models = _estimates(group, lambda t: [t.users], (0.6, 0.4))
         _, totals = _slot_sums(models, _slot_table(sizes, sizes))
         # eigh's first eigenpair is the smallest eigenvalue's; its vector is the extremal direction
         vals, vecs = _psd_eigh(totals)
@@ -401,18 +425,13 @@ def _closed_form_stack(n_trials: int, first: int, rng: np.random.Generator) -> l
         p = t.params
         lam = float(lam_min[trial])
         bound = eps_dp_closed_form(lam, p, ClosedFormMode.GENERAL)
-        exact = analytic_gaussian_delta(float(sensitivity[trial]), 1.0, bound.eps)
-        reports.append(
-            DominanceReport(
-                descriptor=(
-                    f"closed_form trial={first + trial} d={t.users[0].shape[0]} N={p.ns_users} "
-                    f"D={p.local_size} B={p.batch} C={p.clip:.3f} delta={p.delta:g} "
-                    f"region={bound.region.value} lam={lam:.3e} eps={bound.eps:.4f}"
-                ),
-                exact=exact,
-                bound=p.delta,
-            )
-        )
+        reports.append(DominanceReport(
+            f"closed_form trial={first + trial} d={dims[trial]} N={p.ns_users} "
+            f"D={p.local_size} B={p.batch} C={p.clip:.3f} delta={p.delta:g} "
+            f"region={bound.region.value} lam={lam:.3e} eps={bound.eps:.4f}",
+            exact=analytic_gaussian_delta(float(sensitivity[trial]), 1.0, bound.eps),
+            bound=p.delta,
+        ))
     return reports
 
 
@@ -432,21 +451,11 @@ def probe_low_region(delta: float = 1e-3) -> DominanceReport:
     lam = 2.0 * params.clip**2 / params.batch**2
     bound = eps_dp_closed_form(lam, params, ClosedFormMode.GENERAL)
     sensitivity = 2.0 * params.clip / (params.batch * math.sqrt(lam))
-    exact = analytic_gaussian_delta(sensitivity, 1.0, bound.eps)
     return DominanceReport(
-        descriptor=(
-            f"low_region_probe lam={lam:.4f} eps={bound.eps:.4f} "
-            f"printed_validity_bound={bound.delta_bound:.4f}"
-        ),
-        exact=exact,
+        f"low_region_probe lam={lam:.4f} eps={bound.eps:.4f} printed_validity_bound={bound.delta_bound:.4f}",
+        exact=analytic_gaussian_delta(sensitivity, 1.0, bound.eps),
         bound=delta,
     )
-
-
-def _substitute_column(cols: Array, new_col: Array) -> Array:
-    cols = cols.copy()
-    cols[:, 0] = new_col
-    return cols
 
 
 def _random_clipped(dim: int, clip: float, rng: np.random.Generator) -> Array:
@@ -469,9 +478,8 @@ def certify_rdp(
     per-variant pass rates of this harness adjudicate the two printed forms of
     the floored-mechanism bound.
 
-    As in ``certify_closed_form``, instances are drawn a run at a time, their
-    users are estimated and floored by stacked ``estimate_mean_cov`` and
-    ``floor_eigenvalues`` calls, and the rest runs stacked per dimension. A
+    As in ``certify_closed_form``, instances are drawn a run at a time, only
+    the draws per trial, and the rest runs stacked, the bounds included. A
     trial's N users and its substituted first user are estimated once each;
     both aggregates sum from them.
     """
@@ -487,7 +495,8 @@ def _rdp_stack(
     rng: np.random.Generator,
     alphas: Sequence[float],
 ) -> list[DominanceReport]:
-    trials = []
+    theorem1 = variant is RdpVariant.THEOREM1_RDP
+    trials, dims = [], []
     for _ in range(n_trials):
         dim = int(rng.integers(2, 5))
         count = int(rng.integers(max(dim + 2, 5), 11))
@@ -495,28 +504,26 @@ def _rdp_stack(
         batch = int(rng.integers(1, 5))
         clip = float(0.5 + 1.0 * rng.random())
 
-        users = [_random_clipped_columns(dim, count, clip, rng, 0.7, 0.3) for _ in range(n_users)]
-        substituted = _substitute_column(users[0], _random_clipped(dim, clip, rng))
+        users = _draw(rng, n_users, dim, count)
+        substituted = _Draw(users.directions[:1], users.radii[:1], _random_clipped(dim, clip, rng))
 
-        if variant is RdpVariant.THEOREM1_RDP:
-            floor = 0.0
-        else:
-            alpha_max = max(alphas)
-            base = 2.0 * alpha_max * clip * clip / (n_users * count)
-            floor = base * float(rng.choice([1.5, 3.0, 10.0]))
+        floor = 0.0
+        if not theorem1:
+            floor = 2.0 * max(alphas) * clip * clip / (n_users * count) * _choice(rng, (1.5, 3.0, 10.0))
         params = PrivacyParams(clip=clip, batch=batch, local_size=count,
                                ns_users=n_users, delta=1e-5, floor=floor)
         trials.append(_Trial(params, users, substituted))
+        dims.append(dim)
 
     # THEOREM1_RDP's context: the users' summed unit-batch (1/D-scaled) lambda_min,
     # read as B times each batch-B estimate's, as run_round reads it
     context = np.zeros(n_trials)
     aggregates = []  # per dim: trial indices, then means, covariances and spectra of p and q
-    for idx in _by_dim([t.users[0].shape[0] for t in trials]):
+    for idx in _by_dim(dims):
         group = [trials[i] for i in idx]
-        sizes = np.array([len(t.users) for t in group])
+        sizes = np.array([t.params.ns_users for t in group])
         # a zero floor (THEOREM1_RDP) leaves the clamped spectra as they are
-        models = _estimates(group, lambda t: t.users + [t.substituted])
+        models = _estimates(group, lambda t: [t.users, t.substituted], (0.7, 0.3))
         # slot k of p is user k; q swaps user 0 for its substitute, stored after user N-1
         slots_p = _slot_table(sizes, sizes + 1)
         slots_q = slots_p.copy()
@@ -525,21 +532,13 @@ def _rdp_stack(
         # non-increasing, as sum_covariances returns them
         spec_p, spec_q = (_psd_eigh(total, vectors=False)[0][..., ::-1] for total in (total_p, total_q))
         aggregates.append((idx, mean_p, mean_q, total_p, total_q, spec_p, spec_q))
-        if variant is RdpVariant.THEOREM1_RDP:
+        if theorem1:
             batch = np.array([t.params.batch for t in group])[:, None]
             unit_min = np.where(slots_p >= 0, batch * models.eigvals[slots_p, -1], 0.0)
             for k in range(slots_p.shape[1]):  # slot by slot, the order run_round adds them in
                 context[idx] += unit_min[:, k]
 
-    bounds = np.full((n_trials, len(alphas)), math.inf)
-    for trial, t in enumerate(trials):
-        lam_sum = None
-        if variant is RdpVariant.THEOREM1_RDP:
-            if context[trial] <= 0:
-                continue
-            lam_sum = float(context[trial])
-        bounds[trial] = rdp_bound(np.asarray(alphas, dtype=float), t.params, variant,
-                                  sum_lambda_min=lam_sum)
+    bounds = _stacked_bounds([t.params for t in trials], variant, alphas, context if theorem1 else None)
     finite = np.isfinite(bounds)
     # S_a is indefinite at orders with an infinite bound, so only finite ones are factored
     exact = np.full(bounds.shape, math.nan)
@@ -555,17 +554,13 @@ def _rdp_stack(
         for j, alpha in enumerate(alphas):
             if not finite[trial, j]:
                 continue
-            reports.append(
-                DominanceReport(
-                    descriptor=(
-                        f"{variant.value} trial={first + trial} alpha={alpha:g} d={t.users[0].shape[0]} "
-                        f"N={p.ns_users} D={p.local_size} B={p.batch} C={p.clip:.3f}"
-                        + (f" sigma2={p.floor:.3e}" if p.floor else "")
-                    ),
-                    exact=float(exact[trial, j]),
-                    bound=float(bounds[trial, j]),
-                )
-            )
+            reports.append(DominanceReport(
+                f"{variant.value} trial={first + trial} alpha={alpha:g} d={dims[trial]} "
+                f"N={p.ns_users} D={p.local_size} B={p.batch} C={p.clip:.3f}"
+                + (f" sigma2={p.floor:.3e}" if p.floor else ""),
+                exact=float(exact[trial, j]),
+                bound=float(bounds[trial, j]),
+            ))
     return reports
 
 

@@ -570,6 +570,26 @@ def test_python_m_aggnoise_runs_the_cli():
     assert out.stdout.startswith("usage: aggnoise")
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--trials-closed", "2", "--trials-rdp", "2", "--advantage-trials", "100"],
+    ["account", "--route", "closed", "--lambda", "0.25", "--C", "2", "--delta", "1e-3"],
+    ["compose", "run1/ledger.json"],
+    ["spectrum", "--eigvals", "0.5,0.1"],
+], ids=["verify", "account", "compose", "spectrum-eigvals"])
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_commands_that_read_no_config_refuse_it(tmp_path, capsys, command, before):
+    # only simulate and spectrum without --eigvals read --config; elsewhere it would be ignored,
+    # even when missing
+    out = tmp_path / "o"
+    flag = ["--config", str(tmp_path / "missing.json")]
+    argv = ["--out", str(out)] + (flag + command if before else command[:1] + flag + command[1:])
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: --config: ")
+    assert not out.exists()
+
+
 class TestSpectrumCommand:
     def test_flooring_demo_rows(self, tmp_path):
         out = tmp_path / "o"

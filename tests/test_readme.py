@@ -28,12 +28,16 @@ def test_library_use_example_runs():
     assert math.isfinite(namespace["total"].total_eps)
 
 
-def cli_account_lines() -> list[str]:
-    """Every ``aggnoise account`` command of the fenced sh blocks under the CLI heading."""
+def cli_lines(command: str) -> list[str]:
+    """Every ``aggnoise <command>`` line of the fenced sh blocks under the CLI heading."""
     text = README.read_text().split("## CLI\n", 1)[1].split("\n## ", 1)[0]
     blocks = [block.split("```", 1)[0] for block in text.split("```sh\n")[1:]]
     return [line for block in blocks for line in block.splitlines()
-            if line.startswith("aggnoise account ")]
+            if line.split()[:2] == ["aggnoise", command]]
+
+
+def cli_account_lines() -> list[str]:
+    return cli_lines("account")
 
 
 def test_cli_section_documents_account():
@@ -44,3 +48,14 @@ def test_cli_section_documents_account():
 def test_account_example_runs(line, capsys):
     assert main(shlex.split(line)[1:]) == EXIT_OK
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", cli_lines("verify"), ids=lambda line: line.split("#", 1)[0].strip())
+def test_verify_example_runs(line, tmp_path, monkeypatch, capsys):
+    # the default --out is relative, so the report lands in the temporary directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("AGGNOISE_OUT", raising=False)
+    monkeypatch.delenv("AGGNOISE_SEED", raising=False)
+    assert main(shlex.split(line, comments=True)[1:]) == EXIT_OK
+    assert "all verification checks passed" in capsys.readouterr().out
+    assert (tmp_path / "aggnoise-out" / "verify_report.json").exists()

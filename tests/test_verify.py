@@ -40,8 +40,7 @@ from aggnoise.verify import (
     _estimates,
     _floored_models,
     _random_clipped,
-    _random_clipped_columns,
-    _substitute_column,
+    _stacked_bounds,
     _Trial,
     build_counterexample,
     certify_closed_form,
@@ -52,6 +51,20 @@ from aggnoise.verify import (
     run_distinguisher,
     summarize_reports,
 )
+
+
+def _random_clipped_columns(dim, count, clip, rng, low, spread):
+    """``count`` random directions, with norms drawn uniformly from clip * [low, low + spread)."""
+    cols = rng.standard_normal((dim, count))
+    norms = np.linalg.norm(cols, axis=0)
+    scales = clip * (low + spread * rng.random(count)) / norms
+    return cols * scales
+
+
+def _substitute_column(cols, new_col):
+    cols = cols.copy()
+    cols[:, 0] = new_col
+    return cols
 
 
 def closed_form_instances(n_trials, rng):
@@ -483,13 +496,16 @@ class TestStackedSuites:
         stacked = certify_closed_form(300, np.random.default_rng(seed))
         assert as_dicts(stacked) == as_dicts(per_instance_closed_form(300, np.random.default_rng(seed)))
 
-    @pytest.mark.parametrize("seed", [3, 7, 11])
-    @pytest.mark.parametrize(
-        "variant", [RdpVariant.THEOREM1_RDP, RdpVariant.WFDP_A, RdpVariant.WFDP_B]
-    )
-    def test_rdp_matches_per_instance(self, variant, seed):
-        stacked = certify_rdp(variant, 150, np.random.default_rng(seed))
-        reference = per_instance_rdp(variant, 150, np.random.default_rng(seed))
+    @pytest.mark.parametrize("variant, seed, n_trials", [
+        *(pytest.param(variant, seed, 150, id=f"{variant}-{seed}")
+          for variant in (RdpVariant.THEOREM1_RDP, RdpVariant.WFDP_A, RdpVariant.WFDP_B)
+          for seed in (3, 7, 11)),
+        # past the first stack of 250 trials
+        pytest.param(RdpVariant.THEOREM1_RDP, 5, 260, id="RdpVariant.THEOREM1_RDP-5-260-trials"),
+    ])
+    def test_rdp_matches_per_instance(self, variant, seed, n_trials):
+        stacked = certify_rdp(variant, n_trials, np.random.default_rng(seed))
+        reference = per_instance_rdp(variant, n_trials, np.random.default_rng(seed))
         assert len(stacked) > 0
         assert as_dicts(stacked) == as_dicts(reference)
 
@@ -510,9 +526,48 @@ class TestStackedSuites:
         stacked_rng, reference_rng = np.random.default_rng(9), np.random.default_rng(9)
         certify_closed_form(20, stacked_rng)
         per_instance_closed_form(20, reference_rng)
-        certify_rdp(RdpVariant.WFDP_B, 20, stacked_rng)
-        per_instance_rdp(RdpVariant.WFDP_B, 20, reference_rng)
-        assert stacked_rng.random() == reference_rng.random()
+        for variant in (RdpVariant.THEOREM1_RDP, RdpVariant.WFDP_A, RdpVariant.WFDP_B):
+            certify_rdp(variant, 20, stacked_rng)
+            per_instance_rdp(variant, 20, reference_rng)
+            assert stacked_rng.random() == reference_rng.random()
+
+    @pytest.mark.parametrize(
+        "variant", [RdpVariant.THEOREM1_RDP, RdpVariant.WFDP_A, RdpVariant.WFDP_B]
+    )
+    def test_stacked_bounds_equal_rdp_bound(self, variant):
+        # each instance's context (THEOREM1_RDP) or N sigma^2 (WFDP) sits at a multiple of
+        # a denominator's zero, so rows hold finite bounds, orders outside the interval,
+        # denominators <= 0 at and next to the edge, and contexts <= 0
+        rng = np.random.default_rng(21)
+        theorem1 = variant is RdpVariant.THEOREM1_RDP
+        alphas = (1.5, 2.0, 4.0)
+        factors = (-1.0, 0.0, 0.5, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1.7, 3.0, 40.0)
+        params, context = [], []
+        for factor in factors:
+            for _ in range(12):
+                clip, batch = float(0.5 + rng.random()), int(rng.integers(1, 5))
+                count, n_users = int(rng.integers(5, 11)), int(rng.integers(2, 6))
+                alpha = alphas[int(rng.integers(0, len(alphas)))]
+                if theorem1:
+                    zero = alpha * clip * clip / count
+                else:
+                    zero = 2.0 * alpha * clip * clip / (count * n_users)
+                    if variant is RdpVariant.WFDP_B and rng.random() < 0.5:
+                        zero /= batch
+                value = zero * factor
+                if not theorem1 and value < 0:
+                    continue  # a floor is >= 0
+                params.append(PrivacyParams(clip=clip, batch=batch, local_size=count,
+                                            ns_users=n_users, floor=0.0 if theorem1 else value))
+                context.append(value if theorem1 else None)
+        stacked = _stacked_bounds(params, variant, alphas, np.array(context) if theorem1 else None)
+        assert stacked.shape == (len(params), len(alphas))
+        for row, p, lam in zip(stacked, params, context):
+            assert np.array_equal(row, rdp_bound(np.asarray(alphas), p, variant, lam))
+            assert row.tolist() == [rdp_bound(a, p, variant, lam) for a in alphas]
+        assert np.isinf(stacked).any() and np.isfinite(stacked).any()
+        if theorem1:
+            assert np.isinf(stacked[np.array(context) <= 0]).all()
 
     def test_estimates_check_each_draw_against_its_own_clip(self):
         # a draw over its own trial's clip is rejected even when a larger clip shares its stack
