@@ -755,11 +755,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", parents=[shared],
                            help="run dominance suites and the counterexample demo")
-    p_ver.add_argument("--trials-closed", type=int, default=1000)
-    p_ver.add_argument("--trials-rdp", type=int, default=500)
-    p_ver.add_argument("--ce-dim", type=int, default=8)
-    p_ver.add_argument("--ce-trials", type=int, default=1000)
-    p_ver.add_argument("--advantage-trials", type=int, default=100_000)
+    p_ver.add_argument("--trials-closed", type=int, default=1000,
+                       help="closed-form dominance instances (default %(default)s)")
+    p_ver.add_argument("--trials-rdp", type=int, default=500,
+                       help="instances per RDP dominance suite (default %(default)s)")
+    p_ver.add_argument("--ce-dim", type=int, default=8,
+                       help="counterexample dimension, a positive multiple of 4 (default %(default)s)")
+    p_ver.add_argument("--ce-trials", type=int, default=1000,
+                       help="distinguisher trials on the unfloored counterexample (default %(default)s)")
+    p_ver.add_argument("--advantage-trials", type=int, default=100_000,
+                       help="distinguisher trials on the floored counterexample, "
+                            "checked against the (eps, delta) advantage bound (default %(default)s)")
 
     p_comp = sub.add_parser("compose", parents=[shared],
                             help="merge round ledgers across runs")

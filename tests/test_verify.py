@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from aggnoise.spectra import (
     _renyi_divergence,
 )
 from aggnoise.verify import (
+    _DISTINGUISHER_BLOCK_BYTES,
     Counterexample,
     DominanceReport,
     Verdict,
@@ -65,6 +67,23 @@ def _substitute_column(cols, new_col):
     cols = cols.copy()
     cols[:, 0] = new_col
     return cols
+
+
+def _whole_distinguisher(instance, trials, rng, floor=0.0):
+    """``run_distinguisher`` drawing every trial at once, as one (trials, components) normal matrix."""
+    q = instance.quarter_start
+    models = _floored_models(instance.helpers, instance.batch, floor)
+    agg_model = eig_decompose(sum(m.matrix() for m in models), sum(m.mean for m in models))
+    mean_q = agg_model.mean[q:]
+    secret = rng.integers(0, 2, size=trials)
+    head = (agg_model.eigvecs * np.sqrt(agg_model.eigvals))[q:]
+    noise = rng.standard_normal((trials, agg_model.n_components)) @ head.T
+    cand = np.where(secret[:, None] == 0, instance.candidate_a[None, q:], instance.candidate_b[None, q:])
+    observed = noise + mean_q[None, :] + cand
+    da = np.linalg.norm(observed - mean_q[None, :] - instance.candidate_a[None, q:], axis=1)
+    db = np.linalg.norm(observed - mean_q[None, :] - instance.candidate_b[None, q:], axis=1)
+    guess = (db < da).astype(int)
+    return float(np.mean(guess == secret))
 
 
 def closed_form_instances(n_trials, rng):
@@ -368,6 +387,42 @@ class TestCounterexample:
         eps = eps_dp_closed_form(lam, params).eps
         limit = dp_advantage_bound(eps, params.delta)
         assert advantage <= limit + 3.0 / math.sqrt(trials)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_rejects_fewer_than_one_trial(self, trials):
+        ce = build_counterexample(8, rng=np.random.default_rng(3))
+        with pytest.raises(ValueError, match="trials"):
+            run_distinguisher(ce, trials, np.random.default_rng(4))
+
+    @pytest.mark.parametrize("floor", [0.0, 1.0])
+    @pytest.mark.parametrize("dim", [8, 12, 64])
+    def test_blocked_draw_equals_whole(self, dim, floor):
+        # trial counts on both sides of one and of several block boundaries:
+        # the same rate and the generator left where one whole draw leaves it
+        block = _DISTINGUISHER_BLOCK_BYTES // (8 * dim)  # the aggregate has dim components
+        for seed in range(6):
+            ce = build_counterexample(dim, rng=np.random.default_rng(seed))
+            for trials in (1, block - 1, block, block + 1, 3 * block + 7):
+                blocked, whole = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+                success = run_distinguisher(ce, trials, blocked, floor)
+                assert type(success) is float
+                assert success == _whole_distinguisher(ce, trials, whole, floor), (seed, trials)
+                assert blocked.random() == whole.random(), (seed, trials)
+
+    def test_memory_grows_only_by_the_secrets(self):
+        # numpy traces its buffers: from 10,000 to 100,000 trials the peak may
+        # grow by the 90,000 extra int64 secrets (10% slack), not by the draws
+        ce = build_counterexample(8, rng=np.random.default_rng(5))
+        run_distinguisher(ce, 10, np.random.default_rng(0), floor=1.0)
+        peaks = []
+        for trials in (10_000, 100_000):
+            tracemalloc.start()
+            try:
+                run_distinguisher(ce, trials, np.random.default_rng(6), floor=1.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 1.1 * 8 * 90_000
 
 
 class TestCertifyClosedForm:
