@@ -430,7 +430,8 @@ class CompositionState:
     counts the distinct curves in order of first appearance, the order in
     which their RDP values are summed, and ``bounds``, the running max of
     their lower and min of their upper order bounds. The order grid is kept
-    until the interval changes.
+    until the interval changes, and with it the values on that grid of each
+    curve counted at least twice; a curve seen once keeps none.
     """
 
     def __init__(self, curves: Sequence[RdpCurve] = ()):
@@ -439,6 +440,7 @@ class CompositionState:
         self.bounds = (1.0, math.inf)
         self.stop: Optional[LedgerEntry] = None
         self._grid: Optional[tuple[tuple[float, float], np.ndarray]] = None
+        self._grid_values: dict[RdpCurve, np.ndarray] = {}
         for curve in curves:
             self._count(curve)
 
@@ -468,7 +470,21 @@ class CompositionState:
         interval = _shared_interval(*self.bounds)
         if self._grid is None or self._grid[0] != interval:
             self._grid = (interval, np.geomspace(*interval, GRID_POINTS))
+            self._grid_values.clear()
         return self._grid[1]
+
+    def grid_rdp(self) -> np.ndarray:
+        """``_composed_rdp`` of the curves on ``order_grid``, bit for bit."""
+        grid = self.order_grid()
+        total = 0
+        for curve, count in self.curves.items():
+            values = self._grid_values.get(curve)
+            if values is None:
+                values = curve(grid)
+                if count > 1:
+                    self._grid_values[curve] = values
+            total = total + count * values
+        return total
 
 
 def optimize_alpha(
@@ -481,9 +497,10 @@ def optimize_alpha(
     golden-section pass between the best grid point's neighbours. Accepts a
     single curve, several (their RDP values are summed per order: multi-round
     composition), or a ledger's ``CompositionState``, whose curve ``Counter``,
-    bounds and order grid are used as they are. Repeated curves are collapsed,
-    so the cost scales with the number of *distinct* curves, not rounds: a
-    ledger of T identical rounds costs what one round does.
+    bounds, order grid and kept grid values are used as they are. Repeated
+    curves are collapsed, so the cost scales with the number of *distinct*
+    curves, not rounds: a ledger of T identical rounds costs what one round
+    does, and once its curve's values are kept, no evaluation on the grid.
 
     Returns (alpha_star, eps_star). Raises EmptyValidityInterval when the
     interval is empty (e.g. N sigma^2 D <= 2 C^2 for the floored mechanism).
@@ -494,7 +511,7 @@ def optimize_alpha(
         state = CompositionState([curve] if isinstance(curve, RdpCurve) else curve)
     weighted = state.curves
     grid = state.order_grid()
-    objective = _composed_rdp(weighted, grid) + math.log(1.0 / delta) / (grid - 1.0)
+    objective = state.grid_rdp() + math.log(1.0 / delta) / (grid - 1.0)
     finite = np.isfinite(objective)
     if not finite.any():
         raise EmptyValidityInterval("RDP bound is infinite on the whole order grid")

@@ -29,11 +29,13 @@ normals z a draw from its estimate takes (``mechanisms.compute_update``);
 only a dense one is drawn from its estimate. Whether a floor covers a user's
 whole spectrum is decided without an estimate: ``floor_coverage`` forms the user's matrix
 once (the dense second moment, or for thin gradients the D x D Gram matrix,
-which has the same nonzero eigenvalues), certifies it by Cholesky
-factorizations, and reads the eigenvalues alone of a matrix it cannot
-certify, with no eigenvectors and no QR. Nothing here knows a partition of
-the coordinates: a caller that floors coordinate blocks apart hands each
-block's rows over as gradients of their own.
+which has the same nonzero eigenvalues), bounds its largest eigenvalue by
+row sums of |M| (or, where they fall short, by a Cholesky factorization),
+checks the PSD clamp by a second Cholesky factorization, and reads the
+eigenvalues alone of a matrix it cannot certify, with no eigenvectors and no
+QR. Nothing here knows a partition of the coordinates: a caller that floors
+coordinate blocks apart hands each block's rows over as gradients of their
+own.
 
 Gradient matrices and covariance models also come as stacks, one member per
 user, so that a simulation round estimates, floors, samples and sums a run
@@ -69,6 +71,7 @@ Array = np.ndarray
 DEFAULT_RANK_TOL = 1e-10
 _NEG_EIG_CLAMP = 1e-10  # relative to lambda_max; more negative input is rejected
 _EPS = 2.0**-52  # float64 machine epsilon
+_ROW_SUM_MIN = 2.0**-500  # keeps the underflow of |M| r far below its rounding
 
 
 def _as_float_array(x, name: str) -> Array:
@@ -372,8 +375,25 @@ def _positive_definite(mats: Array) -> bool:
     return True
 
 
+def _row_sums_clear(mat: Array, bound: float) -> bool:
+    """Whether row sums put every member's largest eigenvalue at or below ``bound``.
+
+    For each member M of the stack, with A = |M| and r = A 1 its row sums,
+    b = max_i (A r)_i / r_i times 1 + (w + 4) eps bounds every |lambda(M)|
+    for M's side w, rounding included (see ``floor_coverage``). A stack with
+    a row sum below 2^-500 is not cleared. M is only read.
+    """
+    side = mat.shape[-1]
+    entries = np.abs(mat)
+    sums = entries @ np.ones(side)
+    if not (sums >= _ROW_SUM_MIN).all():
+        return False
+    ratios = (entries @ sums[..., None])[..., 0] / sums
+    return bool((ratios.max(axis=-1) * (1.0 + (side + 4) * _EPS) <= bound).all())
+
+
 def _certified(mat: Array, floor: float) -> bool:
-    """Whether two Cholesky factorizations prove every member of ``mat`` at or below ``floor``.
+    """Whether row sums or a Cholesky factorization, and a clamp Cholesky, clear ``mat``.
 
     ``mat`` is a stack of second moments M (see ``floor_coverage``),
     in its fresh, contiguous buffer, whose flattened rows step along the
@@ -387,10 +407,13 @@ def _certified(mat: Array, floor: float) -> bool:
         return False
     diag = mat.reshape(*mat.shape[:-2], side * side)[..., :: side + 1]
     moment_diag = diag.copy()
-    mat *= -1.0
-    diag[...] = floor * (1.0 - eta) - moment_diag
-    certified = _positive_definite(mat)
-    mat *= -1.0
+    ceiling = floor * (1.0 - eta)
+    certified = _row_sums_clear(mat, ceiling)
+    if not certified:
+        mat *= -1.0
+        diag[...] = ceiling - moment_diag
+        certified = _positive_definite(mat)
+        mat *= -1.0
     if certified:
         tau = (_NEG_EIG_CLAMP - eta) * moment_diag.sum(axis=-1, keepdims=True) / side
         diag[...] = moment_diag + tau
@@ -421,23 +444,33 @@ def floor_coverage(
     ``eigh`` differ in.
 
     The certificate clears a stack when, for every member, M is exactly
-    symmetric, floor (1 - eta) I - M factors by Cholesky, and so does
-    M + tau I, with eta = 4 w^2 eps for M's side w. It clears only what the
-    eigenvalues would cover. Exact symmetry makes M the very matrix
-    ``_psd_eigh`` reads, and passes its symmetry check. A Cholesky
+    symmetric, its largest eigenvalue is bounded by floor (1 - eta), and
+    M + tau I factors by Cholesky, with eta = 4 w^2 eps for M's side w. It
+    clears only what the eigenvalues would cover. Exact symmetry makes M the
+    very matrix ``_psd_eigh`` reads, and passes its symmetry check. The upper
+    bound comes first from row sums: for any positive v, every |lambda(M)|
+    is at most rho(|M|) <= max_i (|M| v)_i / v_i (Wielandt and
+    Collatz-Wielandt; Horn & Johnson, Matrix Analysis, ch. 8). With v = r =
+    |M| 1, any positive computed r serves; the nonnegative sums of |M| r,
+    the division and the scaling round by less than (w + 2) eps, which the
+    factor 1 + (w + 4) eps covers, so the computed b >= ||M||_2. Row sums of
+    at least 2^-500 keep the products' underflow below eps / 64 of a row's
+    (|M| r)_i >= r_i^2 / w. Where b exceeds floor (1 - eta) for some member,
+    floor (1 - eta) I - M is factored by Cholesky instead. A Cholesky
     factorization R of a w x w matrix A that runs to completion is exact for
     some A + E with |E| <= gamma_{w+1} |R^T| |R| (Higham, Accuracy and
     Stability of Numerical Algorithms, ch. 10), so ||E||_2 <= w gamma_{w+1}
-    ||A + E||_2, about w^2 eps ||A||_2 / 2. For A = floor (1 - eta) I - M that
-    gives lambda_max(M) <= floor (1 - eta + w^2 eps), and eigvalsh's computed
-    value is larger by at most a modest p(w) eps floor. With eta = 4 w^2 eps,
-    the 3 w^2 eps left over covers that and the rounding of A's diagonal, so
-    ``eigvalsh`` puts every eigenvalue at or below the floor. Likewise the
-    Cholesky of M + tau I, with tau = (1e-10 - eta) tr(M)/w <= (1e-10 - eta)
-    lambda_max, bounds the computed lambda_min below by -1e-10 lambda_max: the
-    clamp ``_psd_eigh`` enforces. A thin Gram matrix has the nonzero
-    eigenvalues of X X^T, so the same proof covers it. A matrix wider than
-    about 330 has eta >= 1e-10, no room for tau, and is never certified.
+    ||A + E||_2, about w^2 eps ||A||_2 / 2. For A = floor (1 - eta) I - M
+    that gives lambda_max(M) <= floor (1 - eta + w^2 eps). Either way eigvalsh's computed value is larger by at most a
+    modest p(w) eps floor; with eta = 4 w^2 eps, the 3 w^2 eps or more left
+    over covers that and the rounding of floor (1 - eta), so ``eigvalsh``
+    puts every eigenvalue at or below the floor. The Cholesky of M + tau I
+    runs on either path: with tau = (1e-10 - eta) tr(M)/w <= (1e-10 - eta)
+    lambda_max, it bounds the computed lambda_min below by -1e-10 lambda_max,
+    the clamp ``_psd_eigh`` enforces, checked on the computed M itself. A
+    thin Gram matrix has the nonzero eigenvalues of X X^T, so the same proof
+    covers it. A matrix wider than about 330 has eta >= 1e-10, no room for
+    tau, and is never certified.
     """
     if np.any(np.asarray(batch) < 1):
         raise ValueError(f"batch must be >= 1, got {batch}")

@@ -500,6 +500,36 @@ class TestDistinctCurveComposition:
         # a SIMPLE compose reads the running sum: no curve work
         assert one_compose(10, CompositionMode.SIMPLE) == 0
 
+    def test_kept_grid_values_compose_as_a_fresh_list(self):
+        # wfdp_a's values are kept from its second round; theorem1's interval
+        # (up to 20, inside wfdp_a's 25) rebuilds the grid midway and drops them
+        routes = [ROUTES["wfdp_a"]] * 3 + [ROUTES["theorem1_rdp"], ROUTES["wfdp_a"]] * 2
+        ledger = RoundLedger(RDP_PARAMS, CompositionMode.RDP)
+        curves, kept, grids = [], [], []
+        for t, route in enumerate(routes):
+            entry = rdp_entry(t, route, lam=0.2)
+            ledger.append(entry)
+            curves.append(entry.curve)
+            result = compose(ledger)
+            fresh = optimize_alpha(curves, RDP_PARAMS.delta)
+            assert (result.alpha_star, result.total_eps) == fresh
+            grid = ledger.state.order_grid()
+            for curve, values in ledger.state._grid_values.items():
+                assert np.array_equal(values, curve(grid))
+            kept.append(sorted(curve.variant.value for curve in ledger.state._grid_values))
+            grids.append(grid)
+        assert ledger.state.bounds[1] == 20.0
+        assert [grid is grids[0] for grid in grids] == [True] * 3 + [False] * 4
+        assert kept == [[], ["wfdp_a"], ["wfdp_a"], ["wfdp_a"], ["wfdp_a"],
+                        ["theorem1_rdp", "wfdp_a"], ["theorem1_rdp", "wfdp_a"]]
+
+    def test_distinct_curves_keep_no_grid_values(self):
+        ledger = RoundLedger(RDP_PARAMS, CompositionMode.RDP)
+        for t in range(8):
+            ledger.append(rdp_entry(t, ROUTES["theorem1_rdp"], theorem1_context(t)))
+            compose(ledger)
+            assert ledger.state._grid_values == {}
+
     def test_curve_eps_matches_optimize_alpha(self):
         curve = RdpCurve(RdpVariant.WFDP_B, RDP_PARAMS)
         assert curve_eps(curve, 1e-5) == optimize_alpha(curve, 1e-5)[1]

@@ -651,6 +651,118 @@ class TestFloorCertificate:
             wfdp_from_spectra(grads, self.BATCH, 0.2, [np.random.default_rng(i) for i in range(4)],
                               spectra=False)
 
+    @staticmethod
+    def counting_cholesky(monkeypatch):
+        """Record whether each ``np.linalg.cholesky`` call runs to completion."""
+        outcomes, original = [], np.linalg.cholesky
+
+        def counting(a, *args, **kwargs):
+            try:
+                factor = original(a, *args, **kwargs)
+            except np.linalg.LinAlgError:
+                outcomes.append(False)
+                raise
+            outcomes.append(True)
+            return factor
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        return outcomes
+
+    def scaled_to(self, cols, floor, ratios):
+        """``cols`` with each member's largest eigenvalue moved to ``floor`` times its ratio."""
+        top = floor_coverage(GradientMatrix(cols, 1.0), self.BATCH, floor, spectra=True)[1][:, 0]
+        return cols * np.sqrt(floor * np.asarray(ratios) / top)[:, None, None]
+
+    @given(
+        dim=st.integers(2, 24),
+        count=st.integers(1, 24),
+        rank=st.integers(1, 24),
+        members=st.integers(1, 4),
+        offset=st.floats(-1.0, 1.0),
+        log_ratios=st.lists(st.floats(-2.0, 0.3), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_row_sums_clear_only_what_the_spectra_cover(self, dim, count, rank, members, offset,
+                                                        log_ratios, seed):
+        # dense or thin, of any rank, with mixed or mostly equal signs, each
+        # member's largest eigenvalue a little or far below or above the floor
+        rng = np.random.default_rng(seed)
+        rank = min(rank, dim, count)
+        cols = rng.standard_normal((members, dim, rank)) @ rng.standard_normal((members, rank, count))
+        cols += offset * np.abs(cols).mean()
+        cols /= np.maximum(np.linalg.norm(cols, axis=1, keepdims=True), 1e-3)
+        floor = 0.05
+        cols = self.scaled_to(cols, floor, 10.0 ** np.array(log_ratios[:members]))
+        grads = GradientMatrix(cols, 10.0)
+        covered, _ = floor_coverage(grads, self.BATCH, floor)
+        _, spectra = floor_coverage(grads, self.BATCH, floor, spectra=True)
+        assert covered.tolist() == (spectra[:, 0] <= floor).tolist()
+        mat = spectra_module._second_moment(cols, self.BATCH)
+        side = mat.shape[-1]
+        if spectra_module._row_sums_clear(mat, floor * (1.0 - 4 * side**2 * spectra_module._EPS)):
+            assert (np.linalg.eigvalsh(mat)[:, -1] <= floor).all()
+            spectra_module._psd_eigh(mat, vectors=False)  # within the clamp
+            assert spectra_module._certified(mat, floor) and covered.all()
+
+    def test_covered_wide_stack_makes_one_cholesky(self, monkeypatch):
+        # a wide round's stack: 12 users of 101 coordinates and 100 gradients each
+        cols = self.gradients(101, 100, members=12)
+        # members 1e-6 below the floor, whose row-sum bounds are above it
+        near = self.scaled_to(cols, 0.05, [1.0 - 1e-6] * 12)
+        self.refuse(monkeypatch)
+        outcomes = self.counting_cholesky(monkeypatch)
+        covered, _ = floor_coverage(GradientMatrix(cols, 1.0), self.BATCH, 0.05)
+        assert covered.all() and outcomes == [True]  # only the clamp is factored
+        outcomes.clear()
+        covered, _ = floor_coverage(GradientMatrix(near, 10.0), self.BATCH, 0.05)
+        assert covered.all() and outcomes == [True, True]
+
+    @pytest.mark.parametrize("case,floor,outcomes", [
+        ("row sums", 0.2, [True]),
+        ("upper cholesky", 0.01, [True, True]),
+        ("refused above", 0.01, [False]),
+        ("refused at the clamp", 0.2, [False]),
+        ("zero gradients", 0.2, [True, False]),
+    ])
+    def test_certificate_leaves_the_moment_as_found(self, monkeypatch, case, floor, outcomes):
+        cols = self.gradients(12, 10)
+        if case == "upper cholesky":
+            cols = self.scaled_to(cols, floor, [1.0 - 1e-6] * 4)
+        elif case == "refused above":
+            cols = self.scaled_to(cols, floor, [0.5, 0.5, 1.5, 0.5])
+        elif case == "zero gradients":
+            cols = np.zeros_like(cols)
+        mat = spectra_module._second_moment(cols, self.BATCH)
+        if case == "refused at the clamp":
+            mat += np.diag([-1e-6] + [0.0] * 11)
+        found = mat.copy()
+        calls = self.counting_cholesky(monkeypatch)
+        assert spectra_module._certified(mat, floor) == all(outcomes)
+        assert calls == outcomes
+        assert mat.tobytes() == found.tobytes()
+
+    def test_refused_stack_reads_the_certified_buffer(self, monkeypatch):
+        cols = self.gradients(12, 10)
+        cols[2] *= 10.0
+        certified, read = [], []
+        certify, psd_eigh = spectra_module._certified, spectra_module._psd_eigh
+
+        def certifying(mat, floor):
+            certified.append((mat, mat.copy()))
+            return certify(mat, floor)
+
+        def reading(mat, vectors=True):
+            read.append(mat)
+            return psd_eigh(mat, vectors)
+
+        monkeypatch.setattr(spectra_module, "_certified", certifying)
+        monkeypatch.setattr(spectra_module, "_psd_eigh", reading)
+        covered, _ = floor_coverage(GradientMatrix(cols, 10.0), self.BATCH, 0.2)
+        assert covered.tolist() == [True, True, False, True]
+        [(mat, found)] = certified
+        assert len(read) == 1 and read[0] is mat and mat.tobytes() == found.tobytes()
+
     def test_covered_thin_stack_reads_no_eigenvalue(self, monkeypatch):
         # the certificate reads the Gram matrices: no eigenvalue, no QR
         self.refuse(monkeypatch)
