@@ -9,7 +9,6 @@ filling") mechanism that guarantees DP with the minimum added noise.
 from .accountant import (
     ROUTES,
     ClosedFormBound,
-    ClosedFormMode,
     CompositionMode,
     CompositionResult,
     LedgerEntry,

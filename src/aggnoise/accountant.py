@@ -47,12 +47,6 @@ GOLDEN_REL_TOL = 1e-6
 _INTERVAL_MARGIN = 1e-9
 
 
-class ClosedFormMode(Enum):
-    GENERAL = "general"
-    IID = "iid"
-    SINGULAR = "singular"
-
-
 class Region(Enum):
     HIGH = "high"
     LOW = "low"
@@ -144,17 +138,13 @@ def delta_validity_limit(eps: float) -> float:
     return 0.5 - math.exp(-3.0 * eps) / math.sqrt(4.0 * math.pi * eps)
 
 
-def eps_dp_closed_form(
-    lambda_min: float,
-    params: PrivacyParams,
-    mode: ClosedFormMode = ClosedFormMode.GENERAL,
-) -> ClosedFormBound:
+def eps_dp_closed_form(lambda_min: float, params: PrivacyParams) -> ClosedFormBound:
     """Per-round (eps, delta) bound from the aggregate covariance spectrum.
 
-    ``lambda_min`` is the smallest eigenvalue of the aggregate non-sensitive
-    covariance in GENERAL mode, the *per-user* smallest eigenvalue in IID mode
-    (scaled by N internally), and the smallest non-zero eigenvalue in SINGULAR
-    mode (caller asserts the update-difference space is covered).
+    ``lambda_min`` is the aggregate non-sensitive covariance's smallest
+    eigenvalue, the one number the bound reads. The paper's IID case is this
+    bound at N times one user's eigenvalue, and its singular case this bound
+    at the smallest non-zero eigenvalue (see ``ROUTES``).
 
     Region split at lambda_0 = 4 C^2 sqrt(2 log(1.25/delta)) / B^2:
       high privacy (lambda > lambda_0): eps = 2 C sqrt(2 log(1.25/delta)) / (B sqrt(lambda)),
@@ -165,25 +155,20 @@ def eps_dp_closed_form(
     """
     if not lambda_min > 0:
         raise NonPositiveLambda(f"lambda_min must be positive, got {lambda_min}")
-    lam = lambda_min * params.ns_users if mode is ClosedFormMode.IID else lambda_min
-    warnings: list[str] = []
-    if mode is ClosedFormMode.SINGULAR:
-        warnings.append(WARN_SUBSPACE)
     c, b, delta = params.clip, params.batch, params.delta
     root = math.sqrt(2.0 * math.log(1.25 / delta))
     lambda_0 = 4.0 * c * c * root / (b * b)
-    if lam > lambda_0:
-        eps = 2.0 * c * root / (b * math.sqrt(lam))
-        if eps >= 1.0:
-            warnings.append(WARN_REGIME)
-        return ClosedFormBound(eps=eps, region=Region.HIGH, delta_bound=1.0, warnings=tuple(warnings))
-    eps = max(1.0, 2.0 * c * c / (b * b * lam))
+    if lambda_min > lambda_0:
+        eps = 2.0 * c * root / (b * math.sqrt(lambda_min))
+        warnings = (WARN_REGIME,) if eps >= 1.0 else ()
+        return ClosedFormBound(eps=eps, region=Region.HIGH, delta_bound=1.0, warnings=warnings)
+    eps = max(1.0, 2.0 * c * c / (b * b * lambda_min))
     bound = delta_validity_limit(eps)
     if delta >= bound:
         raise DeltaOutOfRegion(
             f"delta={delta!r} >= f(eps)={bound!r} in the low-privacy region"
         )
-    return ClosedFormBound(eps=eps, region=Region.LOW, delta_bound=bound, warnings=tuple(warnings))
+    return ClosedFormBound(eps=eps, region=Region.LOW, delta_bound=bound)
 
 
 def norm_cdf(x: float) -> float:
@@ -239,20 +224,14 @@ def analytic_gaussian_delta(sensitivity: float, noise_std: float, eps: float) ->
     return max(first - second, 0.0)
 
 
-@dataclass(frozen=True)
-class DeltaTotal:
-    total: float
-    meaningless: bool = False
-
-
-def delta_approx_gaussian(eps: float, params: PrivacyParams) -> DeltaTotal:
+def delta_approx_gaussian(eps: float, params: PrivacyParams) -> float:
     """Total delta when the aggregate is only approximately Gaussian.
 
-    Returns delta + (1 + e^eps) * delta0; flagged (not rejected) when the
-    total is >= 1 and therefore vacuous.
+    Returns delta + (1 + e^eps) * delta0, which is delta bit for bit at
+    delta0 = 0. A total >= 1 is vacuous; the caller flags it rather than
+    rejecting it.
     """
-    total = params.delta + (1.0 + math.exp(min(eps, 700.0))) * params.approx_gauss_delta0
-    return DeltaTotal(total=total, meaningless=total >= 1.0)
+    return params.delta + (1.0 + math.exp(min(eps, 700.0))) * params.approx_gauss_delta0
 
 
 def alpha_validity(
@@ -759,32 +738,32 @@ class Reads(Enum):
 
     LAMBDA_MIN = "the aggregate's smallest eigenvalue"
     NONZERO_LAMBDA_MIN = "the aggregate's smallest non-zero eigenvalue"
-    PER_USER_LAMBDA = "one user's smallest eigenvalue, times N"
     CONTEXT = "theorem 1's context sum_u B lambda_min(Sigma_u)"
     FLOOR = "the floor N sigma^2"
 
 
 @dataclass(frozen=True)
 class Route:
-    """One accountant route, a row of ``ROUTES``.
+    """One accountant route, a row of ``ROUTES``, and the only description of it.
 
     ``name`` is its key and its ledger ``route``, behind ``rdp:`` for an RDP
     route; ``config`` is the ``accountant.route`` that selects it (a closed
-    form's with its ``mode``; None if no round supplies its input), ``cli``
-    its ``account --route``. ``build`` makes a round's entry fields from the
-    one input it ``reads``: a closed form's eps, which an RDP ledger
-    re-expresses as a GAUSSIAN curve of lambda_min, or an RDP curve. It
-    raises DeltaOutOfRegion or EmptyValidityInterval where the bound has no
-    value; ``limit`` names a round-read input's least value with an order
-    above 1 (a floor's interval depends on the parameters alone).
+    form's with its ``mode``), ``cli`` its ``account --route``. ``variant``
+    is an RDP route's curve, None for a closed form, whose bound is
+    ``eps_dp_closed_form`` at the eigenvalue it ``reads``. ``build`` makes a
+    round's entry fields from that one input: a closed form's eps, which an
+    RDP ledger re-expresses as a GAUSSIAN curve of lambda_min, or an RDP
+    curve. It raises DeltaOutOfRegion or EmptyValidityInterval where the
+    bound has no value; ``limit`` names a round-read input's least value with
+    an order above 1 (a floor's interval depends on the parameters alone).
     ``verify`` does not fail on an ``adjudicated`` route's dominance suite:
     the printed floored-mechanism variants disagree, and it decides between them.
     """
 
     name: str
-    config: Optional[str]
+    config: str
     cli: str
-    formula: Union[ClosedFormMode, RdpVariant]
+    variant: Optional[RdpVariant]
     reads: Reads
     composition: CompositionMode
     build: Callable[..., dict]
@@ -797,22 +776,17 @@ class Route:
 
 
 def _closed_form_fields(route: Route, value: float, params: PrivacyParams, warnings) -> dict:
-    bound = eps_dp_closed_form(value, params, route.formula)
-    delta_total, warnings = params.delta, warnings + bound.warnings
-    if params.approx_gauss_delta0 > 0:
-        inflated = delta_approx_gaussian(bound.eps, params)
-        delta_total = inflated.total
-        if inflated.meaningless:
-            warnings = warnings + (WARN_MEANINGLESS_DELTA,)
-    # the aggregate's eigenvalue, the one an RDP ledger re-expresses
-    lam = value * params.ns_users if route.reads is Reads.PER_USER_LAMBDA else value
-    return dict(route=route.name, lambda_min=lam, eps=bound.eps, delta_total=delta_total,
-                region=bound.region.value, warnings=warnings)
+    bound = eps_dp_closed_form(value, params)
+    subspace = (WARN_SUBSPACE,) if route.reads is Reads.NONZERO_LAMBDA_MIN else ()
+    delta_total = delta_approx_gaussian(bound.eps, params)
+    meaningless = (WARN_MEANINGLESS_DELTA,) if delta_total >= 1.0 else ()
+    return dict(route=route.name, lambda_min=value, eps=bound.eps, delta_total=delta_total,
+                region=bound.region.value, warnings=warnings + subspace + bound.warnings + meaningless)
 
 
 def _curve_fields(route: Route, value: float, params: PrivacyParams, warnings) -> dict:
     floor = route.reads is Reads.FLOOR  # read from params
-    curve = RdpCurve(route.formula, params, sum_lambda_min=None if floor else value)
+    curve = RdpCurve(route.variant, params, sum_lambda_min=None if floor else value)
     lo, hi = curve.alpha_interval()
     if not hi > lo:
         why = ""
@@ -825,12 +799,10 @@ def _curve_fields(route: Route, value: float, params: PrivacyParams, warnings) -
 
 
 ROUTES: dict[str, Route] = {route.name: route for route in (
-    Route("closed_form:general", "closed_form", "closed", ClosedFormMode.GENERAL,
+    Route("closed_form:general", "closed_form", "closed", None,
           Reads.LAMBDA_MIN, CompositionMode.SIMPLE, _closed_form_fields),
-    Route("closed_form:singular", "closed_form", "closed", ClosedFormMode.SINGULAR,
+    Route("closed_form:singular", "closed_form", "closed", None,
           Reads.NONZERO_LAMBDA_MIN, CompositionMode.SIMPLE, _closed_form_fields),
-    Route("closed_form:iid", None, "closed", ClosedFormMode.IID,
-          Reads.PER_USER_LAMBDA, CompositionMode.SIMPLE, _closed_form_fields),
     Route("theorem1_rdp", "theorem1_rdp", "theorem1-rdp", RdpVariant.THEOREM1_RDP,
           Reads.CONTEXT, CompositionMode.RDP, _curve_fields, limit="C^2/D"),
     Route("wfdp_a", "wfdp_a", "wfdp-a", RdpVariant.WFDP_A,

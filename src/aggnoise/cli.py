@@ -68,9 +68,6 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_VERIFY = 4
 
-# the routes a config can select: every one but those whose input no round supplies
-_CONFIG_ROUTES = [route for route in ROUTES.values() if route.config is not None]
-
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -130,8 +127,8 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "route": {"enum": list(dict.fromkeys(route.config for route in _CONFIG_ROUTES))},
-                "mode": {"enum": [route.mode for route in _CONFIG_ROUTES if route.mode]},
+                "route": {"enum": list(dict.fromkeys(route.config for route in ROUTES.values()))},
+                "mode": {"enum": [route.mode for route in ROUTES.values() if route.mode]},
                 "composition": {"enum": ["simple", "rdp"]},
                 "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                 "delta0": {"type": "number", "minimum": 0},
@@ -293,6 +290,9 @@ def _build_run(config: dict, seed: int):
     if route.reads is Reads.FLOOR and mech.floor == 0:
         raise ConfigError(f"accountant.route: {route.name} bounds a floored mechanism (wfdp or "
                           f"wfna), but mechanism {mech.kind.value} floors nothing")
+    if acct.get("delta0", 0.0) > 0 and route.composition is CompositionMode.RDP:
+        raise ConfigError(f"accountant.delta0: {route.name}'s RDP curve has no "
+                          "Gaussian-approximation term; only the closed forms add delta0 to their delta")
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xDA7A,)))
     if ds["kind"] == "synthetic":
@@ -445,7 +445,7 @@ def _account_inner(args) -> int:
     )
     route = _route_named(args.route, args.mode, ("--route", "--mode"))
     # a flag the route would ignore, or that another flag would override, is refused
-    floored = route.reads is Reads.FLOOR
+    floored, rdp = route.reads is Reads.FLOOR, route.composition is CompositionMode.RDP
     floor_flag = "--sigma" if args.sigma is not None else "--sigma2"
     floor_routes = " and ".join(r.cli for r in ROUTES.values() if r.reads is Reads.FLOOR)
     for flag, refused, why in (
@@ -459,11 +459,15 @@ def _account_inner(args) -> int:
          f"--route {args.route} reads the floor and --N, not an eigenvalue"),
         (floor_flag, (args.sigma, args.sigma2) != (None, None) and not floored,
          f"--route {args.route} reads no floor; only {floor_routes} do"),
+        ("--q", args.q < 1.0 and rdp,
+         f"--route {args.route} composes RDP curves, to which no subsampling amplification "
+         "is applied; only the closed forms' simple composition reads --q"),
+        ("--delta0", args.delta0 > 0 and rdp,
+         f"--route {args.route}'s RDP curve has no Gaussian-approximation term; "
+         "only the closed forms add delta0 to their delta"),
     ):
         if refused:
             raise ConfigError(f"{flag}: {why}")
-    if args.iid:
-        route = ROUTES["closed_form:iid"]
 
     lam = args.sum_lambda_min if args.sum_lambda_min is not None else args.lam
     if floored:
@@ -471,6 +475,8 @@ def _account_inner(args) -> int:
     elif lam is None:
         flag = "--sum-lambda-min" if route.reads is Reads.CONTEXT else "--lambda"
         raise ConfigError(f"--route {route.cli}: {flag} is required")
+    elif args.iid:
+        lam = lam * params.ns_users  # N equal covariances: the sum's lambda_min is N times one's
     composition = route.composition
     # T identical rounds; composing the first alone gives the per-round line.
     # A bound with no value at these flags refuses the round: a config error here
@@ -591,7 +597,7 @@ def cmd_verify(args) -> int:
     for route in ROUTES.values():
         if route.composition is not CompositionMode.RDP:
             continue
-        reports = verify_mod.certify_rdp(route.formula, args.trials_rdp, rng)
+        reports = verify_mod.certify_rdp(route.variant, args.trials_rdp, rng)
         summary = verify_mod.summarize_reports(reports)
         adjudication[route.name] = summary
         verdict = "sound" if summary["sound"] else "UNSOUND"
@@ -730,10 +736,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_acc.add_argument("--route", required=True,
                        help=" | ".join(dict.fromkeys(route.cli for route in ROUTES.values())))
     p_acc.add_argument("--mode", default=None,
-                       choices=[route.mode for route in _CONFIG_ROUTES if route.mode],
+                       choices=[route.mode for route in ROUTES.values() if route.mode],
                        help="a closed form's mode (default general)")
     p_acc.add_argument("--iid", action="store_true",
-                       help="treat --lambda as the per-user minimum eigenvalue")
+                       help="read --lambda as one user's smallest eigenvalue, times --N")
     p_acc.add_argument("--lambda", dest="lam", type=float, default=None)
     p_acc.add_argument("--sum-lambda-min", dest="sum_lambda_min", type=float, default=None)
     p_acc.add_argument("--C", type=float, required=True)

@@ -423,10 +423,6 @@ def run_round(
     The floored-mechanism routes read the floor from ``params``, so it must
     be the one ``mech`` applies.
     """
-    if route.config is None:
-        raise ConfigError(
-            f"route {route.name} reads {route.reads.value}, which a round does not supply"
-        )
     if route.reads is Reads.FLOOR and params.floor != mech.floor:
         raise ConfigError(
             f"route {route.name} reads floor {params.floor:g} from the privacy parameters, "

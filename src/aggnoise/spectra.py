@@ -380,15 +380,16 @@ def _row_sums_clear(mat: Array, bound: float) -> bool:
 
     For each member M of the stack, with A = |M| and r = A 1 its row sums,
     b = max_i (A r)_i / r_i times 1 + (w + 4) eps bounds every |lambda(M)|
-    for M's side w, rounding included (see ``floor_coverage``). A stack with
-    a row sum below 2^-500 is not cleared. M is only read.
+    for M's side w, rounding included (see ``floor_coverage``). A zero row
+    adds a ratio of 0; a stack with another row sum below 2^-500 is not
+    cleared. M is only read.
     """
     side = mat.shape[-1]
     entries = np.abs(mat)
     sums = entries @ np.ones(side)
-    if not (sums >= _ROW_SUM_MIN).all():
+    if not ((sums >= _ROW_SUM_MIN) | (sums == 0.0)).all():
         return False
-    ratios = (entries @ sums[..., None])[..., 0] / sums
+    ratios = (entries @ sums[..., None])[..., 0] / np.maximum(sums, _ROW_SUM_MIN)
     return bool((ratios.max(axis=-1) * (1.0 + (side + 4) * _EPS) <= bound).all())
 
 
@@ -455,8 +456,11 @@ def floor_coverage(
     the division and the scaling round by less than (w + 2) eps, which the
     factor 1 + (w + 4) eps covers, so the computed b >= ||M||_2. Row sums of
     at least 2^-500 keep the products' underflow below eps / 64 of a row's
-    (|M| r)_i >= r_i^2 / w. Where b exceeds floor (1 - eta) for some member,
-    floor (1 - eta) I - M is factored by Cholesky instead. A Cholesky
+    (|M| r)_i >= r_i^2 / w. A row whose sum is exactly 0 is, by exact
+    symmetry, a zero column too: M is the direct sum of an eigenvalue 0 and
+    the other rows' matrix, whose row sums and ratios are the ones computed,
+    so that row's ratio is taken as 0. Where b exceeds floor (1 - eta) for
+    some member, floor (1 - eta) I - M is factored by Cholesky instead. A Cholesky
     factorization R of a w x w matrix A that runs to completion is exact for
     some A + E with |E| <= gamma_{w+1} |R^T| |R| (Higham, Accuracy and
     Stability of Numerical Algorithms, ch. 10), so ||E||_2 <= w gamma_{w+1}

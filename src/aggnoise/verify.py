@@ -34,7 +34,6 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .accountant import (
-    ClosedFormMode,
     PrivacyParams,
     RdpVariant,
     analytic_gaussian_delta,
@@ -443,7 +442,7 @@ def _closed_form_stack(n_trials: int, first: int, rng: np.random.Generator) -> l
     for trial, t in enumerate(trials):
         p = t.params
         lam = float(lam_min[trial])
-        bound = eps_dp_closed_form(lam, p, ClosedFormMode.GENERAL)
+        bound = eps_dp_closed_form(lam, p)
         reports.append(DominanceReport(
             f"closed_form trial={first + trial} d={dims[trial]} N={p.ns_users} "
             f"D={p.local_size} B={p.batch} C={p.clip:.3f} delta={p.delta:g} "
@@ -468,7 +467,7 @@ def probe_low_region(delta: float = 1e-3) -> DominanceReport:
     # lam = 2 C^2 / B^2 puts the branch exactly at its unclamped boundary
     # (eps = 1 with the worst whitened sensitivity at sqrt(2 eps))
     lam = 2.0 * params.clip**2 / params.batch**2
-    bound = eps_dp_closed_form(lam, params, ClosedFormMode.GENERAL)
+    bound = eps_dp_closed_form(lam, params)
     sensitivity = 2.0 * params.clip / (params.batch * math.sqrt(lam))
     return DominanceReport(
         f"low_region_probe lam={lam:.4f} eps={bound.eps:.4f} printed_validity_bound={bound.delta_bound:.4f}",

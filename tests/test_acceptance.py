@@ -15,7 +15,6 @@ import pytest
 
 from aggnoise.accountant import (
     ROUTES,
-    ClosedFormMode,
     CompositionMode,
     PrivacyParams,
     RdpCurve,
@@ -106,7 +105,7 @@ def test_criterion_2_eps_vs_n_scaling(capsys):
     eps_iid = {}
     for n in (5, 10, 20, 50):
         p = PrivacyParams(clip=2.0, batch=100, local_size=400, ns_users=n, delta=1e-3)
-        eps_iid[n] = eps_dp_closed_form(lam0, p, ClosedFormMode.IID).eps
+        eps_iid[n] = eps_dp_closed_form(lam0 * n, p).eps
     for a in (5, 10, 20, 50):
         for b in (5, 10, 20, 50):
             assert eps_iid[a] / eps_iid[b] == pytest.approx(math.sqrt(b / a), abs=1e-6)

@@ -21,7 +21,6 @@ from aggnoise.accountant import (
     WARN_MEANINGLESS_DELTA,
     WARN_MIXED_VARIANTS,
     WARN_REGIME,
-    ClosedFormMode,
     CompositionMode,
     LedgerEntry,
     PrivacyParams,
@@ -79,8 +78,9 @@ class TestClosedForm:
     def test_iid_sqrt_scaling(self):
         p5 = PrivacyParams(clip=2.0, batch=100, delta=1e-3, ns_users=5)
         p20 = PrivacyParams(clip=2.0, batch=100, delta=1e-3, ns_users=20)
-        e5 = eps_dp_closed_form(0.05, p5, ClosedFormMode.IID).eps
-        e20 = eps_dp_closed_form(0.05, p20, ClosedFormMode.IID).eps
+        # the IID case: the aggregate's eigenvalue is N times one user's
+        e5 = eps_dp_closed_form(0.05 * p5.ns_users, p5).eps
+        e20 = eps_dp_closed_form(0.05 * p20.ns_users, p20).eps
         assert e20 / e5 == pytest.approx(0.5, abs=1e-12)
 
     def test_regime_warning_not_branch_switch(self):
@@ -112,12 +112,12 @@ class TestClosedForm:
         assert all(b < a for a, b in zip(lows, lows[1:]))
 
     def test_low_region_reciprocal_scaling(self):
-        # 1/N scaling in the (unclamped) low region under IID mode
+        # 1/N scaling in the (unclamped) low region at N times one user's eigenvalue
         p2 = PrivacyParams(clip=2.0, batch=100, delta=1e-3, ns_users=2)
         p4 = PrivacyParams(clip=2.0, batch=100, delta=1e-3, ns_users=4)
         lam0 = 1e-5
-        e2 = eps_dp_closed_form(lam0, p2, ClosedFormMode.IID).eps
-        e4 = eps_dp_closed_form(lam0, p4, ClosedFormMode.IID).eps
+        e2 = eps_dp_closed_form(lam0 * p2.ns_users, p2).eps
+        e4 = eps_dp_closed_form(lam0 * p4.ns_users, p4).eps
         assert e4 / e2 == pytest.approx(0.5, abs=1e-12)
 
 
@@ -125,18 +125,22 @@ class TestDeltaApproxGaussian:
     def test_inflation_example(self):
         p = PrivacyParams(clip=1.0, batch=1, delta=1e-3, approx_gauss_delta0=1e-4)
         out = delta_approx_gaussian(1.0, p)
-        assert out.total == pytest.approx(1e-3 + (1.0 + math.e) * 1e-4, rel=1e-12)
-        assert not out.meaningless
+        assert out == pytest.approx(1e-3 + (1.0 + math.e) * 1e-4, rel=1e-12)
+        assert out < 1.0
 
     def test_zero_delta0_is_noop(self):
         p = PrivacyParams(clip=1.0, batch=1, delta=1e-3)
-        assert delta_approx_gaussian(5.0, p).total == 1e-3
+        assert delta_approx_gaussian(5.0, p) == 1e-3
 
     def test_flags_meaningless_total(self):
         p = PrivacyParams(clip=1.0, batch=1, delta=0.5, approx_gauss_delta0=0.1)
         out = delta_approx_gaussian(10.0, p)
-        assert out.total >= 1.0
-        assert out.meaningless
+        assert out >= 1.0
+        # the closed form's round carries the total and flags it, not rejects it
+        entry = account_round(10.0, dataclasses.replace(p, approx_gauss_delta0=0.3),
+                              ROUTES["closed_form:general"])
+        assert entry.delta_total >= 1.0 and entry.eps < math.inf
+        assert entry.warnings[-1] == WARN_MEANINGLESS_DELTA
 
 
 class TestPrivacyParams:

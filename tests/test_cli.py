@@ -1,6 +1,7 @@
 """Command-line surface: flags, exit codes, determinism, report formats."""
 
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -21,7 +22,6 @@ from aggnoise.accountant import (
     optimize_alpha,
 )
 from aggnoise.cli import EXIT_CONFIG, EXIT_OK, _build_run, main
-from aggnoise.errors import ConfigError
 from aggnoise.fedsim import simulation
 from aggnoise.fedsim.models import ModelOps, design
 from aggnoise.mechanisms import clipped_gradients
@@ -153,11 +153,19 @@ class TestAccountCommand:
      "--mode"),
     ("--route theorem1-rdp --mode general --sum-lambda-min 50 --C 1 --B 10 --D 100 --delta 1e-5",
      "--mode"),
+    # an RDP curve is neither amplified by subsampling nor inflated by delta0
+    ("--route wfdp-a --C 1 --B 10 --D 100 --N 50 --sigma 0.1 --delta 1e-5 --T 50 --q 0.5", "--q"),
+    ("--route theorem1-rdp --sum-lambda-min 50 --C 1 --B 10 --D 100 --delta 1e-5 --q 0.5", "--q"),
+    ("--route theorem1-rdp --sum-lambda-min 50 --C 1 --B 10 --D 100 --delta 1e-5 --T 50 "
+     "--delta0 0.1", "--delta0"),
+    ("--route wfdp-b --C 1 --B 10 --D 100 --N 50 --sigma 0.1 --delta 1e-5 --delta0 0.1",
+     "--delta0"),
 ], ids=["delta0-nan", "lambda-inf", "lambda-nan", "sum-lambda-min-inf", "sigma-and-sigma2",
         "sigma-negative", "sigma-nan", "sigma2-nan", "clip-inf", "iid-singular", "iid-wfdp-a",
         "iid-theorem1", "sum-lambda-min-closed", "sum-lambda-min-wfdp-a",
         "sum-lambda-min-and-lambda", "lambda-wfdp-a", "lambda-wfdp-b", "sigma-closed",
-        "sigma2-closed", "sigma-theorem1", "sigma2-theorem1", "mode-wfdp-a", "mode-theorem1"])
+        "sigma2-closed", "sigma-theorem1", "sigma2-theorem1", "mode-wfdp-a", "mode-theorem1",
+        "q-wfdp-a", "q-theorem1", "delta0-theorem1", "delta0-wfdp-b"])
 def test_account_refuses_non_finite_or_conflicting_flags(flags, named, capsys):
     assert main(["account"] + flags.split()) == EXIT_CONFIG
     captured = capsys.readouterr()
@@ -425,6 +433,15 @@ class TestSimulateCommand:
         else:
             assert "accountant.route: wfdp_a bounds a floored mechanism" in err
             assert f"mechanism {mechanism['kind']} floors nothing" in err
+
+    # an RDP curve has no Gaussian-approximation term: its delta0 is refused, not dropped
+    @pytest.mark.parametrize("route", ["wfdp_a", "wfdp_b", "theorem1_rdp"])
+    def test_delta0_on_an_rdp_route_exits_config(self, tmp_path, capsys, route):
+        cfg, _ = write_config(tmp_path, mechanism={"sigma2": 0.5},
+                              accountant={"route": route, "composition": "rdp", "delta0": 0.1})
+        assert main(["--out", str(tmp_path / "o"), "simulate", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: accountant.delta0: {route}")
+        assert not (tmp_path / "o").exists()
 
     def test_csv_dataset_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -1109,7 +1126,6 @@ def test_a_round_without_a_bound_is_refused_not_fatal(tmp_path, capsys, config, 
 LEDGER_ROUTES = {
     "closed_form:general": ("closed_form:general", None),
     "closed_form:singular": ("closed_form:singular", None),
-    "closed_form:iid": ("closed_form:iid", None),
     "theorem1_rdp": ("rdp:theorem1_rdp", "theorem1_rdp"),
     "wfdp_a": ("rdp:wfdp_a", "wfdp_a"),
     "wfdp_b": ("rdp:wfdp_b", "wfdp_b"),
@@ -1117,37 +1133,35 @@ LEDGER_ROUTES = {
 ACCOUNT_INPUTS = {
     Reads.LAMBDA_MIN: "--lambda 0.5",
     Reads.NONZERO_LAMBDA_MIN: "--lambda 0.5",
-    Reads.PER_USER_LAMBDA: "--iid --lambda 0.01",
     Reads.CONTEXT: "--sum-lambda-min 50",
     Reads.FLOOR: "--sigma 0.1",
 }
 
 
+def recorded_rounds(monkeypatch) -> list:
+    """The (input, row) of each ``account_round`` call ``account`` makes from here on."""
+    seen, original = [], cli_module.account_round
+
+    def recording(value, params, route, **kwargs):
+        seen.append((value, route))
+        return original(value, params, route, **kwargs)
+
+    monkeypatch.setattr(cli_module, "account_round", recording)
+    return seen
+
+
 @pytest.mark.parametrize("row", list(ROUTES.values()), ids=list(ROUTES))
 class TestRouteTable:
     def test_cli_name_selects_the_row(self, row, monkeypatch, capsys):
-        seen = []
-        original = cli_module.account_round
-
-        def recording(value, params, route, **kwargs):
-            seen.append(route)
-            return original(value, params, route, **kwargs)
-
-        monkeypatch.setattr(cli_module, "account_round", recording)
-        mode = f" --mode {row.mode}" if row.config is not None and row.mode else ""
+        seen = recorded_rounds(monkeypatch)
+        mode = f" --mode {row.mode}" if row.mode else ""
         flags = (f"--route {row.cli}{mode} {ACCOUNT_INPUTS[row.reads]} --C 1 --B 10 --D 100 "
                  "--N 50 --delta 1e-5 --T 2")
         assert main(["account"] + flags.split()) == EXIT_OK
         assert f"({row.composition.value})" in capsys.readouterr().out
-        assert seen == [row, row]
+        assert [route for _, route in seen] == [row, row]
 
     def test_config_name_selects_the_row(self, row, tmp_path):
-        if row.config is None:  # no config names it, and a round refuses it
-            _, config = write_config(tmp_path)
-            users, model, mech, params, _, _, _, _ = _build_run(config, 5)
-            with pytest.raises(ConfigError, match="which a round does not supply"):
-                simulation.run_round(model, users, mech, params, row, 5, 0)
-            return
         accountant = {"route": row.config, "composition": row.composition.value}
         if row.mode:
             accountant["mode"] = row.mode
@@ -1160,22 +1174,33 @@ class TestRouteTable:
         assert (entry["curve"] or {}).get("variant") == variant
 
 
+def test_iid_reads_one_users_lambda_times_n_on_the_general_row(monkeypatch, capsys):
+    seen = recorded_rounds(monkeypatch)
+    flags = "--route closed --iid --lambda 0.01 --C 1 --B 10 --D 100 --N 50 --delta 1e-5 --T 2"
+    assert main(["account"] + flags.split()) == EXIT_OK
+    assert seen == [(0.01 * 50, ROUTES["closed_form:general"])] * 2
+
+
 # an RDP ledger of one entry per route, written when routes were enum members,
-# from these inputs; its totals were composed then, at delta 1e-5
+# from these inputs; its totals were composed then, at delta 1e-5. Each entry's
+# ledger route maps to the row and input that rebuild it: the closed_form:iid
+# row, since removed, read one user's 0.01 and multiplied it by N = 50
 ROUTES_LEDGER = Path(__file__).parent / "data" / "routes_ledger.json"
-ROUTES_LEDGER_INPUTS = {"closed_form:general": 0.5, "closed_form:singular": 0.5,
-                        "closed_form:iid": 0.01, "theorem1_rdp": 50.0, "wfdp_a": 0.0,
-                        "wfdp_b": 0.0}
+ROUTES_LEDGER_INPUTS = {"closed_form:general": ("closed_form:general", 0.5),
+                        "closed_form:singular": ("closed_form:singular", 0.5),
+                        "closed_form:iid": ("closed_form:general", 0.01 * 50),
+                        "rdp:theorem1_rdp": ("theorem1_rdp", 50.0),
+                        "rdp:wfdp_a": ("wfdp_a", 0.0), "rdp:wfdp_b": ("wfdp_b", 0.0)}
 
 
 def test_rows_build_the_entries_of_a_ledger_written_before_the_table():
     old = RoundLedger.from_dict(json.loads(ROUTES_LEDGER.read_text()))
-    rows = {LEDGER_ROUTES[name][0]: ROUTES[name] for name in ROUTES_LEDGER_INPUTS}
-    assert sorted(rows) == sorted(entry.route for entry in old.entries)
+    assert sorted(ROUTES_LEDGER_INPUTS) == sorted(entry.route for entry in old.entries)
     for entry in old.entries:
-        row = rows[entry.route]
-        value = ROUTES_LEDGER_INPUTS[row.name]
-        assert account_round(value, old.params, row, round_index=entry.round_index) == entry
+        name, value = ROUTES_LEDGER_INPUTS[entry.route]
+        built = account_round(value, old.params, ROUTES[name], round_index=entry.round_index)
+        assert built.route == LEDGER_ROUTES[name][0]
+        assert dataclasses.replace(built, route=entry.route) == entry
 
 
 @pytest.mark.parametrize("mode, total", [("simple", 5.713992480381783),

@@ -717,13 +717,20 @@ class TestFloorCertificate:
         outcomes.clear()
         covered, _ = floor_coverage(GradientMatrix(near, 10.0), self.BATCH, 0.05)
         assert covered.all() and outcomes == [True, True]
+        # a coordinate every gradient leaves at 0 is a zero row and column of M, an
+        # eigenvalue 0 on its own; a positive row sum below 2^-500 is still refused
+        for row, calls in ((0.0, [True]), (1e-160, [True, True])):
+            cols[:, 5] = row
+            outcomes.clear()
+            covered, _ = floor_coverage(GradientMatrix(cols, 1.0), self.BATCH, 0.05)
+            assert covered.all() and outcomes == calls
 
     @pytest.mark.parametrize("case,floor,outcomes", [
         ("row sums", 0.2, [True]),
         ("upper cholesky", 0.01, [True, True]),
         ("refused above", 0.01, [False]),
         ("refused at the clamp", 0.2, [False]),
-        ("zero gradients", 0.2, [True, False]),
+        ("zero gradients", 0.2, [False]),
     ])
     def test_certificate_leaves_the_moment_as_found(self, monkeypatch, case, floor, outcomes):
         cols = self.gradients(12, 10)

@@ -14,7 +14,6 @@ from scipy.stats import norm
 
 import aggnoise
 from aggnoise.accountant import (
-    ClosedFormMode,
     PrivacyParams,
     RdpVariant,
     analytic_gaussian_delta,
@@ -121,7 +120,7 @@ def per_instance_closed_form(n_trials, rng):
         # eigenvectors when flooring ties it
         vals, vecs = _psd_eigh(total)
         lam_min = float(vals[0])
-        bound = eps_dp_closed_form(lam_min, params, ClosedFormMode.GENERAL)
+        bound = eps_dp_closed_form(lam_min, params)
         chol = np.linalg.cholesky(total)
         extremal = (2.0 * params.clip / params.batch) * vecs[:, 0]
         w = np.linalg.solve(chol, extremal[:, None])
