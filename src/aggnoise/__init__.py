@@ -20,7 +20,6 @@ from .accountant import (
     RoundLedger,
     Route,
     account_round,
-    amplify_subsampling,
     compose,
     delta_approx_gaussian,
     delta_validity_limit,

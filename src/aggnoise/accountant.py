@@ -5,8 +5,8 @@ eigenvalue of the aggregate update covariance, the exact delta(eps) of the
 Gaussian mechanism (with Phi and log Phi from ``math`` alone), the RDP
 bounds for the eigenvalue-floored mechanism (both printed variants, which
 disagree and are adjudicated empirically by the verify module), RDP-to-DP
-conversion, order optimization, subsampling amplification, and multi-round
-composition over a round ledger.
+conversion, order optimization, and multi-round composition over a round
+ledger.
 
 Every total epsilon comes from ``compose``, in the mode the ledger was built
 with; ``round_eps`` is the one map from a ledger entry to its per-round eps.
@@ -78,8 +78,6 @@ class PrivacyParams:
     approx_gauss_delta0: Gaussian-approximation slack delta0 (0 = exactly
         Gaussian); inflates delta by (1 + e^eps) * delta0.
     floor: eigenvalue floor sigma^2 used by the flooring mechanism.
-    sampling_ratio: q for subsampling amplification (1 = no subsampling).
-    rounds: number of training rounds T.
     """
 
     clip: float
@@ -89,8 +87,6 @@ class PrivacyParams:
     delta: float = 1e-5
     approx_gauss_delta0: float = 0.0
     floor: float = 0.0
-    sampling_ratio: float = 1.0
-    rounds: int = 1
 
     def __post_init__(self):
         # every check is written so that NaN fails it
@@ -108,16 +104,22 @@ class PrivacyParams:
             raise ValueError(f"approx_gauss_delta0 must be finite and >= 0, got {self.approx_gauss_delta0}")
         if not 0 <= self.floor < math.inf:
             raise ValueError(f"floor must be finite and >= 0, got {self.floor}")
-        if not 0.0 < self.sampling_ratio <= 1.0:
-            raise ValueError(f"sampling_ratio must be in (0, 1], got {self.sampling_ratio}")
-        if not self.rounds >= 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PrivacyParams":
+        # older ledgers also stored the run length, which no bound read, and a
+        # subsampling ratio, which only its unamplified value 1 still means
+        d = dict(d)
+        d.pop("rounds", None)
+        q = d.pop("sampling_ratio", 1.0)
+        if q != 1.0:
+            raise ValueError(
+                f"sampling_ratio: got {q!r}, but no subsampling amplifies when the "
+                "server sees who takes part; only 1.0 is accepted"
+            )
         return cls(**d)
 
 
@@ -403,14 +405,14 @@ class CompositionState:
 
     ``stop`` is the first entry that ends composition, in either mode: one
     whose term is infinite or that has no guarantee (see ``_entry_term``);
-    later entries add nothing. A SIMPLE ledger keeps ``total``, the sum of
-    its rounds' ``round_eps`` at the ledger's delta, each amplified by the
-    sampling ratio, in round order. An RDP ledger keeps ``curves``, which
-    counts the distinct curves in order of first appearance, the order in
-    which their RDP values are summed, and ``bounds``, the running max of
-    their lower and min of their upper order bounds. The order grid is kept
-    until the interval changes, and with it the values on that grid of each
-    curve counted at least twice; a curve seen once keeps none.
+    later entries add nothing. A SIMPLE ledger keeps ``total``, the sum of its
+    rounds' ``round_eps`` at the ledger's delta, in round order. An RDP ledger
+    keeps ``curves``, which counts the distinct curves in order of first
+    appearance, the order in which their RDP values are summed, and ``bounds``,
+    the running max of their lower and min of their upper order bounds. The
+    order grid is kept until the interval changes, and with it the values on
+    that grid of each curve counted at least twice; a curve seen once keeps
+    none.
     """
 
     def __init__(self, curves: Sequence[RdpCurve] = ()):
@@ -515,25 +517,6 @@ def curve_eps(curve: RdpCurve, delta: float) -> float:
     scalars cost one optimization per run rather than one per round.
     """
     return optimize_alpha(curve, delta)[1]
-
-
-def amplify_subsampling(eps: float, q: float) -> float:
-    """Privacy amplification by subsampling: log(1 + q (e^eps - 1)).
-
-    Equals eps when q = 1 and never exceeds eps.
-    """
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    if not 0 < q <= 1:
-        raise ValueError(f"q must be in (0, 1], got {q}")
-    if math.isinf(eps):
-        return eps
-    if q == 1.0:
-        return eps
-    if eps > 50.0:
-        # 1 + q(e^eps - 1) = q e^eps (1 + (1-q) e^-eps / q)
-        return math.log(q) + eps + math.log1p((1.0 - q) * math.exp(-eps) / q)
-    return math.log1p(q * math.expm1(eps))
 
 
 def _json_float(value: Optional[float]):
@@ -697,13 +680,13 @@ def round_eps(entry: LedgerEntry, delta: float) -> float:
 def _entry_term(entry: LedgerEntry, params: PrivacyParams, mode: CompositionMode):
     """A round's term in its ledger's composition; None when it makes the total +inf.
 
-    SIMPLE: its ``round_eps`` at ``params.delta``, amplified by the sampling
-    ratio. RDP: its curve, unless its eps is infinite. Raises NoDpGuarantee
-    for a round that has no guarantee in ``mode``.
+    SIMPLE: its ``round_eps`` at ``params.delta``. RDP: its curve, unless its
+    eps is infinite. Raises NoDpGuarantee for a round that has no guarantee in
+    ``mode``.
     """
     if mode is CompositionMode.SIMPLE:
         eps = round_eps(entry, params.delta)
-        return None if math.isinf(eps) else amplify_subsampling(eps, params.sampling_ratio)
+        return None if math.isinf(eps) else eps
     return None if _infinite(entry) else _entry_curve(entry, params)
 
 
@@ -712,13 +695,11 @@ def compose(ledger: RoundLedger) -> CompositionResult:
 
     This is the one place a total is computed; the mode is the ledger's own
     ``composition``. It reads the ledger's running ``CompositionState``, never
-    the entries. SIMPLE takes the state's sum of amplified per-round eps. RDP
-    sums the distinct curves, each scaled by its count, on a shared order
-    grid, converts once and minimizes over the order, so its cost is set by
-    the number of distinct curves, not rounds. No subsampling amplification
-    is applied on this route (the amplified-RDP curve is out of scope), which
-    only ever overstates epsilon. The first round that stops composition
-    makes the total +inf, or raises its NoDpGuarantee.
+    the entries. SIMPLE takes the state's sum of per-round eps. RDP sums the
+    distinct curves, each scaled by its count, on a shared order grid,
+    converts once and minimizes over the order, so its cost is set by the
+    number of distinct curves, not rounds. The first round that stops
+    composition makes the total +inf, or raises its NoDpGuarantee.
     """
     if len(ledger) == 0:
         raise EmptyLedger("cannot compose an empty ledger")

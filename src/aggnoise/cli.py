@@ -132,7 +132,6 @@ CONFIG_SCHEMA = {
                 "composition": {"enum": ["simple", "rdp"]},
                 "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                 "delta0": {"type": "number", "minimum": 0},
-                "sampling_ratio": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
                 "clip": {"type": "number", "exclusiveMinimum": 0},
             },
         },
@@ -344,12 +343,6 @@ def _build_run(config: dict, seed: int):
     d_local = per_user[0][0].shape[0]
     if scheme.kind is SchemeKind.IID_SGD and scheme.batch > d_local:
         raise ConfigError(f"scheme.batch: {scheme.batch} exceeds per-user dataset size {d_local}")
-    if acct.get("sampling_ratio", 1.0) < 1.0:
-        raise ConfigError(
-            f"accountant.sampling_ratio: got {acct['sampling_ratio']:g}, but every user takes "
-            "part in every round and the server sees who does, so no subsampling amplifies; "
-            "only 1.0 is valid"
-        )
     params = PrivacyParams(
         clip=acct.get("clip", 1.0),
         batch=scheme.batch,
@@ -358,7 +351,6 @@ def _build_run(config: dict, seed: int):
         delta=acct.get("delta", 1e-5),
         approx_gauss_delta0=acct.get("delta0", 0.0),
         floor=mech.floor,
-        rounds=config["rounds"],
     )
     if route.reads is Reads.FLOOR:  # its order interval depends on the parameters alone
         try:
@@ -440,9 +432,9 @@ def _account_inner(args) -> int:
         delta=args.delta,
         approx_gauss_delta0=args.delta0,
         floor=args.sigma * args.sigma if args.sigma is not None else (args.sigma2 or 0.0),
-        sampling_ratio=args.q,
-        rounds=args.T,
     )
+    if not args.T >= 1:
+        raise ConfigError(f"--T: expected a number of rounds >= 1, got {args.T}")
     route = _route_named(args.route, args.mode, ("--route", "--mode"))
     # a flag the route would ignore, or that another flag would override, is refused
     floored, rdp = route.reads is Reads.FLOOR, route.composition is CompositionMode.RDP
@@ -459,9 +451,6 @@ def _account_inner(args) -> int:
          f"--route {args.route} reads the floor and --N, not an eigenvalue"),
         (floor_flag, (args.sigma, args.sigma2) != (None, None) and not floored,
          f"--route {args.route} reads no floor; only {floor_routes} do"),
-        ("--q", args.q < 1.0 and rdp,
-         f"--route {args.route} composes RDP curves, to which no subsampling amplification "
-         "is applied; only the closed forms' simple composition reads --q"),
         ("--delta0", args.delta0 > 0 and rdp,
          f"--route {args.route}'s RDP curve has no Gaussian-approximation term; "
          "only the closed forms add delta0 to their delta"),
@@ -490,13 +479,6 @@ def _account_inner(args) -> int:
         ledger.append(account_round(lam, params, route, round_index=t))
     total = compose(ledger)
 
-    if params.sampling_ratio < 1.0:
-        print(
-            f"warning: --q {args.q:g} assumes amplification by subsampling, which needs "
-            "participation to be hidden from the adversary; simulate refuses "
-            "sampling_ratio < 1 for that reason, since the server sees who takes part",
-            file=sys.stderr,
-        )
     if composition is CompositionMode.RDP:
         print(
             f"per-round optimized eps* = {per_round.total_eps:.6g} "
@@ -508,8 +490,6 @@ def _account_inner(args) -> int:
             print(f"per-round delta (Gaussian-approximation inflated) = {first.delta_total:.6g}")
         for w in first.warnings:
             print(f"warning: {w}")
-        if params.sampling_ratio < 1.0:
-            print(f"amplified per-round eps = {per_round.total_eps:.6g} (q = {args.q:g})")
     at = f" at alpha* = {total.alpha_star:.6g}" if total.alpha_star is not None else ""
     print(f"composed eps over T={args.T} rounds ({composition.value}) = {total.total_eps:.6g}{at}")
     return EXIT_OK
@@ -671,12 +651,10 @@ def cmd_compose(args) -> int:
             raise ConfigError(f"ledger file {path} is malformed: {exc}")
     if not ledgers:
         raise ConfigError("compose: need at least one ledger file")
-    # no bound reads the run length, so runs of different lengths compose;
-    # the merged ledger records its own entry count as its rounds
     entries = [entry for ledger in ledgers for entry in ledger.entries]
-    params = dataclasses.replace(ledgers[0].params, rounds=max(len(entries), 1))
+    params = ledgers[0].params
     for ledger in ledgers:
-        if dataclasses.replace(ledger.params, rounds=params.rounds) != params:
+        if ledger.params != params:
             raise ConfigError("compose: ledgers carry different privacy parameters")
     mode = CompositionMode(args.mode)
     if args.delta not in (None, params.delta):
@@ -751,7 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_acc.add_argument("--sigma2", type=float, default=None, help="floor variance sigma^2")
     p_acc.add_argument("--delta", type=float, required=True)
     p_acc.add_argument("--delta0", type=float, default=0.0)
-    p_acc.add_argument("--q", type=float, default=1.0)
     p_acc.add_argument("--T", type=int, default=1)
 
     p_spec = sub.add_parser("spectrum", parents=[shared],

@@ -549,13 +549,13 @@ def run_simulation(
     The per-round metrics rows are CSV-ready; the cumulative epsilon column
     composes the ledger prefix after every round so the trace is monotone by
     construction. Composition reads the ledger's running state, which
-    ``append`` updates, in both modes: SIMPLE adds each round's amplified
-    scalar once, and RDP costs one order-grid evaluation and one
-    golden-section refine per ``compose``, each summing over the *distinct*
-    curves. A run whose rounds share one curve (the floored-mechanism routes)
-    costs O(1) per round and O(T) in total; per-round scalars are memoized per
-    curve. Rounds with distinct curves (``theorem1_rdp``, closed forms in RDP
-    mode) still cost O(t) at round t.
+    ``append`` updates, in both modes: SIMPLE adds each round's scalar once,
+    and RDP costs one order-grid evaluation and one golden-section refine per
+    ``compose``, each summing over the *distinct* curves. A run whose rounds
+    share one curve (the floored-mechanism routes) costs O(1) per round and
+    O(T) in total; per-round scalars are memoized per curve. Rounds with
+    distinct curves (``theorem1_rdp``, closed forms in RDP mode) still cost
+    O(t) at round t.
     """
     ledger = RoundLedger(params, composition)
     cohort = Cohort(users)

@@ -29,7 +29,6 @@ from aggnoise.accountant import (
     Region,
     RoundLedger,
     account_round,
-    amplify_subsampling,
     compose,
     curve_eps,
     delta_approx_gaussian,
@@ -148,7 +147,7 @@ class TestPrivacyParams:
         ("clip", math.nan), ("clip", math.inf), ("batch", math.nan), ("local_size", math.nan),
         ("ns_users", math.nan), ("delta", math.nan), ("approx_gauss_delta0", math.nan),
         ("approx_gauss_delta0", math.inf), ("floor", math.nan), ("floor", math.inf),
-        ("floor", -0.1), ("sampling_ratio", math.nan), ("rounds", math.nan),
+        ("floor", -0.1),
     ])
     def test_rejects_non_finite_or_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -157,6 +156,35 @@ class TestPrivacyParams:
     def test_accepts_finite_values(self):
         p = PrivacyParams(clip=1.0, batch=1, approx_gauss_delta0=0.0, floor=0.0)
         assert p.floor == 0.0 and p.approx_gauss_delta0 == 0.0
+
+    @pytest.mark.parametrize("field", ["rounds", "sampling_ratio"])
+    def test_has_no_field_that_no_bound_reads(self, field):
+        with pytest.raises(TypeError, match=field):
+            PrivacyParams(**{"clip": 1.0, "batch": 1, field: 1})
+
+    def test_round_trips_through_its_dict(self):
+        p = PrivacyParams(clip=2.0, batch=100, local_size=7, ns_users=3, delta=1e-3,
+                          approx_gauss_delta0=1e-6, floor=0.05)
+        assert set(p.to_dict()) == {f.name for f in dataclasses.fields(PrivacyParams)}
+        assert PrivacyParams.from_dict(json.loads(json.dumps(p.to_dict()))) == p
+
+    # the keys older ledgers stored beside the current ones
+    @pytest.mark.parametrize("old", [
+        {"rounds": 7}, {"sampling_ratio": 1.0}, {"sampling_ratio": 1},
+        {"rounds": 1, "sampling_ratio": 1.0},
+    ], ids=["rounds", "unamplified", "unamplified-int", "both"])
+    def test_reads_an_old_ledgers_params(self, old):
+        p = PrivacyParams(clip=2.0, batch=100, delta=1e-3, floor=0.05)
+        d = {**p.to_dict(), **old}
+        assert PrivacyParams.from_dict(d) == p
+        assert set(d) == set(p.to_dict()) | set(old)  # the caller's dict is left whole
+
+    @pytest.mark.parametrize("q", [0.5, 0.0, 2.0, math.nan, None, "1.0"],
+                             ids=["amplified", "zero", "above-one", "nan", "null", "string"])
+    def test_refuses_an_old_ledger_that_amplified(self, q):
+        d = {**PrivacyParams(clip=2.0, batch=100).to_dict(), "sampling_ratio": q}
+        with pytest.raises(ValueError, match="sampling_ratio"):
+            PrivacyParams.from_dict(d)
 
 
 RDP_PARAMS = PrivacyParams(clip=1.0, batch=10, local_size=100, ns_users=50,
@@ -283,33 +311,6 @@ class TestOptimizeAlpha:
         assert eps_star <= rdp_to_dp(mid, float(curve(mid)), 1e-5) + 1e-12
 
 
-class TestAmplifySubsampling:
-    def test_hand_value(self):
-        assert amplify_subsampling(1.0, 0.01) == pytest.approx(0.017036863236, rel=1e-9)
-
-    def test_identity_cases(self):
-        assert amplify_subsampling(1.7, 1.0) == 1.7
-        assert amplify_subsampling(0.0, 0.3) == 0.0
-
-    def test_large_eps_stability(self):
-        out = amplify_subsampling(200.0, 0.01)
-        assert out == pytest.approx(200.0 + math.log(0.01), rel=1e-9)
-
-    @given(
-        eps=st.floats(min_value=0.0, max_value=60.0),
-        q=st.floats(min_value=1e-6, max_value=1.0),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_never_amplifies_upward(self, eps, q):
-        out = amplify_subsampling(eps, q)
-        assert out <= eps + 1e-12
-        if q == 1.0 or eps == 0.0:
-            assert out == pytest.approx(eps, abs=1e-15)
-        elif eps > 1e-9 and q < 1.0 - 1e-9:
-            # strict improvement away from the float-equality boundary at q ~ 1
-            assert out < eps
-
-
 def wine_ledger(rounds=50, lam=0.25, composition=CompositionMode.SIMPLE):
     ledger = RoundLedger(WINE, composition)
     for t in range(rounds):
@@ -343,14 +344,6 @@ class TestCompose:
                                             round_index=t))
             return compose(ledger).total_eps
         assert total(lams) == pytest.approx(total(lams[::-1]), rel=1e-12)
-
-    def test_simple_applies_amplification(self):
-        p = PrivacyParams(clip=2.0, batch=100, delta=1e-3, sampling_ratio=0.01)
-        ledger = RoundLedger(p)
-        ledger.append(account_round(0.25, p, ROUTES["closed_form:general"], round_index=0))
-        result = compose(ledger)
-        per_round = eps_dp_closed_form(0.25, p).eps
-        assert result.total_eps == pytest.approx(amplify_subsampling(per_round, 0.01), rel=1e-12)
 
     def test_mixed_variants_warn_but_compose(self):
         ledger = RoundLedger(RDP_PARAMS, CompositionMode.RDP)
@@ -559,7 +552,7 @@ def listed_outcome(ledger):
                 return NoDpGuarantee
             if math.isinf(eps):
                 return math.inf, None, ()
-            total += amplify_subsampling(eps, ledger.params.sampling_ratio)
+            total += eps
         return total, None, ()
     curves = []
     for entry in ledger.entries:
@@ -577,8 +570,8 @@ def listed_outcome(ledger):
     return eps_star, alpha_star, warnings
 
 
-def assert_running_state_matches_fresh(entries, mode, params=RDP_PARAMS):
-    ledger = RoundLedger(params, mode)
+def assert_running_state_matches_fresh(entries, mode):
+    ledger = RoundLedger(RDP_PARAMS, mode)
     outcomes = []
     for entry in entries:
         ledger.append(entry)
@@ -590,8 +583,8 @@ def assert_running_state_matches_fresh(entries, mode, params=RDP_PARAMS):
     return outcomes
 
 
-def rdp_entry(t, route, lam=0.0, params=RDP_PARAMS):
-    return account_round(lam, params, route, round_index=t)
+def rdp_entry(t, route, lam=0.0):
+    return account_round(lam, RDP_PARAMS, route, round_index=t)
 
 
 def theorem1_context(t):
@@ -656,15 +649,6 @@ class TestRunningComposition:
             assert outcomes[1:] == [NoDpGuarantee] * 2
         else:
             assert all(isinstance(o, tuple) for o in outcomes)
-
-    def test_subsampled_simple_total(self):
-        params = dataclasses.replace(RDP_PARAMS, sampling_ratio=0.1)
-        routes = [ROUTES["closed_form:general"], ROUTES["wfdp_a"], ROUTES["closed_form:general"],
-                  ROUTES["theorem1_rdp"]]
-        entries = [rdp_entry(t, route, lam=0.5, params=params) for t, route in enumerate(routes)]
-        outcomes = assert_running_state_matches_fresh(entries, CompositionMode.SIMPLE, params)
-        eps = [round_eps(entry, params.delta) for entry in entries]
-        assert outcomes[-1][0] < sum(eps)
 
     def test_simple_ledger_does_no_curve_work(self, monkeypatch):
         def forbidden(*args, **kwargs):

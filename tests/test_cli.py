@@ -99,17 +99,17 @@ class TestAccountCommand:
                    "--delta", "1e-3"])
         assert rc == EXIT_CONFIG
 
-    def test_subsampling_flag(self, capsys):
-        rc = main(["account", "--route", "closed", "--lambda", "0.25", "--C", "2",
-                   "--B", "100", "--delta", "1e-3", "--q", "0.01", "--T", "10"])
+    @pytest.mark.parametrize("flags", [
+        "--route closed --lambda 0.25 --C 2 --B 100 --delta 1e-3",
+        "--route wfdp-a --C 1 --B 10 --D 100 --N 50 --sigma 0.1 --delta 1e-5 --T 50",
+        "--route theorem1-rdp --sum-lambda-min 50 --C 1 --B 10 --D 100 --delta 1e-5",
+    ], ids=["closed", "wfdp-a", "theorem1"])
+    def test_q_flag_is_gone(self, capsys, flags):
+        # the server sees who takes part, so no subsampling amplifies on any route
+        assert main(["account", *flags.split(), "--q", "0.5"]) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert rc == EXIT_OK
-        assert "amplified per-round eps" in captured.out
-        # the what-if names its assumption, on stderr so stdout stays frozen
-        (warning,) = captured.err.splitlines()
-        assert warning.startswith("warning: --q 0.01 ")
-        assert "participation to be hidden from the adversary" in warning
-        assert "simulate refuses sampling_ratio < 1" in warning
+        assert captured.out == ""
+        assert "unrecognized arguments: --q 0.5" in captured.err
 
     def test_no_subsampling_warning_at_q_one(self, capsys):
         rc = main(["account", "--route", "closed", "--lambda", "0.25", "--C", "2",
@@ -153,19 +153,23 @@ class TestAccountCommand:
      "--mode"),
     ("--route theorem1-rdp --mode general --sum-lambda-min 50 --C 1 --B 10 --D 100 --delta 1e-5",
      "--mode"),
-    # an RDP curve is neither amplified by subsampling nor inflated by delta0
-    ("--route wfdp-a --C 1 --B 10 --D 100 --N 50 --sigma 0.1 --delta 1e-5 --T 50 --q 0.5", "--q"),
-    ("--route theorem1-rdp --sum-lambda-min 50 --C 1 --B 10 --D 100 --delta 1e-5 --q 0.5", "--q"),
+    # an RDP curve is not inflated by delta0
     ("--route theorem1-rdp --sum-lambda-min 50 --C 1 --B 10 --D 100 --delta 1e-5 --T 50 "
      "--delta0 0.1", "--delta0"),
     ("--route wfdp-b --C 1 --B 10 --D 100 --N 50 --sigma 0.1 --delta 1e-5 --delta0 0.1",
      "--delta0"),
+    ("--route closed --lambda 0.25 --C 2 --B 100 --delta 1e-3 --T 0", "--T"),
+    ("--route closed --lambda 0.25 --C 2 --B 100 --delta 1e-3 --T -3", "--T"),
+    ("--route wfdp-a --C 1 --B 10 --D 100 --N 50 --sigma 0.1 --delta 1e-5 --T 0", "--T"),
+    ("--route theorem1-rdp --sum-lambda-min 50 --C 1 --B 10 --D 100 --delta 1e-5 --T 0",
+     "--T"),
 ], ids=["delta0-nan", "lambda-inf", "lambda-nan", "sum-lambda-min-inf", "sigma-and-sigma2",
         "sigma-negative", "sigma-nan", "sigma2-nan", "clip-inf", "iid-singular", "iid-wfdp-a",
         "iid-theorem1", "sum-lambda-min-closed", "sum-lambda-min-wfdp-a",
         "sum-lambda-min-and-lambda", "lambda-wfdp-a", "lambda-wfdp-b", "sigma-closed",
         "sigma2-closed", "sigma-theorem1", "sigma2-theorem1", "mode-wfdp-a", "mode-theorem1",
-        "q-wfdp-a", "q-theorem1", "delta0-theorem1", "delta0-wfdp-b"])
+        "delta0-theorem1", "delta0-wfdp-b", "T-zero", "T-negative", "T-zero-wfdp-a",
+        "T-zero-theorem1"])
 def test_account_refuses_non_finite_or_conflicting_flags(flags, named, capsys):
     assert main(["account"] + flags.split()) == EXIT_CONFIG
     captured = capsys.readouterr()
@@ -191,12 +195,6 @@ ACCOUNT_GOLDEN = {
         "--route closed --iid --lambda 0.05 --C 2 --B 100 --N 20 --delta 1e-3 --T 50",
         "per-round eps = 0.151059 (region high)\n"
         "composed eps over T=50 rounds (simple) = 7.55296\n",
-    ),
-    "subsampled": (
-        "--route closed --lambda 0.25 --C 2 --B 100 --delta 1e-3 --q 0.01 --T 10",
-        "per-round eps = 0.302118 (region high)\n"
-        "amplified per-round eps = 0.00352101 (q = 0.01)\n"
-        "composed eps over T=10 rounds (simple) = 0.0352101\n",
     ),
     "delta0": (
         "--route closed --lambda 0.25 --C 2 --B 100 --delta 1e-3 --delta0 1e-4 --T 20",
@@ -495,14 +493,15 @@ def test_missing_csv_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["spectrum"]])
-def test_sampling_ratio_below_one_is_refused(tmp_path, capsys, command):
-    # every user takes part in every round, visibly to the server: nothing amplifies
-    cfg, _ = write_config(tmp_path, accountant={"sampling_ratio": 0.5})
-    assert main(["--out", str(tmp_path / "o"), *command, "--config", cfg]) == EXIT_CONFIG
-    assert "accountant.sampling_ratio" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-    cfg, _ = write_config(tmp_path, accountant={"sampling_ratio": 1.0})
-    assert main(["--out", str(tmp_path / "o"), *command, "--config", cfg]) == EXIT_OK
+def test_sampling_ratio_key_is_refused(tmp_path, capsys, command):
+    # every user takes part in every round, visibly to the server: nothing
+    # amplifies, so the schema has no such key, not even at its old default
+    for q in (0.5, 1.0):
+        cfg, _ = write_config(tmp_path, accountant={"sampling_ratio": q})
+        assert main(["--out", str(tmp_path / "o"), *command, "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config key 'accountant'" in err and "'sampling_ratio' was unexpected" in err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("mechanism", [{"kind": "wfna"}, {"kind": "ddp"},
@@ -750,16 +749,26 @@ class TestComposeCommand:
 
 
     def test_runs_of_different_lengths_compose(self, tmp_path, capsys):
-        paths = []
-        for rounds in (2, 3):
-            cfg, _ = write_config(tmp_path, name=f"c{rounds}.json", rounds=rounds)
+        # no bound reads the run length, so a 2- and a 3-round run of one
+        # floored route carry one curve, which the merge counts 5 times
+        ledgers = {}
+        for rounds in (2, 3, 5):
+            cfg, _ = write_config(tmp_path, name=f"c{rounds}.json", rounds=rounds,
+                                  accountant={"route": "wfdp_a", "composition": "rdp"},
+                                  mechanism={"sigma2": 0.05})
             out = tmp_path / f"r{rounds}"
             assert main(["--out", str(out), "simulate", "--config", cfg]) == EXIT_OK
-            paths.append(str(out / "ledger.json"))
-        assert main(["--out", str(tmp_path / "merged"), "compose"] + paths) == EXIT_OK
+            ledgers[rounds] = out / "ledger.json"
+        rc = main(["--out", str(tmp_path / "merged"), "compose", str(ledgers[2]),
+                   str(ledgers[3]), "--mode", "rdp"])
+        assert rc == EXIT_OK
         merged = json.loads((tmp_path / "merged" / "composed_ledger.json").read_text())
         assert len(merged["entries"]) == 5
-        assert merged["params"]["rounds"] == 5
+        assert list(RoundLedger.from_dict(merged).state.curves.values()) == [5]
+        single = json.loads(ledgers[5].read_text())
+        assert isinstance(single["total_eps"], float)
+        assert merged["total_eps"] == single["total_eps"]
+        assert merged["alpha_star"] == single["alpha_star"]
 
     @pytest.mark.parametrize("accountant", [
         {"route": "closed_form", "mode": "general", "composition": "simple"},
@@ -806,7 +815,7 @@ class TestComposeCommand:
     ] + [pytest.param("delta_total", math.inf, id="delta_total-inf")])
     def test_invalid_entry_value_is_config_error(self, tmp_path, capsys, field, value):
         # an RDP ledger of closed-form rounds: RDP composition reads only its
-        # lambda_min, SIMPLE composition amplifies its eps
+        # lambda_min, SIMPLE composition sums its eps
         path = tmp_path / "ledger.json"
         write_ledger(path, CLOSED_PARAMS, [ROUTES["closed_form:general"]] * 2, CompositionMode.RDP)
         doc = json.loads(path.read_text())
@@ -1208,3 +1217,16 @@ def test_rows_build_the_entries_of_a_ledger_written_before_the_table():
 def test_a_ledger_written_before_the_table_composes(tmp_path, capsys, mode, total):
     assert main(["--out", str(tmp_path), "compose", str(ROUTES_LEDGER), "--mode", mode]) == EXIT_OK
     assert json.loads((tmp_path / "composed_ledger.json").read_text())["total_eps"] == total
+
+
+def test_a_ledger_accounted_with_subsampling_is_refused(tmp_path, capsys):
+    # old ledgers stored a sampling ratio; only its unamplified value 1 still reads
+    doc = json.loads(ROUTES_LEDGER.read_text())
+    doc["params"]["sampling_ratio"] = 0.5
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--out", str(tmp_path / "o"), "compose", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: ledger file {path} is malformed")
+    assert "sampling_ratio" in err
+    assert not (tmp_path / "o").exists()

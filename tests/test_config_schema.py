@@ -29,7 +29,7 @@ FULL_CONFIG = {
                "fedavg_samples": 0, "local_steps": 1},
     "mechanism": {"kind": "wfdp", "sigma2": 0.005, "blocks": 1},
     "accountant": {"route": "closed_form", "mode": "general", "composition": "simple",
-                   "delta": 1e-3, "delta0": 0.0, "sampling_ratio": 1.0, "clip": 1.0},
+                   "delta": 1e-3, "delta0": 0.0, "clip": 1.0},
 }
 
 WRONG_TYPE = {"integer": "1", "number": "1", "boolean": 1, "string": 1, "object": []}
@@ -164,3 +164,18 @@ def test_non_finite_number_rejected_by_checker(path):
     for value in (math.nan, math.inf, -math.inf):
         assert checker_verdict(with_value(path, value)) == "/".join(path)
 
+
+
+# keys older configs set that the schema has dropped: refused at any value,
+# the old default included, so a config never silently loses a setting
+RETIRED_KEYS = [("accountant", "sampling_ratio")]
+
+
+@pytest.mark.parametrize("value", [1.0, 1, 0.5, None, "1.0", True, math.nan],
+                         ids=["default", "int-default", "below-one", "null", "string", "bool",
+                              "nan"])
+@pytest.mark.parametrize("path", RETIRED_KEYS, ids="/".join)
+def test_retired_key_rejected_at_any_value(path, value):
+    assert path not in {p for p, _ in schema_keys()}
+    config = with_value(path, value)
+    assert checker_verdict(config) == oracle_verdict(config) == "/".join(path[:-1])
