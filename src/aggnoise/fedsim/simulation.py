@@ -16,12 +16,13 @@ stack's updates and unfloored covariance models, one model stack per user
 stack, and the mechanisms floor and draw for the whole stack, every member
 from its own stream. A single user is a stack of one. Under WFDP every
 non-sensitive stack goes through ``floored_update`` instead: WFDP replaces
-its updates, so coverage is decided first, by a Cholesky certificate or else
-by the eigenvalues, and a member the floor covers becomes sigma^2 I with no
-eigenvectors at all. Only this module knows ``mechanism.blocks``, and only
-WFDP takes it: a blockwise round floors each coordinate block's rows as a
-problem of their own, so a user's update is drawn from, and accounted as,
-the block-diagonal model of its floored blocks. Any other mechanism submits
+its updates, so coverage is decided first, by a certificate that reads no
+eigenvalue or else by the eigenvalues, and a member the floor covers
+becomes sigma^2 I with no eigenvectors at all. Only this module knows
+``mechanism.blocks``, and only WFDP takes it: a blockwise round floors each
+coordinate block's rows as a problem of their own, so a user's update is
+drawn from, and accounted as, the block-diagonal model of its floored
+blocks. Any other mechanism submits
 an update with cross-block covariance, so it refuses blocks.
 ``noise_round`` is the one place a round's mechanism is applied: it returns
 the noised submissions, the unfloored per-user spectra when asked for (the

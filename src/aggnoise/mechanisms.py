@@ -17,10 +17,11 @@ that call's, bit for bit. Members that share one generator draw one after
 the other.
 
 ``wfdp_from_spectra`` is WFDP, which replaces a stack's updates: it decides
-first which members the floor covers, by a Cholesky certificate or else by
-their eigenvalues, and estimates eigenvectors only for a member with an
-eigenvalue above the floor; a member the floor covers is floored to
-sigma^2 I directly. Nothing here knows a partition of the coordinates.
+first which members the floor covers, by a certificate that reads no
+eigenvalue or else by their eigenvalues, and estimates eigenvectors only
+for a member with an eigenvalue above the floor; a member the floor covers
+is floored to sigma^2 I directly. Nothing here knows a partition of the
+coordinates.
 """
 
 from __future__ import annotations
@@ -271,8 +272,9 @@ def wfdp_from_spectra(
 ) -> tuple[Optional[Array], list[NoisedUpdate]]:
     """WFDP for a stack of users' clipped gradients, decomposing only what the floor leaves.
 
-    Coverage is decided first, by ``floor_coverage``: a stack its Cholesky
-    certificate clears reads no eigenvalue. The certificate runs only when
+    Coverage is decided first, by ``floor_coverage``: a stack its certificate
+    (row sums and the product's shape, or Cholesky factorizations where those
+    fall short) clears reads no eigenvalue. The certificate runs only when
     ``spectra`` is false, as the spectra it skips are not returned; it passes
     only members the spectrum path covers, so the noised updates do not
     depend on ``spectra``. An infinite ``batch``

@@ -31,7 +31,8 @@ whole spectrum is decided without an estimate: ``floor_coverage`` forms the user
 once (the dense second moment, or for thin gradients the D x D Gram matrix,
 which has the same nonzero eigenvalues), bounds its largest eigenvalue by
 row sums of |M| (or, where they fall short, by a Cholesky factorization),
-checks the PSD clamp by a second Cholesky factorization, and reads the
+shows the PSD clamp from the product's shape alone (or, for a shape too
+large for that, by a second Cholesky factorization), and reads the
 eigenvalues alone of a matrix it cannot certify, with no eigenvectors and no
 QR. Nothing here knows a partition of the coordinates: a caller that floors
 coordinate blocks apart hands each block's rows over as gradients of their
@@ -188,10 +189,14 @@ class CovarianceModel:
             if not vecs.swapaxes(-1, -2).flags.c_contiguous:
                 vecs = _column_major(vecs)
         else:
-            # taking rows of the transpose leaves each member's eigenvectors column-major
+            # taking rows of the transpose leaves each member's eigenvectors column-major;
+            # a single model indexes them directly, the same bytes at a quarter of the cost
             order = np.argsort(-vals, axis=-1, kind="stable")
-            vals = np.take_along_axis(vals, order, axis=-1)
-            vecs = np.take_along_axis(vecs.swapaxes(-1, -2), order[..., None], axis=-2).swapaxes(-1, -2)
+            if vals.ndim == 1:
+                vals, vecs = vals[order], vecs.T[order].T
+            else:
+                vals = np.take_along_axis(vals, order, axis=-1)
+                vecs = np.take_along_axis(vecs.swapaxes(-1, -2), order[..., None], axis=-2).swapaxes(-1, -2)
         self.mean = mean
         self.eigvecs = vecs
         self.eigvals = vals
@@ -393,31 +398,48 @@ def _row_sums_clear(mat: Array, bound: float) -> bool:
     return bool((ratios.max(axis=-1) * (1.0 + (side + 4) * _EPS) <= bound).all())
 
 
-def _certified(mat: Array, floor: float) -> bool:
-    """Whether row sums or a Cholesky factorization, and a clamp Cholesky, clear ``mat``.
+def _rounding_clears(side: int, inner: int) -> bool:
+    """Whether the shape alone keeps a formed second moment within ``_psd_eigh``'s clamp.
 
-    ``mat`` is a stack of second moments M (see ``floor_coverage``),
-    in its fresh, contiguous buffer, whose flattened rows step along the
-    diagonal. The shifted matrices are formed in that buffer: negation is
-    exact, each diagonal is written from a saved copy of M's, and M is left
-    as it was found.
+    ``side`` is M's side w and ``inner`` the inner dimension n of the product
+    M was formed by: true when w (n + 2) u / (1 - 2 (n + 2) u) <= 1e-10 - eta,
+    with u = eps / 2 and eta = 4 w^2 eps (see ``floor_coverage``).
+    """
+    unit = (inner + 2) * _EPS / 2
+    room = _NEG_EIG_CLAMP - 4 * side**2 * _EPS
+    return 2.0 * unit < 1.0 and side * unit / (1.0 - 2.0 * unit) <= room
+
+
+def _certified(mat: Array, floor: float, inner: int) -> bool:
+    """Whether row sums or a Cholesky factorization, and the shape or a clamp Cholesky, clear ``mat``.
+
+    ``mat`` is a stack of second moments M (see ``floor_coverage``), formed
+    by products of inner dimension ``inner``, in its fresh, contiguous
+    buffer, whose flattened rows step along the diagonal. Where row sums and
+    the shape clear every member, M is only read. Otherwise the shifted
+    matrices are formed in that buffer: negation is exact, each diagonal is
+    written from a saved copy of M's, and M is left as it was found.
     """
     side = mat.shape[-1]
     eta = 4 * side**2 * _EPS
     if eta >= _NEG_EIG_CLAMP or not (np.isfinite(mat).all() and (mat == mat.swapaxes(-1, -2)).all()):
         return False
     diag = mat.reshape(*mat.shape[:-2], side * side)[..., :: side + 1]
-    moment_diag = diag.copy()
+    trace = diag.sum(axis=-1)
+    # a member too faint for the rounding bound clears by shape only when it is all zero
+    clamped = _rounding_clears(side, inner) and not mat[trace < _ROW_SUM_MIN].any()
     ceiling = floor * (1.0 - eta)
     certified = _row_sums_clear(mat, ceiling)
+    if certified and clamped:
+        return True
+    moment_diag = diag.copy()
     if not certified:
         mat *= -1.0
         diag[...] = ceiling - moment_diag
         certified = _positive_definite(mat)
         mat *= -1.0
-    if certified:
-        tau = (_NEG_EIG_CLAMP - eta) * moment_diag.sum(axis=-1, keepdims=True) / side
-        diag[...] = moment_diag + tau
+    if certified and not clamped:
+        diag[...] = moment_diag + (_NEG_EIG_CLAMP - eta) * trace[..., None] / side
         certified = _positive_definite(mat)
     diag[...] = moment_diag
     return certified
@@ -445,8 +467,8 @@ def floor_coverage(
     ``eigh`` differ in.
 
     The certificate clears a stack when, for every member, M is exactly
-    symmetric, its largest eigenvalue is bounded by floor (1 - eta), and
-    M + tau I factors by Cholesky, with eta = 4 w^2 eps for M's side w. It
+    symmetric, its largest eigenvalue is bounded by floor (1 - eta), and its
+    smallest is within the clamp, with eta = 4 w^2 eps for M's side w. It
     clears only what the eigenvalues would cover. Exact symmetry makes M the
     very matrix ``_psd_eigh`` reads, and passes its symmetry check. The upper
     bound comes first from row sums: for any positive v, every |lambda(M)|
@@ -468,13 +490,51 @@ def floor_coverage(
     that gives lambda_max(M) <= floor (1 - eta + w^2 eps). Either way eigvalsh's computed value is larger by at most a
     modest p(w) eps floor; with eta = 4 w^2 eps, the 3 w^2 eps or more left
     over covers that and the rounding of floor (1 - eta), so ``eigvalsh``
-    puts every eigenvalue at or below the floor. The Cholesky of M + tau I
-    runs on either path: with tau = (1e-10 - eta) tr(M)/w <= (1e-10 - eta)
-    lambda_max, it bounds the computed lambda_min below by -1e-10 lambda_max,
-    the clamp ``_psd_eigh`` enforces, checked on the computed M itself. A
-    thin Gram matrix has the nonzero eigenvalues of X X^T, so the same proof
-    covers it. A matrix wider than about 330 has eta >= 1e-10, no room for
-    tau, and is never certified.
+    puts every eigenvalue at or below the floor.
+
+    The clamp, computed lambda_min >= -1e-10 computed lambda_max, follows
+    from the shape alone. Its premise is that M is ``_second_moment``'s own
+    output: M = fl(fl(P) / c) for P = X X^T, the product of a member's
+    gradients X with inner dimension n = D, and c = B D >= 1 (for thin
+    gradients P = X^T X, n = dim, and X^T stands for X below), and that BLAS
+    (or numpy's own loop) forms each entry of P as its n products summed in
+    some order, with or without fused multiply-adds, and with no
+    Strassen-like algorithm. The exact P / c is PSD. Each entry of fl(P) is
+    a dot product computed in some order, so |fl(P) - P| <= gamma_n |X|
+    |X|^T entrywise, with gamma_n = n u / (1 - n u) and u = eps / 2, FMA
+    included (Higham, ch. 3.1 and 3.5; Jeannerod & Rump, SIMAX 2013, sharpen
+    gamma_n to n u, which is not needed here). The division adds a relative
+    u, so M = P / c + G with |G| <= gamma_{n+1} |X| |X|^T / c. G is
+    symmetric, as M is exactly and P is, so ||G||_2 <= rho(|G|) <=
+    gamma_{n+1} ||X||_F^2 / c, and by Weyl's inequality lambda_min(M) >=
+    lambda_min(P / c) - ||G||_2 >= -gamma_{n+1} ||X||_F^2 / c. M's diagonal
+    sums nonnegative products, so the same bounds give tr(M) >= (1 -
+    gamma_{n+1}) ||X||_F^2 / c, and lambda_min(M) >= -(n + 1) u / (1 - 2 (n
+    + 1) u) tr(M). The bound is relative to tr(M), and tr(M) / w <=
+    lambda_max(M) since the trace sums the w eigenvalues: lambda_min(M) >=
+    -w (n + 1) u / (1 - 2 (n + 1) u) lambda_max(M), on the scale the clamp
+    is stated in, whatever M's size. Underflow breaks the relative bounds
+    only by an absolute 2^-1075 per product (or fused multiply-add) and per
+    division, as sums of subnormals are exact: at most w (n + 1) 2^-1074 in
+    ||G||_2 and in the trace. The shape decides only for members whose
+    computed trace, a sum of nonnegative terms, is at least 2^-500, where
+    that is far below u lambda_max >= u tr(M) / w. Taking n + 2 for n + 1
+    covers it and the few roundings of the shape test itself, which is w (n
+    + 2) u / (1 - 2 (n + 2) u) <= 1e-10 - eta (``_rounding_clears``). That
+    gives lambda_min(M) >= -(1e-10 - eta) lambda_max(M). ``eigvalsh`` moves
+    either end by at most p(w) eps lambda_max; no Cholesky spends any of
+    eta on this path, and eta covers that and the rounding of the clamp's
+    own product. An all-zero M is cleared too: ``eigvalsh``'s error p(w) eps
+    ||M||_2 is then 0, so it reads exact zeros, which pass the clamp (the
+    Cholesky of M + tau I below refuses it, as tau is 0). A member of
+    smaller nonzero trace, or a shape the test does not clear (10^5
+    coordinates and 100 gradients, a thin n = 10^5, is one), is left to a
+    Cholesky of M + tau I, with tau = (1e-10 - eta) tr(M)/w <= (1e-10 - eta)
+    lambda_max: one that runs to completion bounds the computed lambda_min
+    below by -1e-10 lambda_max, checked on the computed M itself.
+    A thin Gram matrix has the nonzero eigenvalues of X X^T, so the upper
+    bound covers it too. A matrix wider than about 330 has eta >= 1e-10, no
+    room left for the clamp, and is never certified.
     """
     if np.any(np.asarray(batch) < 1):
         raise ValueError(f"batch must be >= 1, got {batch}")
@@ -482,7 +542,9 @@ def floor_coverage(
         raise ValueError(f"floor must be finite and >= 0, got {floor}")
     covered = np.full(grads.columns.shape[:-2], True)
     mat = _second_moment(grads.columns, np.asarray(batch)[..., None, None])
-    if not spectra and _certified(mat, floor):
+    # the products' inner dimension: D for X X^T, dim for a thin X^T X
+    inner = grads.dim if _is_thin(grads.dim, grads.count) else grads.count
+    if not spectra and _certified(mat, floor, inner):
         return covered, None
     vals, _ = _psd_eigh(mat, vectors=False)
     covered &= vals[..., -1] <= floor

@@ -1064,6 +1064,31 @@ class TestFloorsFromSpectra:
             tail += self.SIGMA2
         assert outcome.lambda_min == tail
 
+    def test_covered_wide_stack_factors_nothing(self, monkeypatch):
+        # one stack of 12 users with 101 coordinates and 100 gradients each, as
+        # in a wide run: row sums and the product's shape clear it, so coverage
+        # takes no Cholesky factorization and reads no eigenvalue
+        scheme = UpdateScheme(SchemeKind.GAUSSIAN_SAMPLED, batch=10, learning_rate=0.2)
+        users, _, family = make_users(13, 1, scheme, seed=3, task="regression", features=100,
+                                      per_user=100)
+        model = init_model(family, 100)
+        cohort = Cohort(users)
+        assert [len(stack.slots) for stack in cohort.stacks] == [1, 12]
+        calls = []
+        for name in ("cholesky", "eigvalsh"):
+            def counting(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        mech = MechanismConfig(MechanismKind.WFDP, 0.01)
+        _, _, summed, _, _ = simulation.noise_round(model, cohort, mech, 1.0, 3, 0)
+        assert calls == []
+        tail = 0.0
+        for _ in users[1:]:  # every member covered: the sum is isotropic
+            tail += 0.01
+        assert np.array_equal(summed, np.full(model.dim, tail))
+
 
 class TestBlockwiseWfdp:
     """Blockwise WFDP floors each coordinate block's rows as a problem of their own.

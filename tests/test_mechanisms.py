@@ -500,7 +500,7 @@ class TestWfdpFromSpectra:
 
 
 class TestFloorCertificate:
-    """A stack the Cholesky certificate covers reads no eigenvalue; it covers only what they would."""
+    """A stack the certificate covers reads no eigenvalue; it covers only what they would."""
 
     BATCH = 2
 
@@ -509,6 +509,22 @@ class TestFloorCertificate:
         cols = rng.standard_normal((members, dim, count))
         cols /= np.linalg.norm(cols, axis=1, keepdims=True)
         return cols * rng.uniform(0.2, 1.0, size=(members, 1, 1))
+
+    def fallback_gradients(self):
+        """One dense member of side 5 and 2e5 gradients (8 MB): too long for the rounding bound.
+
+        Its first coordinate is 0 in every gradient, so M has an exact eigenvalue 0
+        there, and any dent of M's first diagonal entry takes it below the clamp.
+        """
+        cols = self.gradients(5, 200_000, members=1)
+        cols[:, 0] = 0.0
+        return cols
+
+    @staticmethod
+    def inner(cols):
+        """The inner dimension of the product ``_second_moment`` forms from ``cols``."""
+        dim, count = cols.shape[-2:]
+        return dim if 2 * count <= dim else count
 
     @staticmethod
     def refuse(monkeypatch):
@@ -629,11 +645,12 @@ class TestFloorCertificate:
         loud[2] *= 10.0
         covered, cleared = self.coverage(monkeypatch, GradientMatrix(loud, 10.0), 0.2)
         assert covered.tolist() == [True, True, False, True] and not cleared
-        # a thin block is cleared on its Gram matrix; zero gradients fail the PSD check
+        # a thin block is cleared on its Gram matrix; zero gradients' all-zero M too,
+        # whose eigenvalues eigvalsh reads as exact zeros
         covered, cleared = self.coverage(monkeypatch, GradientMatrix(self.gradients(30, 6), 1.0), 0.2)
         assert covered.all() and cleared
         covered, cleared = self.coverage(monkeypatch, GradientMatrix(np.zeros((2, 6, 10)), 1.0), 0.2)
-        assert covered.all() and not cleared
+        assert covered.all() and cleared
         # a second moment that is not exactly symmetric is left to the eigenvalue path
         moment = spectra_module._second_moment
         skew = np.triu(np.full((12, 12), 1e-15), 1)
@@ -641,15 +658,16 @@ class TestFloorCertificate:
                             lambda cols, batch: moment(cols, batch) + skew)
         covered, cleared = self.coverage(monkeypatch, grads, 0.2)
         assert covered.all() and not cleared
-        # nor is one below _psd_eigh's clamp, although the floor covers it
-        dent = np.diag([-1e-6] + [0.0] * 11)
+        # nor is one below _psd_eigh's clamp, although the floor covers it: on a
+        # shape past the rounding bound the clamp Cholesky refuses it
+        long = GradientMatrix(self.fallback_gradients(), 1.0)
+        dent = np.diag([-1e-6] + [0.0] * 4)
         monkeypatch.setattr(spectra_module, "_second_moment",
                             lambda cols, batch: moment(cols, batch) + dent)
         with pytest.raises(NotPositiveSemidefinite):
-            floor_coverage(grads, self.BATCH, 0.2)
+            floor_coverage(long, self.BATCH, 0.2)
         with pytest.raises(NotPositiveSemidefinite):
-            wfdp_from_spectra(grads, self.BATCH, 0.2, [np.random.default_rng(i) for i in range(4)],
-                              spectra=False)
+            wfdp_from_spectra(long, self.BATCH, 0.2, [np.random.default_rng(0)], spectra=False)
 
     @staticmethod
     def counting_cholesky(monkeypatch):
@@ -703,9 +721,76 @@ class TestFloorCertificate:
         if spectra_module._row_sums_clear(mat, floor * (1.0 - 4 * side**2 * spectra_module._EPS)):
             assert (np.linalg.eigvalsh(mat)[:, -1] <= floor).all()
             spectra_module._psd_eigh(mat, vectors=False)  # within the clamp
-            assert spectra_module._certified(mat, floor) and covered.all()
+            assert spectra_module._certified(mat, floor, self.inner(cols)) and covered.all()
 
-    def test_covered_wide_stack_makes_one_cholesky(self, monkeypatch):
+    def test_rounding_bound_reads_the_shape_alone(self):
+        clears = spectra_module._rounding_clears  # two ints in, one bool out
+        # the workloads' shapes: wide (side 101, 100 gradients), long-rdp (side
+        # 11, 100 gradients) and highdim (a thin Gram matrix of side 100 over 1001
+        # coordinates) clear
+        assert clears(101, 100) is True and clears(11, 100) and clears(100, 1001)
+        # 10^5 coordinates and 100 gradients: a thin Gram matrix over n = 10^5
+        assert clears(100, 10**5) is False
+        assert not clears(5, 200_000)  # ``fallback_gradients``' shape
+        assert clears(5, 100_000)
+        # eta = 4 w^2 eps reaches 1e-10 at a side of about 336: nothing is left
+        assert clears(335, 1) and not clears(336, 1)
+        assert not clears(1, 2**53)  # (n + 2) u past 1/2
+
+    @given(
+        dim=st.integers(1, 32),
+        count=st.integers(1, 32),
+        rank=st.integers(1, 32),
+        members=st.integers(1, 3),
+        offset=st.floats(-1.0, 1.0),
+        cancelling=st.integers(0, 16),
+        log_scales=st.lists(st.floats(-12.0, 0.0), min_size=32, max_size=32),
+        member_logs=st.lists(st.one_of(st.just(0.0), st.floats(-170.0, 0.0)),
+                             min_size=3, max_size=3),
+        zero_member=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_shape_clears_only_what_cholesky_and_eigvalsh_clear(
+        self, dim, count, rank, members, offset, cancelling, log_scales, member_logs,
+        zero_member, seed,
+    ):
+        # dense or thin, of any rank, with mixed or mostly equal signs, columns
+        # that cancel others, column scales over 12 orders of magnitude and
+        # members down to where their products underflow
+        rng = np.random.default_rng(seed)
+        rank = min(rank, dim, count)
+        cols = rng.standard_normal((members, dim, rank)) @ rng.standard_normal((members, rank, count))
+        cols += offset * np.abs(cols).mean()
+        pairs = min(cancelling, count // 2)
+        cols[..., count - pairs:] = -cols[..., :pairs] * (1.0 + 1e-15 * rng.standard_normal(pairs))
+        cols *= 10.0 ** np.array(log_scales[:count])
+        cols *= 10.0 ** np.array(member_logs[:members])[:, None, None]
+        if zero_member:
+            cols[-1] = 0.0
+        mat = spectra_module._second_moment(cols, self.BATCH)
+        side = mat.shape[-1]
+        floor = 2.0 * float(np.abs(mat).sum(axis=-1).max())  # row sums clear every member
+        found = mat.copy()
+        with pytest.MonkeyPatch.context() as patch:
+            calls = self.counting_cholesky(patch)
+            certified = spectra_module._certified(mat, floor, self.inner(cols))
+        assert mat.tobytes() == found.tobytes()
+        if not certified or calls:
+            return
+        # cleared by row sums and the shape alone: eigvalsh reads it within the clamp
+        spectra_module._psd_eigh(mat, vectors=False)
+        eta = 4 * side**2 * spectra_module._EPS
+        for member in mat:
+            trace = np.trace(member)
+            if trace == 0.0:  # an all-zero member, whose eigenvalues are exact zeros
+                assert not member.any() and not np.linalg.eigvalsh(member).any()
+                continue
+            # and the clamp Cholesky the shape replaces runs to completion
+            tau = (spectra_module._NEG_EIG_CLAMP - eta) * trace / side
+            np.linalg.cholesky(member + tau * np.eye(side))
+
+    def test_covered_wide_stack_makes_no_clamp_cholesky(self, monkeypatch):
         # a wide round's stack: 12 users of 101 coordinates and 100 gradients each
         cols = self.gradients(101, 100, members=12)
         # members 1e-6 below the floor, whose row-sum bounds are above it
@@ -713,39 +798,45 @@ class TestFloorCertificate:
         self.refuse(monkeypatch)
         outcomes = self.counting_cholesky(monkeypatch)
         covered, _ = floor_coverage(GradientMatrix(cols, 1.0), self.BATCH, 0.05)
-        assert covered.all() and outcomes == [True]  # only the clamp is factored
+        assert covered.all() and outcomes == []  # row sums and the shape clear it
         outcomes.clear()
         covered, _ = floor_coverage(GradientMatrix(near, 10.0), self.BATCH, 0.05)
-        assert covered.all() and outcomes == [True, True]
+        assert covered.all() and outcomes == [True]  # only the upper bound is factored
         # a coordinate every gradient leaves at 0 is a zero row and column of M, an
         # eigenvalue 0 on its own; a positive row sum below 2^-500 is still refused
-        for row, calls in ((0.0, [True]), (1e-160, [True, True])):
+        for row, calls in ((0.0, []), (1e-160, [True])):
             cols[:, 5] = row
             outcomes.clear()
             covered, _ = floor_coverage(GradientMatrix(cols, 1.0), self.BATCH, 0.05)
             assert covered.all() and outcomes == calls
 
     @pytest.mark.parametrize("case,floor,outcomes", [
-        ("row sums", 0.2, [True]),
-        ("upper cholesky", 0.01, [True, True]),
+        ("row sums", 0.2, []),
+        ("upper cholesky", 0.01, [True]),
         ("refused above", 0.01, [False]),
+        ("clamp cholesky", 0.2, [True]),
+        ("upper and clamp cholesky", 0.01, [True, True]),
         ("refused at the clamp", 0.2, [False]),
-        ("zero gradients", 0.2, [False]),
+        ("zero gradients", 0.2, []),
     ])
     def test_certificate_leaves_the_moment_as_found(self, monkeypatch, case, floor, outcomes):
         cols = self.gradients(12, 10)
-        if case == "upper cholesky":
-            cols = self.scaled_to(cols, floor, [1.0 - 1e-6] * 4)
+        if case in ("clamp cholesky", "upper and clamp cholesky", "refused at the clamp"):
+            cols = self.fallback_gradients()  # the clamp Cholesky still runs
+        if case in ("upper cholesky", "upper and clamp cholesky"):
+            cols = self.scaled_to(cols, floor, [1.0 - 1e-6] * len(cols))
         elif case == "refused above":
             cols = self.scaled_to(cols, floor, [0.5, 0.5, 1.5, 0.5])
         elif case == "zero gradients":
             cols = np.zeros_like(cols)
         mat = spectra_module._second_moment(cols, self.BATCH)
         if case == "refused at the clamp":
-            mat += np.diag([-1e-6] + [0.0] * 11)
+            mat += np.diag([-1e-6] + [0.0] * 4)
         found = mat.copy()
+        if not outcomes:
+            mat.flags.writeable = False  # a stack the bounds clear is only read
         calls = self.counting_cholesky(monkeypatch)
-        assert spectra_module._certified(mat, floor) == all(outcomes)
+        assert spectra_module._certified(mat, floor, self.inner(cols)) == all(outcomes)
         assert calls == outcomes
         assert mat.tobytes() == found.tobytes()
 
@@ -755,9 +846,9 @@ class TestFloorCertificate:
         certified, read = [], []
         certify, psd_eigh = spectra_module._certified, spectra_module._psd_eigh
 
-        def certifying(mat, floor):
+        def certifying(mat, floor, inner):
             certified.append((mat, mat.copy()))
-            return certify(mat, floor)
+            return certify(mat, floor, inner)
 
         def reading(mat, vectors=True):
             read.append(mat)

@@ -416,6 +416,23 @@ class TestFloorEigenvalues:
         assert sorted_model.eigvecs.flags.f_contiguous
         assert np.array_equal(sorted_model.eigvecs, model.eigvecs)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_single_model_sorts_as_a_stack_of_one(self, order, r):
+        # a single model indexes its eigenvectors; a stack takes them along an
+        # axis: the same bytes and the same column-major strides
+        rng = np.random.default_rng(r)
+        vecs = np.asarray(np.linalg.qr(rng.standard_normal((5, 5)))[0][:, :r], order=order)
+        vals = np.array([0.1, 0.4, 0.4, 0.3, 0.2])[:r]  # unsorted, with a tie past r = 2
+        single = CovarianceModel(np.zeros(5), vecs, vals)
+        stacked = CovarianceModel(np.zeros((1, 5)), vecs[None], vals[None])
+        assert single.eigvals.tobytes() == stacked.eigvals[0].tobytes()
+        assert single.eigvecs.tobytes() == stacked.eigvecs[0].tobytes()
+        assert single.eigvecs.strides == stacked.eigvecs[0].strides == (8, 40)
+        # and the stacked path itself is unchanged: take_along_axis on the transpose
+        by_take = np.take_along_axis(vecs.T, np.argsort(-vals, kind="stable")[:, None], axis=0).T
+        assert single.eigvecs.tobytes() == by_take.tobytes()
+
 
 class TestSampleGaussian:
     def test_zero_covariance_returns_mean(self):
