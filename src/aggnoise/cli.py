@@ -41,9 +41,11 @@ from .errors import (
     ConfigError,
     EmptyValidityInterval,
     LedgerOrderError,
+    MalformedCsv,
     NonFinite,
     NonPositiveLambda,
     NotPositiveSemidefinite,
+    TooFewExamples,
 )
 from .fedsim import (
     MechanismConfig,
@@ -120,7 +122,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "kind": {"enum": ["wfdp", "wfna", "ddp", "none"]},
                 "sigma2": {"type": "number", "minimum": 0},
-                "blocks": {"type": "integer", "minimum": 1},
             },
         },
         "accountant": {
@@ -282,8 +283,7 @@ def _build_run(config: dict, seed: int):
             "scheme.fedavg_samples: fedavg needs at least 2 local replays to estimate "
             f"a covariance, got {scheme_cfg.get('fedavg_samples', 0)}"
         )
-    mech = MechanismConfig(MechanismKind(mech_cfg["kind"]), mech_cfg.get("sigma2", 0.0),
-                           mech_cfg.get("blocks", 1))
+    mech = MechanismConfig(MechanismKind(mech_cfg["kind"]), mech_cfg.get("sigma2", 0.0))
     route = _route_named(acct.get("route", "closed_form"), acct.get("mode"),
                          ("accountant.route", "accountant.mode"))
     if route.reads is Reads.FLOOR and mech.floor == 0:
@@ -316,9 +316,13 @@ def _build_run(config: dict, seed: int):
             raise ConfigError("dataset.path: required for kind 'csv'")
         try:
             features, labels = load_csv(ds["path"], ds.get("has_header", False))
+            per_user = partition_equal(features, labels, n_total, rng)
         except OSError as exc:
             raise ConfigError(f"dataset.path: cannot read {ds['path']!r}: {exc.strerror}") from None
-        per_user = partition_equal(features, labels, n_total, rng)
+        except MalformedCsv as exc:
+            raise ConfigError(f"dataset.path: {ds['path']!r}: {exc}") from None
+        except TooFewExamples as exc:
+            raise ConfigError(f"users.total: {exc} in {ds['path']!r}") from None
         eval_data = (features, labels)
         family = (
             ModelFamily.LINEAR_REGRESSION
@@ -510,10 +514,14 @@ def _spectrum_rows(source: str, eigvals, sigma2: float) -> list[dict]:
 
 
 def cmd_spectrum(args) -> int:
-    if not (math.isfinite(args.sigma2) and args.sigma2 >= 0):
-        raise ConfigError(f"--sigma2: expected a finite floor >= 0, got {args.sigma2!r}")
     if args.eigvals and args.config is not None:
         raise ConfigError("--config: spectrum reads --eigvals or --config, not both")
+    if args.config is not None and args.sigma2 is not None:
+        raise ConfigError("--sigma2: spectrum --config floors at the config's mechanism.sigma2, "
+                          "as simulate does; only --eigvals takes a floor")
+    sigma2 = 0.0 if args.sigma2 is None else args.sigma2
+    if not (math.isfinite(sigma2) and sigma2 >= 0):
+        raise ConfigError(f"--sigma2: expected a finite floor >= 0, got {sigma2!r}")
     rows = []
     if args.eigvals:
         try:
@@ -522,14 +530,11 @@ def cmd_spectrum(args) -> int:
             raise ConfigError(f"--eigvals: expected comma-separated floats, got {args.eigvals!r}")
         except (NonFinite, NotPositiveSemidefinite) as exc:
             raise ConfigError(f"--eigvals: {exc}") from None
-        rows.extend(_spectrum_rows("input", model.spectrum(), args.sigma2))
+        rows.extend(_spectrum_rows("input", model.spectrum(), sigma2))
     elif args.config:
         config = load_config(args.config)
         seed = args.seed if args.seed is not None else config.get("seed", 0)
         users, model, mech, params, _, _, _, _ = _build_run(config, seed)
-        if args.sigma2:
-            # the what-if: every non-sensitive user floored at --sigma2
-            mech = MechanismConfig(MechanismKind.WFDP, args.sigma2, mech.block_count)
         # simulate's round-0 pass, from the same per-user streams
         _, spectra, summed, _, _ = noise_round(
             model, Cohort(users), mech, params.clip, seed, 0, spectra=True
@@ -734,7 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", parents=[shared],
                             help="dump eigenvalue/floor/delta tables")
     p_spec.add_argument("--eigvals", default=None, help="comma-separated eigenvalues")
-    p_spec.add_argument("--sigma2", type=float, default=0.0)
+    p_spec.add_argument("--sigma2", type=float, default=None,
+                        help="floor variance sigma^2 for --eigvals (default 0)")
 
     p_ver = sub.add_parser("verify", parents=[shared],
                            help="run dominance suites and the counterexample demo")

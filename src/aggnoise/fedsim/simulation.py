@@ -18,12 +18,7 @@ from its own stream. A single user is a stack of one. Under WFDP every
 non-sensitive stack goes through ``floored_update`` instead: WFDP replaces
 its updates, so coverage is decided first, by a certificate that reads no
 eigenvalue or else by the eigenvalues, and a member the floor covers
-becomes sigma^2 I with no eigenvectors at all. Only this module knows
-``mechanism.blocks``, and only WFDP takes it: a blockwise round floors each
-coordinate block's rows as a problem of their own, so a user's update is
-drawn from, and accounted as, the block-diagonal model of its floored
-blocks. Any other mechanism submits
-an update with cross-block covariance, so it refuses blocks.
+becomes sigma^2 I with no eigenvectors at all.
 ``noise_round`` is the one place a round's mechanism is applied: it returns
 the noised submissions, the unfloored per-user spectra when asked for (the
 ``theorem1_rdp`` context and ``aggnoise spectrum --config``, which prints
@@ -68,7 +63,6 @@ from ..mechanisms import (
 )
 from ..spectra import (
     CovarianceModel,
-    GradientMatrix,
     _member_normals,
     estimate_mean_cov,
     estimate_width,
@@ -113,21 +107,12 @@ class MechanismKind(Enum):
 class MechanismConfig:
     kind: MechanismKind
     sigma2: float = 0.0
-    block_count: int = 1
 
     def __post_init__(self):
-        if self.kind in (MechanismKind.WFDP, MechanismKind.WFNA, MechanismKind.DDP):
-            if not self.sigma2 > 0:
-                raise ConfigError(f"mechanism.sigma2 must be > 0 for {self.kind.value}")
-        if self.block_count < 1:
-            raise ConfigError("mechanism.blocks must be >= 1")
-        if self.block_count > 1 and self.kind is not MechanismKind.WFDP:
-            # only WFDP replaces each update with a draw from the block-diagonal
-            # model the accountant sums; any other update keeps its cross-block terms
-            raise ConfigError(
-                f"mechanism.blocks: {self.kind.value} takes no blocks (got {self.block_count}); "
-                "only wfdp floors coordinate blocks apart"
-            )
+        if self.kind is MechanismKind.NONE and self.sigma2 != 0:
+            raise ConfigError(f"mechanism.sigma2: none adds no noise (got {self.sigma2:g})")
+        if self.kind is not MechanismKind.NONE and not self.sigma2 > 0:
+            raise ConfigError(f"mechanism.sigma2 must be > 0 for {self.kind.value}")
 
     @property
     def floor(self) -> float:
@@ -147,23 +132,6 @@ class RoundOutcome:
 def _user_rng(master_seed: int, round_index: int, slot: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(round_index, slot))
     return np.random.Generator(np.random.PCG64(seq))
-
-
-def _blocks_for(dim: int, mech: MechanismConfig) -> list[tuple[int, int]]:
-    """The (start, stop) row ranges WFDP floors apart: ``mech.block_count`` near-equal parts."""
-    if mech.block_count > dim:
-        raise ConfigError(
-            f"mechanism.blocks: cannot split dimension {dim} into {mech.block_count} blocks"
-        )
-    edges = np.linspace(0, dim, mech.block_count + 1).round().astype(int).tolist()
-    return list(zip(edges, edges[1:]))
-
-
-def _spectrum_union(parts: Sequence[Array]) -> Array:
-    """A block-diagonal matrix's spectrum, non-increasing: its blocks' (..., width) ones together."""
-    if len(parts) == 1:
-        return parts[0]
-    return np.sort(np.concatenate(parts, axis=-1), axis=-1)[..., ::-1].copy()
 
 
 def _isotropic_extra(mech: MechanismConfig, n_ns: int, n_total: int) -> float:
@@ -277,23 +245,21 @@ def floored_update(
     theta: Array,
     clip: float,
     floor: float,
-    blocks: Sequence[tuple[int, int]],
     rngs: Sequence[np.random.Generator],
     spectra: bool,
-) -> list[tuple[Optional[Array], list[NoisedUpdate]]]:
+) -> tuple[Optional[Array], list[NoisedUpdate]]:
     """A non-sensitive stack under WFDP, which replaces its updates, so none is made.
 
     The updates' distribution comes as gradients: the FEDAVG replays, or else
     the clipped gradients, FULL_GD's as an infinite batch. IID_SGD still draws
     its minibatch, and a GAUSSIAN_SAMPLED stream skips the draw WFDP replaces,
-    one normal per component of the unblocked estimate, estimated or not
+    one normal per component of the estimate, estimated or not
     (``estimate_width``), which keeps each stream where ``user_update`` leaves
-    it. Each coordinate block's rows then go through ``wfdp_from_spectra`` on
-    their own, in block order, from the same streams: a block the floor covers
-    is floored to sigma^2 I, and only a block above the floor is estimated.
-    Returns, per block, the members' unfloored spectra (k, block width), or
-    None unless ``spectra`` asks for them, and the noised updates of
-    consecutive runs of members, on the clipped-gradient scale.
+    it. The gradients then go through ``wfdp_from_spectra`` from the same
+    streams: a member the floor covers is floored to sigma^2 I, and only a
+    member above the floor is estimated. Returns the members' unfloored
+    spectra (k, dim), or None unless ``spectra`` asks for them, and the noised
+    updates of consecutive runs of members, on the clipped-gradient scale.
     """
     scheme = stack.scheme
     batch = np.inf if scheme.kind is SchemeKind.FULL_GD else scheme.batch
@@ -305,12 +271,7 @@ def floored_update(
         grads = clipped_gradients(stack.phi, stack.labels, ops, theta, clip)
     if scheme.kind is SchemeKind.GAUSSIAN_SAMPLED:
         _member_normals(rngs, np.full(len(rngs), estimate_width(grads.dim, grads.count)))
-    # the whole range is the gradients as they are; a row block carries its own
-    # squared norms, and its columns, no longer than the whole ones, pass the clip check
-    parts = [grads] if len(blocks) == 1 else [
-        GradientMatrix(grads.columns[..., start:stop, :], clip) for start, stop in blocks
-    ]
-    return [wfdp_from_spectra(part, batch, floor, rngs, spectra) for part in parts]
+    return wfdp_from_spectra(grads, batch, floor, rngs, spectra)
 
 
 def noise_round(
@@ -336,16 +297,13 @@ def noise_round(
     the accountant reads: the floored models' when the mechanism floors (WFDP
     replaces the update, WFNA adds the lift), plus the variance of the DDP
     shares; the injected noise trace; and whether any update is only
-    approximately Gaussian. Blockwise WFDP sums each block's floored models
-    on their own; the sum is block-diagonal, so its spectrum, like each
-    user's, is all the blocks' spectra together.
+    approximately Gaussian.
     """
     n_total = len(cohort.users)
     ops = ModelOps(model.family)
-    blocks = _blocks_for(model.dim, mech)
     submissions: list[Array] = []
     user_spectra: list[Array] = []
-    summands: list[list[CovarianceModel]] = [[] for _ in blocks]  # one list per block
+    summands: list[CovarianceModel] = []
     noise_trace = 0.0
     approx_gaussian = False
 
@@ -358,18 +316,14 @@ def noise_round(
         # each member injects at most one noise: a lift or a DDP share (WFNA adds its lift)
         traces, additive = np.zeros(len(stack.slots)), None
         if stack.role is Role.NON_SENSITIVE and mech.kind is MechanismKind.WFDP:
-            per_block = floored_update(
-                stack, ops, model.theta, clip, mech.sigma2, blocks, rngs, spectra
+            unfloored, noised_runs = floored_update(
+                stack, ops, model.theta, clip, mech.sigma2, rngs, spectra
             )
-            vectors = []
-            for block_summands, (_, noised_runs) in zip(summands, per_block):
-                block_summands.extend(noised.floored for noised in noised_runs)
-                vectors.append(np.concatenate([noised.vector for noised in noised_runs]))
-                # a member's blocks' lifts, in block order; adding to 0.0 changes no bits
-                traces = traces + np.concatenate([noised.noise_trace for noised in noised_runs])
+            summands.extend(noised.floored for noised in noised_runs)
+            raw = np.concatenate([noised.vector for noised in noised_runs])
+            traces = np.concatenate([noised.noise_trace for noised in noised_runs])
             if spectra:
-                user_spectra.append(_spectrum_union([part for part, _ in per_block]))
-            raw = np.concatenate(vectors, axis=-1)
+                user_spectra.append(unfloored)
         else:
             raw, dist_model = user_update(stack, ops, model.theta, clip, rngs)
             if dist_model is not None:
@@ -382,7 +336,7 @@ def noise_round(
                     traces = noised.noise_trace
                 else:
                     approx_gaussian |= scheme.kind is not SchemeKind.GAUSSIAN_SAMPLED
-                summands[0].append(dist_model)  # one block: only WFDP takes more
+                summands.append(dist_model)
         if mech.kind is MechanismKind.DDP:
             share = ddp_noise(mech.sigma2, n_total, model.dim, rngs)
             additive = share.vector
@@ -394,11 +348,11 @@ def noise_round(
             noise_trace += trace
         submissions.extend(xs)
 
-    if not summands[0]:
+    if not summands:
         raise ConfigError("need at least one non-sensitive user for inherent-noise accounting")
-    n_ns = sum(m.mean.shape[0] for m in summands[0])
+    n_ns = sum(m.mean.shape[0] for m in summands)
     extra = _isotropic_extra(mech, n_ns, n_total)
-    summed = _spectrum_union([sum_covariances(block, isotropic_extra=extra) for block in summands])
+    summed = sum_covariances(summands, isotropic_extra=extra)
     per_user = np.concatenate(user_spectra) if spectra else None
     return submissions, per_user, summed, noise_trace, approx_gaussian
 

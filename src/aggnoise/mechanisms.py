@@ -20,8 +20,7 @@ the other.
 first which members the floor covers, by a certificate that reads no
 eigenvalue or else by their eigenvalues, and estimates eigenvectors only
 for a member with an eigenvalue above the floor; a member the floor covers
-is floored to sigma^2 I directly. Nothing here knows a partition of the
-coordinates.
+is floored to sigma^2 I directly.
 """
 
 from __future__ import annotations

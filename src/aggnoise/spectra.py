@@ -34,9 +34,7 @@ row sums of |M| (or, where they fall short, by a Cholesky factorization),
 shows the PSD clamp from the product's shape alone (or, for a shape too
 large for that, by a second Cholesky factorization), and reads the
 eigenvalues alone of a matrix it cannot certify, with no eigenvectors and no
-QR. Nothing here knows a partition of the coordinates: a caller that floors
-coordinate blocks apart hands each block's rows over as gradients of their
-own.
+QR.
 
 Gradient matrices and covariance models also come as stacks, one member per
 user, so that a simulation round estimates, floors, samples and sums a run

@@ -413,16 +413,17 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("mechanism", [
         {"kind": "wfdp", "sigma2": 1e-7},
         {"kind": "ddp", "sigma2": 0.5},
-        {"kind": "none", "sigma2": 0.5},
+        {"kind": "none"},
     ], ids=["wfdp", "ddp", "none"])
     def test_infeasible_floor_parameters_exit_config(self, tmp_path, capsys, mechanism):
-        cfg, _ = write_config(
+        cfg, config = write_config(
             tmp_path,
             scheme={"kind": "gaussian_sampled", "batch": 10, "learning_rate": 0.2},
-            mechanism=mechanism,
             accountant={"route": "wfdp_a", "composition": "rdp", "delta": 1e-4,
                         "clip": 1.0},
         )
+        config["mechanism"] = mechanism  # replaced whole: none carries no sigma2
+        (tmp_path / "config.json").write_text(json.dumps(config))
         rc = main(["--out", str(tmp_path / "o"), "simulate", "--config", cfg])
         err = capsys.readouterr().err
         assert rc == EXIT_CONFIG
@@ -504,29 +505,44 @@ def test_sampling_ratio_key_is_refused(tmp_path, capsys, command):
         assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("mechanism", [{"kind": "wfna"}, {"kind": "ddp"},
-                                       {"kind": "none", "sigma2": 0.0}],
-                         ids=["wfna", "ddp", "none"])
-def test_blocks_without_wfdp_are_refused(tmp_path, capsys, mechanism):
-    # only WFDP draws each update from the block-diagonal model the accountant sums
-    cfg, _ = write_config(tmp_path, mechanism={**mechanism, "blocks": 2})
-    assert main(["--out", str(tmp_path / "o"), "simulate", "--config", cfg]) == EXIT_CONFIG
-    assert f"mechanism.blocks: {mechanism['kind']} takes no blocks" in capsys.readouterr().err
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("command", [["simulate"], ["spectrum"]])
+def test_blocks_key_is_refused(tmp_path, capsys, command, blocks):
+    # WFDP floors each user's whole update; an old config that split the
+    # coordinates into blocks is refused, even at its old default of 1
+    cfg, _ = write_config(tmp_path, mechanism={"blocks": blocks})
+    assert main(["--out", str(tmp_path / "o"), *command, "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config key 'mechanism'" in err and "'blocks' was unexpected" in err
     assert not (tmp_path / "o").exists()
-    cfg, _ = write_config(tmp_path, mechanism={**mechanism, "blocks": 1})
-    assert main(["--out", str(tmp_path / "o"), "simulate", "--config", cfg]) == EXIT_OK
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["spectrum"]])
-def test_more_blocks_than_coordinates_are_refused(tmp_path, capsys, command):
-    # 5 features and the bias make d = 6
-    cfg, _ = write_config(tmp_path, dataset={"features": 5}, mechanism={"blocks": 100})
+def test_sigma2_under_none_is_refused(tmp_path, capsys, command):
+    # none adds no noise, so a sigma2 there would be reported and never applied
+    cfg, _ = write_config(tmp_path, mechanism={"kind": "none", "sigma2": 0.5})
+    assert main(["--out", str(tmp_path / "o"), *command, "--config", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: mechanism.sigma2: none ")
+    assert not (tmp_path / "o").exists()
+    cfg, _ = write_config(tmp_path, mechanism={"kind": "none", "sigma2": 0.0})
+    assert main(["--out", str(tmp_path / "o"), *command, "--config", cfg]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["spectrum"]])
+@pytest.mark.parametrize("text, users, key", [
+    ("1,2\n3,4\n5,6\n", 6, "users.total"),
+    ("1,2\n3,x\n5,6\n", 2, "dataset.path"),
+    ("1,2\n3,4,5\n5,6\n", 2, "dataset.path"),
+], ids=["too_few_rows", "non_numeric", "ragged"])
+def test_csv_data_errors_are_config_errors(tmp_path, capsys, command, text, users, key):
+    # found before round 0, so like an unreadable path they name their key and write nothing
+    (tmp_path / "data.csv").write_text(text)
+    data = {"kind": "csv", "path": str(tmp_path / "data.csv")}
+    cfg, _ = write_config(tmp_path, dataset=data, users={"total": users})
     assert main(["--out", str(tmp_path / "o"), *command, "--config", cfg]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "mechanism.blocks: cannot split dimension 6 into 100 blocks" in err
+    assert err.startswith(f"config error: {key}: ") and "data.csv" in err
     assert not (tmp_path / "o").exists()
-    cfg, _ = write_config(tmp_path, dataset={"features": 5}, mechanism={"blocks": 6})
-    assert main(["--out", str(tmp_path / "o"), *command, "--config", cfg]) == EXIT_OK
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["spectrum"]])
@@ -624,7 +640,7 @@ class TestSpectrumCommand:
     def test_config_spectrum(self, tmp_path):
         cfg, _ = write_config(tmp_path)
         out = tmp_path / "o"
-        rc = main(["--out", str(out), "spectrum", "--config", cfg, "--sigma2", "0.005"])
+        rc = main(["--out", str(out), "spectrum", "--config", cfg])
         assert rc == EXIT_OK
         with open(out / "spectrum.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -632,16 +648,32 @@ class TestSpectrumCommand:
         assert "aggregate" in sources
         assert any(s.startswith("user") for s in sources)
 
+    def test_config_spectrum_bytes_are_pinned(self, tmp_path):
+        # at sigma^2 = 0.02 users 1 and 2 are estimated and user 3 is covered;
+        # the file was written before the coordinate blocks and the --sigma2
+        # what-if were dropped, and the same config still writes it byte for byte
+        cfg, _ = write_config(tmp_path, mechanism={"sigma2": 0.02})
+        assert main(["--out", str(tmp_path / "o"), "spectrum", "--config", cfg]) == EXIT_OK
+        expected = (Path(__file__).parent / "data" / "spectrum_round0.csv").read_bytes()
+        assert (tmp_path / "o" / "spectrum.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("sigma2", ["0.01", "0.005", "0"])
+    def test_sigma2_with_config_is_refused(self, tmp_path, capsys, sigma2):
+        # the floor is the config's mechanism.sigma2, so the table is simulate's round 0
+        cfg, _ = write_config(tmp_path)
+        rc = main(["--out", str(tmp_path / "o"), "spectrum", "--config", cfg, "--sigma2", sigma2])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: --sigma2: ")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("overrides", [
         {"scheme": {"kind": "full_gd"}},
         {"scheme": {"kind": "fedavg", "fedavg_samples": 4}},
-        {"mechanism": {"blocks": 2}},
         {"mechanism": {"kind": "ddp"}},
         {"mechanism": {"kind": "none", "sigma2": 0.0}},
         {"dataset": {"features": 39, "per_user": 10}},
-        {"dataset": {"features": 39, "per_user": 10}, "mechanism": {"blocks": 2}},
         {"dataset": {"features": 39, "per_user": 10}, "mechanism": {"kind": "wfna"}},
-    ], ids=["full_gd", "fedavg", "blocks", "ddp", "none", "thin", "thin_blocks", "thin_wfna"])
+    ], ids=["full_gd", "fedavg", "ddp", "none", "thin", "thin_wfna"])
     def test_aggregate_matches_simulated_round_zero(self, tmp_path, overrides):
         cfg, _ = write_config(tmp_path, **overrides)
         assert main(["--out", str(tmp_path / "sim"), "simulate", "--config", cfg]) == EXIT_OK

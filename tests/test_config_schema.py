@@ -27,7 +27,7 @@ FULL_CONFIG = {
     "users": {"total": 4, "sensitive": 1},
     "scheme": {"kind": "gaussian_sampled", "batch": 10, "learning_rate": 0.2,
                "fedavg_samples": 0, "local_steps": 1},
-    "mechanism": {"kind": "wfdp", "sigma2": 0.005, "blocks": 1},
+    "mechanism": {"kind": "wfdp", "sigma2": 0.005},
     "accountant": {"route": "closed_form", "mode": "general", "composition": "simple",
                    "delta": 1e-3, "delta0": 0.0, "clip": 1.0},
 }
@@ -168,12 +168,12 @@ def test_non_finite_number_rejected_by_checker(path):
 
 # keys older configs set that the schema has dropped: refused at any value,
 # the old default included, so a config never silently loses a setting
-RETIRED_KEYS = [("accountant", "sampling_ratio")]
+RETIRED_KEYS = [("accountant", "sampling_ratio"), ("mechanism", "blocks")]
 
 
-@pytest.mark.parametrize("value", [1.0, 1, 0.5, None, "1.0", True, math.nan],
-                         ids=["default", "int-default", "below-one", "null", "string", "bool",
-                              "nan"])
+@pytest.mark.parametrize("value", [1.0, 1, 0.5, 2, None, "1.0", True, math.nan],
+                         ids=["default", "int-default", "below-one", "above-one", "null", "string",
+                              "bool", "nan"])
 @pytest.mark.parametrize("path", RETIRED_KEYS, ids="/".join)
 def test_retired_key_rejected_at_any_value(path, value):
     assert path not in {p for p, _ in schema_keys()}

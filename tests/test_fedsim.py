@@ -329,18 +329,6 @@ class TestRunSimulation:
         assert math.isfinite(outcome.entry.eps)
         assert not np.array_equal(outcome.model.theta, model.theta)
 
-    def test_blockwise_mechanism_round(self):
-        scheme = UpdateScheme(SchemeKind.GAUSSIAN_SAMPLED, batch=10, learning_rate=0.1)
-        users, _, family = make_users(4, 1, scheme, seed=25, task="regression", features=4)
-        model = init_model(family, 4)
-        params = PrivacyParams(clip=1.0, batch=10, local_size=40, ns_users=3,
-                               delta=1e-3, floor=0.01)
-        mech = MechanismConfig(MechanismKind.WFDP, sigma2=0.01, block_count=2)
-        outcome = run_round(model, users, mech, params, ROUTES["closed_form:general"],
-                            master_seed=7, round_index=0)
-        # blockwise flooring still guarantees the aggregate floor
-        assert outcome.lambda_min >= 3 * 0.01 - 1e-12
-
 
 class TestFullGdModel:
     def test_zero_model_stores_no_eigenpairs_and_floors_to_isotropic(self):
@@ -367,7 +355,7 @@ def members(stack):
 
 
 class TestEstimatesPerRound:
-    def estimate_blocks(self, monkeypatch, block_count, sigma2=0.01):
+    def estimates(self, monkeypatch, sigma2):
         """The rows of every estimate one WFDP round makes, once per stack member."""
         seen = []
         original = simulation.estimate_mean_cov
@@ -383,7 +371,7 @@ class TestEstimatesPerRound:
         users, _, family = make_users(4, 1, scheme, seed=27, task="regression", features=4)
         params = PrivacyParams(clip=1.0, batch=10, local_size=40, ns_users=3,
                                delta=1e-3, floor=sigma2)
-        mech = MechanismConfig(MechanismKind.WFDP, sigma2=sigma2, block_count=block_count)
+        mech = MechanismConfig(MechanismKind.WFDP, sigma2=sigma2)
         run_round(init_model(family, 4), users, mech, params, ROUTES["closed_form:general"],
                   master_seed=8, round_index=0)
         return seen
@@ -394,19 +382,8 @@ class TestEstimatesPerRound:
     def test_gaussian_sampled_user_estimated_once(self, monkeypatch, sigma2, estimates):
         # the sensitive user's draw needs its estimate; a non-sensitive user is
         # estimated only when it has an eigenvalue above the floor, and never twice
-        assert self.estimate_blocks(monkeypatch, 1, sigma2) == [5] * estimates
+        assert self.estimates(monkeypatch, sigma2) == [5] * estimates
 
-    # d = 5 splits into rows (0, 2) and (2, 5); the users' largest eigenvalues per
-    # block are (0.0203, 0.0183), (0.0144, 0.0169) and (0.0204, 0.0242), so at 0.019
-    # the first user's second block is covered although its first is not
-    @pytest.mark.parametrize("sigma2,first,second", [(0.01, 3, 3), (0.019, 2, 1), (0.05, 0, 0)],
-                             ids=["none_covered", "one_covered", "all_covered"])
-    def test_blockwise_user_estimated_once_above_the_floor(self, monkeypatch, sigma2, first,
-                                                           second):
-        # the sensitive user's draw needs its unblocked estimate; a non-sensitive
-        # user's block is estimated once above the floor and not at all below it
-        seen = self.estimate_blocks(monkeypatch, 2, sigma2)
-        assert seen == [5] + [2] * first + [3] * second
 
 
 class TestOneWfdpPath:
@@ -414,7 +391,7 @@ class TestOneWfdpPath:
 
     SIGMA2 = 0.02
 
-    def round(self, monkeypatch, scheme_kind, block_count):
+    def round(self, monkeypatch, scheme_kind, features=4):
         roles = []
         original = simulation.user_update
 
@@ -424,23 +401,27 @@ class TestOneWfdpPath:
 
         monkeypatch.setattr(simulation, "user_update", recording)
         scheme = UpdateScheme(scheme_kind, batch=10, learning_rate=0.2, fedavg_samples=4)
-        users, _, family = make_users(4, 1, scheme, seed=29, task="regression", features=4)
+        users, _, family = make_users(4, 1, scheme, seed=29, task="regression",
+                                      features=features)
         params = PrivacyParams(clip=1.0, batch=10, local_size=40, ns_users=3,
                                delta=1e-3, floor=self.SIGMA2)
-        mech = MechanismConfig(MechanismKind.WFDP, self.SIGMA2, block_count)
-        outcome = run_round(init_model(family, 4), users, mech, params, ROUTES["wfdp_b"],
+        mech = MechanismConfig(MechanismKind.WFDP, self.SIGMA2)
+        outcome = run_round(init_model(family, features), users, mech, params, ROUTES["wfdp_b"],
                             master_seed=10, round_index=0)
         assert outcome.lambda_min >= 3 * self.SIGMA2 - 1e-12
         return roles
 
-    @pytest.mark.parametrize("block_count", [1, 2])
+    # 40 gradients are dense in d = 5 coordinates and thin in d = 80
+    SHAPES = pytest.mark.parametrize("features", [4, 79], ids=["dense", "thin"])
+
+    @SHAPES
     @pytest.mark.parametrize("scheme_kind", list(SchemeKind))
     def test_no_non_sensitive_stack_reaches_user_update(self, monkeypatch, scheme_kind,
-                                                         block_count):
-        assert self.round(monkeypatch, scheme_kind, block_count) == [Role.SENSITIVE]
+                                                         features):
+        assert self.round(monkeypatch, scheme_kind, features) == [Role.SENSITIVE]
 
-    @pytest.mark.parametrize("block_count", [1, 2])
-    def test_full_gd_is_covered_without_a_decomposition(self, monkeypatch, block_count):
+    @SHAPES
+    def test_full_gd_is_covered_without_a_decomposition(self, monkeypatch, features):
         # the deterministic update's spectrum is zero: nothing is decomposed at all
         calls = []
         for name in ("eigh", "eigvalsh", "qr"):
@@ -449,7 +430,7 @@ class TestOneWfdpPath:
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(spectra_module.np.linalg, name, counting)
-        self.round(monkeypatch, SchemeKind.FULL_GD, block_count)
+        self.round(monkeypatch, SchemeKind.FULL_GD, features)
         assert calls == []
 
 
@@ -559,21 +540,18 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
     loss reads the users' rows stacked afresh. Under WFDP a non-sensitive
     user's update distribution (the FEDAVG replays, or else the clipped
     gradients, FULL_GD's with a zero spectrum) is made once: a Gaussian-sampled
-    user's stream skips the unblocked draw WFDP replaces, and an IID-SGD user
-    still draws its minibatch. Then each coordinate block's rows, one block
-    unless ``mech`` has more, read their spectrum: at or below the floor the
-    block is floored to sigma^2 I with no estimate, above it it is estimated
-    and floored. A user's spectrum and the aggregate's are the blocks' together.
-    Theorem 1's context sums B lambda_min over the users, and is zero when no
+    user's stream skips the draw WFDP replaces, and an IID-SGD user still
+    draws its minibatch. Then its spectrum is read: at or below the floor the
+    user is floored to sigma^2 I with no estimate, above it it is estimated
+    and floored. Theorem 1's context sums B lambda_min over the users, and is zero when no
     user's spectrum has full rank.
     """
     n_total = len(users)
     ops = ModelOps(model.family)
     theta, dim = model.theta, model.dim
-    blocks = simulation._blocks_for(dim, mech)
     refusal = simulation._guarantee_refusal(mech, users)
     submissions = []
-    ns_models = [[] for _ in blocks]
+    ns_models = []
     theorem1_context = noise_trace = 0.0
     full_rank_users = 0
     approx_gaussian = False
@@ -597,41 +575,32 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
                 grads = of_one(mechanisms.clipped_gradients(phi[None], user.labels[None], ops,
                                                             theta, params.clip))
             if scheme.kind is SchemeKind.GAUSSIAN_SAMPLED:
-                # the unblocked draw's normals: D when thin, one per coordinate when dense
+                # the draw's normals: D when thin, one per coordinate when dense
                 rng.standard_normal(grads.count if 2 * grads.count <= dim else dim)
             batch = np.inf if scheme.kind is SchemeKind.FULL_GD else scheme.batch
-            vectors, spectra, lift = [], [], 0.0
-            for block_models, (start, stop) in zip(ns_models, blocks):
-                rows = GradientMatrix(grads.columns[start:stop], params.clip)
-                width = stop - start
-                if scheme.kind is SchemeKind.FULL_GD:
-                    spectrum = np.zeros(width)  # deterministic: no sampling randomness
-                else:
-                    _, spectrum = floor_coverage(rows, scheme.batch, sigma2, spectra=True)
-                if spectrum[0] <= sigma2:
-                    # floored to sigma^2 I, from one fresh normal per row
-                    floored = CovarianceModel(rows.columns.mean(axis=1), np.zeros((width, 0)),
-                                              np.zeros(0), tail=sigma2)
-                    # every eigenvalue is lifted: width sigma^2 minus the second moment's trace
-                    squared_norms = np.sum(rows.columns ** 2, axis=0)
-                    block_lift = width * sigma2 - np.sum(squared_norms) / (batch * rows.count)
-                    noised = mechanisms.NoisedUpdate(sample_gaussian(floored, rng), block_lift,
-                                                     floored)
-                else:
-                    dist_model = estimate_mean_cov(rows, scheme.batch)
-                    spectrum = dist_model.spectrum()
-                    noised = mechanisms.wfdp_update(dist_model, sigma2, rng)
-                vectors.append(noised.vector)
-                spectra.append(spectrum)
-                lift += noised.noise_trace
-                block_models.append(noised.floored)
-            spectrum = spectra[0] if len(blocks) == 1 else np.sort(np.concatenate(spectra))[::-1]
+            if scheme.kind is SchemeKind.FULL_GD:
+                spectrum = np.zeros(dim)  # deterministic: no sampling randomness
+            else:
+                _, spectrum = floor_coverage(grads, scheme.batch, sigma2, spectra=True)
+            if spectrum[0] <= sigma2:
+                # floored to sigma^2 I, from one fresh normal per coordinate
+                floored = CovarianceModel(grads.columns.mean(axis=1), np.zeros((dim, 0)),
+                                          np.zeros(0), tail=sigma2)
+                # every eigenvalue is lifted: d sigma^2 minus the second moment's trace
+                squared_norms = np.sum(grads.columns ** 2, axis=0)
+                lift = dim * sigma2 - np.sum(squared_norms) / (batch * grads.count)
+                noised = mechanisms.NoisedUpdate(sample_gaussian(floored, rng), lift, floored)
+            else:
+                dist_model = estimate_mean_cov(grads, scheme.batch)
+                spectrum = dist_model.spectrum()
+                noised = mechanisms.wfdp_update(dist_model, sigma2, rng)
+            ns_models.append(noised.floored)
             if route is ROUTES["theorem1_rdp"]:
                 theorem1_context += params.batch * spectrum[-1]
                 full_rank_users += spectra_module.rank(spectrum) == dim
             sign = 1.0 if scheme.kind is SchemeKind.FEDAVG else -1.0
-            submissions.append(sign * update_scale * np.concatenate(vectors))
-            noise_trace += lift
+            submissions.append(sign * update_scale * noised.vector)
+            noise_trace += noised.noise_trace
             continue
         raw, grads, sampled_from = mechanisms.compute_update(
             scheme, phi[None], user.labels[None], ops, theta, params.clip, [rng]
@@ -659,7 +628,7 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
                 noise_trace += noised.noise_trace
             else:
                 approx_gaussian |= scheme.kind is not SchemeKind.GAUSSIAN_SAMPLED
-            ns_models[0].append(dist_model)
+            ns_models.append(dist_model)
         if mech.kind is MechanismKind.DDP:
             share = mechanisms.ddp_noise(sigma2, n_total, dim, rng)
             x = x + update_scale * share.vector
@@ -669,9 +638,8 @@ def per_user_round(model, users, mech, params, route, master_seed, round_index):
     for slot, x in enumerate(submissions):
         channel.submit(slot, x)
     new_model = GlobalModel(theta + channel.aggregate() / n_total, model.family, round_index + 1)
-    extra = simulation._isotropic_extra(mech, len(ns_models[0]), n_total)
-    parts = [sum_covariances(block_models, isotropic_extra=extra) for block_models in ns_models]
-    summed = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))[::-1]
+    extra = simulation._isotropic_extra(mech, len(ns_models), n_total)
+    summed = sum_covariances(ns_models, isotropic_extra=extra)
     lambda_min = float(summed[-1])
     if not full_rank_users:
         theorem1_context = 0.0
@@ -717,15 +685,17 @@ class TestStackedRoundMatchesPerUserLoop:
         scheme = UpdateScheme(scheme_kind, batch=batch, learning_rate=0.2, fedavg_samples=3)
         users, _, family = make_users(n_total, 1, scheme, seed=dim, task="regression",
                                       features=dim - 1, per_user=per_user)
-        kind = MechanismKind(mech_name.rstrip("2"))
+        kind = MechanismKind(mech_name)
         sigma2 = 0.0 if kind is MechanismKind.NONE else self.SIGMA2
-        mech = MechanismConfig(kind, sigma2, block_count=2 if mech_name.endswith("2") else 1)
+        mech = MechanismConfig(kind, sigma2)
         params = PrivacyParams(clip=1.0, batch=batch, local_size=per_user, ns_users=n_total - 1,
                                delta=1e-3, floor=self.SIGMA2)
         return users, mech, params, family
 
-    @pytest.mark.parametrize("dim", [5, 12, 40])
-    @pytest.mark.parametrize("mech_name", ["wfdp", "wfna", "ddp", "none", "wfdp2"])
+    # with 10 gradients a user is dense at d = 5 and 12, thin at 40, and thin
+    # at d = 20 by the boundary's equality (2 D <= d)
+    @pytest.mark.parametrize("dim", [5, 12, 20, 40])
+    @pytest.mark.parametrize("mech_name", ["wfdp", "wfna", "ddp", "none"])
     @pytest.mark.parametrize("scheme_kind", list(SchemeKind))
     def test_every_scheme_mechanism_and_shape(self, monkeypatch, scheme_kind, mech_name, dim):
         users, mech, params, family = self.setup(scheme_kind, mech_name, dim)
@@ -965,12 +935,12 @@ class TestAggregateSpectrum:
 
 
 class TestFloorsFromSpectra:
-    """Unblocked WFDP floors a user its floor covers to sigma^2 I, with no eigenvectors."""
+    """WFDP floors a user its floor covers to sigma^2 I, with no eigenvectors."""
 
     SIGMA2 = 0.5  # above every user's largest eigenvalue
 
-    def setup(self, features):
-        scheme = UpdateScheme(SchemeKind.GAUSSIAN_SAMPLED, batch=5, learning_rate=0.2)
+    def setup(self, features, scheme_kind=SchemeKind.GAUSSIAN_SAMPLED):
+        scheme = UpdateScheme(scheme_kind, batch=5, learning_rate=0.2, fedavg_samples=3)
         users, _, family = make_users(6, 1, scheme, seed=41, task="regression",
                                       features=features, per_user=20)
         return users, init_model(family, features), MechanismConfig(MechanismKind.WFDP, self.SIGMA2)
@@ -1021,18 +991,19 @@ class TestFloorsFromSpectra:
         else:
             assert calls == []
 
-    @pytest.mark.parametrize("block_count", [1, 2])
     @pytest.mark.parametrize("features", [11, 59], ids=["dense", "thin"])
     @pytest.mark.parametrize("covering", ["all", "some"])
-    def test_asking_for_spectra_changes_no_other_result(self, features, block_count, covering):
-        users, model, _ = self.setup(features)
+    @pytest.mark.parametrize("scheme_kind", [SchemeKind.GAUSSIAN_SAMPLED, SchemeKind.IID_SGD,
+                                             SchemeKind.FEDAVG])
+    def test_asking_for_spectra_changes_no_other_result(self, scheme_kind, features, covering):
+        users, model, _ = self.setup(features, scheme_kind)
         sigma2 = self.SIGMA2
         if covering == "some":  # the median of the users' largest eigenvalues
-            mech = MechanismConfig(MechanismKind.WFDP, sigma2, block_count)
+            mech = MechanismConfig(MechanismKind.WFDP, sigma2)
             _, spectra, _, _, _ = simulation.noise_round(model, Cohort(users), mech, 1.0, 5, 0,
                                                          spectra=True)
             sigma2 = float(np.median(spectra[:, 0]))
-        mech = MechanismConfig(MechanismKind.WFDP, sigma2, block_count)
+        mech = MechanismConfig(MechanismKind.WFDP, sigma2)
         (sent, none, summed, trace, _), (sent_asked, spectra, summed_asked, trace_asked, _) = [
             simulation.noise_round(model, Cohort(users), mech, 1.0, 5, 0, spectra=asked)
             for asked in (False, True)
@@ -1042,13 +1013,15 @@ class TestFloorsFromSpectra:
         assert summed.tobytes() == summed_asked.tobytes()
         assert np.float64(trace).tobytes() == np.float64(trace_asked).tobytes()
 
-    @pytest.mark.parametrize("block_count", [1, 2])
-    def test_covered_dense_round_reads_no_eigenvalue(self, monkeypatch, block_count):
-        # IID-SGD estimates nothing for the sensitive user, and the isotropic sum needs no eigvalsh
-        scheme = UpdateScheme(SchemeKind.IID_SGD, batch=5, learning_rate=0.2)
+    @pytest.mark.parametrize("scheme_kind", [SchemeKind.IID_SGD, SchemeKind.FEDAVG,
+                                             SchemeKind.FULL_GD])
+    def test_covered_dense_round_reads_no_eigenvalue(self, monkeypatch, scheme_kind):
+        # only a Gaussian-sampled draw estimates the sensitive user, and the
+        # isotropic sum needs no eigvalsh
+        scheme = UpdateScheme(scheme_kind, batch=5, learning_rate=0.2, fedavg_samples=3)
         users, _, family = make_users(6, 1, scheme, seed=41, task="regression", features=11,
                                       per_user=20)
-        mech = MechanismConfig(MechanismKind.WFDP, self.SIGMA2, block_count)
+        mech = MechanismConfig(MechanismKind.WFDP, self.SIGMA2)
         params = PrivacyParams(clip=1.0, batch=5, local_size=20, ns_users=5, delta=1e-3,
                                floor=self.SIGMA2)
 
@@ -1090,150 +1063,15 @@ class TestFloorsFromSpectra:
         assert np.array_equal(summed, np.full(model.dim, tail))
 
 
-class TestBlockwiseWfdp:
-    """Blockwise WFDP floors each coordinate block's rows as a problem of their own.
-
-    A user's update is drawn from, and accounted as, the block-diagonal model
-    of its floored blocks, so the round's spectrum is the eigenvalues of that
-    block-diagonal sum, and a user's is its blocks' spectra together.
-    """
-
-    # d = 39 splits into rows (0, 20) and (20, 39): D = 10 gradients are thin in
-    # the first block and dense in the second
-    FEATURES, PER_USER, SEED = 38, 10, 3
-    BLOCKS = [(0, 20), (20, 39)]
-
-    def setup(self, scheme_kind):
-        """Users, model, a floor and, per non-sensitive user, each block's dense second moment.
-
-        The floor lies between one member's blocks' largest eigenvalues, so
-        that member's first block is covered and its second is not.
-        """
-        scheme = UpdateScheme(scheme_kind, batch=5, learning_rate=0.2, fedavg_samples=3)
-        users, _, family = make_users(5, 1, scheme, seed=43, task="regression",
-                                      features=self.FEATURES, per_user=self.PER_USER)
-        model = init_model(family, self.FEATURES)
-        ops = ModelOps(family)
-        moments = []
-        for slot, user in enumerate(users[1:], start=1):
-            phi = design(user.features)
-            if scheme_kind is SchemeKind.FEDAVG:
-                stream = simulation._user_rng(self.SEED, 0, slot)
-                cols = mechanisms.fedavg_replays(scheme, phi[None], user.labels[None], ops,
-                                                 model.theta, 1.0, [stream]).columns[0]
-            else:
-                cols = mechanisms.clipped_gradients(phi[None], user.labels[None], ops,
-                                                    model.theta, 1.0).columns[0]
-            moments.append([cols[start:stop] @ cols[start:stop].T / (5 * cols.shape[1])
-                            for start, stop in self.BLOCKS])
-        tops = np.array([[np.linalg.eigvalsh(m)[-1] for m in user] for user in moments])
-        member = int(np.argmax(tops[:, 1] - tops[:, 0]))
-        assert tops[member, 0] < tops[member, 1]
-        sigma2 = 0.5 * (tops[member, 0] + tops[member, 1])
-        mech = MechanismConfig(MechanismKind.WFDP, sigma2, block_count=2)
-        assert simulation._blocks_for(model.dim, mech) == self.BLOCKS
-        return users, model, mech, moments, tops, member
-
-    SCHEMES = [SchemeKind.GAUSSIAN_SAMPLED, SchemeKind.IID_SGD, SchemeKind.FEDAVG]
-
-    @pytest.mark.parametrize("scheme_kind", SCHEMES)
-    def test_round_matches_the_dense_block_oracle(self, scheme_kind):
-        users, model, mech, moments, _, _ = self.setup(scheme_kind)
-        _, spectra, summed, _, _ = simulation.noise_round(model, Cohort(users), mech, 1.0,
-                                                          self.SEED, 0, spectra=True)
-        total = np.zeros((model.dim, model.dim))
-        for user_moments, user_spectrum in zip(moments, spectra):
-            blockwise = []
-            for (start, stop), moment in zip(self.BLOCKS, user_moments):
-                lam, vecs = np.linalg.eigh(moment)
-                total[start:stop, start:stop] += (vecs * np.maximum(lam, mech.sigma2)) @ vecs.T
-                blockwise.append(lam)
-            union = np.sort(np.concatenate(blockwise))[::-1]
-            np.testing.assert_allclose(user_spectrum, union, rtol=1e-12, atol=1e-12 * union[0])
-        # eigvalsh of the sum over users of blockdiag(floored M_u,b)
-        np.testing.assert_allclose(summed, np.linalg.eigvalsh(total)[::-1], rtol=1e-12, atol=0)
-
-    @pytest.mark.parametrize("scheme_kind", SCHEMES)
-    def test_covered_block_is_not_estimated(self, monkeypatch, scheme_kind):
-        users, model, mech, _, tops, member = self.setup(scheme_kind)
-        calls = []
-        for name in ("eigh", "qr"):
-            def recording(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-                calls.append((_name, np.shape(a)))
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(spectra_module.np.linalg, name, recording)
-        simulation.noise_round(model, Cohort(users), mech, 1.0, self.SEED, 0)
-        # a block's estimate is a QR of its rows when thin, else an eigh of its
-        # width; the sensitive user's unblocked estimate has all 39 rows
-        estimated = [
-            sum(shape[0] for name, shape in calls
-                if shape[1] == stop - start and (name == "qr" or shape[2] == stop - start))
-            for start, stop in self.BLOCKS
-        ]
-        above = tops > mech.sigma2
-        assert above[member].tolist() == [False, True]
-        assert estimated == above.sum(axis=0).tolist()
-
-    @pytest.mark.parametrize("dim,count", [(12, 10), (39, 10)],
-                             ids=["dense_blocks", "thin_and_dense_blocks"])
-    def test_one_matrix_and_one_eigvalsh_per_block(self, monkeypatch, dim, count):
-        # one member above the floor in every block: each block's certificate fails
-        # on the matrix it formed, and the eigenvalues are read from that same buffer
-        rng = np.random.default_rng(61)
-        cols = rng.standard_normal((4, dim, count))
-        cols /= np.linalg.norm(cols, axis=1, keepdims=True)
-        cols *= rng.uniform(0.2, 1.0, size=(4, 1, 1))
-        cols[2] *= 10.0
-        # at theta = 0 with labels -1, a linear model's per-example gradients are its rows
-        scheme = UpdateScheme(SchemeKind.GAUSSIAN_SAMPLED, batch=2)
-        stack = simulation.UserStack(range(4), Role.NON_SENSITIVE, scheme,
-                                     cols.swapaxes(-1, -2), -np.ones((4, count)))
-        blocks = simulation._blocks_for(dim, MechanismConfig(MechanismKind.WFDP, 0.2, 2))
-        moments, eigvalsh = [], []
-        moment, original = spectra_module._second_moment, np.linalg.eigvalsh
-
-        def forming(part, batch):
-            moments.append(part.shape)
-            return moment(part, batch)
-
-        def reading(a, *args, **kwargs):
-            eigvalsh.append(np.shape(a))
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(spectra_module, "_second_moment", forming)
-        monkeypatch.setattr(np.linalg, "eigvalsh", reading)
-        per_block = simulation.floored_update(
-            stack, ModelOps(ModelFamily.LINEAR_REGRESSION), np.zeros(dim), 10.0, 0.2, blocks,
-            [np.random.default_rng(i) for i in range(4)], spectra=False,
-        )
-        for spectra, runs in per_block:
-            assert spectra is None
-            assert [run.floored.n_components == 0 for run in runs] == [True, False, True]
-        widths = [stop - start for start, stop in blocks]
-        # the stack's matrices; the estimate of the member above the floor forms its own
-        assert [shape for shape in moments if shape[0] == 4] == [(4, w, count) for w in widths]
-        # a thin block's matrix is its count x count Gram matrix
-        assert eigvalsh == [(4, count, count) if 2 * count <= w else (4, w, w) for w in widths]
-
-    def test_blocks_are_the_equal_parts(self):
-        def blocks(dim, count):
-            return simulation._blocks_for(dim, MechanismConfig(MechanismKind.WFDP, 0.1, count))
-
-        assert blocks(10, 3) == [(0, 3), (3, 7), (7, 10)]
-        assert blocks(10, 1) == [(0, 10)]
-        assert blocks(10, 10) == [(i, i + 1) for i in range(10)]
-        with pytest.raises(ConfigError,
-                           match="mechanism.blocks: cannot split dimension 10 into 11 blocks"):
-            blocks(10, 11)
-
-
 class TestMechanismConfig:
-    @pytest.mark.parametrize("kind", [MechanismKind.WFNA, MechanismKind.DDP, MechanismKind.NONE])
-    def test_blocks_need_wfdp(self, kind):
-        # only WFDP replaces the update with a draw from the block-diagonal model
-        sigma2 = 0.0 if kind is MechanismKind.NONE else 0.02
-        with pytest.raises(ConfigError, match=f"mechanism.blocks: {kind.value} takes no blocks"):
-            MechanismConfig(kind, sigma2, block_count=2)
-        assert MechanismConfig(kind, sigma2, block_count=1).block_count == 1
-        assert MechanismConfig(MechanismKind.WFDP, 0.02, block_count=2).block_count == 2
+    @pytest.mark.parametrize("kind", [MechanismKind.WFDP, MechanismKind.WFNA, MechanismKind.DDP])
+    def test_noising_mechanisms_need_a_positive_sigma2(self, kind):
+        with pytest.raises(ConfigError, match=f"mechanism.sigma2 must be > 0 for {kind.value}"):
+            MechanismConfig(kind, 0.0)
+        assert MechanismConfig(kind, 0.02).sigma2 == 0.02
+
+    def test_none_takes_no_sigma2(self):
+        # none adds no noise, so a sigma2 there would be reported and never applied
+        with pytest.raises(ConfigError, match="mechanism.sigma2: none adds no noise"):
+            MechanismConfig(MechanismKind.NONE, 0.5)
+        assert MechanismConfig(MechanismKind.NONE).floor == 0.0

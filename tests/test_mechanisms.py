@@ -341,31 +341,6 @@ class TestWfdpUpdate:
         expected_trace = np.maximum(0.05 - model.eigvals, 0.0).sum()
         assert out.noise_trace == pytest.approx(expected_trace)
 
-    def test_blockwise_matches_unblocked_for_block_diagonal_truth(self):
-        # columns supported on disjoint blocks give an exactly block-diagonal
-        # second moment, so flooring each block's rows on their own describes
-        # the same Gaussian as flooring the whole
-        rng = np.random.default_rng(3)
-        cols = np.zeros((4, 12))
-        cols[:2, :6] = rng.standard_normal((2, 6))
-        cols[2:, 6:] = rng.standard_normal((2, 6))
-        cols /= np.maximum(np.linalg.norm(cols, axis=0), 1.0)
-        grads = GradientMatrix(cols, 1.0)
-
-        n = 100_000
-        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(5)
-        model = estimate_mean_cov(grads, 1)
-        xa = wfdp_update(repeated(model, n), 0.02, [rng_a] * n).vector
-        xb = np.concatenate([
-            wfdp_update(repeated(estimate_mean_cov(GradientMatrix(cols[rows], 1.0), 1), n), 0.02,
-                        [rng_b] * n).vector
-            for rows in (slice(0, 2), slice(2, 4))
-        ], axis=1)
-        assert np.abs(xa.mean(axis=0) - xb.mean(axis=0)).max() < 0.01
-        ca = np.cov(xa.T)
-        cb = np.cov(xb.T)
-        assert np.abs(ca - cb).max() < 0.01
-
 
 def repeated(model, n):
     """A stack of n copies of one model."""
