@@ -8,7 +8,9 @@ the remainder dropped (and logged).
 from __future__ import annotations
 
 import csv
+import io
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,24 +83,33 @@ def make_synthetic(
 
 
 def load_csv(path: str, has_header: bool = False) -> tuple[Array, Array]:
-    """Read a numeric CSV with the label in the last column."""
+    """Read a numeric UTF-8 CSV with the label in the last column; every cell must be finite."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = blob.count(b"\n", 0, exc.start) + 1
+        raise MalformedCsv(f"undecodable byte on line {line_no}: {exc.reason}") from None
     rows: list[list[float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for line_no, raw in enumerate(reader, start=1):
-            if not raw or (len(raw) == 1 and raw[0].strip() == ""):
-                continue
-            if has_header and line_no == 1:
-                continue
-            try:
-                row = [float(cell) for cell in raw]
-            except ValueError as exc:
-                raise MalformedCsv(f"non-numeric cell on line {line_no}: {exc}") from None
-            if rows and len(row) != len(rows[0]):
-                raise MalformedCsv(
-                    f"ragged row on line {line_no}: {len(row)} cells, expected {len(rows[0])}"
-                )
-            rows.append(row)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for line_no, raw in enumerate(reader, start=1):
+        if not raw or (len(raw) == 1 and raw[0].strip() == ""):
+            continue
+        if has_header and line_no == 1:
+            continue
+        try:
+            row = [float(cell) for cell in raw]
+        except ValueError as exc:
+            raise MalformedCsv(f"non-numeric cell on line {line_no}: {exc}") from None
+        bad = [cell for cell, value in zip(raw, row) if not math.isfinite(value)]
+        if bad:
+            raise MalformedCsv(f"non-finite cell on line {line_no}: {bad[0]!r}")
+        if rows and len(row) != len(rows[0]):
+            raise MalformedCsv(
+                f"ragged row on line {line_no}: {len(row)} cells, expected {len(rows[0])}"
+            )
+        rows.append(row)
     if not rows:
         raise MalformedCsv(f"no data rows in {path}")
     if len(rows[0]) < 2:

@@ -7,10 +7,11 @@ shares a mask which enters user i's ciphertext with + and user j's with -, so
 the masks of a full participant set sum to zero in the ring and the server
 can decode only the aggregate. Plaintexts are not retained after submission.
 
-Masks come from one PRG stream per user: row i's stream holds the masks of
-the pairs (i, i+1), (i, i+2), ... back to back, ``dim`` raw 64-bit words
-each. The channel derives every user's signed net mask in one pass over the
-rows, so each pair mask is drawn once and a round makes N-1 PRG setups.
+All masks come from one PRG stream per channel seed. The stream lays the
+pair masks out by the larger index, (0, 1), (0, 2), (1, 2), (0, 3), ...,
+``dim`` raw 64-bit words each, so the mask of (i, j) starts at word
+(j(j-1)/2 + i) * dim whatever the number of users. A round makes one PRG
+setup and draws each pair mask once.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ class FixedPointCodec:
 
     def encode(self, x) -> Array:
         arr = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise NonFinite("cannot encode NaN or Inf")
-        if np.any(np.abs(arr) >= self.magnitude_limit):
+        if not (np.abs(arr) < self.magnitude_limit).all():
+            if not np.isfinite(arr).all():
+                raise NonFinite("cannot encode NaN or Inf")
             raise Overflow(
                 f"|value| must be < {self.magnitude_limit:g} at scale 2^{SCALE_BITS}"
             )
@@ -50,30 +51,32 @@ class FixedPointCodec:
         return np.asarray(v, dtype=np.uint64).view(np.int64).astype(float) / self.scale
 
 
-def _row_stream(seed: int, i: int) -> np.random.PCG64:
-    """User i's mask stream; it holds the masks of the pairs (i, j), j > i, in order."""
-    return np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+def _mask_stream(seed: int) -> np.random.PCG64:
+    """The channel's one mask stream; it holds every pair's mask, ordered by the larger index."""
+    return np.random.PCG64(np.random.SeedSequence(entropy=seed))
 
 
 def _pair_mask(seed: int, i: int, j: int, dim: int) -> Array:
     """Deterministic ring mask shared by the unordered pair (i, j), i < j."""
-    stream = _row_stream(seed, i)
-    stream.advance((j - i - 1) * dim)
+    stream = _mask_stream(seed)
+    stream.advance((j * (j - 1) // 2 + i) * dim)
     return stream.random_raw(dim)
 
 
 def _net_masks(seed: int, n: int, dim: int) -> Array:
     """Every user's signed sum of pair masks, shape (n, dim), in the ring.
 
-    Row i's block holds the masks of the pairs (i, i+1), ..., (i, n-1): user i
-    adds all of them, each user j > i subtracts its own. Working memory is
+    Block j of the stream holds the masks of the pairs (0, j), ..., (j-1, j):
+    users 0, ..., j-1 each add their own, user j subtracts all of them. One
+    pass over the stream reads every block once; working memory is
     O(n * dim).
     """
+    stream = _mask_stream(seed)
     net = np.zeros((n, dim), dtype=np.uint64)
-    for i in range(n - 1):
-        block = _row_stream(seed, i).random_raw((n - i - 1) * dim).reshape(n - i - 1, dim)
-        net[i] += block.sum(axis=0, dtype=np.uint64)
-        net[i + 1:] -= block
+    for j in range(1, n):
+        block = stream.random_raw(j * dim).reshape(j, dim)
+        net[:j] += block
+        net[j] -= block.sum(axis=0, dtype=np.uint64)
     return net
 
 
@@ -83,7 +86,8 @@ class SAChannel:
     Server-side code sees only ``aggregate()`` (and the opaque ciphertexts);
     there is no API returning an individual plaintext after submission. The
     channel stands in for every user's mask derivation, which it does once,
-    on the first submission.
+    on the first submission: row i of its ring buffer starts as user i's net
+    mask, and user i's submission adds its encoding into that row.
     """
 
     def __init__(self, n_participants: int, dim: int, seed: int):
@@ -98,36 +102,34 @@ class SAChannel:
         self.dim = dim
         self.seed = int(seed)
         self.codec = FixedPointCodec()
-        self._ciphertexts: dict[int, Array] = {}
-        self._masks: Optional[Array] = None
+        self._rows: Optional[Array] = None
+        self._submitted = np.zeros(n_participants, dtype=bool)
 
     def submit(self, user_index: int, update) -> None:
         """Encode, mask and store one user's update; the plaintext is dropped."""
         if not 0 <= user_index < self.n_participants:
             raise ValueError(f"user_index {user_index} out of range")
-        if user_index in self._ciphertexts:
+        if self._submitted[user_index]:
             raise ValueError(f"user {user_index} already submitted")
         arr = np.asarray(update, dtype=float)
         if arr.shape != (self.dim,):
             raise DimensionMismatch(f"update shape {arr.shape}, expected ({self.dim},)")
         cipher = self.codec.encode(arr)
-        if self._masks is None:
-            self._masks = _net_masks(self.seed, self.n_participants, self.dim)
-        self._ciphertexts[user_index] = cipher + self._masks[user_index]
+        if self._rows is None:
+            self._rows = _net_masks(self.seed, self.n_participants, self.dim)
+        self._rows[user_index] += cipher
+        self._submitted[user_index] = True
 
     def ciphertexts(self) -> dict[int, Array]:
         """What the server observes per user (masked ring values)."""
-        return {k: v.copy() for k, v in self._ciphertexts.items()}
+        return {i: self._rows[i].copy() for i in np.flatnonzero(self._submitted).tolist()}
 
     def aggregate(self) -> Array:
         """Sum all ciphertexts in the ring and decode; masks cancel exactly."""
-        missing = [i for i in range(self.n_participants) if i not in self._ciphertexts]
+        missing = np.flatnonzero(~self._submitted).tolist()
         if missing:
             raise MissingParticipant(f"waiting on participant(s) {missing}")
-        total = np.zeros(self.dim, dtype=np.uint64)
-        for cipher in self._ciphertexts.values():
-            total = total + cipher
-        return self.codec.decode(total)
+        return self.codec.decode(self._rows.sum(axis=0, dtype=np.uint64))
 
 
 def secure_aggregate(updates, seed: int) -> Array:

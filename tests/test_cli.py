@@ -530,13 +530,16 @@ def test_sigma2_under_none_is_refused(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", [["simulate"], ["spectrum"]])
 @pytest.mark.parametrize("text, users, key", [
-    ("1,2\n3,4\n5,6\n", 6, "users.total"),
-    ("1,2\n3,x\n5,6\n", 2, "dataset.path"),
-    ("1,2\n3,4,5\n5,6\n", 2, "dataset.path"),
-], ids=["too_few_rows", "non_numeric", "ragged"])
+    (b"1,2\n3,4\n5,6\n", 6, "users.total"),
+    (b"1,2\n3,x\n5,6\n", 2, "dataset.path"),
+    (b"1,2\n3,4,5\n5,6\n", 2, "dataset.path"),
+    (b"1,2\n3,nan\n5,6\n", 2, "dataset.path"),
+    (b"1,2\n-inf,4\n5,6\n", 2, "dataset.path"),
+    (b"1,2\n3,4\n5,\xff6\n", 2, "dataset.path"),
+], ids=["too_few_rows", "non_numeric", "ragged", "nan", "inf", "undecodable"])
 def test_csv_data_errors_are_config_errors(tmp_path, capsys, command, text, users, key):
     # found before round 0, so like an unreadable path they name their key and write nothing
-    (tmp_path / "data.csv").write_text(text)
+    (tmp_path / "data.csv").write_bytes(text)
     data = {"kind": "csv", "path": str(tmp_path / "data.csv")}
     cfg, _ = write_config(tmp_path, dataset=data, users={"total": users})
     assert main(["--out", str(tmp_path / "o"), *command, "--config", cfg]) == EXIT_CONFIG

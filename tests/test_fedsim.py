@@ -77,6 +77,17 @@ class TestDatasets:
         with pytest.raises(MalformedCsv):
             load_csv(str(path))
 
+    @pytest.mark.parametrize("content, message", [
+        (b"1.0,2.0,0.5\n3.0,nan,1.5\n", "non-finite cell on line 2: 'nan'"),
+        (b"1.0,2.0,0.5\n3.0,4.0,1e999\n", "non-finite cell on line 2: '1e999'"),
+        (b"1.0,2.0,0.5\n3.0,4.0,1.5\n\xff,0,0\n", "undecodable byte on line 3"),
+    ], ids=["nan", "overflowing_literal", "undecodable"])
+    def test_load_csv_names_the_bad_line(self, tmp_path, content, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        with pytest.raises(MalformedCsv, match=message):
+            load_csv(str(path))
+
     def test_partition_exact_division(self):
         rng = np.random.default_rng(0)
         features = np.arange(100, dtype=float).reshape(100, 1)

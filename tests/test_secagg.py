@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from aggnoise.errors import DimensionMismatch, MissingParticipant, Overflow
+from aggnoise.errors import DimensionMismatch, MissingParticipant, NonFinite, Overflow
 from aggnoise.fedsim.secagg import FixedPointCodec, SAChannel, _pair_mask, secure_aggregate
 
 QUANTUM = 2.0**-16
@@ -44,6 +44,40 @@ class TestFixedPointCodec:
         x = np.array([-123.456])
         out = codec.decode(codec.encode(x))
         assert abs(out[0] - x[0]) <= HALF_QUANTUM
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(NonFinite):
+            FixedPointCodec().encode(np.array([0.5, bad, -1.0]))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_magnitude_at_the_limit_overflows(self, sign):
+        codec = FixedPointCodec()
+        limit = codec.magnitude_limit
+        with pytest.raises(Overflow):
+            codec.encode(np.array([0.0, sign * limit]))
+        codec.encode(np.array([sign * np.nextafter(limit, 0.0)]))
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_non_finite_takes_precedence_over_overflow(self, order):
+        values = np.array([np.nan, 4.0 * FixedPointCodec.magnitude_limit])
+        with pytest.raises(NonFinite):
+            FixedPointCodec().encode(values[list(order)])
+
+    def test_decode_inside_the_limit_is_the_rounded_value(self):
+        # every value inside the limit decodes to its nearest multiple of the
+        # quantum, at every magnitude up to the limit
+        codec = FixedPointCodec()
+        rng = np.random.default_rng(6)
+        limit = codec.magnitude_limit
+        scales = 2.0 ** np.arange(-20, 31)
+        x = np.concatenate([
+            (rng.uniform(-1, 1, size=(scales.size, 64)) * scales[:, None]).ravel(),
+            [0.0, -0.0, HALF_QUANTUM, -HALF_QUANTUM, limit - QUANTUM,
+             -(limit - QUANTUM), np.nextafter(limit, 0.0), -np.nextafter(limit, 0.0)],
+        ])
+        assert np.all(np.abs(x) < limit)
+        assert np.array_equal(codec.decode(codec.encode(x)), np.rint(x / QUANTUM) * QUANTUM)
 
 
 class TestMaskCancellation:
@@ -116,7 +150,7 @@ class TestSAChannel:
         assert np.array_equal(a, b)
 
 
-class TestRowStreamMasks:
+class TestSingleStreamMasks:
     def test_ciphertexts_match_pair_mask_reference(self):
         n, dim, seed = 7, 5, 31
         rng = np.random.default_rng(4)
@@ -134,7 +168,7 @@ class TestRowStreamMasks:
                     expected = expected - _pair_mask(seed, j, i, dim)
             assert np.array_equal(stored[i], expected)
 
-    def test_prg_streams_linear_in_users(self, monkeypatch):
+    def test_one_prg_stream_per_channel(self, monkeypatch):
         built = []
 
         class CountingSeedSequence(np.random.SeedSequence):
@@ -148,10 +182,54 @@ class TestRowStreamMasks:
         for i in range(n):
             channel.submit(i, np.full(3, 0.5))
         channel.aggregate()
-        assert 0 < len(built) <= n
+        channel.ciphertexts()
+        assert len(built) == 1
 
-    def test_fifty_users_aggregate_bit_exact(self):
-        n, dim = 50, 9
+    def test_mutating_ciphertexts_leaves_aggregate(self):
+        n, dim = 4, 3
+        rng = np.random.default_rng(7)
+        channel = SAChannel(n, dim, seed=12)
+        for i in range(n):
+            channel.submit(i, rng.uniform(-2, 2, size=dim))
+        before = channel.aggregate()
+        observed = channel.ciphertexts()
+        for cipher in observed.values():
+            cipher += np.uint64(1)
+        del observed[1]
+        assert np.array_equal(channel.aggregate(), before)
+        assert sorted(channel.ciphertexts()) == list(range(n))
+
+    @pytest.mark.parametrize("first", [True, False], ids=["first_call", "after_a_submit"])
+    @pytest.mark.parametrize("index, update, error", [
+        (1, [0.5, np.nan, 0.0], NonFinite),
+        (1, [0.5, 2.0**40, 0.0], Overflow),
+        (1, [0.5, 0.25], DimensionMismatch),
+        (3, [0.5, 0.25, 0.0], ValueError),
+        (-1, [0.5, 0.25, 0.0], ValueError),
+        (0, [0.5, 0.25, 0.0], ValueError),
+    ], ids=["nan", "overflow", "shape", "past_end", "negative", "duplicate"])
+    def test_refused_submit_leaves_channel_unchanged(self, first, index, update, error):
+        n, dim, seed = 3, 3, 19
+        updates = np.array([[1.5, -0.25, 3.0], [-2.0, 0.125, 0.75], [0.5, 0.5, -4.0]])
+        channel = SAChannel(n, dim, seed)
+        if not first or index == 0:  # a duplicate needs an earlier submission
+            channel.submit(0, updates[0])
+        before = channel.ciphertexts()
+        with pytest.raises(error):
+            channel.submit(index, np.array(update))
+        after = channel.ciphertexts()
+        assert sorted(after) == sorted(before)
+        assert all(np.array_equal(after[i], before[i]) for i in before)
+        for i in range(n):
+            if i not in before:
+                channel.submit(i, updates[i])
+        codec = FixedPointCodec()
+        plain = np.sum([codec.encode(u) for u in updates], axis=0, dtype=np.uint64)
+        assert np.array_equal(channel.aggregate(), codec.decode(plain))
+
+    @pytest.mark.parametrize("n, dim", [(50, 9), (200, 101), (1, 101)],
+                             ids=["fifty_users", "wide", "single_user"])
+    def test_aggregate_is_the_ring_sum_of_encodings(self, n, dim):
         rng = np.random.default_rng(5)
         updates = rng.uniform(-10, 10, size=(n, dim))
         codec = FixedPointCodec()
