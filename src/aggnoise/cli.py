@@ -268,7 +268,11 @@ def _env_default(name: str, cast, fallback):
 
 
 def _build_run(config: dict, seed: int):
-    """Instantiate users, model, mechanism, params and route from a config."""
+    """Instantiate the cohort, model, mechanism, params and route from a config.
+
+    The users' data is laid out once, in one ``Partition``; the cohort takes
+    it as it is, and each user's features and labels view it.
+    """
     ds = config["dataset"]
     users_cfg = config["users"]
     scheme_cfg = config["scheme"]
@@ -343,6 +347,7 @@ def _build_run(config: dict, seed: int):
     for i, (feats, labels) in enumerate(per_user):
         role = Role.SENSITIVE if i < n_sensitive else Role.NON_SENSITIVE
         user_states.append(UserState(i, role, feats, labels, scheme))
+    cohort = Cohort(user_states, per_user)
 
     d_local = per_user[0][0].shape[0]
     if scheme.kind is SchemeKind.IID_SGD and scheme.batch > d_local:
@@ -363,7 +368,7 @@ def _build_run(config: dict, seed: int):
             raise ConfigError(f"mechanism.sigma2: {exc}") from None
     composition = CompositionMode(acct.get("composition", "simple"))
     model = init_model(family, per_user[0][0].shape[1])
-    return user_states, model, mech, params, route, composition, eval_data, dataset_hash
+    return cohort, model, mech, params, route, composition, eval_data, dataset_hash
 
 
 CSV_COLUMNS = [
@@ -383,11 +388,11 @@ def cmd_simulate(args) -> int:
     config = load_config(args.config)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     out_dir = args.out
-    (users, model, mech, params, route, composition, eval_data, dataset_hash) = _build_run(
+    (cohort, model, mech, params, route, composition, eval_data, dataset_hash) = _build_run(
         config, seed
     )
     result = run_simulation(
-        users, model, mech, params, route,
+        cohort, model, mech, params, route,
         rounds=config["rounds"], master_seed=seed,
         eval_data=eval_data, composition=composition,
     )
@@ -534,12 +539,12 @@ def cmd_spectrum(args) -> int:
     elif args.config:
         config = load_config(args.config)
         seed = args.seed if args.seed is not None else config.get("seed", 0)
-        users, model, mech, params, _, _, _, _ = _build_run(config, seed)
+        cohort, model, mech, params, _, _, _, _ = _build_run(config, seed)
         # simulate's round-0 pass, from the same per-user streams
         _, spectra, summed, _, _ = noise_round(
-            model, Cohort(users), mech, params.clip, seed, 0, spectra=True
+            model, cohort, mech, params.clip, seed, 0, spectra=True
         )
-        ns_users = [user for user in users if user.role is Role.NON_SENSITIVE]
+        ns_users = [user for user in cohort.users if user.role is Role.NON_SENSITIVE]
         for user, eigvals in zip(ns_users, spectra):
             rows.extend(_spectrum_rows(f"user{user.user_id}", eigvals, mech.floor))
         rows.extend(_spectrum_rows("aggregate", summed, 0.0))

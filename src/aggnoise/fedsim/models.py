@@ -66,12 +66,13 @@ class ModelOps:
     def __init__(self, family: ModelFamily):
         self.family = family
 
-    def per_example_gradients(self, theta: Array, phi: Array, labels: Array) -> Array:
+    def per_example_gradients(self, theta: Array, phi: Array, labels: Array, out=None) -> Array:
+        """residual * phi for every example, written into ``out`` when given."""
         if self.family is ModelFamily.LINEAR_REGRESSION:
             residual = phi @ theta - labels
         else:
             residual = _sigmoid(phi @ theta) - labels
-        return residual[..., None] * phi
+        return np.multiply(residual[..., None], phi, out=out)
 
     def loss(self, theta: Array, phi: Array, labels: Array) -> float:
         if phi.shape[0] == 0:

@@ -7,10 +7,14 @@ accountant never sees samples: it receives the analytic covariance of the
 non-sensitive users' submitted updates, which is what the per-round guarantees
 are stated in terms of.
 
-A ``Cohort`` lays the users' data out once per run: one design matrix of
-every user's rows in slot order, which the training loss reads, and stacks
-that slice it, each a run of consecutive slots whose users share role,
-scheme and local size D, at most ``_STACK_BYTES`` of gradients each. A round
+A ``Cohort`` takes the users' data as laid out once per run, a
+``Partition``: one read-only design block of every user's rows in slot
+order, which the users' arrays view and the training loss reads. Its stacks
+slice it, each a run of consecutive slots whose users share role, scheme and
+local size D, at most ``_STACK_BYTES`` of gradients each. The cohort also
+owns the round workspace, two buffers sized for its largest stack, in which
+every stack of every round forms its clipped per-example gradients and its
+WFDP second moments; nothing that outlives the stack views them. A round
 runs each stack's users together: ``user_update`` is the one definition of a
 stack's updates and unfloored covariance models, one model stack per user
 stack, and the mechanisms floor and draw for the whole stack, every member
@@ -69,7 +73,8 @@ from ..spectra import (
     rank,
     sum_covariances,
 )
-from .models import GlobalModel, ModelOps, design, evaluate_model
+from .datasets import Partition
+from .models import GlobalModel, ModelOps, evaluate_model
 from .secagg import SAChannel
 
 Array = np.ndarray
@@ -158,7 +163,11 @@ class UserStack:
     """Users in consecutive ``slots`` who share a role, a scheme and a local size D.
 
     ``phi`` (k, D, p) holds their design rows and ``labels`` (k, D) their
-    labels, both views of the cohort's arrays.
+    labels, both views of the cohort's arrays. ``gradients`` (k, D, p) and
+    ``moments`` (k, w, w) are views of the cohort's round workspace, which
+    every stack reuses: the round writes the clipped per-example gradients
+    and the WFDP second moments there, and nothing kept past the stack may
+    view them.
     """
 
     slots: range
@@ -166,19 +175,30 @@ class UserStack:
     scheme: UpdateScheme
     phi: Array
     labels: Array
+    gradients: Array
+    moments: Array
 
 
 class Cohort:
-    """A run's users with their data laid out once, and the stacks a round runs."""
+    """A run's users with their data laid out once, the stacks a round runs, and their workspace.
 
-    def __init__(self, users: Sequence[UserState]):
+    ``data`` is the users' ``Partition``, whose items the users' features and
+    labels view, taken as it is; without it the users' arrays are copied
+    into one. The workspace is two buffers allocated here, sized for the
+    largest stack, which every stack and round reuses.
+    """
+
+    def __init__(self, users: Sequence[UserState], data: Optional[Partition] = None):
         if not users:
             raise ConfigError("need at least one user")
         self.users = list(users)
-        self.phi = design(np.concatenate([u.features for u in self.users]))
-        self.labels = np.concatenate([u.labels for u in self.users])
+        if data is None:
+            data = Partition.concatenate([(u.features, u.labels) for u in self.users])
+        if data.sizes != [u.features.shape[0] for u in self.users]:
+            raise ValueError("the partition's users are not the cohort's")
+        self.phi, self.labels = data.phi, data.labels
         width = self.phi.shape[1]
-        self.stacks: list[UserStack] = []
+        runs = []  # (slots, first row, D, moment side) of each stack
         start = row = 0
         for stop in range(1, len(self.users) + 1):
             first = self.users[start]
@@ -188,15 +208,25 @@ class Cohort:
                 user = self.users[stop]
                 if (user.role, user.scheme, user.features.shape[0]) == (first.role, first.scheme, size):
                     continue
-            rows = (stop - start) * size
+            # the second moments' side: D (FEDAVG's replays M) when thin, else p
+            count = first.scheme.fedavg_samples if first.scheme.kind is SchemeKind.FEDAVG else size
+            side = estimate_width(width, count)
+            runs.append((range(start, stop), row, size, side))
+            start, row = stop, row + (stop - start) * size
+        gradients = np.empty(max(len(slots) * size * width for slots, _, size, _ in runs))
+        moments = np.empty(max(len(slots) * side * side for slots, _, _, side in runs))
+        self.stacks: list[UserStack] = []
+        for slots, row, size, side in runs:
+            k, first = len(slots), self.users[slots[0]]
             self.stacks.append(UserStack(
-                slots=range(start, stop),
+                slots=slots,
                 role=first.role,
                 scheme=first.scheme,
-                phi=self.phi[row : row + rows].reshape(stop - start, size, width),
-                labels=self.labels[row : row + rows].reshape(stop - start, size),
+                phi=self.phi[row : row + k * size].reshape(k, size, width),
+                labels=self.labels[row : row + k * size].reshape(k, size),
+                gradients=gradients[: k * size * width].reshape(k, size, width),
+                moments=moments[: k * side * side].reshape(k, side, side),
             ))
-            start, row = stop, row + rows
 
 
 def user_update(
@@ -221,7 +251,7 @@ def user_update(
     """
     scheme = stack.scheme
     raw, grads, sampled_from = compute_update(
-        scheme, stack.phi, stack.labels, ops, theta, clip, rngs
+        scheme, stack.phi, stack.labels, ops, theta, clip, rngs, out=stack.gradients
     )
     if stack.role is not Role.NON_SENSITIVE:
         return raw, None
@@ -266,12 +296,13 @@ def floored_update(
     if scheme.kind is SchemeKind.FEDAVG:
         grads = fedavg_replays(scheme, stack.phi, stack.labels, ops, theta, clip, rngs)
     elif scheme.kind is SchemeKind.IID_SGD:
-        _, grads, _ = compute_update(scheme, stack.phi, stack.labels, ops, theta, clip, rngs)
+        _, grads, _ = compute_update(scheme, stack.phi, stack.labels, ops, theta, clip, rngs,
+                                     out=stack.gradients)
     else:
-        grads = clipped_gradients(stack.phi, stack.labels, ops, theta, clip)
+        grads = clipped_gradients(stack.phi, stack.labels, ops, theta, clip, out=stack.gradients)
     if scheme.kind is SchemeKind.GAUSSIAN_SAMPLED:
         _member_normals(rngs, np.full(len(rngs), estimate_width(grads.dim, grads.count)))
-    return wfdp_from_spectra(grads, batch, floor, rngs, spectra)
+    return wfdp_from_spectra(grads, batch, floor, rngs, spectra, out=stack.moments)
 
 
 def noise_round(
@@ -489,7 +520,7 @@ class SimulationResult:
 
 
 def run_simulation(
-    users: Sequence[UserState],
+    users: Union[Sequence[UserState], Cohort],
     model: GlobalModel,
     mech: MechanismConfig,
     params: PrivacyParams,
@@ -513,7 +544,7 @@ def run_simulation(
     O(t) at round t.
     """
     ledger = RoundLedger(params, composition)
-    cohort = Cohort(users)
+    cohort = users if isinstance(users, Cohort) else Cohort(users)
     rows: list[dict] = []
     current = model
     total: Optional[float] = None

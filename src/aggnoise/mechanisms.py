@@ -111,11 +111,13 @@ def clip_gradient(g, clip: float) -> Array:
     return arr * (clip / max(norm, clip))
 
 
-def _clipped_per_example(model, theta: Array, phi: Array, labels: Array, clip: float) -> Array:
-    grads = model.per_example_gradients(theta, phi, labels)
+def _clipped_per_example(model, theta: Array, phi: Array, labels: Array, clip: float,
+                         out: Optional[Array] = None) -> Array:
+    """Per-example gradients scaled onto the clip ball, made and scaled in ``out`` when given."""
+    grads = model.per_example_gradients(theta, phi, labels, out=out)
     norms = np.linalg.norm(grads, axis=-1)
     scale = clip / np.maximum(norms, clip)
-    return grads * scale[..., None]
+    return np.multiply(grads, scale[..., None], out=out)
 
 
 def _local_epochs(
@@ -149,15 +151,18 @@ def _local_deltas(scheme: UpdateScheme, model, theta: Array, phi: Array, labels:
     return deltas
 
 
-def clipped_gradients(phi: Array, labels: Array, model, theta: Array, clip: float) -> GradientMatrix:
+def clipped_gradients(phi: Array, labels: Array, model, theta: Array, clip: float,
+                      out: Optional[Array] = None) -> GradientMatrix:
     """A stack's clipped per-example gradients as checked (k, dim, D) columns; making them draws nothing.
 
     They are what IID_SGD, FULL_GD and GAUSSIAN_SAMPLED updates are made from
-    (see ``compute_update``).
+    (see ``compute_update``). Given ``out``, (k, D, dim) like ``phi``, they
+    are made there and the columns view it.
     """
     if phi.shape[-2] == 0:
         raise EmptyDataset("user dataset is empty")
-    return GradientMatrix(_clipped_per_example(model, theta, phi, labels, clip).swapaxes(-1, -2), clip)
+    clipped = _clipped_per_example(model, theta, phi, labels, clip, out=out)
+    return GradientMatrix(clipped.swapaxes(-1, -2), clip)
 
 
 def _check_stack(phi: Array, labels: Array, rngs: Sequence[np.random.Generator]) -> None:
@@ -180,6 +185,7 @@ def compute_update(
     theta: Array,
     clip: float,
     rngs: Sequence[np.random.Generator],
+    out: Optional[Array] = None,
 ) -> tuple[Array, Optional[GradientMatrix], Optional[CovarianceModel]]:
     """A stack's updates (k, dim), the clipped gradients behind them, and their estimates.
 
@@ -195,7 +201,8 @@ def compute_update(
     on the clipped-gradient scale, with no learning rate (FEDAVG's steps carry
     it). The gradients are None for FEDAVG, and the estimates are the model
     stack ``estimate_mean_cov(grads, scheme.batch)`` a dense GAUSSIAN_SAMPLED
-    stack drew from, None when nothing was estimated.
+    stack drew from, None when nothing was estimated. ``out`` is passed to
+    ``clipped_gradients``; the updates and estimates never view it.
     """
     _check_stack(phi, labels, rngs)
     if phi.shape[-2] == 0:
@@ -203,7 +210,7 @@ def compute_update(
     if scheme.kind is SchemeKind.FEDAVG:
         deltas = _local_deltas(scheme, model, theta, phi, labels, clip, [[rng] for rng in rngs])
         return deltas[..., 0], None, None
-    grads = clipped_gradients(phi, labels, model, theta, clip)
+    grads = clipped_gradients(phi, labels, model, theta, clip, out=out)
     cols = grads.columns  # (k, d, D)
     dist = None
     if scheme.kind is SchemeKind.FULL_GD:
@@ -267,7 +274,7 @@ def wfdp_update(model: CovarianceModel, floor: float, rng: Generators) -> Noised
 
 def wfdp_from_spectra(
     grads: GradientMatrix, batch: float, floor: float, rngs: Sequence[np.random.Generator],
-    spectra: bool = True,
+    spectra: bool = True, out: Optional[Array] = None,
 ) -> tuple[Optional[Array], list[NoisedUpdate]]:
     """WFDP for a stack of users' clipped gradients, decomposing only what the floor leaves.
 
@@ -289,14 +296,15 @@ def wfdp_from_spectra(
     Returns the (k, dim) non-increasing unfloored spectra in slot order (an
     estimated member's row is its estimate's spectrum), or None when
     ``spectra`` is false, and the noised updates of consecutive runs of
-    covered or estimated members, in slot order.
+    covered or estimated members, in slot order. ``out`` is passed to
+    ``floor_coverage``; nothing returned views it.
     """
     cols = grads.columns
     if not np.isfinite(batch):  # a deterministic update: the zero spectrum
         covered = np.full(cols.shape[0], True)
         unfloored = np.zeros(cols.shape[:-1]) if spectra else None
     else:
-        covered, unfloored = floor_coverage(grads, batch, floor, spectra)
+        covered, unfloored = floor_coverage(grads, batch, floor, spectra, out=out)
     cuts = np.flatnonzero(covered[1:] != covered[:-1]) + 1
     edges = [0, *cuts.tolist(), cols.shape[0]]
     noised = []

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -317,15 +317,19 @@ def estimate_width(dim: int, count: int) -> int:
     return count if _is_thin(dim, count) else dim
 
 
-def _second_moment(cols: Array, batch) -> Array:
+def _second_moment(cols: Array, batch, out: Optional[Array] = None) -> Array:
     """The matrix (..., dim, D) gradients' eigenvalues are read from, scaled by 1/(B*D).
 
     X X^T for dense gradients; for thin ones the D x D Gram matrix X^T X, which
     has the same nonzero eigenvalues. An array ``batch`` broadcasts per member.
+    The product is formed, then scaled, in ``out`` when given; without it
+    each step makes a new array.
     """
     if _is_thin(*cols.shape[-2:]):
-        return (cols.swapaxes(-1, -2) @ cols) / (batch * cols.shape[-1])
-    return (cols @ cols.swapaxes(-1, -2)) / (batch * cols.shape[-1])
+        mat = np.matmul(cols.swapaxes(-1, -2), cols, out=out)
+    else:
+        mat = np.matmul(cols, cols.swapaxes(-1, -2), out=out)
+    return np.divide(mat, batch * cols.shape[-1], out=out)
 
 
 def estimate_mean_cov(
@@ -412,7 +416,7 @@ def _certified(mat: Array, floor: float, inner: int) -> bool:
     """Whether row sums or a Cholesky factorization, and the shape or a clamp Cholesky, clear ``mat``.
 
     ``mat`` is a stack of second moments M (see ``floor_coverage``), formed
-    by products of inner dimension ``inner``, in its fresh, contiguous
+    by products of inner dimension ``inner``, in its own contiguous
     buffer, whose flattened rows step along the diagonal. Where row sums and
     the shape clear every member, M is only read. Otherwise the shifted
     matrices are formed in that buffer: negation is exact, each diagonal is
@@ -448,6 +452,7 @@ def floor_coverage(
     batch: Union[int, Array],
     floor: float,
     spectra: bool = False,
+    out: Optional[Array] = None,
 ) -> tuple[Array, Array | None]:
     """Which members ``floor`` covers, and with ``spectra`` their second moments' eigenvalues.
 
@@ -462,7 +467,8 @@ def floor_coverage(
     same matrices, in one stacked ``eigvalsh`` call, as every stack does with
     ``spectra``. ``batch`` broadcasts as in ``estimate_mean_cov``. The values
     agree with the estimates' spectra up to the last bits ``eigvalsh`` and
-    ``eigh`` differ in.
+    ``eigh`` differ in. Given ``out``, a contiguous (..., w, w) array, the
+    matrices are formed there; nothing returned views it.
 
     The certificate clears a stack when, for every member, M is exactly
     symmetric, its largest eigenvalue is bounded by floor (1 - eta), and its
@@ -539,7 +545,7 @@ def floor_coverage(
     if not 0.0 <= floor < math.inf:
         raise ValueError(f"floor must be finite and >= 0, got {floor}")
     covered = np.full(grads.columns.shape[:-2], True)
-    mat = _second_moment(grads.columns, np.asarray(batch)[..., None, None])
+    mat = _second_moment(grads.columns, np.asarray(batch)[..., None, None], out=out)
     # the products' inner dimension: D for X X^T, dim for a thin X^T X
     inner = grads.dim if _is_thin(grads.dim, grads.count) else grads.count
     if not spectra and _certified(mat, floor, inner):

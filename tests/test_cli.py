@@ -461,6 +461,35 @@ class TestSimulateCommand:
         assert manifest["dataset_hash"] == hashlib.sha256(data_path.read_bytes()).hexdigest()
 
 
+def views_the_block(cohort):
+    """Every user's features and labels view the cohort's read-only block."""
+    assert not cohort.phi.flags.writeable and not cohort.labels.flags.writeable
+    return all(np.shares_memory(u.features, cohort.phi) and np.shares_memory(u.labels, cohort.labels)
+               for u in cohort.users)
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "csv"])
+def test_users_view_the_cohort_block(tmp_path, monkeypatch, kind):
+    dataset = {}
+    if kind == "csv":
+        rows = np.random.default_rng(0).standard_normal((42, 4))
+        np.savetxt(tmp_path / "data.csv", rows, delimiter=",")
+        dataset = {"kind": "csv", "path": str(tmp_path / "data.csv"), "task": "regression"}
+    cfg, config = write_config(tmp_path, dataset=dataset)
+    cohort = _build_run(config, config["seed"])[0]
+    assert len(cohort.users) == 4 and views_the_block(cohort)
+    # spectrum --config runs round 0 on a cohort laid out the same way
+    seen, original = [], cli_module.noise_round
+
+    def recording(model, cohort, *args, **kwargs):
+        seen.append(cohort)
+        return original(model, cohort, *args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "noise_round", recording)
+    assert main(["--out", str(tmp_path / "spec"), "spectrum", "--config", cfg]) == EXIT_OK
+    assert len(seen) == 1 and views_the_block(seen[0])
+
+
 @pytest.mark.parametrize("command", [["simulate"], ["spectrum"]])
 @pytest.mark.parametrize(
     "key, value",
@@ -712,10 +741,10 @@ class TestSpectrumCommand:
         assert main(["--out", str(tmp_path / "spec"), "spectrum", "--config", cfg]) == EXIT_OK
         with open(tmp_path / "spec" / "spectrum.csv") as fh:
             rows = list(csv.DictReader(fh))
-        users, model, _, params, _, _, _, _ = _build_run(config, config["seed"])
+        cohort, model, _, params, _, _, _, _ = _build_run(config, config["seed"])
         ops = ModelOps(model.family)
         batch = config["scheme"]["batch"]
-        for user in users[1:]:
+        for user in cohort.users[1:]:
             cols = clipped_gradients(design(user.features)[None], user.labels[None], ops,
                                      model.theta, params.clip).columns[0]
             reference = np.linalg.eigvalsh(cols @ cols.T / (batch * cols.shape[1]))[::-1]

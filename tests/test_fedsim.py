@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,99 @@ class TestDatasets:
         users, _, _ = make_synthetic(spec, 3, np.random.default_rng(1))
         labels = np.concatenate([l for _, l in users])
         assert set(np.unique(labels)) <= {0.0, 1.0}
+
+
+def reference_synthetic(spec, n_users, rng):
+    """``make_synthetic`` as it drew each user's arrays on their own, before the shared block."""
+    p = spec.features + 1
+    theta_star = rng.standard_normal(p) / np.sqrt(p)
+
+    def draw(n, mean_shift):
+        features = rng.standard_normal((n, spec.features)) + mean_shift
+        z = design(features) @ theta_star
+        if spec.task == "regression":
+            labels = z + spec.noise * rng.standard_normal(n)
+        else:
+            labels = (rng.random(n) < 1.0 / (1.0 + np.exp(-z))).astype(float)
+        return features, labels
+
+    users = []
+    for _ in range(n_users):
+        shift = np.zeros(spec.features)
+        if not spec.iid:
+            direction = rng.standard_normal(spec.features)
+            shift = spec.shift * direction / np.linalg.norm(direction)
+        users.append(draw(spec.per_user, shift))
+    return users, draw(spec.eval_size, np.zeros(spec.features)), theta_star
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPartition:
+    @pytest.mark.parametrize("features", [3, 100])
+    @pytest.mark.parametrize("iid", [True, False], ids=["iid", "non_iid"])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_make_synthetic_draws_the_per_user_bits(self, task, iid, features):
+        spec = SyntheticSpec(task=task, features=features, per_user=13, iid=iid, eval_size=9)
+        rng, reference_rng = np.random.default_rng(11), np.random.default_rng(11)
+        data, eval_set, theta = make_synthetic(spec, 4, rng)
+        users, reference_eval, reference_theta = reference_synthetic(spec, 4, reference_rng)
+        assert len(data) == 4 and data.sizes == [13] * 4
+        for (feats, labels), (ref_feats, ref_labels) in zip(data, users):
+            assert same_bits(feats, ref_feats) and same_bits(labels, ref_labels)
+        for got, want in zip((*eval_set, theta), (*reference_eval, reference_theta)):
+            assert same_bits(got, want)
+        assert rng.random() == reference_rng.random()  # the stream ends where it did
+        assert (data.phi[:, -1] == 1.0).all()
+
+    def test_partition_rows_are_the_permuted_rows(self):
+        source = np.random.default_rng(4)
+        features, labels = source.standard_normal((103, 3)), source.standard_normal(103)
+        data = partition_equal(features, labels, 10, np.random.default_rng(5))
+        order = np.random.default_rng(5).permutation(103)
+        assert data.sizes == [10] * 10 and data.phi.shape == (100, 4)
+        for u, (feats, ys) in enumerate(data):
+            rows = order[u * 10 : (u + 1) * 10]
+            assert same_bits(feats, features[rows]) and same_bits(ys, labels[rows])
+        assert (data.phi[:, -1] == 1.0).all()
+
+    def test_items_are_views_of_the_block(self):
+        spec = SyntheticSpec(task="regression", features=3, per_user=5)
+        data, _, _ = make_synthetic(spec, 4, np.random.default_rng(0))
+        feats, labels = data[-1]
+        assert np.shares_memory(feats, data.phi) and np.shares_memory(labels, data.labels)
+        assert same_bits(feats, data.phi[15:, :-1]) and same_bits(labels, data.labels[15:])
+        assert [same_bits(f, g) for (f, _), (g, _) in zip(data[1:3], [data[1], data[2]])] == [True] * 2
+        with pytest.raises(IndexError):
+            data[4]
+
+    def test_the_block_is_read_only(self):
+        # a stray in-place write through any view raises instead of changing later rounds
+        scheme = UpdateScheme(SchemeKind.FULL_GD, batch=5)
+        spec = SyntheticSpec(task="regression", features=3, per_user=5)
+        data, _, _ = make_synthetic(spec, 4, np.random.default_rng(0))
+        users = [UserState(i, Role.NON_SENSITIVE, f, y, scheme) for i, (f, y) in enumerate(data)]
+        cohort = Cohort(users, data)
+        assert cohort.phi is data.phi and cohort.labels is data.labels
+        own = Cohort([UserState(0, Role.NON_SENSITIVE, np.ones((5, 3)), np.ones(5), scheme)])
+        for target in (data.phi, data.labels, users[1].features, users[1].labels,
+                       cohort.stacks[0].phi, cohort.stacks[0].labels, own.phi, own.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                target[0] = 0.0
+        assert np.array_equal(data.phi[0], design(users[0].features)[0])
+        # a cohort laid out from the users' own arrays copies them and leaves those writable
+        own.users[0].features[0] = 2.0
+        assert (own.phi[0] == 1.0).all()
+
+    def test_a_cohort_refuses_another_partition(self):
+        scheme = UpdateScheme(SchemeKind.FULL_GD, batch=5)
+        spec = SyntheticSpec(task="regression", features=3, per_user=5)
+        data, _, _ = make_synthetic(spec, 3, np.random.default_rng(0))
+        users = [UserState(i, Role.NON_SENSITIVE, f, y, scheme) for i, (f, y) in enumerate(data)]
+        with pytest.raises(ValueError, match="not the cohort's"):
+            Cohort(users[:2], data)
 
 
 class TestModels:
@@ -791,9 +885,9 @@ class TestStackedRoundMatchesPerUserLoop:
         users, mech, params, family = self.setup(SchemeKind.FULL_GD, "wfdp", 5)
         clipped = mechanisms._clipped_per_example
 
-        def loose(model, theta, phi, labels, clip):
+        def loose(model, theta, phi, labels, clip, out=None):
             # the user in slot 3 gets one column far outside the clip ball
-            grads = clipped(model, theta, phi, labels, clip)
+            grads = clipped(model, theta, phi, labels, clip, out=out)
             for member, member_labels in zip(grads, labels):
                 if np.array_equal(member_labels, users[3].labels):
                     member[0] *= 1e3
@@ -1086,3 +1180,151 @@ class TestMechanismConfig:
         with pytest.raises(ConfigError, match="mechanism.sigma2: none adds no noise"):
             MechanismConfig(MechanismKind.NONE, 0.5)
         assert MechanismConfig(MechanismKind.NONE).floor == 0.0
+
+
+def workspace(cohort):
+    """Views of the cohort's two round buffers; the largest stack's cover them whole."""
+    return [view for stack in cohort.stacks for view in (stack.gradients, stack.moments)]
+
+
+def arrays_of(*results):
+    """Every array in (nested) round results: vectors, traces and models' fields."""
+    found = []
+    for item in results:
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (list, tuple)):
+            found.extend(arrays_of(*item))
+        elif isinstance(item, mechanisms.NoisedUpdate):
+            found.extend(arrays_of(item.vector, item.noise_trace, item.floored))
+        elif isinstance(item, CovarianceModel):
+            found.extend(arrays_of(item.mean, item.eigvecs, item.eigvals, item.tail))
+    return found
+
+
+class TestRoundWorkspace:
+    """The cohort's round workspace changes no result and nothing returned views it."""
+
+    SIGMA2 = 0.02
+
+    def cohort(self, monkeypatch, scheme_kind):
+        # with at most two users a stack, the stacks are (1, 10), (2, 30), (1, 30), (2, 10)
+        # and (1, 12): D = 30 is dense at d = 40 and the others are thin, so each takes a
+        # differently sized view of the buffers, and smaller stacks follow larger ones
+        monkeypatch.setattr(simulation, "_STACK_BYTES", 2 * 8 * 40 * 40)
+        scheme = UpdateScheme(scheme_kind, batch=5, learning_rate=0.2, fedavg_samples=3)
+        users, _, family = make_users(7, 1, scheme, seed=4, task="regression", features=39,
+                                      per_user=30)
+        sizes = [10, 30, 30, 30, 10, 10, 12]
+        users = [UserState(u.user_id, u.role, u.features[:n], u.labels[:n], u.scheme)
+                 for u, n in zip(users, sizes)]
+        cohort = Cohort(users)
+        assert [stack.phi.shape[:2] for stack in cohort.stacks] == [
+            (1, 10), (2, 30), (1, 30), (2, 10), (1, 12)
+        ]
+        return cohort, family
+
+    @staticmethod
+    def without_workspace(cohort):
+        """The same cohort with every stack's products made in new arrays (``out=None``)."""
+        reference = Cohort(cohort.users)
+        reference.stacks = [dataclasses.replace(stack, gradients=None, moments=None)
+                            for stack in reference.stacks]
+        return reference
+
+    @pytest.mark.parametrize("spectra", [True, False], ids=["spectra", "certificate"])
+    @pytest.mark.parametrize("mech_name", ["wfdp", "ddp"])
+    @pytest.mark.parametrize("scheme_kind", list(SchemeKind))
+    def test_two_rounds_match_new_arrays(self, monkeypatch, scheme_kind, mech_name, spectra):
+        cohort, family = self.cohort(monkeypatch, scheme_kind)
+        reference = self.without_workspace(cohort)
+        mech = MechanismConfig(MechanismKind(mech_name), self.SIGMA2)
+        params = PrivacyParams(clip=1.0, batch=5, local_size=10, ns_users=6, delta=1e-3,
+                               floor=mech.floor)
+        model = init_model(family, 39)
+        for t in range(2):
+            got = simulation.noise_round(model, cohort, mech, 1.0, 5, t, spectra=spectra)
+            want = simulation.noise_round(model, reference, mech, 1.0, 5, t, spectra=spectra)
+            assert all(same_bits(a, b) for a, b in zip(got[0], want[0]))
+            assert (got[1] is None) is (not spectra)
+            if spectra:
+                assert same_bits(got[1], want[1])
+            assert same_bits(got[2], want[2]) and got[3:] == want[3:]
+            assert not any(np.shares_memory(a, view)
+                           for a in arrays_of(got) for view in workspace(cohort))
+            route = ROUTES["theorem1_rdp" if spectra else "closed_form:general"]
+            outcome = run_round(model, cohort, mech, params, route, 5, t)
+            expected = run_round(model, reference, mech, params, route, 5, t)
+            assert outcome.entry == expected.entry and outcome.train_loss == expected.train_loss
+            assert same_bits(outcome.model.theta, expected.model.theta)
+            assert not any(np.shares_memory(outcome.model.theta, view) for view in workspace(cohort))
+            model = outcome.model
+
+    @pytest.mark.parametrize("scheme_kind", list(SchemeKind))
+    def test_no_update_or_model_views_the_workspace(self, monkeypatch, scheme_kind):
+        cohort, family = self.cohort(monkeypatch, scheme_kind)
+        ops, theta = ModelOps(family), np.full(40, 0.1)
+        for stack in cohort.stacks:
+            rngs = [np.random.default_rng(slot) for slot in stack.slots]
+            results = [simulation.user_update(stack, ops, theta, 1.0, rngs)]
+            if stack.role is Role.NON_SENSITIVE:
+                rngs = [np.random.default_rng(slot) for slot in stack.slots]
+                results.append(simulation.floored_update(stack, ops, theta, 1.0, self.SIGMA2,
+                                                         rngs, spectra=True))
+            found = arrays_of(results)
+            assert found and not any(np.shares_memory(a, view)
+                                     for a in found for view in workspace(cohort))
+
+
+class TestMemoryGuard:
+    """A wide-shaped run holds its data once, and a round's temporaries scale with a stack.
+
+    Bounds measured on this test's run (numpy 2.4, tracemalloc): building the
+    users and the cohort traced a peak 141 KB above the block, labels and eval
+    set (106 KB of it the workspace), and held as much after it; the second
+    round peaked 3.85 x _STACK_BYTES above its start. With each user's data
+    copied into the cohort and no workspace, the same run's build peaked
+    1.19 MB above them and its round at 5.20 x.
+    """
+
+    BUDGET = 1 << 16
+    ROUND_PEAK = 4.5  # times _STACK_BYTES
+
+    def run(self):
+        spec = SyntheticSpec(task="regression", features=30, per_user=40, eval_size=100)
+        scheme = UpdateScheme(SchemeKind.GAUSSIAN_SAMPLED, batch=10, learning_rate=0.1)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        data, eval_data, _ = make_synthetic(spec, 60, np.random.default_rng(3))
+        users = [UserState(i, Role.SENSITIVE if i == 0 else Role.NON_SENSITIVE, f, y, scheme)
+                 for i, (f, y) in enumerate(data)]
+        cohort = Cohort(users, data)
+        built, built_peak = (m - start for m in tracemalloc.get_traced_memory())
+        mech = MechanismConfig(MechanismKind.WFDP, 0.01)
+        params = PrivacyParams(clip=1.0, batch=10, local_size=40, ns_users=59, delta=1e-3,
+                               floor=mech.floor)
+        route = ROUTES["closed_form:general"]
+        outcome = run_round(init_model(spec.family, 30), cohort, mech, params, route, 3, 0,
+                            eval_data)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_round(outcome.model, cohort, mech, params, route, 3, 1, eval_data)
+        round_peak = tracemalloc.get_traced_memory()[1] - start
+        held = 8 * (60 * 40 * 31 + 60 * 40 + 100 * 31 + 100)  # block, labels, eval set
+        return held, built, built_peak, round_peak
+
+    def test_data_once_and_round_within_its_stacks(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_STACK_BYTES", self.BUDGET)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            self.run()  # first calls import lazily and fill caches
+            held, built, built_peak, round_peak = self.run()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # the slack: the workspace's two buffers, at most _STACK_BYTES each, and 64 KiB
+        slack = 2 * self.BUDGET + (1 << 16)
+        assert built <= built_peak <= held + slack
+        assert round_peak <= self.ROUND_PEAK * self.BUDGET

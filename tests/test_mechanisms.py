@@ -582,9 +582,9 @@ class TestFloorCertificate:
         moments, eigvalsh = [], []
         moment, original = spectra_module._second_moment, np.linalg.eigvalsh
 
-        def forming(part, batch):
+        def forming(part, batch, out=None):
             moments.append(part.shape)
-            return moment(part, batch)
+            return moment(part, batch, out=out)
 
         def reading(a, *args, **kwargs):
             eigvalsh.append(np.shape(a))
@@ -630,7 +630,7 @@ class TestFloorCertificate:
         moment = spectra_module._second_moment
         skew = np.triu(np.full((12, 12), 1e-15), 1)
         monkeypatch.setattr(spectra_module, "_second_moment",
-                            lambda cols, batch: moment(cols, batch) + skew)
+                            lambda cols, batch, out=None: moment(cols, batch, out=out) + skew)
         covered, cleared = self.coverage(monkeypatch, grads, 0.2)
         assert covered.all() and not cleared
         # nor is one below _psd_eigh's clamp, although the floor covers it: on a
@@ -638,7 +638,7 @@ class TestFloorCertificate:
         long = GradientMatrix(self.fallback_gradients(), 1.0)
         dent = np.diag([-1e-6] + [0.0] * 4)
         monkeypatch.setattr(spectra_module, "_second_moment",
-                            lambda cols, batch: moment(cols, batch) + dent)
+                            lambda cols, batch, out=None: moment(cols, batch, out=out) + dent)
         with pytest.raises(NotPositiveSemidefinite):
             floor_coverage(long, self.BATCH, 0.2)
         with pytest.raises(NotPositiveSemidefinite):
